@@ -45,12 +45,20 @@ from .inequalities import (
 )
 
 
+def _input_file(path) -> Path:
+    """``path`` as an existing input file; a missing one is bad input (exit 2)."""
+    path = Path(path)
+    if not path.is_file():
+        raise ValidationError(f"input file not found: {path}")
+    return path
+
+
 def parse_config(path: str | None) -> dict:
     """Flat key = value configuration text; no nesting, no includes."""
     cfg: dict = {}
     if path is None:
         return cfg
-    text = Path(path).read_text()
+    text = _input_file(path).read_text()
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -173,7 +181,7 @@ def _initial_field(cfg, params, grid, out) -> Field:
         )
         return s_profile(fam, gs, float(cfg.get("family_t0", 0.0)))
     if kind == "file":
-        return read_field(Path(_require(cfg, "initial_path")), grid, params)
+        return read_field(_input_file(_require(cfg, "initial_path")), grid, params)
     raise ValidationError(f"config: unknown initial '{kind}'")
 
 
@@ -205,12 +213,12 @@ def cmd_evolve(cfg, out, seed, snapshots):
 
 def cmd_analyze(cfg, out, seed, snapshots):
     run_dir = Path(_require(cfg, "run_dir"))
-    manifest = json.loads((run_dir / "manifest.json").read_text())
+    manifest = json.loads(_input_file(run_dir / "manifest.json").read_text())
     from .fieldio import params_grid_from_manifest
 
     params, grid = params_grid_from_manifest(manifest)
     _setup(cfg, out, params, grid, "analyze")
-    traj = trajectory_from_csv(run_dir / "trajectory.csv")
+    traj = trajectory_from_csv(_input_file(run_dir / "trajectory.csv"))
     snap_dir = run_dir / "snapshots"
     if snap_dir.exists():
         attach_snapshots(traj, snap_dir, grid, params)

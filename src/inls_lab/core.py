@@ -1,4 +1,4 @@
-"""Problem parameters, spatial grids, complex fields, and differential primitives.
+"""Problem parameters, spatial grids, complex fields, and the operator layer.
 
 Two discretizations are supported:
 
@@ -14,6 +14,12 @@ Both grids are cell-centered, so coordinates never hit the origin and the
 singular weight |x|^-b stays finite.  The weight is stored as the exact
 cell average of |x|^-b, which keeps quadratures of weighted integrands
 second-order accurate despite the singularity.
+
+The operator layer (the differential primitives below) is the only code that
+knows the two discretizations; its Laplacian and gradient quadrature are
+summation-by-parts companions.  Each grid lazily caches what the operators
+reuse (k^2 and Laplacian bands per dtype, the factorization of 1 - Lap, the
+last-dt linear propagator) for exactly as long as the grid lives.
 """
 
 from __future__ import annotations
@@ -22,11 +28,12 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 import scipy.fft
 from scipy.interpolate import make_interp_spline
-from scipy.linalg import solve_banded
+from scipy.linalg import lapack
 
 from .errors import ValidationError
 
@@ -162,6 +169,11 @@ class Grid:
     surf: float = 0.0             # area of the unit sphere A_N (radial)
     wavenumbers: np.ndarray | None = field(default=None, repr=False)
 
+    @cached_property
+    def _operators(self) -> dict:
+        """The operator layer's cache for this grid (see the module docstring)."""
+        return {}
+
 
 def line_grid(half_width: float, n: int, b: float = 0.0) -> Grid:
     """Periodized line [-L, L] with n cell-centered nodes (dim = 1)."""
@@ -247,39 +259,100 @@ class Field:
 
 
 # ---------------------------------------------------------------------------
-# differential / spectral primitives
+# operator layer
 
 
-def _radial_lap_bands(grid: Grid, dtype=np.float64):
+def _cached(grid: Grid, key, build):
+    ops = grid._operators
+    if key not in ops:
+        ops[key] = build()
+    return ops[key]
+
+
+def _wavenumbers_sq(grid: Grid, dtype) -> np.ndarray:
+    dtype = np.dtype(dtype)
+    return _cached(grid, ("k2", dtype), lambda: grid.wavenumbers.astype(dtype) ** 2)
+
+
+def _radial_lap_bands(grid: Grid, dtype):
     """Sub/diag/super arrays of the flux-form radial Laplacian."""
-    alpha = grid.face_alpha.astype(dtype)
-    vol = (grid.weights / grid.surf).astype(dtype)
-    dr = dtype(grid.spacing)
-    lo = alpha[1:-1] / (dr * vol[1:])
-    up = alpha[1:-1] / (dr * vol[:-1])
-    dg = -(alpha[1:] + alpha[:-1]) / (dr * vol)
-    dg[-1] = -(2.0 * alpha[-1] + alpha[-2]) / (dr * vol[-1])
-    return lo, dg, up
+    dtype = np.dtype(dtype).type
+
+    def build():
+        alpha = grid.face_alpha.astype(dtype)
+        vol = (grid.weights / grid.surf).astype(dtype)
+        dr = dtype(grid.spacing)
+        lo = alpha[1:-1] / (dr * vol[1:])
+        up = alpha[1:-1] / (dr * vol[:-1])
+        dg = -(alpha[1:] + alpha[:-1]) / (dr * vol)
+        dg[-1] = -(2.0 * alpha[-1] + alpha[-2]) / (dr * vol[-1])
+        return lo, dg, up
+
+    return _cached(grid, ("bands", dtype), build)
 
 
-def apply_radial_lap(grid: Grid, u: np.ndarray, bands=None) -> np.ndarray:
-    lo, dg, up = bands if bands is not None else _radial_lap_bands(grid, u.real.dtype.type)
+def _factor_one_minus_zlap(grid: Grid, z):
+    """LAPACK gttrf factors of the radial float64 tridiagonal 1 - z Lap
+    (zgttrf for complex z), as plain arrays for ``_tridiag_solve``."""
+    lo, dg, up = _radial_lap_bands(grid, np.float64)
+    d = 1.0 - z * dg
+    *lu, info = (lapack.zgttrf if np.iscomplexobj(d) else lapack.dgttrf)(-z * lo, d, -z * up)
+    if info:
+        raise np.linalg.LinAlgError(f"singular tridiagonal system (gttrf info={info})")
+    return lu
+
+
+def _tridiag_solve(lu, rhs: np.ndarray) -> np.ndarray:
+    d = lu[1]
+    gttrs = lapack.zgttrs if np.iscomplexobj(d) else lapack.dgttrs
+    return gttrs(*lu, np.asarray(rhs, dtype=d.dtype))[0]
+
+
+def _spectrum(values: np.ndarray) -> np.ndarray:
+    """FFT of the complex-cast values, the transform behind the line Laplacian
+    and its gradient quadrature (the real-input FFT rounds differently)."""
+    return scipy.fft.fft(np.asarray(values, dtype=np.result_type(values.dtype, np.complex64)))
+
+
+def apply_radial_lap(grid: Grid, u: np.ndarray) -> np.ndarray:
+    lo, dg, up = _radial_lap_bands(grid, u.real.dtype)
     out = dg * u
     out[1:] = out[1:] + lo * u[:-1]
     out[:-1] = out[:-1] + up * u[1:]
     return out
 
 
+def laplacian_values(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """Discrete Laplacian of raw values: exact spectral on the line,
+    flux-form finite volume radially."""
+    if grid.geometry == "radial":
+        return apply_radial_lap(grid, values)
+    out = scipy.fft.ifft(-_wavenumbers_sq(grid, values.real.dtype) * _spectrum(values))
+    return out if np.iscomplexobj(values) else out.real.astype(values.dtype)
+
+
 def laplacian(u: Field) -> Field:
     """Discrete Laplacian: exact spectral on the line, flux-form FD radially."""
-    g = u.grid
-    if g.geometry == "line":
-        vals = scipy.fft.ifft(-(g.wavenumbers.astype(u.values.real.dtype) ** 2) * scipy.fft.fft(u.values))
-        if not np.iscomplexobj(u.values):
-            vals = vals.real
-    else:
-        vals = apply_radial_lap(g, u.values)
-    return u.with_values(vals)
+    return u.with_values(laplacian_values(u.grid, u.values))
+
+
+def grad_norm_sq_values(grid: Grid, values: np.ndarray, r_min: float = 0.0):
+    """Integral of |grad u|^2 in the working precision of ``values``.
+
+    The summation-by-parts companion of ``laplacian_values``: the spectral
+    Parseval sum on the line, the face-flux quadrature of the finite-volume
+    Laplacian radially (including the Dirichlet wall flux).  ``r_min``
+    restricts the radial sum to the faces at or beyond that radius.
+    """
+    if grid.geometry == "line":
+        if r_min > 0:
+            raise ValidationError("gradient tail integrals require radial geometry (N >= 2)")
+        k2 = _wavenumbers_sq(grid, values.real.dtype)
+        return np.sum(k2 * np.abs(_spectrum(values)) ** 2) * grid.spacing / grid.n
+    d = np.diff(values) / grid.spacing
+    faces = (grid.face_alpha[1:-1] * np.abs(d) ** 2)[grid.faces[1:-1] >= r_min]
+    wall = grid.face_alpha[-1] * 2.0 * np.abs(values[-1]) ** 2 / grid.spacing
+    return grid.surf * (np.sum(faces) * grid.spacing + wall)
 
 
 def gradient_values(grid: Grid, values: np.ndarray) -> np.ndarray:
@@ -298,29 +371,42 @@ def gradient_values(grid: Grid, values: np.ndarray) -> np.ndarray:
 def helmholtz_solve(grid: Grid, rhs: np.ndarray, refine: bool = False) -> np.ndarray:
     """Solve (1 - Laplacian) u = rhs.
 
-    Spectral division on the line; banded LAPACK solve radially.  With
-    ``refine`` a single iterative-refinement pass is done in the rhs dtype,
-    which recovers extended-precision accuracy when rhs is a longdouble
-    array (the factorization itself stays in float64).
+    Spectral division on the line; radially a tridiagonal LAPACK solve with
+    the grid's cached float64 factorization.  With ``refine`` a single
+    iterative-refinement pass is done in the rhs dtype, which recovers
+    extended-precision accuracy when rhs is a longdouble array.
     """
     if grid.geometry == "line":
-        k = grid.wavenumbers.astype(rhs.real.dtype)
-        out = scipy.fft.ifft(scipy.fft.fft(rhs) / (1.0 + k ** 2))
+        # the real-input FFT, not _spectrum: ground-state iterates are pinned to its rounding
+        out = scipy.fft.ifft(scipy.fft.fft(rhs) / (1.0 + _wavenumbers_sq(grid, rhs.real.dtype)))
         return out if np.iscomplexobj(rhs) else out.real
-    bands64 = _radial_lap_bands(grid, np.float64)
-    lo, dg, up = bands64
-    n = grid.n
-    ab = np.zeros((3, n))
-    ab[0, 1:] = -up
-    ab[1, :] = 1.0 - dg
-    ab[2, :-1] = -lo
-    x0 = solve_banded((1, 1), ab, np.asarray(rhs, dtype=np.float64)).astype(rhs.dtype)
+    if np.iscomplexobj(rhs):
+        return helmholtz_solve(grid, rhs.real, refine) + 1j * helmholtz_solve(grid, rhs.imag, refine)
+    lu = _cached(grid, "helmholtz", lambda: _factor_one_minus_zlap(grid, 1.0))
+    x0 = _tridiag_solve(lu, rhs).astype(rhs.dtype)
     if not refine:
         return x0
-    bands = _radial_lap_bands(grid, rhs.dtype.type)
-    resid = rhs - (x0 - apply_radial_lap(grid, x0, bands))
-    dx = solve_banded((1, 1), ab, np.asarray(resid, dtype=np.float64)).astype(rhs.dtype)
-    return x0 + dx
+    resid = rhs - (x0 - apply_radial_lap(grid, x0))
+    return x0 + _tridiag_solve(lu, resid).astype(rhs.dtype)
+
+
+def free_flow(grid: Grid, values: np.ndarray, dt: float) -> np.ndarray:
+    """Linear Schroedinger flow u -> exp(i dt Lap) u of complex ``values``.
+
+    The exact Fourier multiplier on the line, a Crank-Nicolson (Cayley) step
+    radially; both are unitary in the grid inner product.  The propagator of
+    the most recent dt is cached on the grid.
+    """
+    last_dt, prop = grid._operators.get("propagator", (None, None))
+    if dt != last_dt:
+        if grid.geometry == "line":
+            prop = np.exp(-1j * _wavenumbers_sq(grid, np.float64) * dt)
+        else:
+            prop = _factor_one_minus_zlap(grid, 0.5j * dt)
+        grid._operators["propagator"] = (dt, prop)
+    if grid.geometry == "line":
+        return scipy.fft.ifft(prop * scipy.fft.fft(values))
+    return _tridiag_solve(prop, values + 0.5j * dt * apply_radial_lap(grid, values))
 
 
 # ---------------------------------------------------------------------------
@@ -395,6 +481,7 @@ __all__ = [
     "Regime", "ProblemParams", "make_params", "sigma_star", "b_tilde",
     "Grid", "line_grid", "radial_grid", "grid_for",
     "Field",
-    "laplacian", "gradient_values", "helmholtz_solve", "apply_radial_lap",
+    "laplacian", "laplacian_values", "gradient_values", "grad_norm_sq_values",
+    "helmholtz_solve", "apply_radial_lap", "free_flow",
     "rescale", "sample_scaled",
 ]

@@ -16,10 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.fft
-from scipy.linalg import solve_banded
 
-from .core import Field, Grid, _radial_lap_bands
+from .core import Field, free_flow
 from .errors import NumericsError, ValidationError
 from . import functionals as fn
 
@@ -84,54 +82,16 @@ class Trajectory:
         return [s for s in self.samples if s.snapshot is not None]
 
 
-class _LinearPropagator:
-    """Caches the per-dt linear step (Fourier multiplier or CN factorization)."""
-
-    def __init__(self, grid: Grid):
-        self.grid = grid
-        self._dt = None
-        self._data = None
-        if grid.geometry == "radial":
-            self._bands = _radial_lap_bands(grid)
-
-    def apply(self, values: np.ndarray, dt: float) -> np.ndarray:
-        g = self.grid
-        if g.geometry == "line":
-            if dt != self._dt:
-                self._data = np.exp(-1j * g.wavenumbers ** 2 * dt)
-                self._dt = dt
-            return scipy.fft.ifft(self._data * scipy.fft.fft(values))
-        lo, dg, up = self._bands
-        if dt != self._dt:
-            z = 0.5j * dt
-            ab = np.zeros((3, g.n), dtype=complex)
-            ab[0, 1:] = -z * up
-            ab[1, :] = 1.0 - z * dg
-            ab[2, :-1] = -z * lo
-            self._data = ab
-            self._dt = dt
-        rhs = values + 0.5j * dt * _apply_bands(lo, dg, up, values)
-        return solve_banded((1, 1), self._data, rhs)
-
-
-def _apply_bands(lo, dg, up, u):
-    out = dg * u
-    out[1:] = out[1:] + lo * u[:-1]
-    out[:-1] = out[:-1] + up * u[1:]
-    return out
-
-
-def step(state: EvolutionState, propagator: _LinearPropagator | None = None) -> EvolutionState:
+def step(state: EvolutionState) -> EvolutionState:
     """One Strang step of size state.dt (potential half, linear, potential half)."""
     if not state.dt > 0:
         raise ValidationError(f"state.dt must be positive, got {state.dt}")
     u = state.field
-    prop = propagator or _LinearPropagator(u.grid)
     W = u.grid.weight_b
     two_sigma = 2.0 * u.params.sigma
     vals = u.values.astype(complex)
     vals = vals * np.exp(0.5j * state.dt * W * np.abs(vals) ** two_sigma)
-    vals = prop.apply(vals, state.dt)
+    vals = free_flow(u.grid, vals, state.dt)
     vals = vals * np.exp(0.5j * state.dt * W * np.abs(vals) ** two_sigma)
     if not np.all(np.isfinite(vals.real)) or not np.all(np.isfinite(vals.imag)):
         raise NumericsError(f"non-finite field after step {state.step_count}")
@@ -152,7 +112,6 @@ def evolve(u0: Field, policy: StepPolicy) -> Trajectory:
     """
     u0.check_finite("initial data")
     traj = Trajectory(initial_mass=fn.mass(u0))
-    prop = _LinearPropagator(u0.grid)
     state = EvolutionState(field=u0.with_values(u0.values.astype(complex)))
     dx = u0.grid.spacing
     sample_idx = 0
@@ -175,7 +134,7 @@ def evolve(u0: Field, policy: StepPolicy) -> Trajectory:
             traj.termination = "max_steps"
             break
         state.dt = min(policy.dt0, policy.c_dt / max(G, 1e-300))
-        state = step(state, prop)
+        state = step(state)
     # always include the final state (with a snapshot when any were requested)
     G = fn.grad_norm_sq(state.field)
     final = _record(state, G, policy.snapshot_every is not None)

@@ -37,7 +37,7 @@ from .analysis import (
 )
 from .core import Field, grid_for, line_grid, make_params, radial_grid
 from .errors import ValidationError
-from .evolution import StepPolicy, evolve
+from .evolution import EvolutionState, StepPolicy, evolve, step
 from .exact import SFamilyParams, s_profile, standing_wave
 from .ground_state import (
     GroundState, SolverOptions, c_of_Mm, gn_ratio, solve_ground_state,
@@ -302,14 +302,11 @@ def conservation_gate(seed: int = DEFAULT_SEED) -> ExperimentReport:
 
 
 def _standing_wave_error(gs: GroundState, dt: float, t_end: float) -> float:
-    from .evolution import EvolutionState, step, _LinearPropagator
-
     u = standing_wave(gs, 0.0)
-    prop = _LinearPropagator(u.grid)
     state = EvolutionState(field=u, dt=dt)
     nsteps = int(round(t_end / dt))
     for _ in range(nsteps):
-        state = step(state, prop)
+        state = step(state)
         state.dt = dt
     ref = standing_wave(gs, t_end)
     diff = state.field.with_values(state.field.values - ref.values)

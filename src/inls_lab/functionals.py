@@ -9,19 +9,11 @@ and nondecreasing in the window radius.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
-from .core import Field, gradient_values
+from .core import Field, grad_norm_sq_values, gradient_values
 from .errors import ValidationError
-
-
-@dataclass(frozen=True)
-class ConservedPair:
-    mass: float
-    energy: float
 
 
 def mass(u: Field) -> float:
@@ -36,21 +28,9 @@ def potential(u: Field) -> float:
 
 
 def grad_norm_sq(u: Field) -> float:
-    """Integral of |grad u|^2.
-
-    On the line this is the spectral Parseval sum, which matches
-    <-laplacian(u), u> exactly.  Radially it is the face-flux quadrature of
-    the finite-volume Laplacian (including the Dirichlet wall flux), the
-    summation-by-parts companion of ``laplacian``.
-    """
-    g = u.grid
-    if g.geometry == "line":
-        uh = scipy.fft.fft(u.values)
-        return float(np.sum(g.wavenumbers ** 2 * np.abs(uh) ** 2) * g.spacing / g.n)
-    d = np.diff(u.values) / g.spacing
-    total = np.sum(g.face_alpha[1:-1] * np.abs(d) ** 2) * g.spacing
-    total = total + g.face_alpha[-1] * 2.0 * np.abs(u.values[-1]) ** 2 / g.spacing
-    return float(g.surf * total)
+    """Integral of |grad u|^2, the summation-by-parts companion of
+    ``laplacian`` (see ``core.grad_norm_sq_values``)."""
+    return float(grad_norm_sq_values(u.grid, u.values))
 
 
 def energy(u: Field) -> float:
@@ -62,10 +42,6 @@ def energy_scale(u: Field) -> float:
     """|kinetic| + |potential| part sizes; the natural yardstick for energy
     drift when E itself sits near zero (e.g. mass-critical ground states)."""
     return 0.5 * grad_norm_sq(u) + potential(u) / (2.0 * u.params.sigma + 2.0)
-
-
-def conserved(u: Field) -> ConservedPair:
-    return ConservedPair(mass=mass(u), energy=energy(u))
 
 
 def variance(u: Field) -> float:
@@ -166,7 +142,6 @@ def lp_norm(u: Field, p: float, region: tuple[float, float] | None = None) -> fl
 
 
 __all__ = [
-    "ConservedPair", "conserved",
     "mass", "potential", "energy", "energy_scale", "grad_norm_sq",
     "variance", "radial_momentum", "boundary_mass_fraction",
     "concentrated_mass", "sup_concentrated_mass", "lp_norm",

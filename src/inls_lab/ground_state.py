@@ -21,11 +21,9 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.fft
 
 from .core import (
-    Field, Grid, ProblemParams, apply_radial_lap, _radial_lap_bands,
-    helmholtz_solve,
+    Field, Grid, ProblemParams, grad_norm_sq_values, helmholtz_solve, laplacian_values,
 )
 from .errors import ConvergenceError, NumericsError, ValidationError
 from . import functionals as fn
@@ -62,13 +60,6 @@ class SolverOptions:
     seed_width: float = 1.0
 
 
-def _lap_apply(grid: Grid, u: np.ndarray, bands):
-    if grid.geometry == "line":
-        k = grid.wavenumbers.astype(u.dtype)
-        return scipy.fft.ifft(-(k ** 2) * scipy.fft.fft(u.astype(np.result_type(u.dtype, np.complex64)))).real.astype(u.dtype)
-    return apply_radial_lap(grid, u, bands)
-
-
 def solve_ground_state(
     params: ProblemParams, grid: Grid, options: SolverOptions | None = None
 ) -> GroundState:
@@ -89,7 +80,6 @@ def solve_ground_state(
     x = grid.nodes.astype(dt)
     w = grid.weights.astype(dt)
     W = grid.weight_b.astype(dt)
-    bands = _radial_lap_bands(grid, dt) if grid.geometry == "radial" else None
     p = 2.0 * params.sigma + 1.0
     gamma = dt(p) / dt(2.0 * params.sigma)
 
@@ -98,7 +88,7 @@ def solve_ground_state(
     it = 0
     for it in range(1, opts.max_iter + 1):
         rhs = W * Q ** p
-        num = np.sum((Q - _lap_apply(grid, Q, bands)) * Q * w)
+        num = np.sum((Q - laplacian_values(grid, Q)) * Q * w)
         den = np.sum(rhs * Q * w)
         if den <= 0:
             raise NumericsError("Petviashvili denominator collapsed to zero")
@@ -118,7 +108,7 @@ def solve_ground_state(
             break
 
     norm = float(np.sqrt(np.sum(Q ** 2 * w)))
-    res = float(np.sqrt(np.sum((_lap_apply(grid, Q, bands) - Q + W * Q ** p) ** 2 * w)))
+    res = float(np.sqrt(np.sum((laplacian_values(grid, Q) - Q + W * Q ** p) ** 2 * w)))
     if not converged or res > opts.residual_tol * norm:
         raise ConvergenceError(
             f"ground state did not converge in {it} iterations "
@@ -171,15 +161,7 @@ def _pohozaev_from_values(params: ProblemParams, grid: Grid, Q: np.ndarray):
     W = grid.weight_b.astype(dt)
     m = np.sum(Q ** 2 * w)
     pot = np.sum(W * Q ** (2.0 * params.sigma + 2.0) * w)
-    if grid.geometry == "line":
-        uh = scipy.fft.fft(Q.astype(np.result_type(dt, np.complex64)))
-        k = grid.wavenumbers.astype(dt)
-        g = np.sum(k ** 2 * np.abs(uh) ** 2) * dt(grid.spacing) / grid.n
-    else:
-        d = np.diff(Q) / dt(grid.spacing)
-        alpha = grid.face_alpha.astype(dt)
-        g = grid.surf * (np.sum(alpha[1:-1] * d ** 2) * dt(grid.spacing)
-                         + alpha[-1] * 2.0 * Q[-1] ** 2 / dt(grid.spacing))
+    g = grad_norm_sq_values(grid, Q)
     a = params.dim * params.sigma + params.b
     d_exp = 2.0 * params.sigma + 2.0 - a
     r1 = abs(g - (a / d_exp) * m) / m

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Field, Grid, ProblemParams, gradient_values
+from .core import Field, Grid, ProblemParams, grad_norm_sq_values, gradient_values
 from .errors import ValidationError
 from . import functionals as fn
 
@@ -73,16 +73,32 @@ class InequalityReport:
 
 
 # ---------------------------------------------------------------------------
-# individual checks (raw, unscaled left - right)
+# individual checks (raw, unscaled left - right); each ``_*_sides`` returns
+# the (left, right) pair once, for its check and for its corpus report
 
 
-def check_gagliardo(u: Field, k_opt: float) -> float:
-    """potential(u) - K_opt |grad u|^(N sigma + b) mass^(sigma+1-(N sigma+b)/2) <= 0."""
+def _gagliardo_sides(u: Field, k_opt: float):
     a = u.params.dim * u.params.sigma + u.params.b
     rhs = k_opt * fn.grad_norm_sq(u) ** (a / 2.0) * fn.mass(u) ** (
         (2.0 * u.params.sigma + 2.0 - a) / 2.0
     )
-    return fn.potential(u) - rhs
+    return fn.potential(u), rhs
+
+
+def check_gagliardo(u: Field, k_opt: float) -> float:
+    """potential(u) - K_opt |grad u|^(N sigma + b) mass^(sigma+1-(N sigma+b)/2) <= 0."""
+    lhs, rhs = _gagliardo_sides(u, k_opt)
+    return lhs - rhs
+
+
+def _banica_sides(v: Field, theta: np.ndarray, q_mass: float):
+    if fn.mass(v) > q_mass * (1.0 + 1e-12):
+        raise ValidationError("check_banica requires mass(v) <= mass(Q)")
+    grad_theta = gradient_values(v.grid, np.asarray(theta, dtype=float))
+    dv = gradient_values(v.grid, v.values)
+    lhs = float(np.sum(np.imag(v.values * np.conj(dv)) * grad_theta * v.grid.weights))
+    weighted = float(np.sum(np.abs(v.values) ** 2 * grad_theta ** 2 * v.grid.weights))
+    return lhs ** 2, 2.0 * fn.energy(v) * weighted
 
 
 def check_banica(v: Field, theta: np.ndarray, q_mass: float) -> float:
@@ -91,46 +107,33 @@ def check_banica(v: Field, theta: np.ndarray, q_mass: float) -> float:
     Requires mass(v) <= q_mass (the ground-state mass), under which the
     energy is nonnegative and the right side is a genuine bound.
     """
-    if fn.mass(v) > q_mass * (1.0 + 1e-12):
-        raise ValidationError("check_banica requires mass(v) <= mass(Q)")
-    grad_theta = gradient_values(v.grid, np.asarray(theta, dtype=float))
-    dv = gradient_values(v.grid, v.values)
-    lhs = float(np.sum(np.imag(v.values * np.conj(dv)) * grad_theta * v.grid.weights))
-    weighted = float(np.sum(np.abs(v.values) ** 2 * grad_theta ** 2 * v.grid.weights))
-    return lhs ** 2 - 2.0 * fn.energy(v) * weighted
+    lhs, rhs = _banica_sides(v, theta, q_mass)
+    return lhs - rhs
 
 
 def _tail_norms(u: Field, R: float):
     g = u.grid
-    if g.geometry != "radial":
-        raise ValidationError("radial tail bounds require radial geometry (N >= 2)")
-    nodes = g.nodes
-    tail = nodes >= R
+    tail = g.nodes >= R
     m_tail = float(np.sum(np.abs(u.values[tail]) ** 2 * g.weights[tail]))
-    d = np.diff(u.values) / g.spacing
-    faces_in = g.faces[1:-1] >= R
-    g_tail = float(
-        g.surf
-        * (
-            np.sum(g.face_alpha[1:-1][faces_in] * np.abs(d[faces_in]) ** 2) * g.spacing
-            + g.face_alpha[-1] * 2.0 * np.abs(u.values[-1]) ** 2 / g.spacing
-        )
-    )
-    return tail, m_tail, g_tail
+    return tail, m_tail, float(grad_norm_sq_values(g, u.values, R))
 
 
-def check_strauss(u: Field, R: float) -> float:
-    """sup_{|x|>=R} |u| - R^{-(N-1)/2} ||u||_tail^{1/2} ||grad u||_tail^{1/2}."""
+def _strauss_sides(u: Field, R: float):
     if u.params.dim < 2:
         raise ValidationError("the radial decay bound needs N >= 2")
     if R <= u.grid.nodes[0]:
         raise ValidationError(f"R={R} must exceed the first node {u.grid.nodes[0]:.3g}")
     tail, m_tail, g_tail = _tail_norms(u, R)
     if not np.any(tail):
-        return 0.0
+        return 0.0, 0.0
     sup_tail = float(np.max(np.abs(u.values[tail])))
-    rhs = R ** (-(u.params.dim - 1) / 2.0) * m_tail ** 0.25 * g_tail ** 0.25
-    return sup_tail - rhs
+    return sup_tail, R ** (-(u.params.dim - 1) / 2.0) * m_tail ** 0.25 * g_tail ** 0.25
+
+
+def check_strauss(u: Field, R: float) -> float:
+    """sup_{|x|>=R} |u| - R^{-(N-1)/2} ||u||_tail^{1/2} ||grad u||_tail^{1/2}."""
+    lhs, rhs = _strauss_sides(u, R)
+    return lhs - rhs
 
 
 def young_constant(sigma: float, eta: float) -> float:
@@ -138,9 +141,7 @@ def young_constant(sigma: float, eta: float) -> float:
     return (2.0 - sigma) / 2.0 * (sigma / (2.0 * eta)) ** (sigma / (2.0 - sigma))
 
 
-def check_radial_gn(u: Field, R: float, eta: float) -> float:
-    """Tail potential minus eta * tail gradient - C(eta) R^{-2(sigma(N-1)+b)/(2-sigma)}
-    * tail mass^{(sigma+2)/(2-sigma)}; expected <= 0."""
+def _radial_gn_sides(u: Field, R: float, eta: float):
     p = u.params
     if p.sigma >= 2.0:
         raise ValidationError(f"need sigma < 2, got {p.sigma}")
@@ -158,6 +159,13 @@ def check_radial_gn(u: Field, R: float, eta: float) -> float:
     rhs = eta * g_tail + young_constant(p.sigma, eta) * R ** (-expo) * m_tail ** (
         (p.sigma + 2.0) / (2.0 - p.sigma)
     )
+    return lhs, rhs
+
+
+def check_radial_gn(u: Field, R: float, eta: float) -> float:
+    """Tail potential minus eta * tail gradient - C(eta) R^{-2(sigma(N-1)+b)/(2-sigma)}
+    * tail mass^{(sigma+2)/(2-sigma)}; expected <= 0."""
+    lhs, rhs = _radial_gn_sides(u, R, eta)
     return lhs - rhs
 
 
@@ -186,32 +194,42 @@ def _scaled_to_mass(v: Field, target: float) -> Field:
     return v.with_values(v.values * math.sqrt(target / m))
 
 
-def _run_signed(name, trials, make_case, scale_fn):
+def _run_signed(name, trials, make_case):
+    """Worst (left - right) / |right| over ``trials`` cases; make_case(i)
+    returns (left, right, field)."""
     worst = -math.inf
     witness = None
-    count = 0
     for i in range(trials):
-        raw, scale, cand = make_case(i)
+        lhs, rhs, cand = make_case(i)
+        raw, scale = lhs - rhs, abs(rhs)
         rel = raw / scale if scale > 0 else raw
-        count += 1
         if rel > worst:
             worst = rel
             witness = cand if rel > -1e-10 else None
-    return InequalityReport(name=name, trials=count, max_violation=worst, witness=witness)
+    return InequalityReport(name=name, trials=trials, max_violation=worst, witness=witness)
+
+
+def _run_merged(name, trials, values, case_for):
+    """One ``_run_signed`` corpus per value (radius or eta), merged."""
+    worst = -math.inf
+    witness = None
+    total = 0
+    for value in values:
+        rep = _run_signed(name, trials // len(values) or 1, case_for(value))
+        total += rep.trials
+        if rep.max_violation > worst:
+            worst, witness = rep.max_violation, rep.witness
+    return InequalityReport(name, total, worst, witness)
 
 
 def run_gagliardo_report(params, grid, k_opt_value, trials=1000, seed=DEFAULT_SEED):
     rng = corpus_rng(seed, f"gagliardo/{params.dim}/{params.sigma}/{params.b}")
-    a = params.dim * params.sigma + params.b
 
     def case(i):
         u = random_bump_field(params, grid, rng)
-        rhs = k_opt_value * fn.grad_norm_sq(u) ** (a / 2.0) * fn.mass(u) ** (
-            (2.0 * params.sigma + 2.0 - a) / 2.0
-        )
-        return fn.potential(u) - rhs, rhs, u
+        return (*_gagliardo_sides(u, k_opt_value), u)
 
-    return _run_signed("gagliardo", trials, case, None)
+    return _run_signed("gagliardo", trials, case)
 
 
 def run_banica_report(params, grid, q_mass, trials=1000, seed=DEFAULT_SEED):
@@ -223,60 +241,33 @@ def run_banica_report(params, grid, q_mass, trials=1000, seed=DEFAULT_SEED):
         theta = rng.uniform(-1.0, 1.0) * grid.nodes ** 2 + random_bump_field(
             params, grid, rng
         ).values.real
-        raw = check_banica(v, theta, q_mass)
-        grad_theta = gradient_values(grid, np.asarray(theta, dtype=float))
-        scale = 2.0 * abs(fn.energy(v)) * float(
-            np.sum(np.abs(v.values) ** 2 * grad_theta ** 2 * grid.weights)
-        )
-        return raw, scale, v
+        return (*_banica_sides(v, theta, q_mass), v)
 
-    return _run_signed("banica", trials, case, None)
+    return _run_signed("banica", trials, case)
 
 
 def run_strauss_report(params, grid, trials=500, radii=(0.5, 1.0, 2.0, 4.0, 6.0), seed=DEFAULT_SEED):
     rng = corpus_rng(seed, f"strauss/{params.dim}/{params.sigma}/{params.b}")
-    reports = []
 
-    def case_for(Rv):
+    def case_for(R):
         def case(i):
             u = random_bump_field(params, grid, rng)
-            raw = check_strauss(u, Rv)
-            tail, m_tail, g_tail = _tail_norms(u, Rv)
-            rhs = Rv ** (-(params.dim - 1) / 2.0) * m_tail ** 0.25 * g_tail ** 0.25
-            return raw, max(rhs, 1e-300), u
+            return (*_strauss_sides(u, R), u)
         return case
 
-    worst = -math.inf
-    witness = None
-    total = 0
-    for Rv in radii:
-        rep = _run_signed("strauss", trials // len(radii) or 1, case_for(Rv), None)
-        total += rep.trials
-        if rep.max_violation > worst:
-            worst, witness = rep.max_violation, rep.witness
-    return InequalityReport("strauss", total, worst, witness)
+    return _run_merged("strauss", trials, radii, case_for)
 
 
 def run_radial_gn_report(params, grid, trials=200, etas=(1e-2, 1e-1, 1.0), R=1.0, seed=DEFAULT_SEED):
     rng = corpus_rng(seed, f"radial_gn/{params.dim}/{params.sigma}/{params.b}")
-    worst = -math.inf
-    witness = None
-    total = 0
-    for eta in etas:
-        for i in range(trials // len(etas) or 1):
+
+    def case_for(eta):
+        def case(i):
             u = random_bump_field(params, grid, rng)
-            raw = check_radial_gn(u, R, eta)
-            tail, m_tail, g_tail = _tail_norms(u, R)
-            expo = 2.0 * (params.sigma * (params.dim - 1) + params.b) / (2.0 - params.sigma)
-            rhs = eta * g_tail + young_constant(params.sigma, eta) * R ** (-expo) * m_tail ** (
-                (params.sigma + 2.0) / (2.0 - params.sigma)
-            )
-            rel = raw / rhs if rhs > 0 else raw
-            total += 1
-            if rel > worst:
-                worst = rel
-                witness = u if rel > -1e-10 else None
-    return InequalityReport("radial_gn", total, worst, witness)
+            return (*_radial_gn_sides(u, R, eta), u)
+        return case
+
+    return _run_merged("radial_gn", trials, etas, case_for)
 
 
 def run_critical_gn_report(params, grid, q_reference: float, trials=1000, seed=DEFAULT_SEED):

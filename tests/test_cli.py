@@ -131,6 +131,22 @@ def test_numerical_failure_exit_3(tmp_path, capsys):
     assert "converge" in capsys.readouterr().err
 
 
+def test_missing_config_file_exit_2(tmp_path, capsys):
+    missing = tmp_path / "nope.cfg"
+    rc = main(["ground-state", "--config", str(missing), "--out", str(tmp_path / "x")])
+    assert rc == 2
+    assert "nope.cfg" in capsys.readouterr().err
+
+
+def test_analyze_without_manifest_exit_2(tmp_path, capsys):
+    run = tmp_path / "empty_run"
+    run.mkdir()
+    cfg = write_cfg(tmp_path / "an.cfg", run_dir=str(run))
+    rc = main(["analyze", "--config", cfg, "--out", str(tmp_path / "an")])
+    assert rc == 2
+    assert "manifest.json" in capsys.readouterr().err
+
+
 def test_reproduce_unknown_name_exit_2(tmp_path, capsys):
     rc = main(["reproduce", "does_not_exist", "--out", str(tmp_path / "r")])
     assert rc == 2
