@@ -9,8 +9,10 @@ field binaries, trajectory.csv, summary.json, analysis.csv, report JSONs.
 Exit codes: 0 success, 2 validation/config error, 3 numerical failure or a
 failed acceptance reproduction.
 
-Config files are flat ``key = value`` text ('#' starts a comment); CLI flags
---out, --seed, --snapshots override their config counterparts.
+Config files are flat ``key = value`` text ('#' starts a comment) holding
+only the keys their subcommand reads (``CONFIG_KEYS``); the --snapshots flag
+overrides snapshot_every.  A failed evolve still writes trajectory.csv and
+summary.json (termination "numerics_error") before exiting 3.
 """
 
 from __future__ import annotations
@@ -51,6 +53,30 @@ def _input_file(path) -> Path:
     if not path.is_file():
         raise ValidationError(f"input file not found: {path}")
     return path
+
+
+_GRID_KEYS = {"dim", "sigma", "b", "extent", "n"}
+_FAMILY_KEYS = {"family_T", "family_lambda", "family_gamma"}
+# The keys each subcommand reads; any other key is a typo or belongs elsewhere.
+CONFIG_KEYS = {
+    "ground-state": _GRID_KEYS | {"dtype", "max_iter"},
+    "evolve": _GRID_KEYS | _FAMILY_KEYS | {
+        "initial", "initial_c", "initial_amplitude", "initial_width", "initial_path",
+        "family_t0", "dt0", "c_dt", "t_end", "theta", "sample_every", "snapshot_every",
+    },
+    "analyze": {"run_dir", "alpha", "mode", "c0", "c0_tilde"},
+    "verify": _GRID_KEYS | {"trials"},
+    "exact": _GRID_KEYS | _FAMILY_KEYS | {"times"},
+    "reproduce": {"name"},
+}
+DTYPES = {"float64": np.float64, "longdouble": np.longdouble}
+
+
+def _check_config_keys(cfg: dict, command: str) -> None:
+    """Reject keys that ``command`` does not read (bad input, exit 2)."""
+    unknown = sorted(set(cfg) - CONFIG_KEYS[command])
+    if unknown:
+        raise ValidationError(f"config: unknown key(s) for {command}: {', '.join(unknown)}")
 
 
 def parse_config(path: str | None) -> dict:
@@ -141,8 +167,10 @@ def _policy(cfg: dict, snapshots_flag: int | None) -> StepPolicy:
 def cmd_ground_state(cfg, out, seed, snapshots):
     params, grid = _params_grid(cfg)
     _setup(cfg, out, params, grid, "ground_state")
-    dtype = np.longdouble if cfg.get("dtype", "float64") == "longdouble" else np.float64
-    opts = SolverOptions(dtype=dtype, max_iter=int(cfg.get("max_iter", 2000)))
+    dtype = cfg.get("dtype", "float64")
+    if dtype not in DTYPES:
+        raise ValidationError(f"config: dtype must be one of {', '.join(DTYPES)}, got {dtype!r}")
+    opts = SolverOptions(dtype=DTYPES[dtype], max_iter=int(cfg.get("max_iter", 2000)))
     gs = solve_ground_state(params, grid, opts)
     write_field(out / "Q.fld", gs.profile)
     sidecar = {
@@ -190,25 +218,39 @@ def cmd_evolve(cfg, out, seed, snapshots):
     _setup(cfg, out, params, grid, "evolve")
     u0 = _initial_field(cfg, params, grid, out)
     policy = _policy(cfg, snapshots)
-    traj = evolve(u0, policy)
+    try:
+        traj = evolve(u0, policy)
+    except NumericsError as exc:
+        if exc.trajectory is not None:    # keep what the run recorded before failing
+            _write_trajectory(exc.trajectory, out, policy)
+        raise
+    final = _write_trajectory(traj, out, policy)
+    print(f"evolve: {traj.termination} at t={final['t']:.5f}, "
+          f"|grad u|={final['grad_norm_sq'] ** 0.5:.3f}, samples={len(traj.samples)}")
+    return 0
+
+
+def _write_trajectory(traj, out: Path, policy: StepPolicy) -> dict | None:
+    """trajectory.csv, the snapshots and summary.json; returns the summary's final state."""
     trajectory_to_csv(traj, out / "trajectory.csv")
     if policy.snapshot_every is not None:
         write_snapshots(traj, out / "snapshots")
-    final = traj.samples[-1]
+    final = None
+    if traj.samples:
+        s = traj.samples[-1]
+        final = {
+            "t": s.time, "mass": s.mass, "energy": s.energy,
+            "grad_norm_sq": s.grad_norm_sq, "variance": s.variance,
+            "boundary_mass_fraction": s.boundary_frac,
+        }
     summary = {
         "termination": traj.termination,
         "mass_drift_flag": traj.mass_drift_flag,
         "steps_sampled": len(traj.samples),
-        "final": {
-            "t": final.time, "mass": final.mass, "energy": final.energy,
-            "grad_norm_sq": final.grad_norm_sq, "variance": final.variance,
-            "boundary_mass_fraction": final.boundary_frac,
-        },
+        "final": final,
     }
     (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
-    print(f"evolve: {traj.termination} at t={final.time:.5f}, "
-          f"|grad u|={final.grad_norm_sq ** 0.5:.3f}, samples={len(traj.samples)}")
-    return 0
+    return final
 
 
 def cmd_analyze(cfg, out, seed, snapshots):
@@ -358,6 +400,7 @@ def main(argv=None) -> int:
         cfg = parse_config(args.config)
         if args.command == "reproduce" and getattr(args, "name", None):
             cfg["name"] = args.name
+        _check_config_keys(cfg, args.command)
         out = Path(args.out) if args.out else Path(f"out_{args.command.replace('-', '_')}")
         return COMMANDS[args.command](cfg, out, args.seed, args.snapshots)
     except ValidationError as exc:

@@ -314,6 +314,12 @@ def _spectrum(values: np.ndarray) -> np.ndarray:
     return scipy.fft.fft(np.asarray(values, dtype=np.result_type(values.dtype, np.complex64)))
 
 
+def _parseval_grad_sq(grid: Grid, spectrum: np.ndarray):
+    """Integral of |grad u|^2 on the line from the spectrum of u (Parseval)."""
+    k2 = _wavenumbers_sq(grid, spectrum.real.dtype)
+    return np.sum(k2 * np.abs(spectrum) ** 2) * grid.spacing / grid.n
+
+
 def apply_radial_lap(grid: Grid, u: np.ndarray) -> np.ndarray:
     lo, dg, up = _radial_lap_bands(grid, u.real.dtype)
     out = dg * u
@@ -347,8 +353,7 @@ def grad_norm_sq_values(grid: Grid, values: np.ndarray, r_min: float = 0.0):
     if grid.geometry == "line":
         if r_min > 0:
             raise ValidationError("gradient tail integrals require radial geometry (N >= 2)")
-        k2 = _wavenumbers_sq(grid, values.real.dtype)
-        return np.sum(k2 * np.abs(_spectrum(values)) ** 2) * grid.spacing / grid.n
+        return _parseval_grad_sq(grid, _spectrum(values))
     d = np.diff(values) / grid.spacing
     faces = (grid.face_alpha[1:-1] * np.abs(d) ** 2)[grid.faces[1:-1] >= r_min]
     wall = grid.face_alpha[-1] * 2.0 * np.abs(values[-1]) ** 2 / grid.spacing
@@ -390,23 +395,33 @@ def helmholtz_solve(grid: Grid, rhs: np.ndarray, refine: bool = False) -> np.nda
     return x0 + _tridiag_solve(lu, resid).astype(rhs.dtype)
 
 
-def free_flow(grid: Grid, values: np.ndarray, dt: float) -> np.ndarray:
+def _build_propagator(grid: Grid, dt: float):
+    """The exact Fourier multiplier on the line, the zgttrf factors of the
+    Crank-Nicolson matrix 1 - (i dt/2) Lap radially."""
+    if grid.geometry == "line":
+        return np.exp(-1j * _wavenumbers_sq(grid, np.float64) * dt)
+    return _factor_one_minus_zlap(grid, 0.5j * dt)
+
+
+def free_flow(grid: Grid, values: np.ndarray, dt: float):
     """Linear Schroedinger flow u -> exp(i dt Lap) u of complex ``values``.
 
     The exact Fourier multiplier on the line, a Crank-Nicolson (Cayley) step
-    radially; both are unitary in the grid inner product.  The propagator of
-    the most recent dt is cached on the grid.
+    radially; both are unitary in the grid inner product and preserve the
+    discrete |grad u|^2.  Returns the flowed values and that integral, taken
+    on ``values``: read off the spectrum the flow computes anyway on the line
+    (the ``grad_norm_sq_values`` sum), the face-flux quadrature radially.
+    The propagator of the most recent dt is cached on the grid.
     """
     last_dt, prop = grid._operators.get("propagator", (None, None))
     if dt != last_dt:
-        if grid.geometry == "line":
-            prop = np.exp(-1j * _wavenumbers_sq(grid, np.float64) * dt)
-        else:
-            prop = _factor_one_minus_zlap(grid, 0.5j * dt)
+        prop = _build_propagator(grid, dt)
         grid._operators["propagator"] = (dt, prop)
     if grid.geometry == "line":
-        return scipy.fft.ifft(prop * scipy.fft.fft(values))
-    return _tridiag_solve(prop, values + 0.5j * dt * apply_radial_lap(grid, values))
+        spectrum = _spectrum(values)
+        return scipy.fft.ifft(prop * spectrum), _parseval_grad_sq(grid, spectrum)
+    out = _tridiag_solve(prop, values + 0.5j * dt * apply_radial_lap(grid, values))
+    return out, grad_norm_sq_values(grid, values)
 
 
 # ---------------------------------------------------------------------------

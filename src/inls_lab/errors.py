@@ -10,7 +10,12 @@ class ValidationError(InlsError):
 
 
 class NumericsError(InlsError):
-    """Numerical failure: divergence, NaN, non-convergence (CLI exit code 3)."""
+    """Numerical failure: divergence, NaN, non-convergence (CLI exit code 3).
+
+    ``trajectory`` holds what a failed evolution recorded before the failure.
+    """
+
+    trajectory = None
 
 
 class ConvergenceError(NumericsError):

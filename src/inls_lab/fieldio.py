@@ -25,11 +25,7 @@ def write_field(path, field: Field) -> None:
     path = Path(path)
     tag = field.grid.geometry.encode().ljust(8, b"\0")
     header = MAGIC + struct.pack("<Q", field.grid.n) + tag + b"\0" * 8
-    inter = np.empty(2 * field.grid.n, dtype="<f8")
-    vals = field.values.astype(complex)
-    inter[0::2] = vals.real
-    inter[1::2] = vals.imag
-    path.write_bytes(header + inter.tobytes())
+    path.write_bytes(header + field.values.astype("<c16").tobytes())
 
 
 def read_field_values(path) -> tuple[np.ndarray, str]:
@@ -41,8 +37,9 @@ def read_field_values(path) -> tuple[np.ndarray, str]:
     expected = 32 + 16 * n
     if len(raw) != expected:
         raise ValidationError(f"{path}: expected {expected} bytes for n={n}, got {len(raw)}")
-    inter = np.frombuffer(raw, dtype="<f8", offset=32)
-    return inter[0::2] + 1j * inter[1::2], tag
+    # the (re, im) pairs read as complex directly: summing re + 1j*im would
+    # turn -0.0 into 0.0 and an infinite imaginary part into a NaN real part
+    return np.frombuffer(raw, dtype="<c16", offset=32).astype(complex), tag
 
 
 def read_field(path, grid: Grid, params: ProblemParams) -> Field:

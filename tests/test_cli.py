@@ -192,3 +192,42 @@ def test_intercritical_evolve_analyze_verify_roundtrip(tmp_path):
     assert main(["verify", "--config", v_cfg, "--out", str(vout)]) == 0
     for name in ("gagliardo", "strauss", "radial_gn", "critical_gn"):
         assert (vout / f"inequality_{name}.json").exists()
+
+
+def test_unknown_config_key_exit_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path / "ev.cfg", dim=1, sigma=2.0, b=0.0, extent=16.0, n=256,
+                    initial="gaussian", t_end=0.01, sampel_every=5)
+    rc = main(["evolve", "--config", cfg, "--out", str(tmp_path / "x")])
+    assert rc == 2
+    assert "sampel_every" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+    # a key valid for another subcommand is unknown here
+    cfg = write_cfg(tmp_path / "gs.cfg", dim=1, sigma=2.0, b=0.0, extent=16.0, n=256, trials=5)
+    assert main(["ground-state", "--config", cfg, "--out", str(tmp_path / "y")]) == 2
+    assert "trials" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dtype", ["long_double", "float32", 64])
+def test_unknown_dtype_exit_2(tmp_path, capsys, dtype):
+    cfg = write_cfg(tmp_path / "gs.cfg", dim=1, sigma=2.0, b=0.0, extent=16.0, n=256,
+                    dtype=dtype)
+    rc = main(["ground-state", "--config", cfg, "--out", str(tmp_path / "x")])
+    assert rc == 2
+    assert "dtype" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_evolve_numerics_error_keeps_partial_artifacts(tmp_path, capsys):
+    # |u|^4 overflows in the first potential kick; theta keeps the resolution
+    # stop from ending the run before it
+    cfg = write_cfg(tmp_path / "ev.cfg", dim=1, sigma=2.0, b=0.0, extent=16.0, n=256,
+                    initial="gaussian", initial_amplitude=1e100, theta=1e300, t_end=1.0)
+    out = tmp_path / "run"
+    rc = main(["evolve", "--config", cfg, "--out", str(out)])
+    assert rc == 3
+    assert "numerical failure" in capsys.readouterr().err
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["termination"] == "numerics_error"
+    assert summary["final"]["t"] == 0.0
+    rows = (out / "trajectory.csv").read_text().strip().splitlines()
+    assert len(rows) == 2 and rows[1].startswith("0.0,")

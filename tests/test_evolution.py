@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from inls_lab import Field, NumericsError, StepPolicy, ValidationError, evolve
-from inls_lab.evolution import EvolutionState, step
+from inls_lab import Field, NumericsError, StepPolicy, ValidationError, evolve, make_params
+from inls_lab import core, evolution
+from inls_lab.core import line_grid, radial_grid
+from inls_lab.evolution import LADDER_RUNGS, EvolutionState, step
 from inls_lab.exact import standing_wave
 from inls_lab import functionals as fn
 
@@ -137,3 +139,111 @@ def test_snapshots_recorded_on_cadence(quintic_gs):
     snaps = traj.snapshots()
     assert len(snaps) >= 2
     assert snaps[-1].time == traj.samples[-1].time   # final state always kept
+
+
+# -- the fused (FSAL) march --------------------------------------------------
+
+GEOMETRIES = {
+    "line": lambda: (make_params(1, 2.0, 0.0), line_grid(12.0, 1024, 0.0), 2.0, 0.15),
+    "radial": lambda: (make_params(2, 1.0, 0.5), radial_grid(2, 12.0, 1024, 0.5), 1.9, 0.2),
+}
+
+
+def gaussian(geometry, amplitude=None):
+    """A fresh grid (empty propagator cache) and a Gaussian on it; the default
+    amplitude collapses to the resolution limit within a few hundred steps."""
+    params, grid, amp, theta = GEOMETRIES[geometry]()
+    amp = amplitude if amplitude is not None else amp
+    return Field(amp * np.exp(-grid.nodes ** 2 / 2).astype(complex), grid, params), theta
+
+
+def is_rung(dt, dt0):
+    j = round(LADDER_RUNGS * math.log2(dt0 / dt))
+    return j >= 0 and dt == dt0 * 2.0 ** (-j / LADDER_RUNGS)
+
+
+@pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
+def test_fused_march_matches_repeated_steps(geometry):
+    u0, _ = gaussian(geometry, amplitude=1.0)
+    dt = 1e-3
+    traj = evolve(u0, StepPolicy(dt0=dt, c_dt=1e9, theta=1e9, t_end=40 * dt,
+                                 sample_every=7, snapshot_every=1))
+    assert all(s.dt == dt for s in traj.samples[1:])      # constant dt stays dt0
+    state = EvolutionState(field=u0, dt=dt)
+    for s in traj.samples:
+        while state.step_count < round(s.time / dt):
+            state = step(state)
+        ref = state.field.values
+        assert s.time == pytest.approx(state.time, rel=1e-12)
+        assert np.max(np.abs(s.snapshot.values - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assert state.step_count == 40
+
+
+@pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
+def test_every_dt_is_a_rung_below_the_ceiling(geometry):
+    u0, theta = gaussian(geometry)
+    policy = StepPolicy(dt0=5e-4, c_dt=5e-3, theta=theta, t_end=5.0, sample_every=1)
+    traj = evolve(u0, policy)
+    assert traj.termination == "resolution_limit"
+    for prev, s in zip(traj.samples, traj.samples[1:]):
+        assert is_rung(s.dt, policy.dt0)
+        assert s.dt <= min(policy.dt0, policy.c_dt / prev.grad_norm_sq)
+    assert len({s.dt for s in traj.samples[1:]}) > 10       # the collapse walks the ladder
+
+
+@pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
+def test_samples_record_their_own_gradient(geometry):
+    u0, theta = gaussian(geometry)
+    traj = evolve(u0, StepPolicy(dt0=5e-4, c_dt=5e-3, theta=theta, t_end=5.0,
+                                 sample_every=5, snapshot_every=1))
+    for s in traj.samples:
+        assert s.grad_norm_sq == fn.grad_norm_sq(s.snapshot)
+    assert math.sqrt(traj.samples[-1].grad_norm_sq) * u0.grid.spacing > theta
+
+
+@pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
+def test_propagator_built_once_per_rung(geometry, monkeypatch):
+    builds, flows = [], []
+    build, flow = core._build_propagator, evolution.free_flow
+
+    def counting_build(grid, dt):
+        builds.append(dt)
+        return build(grid, dt)
+
+    def recording_flow(grid, values, dt):
+        flows.append(dt)
+        return flow(grid, values, dt)
+
+    monkeypatch.setattr(core, "_build_propagator", counting_build)
+    monkeypatch.setattr(evolution, "free_flow", recording_flow)
+    u0, theta = gaussian(geometry)
+    policy = StepPolicy(dt0=5e-4, c_dt=5e-3, theta=theta, t_end=5.0, sample_every=10)
+    assert evolve(u0, policy).termination == "resolution_limit"
+    assert all(is_rung(dt, policy.dt0) for dt in flows)
+    assert builds == sorted(set(flows), reverse=True)      # one build per rung, in order
+    assert len(flows) > 5 * len(builds)
+
+
+def test_t_end_run_ends_on_t_end(plain_line):
+    params, grid = plain_line
+    u0 = Field(0.3 * np.exp(-grid.nodes ** 2 / 2).astype(complex), grid, params)
+    # ten steps of 0.1 sum to 0.9999999999999999: no sliver step follows
+    traj = evolve(u0, StepPolicy(dt0=0.1, c_dt=1e9, theta=1e9, t_end=1.0, sample_every=1))
+    assert traj.times()[-1] == 1.0
+    assert len(traj.samples) == 11 and all(s.dt == 0.1 for s in traj.samples[1:])
+    # t_end off the ladder: the last step is shortened to land on it
+    traj = evolve(u0, StepPolicy(dt0=0.1, c_dt=1e9, theta=1e9, t_end=0.95, sample_every=3))
+    assert traj.termination == "t_end"
+    assert traj.times()[-1] == 0.95
+    assert traj.samples[-1].dt == pytest.approx(0.05, rel=1e-12)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_numerics_error_carries_partial_trajectory(plain_line):
+    params, grid = plain_line
+    u0 = Field(1e100 * np.exp(-grid.nodes ** 2 / 2).astype(complex), grid, params)
+    with pytest.raises(NumericsError) as info:
+        evolve(u0, StepPolicy(theta=1e300, t_end=1.0))
+    traj = info.value.trajectory
+    assert traj.termination == "numerics_error"
+    assert traj.times().tolist() == [0.0]

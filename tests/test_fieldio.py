@@ -1,10 +1,15 @@
 import json
+from dataclasses import astuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from inls_lab import Field, StepPolicy, ValidationError, evolve, make_params
-from inls_lab.core import radial_grid
+from inls_lab.core import line_grid, radial_grid
+from inls_lab.evolution import Trajectory, TrajectorySample
 from inls_lab.exact import standing_wave
 from inls_lab.fieldio import (
     CSV_COLUMNS, MAGIC, attach_snapshots,
@@ -105,3 +110,67 @@ def test_snapshot_write_and_attach(tmp_path, quintic_gs):
     assert len(bare.snapshots()) == len(index)
     orig = traj.snapshots()[0].snapshot.values
     assert np.array_equal(bare.snapshots()[0].snapshot.values, orig)
+
+
+GRIDS = {
+    "line": (make_params(1, 2.0, 0.0), line_grid(8.0, 16)),
+    "radial": (make_params(2, 1.0, 0.5), radial_grid(2, 8.0, 16, 0.5)),
+}
+# every float64 but NaN: signed zeros, subnormals and infinities must survive
+floats = st.floats(allow_nan=False, width=64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(geometry=st.sampled_from(sorted(GRIDS)), kind=st.sampled_from(["real", "complex"]),
+       data=st.data())
+def test_field_binary_round_trip_property(tmp_path_factory, geometry, kind, data):
+    params, grid = GRIDS[geometry]
+    draw = lambda: data.draw(hnp.arrays(np.float64, grid.n, elements=floats))
+    if kind == "real":
+        vals = draw()
+    else:               # re + 1j*im would itself lose -0.0 and inf parts
+        vals = np.empty(grid.n, dtype=complex)
+        vals.real, vals.imag = draw(), draw()
+    path = tmp_path_factory.mktemp("fld") / "u.fld"
+    write_field(path, Field(vals, grid, params))
+    back = read_field(path, grid, params)
+    assert back.values.dtype == complex
+    assert np.array_equal(back.values.real, np.real(vals))
+    assert np.array_equal(back.values.imag, np.imag(vals))
+    assert np.array_equal(np.signbit(back.values.real), np.signbit(np.real(vals)))
+    assert np.array_equal(np.signbit(back.values.imag), np.signbit(np.imag(vals)))
+
+
+sample_rows = st.lists(st.tuples(*[floats] * len(CSV_COLUMNS)),
+                       min_size=1, max_size=12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=sample_rows)
+def test_trajectory_csv_round_trip_property(tmp_path_factory, rows):
+    traj = Trajectory(samples=[TrajectorySample(*row) for row in rows])
+    path = tmp_path_factory.mktemp("csv") / "trajectory.csv"
+    trajectory_to_csv(traj, path)
+    back = trajectory_from_csv(path)
+    assert [astuple(s)[:len(CSV_COLUMNS)] for s in back.samples] == rows
+    assert back.initial_mass == rows[0][2]
+
+
+@settings(max_examples=10, deadline=None)
+@given(geometry=st.sampled_from(sorted(GRIDS)), kind=st.sampled_from(["real", "complex"]),
+       amplitude=st.floats(min_value=0.1, max_value=1.5))
+def test_evolved_trajectory_csv_and_snapshots_round_trip(tmp_path_factory, geometry, kind,
+                                                         amplitude):
+    params, grid = GRIDS[geometry]
+    vals = amplitude * np.exp(-grid.nodes ** 2 / 2)
+    u0 = Field(vals if kind == "real" else vals * np.exp(0.3j * grid.nodes), grid, params)
+    traj = evolve(u0, StepPolicy(dt0=1e-2, c_dt=1e9, theta=1e9, t_end=0.1,
+                                 sample_every=3, snapshot_every=1))
+    out = tmp_path_factory.mktemp("run")
+    trajectory_to_csv(traj, out / "trajectory.csv")
+    write_snapshots(traj, out / "snapshots")
+    back = trajectory_from_csv(out / "trajectory.csv")
+    attach_snapshots(back, out / "snapshots", grid, params)
+    for s, b in zip(traj.samples, back.samples, strict=True):
+        assert astuple(b)[:len(CSV_COLUMNS)] == astuple(s)[:len(CSV_COLUMNS)]
+        assert np.array_equal(b.snapshot.values, s.snapshot.values)
