@@ -37,12 +37,12 @@ from .evolution import StepPolicy, evolve
 from .exact import SFamilyParams, s_profile
 from .experiments import REGISTRY, reproduce as run_reproduce
 from .fieldio import (
-    attach_snapshots, read_field, trajectory_from_csv, trajectory_to_csv,
-    write_field, write_manifest, write_snapshots,
+    attach_snapshots, params_grid_from_manifest, read_field, trajectory_from_csv,
+    trajectory_to_csv, write_field, write_manifest, write_snapshots,
 )
 from .ground_state import SolverOptions, solve_ground_state
 from .inequalities import (
-    DEFAULT_SEED, run_banica_report, run_critical_gn_report,
+    DEFAULT_SEED, check_critical_gn, run_banica_report, run_critical_gn_report,
     run_gagliardo_report, run_radial_gn_report, run_strauss_report,
 )
 
@@ -108,12 +108,36 @@ def _parse_value(text: str):
     return text.strip("'\"")
 
 
-def _require(cfg: dict, key: str, default=None):
-    if key in cfg:
-        return cfg[key]
-    if default is not None:
+_REQUIRED = object()
+
+
+def _get(cfg: dict, key: str, cast, default=_REQUIRED):
+    """``cast(cfg[key])``, or ``default`` when the key is absent.  A missing
+    required key, or a value ``cast`` rejects, is bad input (exit 2)."""
+    if key not in cfg:
+        if default is _REQUIRED:
+            raise ValidationError(f"config: missing required key '{key}'")
         return default
-    raise ValidationError(f"config: missing required key '{key}'")
+    try:
+        return cast(cfg[key])
+    except (ValueError, OverflowError) as exc:
+        raise ValidationError(f"config: bad value for '{key}': {cfg[key]!r}") from exc
+
+
+def _present(cfg: dict, casts: dict) -> dict:
+    """The keys of ``casts`` that ``cfg`` sets, each cast; an absent key keeps
+    the default of the dataclass the result is passed to."""
+    return {key: _get(cfg, key, cast) for key, cast in casts.items() if key in cfg}
+
+
+def _dtype(name) -> type:
+    if name not in DTYPES:
+        raise ValidationError(f"config: dtype must be one of {', '.join(DTYPES)}, got {name!r}")
+    return DTYPES[name]
+
+
+def _times(value) -> list[float]:
+    return [float(t) for t in str(value).split(",")]
 
 
 def _git_hash() -> str:
@@ -138,25 +162,30 @@ def _setup(cfg: dict, out_dir: Path, params, grid, experiment: str) -> None:
 
 
 def _params_grid(cfg: dict):
-    params = make_params(
-        int(_require(cfg, "dim")), float(_require(cfg, "sigma")), float(_require(cfg, "b"))
-    )
-    grid = grid_for(params, float(_require(cfg, "extent")), int(_require(cfg, "n")))
+    params = make_params(_get(cfg, "dim", int), _get(cfg, "sigma", float), _get(cfg, "b", float))
+    grid = grid_for(params, _get(cfg, "extent", float), _get(cfg, "n", int))
     return params, grid
 
 
+_POLICY_KEYS = {
+    "dt0": float, "c_dt": float, "t_end": float, "theta": float,
+    "sample_every": int, "snapshot_every": int,
+}
+
+
 def _policy(cfg: dict, snapshots_flag: int | None) -> StepPolicy:
-    return StepPolicy(
-        dt0=float(cfg.get("dt0", 1e-3)),
-        c_dt=float(cfg.get("c_dt", 5e-3)),
-        t_end=float(cfg["t_end"]) if "t_end" in cfg else None,
-        theta=float(cfg.get("theta", 0.5)),
-        sample_every=int(cfg.get("sample_every", 10)),
-        snapshot_every=(
-            snapshots_flag
-            if snapshots_flag is not None
-            else (int(cfg["snapshot_every"]) if "snapshot_every" in cfg else None)
-        ),
+    kwargs = _present(cfg, _POLICY_KEYS)
+    if snapshots_flag is not None:
+        kwargs["snapshot_every"] = snapshots_flag
+    return StepPolicy(**kwargs)
+
+
+def _family(cfg: dict) -> SFamilyParams:
+    """The blow-up family member set by the family_* keys."""
+    return SFamilyParams(
+        T=_get(cfg, "family_T", float, 1.0),
+        lam=_get(cfg, "family_lambda", float, 1.0),
+        gamma=_get(cfg, "family_gamma", float, 0.0),
     )
 
 
@@ -167,10 +196,7 @@ def _policy(cfg: dict, snapshots_flag: int | None) -> StepPolicy:
 def cmd_ground_state(cfg, out, seed, snapshots):
     params, grid = _params_grid(cfg)
     _setup(cfg, out, params, grid, "ground_state")
-    dtype = cfg.get("dtype", "float64")
-    if dtype not in DTYPES:
-        raise ValidationError(f"config: dtype must be one of {', '.join(DTYPES)}, got {dtype!r}")
-    opts = SolverOptions(dtype=DTYPES[dtype], max_iter=int(cfg.get("max_iter", 2000)))
+    opts = SolverOptions(**_present(cfg, {"dtype": _dtype, "max_iter": int}))
     gs = solve_ground_state(params, grid, opts)
     write_field(out / "Q.fld", gs.profile)
     sidecar = {
@@ -190,26 +216,21 @@ def cmd_ground_state(cfg, out, seed, snapshots):
 
 
 def _initial_field(cfg, params, grid, out) -> Field:
-    kind = _require(cfg, "initial")
+    kind = _get(cfg, "initial", str)
     if kind == "ground_state_multiple":
+        c = _get(cfg, "initial_c", float, 1.0)
         gs = solve_ground_state(params, grid)
-        c = float(cfg.get("initial_c", 1.0))
         return gs.profile.with_values(c * gs.profile.values.astype(complex))
     if kind == "gaussian":
-        amp = float(cfg.get("initial_amplitude", 1.0))
-        width = float(cfg.get("initial_width", 1.0))
+        amp = _get(cfg, "initial_amplitude", float, 1.0)
+        width = _get(cfg, "initial_width", float, 1.0)
         vals = amp * np.exp(-grid.nodes ** 2 / (2.0 * width ** 2)).astype(complex)
         return Field(vals, grid, params)
     if kind == "s_family":
-        gs = solve_ground_state(params, grid)
-        fam = SFamilyParams(
-            T=float(cfg.get("family_T", 1.0)),
-            lam=float(cfg.get("family_lambda", 1.0)),
-            gamma=float(cfg.get("family_gamma", 0.0)),
-        )
-        return s_profile(fam, gs, float(cfg.get("family_t0", 0.0)))
+        fam, t0 = _family(cfg), _get(cfg, "family_t0", float, 0.0)
+        return s_profile(fam, solve_ground_state(params, grid), t0)
     if kind == "file":
-        return read_field(_input_file(_require(cfg, "initial_path")), grid, params)
+        return read_field(_input_file(_get(cfg, "initial_path", str)), grid, params)
     raise ValidationError(f"config: unknown initial '{kind}'")
 
 
@@ -254,10 +275,8 @@ def _write_trajectory(traj, out: Path, policy: StepPolicy) -> dict | None:
 
 
 def cmd_analyze(cfg, out, seed, snapshots):
-    run_dir = Path(_require(cfg, "run_dir"))
+    run_dir = Path(_get(cfg, "run_dir", str))
     manifest = json.loads(_input_file(run_dir / "manifest.json").read_text())
-    from .fieldio import params_grid_from_manifest
-
     params, grid = params_grid_from_manifest(manifest)
     _setup(cfg, out, params, grid, "analyze")
     traj = trajectory_from_csv(_input_file(run_dir / "trajectory.csv"))
@@ -267,23 +286,19 @@ def cmd_analyze(cfg, out, seed, snapshots):
     fit = estimate_blowup_time(traj, params.s_c)
     rows = ["t,T_hat_minus_t,grad_norm,window_radius,concentration"]
     verdicts = {"rate_exponent_below_bound": fit.exponent <= -(1.0 - params.s_c) / 2.0 + 0.05}
-    floor = None
+    floor, series = None, []
     snaps = traj.snapshots()
     if params.mass_critical and snaps:
-        series = mass_concentration_series(traj, float(cfg.get("alpha", 0.25)), fit)
-        for r, s in zip(series, snaps):
-            rows.append(f"{r.time!r},{fit.T_hat - r.time!r},"
-                        f"{s.grad_norm_sq ** 0.5!r},{r.radius!r},{r.value!r}")
+        series = mass_concentration_series(traj, _get(cfg, "alpha", float, 0.25), fit)
         floor = min(r.value for r in series)
         verdicts["final_window_mass"] = series[-1].value
     elif params.intercritical and snaps:
-        series = sigma_c_window_series(traj, fit, cfg.get("mode", "fint"),
-                                       c0=float(cfg.get("c0", 10.0)),
-                                       c0_tilde=float(cfg.get("c0_tilde", 1.0)))
-        for r, s in zip(series, snaps):
-            rows.append(f"{r.time!r},{fit.T_hat - r.time!r},"
-                        f"{s.grad_norm_sq ** 0.5!r},{r.radius!r},{r.value!r}")
+        series = sigma_c_window_series(traj, fit, _get(cfg, "mode", str, "fint"),
+                                       **_present(cfg, {"c0": float, "c0_tilde": float}))
         floor = series[-1].running_extreme
+    for r, s in zip(series, snaps):
+        rows.append(f"{r.time!r},{fit.T_hat - r.time!r},"
+                    f"{s.grad_norm_sq ** 0.5!r},{r.radius!r},{r.value!r}")
     (out / "analysis.csv").write_text("\n".join(rows) + "\n")
     summary = {
         "T_hat": fit.T_hat,
@@ -301,7 +316,7 @@ def cmd_analyze(cfg, out, seed, snapshots):
 def cmd_verify(cfg, out, seed, snapshots):
     params, grid = _params_grid(cfg)
     _setup(cfg, out, params, grid, "verify")
-    trials = int(cfg.get("trials", 1000))
+    trials = _get(cfg, "trials", int, 1000)
     gs = solve_ground_state(params, grid)
     reports = [run_gagliardo_report(params, grid, gs.k_opt, trials=trials, seed=seed)]
     if params.mass_critical:
@@ -311,10 +326,8 @@ def cmd_verify(cfg, out, seed, snapshots):
         if params.sigma < 2.0:
             reports.append(run_radial_gn_report(params, grid, trials=trials, seed=seed))
         if params.intercritical:
-            from .experiments import check_ratio_reference
-
             reports.append(run_critical_gn_report(
-                params, grid, check_ratio_reference(gs), trials=trials, seed=seed))
+                params, grid, check_critical_gn(gs.profile), trials=trials, seed=seed))
     all_ok = True
     for rep in reports:
         (out / f"inequality_{rep.name}.json").write_text(
@@ -330,14 +343,8 @@ def cmd_verify(cfg, out, seed, snapshots):
 def cmd_exact(cfg, out, seed, snapshots):
     params, grid = _params_grid(cfg)
     _setup(cfg, out, params, grid, "exact")
+    fam, times = _family(cfg), _get(cfg, "times", _times, [0.0])
     gs = solve_ground_state(params, grid)
-    fam = SFamilyParams(
-        T=float(cfg.get("family_T", 1.0)),
-        lam=float(cfg.get("family_lambda", 1.0)),
-        gamma=float(cfg.get("family_gamma", 0.0)),
-    )
-    times = cfg.get("times", "0.0")
-    times = [float(t) for t in str(times).split(",")] if isinstance(times, str) else [float(times)]
     for i, t in enumerate(times):
         fld = s_profile(fam, gs, t)
         write_field(out / f"s_profile_{i:03d}.fld", fld)
@@ -346,7 +353,7 @@ def cmd_exact(cfg, out, seed, snapshots):
 
 
 def cmd_reproduce(cfg, out, seed, snapshots):
-    name = _require(cfg, "name")
+    name = _get(cfg, "name", str)
     report = run_reproduce(name, seed=seed)
     out.mkdir(parents=True, exist_ok=True)
     (out / f"report_{name}.json").write_text(json.dumps(report.as_dict(), indent=2) + "\n")

@@ -51,6 +51,8 @@ class StepPolicy:
     def __post_init__(self):
         if self.dt0 <= 0 or self.c_dt <= 0 or self.theta <= 0:
             raise ValidationError("dt0, c_dt, theta must all be positive")
+        if self.sample_every < 1 or (self.snapshot_every is not None and self.snapshot_every < 1):
+            raise ValidationError("sample_every and snapshot_every must be at least 1")
         if self.t_end is None and self.theta >= 1e9:
             raise ValidationError("policy needs a finite t_end or a resolution threshold")
 
@@ -154,7 +156,7 @@ def _march(u0: Field, policy: StepPolicy, traj: Trajectory) -> None:
                     policy.snapshot_every is not None
                     and sample_idx % policy.snapshot_every == 0
                 )
-                traj.samples.append(_record(EvolutionState(u, t, dt, steps), G, keep))
+                traj.samples.append(_record(u, t, dt, G, keep))
                 sample_idx += 1
             traj.termination = _stop_reason(policy, G, t, steps, u.grid.spacing)
             if traj.termination:
@@ -174,7 +176,7 @@ def _march(u0: Field, policy: StepPolicy, traj: Trajectory) -> None:
         t = t_next
         steps += 1
     # always include the final state (with a snapshot when any were requested)
-    final = _record(EvolutionState(u, t, dt, steps), G, policy.snapshot_every is not None)
+    final = _record(u, t, dt, G, policy.snapshot_every is not None)
     if traj.samples and traj.samples[-1].time == final.time:
         traj.samples[-1] = final
     else:
@@ -228,13 +230,13 @@ def _stop_reason(policy: StepPolicy, G: float, t: float, steps: int, dx: float) 
     return ""
 
 
-def _record(state: EvolutionState, G: float, keep_snapshot: bool) -> TrajectorySample:
-    u = state.field
+def _record(u: Field, t: float, dt: float, G: float, keep_snapshot: bool) -> TrajectorySample:
+    """The sample of full state u at time t; G is its own |grad u|^2."""
     return TrajectorySample(
-        time=state.time,
-        dt=state.dt,
+        time=t,
+        dt=dt,
         mass=fn.mass(u),
-        energy=fn.energy(u),
+        energy=fn._energy(u, G),
         grad_norm_sq=G,
         variance=fn.variance(u),
         boundary_frac=fn.boundary_mass_fraction(u),

@@ -4,6 +4,14 @@ Each experiment returns an ExperimentReport with a pass flag and the numbers
 behind it; the CLI ``reproduce`` subcommand and the acceptance test suite
 both run these functions, so the gate is exercised identically everywhere.
 
+Ground states come from one table, ``GROUND_STATES`` (three longdouble
+Pohozaev gates, five float64 cases), through one memo, ``ground_state(case)``;
+the blow-up runs on them are memoized alike (``collapse_trajectory(case)``
+takes its stop from ``COLLAPSE_THETA``).  ``@_experiment(name, budget_s)``
+registers each experiment in ``REGISTRY``, times it, and builds its report
+from the ``(passed, details)`` it returns; a budget is recorded in the
+details and must be met to pass.
+
 Tuning notes baked into the configurations below:
 
 * The deep Pohozaev gates iterate in extended precision: at n ~ 2.6e5 the
@@ -26,7 +34,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field as dc_field
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -43,7 +51,7 @@ from .ground_state import (
     GroundState, SolverOptions, c_of_Mm, gn_ratio, solve_ground_state,
 )
 from .inequalities import (
-    DEFAULT_SEED, corpus_rng, random_bump_field,
+    DEFAULT_SEED, check_critical_gn, corpus_rng, random_bump_field,
     run_banica_report, run_gagliardo_report, run_critical_gn_report,
     run_radial_gn_report, run_strauss_report,
 )
@@ -80,55 +88,37 @@ def _jsonable(obj):
 # ---------------------------------------------------------------------------
 # shared heavy intermediates (memoized for the lifetime of the process)
 
-POHOZAEV_CASES = {
-    "line_mass_critical": dict(dim=1, sigma=1.5, b=0.5, extent=15.0, n=65536),
-    "radial2_mass_critical": dict(dim=2, sigma=0.75, b=0.5, extent=14.0, n=20480),
-    "radial3_intercritical": dict(dim=3, sigma=1.0, b=0.5, extent=14.0, n=262144),
+# case -> (dim, sigma, b, extent, n, dtype); the three deep Pohozaev gates
+# iterate in extended precision, the other cases in float64.
+GROUND_STATES = {
+    "line_mass_critical": (1, 1.5, 0.5, 15.0, 65536, np.longdouble),
+    "radial2_mass_critical": (2, 0.75, 0.5, 14.0, 20480, np.longdouble),
+    "radial3_intercritical": (3, 1.0, 0.5, 14.0, 262144, np.longdouble),
+    "cubic": (1, 1.0, 0.0, 20.0, 4096, np.float64),
+    "quintic": (1, 2.0, 0.0, 20.0, 4096, np.float64),
+    "quintic_tracking": (1, 2.0, 0.0, 20.0, 16384, np.float64),
+    "line_b": (1, 1.5, 0.5, 20.0, 8192, np.float64),
+    "radial2_intercritical": (2, 1.0, 0.5, 12.0, 8192, np.float64),
 }
+POHOZAEV_CASES = ("line_mass_critical", "radial2_mass_critical", "radial3_intercritical")
+# ground-state case -> resolution stop theta of its 1.05 Q collapse
+COLLAPSE_THETA = {"quintic": 0.15, "line_b": 0.10}
+CORPUS_TRIALS = 1000      # random fields per inequality corpus
 
 
 @lru_cache(maxsize=None)
-def gate_ground_state(case: str) -> GroundState:
-    cfg = POHOZAEV_CASES[case]
-    params = make_params(cfg["dim"], cfg["sigma"], cfg["b"])
-    grid = grid_for(params, cfg["extent"], cfg["n"])
-    return solve_ground_state(params, grid, SolverOptions(dtype=np.longdouble))
-
-
-@lru_cache(maxsize=None)
-def quintic_ground_state(n: int = 4096, half_width: float = 20.0) -> GroundState:
-    params = make_params(1, 2.0, 0.0)
-    return solve_ground_state(params, line_grid(half_width, n, 0.0))
-
-
-@lru_cache(maxsize=None)
-def cubic_ground_state(n: int = 4096, half_width: float = 20.0) -> GroundState:
-    params = make_params(1, 1.0, 0.0)
-    return solve_ground_state(params, line_grid(half_width, n, 0.0))
-
-
-@lru_cache(maxsize=None)
-def line_b_ground_state(n: int = 8192, half_width: float = 20.0) -> GroundState:
-    params = make_params(1, 1.5, 0.5)
-    return solve_ground_state(params, line_grid(half_width, n, 0.5))
-
-
-@lru_cache(maxsize=None)
-def quintic_tracking_ground_state() -> GroundState:
-    return quintic_ground_state(n=16384, half_width=20.0)
-
-
-@lru_cache(maxsize=None)
-def intercritical_radial_ground_state(n: int = 8192) -> GroundState:
-    params = make_params(2, 1.0, 0.5)
-    return solve_ground_state(params, radial_grid(2, 12.0, n, 0.5))
+def ground_state(case: str) -> GroundState:
+    """The ground state of a ``GROUND_STATES`` case."""
+    dim, sigma, b, extent, n, dtype = GROUND_STATES[case]
+    params = make_params(dim, sigma, b)
+    return solve_ground_state(params, grid_for(params, extent, n), SolverOptions(dtype=dtype))
 
 
 @lru_cache(maxsize=None)
 def s_family_trajectory():
     """Evolution of the minimal-mass profile S_{T=1, lam=1, gamma=0} from t=0
     on the quintic line (n=16384), stopped while the core is resolved."""
-    gs = quintic_tracking_ground_state()
+    gs = ground_state("quintic_tracking")
     u0 = s_profile(SFamilyParams(T=1.0, lam=1.0, gamma=0.0), gs, 0.0)
     policy = StepPolicy(
         dt0=2.5e-4, c_dt=1.25e-3, theta=0.039,
@@ -138,24 +128,13 @@ def s_family_trajectory():
 
 
 @lru_cache(maxsize=None)
-def quintic_collapse_trajectory():
-    """1.05 Q on the quintic line: negative-energy mass-critical collapse."""
-    gs = quintic_ground_state()
+def collapse_trajectory(case: str):
+    """1.05 Q for a ``COLLAPSE_THETA`` line case: negative-energy
+    mass-critical collapse (b = 0 quintic, or the singular weight b = 0.5)."""
+    gs = ground_state(case)
     u0 = gs.profile.with_values(1.05 * gs.profile.values.astype(complex))
     policy = StepPolicy(
-        dt0=5e-4, c_dt=5e-3, theta=0.15,
-        sample_every=10, snapshot_every=50, t_end=5.0,
-    )
-    return evolve(u0, policy)
-
-
-@lru_cache(maxsize=None)
-def inls_collapse_trajectory():
-    """1.05 Q collapse for the singular-weight line case (b = 0.5)."""
-    gs = line_b_ground_state()
-    u0 = gs.profile.with_values(1.05 * gs.profile.values.astype(complex))
-    policy = StepPolicy(
-        dt0=5e-4, c_dt=5e-3, theta=0.10,
+        dt0=5e-4, c_dt=5e-3, theta=COLLAPSE_THETA[case],
         sample_every=10, snapshot_every=50, t_end=5.0,
     )
     return evolve(u0, policy)
@@ -177,32 +156,58 @@ def intercritical_trajectory():
 
 
 # ---------------------------------------------------------------------------
-# criterion 1: closed-form soliton oracles
+# registration: each experiment returns (passed, details)
+
+REGISTRY: dict = {}
 
 
-def soliton_oracles(seed: int = DEFAULT_SEED) -> ExperimentReport:
-    t0 = time.time()
+def _experiment(name: str, budget_s: float | None = None):
+    """Register an experiment under ``name``, timed and wrapped in its report;
+    with ``budget_s`` the report records the budget and fails a slower run."""
+    def register(run):
+        @wraps(run)
+        def timed(seed: int = DEFAULT_SEED) -> ExperimentReport:
+            t0 = time.perf_counter()
+            passed, details = run(seed)
+            elapsed = time.perf_counter() - t0
+            if budget_s is not None:
+                details["runtime_budget_seconds"] = budget_s
+                passed = passed and elapsed < budget_s
+            return ExperimentReport(name, passed, elapsed, details)
+
+        REGISTRY[name] = timed
+        return timed
+
+    return register
+
+
+# ---------------------------------------------------------------------------
+# the experiments, one per acceptance criterion
+
+
+@_experiment("ground_state_oracles")
+def soliton_oracles(seed):
+    """Criterion 1: closed-form soliton oracles."""
     details = {}
     passed = True
-    for name, gs, exact in (
-        ("cubic", cubic_ground_state(), lambda x: np.sqrt(2.0) / np.cosh(x)),
-        ("quintic", quintic_ground_state(), lambda x: 3.0 ** 0.25 / np.cosh(2.0 * x) ** 0.5),
+    for name, exact in (
+        ("cubic", lambda x: np.sqrt(2.0) / np.cosh(x)),
+        ("quintic", lambda x: 3.0 ** 0.25 / np.cosh(2.0 * x) ** 0.5),
     ):
+        gs = ground_state(name)
         err = float(np.max(np.abs(gs.profile.values - exact(gs.profile.grid.nodes))))
         details[name] = {"linf_error": err, "iterations": gs.iterations}
         passed &= err < 1e-6
-    return ExperimentReport("ground_state_oracles", passed, time.time() - t0, details)
+    return passed, details
 
 
-# criterion 2: Pohozaev identity gate
-
-
-def pohozaev_gate(seed: int = DEFAULT_SEED) -> ExperimentReport:
-    t0 = time.time()
+@_experiment("pohozaev_gate", budget_s=60.0)
+def pohozaev_gate(seed):
+    """Criterion 2: Pohozaev identity gate."""
     details = {}
     passed = True
     for case in POHOZAEV_CASES:
-        gs = gate_ground_state(case)
+        gs = ground_state(case)
         p = gs.params
         entry = {
             "r1": gs.pohozaev_r1,
@@ -219,42 +224,35 @@ def pohozaev_gate(seed: int = DEFAULT_SEED) -> ExperimentReport:
             ok &= entry["grad_mass_ratio_dev"] < 1e-5
         details[case] = entry
         passed &= ok
-    details["runtime_budget_seconds"] = 60.0
-    return ExperimentReport("pohozaev_gate", passed and time.time() - t0 < 60.0, time.time() - t0, details)
+    return passed, details
 
 
-# criterion 3: sharpness of the interpolation inequality
-
-
-def gn_sharpness(seed: int = DEFAULT_SEED, trials: int = 1000) -> ExperimentReport:
-    t0 = time.time()
+@_experiment("gn_sharpness")
+def gn_sharpness(seed):
+    """Criterion 3: sharpness of the interpolation inequality."""
     details = {}
     passed = True
     for case in POHOZAEV_CASES:
-        gs = gate_ground_state(case)
+        gs = ground_state(case)
         ratio_dev = abs(gn_ratio(gs.profile) - gs.k_opt) / gs.k_opt
         rng = corpus_rng(seed, f"gn_sharpness/{case}")
         grid = grid_for(gs.params, 12.0, 2048 if gs.params.dim > 1 else 4096)
         worst = -math.inf
-        for _ in range(trials):
+        for _ in range(CORPUS_TRIALS):
             u = random_bump_field(gs.params, grid, rng)
             worst = max(worst, gn_ratio(u) / gs.k_opt - 1.0)
         details[case] = {"sharpness_dev": ratio_dev, "corpus_max_excess": worst}
         passed &= ratio_dev < 1e-5 and worst < 1e-6
-    return ExperimentReport("gn_sharpness", passed, time.time() - t0, details)
+    return passed, details
 
 
-# criterion 4: exactness of the compactness constant
-
-
-def cmm_exactness(seed: int = DEFAULT_SEED) -> ExperimentReport:
-    t0 = time.time()
+@_experiment("cmm_exactness")
+def cmm_exactness(seed):
+    """Criterion 4: exactness of the compactness constant."""
     details = {}
     passed = True
     for dim, sigma, b in ((1, 1.5, 0.5), (2, 0.75, 0.5), (1, 2.0, 0.0), (3, 0.5, 0.5)):
         params = make_params(dim, sigma, b)
-        if not params.mass_critical:
-            continue
         q_sq = 1.37  # any positive ||Q||^2; the identity is exact in it
         m_pow = (params.dim / (2.0 - params.b) + 1.0) * q_sq
         M = math.sqrt(params.dim / (2.0 - params.b) * q_sq)
@@ -262,15 +260,13 @@ def cmm_exactness(seed: int = DEFAULT_SEED) -> ExperimentReport:
         c_val = c_of_Mm(M, m, params)
         details[f"N{dim}_b{b}"] = {"C": c_val, "deviation": abs(c_val - 1.0)}
         passed &= abs(c_val - 1.0) < 1e-12
-    return ExperimentReport("cmm_exactness", passed, time.time() - t0, details)
+    return passed, details
 
 
-# criterion 5: conservation + splitting order on the standing wave
-
-
-def conservation_gate(seed: int = DEFAULT_SEED) -> ExperimentReport:
-    t0 = time.time()
-    gs = quintic_ground_state()
+@_experiment("conservation")
+def conservation_gate(seed):
+    """Criterion 5: conservation + splitting order on the standing wave."""
+    gs = ground_state("quintic")
     u0 = standing_wave(gs, 0.0)
     m0 = fn.mass(u0)
     e0 = fn.energy(u0)
@@ -298,7 +294,7 @@ def conservation_gate(seed: int = DEFAULT_SEED) -> ExperimentReport:
         and details["l2_error_t1"] < 1e-4
         and all(1.8 <= o <= 2.2 for o in orders)
     )
-    return ExperimentReport("conservation", passed, time.time() - t0, details)
+    return passed, details
 
 
 def _standing_wave_error(gs: GroundState, dt: float, t_end: float) -> float:
@@ -313,17 +309,14 @@ def _standing_wave_error(gs: GroundState, dt: float, t_end: float) -> float:
     return math.sqrt(fn.mass(diff) / fn.mass(ref))
 
 
-# criterion 6: virial identity
-
-
-def virial_gate(seed: int = DEFAULT_SEED) -> ExperimentReport:
-    t0 = time.time()
+@_experiment("virial_quadratic")
+def virial_gate(seed):
+    """Criterion 6: virial identity."""
     details = {}
 
     # mass-critical: variance is exactly quadratic with curvature 16 E[u0]
-    traj = quintic_collapse_trajectory()
-    gs = quintic_ground_state()
-    e0 = fn.energy(gs.profile.with_values(1.05 * gs.profile.values.astype(complex)))
+    traj = collapse_trajectory("quintic")
+    e0 = traj.energies()[0]
     ts, Vs, gnorms = traj.times(), traj.variances(), traj.grad_norms()
     resolved = gnorms <= gnorms[-1] / 2.0
     coeffs = np.polyfit(ts[resolved], Vs[resolved], 2)
@@ -355,15 +348,13 @@ def virial_gate(seed: int = DEFAULT_SEED) -> ExperimentReport:
     details["intercritical"] = {"max_pointwise_dev": float(np.max(devs)),
                                 "median_pointwise_dev": float(np.median(devs))}
     ok2 = float(np.max(devs)) < 0.02
-    return ExperimentReport("virial_quadratic", ok1 and ok2, time.time() - t0, details)
+    return ok1 and ok2, details
 
 
-# criterion 7 (+10): minimal-mass family tracking and profile convergence
-
-
-def s_family_tracking(seed: int = DEFAULT_SEED) -> ExperimentReport:
-    t0 = time.time()
-    gs = quintic_tracking_ground_state()
+@_experiment("s_family_tracking")
+def s_family_tracking(seed):
+    """Criterion 7 (+10): minimal-mass family tracking and profile convergence."""
+    gs = ground_state("quintic_tracking")
     traj = s_family_trajectory()
     fam = SFamilyParams(T=1.0, lam=1.0, gamma=0.0)
     m_q = fn.mass(gs.profile)
@@ -401,16 +392,14 @@ def s_family_tracking(seed: int = DEFAULT_SEED) -> ExperimentReport:
         and errs[-1] < 5e-2
         and drops
     )
-    return ExperimentReport("s_family_tracking", passed, time.time() - t0, details)
+    return passed, details
 
 
-# criterion 8: mass concentration in shrinking windows
-
-
-def theorem1_mass_concentration(seed: int = DEFAULT_SEED) -> ExperimentReport:
-    t0 = time.time()
-    gs = line_b_ground_state()
-    traj = inls_collapse_trajectory()
+@_experiment("theorem1_mass_concentration")
+def theorem1_mass_concentration(seed):
+    """Criterion 8: mass concentration in shrinking windows."""
+    gs = ground_state("line_b")
+    traj = collapse_trajectory("line_b")
     fit = estimate_blowup_time(traj, gs.params.s_c)
     series = mass_concentration_series(traj, 0.25, fit)
     m_q = fn.mass(gs.profile)
@@ -427,19 +416,16 @@ def theorem1_mass_concentration(seed: int = DEFAULT_SEED) -> ExperimentReport:
         "exponent": fit.exponent,
         "series": [(round(r.time, 4), float(r.value)) for r in series],
     }
-    passed = values[-1] >= 0.9 * m_q and eventually_up
-    return ExperimentReport("theorem1_mass_concentration", passed, time.time() - t0, details)
+    return values[-1] >= 0.9 * m_q and eventually_up, details
 
 
-# criterion 9: lower-bound rate exponents across the blow-up matrix
-
-
-def rate_bound(seed: int = DEFAULT_SEED) -> ExperimentReport:
-    t0 = time.time()
+@_experiment("rate_bound")
+def rate_bound(seed):
+    """Criterion 9: lower-bound rate exponents across the blow-up matrix."""
     runs = {
         "s_family_quintic": (s_family_trajectory(), 0.0),
-        "quintic_collapse": (quintic_collapse_trajectory(), 0.0),
-        "inls_collapse": (inls_collapse_trajectory(), 0.0),
+        "quintic_collapse": (collapse_trajectory("quintic"), 0.0),
+        "inls_collapse": (collapse_trajectory("line_b"), 0.0),
         "intercritical_radial": (intercritical_trajectory(), 0.25),
     }
     details = {}
@@ -449,14 +435,12 @@ def rate_bound(seed: int = DEFAULT_SEED) -> ExperimentReport:
         bound = -(1.0 - s_c) / 2.0 + 0.05
         details[name] = {"exponent": fit.exponent, "bound": bound, "T_hat": fit.T_hat}
         passed &= fit.exponent <= bound
-    return ExperimentReport("rate_bound", passed, time.time() - t0, details)
+    return passed, details
 
 
-# criterion 11: critical-norm window floors
-
-
-def sigma_c_concentration(seed: int = DEFAULT_SEED) -> ExperimentReport:
-    t0 = time.time()
+@_experiment("sigma_c_concentration", budget_s=300.0)
+def sigma_c_concentration(seed):
+    """Criterion 11: critical-norm window floors."""
     traj = intercritical_trajectory()
     p = traj.snapshots()[0].snapshot.params
     fit = estimate_blowup_time(traj, p.s_c)
@@ -481,33 +465,27 @@ def sigma_c_concentration(seed: int = DEFAULT_SEED) -> ExperimentReport:
         "u1L_min_over_median": u1l_floor,
         "snapshots_in_decade": int(decade.sum()),
         "T_hat": fit.T_hat,
-        "runtime_budget_seconds": 300.0,
     }
-    elapsed = time.time() - t0
-    passed = fint_floor >= 0.5 and u1l_floor >= 0.25 and elapsed < 300.0
-    return ExperimentReport("sigma_c_concentration", passed, elapsed, details)
+    return fint_floor >= 0.5 and u1l_floor >= 0.25, details
 
 
-# criterion 12: inequality suite + decomposition reconstruction
-
-
-def inequality_suite(seed: int = DEFAULT_SEED, trials: int = 1000) -> ExperimentReport:
-    t0 = time.time()
+@_experiment("inequalities")
+def inequality_suite(seed):
+    """Criterion 12: inequality suite + decomposition reconstruction."""
     line_params = make_params(1, 1.5, 0.5)
     line = line_grid(12.0, 4096, 0.5)
     radial_params = make_params(2, 1.0, 0.5)
     radial = radial_grid(2, 12.0, 2048, 0.5)
-    gs_line = line_b_ground_state()
-    gs_radial = intercritical_radial_ground_state()
+    gs_line = ground_state("line_b")
+    gs_radial = ground_state("radial2_intercritical")
 
     reports = [
-        run_gagliardo_report(line_params, line, gs_line.k_opt, trials=trials, seed=seed),
-        run_banica_report(line_params, line, gs_line.q_mass, trials=trials, seed=seed),
-        run_strauss_report(radial_params, radial, trials=trials, seed=seed),
-        run_radial_gn_report(radial_params, radial, trials=trials, seed=seed),
-        run_critical_gn_report(
-            radial_params, radial, check_ratio_reference(gs_radial), trials=trials, seed=seed
-        ),
+        run_gagliardo_report(line_params, line, gs_line.k_opt, trials=CORPUS_TRIALS, seed=seed),
+        run_banica_report(line_params, line, gs_line.q_mass, trials=CORPUS_TRIALS, seed=seed),
+        run_strauss_report(radial_params, radial, trials=CORPUS_TRIALS, seed=seed),
+        run_radial_gn_report(radial_params, radial, trials=CORPUS_TRIALS, seed=seed),
+        run_critical_gn_report(radial_params, radial, check_critical_gn(gs_radial.profile),
+                               trials=CORPUS_TRIALS, seed=seed),
     ]
 
     recon_worst = 0.0
@@ -521,29 +499,7 @@ def inequality_suite(seed: int = DEFAULT_SEED, trials: int = 1000) -> Experiment
     details = {r.name: r.as_dict() for r in reports}
     details["decomposition_reconstruction_max"] = recon_worst
     passed = all(r.max_violation <= 1e-6 for r in reports if r.name != "critical_gn")
-    passed &= recon_worst < 1e-10
-    return ExperimentReport("inequalities", passed, time.time() - t0, details)
-
-
-def check_ratio_reference(gs: GroundState) -> float:
-    from .inequalities import check_critical_gn
-
-    return check_critical_gn(gs.profile)
-
-
-REGISTRY = {
-    "ground_state_oracles": soliton_oracles,
-    "pohozaev_gate": pohozaev_gate,
-    "gn_sharpness": gn_sharpness,
-    "cmm_exactness": cmm_exactness,
-    "conservation": conservation_gate,
-    "virial_quadratic": virial_gate,
-    "s_family_tracking": s_family_tracking,
-    "theorem1_mass_concentration": theorem1_mass_concentration,
-    "rate_bound": rate_bound,
-    "sigma_c_concentration": sigma_c_concentration,
-    "inequalities": inequality_suite,
-}
+    return passed and recon_worst < 1e-10, details
 
 
 def reproduce(name: str, seed: int = DEFAULT_SEED) -> ExperimentReport:
@@ -555,4 +511,4 @@ def reproduce(name: str, seed: int = DEFAULT_SEED) -> ExperimentReport:
     return REGISTRY[name](seed=seed)
 
 
-__all__ = ["ExperimentReport", "REGISTRY", "reproduce"] + list(REGISTRY)
+__all__ = ["ExperimentReport", "REGISTRY", "reproduce"] + [run.__name__ for run in REGISTRY.values()]

@@ -35,7 +35,12 @@ def grad_norm_sq(u: Field) -> float:
 
 def energy(u: Field) -> float:
     """E[u] = 1/2 |grad u|^2 - potential(u)/(2 sigma + 2)."""
-    return 0.5 * grad_norm_sq(u) - potential(u) / (2.0 * u.params.sigma + 2.0)
+    return _energy(u, grad_norm_sq(u))
+
+
+def _energy(u: Field, grad_sq: float) -> float:
+    """E[u] given its |grad u|^2, for callers that already hold it."""
+    return 0.5 * grad_sq - potential(u) / (2.0 * u.params.sigma + 2.0)
 
 
 def energy_scale(u: Field) -> float:

@@ -11,37 +11,37 @@ from inls_lab.core import line_grid, make_params, radial_grid
 
 @pytest.fixture(scope="session")
 def quintic_gs():
-    return exp.quintic_ground_state()
+    return exp.ground_state("quintic")
 
 
 @pytest.fixture(scope="session")
 def cubic_gs():
-    return exp.cubic_ground_state()
+    return exp.ground_state("cubic")
 
 
 @pytest.fixture(scope="session")
 def line_gate_gs():
-    return exp.gate_ground_state("line_mass_critical")
+    return exp.ground_state("line_mass_critical")
 
 
 @pytest.fixture(scope="session")
 def radial2_gate_gs():
-    return exp.gate_ground_state("radial2_mass_critical")
+    return exp.ground_state("radial2_mass_critical")
 
 
 @pytest.fixture(scope="session")
 def radial3_gate_gs():
-    return exp.gate_ground_state("radial3_intercritical")
+    return exp.ground_state("radial3_intercritical")
 
 
 @pytest.fixture(scope="session")
 def line_b_gs():
-    return exp.line_b_ground_state()
+    return exp.ground_state("line_b")
 
 
 @pytest.fixture(scope="session")
 def intercritical_radial_gs():
-    return exp.intercritical_radial_ground_state()
+    return exp.ground_state("radial2_intercritical")
 
 
 @pytest.fixture(scope="session")

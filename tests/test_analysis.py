@@ -174,11 +174,9 @@ def test_mollifier_smooth_field_convergence(ic_radial):
 def test_mass_concentration_on_family_trajectory():
     """Windows along the minimal-mass family capture essentially the whole
     ground-state mass, approaching it from below."""
-    from inls_lab.experiments import (
-        quintic_tracking_ground_state, s_family_trajectory,
-    )
+    from inls_lab.experiments import ground_state, s_family_trajectory
 
-    gs = quintic_tracking_ground_state()
+    gs = ground_state("quintic_tracking")
     traj = s_family_trajectory()
     fit = estimate_blowup_time(traj, gs.params.s_c)
     series = mass_concentration_series(traj, 0.25, fit)

@@ -216,6 +216,24 @@ def test_unknown_dtype_exit_2(tmp_path, capsys, dtype):
     assert "dtype" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, key, value", [
+    ("ground-state", "dim", "two"),
+    ("ground-state", "max_iter", "lots"),
+    ("ground-state", "n", "inf"),
+    ("exact", "times", "0.1,abc"),
+    ("evolve", "sample_every", 0),
+])
+def test_malformed_value_exit_2(tmp_path, capsys, command, key, value):
+    kv = dict(dim=1, sigma=2.0, b=0.0, extent=16.0, n=256)
+    if command == "evolve":
+        kv.update(initial="gaussian", t_end=0.01)
+    kv[key] = value
+    cfg = write_cfg(tmp_path / "bad.cfg", **kv)
+    rc = main([command, "--config", cfg, "--out", str(tmp_path / "x")])
+    assert rc == 2
+    assert key in capsys.readouterr().err
+
+
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
 def test_evolve_numerics_error_keeps_partial_artifacts(tmp_path, capsys):
     # |u|^4 overflows in the first potential kick; theta keeps the resolution

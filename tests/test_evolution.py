@@ -128,6 +128,10 @@ def test_policy_validation():
         StepPolicy(dt0=-1e-3)
     with pytest.raises(ValidationError):
         StepPolicy(theta=1e9, t_end=None)
+    with pytest.raises(ValidationError):
+        StepPolicy(t_end=1.0, sample_every=0)
+    with pytest.raises(ValidationError):
+        StepPolicy(t_end=1.0, snapshot_every=0)
 
 
 def test_snapshots_recorded_on_cadence(quintic_gs):
@@ -199,6 +203,15 @@ def test_samples_record_their_own_gradient(geometry):
     for s in traj.samples:
         assert s.grad_norm_sq == fn.grad_norm_sq(s.snapshot)
     assert math.sqrt(traj.samples[-1].grad_norm_sq) * u0.grid.spacing > theta
+
+
+@pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
+def test_samples_record_their_own_energy(geometry):
+    u0, theta = gaussian(geometry)
+    traj = evolve(u0, StepPolicy(dt0=5e-4, c_dt=5e-3, theta=theta, t_end=5.0,
+                                 sample_every=5, snapshot_every=1))
+    for s in traj.samples:
+        assert s.energy == fn.energy(s.snapshot)
 
 
 @pytest.mark.parametrize("geometry", sorted(GEOMETRIES))

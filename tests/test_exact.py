@@ -51,9 +51,9 @@ def test_s_profile_mass_matches_ground_state(quintic_gs):
 
 
 def test_s_profile_gradient_rate():
-    from inls_lab.experiments import quintic_tracking_ground_state
+    from inls_lab.experiments import ground_state
 
-    gs = quintic_tracking_ground_state()
+    gs = ground_state("quintic_tracking")
     fam = SFamilyParams(T=1.0, lam=1.0, gamma=0.0)
     ts = np.linspace(0.70, 0.95, 12)   # quadratic phase dominates here
     gs_norm = [math.sqrt(fn.grad_norm_sq(s_profile(fam, gs, t))) for t in ts]
