@@ -154,11 +154,17 @@ def rescaled_profile(u: Field, gs: GroundState) -> RescaledProfile:
 # space/frequency decomposition
 
 
-def window_radii(u: Field, u0_mass: float, c1: float = 1.0, c2: float = 1.0):
+def _window_R(p, u0_mass: float, g: float, c: float) -> float:
+    """c ||u0||^((sigma+2)/(sigma(N-1)+b)) / |grad u|^((2-sigma)/(sigma(N-1)+b))."""
+    denom = p.sigma * (p.dim - 1) + p.b
+    return c * math.sqrt(u0_mass) ** ((p.sigma + 2.0) / denom) * g ** (-(2.0 - p.sigma) / denom)
+
+
+def window_radii(u: Field, u0_mass: float):
     """Spatial radius R and frequency radius rho of the concentration windows.
 
-    R = c1 ||u0||^((sigma+2)/(sigma(N-1)+b)) / |grad u|^((2-sigma)/(sigma(N-1)+b)),
-    rho = c2 |grad u|^(1/(1-s_c)).
+    R = ||u0||^((sigma+2)/(sigma(N-1)+b)) / |grad u|^((2-sigma)/(sigma(N-1)+b)),
+    rho = |grad u|^(1/(1-s_c)).
     """
     p = u.params
     if not p.intercritical:
@@ -168,10 +174,7 @@ def window_radii(u: Field, u0_mass: float, c1: float = 1.0, c2: float = 1.0):
     if p.dim < 2:
         raise ValidationError("window radii require N >= 2")
     g = math.sqrt(fn.grad_norm_sq(u))
-    denom = p.sigma * (p.dim - 1) + p.b
-    R = c1 * math.sqrt(u0_mass) ** ((p.sigma + 2.0) / denom) * g ** (-(2.0 - p.sigma) / denom)
-    rho = c2 * g ** (1.0 / (1.0 - p.s_c))
-    return R, rho
+    return _window_R(p, u0_mass, g, 1.0), g ** (1.0 / (1.0 - p.s_c))
 
 
 def smooth_cutoff(s: np.ndarray) -> np.ndarray:
@@ -303,7 +306,6 @@ def sigma_c_window_series(
     if not p.intercritical:
         raise ValidationError("critical-norm windows require intercritical parameters")
     m0 = traj.initial_mass
-    denom = p.sigma * (p.dim - 1) + p.b
     out: list[WindowRecord] = []
     extreme = None
     for s in snaps:
@@ -311,7 +313,7 @@ def sigma_c_window_series(
         if mode == "fint":
             rad = c0 ** 2 * g ** (-1.0 / (1.0 - p.s_c))
         else:
-            rad = c0_tilde * math.sqrt(m0) ** ((p.sigma + 2.0) / denom) * g ** (-(2.0 - p.sigma) / denom)
+            rad = _window_R(p, m0, g, c0_tilde)
         val = fn.lp_norm(s.snapshot, p.sigma_c, region=(0.0, rad)) ** p.sigma_c
         if extreme is None:
             extreme = val

@@ -194,97 +194,80 @@ def _scaled_to_mass(v: Field, target: float) -> Field:
     return v.with_values(v.values * math.sqrt(target / m))
 
 
-def _run_signed(name, trials, make_case):
-    """Worst (left - right) / |right| over ``trials`` cases; make_case(i)
-    returns (left, right, field)."""
-    worst = -math.inf
-    witness = None
-    for i in range(trials):
-        lhs, rhs, cand = make_case(i)
-        raw, scale = lhs - rhs, abs(rhs)
-        rel = raw / scale if scale > 0 else raw
-        if rel > worst:
-            worst = rel
-            witness = cand if rel > -1e-10 else None
-    return InequalityReport(name=name, trials=trials, max_violation=worst, witness=witness)
+def _excess(lhs: float, rhs: float) -> float:
+    """(left - right) / |right|, or left - right where the right side vanishes."""
+    raw, scale = lhs - rhs, abs(rhs)
+    return raw / scale if scale > 0 else raw
 
 
-def _run_merged(name, trials, values, case_for):
-    """One ``_run_signed`` corpus per value (radius or eta), merged."""
-    worst = -math.inf
-    witness = None
-    total = 0
+# the sweeps of the radial reports: decay radii R, and the Young split eta at R = 1
+STRAUSS_RADII = (0.5, 1.0, 2.0, 4.0, 6.0)
+RADIAL_GN_ETAS = (1e-2, 1e-1, 1.0)
+RADIAL_GN_R = 1.0
+
+
+def _corpus(name, params, grid, trials, seed, score, values=(None,), reference=None):
+    """The report ``name`` over one seeded corpus of random bump fields.
+
+    ``trials`` is split evenly over the sweep ``values`` (at least one field
+    each); ``score(u, value, rng)`` returns (score, field scored), drawing any
+    further randomness from the corpus stream.  A signed report takes the
+    worst score as ``max_violation`` and keeps the field that scored it as
+    ``witness`` unless that score is clearly negative.  With ``reference``
+    (the score at the ground state) it is a boundedness report instead: the
+    supremum goes to ``extra`` and ``max_violation`` reads -1, no sign check.
+    """
+    if trials < 1:
+        raise ValidationError(f"trials must be at least 1, got {trials}")
+    rng = corpus_rng(seed, f"{name}/{params.dim}/{params.sigma}/{params.b}")
+    per_value = trials // len(values) or 1
+    worst, witness = -math.inf, None
     for value in values:
-        rep = _run_signed(name, trials // len(values) or 1, case_for(value))
-        total += rep.trials
-        if rep.max_violation > worst:
-            worst, witness = rep.max_violation, rep.witness
-    return InequalityReport(name, total, worst, witness)
+        for _ in range(per_value):
+            s, cand = score(random_bump_field(params, grid, rng), value, rng)
+            if s > worst:
+                worst = s
+                witness = cand if s > -1e-10 else None
+    extra = {}
+    if reference is not None:     # boundedness report, not a sign check
+        extra = {"sup_ratio": worst, "q_reference": reference,
+                 "sup_over_reference": worst / reference}
+        worst = -1.0
+    return InequalityReport(name, per_value * len(values), worst, witness, extra)
 
 
-def run_gagliardo_report(params, grid, k_opt_value, trials=1000, seed=DEFAULT_SEED):
-    rng = corpus_rng(seed, f"gagliardo/{params.dim}/{params.sigma}/{params.b}")
-
-    def case(i):
-        u = random_bump_field(params, grid, rng)
-        return (*_gagliardo_sides(u, k_opt_value), u)
-
-    return _run_signed("gagliardo", trials, case)
+def run_gagliardo_report(params, grid, k_opt_value, trials, seed):
+    return _corpus("gagliardo", params, grid, trials, seed,
+                   lambda u, _, rng: (_excess(*_gagliardo_sides(u, k_opt_value)), u))
 
 
-def run_banica_report(params, grid, q_mass, trials=1000, seed=DEFAULT_SEED):
-    rng = corpus_rng(seed, f"banica/{params.dim}/{params.sigma}/{params.b}")
-
-    def case(i):
-        v = random_bump_field(params, grid, rng)
-        v = _scaled_to_mass(v, rng.uniform(0.05, 0.95) * q_mass)
+def run_banica_report(params, grid, q_mass, trials, seed):
+    def score(u, _, rng):
+        v = _scaled_to_mass(u, rng.uniform(0.05, 0.95) * q_mass)
         theta = rng.uniform(-1.0, 1.0) * grid.nodes ** 2 + random_bump_field(
             params, grid, rng
         ).values.real
-        return (*_banica_sides(v, theta, q_mass), v)
+        return _excess(*_banica_sides(v, theta, q_mass)), v
 
-    return _run_signed("banica", trials, case)
-
-
-def run_strauss_report(params, grid, trials=500, radii=(0.5, 1.0, 2.0, 4.0, 6.0), seed=DEFAULT_SEED):
-    rng = corpus_rng(seed, f"strauss/{params.dim}/{params.sigma}/{params.b}")
-
-    def case_for(R):
-        def case(i):
-            u = random_bump_field(params, grid, rng)
-            return (*_strauss_sides(u, R), u)
-        return case
-
-    return _run_merged("strauss", trials, radii, case_for)
+    return _corpus("banica", params, grid, trials, seed, score)
 
 
-def run_radial_gn_report(params, grid, trials=200, etas=(1e-2, 1e-1, 1.0), R=1.0, seed=DEFAULT_SEED):
-    rng = corpus_rng(seed, f"radial_gn/{params.dim}/{params.sigma}/{params.b}")
-
-    def case_for(eta):
-        def case(i):
-            u = random_bump_field(params, grid, rng)
-            return (*_radial_gn_sides(u, R, eta), u)
-        return case
-
-    return _run_merged("radial_gn", trials, etas, case_for)
+def run_strauss_report(params, grid, trials, seed):
+    return _corpus("strauss", params, grid, trials, seed,
+                   lambda u, R, rng: (_excess(*_strauss_sides(u, R)), u), STRAUSS_RADII)
 
 
-def run_critical_gn_report(params, grid, q_reference: float, trials=1000, seed=DEFAULT_SEED):
+def run_radial_gn_report(params, grid, trials, seed):
+    return _corpus("radial_gn", params, grid, trials, seed,
+                   lambda u, eta, rng: (_excess(*_radial_gn_sides(u, RADIAL_GN_R, eta)), u),
+                   RADIAL_GN_ETAS)
+
+
+def run_critical_gn_report(params, grid, q_reference: float, trials, seed):
     """Boundedness report: empirical sup of the critical-norm ratio over the
     corpus, referenced to its value at the ground state."""
-    rng = corpus_rng(seed, f"critical_gn/{params.dim}/{params.sigma}/{params.b}")
-    sup_ratio = 0.0
-    for _ in range(trials):
-        u = random_bump_field(params, grid, rng)
-        sup_ratio = max(sup_ratio, check_critical_gn(u))
-    return InequalityReport(
-        "critical_gn",
-        trials,
-        max_violation=-1.0,  # boundedness report, not a sign check
-        extra={"sup_ratio": sup_ratio, "q_reference": q_reference,
-               "sup_over_reference": sup_ratio / q_reference},
-    )
+    return _corpus("critical_gn", params, grid, trials, seed,
+                   lambda u, _, rng: (check_critical_gn(u), None), reference=q_reference)
 
 
 __all__ = [

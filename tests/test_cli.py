@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from inls_lab.cli import main, parse_config
+from inls_lab.cli import _params_grid, main, parse_config
 from inls_lab.errors import ValidationError
 
 
@@ -220,8 +220,13 @@ def test_unknown_dtype_exit_2(tmp_path, capsys, dtype):
     ("ground-state", "dim", "two"),
     ("ground-state", "max_iter", "lots"),
     ("ground-state", "n", "inf"),
+    ("ground-state", "n", 256.7),
+    ("ground-state", "dim", 1.9),
+    ("ground-state", "dim", True),
     ("exact", "times", "0.1,abc"),
     ("evolve", "sample_every", 0),
+    ("verify", "trials", 0),
+    ("verify", "trials", -5),
 ])
 def test_malformed_value_exit_2(tmp_path, capsys, command, key, value):
     kv = dict(dim=1, sigma=2.0, b=0.0, extent=16.0, n=256)
@@ -232,6 +237,13 @@ def test_malformed_value_exit_2(tmp_path, capsys, command, key, value):
     rc = main([command, "--config", cfg, "--out", str(tmp_path / "x")])
     assert rc == 2
     assert key in capsys.readouterr().err
+
+
+def test_integral_float_value_accepted(tmp_path):
+    cfg = parse_config(write_cfg(tmp_path / "c.cfg", dim=2.0, sigma=1.0, b=0.5,
+                                 extent=12.0, n="1e3"))
+    params, grid = _params_grid(cfg)
+    assert (params.dim, grid.n) == (2, 1000)
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")

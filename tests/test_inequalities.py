@@ -8,7 +8,8 @@ from inls_lab.core import line_grid, radial_grid
 from inls_lab import functionals as fn
 from inls_lab.inequalities import (
     check_banica, check_critical_gn, check_gagliardo, check_radial_gn,
-    check_strauss, corpus_rng, random_bump_field, young_constant,
+    check_strauss, corpus_rng, random_bump_field, run_gagliardo_report,
+    run_radial_gn_report, run_strauss_report, young_constant,
 )
 from inls_lab.ground_state import gn_ratio
 
@@ -209,3 +210,38 @@ def test_corpus_rng_label_split_deterministic():
     b = corpus_rng(7, "beta").standard_normal(4)
     assert np.array_equal(a1, a2)
     assert not np.array_equal(a1, b)
+
+
+# ---------------------------------------------------------------------------
+# the seeded-corpus runner contract
+
+
+def test_report_planted_violation_keeps_witness(line_b_gs, mc_line):
+    params, grid = mc_line
+    rep = run_gagliardo_report(params, grid, 0.05 * line_b_gs.k_opt, trials=40, seed=3)
+    assert rep.max_violation > 0
+    assert not rep.passed
+    assert isinstance(rep.witness, Field)
+    assert check_gagliardo(rep.witness, 0.05 * line_b_gs.k_opt) > 0
+
+
+def test_report_passing_corpus_has_no_witness(line_b_gs, mc_line):
+    params, grid = mc_line
+    rep = run_gagliardo_report(params, grid, line_b_gs.k_opt, trials=40, seed=3)
+    assert rep.passed
+    assert rep.witness is None
+
+
+def test_report_splits_trials_over_the_sweep(ic_radial):
+    # 1000 // 5 radii = 200 each; 1000 // 3 etas = 333 each, so 999 in all
+    params, grid = ic_radial
+    assert run_strauss_report(params, grid, trials=1000, seed=3).trials == 1000
+    assert run_radial_gn_report(params, grid, trials=1000, seed=3).trials == 999
+
+
+def test_report_same_seed_same_report(line_b_gs, mc_line):
+    params, grid = mc_line
+    a, b = (run_gagliardo_report(params, grid, 0.05 * line_b_gs.k_opt, trials=40, seed=11)
+            for _ in range(2))
+    assert a.as_dict() == b.as_dict()
+    assert np.array_equal(a.witness.values, b.witness.values)
