@@ -285,6 +285,9 @@ class WindowRecord:
     running_extreme: float
 
 
+WINDOW_MODES = ("fint", "inft")
+
+
 def sigma_c_window_series(
     traj: Trajectory,
     fit: BlowupFit,
@@ -297,7 +300,7 @@ def sigma_c_window_series(
     mode "fint": window radius c0^2 |grad u|^(-1/(1-s_c)), running minimum.
     mode "inft": the spatial-decomposition radius scaling, running maximum.
     """
-    if mode not in ("fint", "inft"):
+    if mode not in WINDOW_MODES:
         raise ValidationError(f"mode must be 'fint' or 'inft', got {mode!r}")
     snaps = traj.snapshots()
     if not snaps:
@@ -327,5 +330,5 @@ __all__ = [
     "ConcentrationRecord", "mass_concentration_series",
     "RescaledProfile", "rescaled_profile",
     "window_radii", "smooth_cutoff", "decompose", "DecompositionResult",
-    "WindowRecord", "sigma_c_window_series",
+    "WindowRecord", "WINDOW_MODES", "sigma_c_window_series",
 ]

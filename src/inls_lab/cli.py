@@ -2,25 +2,29 @@
 artifacts.
 
 Subcommands: ground-state, evolve, analyze, verify, exact, reproduce.
-Every run writes manifest.json (resolved config, package and library
-versions, git hash) into its output directory, then its own artifacts:
+Every run writes manifest.json (resolved config with its defaults, package
+and library versions, git hash) into its output directory, then its own artifacts:
 field binaries, trajectory.csv, summary.json, analysis.csv, report JSONs.
 
 Exit codes: 0 success, 2 validation/config error, 3 numerical failure or a
 failed acceptance reproduction.
 
-Config files are flat ``key = value`` text ('#' starts a comment) holding
-only the keys their subcommand reads (``CONFIG_KEYS``); the --snapshots flag
-overrides snapshot_every.  A failed evolve still writes trajectory.csv and
-summary.json (termination "numerics_error") before exiting 3.
+Config files are flat ``key = value`` text ('#' starts a comment).
+``SCHEMAS`` gives each subcommand's keys with their casts and defaults, and
+every check the config alone decides runs before the output directory is
+created, so a bad config exits 2 and leaves nothing behind.  evolve's
+--snapshots flag overrides snapshot_every.  A failed evolve still writes
+trajectory.csv and summary.json (termination "numerics_error") before exiting 3.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +33,7 @@ import scipy
 from . import __version__
 from . import functionals as fn
 from .analysis import (
-    estimate_blowup_time, mass_concentration_series, sigma_c_window_series,
+    WINDOW_MODES, estimate_blowup_time, mass_concentration_series, sigma_c_window_series,
 )
 from .core import Field, grid_for, make_params
 from .errors import NumericsError, ValidationError
@@ -55,32 +59,9 @@ def _input_file(path) -> Path:
     return path
 
 
-_GRID_KEYS = {"dim", "sigma", "b", "extent", "n"}
-_FAMILY_KEYS = {"family_T", "family_lambda", "family_gamma"}
-# The keys each subcommand reads; any other key is a typo or belongs elsewhere.
-CONFIG_KEYS = {
-    "ground-state": _GRID_KEYS | {"dtype", "max_iter"},
-    "evolve": _GRID_KEYS | _FAMILY_KEYS | {
-        "initial", "initial_c", "initial_amplitude", "initial_width", "initial_path",
-        "family_t0", "dt0", "c_dt", "t_end", "theta", "sample_every", "snapshot_every",
-    },
-    "analyze": {"run_dir", "alpha", "mode", "c0", "c0_tilde"},
-    "verify": _GRID_KEYS | {"trials"},
-    "exact": _GRID_KEYS | _FAMILY_KEYS | {"times"},
-    "reproduce": {"name"},
-}
-DTYPES = {"float64": np.float64, "longdouble": np.longdouble}
-
-
-def _check_config_keys(cfg: dict, command: str) -> None:
-    """Reject keys that ``command`` does not read (bad input, exit 2)."""
-    unknown = sorted(set(cfg) - CONFIG_KEYS[command])
-    if unknown:
-        raise ValidationError(f"config: unknown key(s) for {command}: {', '.join(unknown)}")
-
-
 def parse_config(path: str | None) -> dict:
-    """Flat key = value configuration text; no nesting, no includes."""
+    """Flat key = value configuration text; no nesting, no includes.  Values
+    stay text (surrounding quotes stripped) until ``resolve_config`` casts them."""
     cfg: dict = {}
     if path is None:
         return cfg
@@ -92,60 +73,91 @@ def parse_config(path: str | None) -> dict:
         if "=" not in line:
             raise ValidationError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        cfg[key] = _parse_value(value)
+        cfg[key] = value.strip("'\"")
     return cfg
 
 
-def _parse_value(text: str):
-    low = text.lower()
-    if low in ("true", "false"):
-        return low == "true"
-    for cast in (int, float):
-        try:
-            return cast(text)
-        except ValueError:
-            pass
-    return text.strip("'\"")
-
-
-_REQUIRED = object()
-
-
-def _get(cfg: dict, key: str, cast, default=_REQUIRED):
-    """``cast(cfg[key])``, or ``default`` when the key is absent.  A missing
-    required key, or a value ``cast`` rejects, is bad input (exit 2)."""
-    if key not in cfg:
-        if default is _REQUIRED:
-            raise ValidationError(f"config: missing required key '{key}'")
-        return default
+def _int(text: str) -> int:
+    """An integral number: ``256``, ``1e3`` and ``2.0`` are accepted; ``true``,
+    ``256.7``, ``inf`` and ``two`` are rejected."""
     try:
-        return cast(cfg[key])
-    except (ValueError, OverflowError) as exc:
-        raise ValidationError(f"config: bad value for '{key}': {cfg[key]!r}") from exc
-
-
-def _present(cfg: dict, casts: dict) -> dict:
-    """The keys of ``casts`` that ``cfg`` sets, each cast; an absent key keeps
-    the default of the dataclass the result is passed to."""
-    return {key: _get(cfg, key, cast) for key, cast in casts.items() if key in cfg}
-
-
-def _int(value) -> int:
-    """An integer value: a boolean or a non-integral number is rejected, an
-    integral float such as ``1e3`` is accepted."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"not an integer: {value!r}")
+        return int(text)
+    except ValueError:
+        value = float(text)
+    if not value.is_integer():
+        raise ValueError("not an integer")
     return int(value)
 
 
-def _dtype(name) -> type:
-    if name not in DTYPES:
-        raise ValidationError(f"config: dtype must be one of {', '.join(DTYPES)}, got {name!r}")
-    return DTYPES[name]
+def _checked(cast, ok, why: str):
+    """``cast``, then reject a value that fails ``ok`` for the reason ``why``."""
+    def checked(text: str):
+        value = cast(text)
+        if not ok(value):
+            raise ValueError(why)
+        return value
+    return checked
 
 
-def _times(value) -> list[float]:
-    return [float(t) for t in str(value).split(",")]
+def _one_of(*names):
+    return _checked(str, names.__contains__, f"expected one of {', '.join(names)}")
+
+
+def _defaults(obj, **casts) -> dict:
+    """Schema entries for parameters of ``obj`` (a dataclass or a function),
+    each default read from ``obj``'s own signature."""
+    params = inspect.signature(obj).parameters
+    return {key: (cast, params[key].default) for key, cast in casts.items()}
+
+
+DTYPES = {t.__name__: t for t in (np.float64, np.longdouble)}
+_positive = _checked(float, lambda v: v > 0, "must be positive")
+_count = _checked(_int, lambda v: v >= 1, "must be at least 1")
+
+# Per subcommand, every key it reads: key -> (cast, default).  A key without a
+# default is required; any key not listed is a typo or belongs elsewhere.
+_GRID = {"dim": (_int,), "sigma": (float,), "b": (float,), "extent": (float,), "n": (_int,)}
+_FAMILY = {"family_T": (_positive, 1.0), "family_lambda": (_positive, 1.0),
+           "family_gamma": (float, SFamilyParams.gamma)}
+SCHEMAS = {
+    "ground-state": {**_GRID, "dtype": (_one_of(*DTYPES), SolverOptions.dtype.__name__),
+                     **_defaults(SolverOptions, max_iter=_int)},
+    "evolve": {
+        **_GRID, **_FAMILY,
+        "initial": (_one_of("ground_state_multiple", "gaussian", "s_family", "file"),),
+        "initial_c": (float, 1.0), "initial_amplitude": (float, 1.0),
+        "initial_width": (float, 1.0), "initial_path": (str, None), "family_t0": (float, 0.0),
+        **_defaults(StepPolicy, dt0=float, c_dt=float, t_end=float, theta=float,
+                    sample_every=_int, snapshot_every=_int),
+    },
+    "analyze": {
+        "run_dir": (str,), "alpha": (float, 0.25), "mode": (_one_of(*WINDOW_MODES), "fint"),
+        **_defaults(sigma_c_window_series, c0=float, c0_tilde=float),
+    },
+    "verify": {**_GRID, "trials": (_count, 1000)},
+    "exact": {**_GRID, **_FAMILY,
+              "times": (lambda text: [float(t) for t in text.split(",")], [0.0])},
+    "reproduce": {"name": (str,)},
+}
+
+
+def resolve_config(command: str, raw: dict) -> dict:
+    """``raw`` (key -> value text) as ``command`` reads it: each value cast once
+    and each absent key given its default.  An unknown key, a missing required
+    key or a value its cast rejects is bad input (exit 2)."""
+    schema = SCHEMAS[command]
+    unknown = sorted(set(raw) - set(schema))
+    if unknown:
+        raise ValidationError(f"config: unknown key(s) for {command}: {', '.join(unknown)}")
+    cfg = {}
+    for key, (cast, *default) in schema.items():
+        if key not in raw and not default:
+            raise ValidationError(f"config: missing required key '{key}'")
+        try:
+            cfg[key] = cast(raw[key]) if key in raw else default[0]
+        except ValueError as exc:
+            raise ValidationError(f"config: bad value for '{key}': {raw[key]!r} ({exc})") from exc
+    return cfg
 
 
 def _git_hash() -> str:
@@ -170,41 +182,18 @@ def _setup(cfg: dict, out_dir: Path, params, grid, experiment: str) -> None:
 
 
 def _params_grid(cfg: dict):
-    params = make_params(_get(cfg, "dim", _int), _get(cfg, "sigma", float), _get(cfg, "b", float))
-    grid = grid_for(params, _get(cfg, "extent", float), _get(cfg, "n", _int))
-    return params, grid
-
-
-_POLICY_KEYS = {
-    "dt0": float, "c_dt": float, "t_end": float, "theta": float,
-    "sample_every": _int, "snapshot_every": _int,
-}
-
-
-def _policy(cfg: dict, snapshots_flag: int | None) -> StepPolicy:
-    kwargs = _present(cfg, _POLICY_KEYS)
-    if snapshots_flag is not None:
-        kwargs["snapshot_every"] = snapshots_flag
-    return StepPolicy(**kwargs)
-
-
-def _family(cfg: dict) -> SFamilyParams:
-    """The blow-up family member set by the family_* keys."""
-    return SFamilyParams(
-        T=_get(cfg, "family_T", float, 1.0),
-        lam=_get(cfg, "family_lambda", float, 1.0),
-        gamma=_get(cfg, "family_gamma", float, 0.0),
-    )
+    params = make_params(cfg["dim"], cfg["sigma"], cfg["b"])
+    return params, grid_for(params, cfg["extent"], cfg["n"])
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def cmd_ground_state(cfg, out, seed, snapshots):
+def cmd_ground_state(cfg, out, seed):
     params, grid = _params_grid(cfg)
+    opts = SolverOptions(dtype=DTYPES[cfg["dtype"]], max_iter=cfg["max_iter"])
     _setup(cfg, out, params, grid, "ground_state")
-    opts = SolverOptions(**_present(cfg, {"dtype": _dtype, "max_iter": _int}))
     gs = solve_ground_state(params, grid, opts)
     write_field(out / "Q.fld", gs.profile)
     sidecar = {
@@ -223,30 +212,30 @@ def cmd_ground_state(cfg, out, seed, snapshots):
     return 0
 
 
-def _initial_field(cfg, params, grid, out) -> Field:
-    kind = _get(cfg, "initial", str)
-    if kind == "ground_state_multiple":
-        c = _get(cfg, "initial_c", float, 1.0)
-        gs = solve_ground_state(params, grid)
-        return gs.profile.with_values(c * gs.profile.values.astype(complex))
+def _initial_field(cfg, params, grid, family) -> Field:
+    kind = cfg["initial"]
     if kind == "gaussian":
-        amp = _get(cfg, "initial_amplitude", float, 1.0)
-        width = _get(cfg, "initial_width", float, 1.0)
+        amp, width = cfg["initial_amplitude"], cfg["initial_width"]
         vals = amp * np.exp(-grid.nodes ** 2 / (2.0 * width ** 2)).astype(complex)
         return Field(vals, grid, params)
-    if kind == "s_family":
-        fam, t0 = _family(cfg), _get(cfg, "family_t0", float, 0.0)
-        return s_profile(fam, solve_ground_state(params, grid), t0)
     if kind == "file":
-        return read_field(_input_file(_get(cfg, "initial_path", str)), grid, params)
-    raise ValidationError(f"config: unknown initial '{kind}'")
+        return read_field(cfg["initial_path"], grid, params)
+    gs = solve_ground_state(params, grid)
+    if kind == "s_family":
+        return s_profile(family, gs, cfg["family_t0"])
+    return gs.profile.with_values(cfg["initial_c"] * gs.profile.values.astype(complex))
 
 
-def cmd_evolve(cfg, out, seed, snapshots):
+def cmd_evolve(cfg, out, seed):
     params, grid = _params_grid(cfg)
+    policy = StepPolicy(**{f.name: cfg[f.name] for f in fields(StepPolicy) if f.name in cfg})
+    family = SFamilyParams(cfg["family_T"], cfg["family_lambda"], cfg["family_gamma"])
+    if cfg["initial"] == "file":
+        if cfg["initial_path"] is None:
+            raise ValidationError("config: initial = file needs key 'initial_path'")
+        _input_file(cfg["initial_path"])
     _setup(cfg, out, params, grid, "evolve")
-    u0 = _initial_field(cfg, params, grid, out)
-    policy = _policy(cfg, snapshots)
+    u0 = _initial_field(cfg, params, grid, family)
     try:
         traj = evolve(u0, policy)
     except NumericsError as exc:
@@ -282,12 +271,13 @@ def _write_trajectory(traj, out: Path, policy: StepPolicy) -> dict | None:
     return final
 
 
-def cmd_analyze(cfg, out, seed, snapshots):
-    run_dir = Path(_get(cfg, "run_dir", str))
+def cmd_analyze(cfg, out, seed):
+    run_dir = Path(cfg["run_dir"])
     manifest = json.loads(_input_file(run_dir / "manifest.json").read_text())
     params, grid = params_grid_from_manifest(manifest)
+    csv = _input_file(run_dir / "trajectory.csv")
     _setup(cfg, out, params, grid, "analyze")
-    traj = trajectory_from_csv(_input_file(run_dir / "trajectory.csv"))
+    traj = trajectory_from_csv(csv)
     snap_dir = run_dir / "snapshots"
     if snap_dir.exists():
         attach_snapshots(traj, snap_dir, grid, params)
@@ -297,12 +287,12 @@ def cmd_analyze(cfg, out, seed, snapshots):
     floor, series = None, []
     snaps = traj.snapshots()
     if params.mass_critical and snaps:
-        series = mass_concentration_series(traj, _get(cfg, "alpha", float, 0.25), fit)
+        series = mass_concentration_series(traj, cfg["alpha"], fit)
         floor = min(r.value for r in series)
         verdicts["final_window_mass"] = series[-1].value
     elif params.intercritical and snaps:
-        series = sigma_c_window_series(traj, fit, _get(cfg, "mode", str, "fint"),
-                                       **_present(cfg, {"c0": float, "c0_tilde": float}))
+        series = sigma_c_window_series(traj, fit, cfg["mode"],
+                                       c0=cfg["c0"], c0_tilde=cfg["c0_tilde"])
         floor = series[-1].running_extreme
     for r, s in zip(series, snaps):
         rows.append(f"{r.time!r},{fit.T_hat - r.time!r},"
@@ -321,10 +311,10 @@ def cmd_analyze(cfg, out, seed, snapshots):
     return 0
 
 
-def cmd_verify(cfg, out, seed, snapshots):
+def cmd_verify(cfg, out, seed):
     params, grid = _params_grid(cfg)
     _setup(cfg, out, params, grid, "verify")
-    trials = _get(cfg, "trials", _int, 1000)
+    trials = cfg["trials"]
     gs = solve_ground_state(params, grid)
     reports = [run_gagliardo_report(params, grid, gs.k_opt, trials=trials, seed=seed)]
     if params.mass_critical:
@@ -346,20 +336,20 @@ def cmd_verify(cfg, out, seed, snapshots):
     return 0 if all(rep.passed for rep in reports) else 3
 
 
-def cmd_exact(cfg, out, seed, snapshots):
+def cmd_exact(cfg, out, seed):
     params, grid = _params_grid(cfg)
+    family = SFamilyParams(cfg["family_T"], cfg["family_lambda"], cfg["family_gamma"])
     _setup(cfg, out, params, grid, "exact")
-    fam, times = _family(cfg), _get(cfg, "times", _times, [0.0])
     gs = solve_ground_state(params, grid)
-    for i, t in enumerate(times):
-        fld = s_profile(fam, gs, t)
+    for i, t in enumerate(cfg["times"]):
+        fld = s_profile(family, gs, t)
         write_field(out / f"s_profile_{i:03d}.fld", fld)
         print(f"s_profile t={t}: mass={fn.mass(fld):.8f}")
     return 0
 
 
-def cmd_reproduce(cfg, out, seed, snapshots):
-    name = _get(cfg, "name", str)
+def cmd_reproduce(cfg, out, seed):
+    name = cfg["name"]
     report = run_reproduce(name, seed=seed)
     out.mkdir(parents=True, exist_ok=True)
     (out / f"report_{name}.json").write_text(json.dumps(report.as_dict(), indent=2) + "\n")
@@ -399,8 +389,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None, help="flat key=value config file")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        p.add_argument("--snapshots", type=int, default=None,
-                       help="keep a field snapshot every N samples")
+        p.add_argument("--snapshots", default=None,
+                       help="evolve only: keep a field snapshot every N samples "
+                            "(overrides snapshot_every)")
         if name == "reproduce":
             p.add_argument("name", nargs="?", default=None,
                            help=f"one of: {', '.join(sorted(REGISTRY))}")
@@ -410,12 +401,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = parse_config(args.config)
-        if args.command == "reproduce" and getattr(args, "name", None):
-            cfg["name"] = args.name
-        _check_config_keys(cfg, args.command)
+        raw = parse_config(args.config)
+        if args.snapshots is not None:
+            raw["snapshot_every"] = args.snapshots
+        if getattr(args, "name", None):
+            raw["name"] = args.name
+        cfg = resolve_config(args.command, raw)
         out = Path(args.out) if args.out else Path(f"out_{args.command.replace('-', '_')}")
-        return COMMANDS[args.command](cfg, out, args.seed, args.snapshots)
+        return COMMANDS[args.command](cfg, out, args.seed)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,9 +1,18 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from inls_lab.cli import _params_grid, main, parse_config
+import inls_lab
+from inls_lab import cli
+from inls_lab.cli import _params_grid, main, parse_config, resolve_config
+from inls_lab.core import Field, grid_for, make_params
 from inls_lab.errors import ValidationError
+from inls_lab.fieldio import write_field, write_manifest
 
 
 def write_cfg(path, **kv):
@@ -15,7 +24,7 @@ def test_parse_config_types(tmp_path):
     p = tmp_path / "c.cfg"
     p.write_text("a = 3\nb = 0.5  # trailing comment\nname = hello\nflag = true\n\n# comment\n")
     cfg = parse_config(str(p))
-    assert cfg == {"a": 3, "b": 0.5, "name": "hello", "flag": True}
+    assert cfg == {"a": "3", "b": "0.5", "name": "hello", "flag": "true"}
 
 
 def test_parse_config_rejects_garbage(tmp_path):
@@ -36,6 +45,8 @@ def test_ground_state_subcommand(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["experiment"] == "ground_state"
     assert "git_hash" in manifest and "versions" in manifest
+    assert manifest["config"]["dtype"] == "float64"
+    assert manifest["config"]["max_iter"] == 2000
 
 
 def test_malformed_config_exit_2(tmp_path, capsys):
@@ -147,6 +158,19 @@ def test_analyze_without_manifest_exit_2(tmp_path, capsys):
     assert "manifest.json" in capsys.readouterr().err
 
 
+def test_analyze_without_trajectory_exit_2(tmp_path, capsys):
+    run = tmp_path / "run"
+    run.mkdir()
+    params = make_params(1, 2.0, 0.0)
+    write_manifest(run / "manifest.json", params, grid_for(params, 16.0, 256))
+    cfg = write_cfg(tmp_path / "an.cfg", run_dir=str(run))
+    out = tmp_path / "an"
+    rc = main(["analyze", "--config", cfg, "--out", str(out)])
+    assert rc == 2
+    assert "trajectory.csv" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_reproduce_unknown_name_exit_2(tmp_path, capsys):
     rc = main(["reproduce", "does_not_exist", "--out", str(tmp_path / "r")])
     assert rc == 2
@@ -216,6 +240,20 @@ def test_unknown_dtype_exit_2(tmp_path, capsys, dtype):
     assert "dtype" in capsys.readouterr().err
 
 
+@pytest.fixture
+def solve_calls(monkeypatch):
+    """The calls the CLI makes to solve_ground_state, counted."""
+    calls = []
+    solve = cli.solve_ground_state
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "solve_ground_state", counting)
+    return calls
+
+
 @pytest.mark.parametrize("command, key, value", [
     ("ground-state", "dim", "two"),
     ("ground-state", "max_iter", "lots"),
@@ -224,25 +262,82 @@ def test_unknown_dtype_exit_2(tmp_path, capsys, dtype):
     ("ground-state", "dim", 1.9),
     ("ground-state", "dim", True),
     ("exact", "times", "0.1,abc"),
+    ("exact", "family_T", 0),
     ("evolve", "sample_every", 0),
+    ("evolve", "initial", "bogus"),
+    pytest.param("evolve", "dt0", {"initial": "ground_state_multiple", "dt0": -1},
+                 id="evolve-dt0-ground_state_multiple"),
+    pytest.param("evolve", "initial_path", {"initial": "file"}, id="evolve-initial_path-missing"),
     ("verify", "trials", 0),
     ("verify", "trials", -5),
 ])
-def test_malformed_value_exit_2(tmp_path, capsys, command, key, value):
+def test_malformed_value_exit_2(tmp_path, capsys, solve_calls, command, key, value):
+    """A bad config exits 2 naming the key, before any solve or output directory."""
     kv = dict(dim=1, sigma=2.0, b=0.0, extent=16.0, n=256)
     if command == "evolve":
         kv.update(initial="gaussian", t_end=0.01)
-    kv[key] = value
+    kv.update(value if isinstance(value, dict) else {key: value})
     cfg = write_cfg(tmp_path / "bad.cfg", **kv)
-    rc = main([command, "--config", cfg, "--out", str(tmp_path / "x")])
+    out = tmp_path / "x"
+    rc = main([command, "--config", cfg, "--out", str(out)])
     assert rc == 2
     assert key in capsys.readouterr().err
+    assert not out.exists()
+    assert not solve_calls
+
+
+def test_snapshots_flag_is_evolve_only(tmp_path, capsys, solve_calls):
+    cfg = write_cfg(tmp_path / "gs.cfg", dim=1, sigma=2.0, b=0.0, extent=16.0, n=256)
+    out = tmp_path / "x"
+    rc = main(["ground-state", "--config", cfg, "--out", str(out), "--snapshots", "3"])
+    assert rc == 2
+    assert "snapshot_every" in capsys.readouterr().err
+    assert not out.exists()
+    assert not solve_calls
+
+
+def test_config_error_exit_status_of_process(tmp_path):
+    cfg = write_cfg(tmp_path / "gs.cfg", dim=1, sigma=2.0, b=0.0, extent=16.0, n=256,
+                    max_itr=5)
+    out = tmp_path / "x"
+    src = str(Path(inls_lab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "inls_lab.cli", "ground-state", "--config", cfg, "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert "max_itr" in proc.stderr
+    assert not out.exists()
+
+
+def test_manifest_records_resolved_config(tmp_path):
+    cfg = write_cfg(tmp_path / "ev.cfg", dim=1, sigma=2.0, b=0.0, extent=16.0, n=256,
+                    initial="gaussian", t_end=0.01)
+    out = tmp_path / "run"
+    assert main(["evolve", "--config", cfg, "--out", str(out)]) == 0
+    config = json.loads((out / "manifest.json").read_text())["config"]
+    assert config["sample_every"] == 10
+    assert config["theta"] == 0.5
+    assert config["initial_amplitude"] == 1.0
+    assert config["t_end"] == 0.01
+
+
+def test_evolve_from_file_keeps_path_text(tmp_path, monkeypatch):
+    """initial_path = 0123 names the file 0123, not 123."""
+    monkeypatch.chdir(tmp_path)
+    params = make_params(1, 2.0, 0.0)
+    grid = grid_for(params, 16.0, 256)
+    write_field(Path("0123"), Field(np.exp(-grid.nodes ** 2).astype(complex), grid, params))
+    cfg = write_cfg(tmp_path / "ev.cfg", dim=1, sigma=2.0, b=0.0, extent=16.0, n=256,
+                    initial="file", initial_path="0123", t_end=0.01)
+    assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
 
 
 def test_integral_float_value_accepted(tmp_path):
     cfg = parse_config(write_cfg(tmp_path / "c.cfg", dim=2.0, sigma=1.0, b=0.5,
                                  extent=12.0, n="1e3"))
-    params, grid = _params_grid(cfg)
+    params, grid = _params_grid(resolve_config("ground-state", cfg))
     assert (params.dim, grid.n) == (2, 1000)
 
 
