@@ -83,6 +83,13 @@ def estimate_blowup_time(traj: Trajectory, s_c: float) -> BlowupFit:
     )
 
 
+def rate_exponent_bound(s_c: float) -> float:
+    """Largest fitted exponent of |grad u| against (T - t) that still obeys
+    the lower-bound blow-up rate: the minimal rate -(1 - s_c)/2 plus a 0.05
+    margin for the fit."""
+    return -(1.0 - s_c) / 2.0 + 0.05
+
+
 @dataclass(frozen=True)
 class ConcentrationRecord:
     time: float
@@ -326,7 +333,7 @@ def sigma_c_window_series(
 
 
 __all__ = [
-    "BlowupFit", "estimate_blowup_time",
+    "BlowupFit", "estimate_blowup_time", "rate_exponent_bound",
     "ConcentrationRecord", "mass_concentration_series",
     "RescaledProfile", "rescaled_profile",
     "window_radii", "smooth_cutoff", "decompose", "DecompositionResult",

@@ -12,9 +12,12 @@ failed acceptance reproduction.
 Config files are flat ``key = value`` text ('#' starts a comment).
 ``SCHEMAS`` gives each subcommand's keys with their casts and defaults, and
 every check the config alone decides runs before the output directory is
-created, so a bad config exits 2 and leaves nothing behind.  evolve's
---snapshots flag overrides snapshot_every.  A failed evolve still writes
-trajectory.csv and summary.json (termination "numerics_error") before exiting 3.
+created, so a bad config exits 2 and leaves nothing behind.  The same holds
+for the files a run reads: analyze reads the run directory and fits its
+blow-up time, and evolve reads its initial field, before creating the output
+directory.  evolve's --snapshots flag overrides snapshot_every.  A failed
+evolve still writes trajectory.csv and summary.json (termination
+"numerics_error") before exiting 3.
 """
 
 from __future__ import annotations
@@ -33,7 +36,8 @@ import scipy
 from . import __version__
 from . import functionals as fn
 from .analysis import (
-    WINDOW_MODES, estimate_blowup_time, mass_concentration_series, sigma_c_window_series,
+    WINDOW_MODES, estimate_blowup_time, mass_concentration_series, rate_exponent_bound,
+    sigma_c_window_series,
 )
 from .core import Field, grid_for, make_params
 from .errors import NumericsError, ValidationError
@@ -41,7 +45,7 @@ from .evolution import StepPolicy, evolve
 from .exact import SFamilyParams, s_profile
 from .experiments import REGISTRY, reproduce as run_reproduce
 from .fieldio import (
-    attach_snapshots, params_grid_from_manifest, read_field, trajectory_from_csv,
+    attach_snapshots, read_field, read_manifest, trajectory_from_csv,
     trajectory_to_csv, write_field, write_manifest, write_snapshots,
 )
 from .ground_state import SolverOptions, solve_ground_state
@@ -204,7 +208,7 @@ def cmd_ground_state(cfg, out, seed):
         "k_opt": gs.k_opt,
         "q_mass": gs.q_mass,
         "iterations": gs.iterations,
-        "regime_label": "proven" if gs.proven_regime else "unproven-regime",
+        "regime_label": "proven" if params.proven_regime else "unproven-regime",
     }
     (out / "ground_state.json").write_text(json.dumps(sidecar, indent=2) + "\n")
     print(f"ground state: residual={gs.residual:.3e} r1={gs.pohozaev_r1:.3e} "
@@ -219,7 +223,9 @@ def _initial_field(cfg, params, grid, family) -> Field:
         vals = amp * np.exp(-grid.nodes ** 2 / (2.0 * width ** 2)).astype(complex)
         return Field(vals, grid, params)
     if kind == "file":
-        return read_field(cfg["initial_path"], grid, params)
+        if cfg["initial_path"] is None:
+            raise ValidationError("config: initial = file needs key 'initial_path'")
+        return read_field(_input_file(cfg["initial_path"]), grid, params)
     gs = solve_ground_state(params, grid)
     if kind == "s_family":
         return s_profile(family, gs, cfg["family_t0"])
@@ -230,12 +236,8 @@ def cmd_evolve(cfg, out, seed):
     params, grid = _params_grid(cfg)
     policy = StepPolicy(**{f.name: cfg[f.name] for f in fields(StepPolicy) if f.name in cfg})
     family = SFamilyParams(cfg["family_T"], cfg["family_lambda"], cfg["family_gamma"])
-    if cfg["initial"] == "file":
-        if cfg["initial_path"] is None:
-            raise ValidationError("config: initial = file needs key 'initial_path'")
-        _input_file(cfg["initial_path"])
-    _setup(cfg, out, params, grid, "evolve")
     u0 = _initial_field(cfg, params, grid, family)
+    _setup(cfg, out, params, grid, "evolve")
     try:
         traj = evolve(u0, policy)
     except NumericsError as exc:
@@ -273,17 +275,15 @@ def _write_trajectory(traj, out: Path, policy: StepPolicy) -> dict | None:
 
 def cmd_analyze(cfg, out, seed):
     run_dir = Path(cfg["run_dir"])
-    manifest = json.loads(_input_file(run_dir / "manifest.json").read_text())
-    params, grid = params_grid_from_manifest(manifest)
-    csv = _input_file(run_dir / "trajectory.csv")
-    _setup(cfg, out, params, grid, "analyze")
-    traj = trajectory_from_csv(csv)
+    params, grid = read_manifest(_input_file(run_dir / "manifest.json"))
+    traj = trajectory_from_csv(_input_file(run_dir / "trajectory.csv"))
     snap_dir = run_dir / "snapshots"
     if snap_dir.exists():
         attach_snapshots(traj, snap_dir, grid, params)
     fit = estimate_blowup_time(traj, params.s_c)
+    _setup(cfg, out, params, grid, "analyze")
     rows = ["t,T_hat_minus_t,grad_norm,window_radius,concentration"]
-    verdicts = {"rate_exponent_below_bound": fit.exponent <= -(1.0 - params.s_c) / 2.0 + 0.05}
+    verdicts = {"rate_exponent_below_bound": fit.exponent <= rate_exponent_bound(params.s_c)}
     floor, series = None, []
     snaps = traj.snapshots()
     if params.mass_critical and snaps:

@@ -35,7 +35,7 @@ import scipy.fft
 from scipy.interpolate import make_interp_spline
 from scipy.linalg import lapack
 
-from .errors import ValidationError
+from .errors import NumericsError, ValidationError
 
 MASS_CRITICAL_TOL = 1e-12
 
@@ -248,13 +248,7 @@ class Field:
         return Field(values, self.grid, self.params)
 
     def check_finite(self, context: str = "field") -> None:
-        vals = self.values
-        ok = np.all(np.isfinite(vals.real)) and (
-            not np.iscomplexobj(vals) or np.all(np.isfinite(vals.imag))
-        )
-        if not ok:
-            from .errors import NumericsError
-
+        if not np.all(np.isfinite(self.values)):
             raise NumericsError(f"non-finite values detected in {context}")
 
 
@@ -373,23 +367,23 @@ def gradient_values(grid: Grid, values: np.ndarray) -> np.ndarray:
     return out
 
 
-def helmholtz_solve(grid: Grid, rhs: np.ndarray, refine: bool = False) -> np.ndarray:
+def helmholtz_solve(grid: Grid, rhs: np.ndarray) -> np.ndarray:
     """Solve (1 - Laplacian) u = rhs.
 
     Spectral division on the line; radially a tridiagonal LAPACK solve with
-    the grid's cached float64 factorization.  With ``refine`` a single
-    iterative-refinement pass is done in the rhs dtype, which recovers
-    extended-precision accuracy when rhs is a longdouble array.
+    the grid's cached float64 factorization.  When the rhs dtype is wider
+    than float64 (longdouble), a single iterative-refinement pass in that
+    dtype recovers its extended-precision accuracy.
     """
     if grid.geometry == "line":
         # the real-input FFT, not _spectrum: ground-state iterates are pinned to its rounding
         out = scipy.fft.ifft(scipy.fft.fft(rhs) / (1.0 + _wavenumbers_sq(grid, rhs.real.dtype)))
         return out if np.iscomplexobj(rhs) else out.real
     if np.iscomplexobj(rhs):
-        return helmholtz_solve(grid, rhs.real, refine) + 1j * helmholtz_solve(grid, rhs.imag, refine)
+        return helmholtz_solve(grid, rhs.real) + 1j * helmholtz_solve(grid, rhs.imag)
     lu = _cached(grid, "helmholtz", lambda: _factor_one_minus_zlap(grid, 1.0))
     x0 = _tridiag_solve(lu, rhs).astype(rhs.dtype)
-    if not refine:
+    if np.finfo(rhs.dtype).eps >= np.finfo(np.float64).eps:
         return x0
     resid = rhs - (x0 - apply_radial_lap(grid, x0))
     return x0 + _tridiag_solve(lu, resid).astype(rhs.dtype)

@@ -46,7 +46,6 @@ class StepPolicy:
     theta: float = 0.5            # resolution limit: |grad u| * dx > theta
     sample_every: int = 10        # record diagnostics every k steps
     snapshot_every: int | None = None   # keep a field copy every k samples
-    max_steps: int = 2_000_000
 
     def __post_init__(self):
         if self.dt0 <= 0 or self.c_dt <= 0 or self.theta <= 0:
@@ -120,8 +119,8 @@ def step(state: EvolutionState) -> EvolutionState:
 def evolve(u0: Field, policy: StepPolicy) -> Trajectory:
     """March u0 under the adaptive policy, recording diagnostics.
 
-    Terminates at policy.t_end or at the resolution limit, whichever comes
-    first; the reason lands in Trajectory.termination.  Mass drift beyond
+    Terminates at policy.t_end, at the resolution limit or after MAX_STEPS
+    steps, whichever comes first; the reason lands in Trajectory.termination.  Mass drift beyond
     1e-6 relative is flagged, not raised.  A ``NumericsError`` raised by the
     march carries the trajectory recorded so far as its ``trajectory``, with
     termination "numerics_error".
@@ -184,6 +183,7 @@ def _march(u0: Field, policy: StepPolicy, traj: Trajectory) -> None:
 
 
 LADDER_RUNGS = 16         # dt ladder rungs per octave
+MAX_STEPS = 2_000_000     # a march stops with "max_steps" after this many steps
 _T_ROUNDOFF = 1e-12       # a gap to t_end below this fraction of it is round-off
 
 
@@ -225,7 +225,7 @@ def _stop_reason(policy: StepPolicy, G: float, t: float, steps: int, dx: float) 
         return "resolution_limit"
     if policy.t_end is not None and t >= policy.t_end:
         return "t_end"
-    if steps >= policy.max_steps:
+    if steps >= MAX_STEPS:
         return "max_steps"
     return ""
 

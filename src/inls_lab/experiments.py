@@ -40,7 +40,7 @@ import numpy as np
 
 from . import functionals as fn
 from .analysis import (
-    decompose, estimate_blowup_time, mass_concentration_series,
+    decompose, estimate_blowup_time, mass_concentration_series, rate_exponent_bound,
     rescaled_profile, sigma_c_window_series, window_radii,
 )
 from .core import Field, grid_for, line_grid, make_params, radial_grid
@@ -214,7 +214,7 @@ def pohozaev_gate(seed):
             "r2": gs.pohozaev_r2,
             "relative_residual": gs.residual / math.sqrt(gs.q_mass),
             "iterations": gs.iterations,
-            "proven_regime": gs.proven_regime,
+            "proven_regime": gs.params.proven_regime,
         }
         ok = gs.pohozaev_r1 < 1e-6 and gs.pohozaev_r2 < 1e-6
         if p.mass_critical:
@@ -432,7 +432,7 @@ def rate_bound(seed):
     passed = True
     for name, (traj, s_c) in runs.items():
         fit = estimate_blowup_time(traj, s_c)
-        bound = -(1.0 - s_c) / 2.0 + 0.05
+        bound = rate_exponent_bound(s_c)
         details[name] = {"exponent": fit.exponent, "bound": bound, "T_hat": fit.T_hat}
         passed &= fit.exponent <= bound
     return passed, details

@@ -1,4 +1,5 @@
 """On-disk formats: binary fields, grid/params manifests, trajectory CSV.
+The readers raise ValidationError on malformed content.
 
 Field binary layout (little endian): 32-byte header = 8-byte magic
 "INLSFLD1", u64 node count, 8-byte geometry tag ("line" / "radial", zero
@@ -68,12 +69,27 @@ def write_manifest(path, params: ProblemParams, grid: Grid, **extra) -> None:
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
+def _read_json(path):
+    """The JSON document in ``path``; text that is not JSON is bad input."""
+    try:
+        return json.loads(Path(path).read_text())
+    except ValueError as exc:
+        raise ValidationError(f"{path}: not a JSON document ({exc})") from exc
+
+
+def read_manifest(path) -> tuple[ProblemParams, Grid]:
+    """The problem parameters and grid recorded in the manifest at ``path``."""
+    return params_grid_from_manifest(_read_json(path))
+
+
 def params_grid_from_manifest(doc: dict) -> tuple[ProblemParams, Grid]:
     try:
         params = make_params(int(doc["dim"]), float(doc["sigma"]), float(doc["b"]))
         grid = grid_for(params, float(doc["L_or_Rmax"]), int(doc["n"]))
     except KeyError as exc:
         raise ValidationError(f"manifest missing key {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"manifest has a malformed grid or parameter value ({exc})") from exc
     if doc.get("geometry") and doc["geometry"] != grid.geometry:
         raise ValidationError(
             f"manifest geometry {doc['geometry']!r} inconsistent with dim={doc['dim']}"
@@ -103,8 +119,15 @@ def trajectory_from_csv(path) -> Trajectory:
     if not text or text[0].split(",") != list(CSV_COLUMNS):
         raise ValidationError(f"{path}: unexpected trajectory CSV header")
     traj = Trajectory()
-    for line in text[1:]:
-        vals = [float(v) for v in line.split(",")]
+    for lineno, line in enumerate(text[1:], 2):
+        try:
+            vals = [float(v) for v in line.split(",")]
+        except ValueError as exc:
+            raise ValidationError(f"{path}:{lineno}: non-numeric trajectory row") from exc
+        if len(vals) != len(CSV_COLUMNS):
+            raise ValidationError(
+                f"{path}:{lineno}: expected {len(CSV_COLUMNS)} values, got {len(vals)}"
+            )
         traj.samples.append(TrajectorySample(*vals))
     if traj.samples:
         traj.initial_mass = traj.samples[0].mass
@@ -127,18 +150,24 @@ def attach_snapshots(traj: Trajectory, snap_dir, grid: Grid, params: ProblemPara
     """Re-attach snapshot fields (written by write_snapshots) to the nearest
     trajectory samples by time."""
     snap_dir = Path(snap_dir)
-    index = json.loads((snap_dir / "snapshots.json").read_text())
+    index = _read_json(snap_dir / "snapshots.json")
+    try:
+        entries = [(snap_dir / entry["file"], float(entry["time"])) for entry in index]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"{snap_dir / 'snapshots.json'}: malformed snapshot index") from exc
+    if entries and not traj.samples:
+        raise ValidationError(f"{snap_dir}: snapshots but no trajectory samples to attach them to")
     times = traj.times()
-    for entry in index:
-        fld = read_field(snap_dir / entry["file"], grid, params)
-        j = int(np.argmin(np.abs(times - entry["time"])))
+    for path, t in entries:
+        fld = read_field(path, grid, params)
+        j = int(np.argmin(np.abs(times - t)))
         traj.samples[j].snapshot = fld
 
 
 __all__ = [
     "MAGIC", "CSV_COLUMNS",
     "write_field", "read_field", "read_field_values",
-    "manifest_dict", "write_manifest", "params_grid_from_manifest",
+    "manifest_dict", "write_manifest", "read_manifest", "params_grid_from_manifest",
     "trajectory_to_csv", "trajectory_from_csv",
     "write_snapshots", "attach_snapshots",
 ]

@@ -12,13 +12,15 @@ spatial discretization error.
 Deep grids push the float64 evaluation of Lap(Q) against its rounding floor
 (~ eps / dx^2), so the solver optionally iterates in extended precision;
 ``dtype=np.longdouble`` keeps the residual diagnostic meaningful down to
-~1e-11 at n ~ 3e5.
+~1e-11 at n ~ 3e5.  The dtype of the iterate is the one precision decision:
+the Helmholtz solve refines itself when its rhs is wider than float64, and
+the Pohozaev residuals are taken on the iterate at that precision.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,26 +40,20 @@ class GroundState:
     pohozaev_r2: float
     k_opt: float
     q_mass: float
-    proven_regime: bool
-    # full working-precision copy of the profile for precision-sensitive
-    # diagnostics (None when the solve ran in float64)
-    profile_hi: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def params(self) -> ProblemParams:
         return self.profile.params
 
-    def hi_values(self) -> np.ndarray:
-        return self.profile_hi if self.profile_hi is not None else self.profile.values
-
 
 @dataclass
 class SolverOptions:
     max_iter: int = 2000
-    step_tol: float = 1e-12        # L2 distance between successive iterates
-    residual_tol: float = 1e-8     # relative to ||Q||_L2
     dtype: type = np.float64
-    seed_width: float = 1.0
+
+
+STEP_TOL = 1e-12        # L2 distance between successive iterates
+RESIDUAL_TOL = 1e-8     # relative to ||Q||_L2
 
 
 def solve_ground_state(
@@ -76,14 +72,13 @@ def solve_ground_state(
     if (params.dim == 1) != (grid.geometry == "line"):
         raise ValidationError("grid geometry does not match params.dim")
     dt = opts.dtype
-    longmode = dt != np.float64
     x = grid.nodes.astype(dt)
     w = grid.weights.astype(dt)
     W = grid.weight_b.astype(dt)
     p = 2.0 * params.sigma + 1.0
     gamma = dt(p) / dt(2.0 * params.sigma)
 
-    Q = np.exp(-(x ** 2) / (2.0 * dt(opts.seed_width) ** 2))
+    Q = np.exp(-(x ** 2) / 2.0)
     converged = False
     it = 0
     for it in range(1, opts.max_iter + 1):
@@ -97,30 +92,30 @@ def solve_ground_state(
             raise NumericsError(
                 f"Petviashvili stabilizing factor diverged: S={float(s_factor):.3e}"
             )
-        Qn = s_factor ** gamma * helmholtz_solve(grid, rhs, refine=longmode)
+        Qn = s_factor ** gamma * helmholtz_solve(grid, rhs)
         Qn = np.abs(Qn)
         if grid.geometry == "line":
             Qn = 0.5 * (Qn + Qn[::-1])
         diff = float(np.sqrt(np.sum((Qn - Q) ** 2 * w)))
         Q = Qn
-        if diff < opts.step_tol:
+        if diff < STEP_TOL:
             converged = True
             break
 
     norm = float(np.sqrt(np.sum(Q ** 2 * w)))
     res = float(np.sqrt(np.sum((laplacian_values(grid, Q) - Q + W * Q ** p) ** 2 * w)))
-    if not converged or res > opts.residual_tol * norm:
+    if not converged or res > RESIDUAL_TOL * norm:
         raise ConvergenceError(
             f"ground state did not converge in {it} iterations "
-            f"(residual {res:.3e}, tol {opts.residual_tol * norm:.3e})",
+            f"(residual {res:.3e}, tol {RESIDUAL_TOL * norm:.3e})",
             residual=res,
         )
 
     prof = Field(Q.astype(np.float64), grid, params)
     _check_resolved(prof)
-    r1, r2 = _pohozaev_from_values(params, grid, Q)
+    r1, r2 = pohozaev_residuals(Field(Q, grid, params))
     q_mass = float(np.sum(Q ** 2 * w))
-    gs = GroundState(
+    return GroundState(
         profile=prof,
         residual=res,
         iterations=it,
@@ -128,10 +123,7 @@ def solve_ground_state(
         pohozaev_r2=r2,
         k_opt=k_opt(params, q_mass),
         q_mass=q_mass,
-        proven_regime=params.proven_regime,
-        profile_hi=Q if longmode else None,
     )
-    return gs
 
 
 def _check_resolved(prof: Field) -> None:
@@ -155,7 +147,15 @@ def _check_resolved(prof: Field) -> None:
         )
 
 
-def _pohozaev_from_values(params: ProblemParams, grid: Grid, Q: np.ndarray):
+def pohozaev_residuals(u: Field) -> tuple[float, float]:
+    """Relative residuals of the two ground-state integral identities at the
+    real profile ``u``.
+
+    r1 compares |grad Q|^2 against ((N sigma + b) / (2 sigma + 2 - N sigma - b)) ||Q||^2,
+    r2 compares the weighted potential against ((2 sigma + 2) / (...)) ||Q||^2.
+    Evaluated at the precision of ``u.values``.
+    """
+    Q, grid, params = u.values, u.grid, u.params
     dt = Q.dtype.type
     w = grid.weights.astype(dt)
     W = grid.weight_b.astype(dt)
@@ -167,16 +167,6 @@ def _pohozaev_from_values(params: ProblemParams, grid: Grid, Q: np.ndarray):
     r1 = abs(g - (a / d_exp) * m) / m
     r2 = abs(pot - ((2.0 * params.sigma + 2.0) / d_exp) * m) / m
     return float(r1), float(r2)
-
-
-def pohozaev_residuals(gs: GroundState) -> tuple[float, float]:
-    """Relative residuals of the two ground-state integral identities.
-
-    r1 compares |grad Q|^2 against ((N sigma + b) / (2 sigma + 2 - N sigma - b)) ||Q||^2,
-    r2 compares the weighted potential against ((2 sigma + 2) / (...)) ||Q||^2.
-    Evaluated at the solver's working precision.
-    """
-    return _pohozaev_from_values(gs.params, gs.profile.grid, gs.hi_values())
 
 
 def k_opt(params: ProblemParams, q_mass: float) -> float:

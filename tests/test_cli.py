@@ -12,7 +12,7 @@ from inls_lab import cli
 from inls_lab.cli import _params_grid, main, parse_config, resolve_config
 from inls_lab.core import Field, grid_for, make_params
 from inls_lab.errors import ValidationError
-from inls_lab.fieldio import write_field, write_manifest
+from inls_lab.fieldio import CSV_COLUMNS, write_field, write_manifest
 
 
 def write_cfg(path, **kv):
@@ -168,6 +168,63 @@ def test_analyze_without_trajectory_exit_2(tmp_path, capsys):
     rc = main(["analyze", "--config", cfg, "--out", str(out)])
     assert rc == 2
     assert "trajectory.csv" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _rewrite(*names_and_texts):
+    def corrupt(run):
+        for name, text in zip(names_and_texts[::2], names_and_texts[1::2]):
+            (run / name).write_text(text)
+    return corrupt
+
+
+def _manifest_with(**changes):
+    def corrupt(run):
+        doc = json.loads((run / "manifest.json").read_text())
+        (run / "manifest.json").write_text(json.dumps({**doc, **changes}))
+    return corrupt
+
+
+HEADER, ROW = ",".join(CSV_COLUMNS), "0.0,0.001,1.0,0.5,1.0,1.0,0.0"
+
+
+@pytest.mark.parametrize("command, corrupt", [
+    pytest.param("analyze", _rewrite("manifest.json", "{not json"), id="manifest-not-json"),
+    pytest.param("analyze", _manifest_with(dim="two"), id="manifest-dim-two"),
+    pytest.param("analyze", _manifest_with(dim=None), id="manifest-dim-null"),
+    pytest.param("analyze", _rewrite("trajectory.csv", f"{HEADER}\n{ROW}\n0.1,x,1,1,1,1,0\n"),
+                 id="trajectory-non-numeric-row"),
+    pytest.param("analyze", _rewrite("trajectory.csv", f"{HEADER}\n{ROW}\n0.1,0.001\n"),
+                 id="trajectory-short-row"),
+    pytest.param("analyze", _rewrite("snapshots/snapshots.json", "[{"),
+                 id="snapshot-index-not-json"),
+    pytest.param("analyze", _rewrite("snapshots/snapshots.json", '[{"file": "s.fld"}]'),
+                 id="snapshot-index-without-time"),
+    pytest.param("analyze", _rewrite("trajectory.csv", f"{HEADER}\n", "snapshots/snapshots.json",
+                                     '[{"file": "../u0.fld", "time": 0.0}]'),
+                 id="snapshots-without-trajectory-rows"),
+    pytest.param("analyze", lambda run: None, id="trajectory-too-short-to-fit"),
+    pytest.param("evolve", _rewrite("u0.fld", "INLSFLD1 but not a field"), id="evolve-bad-fld"),
+])
+def test_malformed_run_input_exit_2(tmp_path, capsys, command, corrupt):
+    """A malformed or unusable run input exits 2 before the output directory exists."""
+    run = tmp_path / "run"
+    (run / "snapshots").mkdir(parents=True)
+    params = make_params(1, 2.0, 0.0)
+    grid = grid_for(params, 16.0, 256)
+    write_manifest(run / "manifest.json", params, grid)
+    (run / "trajectory.csv").write_text(f"{HEADER}\n{ROW}\n")
+    (run / "snapshots" / "snapshots.json").write_text("[]\n")
+    write_field(run / "u0.fld", Field(np.ones(grid.n, dtype=complex), grid, params))
+    corrupt(run)
+    if command == "analyze":
+        cfg = write_cfg(tmp_path / "an.cfg", run_dir=str(run))
+    else:
+        cfg = write_cfg(tmp_path / "ev.cfg", dim=1, sigma=2.0, b=0.0, extent=16.0, n=256,
+                        initial="file", initial_path=str(run / "u0.fld"), t_end=0.01)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -251,6 +251,16 @@ def test_t_end_run_ends_on_t_end(plain_line):
     assert traj.samples[-1].dt == pytest.approx(0.05, rel=1e-12)
 
 
+def test_step_budget_stops_the_march(plain_line, monkeypatch):
+    params, grid = plain_line
+    monkeypatch.setattr(evolution, "MAX_STEPS", 7)
+    u0 = Field(0.3 * np.exp(-grid.nodes ** 2 / 2).astype(complex), grid, params)
+    traj = evolve(u0, StepPolicy(dt0=0.01, c_dt=1e9, theta=1e9, t_end=1.0, sample_every=3))
+    assert traj.termination == "max_steps"
+    assert traj.times()[-1] == pytest.approx(0.07, rel=1e-12)
+    assert len(traj.samples) == 4      # steps 0, 3 and 6, and the stop after step 7
+
+
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
 def test_numerics_error_carries_partial_trajectory(plain_line):
     params, grid = plain_line

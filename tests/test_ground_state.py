@@ -33,7 +33,7 @@ def test_profile_positive_and_even(line_b_gs):
 
 
 def test_pohozaev_residuals_tiny_at_gate(radial2_gate_gs):
-    r1, r2 = pohozaev_residuals(radial2_gate_gs)
+    r1, r2 = pohozaev_residuals(radial2_gate_gs.profile)
     assert r1 < 1e-6 and r2 < 1e-6
 
 
@@ -41,9 +41,7 @@ def test_pohozaev_sensitivity_to_perturbation(line_b_gs):
     rng = np.random.default_rng(7)
     gs = line_b_gs
     noisy = gs.profile.values * (1 + 0.01 * rng.standard_normal(gs.profile.grid.n))
-    from inls_lab.ground_state import _pohozaev_from_values
-
-    r1, r2 = _pohozaev_from_values(gs.params, gs.profile.grid, noisy)
+    r1, r2 = pohozaev_residuals(gs.profile.with_values(noisy))
     assert r1 > 1e-3 or r2 > 1e-3
 
 
@@ -176,5 +174,5 @@ def test_grid_refinement_convergence(dim, sigma, b, builder):
 
 
 def test_unproven_regime_labeling(line_b_gs, radial2_gate_gs):
-    assert not line_b_gs.proven_regime       # b = 0.5 > 1/3 for N = 1
-    assert radial2_gate_gs.proven_regime     # b = 0.5 < 2/3 for N = 2
+    assert not line_b_gs.params.proven_regime       # b = 0.5 > 1/3 for N = 1
+    assert radial2_gate_gs.params.proven_regime     # b = 0.5 < 2/3 for N = 2

@@ -51,9 +51,9 @@ def test_helmholtz_round_trip(geometry, kind, seed, dtype):
     u = bump(geometry, seed, kind)
     g = u.grid
     v = u.values.astype(np.result_type(u.values.dtype, dtype))
-    back = helmholtz_solve(g, v - laplacian_values(g, v), refine=dtype is np.longdouble)
+    back = helmholtz_solve(g, v - laplacian_values(g, v))
     assert back.dtype == v.dtype
-    tol = 1e-12 if dtype is np.float64 else 1e-15   # refinement must beat float64
+    tol = 1e-12 if dtype is np.float64 else 1e-15   # a longdouble rhs is refined past float64
     assert np.max(np.abs(back - v)) <= tol * np.max(np.abs(v))
 
 
@@ -74,7 +74,7 @@ def test_cache_per_dtype_matches_fresh_grid(geometry, dtypes):
     for dtype in dtypes:
         v = u.astype(dtype)
         for op in (
-            lambda g: helmholtz_solve(g, v, refine=dtype is np.longdouble),
+            lambda g: helmholtz_solve(g, v),
             lambda g: laplacian_values(g, v),
             lambda g: grad_norm_sq_values(g, v),
         ):
@@ -114,7 +114,7 @@ def test_helmholtz_factorizes_once_per_grid(monkeypatch):
     rhs = np.exp(-g.nodes ** 2)
     first = helmholtz_solve(g, rhs)
     assert np.array_equal(helmholtz_solve(g, rhs), first)
-    helmholtz_solve(g, rhs.astype(np.longdouble), refine=True)
+    helmholtz_solve(g, rhs.astype(np.longdouble))
     assert len(calls) == 1
 
 
