@@ -45,7 +45,7 @@ from .evolution import StepPolicy, evolve
 from .exact import SFamilyParams, s_profile
 from .experiments import REGISTRY, reproduce as run_reproduce
 from .fieldio import (
-    attach_snapshots, read_field, read_manifest, trajectory_from_csv,
+    attach_snapshots, integral, read_field, read_manifest, trajectory_from_csv,
     trajectory_to_csv, write_field, write_manifest, write_snapshots,
 )
 from .ground_state import SolverOptions, solve_ground_state
@@ -81,18 +81,6 @@ def parse_config(path: str | None) -> dict:
     return cfg
 
 
-def _int(text: str) -> int:
-    """An integral number: ``256``, ``1e3`` and ``2.0`` are accepted; ``true``,
-    ``256.7``, ``inf`` and ``two`` are rejected."""
-    try:
-        return int(text)
-    except ValueError:
-        value = float(text)
-    if not value.is_integer():
-        raise ValueError("not an integer")
-    return int(value)
-
-
 def _checked(cast, ok, why: str):
     """``cast``, then reject a value that fails ``ok`` for the reason ``why``."""
     def checked(text: str):
@@ -116,23 +104,24 @@ def _defaults(obj, **casts) -> dict:
 
 DTYPES = {t.__name__: t for t in (np.float64, np.longdouble)}
 _positive = _checked(float, lambda v: v > 0, "must be positive")
-_count = _checked(_int, lambda v: v >= 1, "must be at least 1")
+_count = _checked(integral, lambda v: v >= 1, "must be at least 1")
 
 # Per subcommand, every key it reads: key -> (cast, default).  A key without a
 # default is required; any key not listed is a typo or belongs elsewhere.
-_GRID = {"dim": (_int,), "sigma": (float,), "b": (float,), "extent": (float,), "n": (_int,)}
+_GRID = {"dim": (integral,), "sigma": (float,), "b": (float,), "extent": (float,),
+         "n": (integral,)}
 _FAMILY = {"family_T": (_positive, 1.0), "family_lambda": (_positive, 1.0),
            "family_gamma": (float, SFamilyParams.gamma)}
 SCHEMAS = {
     "ground-state": {**_GRID, "dtype": (_one_of(*DTYPES), SolverOptions.dtype.__name__),
-                     **_defaults(SolverOptions, max_iter=_int)},
+                     **_defaults(SolverOptions, max_iter=integral)},
     "evolve": {
         **_GRID, **_FAMILY,
         "initial": (_one_of("ground_state_multiple", "gaussian", "s_family", "file"),),
         "initial_c": (float, 1.0), "initial_amplitude": (float, 1.0),
         "initial_width": (float, 1.0), "initial_path": (str, None), "family_t0": (float, 0.0),
         **_defaults(StepPolicy, dt0=float, c_dt=float, t_end=float, theta=float,
-                    sample_every=_int, snapshot_every=_int),
+                    sample_every=integral, snapshot_every=integral),
     },
     "analyze": {
         "run_dir": (str,), "alpha": (float, 0.25), "mode": (_one_of(*WINDOW_MODES), "fint"),

@@ -3,8 +3,8 @@
 Two discretizations are supported:
 
 * ``line`` -- the whole real line periodized on [-L, L] with n cell-centered
-  nodes; derivatives and inverse Helmholtz operators are exact in the
-  discrete Fourier basis.
+  nodes; every operator is an exact Fourier multiplier on one transform of
+  the complex-cast values.
 * ``radial`` -- radially symmetric fields on (0, Rmax] in dimension N >= 2,
   discretized by a flux-form (finite-volume) Laplacian on n cell-centered
   shells.  The zero-flux face at r = 0 realizes the even reflection
@@ -18,8 +18,8 @@ second-order accurate despite the singularity.
 The operator layer (the differential primitives below) is the only code that
 knows the two discretizations; its Laplacian and gradient quadrature are
 summation-by-parts companions.  Each grid lazily caches what the operators
-reuse (k^2 and Laplacian bands per dtype, the factorization of 1 - Lap, the
-last-dt linear propagator) for exactly as long as the grid lives.
+reuse (k, k^2 and Laplacian bands per dtype, the factorization of 1 - Lap,
+the last-dt linear propagator) for exactly as long as the grid lives.
 """
 
 from __future__ import annotations
@@ -167,7 +167,6 @@ class Grid:
     faces: np.ndarray | None = field(default=None, repr=False)
     face_alpha: np.ndarray | None = field(default=None, repr=False)
     surf: float = 0.0             # area of the unit sphere A_N (radial)
-    wavenumbers: np.ndarray | None = field(default=None, repr=False)
 
     @cached_property
     def _operators(self) -> dict:
@@ -183,11 +182,10 @@ def line_grid(half_width: float, n: int, b: float = 0.0) -> Grid:
         raise ValidationError(f"line geometry needs 0 <= b < 1 for integrability, got b={b}")
     dx = 2.0 * half_width / n
     nodes = -half_width + (np.arange(n) + 0.5) * dx
-    k = 2.0 * np.pi * np.fft.fftfreq(n, d=dx)
     return Grid(
         geometry="line", dim=1, extent=float(half_width), n=int(n), b=float(b),
         nodes=nodes, weights=np.full(n, dx), weight_b=_cell_avg_weight_line(nodes, dx, b),
-        spacing=dx, wavenumbers=k,
+        spacing=dx,
     )
 
 
@@ -263,9 +261,16 @@ def _cached(grid: Grid, key, build):
     return ops[key]
 
 
+def _wavenumbers(grid: Grid, dtype) -> np.ndarray:
+    """The line's wavenumbers k (FFT order) in ``dtype``."""
+    dtype = np.dtype(dtype)
+    return _cached(grid, ("k", dtype),
+                   lambda: (2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.spacing)).astype(dtype))
+
+
 def _wavenumbers_sq(grid: Grid, dtype) -> np.ndarray:
     dtype = np.dtype(dtype)
-    return _cached(grid, ("k2", dtype), lambda: grid.wavenumbers.astype(dtype) ** 2)
+    return _cached(grid, ("k2", dtype), lambda: _wavenumbers(grid, dtype) ** 2)
 
 
 def _radial_lap_bands(grid: Grid, dtype):
@@ -303,9 +308,17 @@ def _tridiag_solve(lu, rhs: np.ndarray) -> np.ndarray:
 
 
 def _spectrum(values: np.ndarray) -> np.ndarray:
-    """FFT of the complex-cast values, the transform behind the line Laplacian
-    and its gradient quadrature (the real-input FFT rounds differently)."""
+    """FFT of the complex-cast values, the one forward transform on the line:
+    every line operator is a multiplier on it, so a real array and its complex
+    cast round alike, and the multipliers read k, k^2 from the per-dtype cache."""
     return scipy.fft.fft(np.asarray(values, dtype=np.result_type(values.dtype, np.complex64)))
+
+
+def _apply_symbol(symbol: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The line operator with Fourier multiplier ``symbol`` applied to
+    ``values``; real input gives the real part, in its own dtype."""
+    out = scipy.fft.ifft(symbol * _spectrum(values))
+    return out if np.iscomplexobj(values) else out.real
 
 
 def _parseval_grad_sq(grid: Grid, spectrum: np.ndarray):
@@ -327,8 +340,7 @@ def laplacian_values(grid: Grid, values: np.ndarray) -> np.ndarray:
     flux-form finite volume radially."""
     if grid.geometry == "radial":
         return apply_radial_lap(grid, values)
-    out = scipy.fft.ifft(-_wavenumbers_sq(grid, values.real.dtype) * _spectrum(values))
-    return out if np.iscomplexobj(values) else out.real.astype(values.dtype)
+    return _apply_symbol(-_wavenumbers_sq(grid, values.real.dtype), values)
 
 
 def laplacian(u: Field) -> Field:
@@ -357,28 +369,26 @@ def grad_norm_sq_values(grid: Grid, values: np.ndarray, r_min: float = 0.0):
 def gradient_values(grid: Grid, values: np.ndarray) -> np.ndarray:
     """Node-centered first derivative (spectral on the line, centered radially)."""
     if grid.geometry == "line":
-        out = scipy.fft.ifft(1j * grid.wavenumbers * scipy.fft.fft(values))
-        return out if np.iscomplexobj(values) else out.real
-    dr = grid.spacing
+        return _apply_symbol(1j * _wavenumbers(grid, values.real.dtype), values)
+    # a multiply, as NumPy's complex-by-real division is, so real and complex round alike
+    h = 0.5 / values.real.dtype.type(grid.spacing)
     out = np.empty_like(values)
-    out[1:-1] = (values[2:] - values[:-2]) / (2 * dr)
-    out[0] = (values[1] - values[0]) / (2 * dr)          # even ghost at r=0
-    out[-1] = (-values[-1] - values[-2]) / (2 * dr)      # Dirichlet ghost at Rmax
+    out[1:-1] = (values[2:] - values[:-2]) * h
+    out[0] = (values[1] - values[0]) * h          # even ghost at r=0
+    out[-1] = (-values[-1] - values[-2]) * h      # Dirichlet ghost at Rmax
     return out
 
 
 def helmholtz_solve(grid: Grid, rhs: np.ndarray) -> np.ndarray:
     """Solve (1 - Laplacian) u = rhs.
 
-    Spectral division on the line; radially a tridiagonal LAPACK solve with
-    the grid's cached float64 factorization.  When the rhs dtype is wider
-    than float64 (longdouble), a single iterative-refinement pass in that
-    dtype recovers its extended-precision accuracy.
+    The Fourier multiplier 1/(1 + k^2) on the line; radially a tridiagonal
+    LAPACK solve with the grid's cached float64 factorization.  When the rhs
+    dtype is wider than float64 (longdouble), a single iterative-refinement
+    pass in that dtype recovers its extended-precision accuracy.
     """
     if grid.geometry == "line":
-        # the real-input FFT, not _spectrum: ground-state iterates are pinned to its rounding
-        out = scipy.fft.ifft(scipy.fft.fft(rhs) / (1.0 + _wavenumbers_sq(grid, rhs.real.dtype)))
-        return out if np.iscomplexobj(rhs) else out.real
+        return _apply_symbol(1.0 / (1.0 + _wavenumbers_sq(grid, rhs.real.dtype)), rhs)
     if np.iscomplexobj(rhs):
         return helmholtz_solve(grid, rhs.real) + 1j * helmholtz_solve(grid, rhs.imag)
     lu = _cached(grid, "helmholtz", lambda: _factor_one_minus_zlap(grid, 1.0))
@@ -430,24 +440,13 @@ def _interp_spline(grid: Grid, values: np.ndarray, order: int = 3):
     else:
         xs = np.concatenate([-grid.nodes[::-1], grid.nodes])
         ys = np.concatenate([values[::-1], values])
-    if np.iscomplexobj(values):
-        sr = make_interp_spline(xs, ys.real, k=order)
-        si = make_interp_spline(xs, ys.imag, k=order)
+    spline = make_interp_spline(xs, ys, k=order)
 
-        def ev(pts):
-            out = np.zeros(np.shape(pts), dtype=complex)
-            m = (pts >= xs[0]) & (pts <= xs[-1])
-            out[m] = sr(pts[m]) + 1j * si(pts[m])
-            return out
-
-    else:
-        s = make_interp_spline(xs, ys, k=order)
-
-        def ev(pts):
-            out = np.zeros(np.shape(pts))
-            m = (pts >= xs[0]) & (pts <= xs[-1])
-            out[m] = s(pts[m])
-            return out
+    def ev(pts):
+        out = np.zeros(np.shape(pts), dtype=spline.c.dtype)
+        m = (pts >= xs[0]) & (pts <= xs[-1])
+        out[m] = spline(pts[m])
+        return out
 
     return ev
 

@@ -6,10 +6,12 @@ the line and a Crank-Nicolson (Cayley) step radially.  Both linear steps are
 unitary in the grid inner product, and the potential step is pointwise
 unimodular, so mass is conserved to round-off.
 
-``step`` is the one-step Strang map: half kick, linear flow, half kick.
-``evolve`` marches the same map in FSAL form ("first same as last").  Since
-|u| is invariant under the potential flow, the trailing half kick of step n
-and the leading half kick of step n+1 merge exactly into one kick of
+``step(u, dt)`` is the one-step Strang map: half kick, linear flow, half
+kick; it returns the new field, and a caller that needs the time or the step
+count keeps it.  ``evolve`` marches the same map, built from the same kick,
+flow and full-state pieces, in FSAL form ("first same as last").  Since |u|
+is invariant under the potential flow, the trailing half kick of step n and
+the leading half kick of step n+1 merge exactly into one kick of
 (dt_n + dt_{n+1})/2, so a step costs one kick and one linear flow.  The owed
 half kick is paid only where a full Strang state is needed: at each sample,
 at the final state, and before a stop is decided.
@@ -57,14 +59,6 @@ class StepPolicy:
 
 
 @dataclass
-class EvolutionState:
-    field: Field
-    time: float = 0.0
-    dt: float = 0.0
-    step_count: int = 0
-
-
-@dataclass
 class TrajectorySample:
     time: float
     dt: float
@@ -99,21 +93,12 @@ class Trajectory:
         return [s for s in self.samples if s.snapshot is not None]
 
 
-def step(state: EvolutionState) -> EvolutionState:
-    """One Strang step of size state.dt (potential half, linear, potential half)."""
-    if not state.dt > 0:
-        raise ValidationError(f"state.dt must be positive, got {state.dt}")
-    u = state.field
-    half = 0.5 * state.dt
-    vals, _ = free_flow(u.grid, _kick(u, half), state.dt)
-    out = u.with_values(_kick(u.with_values(vals), half))
-    out.check_finite(f"step {state.step_count}")
-    return EvolutionState(
-        field=out,
-        time=state.time + state.dt,
-        dt=state.dt,
-        step_count=state.step_count + 1,
-    )
+def step(u: Field, dt: float) -> Field:
+    """u after one Strang step of size dt (potential half, linear, potential half)."""
+    if not dt > 0:
+        raise ValidationError(f"dt must be positive, got {dt}")
+    vals, _ = free_flow(u.grid, _kick(u, 0.5 * dt), dt)
+    return _full_state(u.with_values(vals), 0.5 * dt)[0]
 
 
 def evolve(u0: Field, policy: StepPolicy) -> Trajectory:
@@ -245,6 +230,6 @@ def _record(u: Field, t: float, dt: float, G: float, keep_snapshot: bool) -> Tra
 
 
 __all__ = [
-    "StepPolicy", "EvolutionState", "TrajectorySample", "Trajectory",
+    "StepPolicy", "TrajectorySample", "Trajectory",
     "step", "evolve",
 ]

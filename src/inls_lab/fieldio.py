@@ -77,6 +77,19 @@ def _read_json(path):
         raise ValidationError(f"{path}: not a JSON document ({exc})") from exc
 
 
+def integral(value) -> int:
+    """``value`` as an integer: ``256``, ``"1e3"`` and ``2.0`` are accepted; a
+    bool, ``256.7``, ``inf`` and ``"two"`` are rejected with ``ValueError``."""
+    if isinstance(value, bool):
+        raise ValueError("a bool is not an integer")
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    value = float(value)
+    if not value.is_integer():
+        raise ValueError("not an integer")
+    return int(value)
+
+
 def read_manifest(path) -> tuple[ProblemParams, Grid]:
     """The problem parameters and grid recorded in the manifest at ``path``."""
     return params_grid_from_manifest(_read_json(path))
@@ -84,8 +97,8 @@ def read_manifest(path) -> tuple[ProblemParams, Grid]:
 
 def params_grid_from_manifest(doc: dict) -> tuple[ProblemParams, Grid]:
     try:
-        params = make_params(int(doc["dim"]), float(doc["sigma"]), float(doc["b"]))
-        grid = grid_for(params, float(doc["L_or_Rmax"]), int(doc["n"]))
+        params = make_params(integral(doc["dim"]), float(doc["sigma"]), float(doc["b"]))
+        grid = grid_for(params, float(doc["L_or_Rmax"]), integral(doc["n"]))
     except KeyError as exc:
         raise ValidationError(f"manifest missing key {exc}") from exc
     except (TypeError, ValueError, OverflowError) as exc:

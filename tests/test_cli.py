@@ -186,12 +186,18 @@ def _manifest_with(**changes):
 
 
 HEADER, ROW = ",".join(CSV_COLUMNS), "0.0,0.001,1.0,0.5,1.0,1.0,0.0"
+# |grad u|^2 = 1/(1 - t), sampled toward t = 1: a trajectory analyze can fit
+FITTABLE = "".join(f"{1 - 2 ** (-i / 4)!r},0.001,1.0,0.5,{2 ** (i / 4)!r},1.0,0.0\n"
+                   for i in range(40))
 
 
 @pytest.mark.parametrize("command, corrupt", [
     pytest.param("analyze", _rewrite("manifest.json", "{not json"), id="manifest-not-json"),
     pytest.param("analyze", _manifest_with(dim="two"), id="manifest-dim-two"),
     pytest.param("analyze", _manifest_with(dim=None), id="manifest-dim-null"),
+    pytest.param("analyze", _manifest_with(dim=1.9), id="manifest-dim-non-integral"),
+    pytest.param("analyze", _manifest_with(dim=True), id="manifest-dim-bool"),
+    pytest.param("analyze", _manifest_with(n=256.7), id="manifest-n-non-integral"),
     pytest.param("analyze", _rewrite("trajectory.csv", f"{HEADER}\n{ROW}\n0.1,x,1,1,1,1,0\n"),
                  id="trajectory-non-numeric-row"),
     pytest.param("analyze", _rewrite("trajectory.csv", f"{HEADER}\n{ROW}\n0.1,0.001\n"),
@@ -203,17 +209,19 @@ HEADER, ROW = ",".join(CSV_COLUMNS), "0.0,0.001,1.0,0.5,1.0,1.0,0.0"
     pytest.param("analyze", _rewrite("trajectory.csv", f"{HEADER}\n", "snapshots/snapshots.json",
                                      '[{"file": "../u0.fld", "time": 0.0}]'),
                  id="snapshots-without-trajectory-rows"),
-    pytest.param("analyze", lambda run: None, id="trajectory-too-short-to-fit"),
+    pytest.param("analyze", _rewrite("trajectory.csv", f"{HEADER}\n{ROW}\n"),
+                 id="trajectory-too-short-to-fit"),
     pytest.param("evolve", _rewrite("u0.fld", "INLSFLD1 but not a field"), id="evolve-bad-fld"),
 ])
 def test_malformed_run_input_exit_2(tmp_path, capsys, command, corrupt):
-    """A malformed or unusable run input exits 2 before the output directory exists."""
+    """A malformed or unusable run input exits 2 before the output directory exists.
+    Uncorrupted, the run is one analyze accepts, so each case fails on its own input."""
     run = tmp_path / "run"
     (run / "snapshots").mkdir(parents=True)
     params = make_params(1, 2.0, 0.0)
     grid = grid_for(params, 16.0, 256)
     write_manifest(run / "manifest.json", params, grid)
-    (run / "trajectory.csv").write_text(f"{HEADER}\n{ROW}\n")
+    (run / "trajectory.csv").write_text(f"{HEADER}\n{FITTABLE}")
     (run / "snapshots" / "snapshots.json").write_text("[]\n")
     write_field(run / "u0.fld", Field(np.ones(grid.n, dtype=complex), grid, params))
     corrupt(run)

@@ -132,6 +132,23 @@ def test_sample_scaled_radial_even_extension():
     assert vals[0] == pytest.approx(1.0, abs=1e-5)
 
 
+@pytest.mark.parametrize("order", [3, 5])
+@pytest.mark.parametrize("grid", [line_grid(10.0, 512), radial_grid(2, 10.0, 512)],
+                         ids=["line", "radial"])
+def test_complex_sample_scaled_matches_its_parts(grid, order):
+    """One spline of complex data evaluates as the real-part and the
+    imaginary-part splines do; the scale 1.3 also exercises the zero extension."""
+    x = grid.nodes
+    u = Field(np.exp(-x ** 2 / 2 + 1j * (0.7 * x + 0.3 * x ** 2)), grid,
+              make_params(grid.dim, 1.0, 0.0))
+    for scale in (0.6, 1.3):
+        both = sample_scaled(u, scale, order)
+        parts = (sample_scaled(u.with_values(u.values.real), scale, order)
+                 + 1j * sample_scaled(u.with_values(u.values.imag), scale, order))
+        assert both.dtype == np.complex128
+        assert np.max(np.abs(both - parts)) <= 1e-15 * np.max(np.abs(parts))
+
+
 def test_field_length_mismatch_rejected():
     params = make_params(1, 1.5, 0.5)
     g = line_grid(12.0, 256, 0.5)

@@ -6,44 +6,38 @@ import pytest
 from inls_lab import Field, NumericsError, StepPolicy, ValidationError, evolve, make_params
 from inls_lab import core, evolution
 from inls_lab.core import line_grid, radial_grid
-from inls_lab.evolution import LADDER_RUNGS, EvolutionState, step
+from inls_lab.evolution import LADDER_RUNGS, step
 from inls_lab.exact import standing_wave
 from inls_lab import functionals as fn
 
 
 def test_zero_field_is_fixed_point(plain_line):
     params, grid = plain_line
-    state = EvolutionState(field=Field(np.zeros(grid.n, dtype=complex), grid, params), dt=1e-3)
-    out = step(state)
-    assert np.all(out.field.values == 0)
-    assert out.time == pytest.approx(1e-3)
-    assert out.step_count == 1
+    out = step(Field(np.zeros(grid.n, dtype=complex), grid, params), 1e-3)
+    assert np.all(out.values == 0)
 
 
 def test_constant_field_pure_phase_rotation(plain_line):
     # b = 0: the potential phase is spatially constant, the Laplacian vanishes
     params, grid = plain_line
     c = 0.7 + 0.1j
-    state = EvolutionState(field=Field(np.full(grid.n, c), grid, params), dt=1e-3)
-    out = step(state)
+    out = step(Field(np.full(grid.n, c), grid, params), 1e-3)
     expected = c * np.exp(1j * 1e-3 * abs(c) ** (2 * params.sigma))
-    assert np.max(np.abs(out.field.values - expected)) < 1e-13
+    assert np.max(np.abs(out.values - expected)) < 1e-13
 
 
 def test_nan_detection(plain_line):
     params, grid = plain_line
     vals = np.ones(grid.n, dtype=complex)
     vals[3] = np.nan
-    state = EvolutionState(field=Field(vals, grid, params), dt=1e-3)
     with pytest.raises(NumericsError):
-        step(state)
+        step(Field(vals, grid, params), 1e-3)
 
 
 def test_step_requires_positive_dt(plain_line):
     params, grid = plain_line
-    state = EvolutionState(field=Field(np.ones(grid.n, dtype=complex), grid, params))
     with pytest.raises(ValidationError):
-        step(state)
+        step(Field(np.ones(grid.n, dtype=complex), grid, params), 0.0)
 
 
 def test_standing_wave_short_run(quintic_gs):
@@ -173,14 +167,13 @@ def test_fused_march_matches_repeated_steps(geometry):
     traj = evolve(u0, StepPolicy(dt0=dt, c_dt=1e9, theta=1e9, t_end=40 * dt,
                                  sample_every=7, snapshot_every=1))
     assert all(s.dt == dt for s in traj.samples[1:])      # constant dt stays dt0
-    state = EvolutionState(field=u0, dt=dt)
+    u, steps = u0, 0
     for s in traj.samples:
-        while state.step_count < round(s.time / dt):
-            state = step(state)
-        ref = state.field.values
-        assert s.time == pytest.approx(state.time, rel=1e-12)
-        assert np.max(np.abs(s.snapshot.values - ref)) <= 1e-13 * np.max(np.abs(ref))
-    assert state.step_count == 40
+        while steps < round(s.time / dt):
+            u, steps = step(u, dt), steps + 1
+        assert s.time == pytest.approx(steps * dt, rel=1e-12)
+        assert np.max(np.abs(s.snapshot.values - u.values)) <= 1e-13 * np.max(np.abs(u.values))
+    assert steps == 40
 
 
 @pytest.mark.parametrize("geometry", sorted(GEOMETRIES))

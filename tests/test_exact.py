@@ -76,10 +76,10 @@ def test_s_profile_sign_convention_by_equation_residual(quintic_gs):
     implemented sign pair (quadratic phase -, time phase +)."""
     prof = quintic_gs.profile
     grid, params = prof.grid, prof.params
-    x, k = grid.nodes, grid.wavenumbers
-    W = grid.weight_b
+    from inls_lab.core import _wavenumbers, sample_scaled
 
-    from inls_lab.core import sample_scaled
+    x, k = grid.nodes, _wavenumbers(grid, np.float64)
+    W = grid.weight_b
 
     def candidate(t, sq, sl, h=1e-6):
         def slice_at(tt):
