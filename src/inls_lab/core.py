@@ -440,13 +440,18 @@ def _interp_spline(grid: Grid, values: np.ndarray, order: int = 3):
     else:
         xs = np.concatenate([-grid.nodes[::-1], grid.nodes])
         ys = np.concatenate([values[::-1], values])
+    cplx = np.iscomplexobj(ys)
+    if cplx:
+        # (re, im) as one real two-column spline: SciPy would otherwise factor
+        # a complexified copy of the real collocation matrix
+        ys = np.ascontiguousarray(ys).view(ys.real.dtype).reshape(len(xs), 2)
     spline = make_interp_spline(xs, ys, k=order)
 
     def ev(pts):
-        out = np.zeros(np.shape(pts), dtype=spline.c.dtype)
+        out = np.zeros(np.shape(pts) + ys.shape[1:], dtype=spline.c.dtype)
         m = (pts >= xs[0]) & (pts <= xs[-1])
         out[m] = spline(pts[m])
-        return out
+        return out.view(complex)[..., 0] if cplx else out
 
     return ev
 

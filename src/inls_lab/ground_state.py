@@ -10,15 +10,24 @@ a single independent check of the dilation identity -- the honest measure of
 spatial discretization error.
 
 Deep grids push the float64 evaluation of Lap(Q) against its rounding floor
-(~ eps / dx^2), so the solver optionally iterates in extended precision;
+(~ eps / dx^2), so the solver optionally finishes in extended precision;
 ``dtype=np.longdouble`` keeps the residual diagnostic meaningful down to
-~1e-11 at n ~ 3e5.  The dtype of the iterate is the one precision decision:
-the Helmholtz solve refines itself when its rhs is wider than float64, and
-the Pohozaev residuals are taken on the iterate at that precision.
+~1e-11 at n ~ 3e5.  Such a solve is a two-phase continuation: it iterates in
+float64 until the step norm reaches ``FLOAT64_STEP_TOL`` or stops shrinking
+(the float64 floor), then casts the iterate and polishes it in longdouble
+down to ``STEP_TOL``.  The stabilized map converges to the same fixed point
+from any nearby start (Pelinovsky & Stepanyants, SIAM J. Numer. Anal. 42,
+2004), so the float64 phase changes only the path to Q, and most iterations
+run at float64 speed.  The dtype of the iterate is the one precision
+decision: the Helmholtz solve refines itself when its rhs is wider than
+float64, and the residual and the Pohozaev residuals are taken on the
+longdouble iterate.  A float64 solve is the float64 phase alone, run to
+``STEP_TOL``.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -35,7 +44,8 @@ from . import functionals as fn
 class GroundState:
     profile: Field
     residual: float
-    iterations: int
+    iterations: int             # total over both phases
+    float64_iterations: int     # the float64 phase; all of them for a float64 solve
     pohozaev_r1: float
     pohozaev_r2: float
     k_opt: float
@@ -44,6 +54,10 @@ class GroundState:
     @property
     def params(self) -> ProblemParams:
         return self.profile.params
+
+    @property
+    def longdouble_iterations(self) -> int:
+        return self.iterations - self.float64_iterations
 
 
 @dataclass
@@ -54,6 +68,7 @@ class SolverOptions:
 
 STEP_TOL = 1e-12        # L2 distance between successive iterates
 RESIDUAL_TOL = 1e-8     # relative to ||Q||_L2
+FLOAT64_STEP_TOL = 1e-9  # a wider solve leaves its float64 phase here at the latest
 
 
 def solve_ground_state(
@@ -71,37 +86,22 @@ def solve_ground_state(
         )
     if (params.dim == 1) != (grid.geometry == "line"):
         raise ValidationError("grid geometry does not match params.dim")
-    dt = opts.dtype
-    x = grid.nodes.astype(dt)
+    # a wider dtype continues the float64 phase; max_iter bounds both together
+    wide = np.dtype(opts.dtype) != np.float64
+    Q, it, converged = _petviashvili(
+        params, grid, np.exp(-(grid.nodes ** 2) / 2.0),
+        FLOAT64_STEP_TOL if wide else STEP_TOL, opts.max_iter, until_stall=wide,
+    )
+    float64_iterations = it
+    if wide:
+        Q = Q.astype(opts.dtype)
+        Q, it_wide, converged = _petviashvili(params, grid, Q, STEP_TOL, opts.max_iter - it)
+        it += it_wide
+
+    dt = Q.dtype.type
     w = grid.weights.astype(dt)
     W = grid.weight_b.astype(dt)
     p = 2.0 * params.sigma + 1.0
-    gamma = dt(p) / dt(2.0 * params.sigma)
-
-    Q = np.exp(-(x ** 2) / 2.0)
-    converged = False
-    it = 0
-    for it in range(1, opts.max_iter + 1):
-        rhs = W * Q ** p
-        num = np.sum((Q - laplacian_values(grid, Q)) * Q * w)
-        den = np.sum(rhs * Q * w)
-        if den <= 0:
-            raise NumericsError("Petviashvili denominator collapsed to zero")
-        s_factor = num / den
-        if not (1e-6 < float(s_factor) < 1e6):
-            raise NumericsError(
-                f"Petviashvili stabilizing factor diverged: S={float(s_factor):.3e}"
-            )
-        Qn = s_factor ** gamma * helmholtz_solve(grid, rhs)
-        Qn = np.abs(Qn)
-        if grid.geometry == "line":
-            Qn = 0.5 * (Qn + Qn[::-1])
-        diff = float(np.sqrt(np.sum((Qn - Q) ** 2 * w)))
-        Q = Qn
-        if diff < STEP_TOL:
-            converged = True
-            break
-
     norm = float(np.sqrt(np.sum(Q ** 2 * w)))
     res = float(np.sqrt(np.sum((laplacian_values(grid, Q) - Q + W * Q ** p) ** 2 * w)))
     if not converged or res > RESIDUAL_TOL * norm:
@@ -119,11 +119,53 @@ def solve_ground_state(
         profile=prof,
         residual=res,
         iterations=it,
+        float64_iterations=float64_iterations,
         pohozaev_r1=r1,
         pohozaev_r2=r2,
         k_opt=k_opt(params, q_mass),
         q_mass=q_mass,
     )
+
+
+def _petviashvili(
+    params: ProblemParams, grid: Grid, Q: np.ndarray, tol: float, max_iter: int,
+    until_stall: bool = False,
+) -> tuple[np.ndarray, int, bool]:
+    """Petviashvili iteration at the precision of ``Q``.
+
+    Returns the last iterate, the iterations taken and whether the L2 step
+    norm fell below ``tol``; ``until_stall`` also stops at the first step
+    that does not shrink.
+    """
+    dt = Q.dtype.type
+    w = grid.weights.astype(dt)
+    W = grid.weight_b.astype(dt)
+    p = 2.0 * params.sigma + 1.0
+    gamma = dt(p) / dt(2.0 * params.sigma)
+    last = math.inf
+    for it in range(1, max_iter + 1):
+        rhs = W * Q ** p
+        num = np.sum((Q - laplacian_values(grid, Q)) * Q * w)
+        den = np.sum(rhs * Q * w)
+        if den <= 0:
+            raise NumericsError("Petviashvili denominator collapsed to zero")
+        s_factor = num / den
+        if not (1e-6 < float(s_factor) < 1e6):
+            raise NumericsError(
+                f"Petviashvili stabilizing factor diverged: S={float(s_factor):.3e}"
+            )
+        Qn = s_factor ** gamma * helmholtz_solve(grid, rhs)
+        Qn = np.abs(Qn)
+        if grid.geometry == "line":
+            Qn = 0.5 * (Qn + Qn[::-1])
+        diff = float(np.sqrt(np.sum((Qn - Q) ** 2 * w)))
+        Q = Qn
+        if diff < tol:
+            return Q, it, True
+        if until_stall and diff >= last:
+            return Q, it, False
+        last = diff
+    return Q, max_iter, False
 
 
 def _check_resolved(prof: Field) -> None:

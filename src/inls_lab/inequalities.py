@@ -43,9 +43,7 @@ def random_bump_field(params: ProblemParams, grid: Grid, rng: np.random.Generato
         amp = rng.uniform(0.2, 1.0)
         phase = rng.uniform(0.0, 2.0 * np.pi)
         speed = rng.uniform(-2.0, 2.0)
-        vals += amp * np.exp(-((x - center) ** 2) / (2.0 * width ** 2)) * np.exp(
-            1j * (phase + speed * x)
-        )
+        vals += amp * np.exp(-((x - center) ** 2) / (2.0 * width ** 2) + 1j * (phase + speed * x))
     return Field(vals, grid, params)
 
 

@@ -41,6 +41,9 @@ def test_ground_state_subcommand(tmp_path):
     assert rc == 0
     sidecar = json.loads((out / "ground_state.json").read_text())
     assert sidecar["pohozaev_r1"] < 1e-6
+    # a float64 solve is all float64 phase
+    assert sidecar["float64_iterations"] == sidecar["iterations"] > 0
+    assert sidecar["longdouble_iterations"] == 0
     assert (out / "Q.fld").exists()
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["experiment"] == "ground_state"

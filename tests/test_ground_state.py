@@ -8,6 +8,7 @@ from inls_lab import (
     pohozaev_residuals, rescale, solve_ground_state,
 )
 from inls_lab.core import line_grid, radial_grid, sample_scaled
+from inls_lab import ground_state
 from inls_lab.ground_state import SolverOptions
 from inls_lab import functionals as fn
 from inls_lab.inequalities import corpus_rng, random_bump_field
@@ -137,6 +138,36 @@ def test_non_convergence_raises():
     with pytest.raises(ConvergenceError) as err:
         solve_ground_state(params, grid, SolverOptions(max_iter=2))
     assert err.value.residual is not None
+
+
+def test_non_convergence_raises_in_longdouble():
+    """max_iter bounds both phases together."""
+    params = make_params(2, 0.75, 0.5)
+    grid = radial_grid(2, 14.0, 512, 0.5)
+    with pytest.raises(ConvergenceError):
+        solve_ground_state(params, grid, SolverOptions(max_iter=2, dtype=np.longdouble))
+
+
+def test_float64_solve_is_one_phase(line_b_gs, intercritical_radial_gs):
+    for gs in (line_b_gs, intercritical_radial_gs):
+        assert gs.float64_iterations == gs.iterations > 0
+        assert gs.longdouble_iterations == 0
+
+
+def test_longdouble_solve_iterates_in_two_phases(radial2_gate_gs):
+    gs = radial2_gate_gs
+    assert 0 < gs.float64_iterations < gs.iterations
+
+
+def test_float64_phase_ends_when_its_step_stops_shrinking(monkeypatch):
+    """With the switch tolerance out of reach, only the stall rule leaves the
+    float64 phase, and the longdouble phase still converges."""
+    monkeypatch.setattr(ground_state, "FLOAT64_STEP_TOL", 0.0)
+    params = make_params(2, 0.75, 0.5)
+    gs = solve_ground_state(params, radial_grid(2, 14.0, 4096, 0.5),
+                            SolverOptions(dtype=np.longdouble))
+    assert 0 < gs.float64_iterations < gs.iterations
+    assert gs.residual / math.sqrt(gs.q_mass) < 1e-10
 
 
 def test_grid_param_mismatch_rejected():

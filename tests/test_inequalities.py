@@ -245,3 +245,27 @@ def test_report_same_seed_same_report(line_b_gs, mc_line):
             for _ in range(2))
     assert a.as_dict() == b.as_dict()
     assert np.array_equal(a.witness.values, b.witness.values)
+
+
+@pytest.mark.parametrize("grid", [line_grid(12.0, 1024, 0.5), radial_grid(2, 12.0, 1024, 0.5)],
+                         ids=["line", "radial"])
+def test_random_bump_field_matches_two_exp_formula(grid):
+    """Each bump is one complex exp; the field and the stream after it agree
+    with the Gaussian-times-phase form built from the same draws."""
+    params = make_params(grid.dim, 1.0, 0.5)
+    for seed in range(5):
+        rng, ref_rng = corpus_rng(seed, "bumps"), corpus_rng(seed, "bumps")
+        u = random_bump_field(params, grid, rng)
+        x = grid.nodes
+        ref = np.zeros(grid.n, dtype=complex)
+        for _ in range(int(ref_rng.integers(1, 5))):
+            width = ref_rng.uniform(0.4, 1.6)
+            center = (ref_rng.uniform(-0.5 * grid.extent, 0.5 * grid.extent)
+                      if grid.geometry == "line" else ref_rng.uniform(0.0, 0.4 * grid.extent))
+            amp = ref_rng.uniform(0.2, 1.0)
+            phase = ref_rng.uniform(0.0, 2.0 * np.pi)
+            speed = ref_rng.uniform(-2.0, 2.0)
+            ref += (amp * np.exp(-((x - center) ** 2) / (2.0 * width ** 2))
+                    * np.exp(1j * (phase + speed * x)))
+        assert np.max(np.abs(u.values - ref)) <= 1e-14 * np.max(np.abs(ref))
+        assert rng.uniform() == ref_rng.uniform()
