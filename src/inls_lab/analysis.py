@@ -207,38 +207,34 @@ def _mollify_line(u1: np.ndarray, grid, rho: float) -> np.ndarray:
     return scipy.fft.ifft(scipy.fft.fft(u1) * multiplier)
 
 
+_ANGLE_NODES = 8       # Gauss-Legendre nodes on the bump's angular support
+
+
 def _mollify_radial(u1: np.ndarray, grid, rho: float) -> np.ndarray:
     """Row-normalized banded kernel from the angular reduction of the
-    N-dimensional convolution with the compactly supported bump."""
+    N-dimensional convolution with the bump, (A + c cos theta)_+^3 at angle
+    theta: Gauss-Legendre in theta on its support [0, theta*] only."""
     n, dr, N = grid.n, grid.spacing, grid.dim
-    r = grid.nodes
-    w = grid.weights
+    r, w = grid.nodes, grid.weights
     K = int(np.ceil(1.0 / (rho * dr))) + 1
+    offs = np.arange(2 * K + 1)
     out = np.zeros_like(u1)
-    if N == 2:
-        th = np.linspace(0.0, np.pi, 32)
-        ang_w = np.full(th.size, 1.0 / (th.size - 1))
-        ang_w[0] *= 0.5
-        ang_w[-1] *= 0.5
-        mu = np.cos(th)
-    else:
-        # Gauss-Legendre in mu = cos(theta) with weight (1 - mu^2)^((N-3)/2)
-        mu, glw = np.polynomial.legendre.leggauss(32)
-        ang_w = glw * (1.0 - mu ** 2) ** ((N - 3) / 2.0)
-        ang_w = ang_w / ang_w.sum()
-    chunk = max(1, int(2e6 / (2 * K + 1) / mu.size))
+    chunk = max(1, (1 << 16) // offs.size)      # kernel entries built at once
+    nodes, weights = np.polynomial.legendre.leggauss(_ANGLE_NODES)
     for start in range(0, n, chunk):
         idx = np.arange(start, min(start + chunk, n))
-        j0 = np.maximum(idx - K, 0)
-        offs = np.arange(2 * K + 1)
-        jj = j0[:, None] + offs[None, :]
+        jj = np.maximum(idx - K, 0)[:, None] + offs
         valid = jj < n
         jj = np.minimum(jj, n - 1)
-        ri = r[idx][:, None, None]
-        rj = r[jj][:, :, None]
-        d2 = ri ** 2 + rj ** 2 - 2.0 * ri * rj * mu[None, None, :]
-        ker = (_bump(rho ** 2 * np.maximum(d2, 0.0)) * ang_w[None, None, :]).sum(axis=2)
-        rows = ker * w[jj] * valid
+        ri, rj = r[idx][:, None], r[jj]
+        A = 1.0 - rho ** 2 * (ri ** 2 + rj ** 2)
+        c = 2.0 * rho ** 2 * ri * rj
+        half = 0.5 * np.arccos(np.clip(-A / c, -1.0, 1.0))    # theta* / 2
+        ker = 0.0
+        for x, wk in zip(nodes, weights):
+            th = half * (1.0 + x)
+            ker = ker + wk * np.sin(th) ** (N - 2) * _bump(1.0 - A - c * np.cos(th))
+        rows = half * ker * w[jj] * valid
         sums = rows.sum(axis=1)
         sums[sums <= 0] = 1.0
         out[idx] = (rows * u1[jj]).sum(axis=1) / sums
@@ -309,6 +305,8 @@ def sigma_c_window_series(
     """
     if mode not in WINDOW_MODES:
         raise ValidationError(f"mode must be 'fint' or 'inft', got {mode!r}")
+    if not (c0 > 0 and c0_tilde > 0):
+        raise ValidationError(f"c0 and c0_tilde must be positive, got {c0}, {c0_tilde}")
     snaps = traj.snapshots()
     if not snaps:
         raise ValidationError("trajectory holds no field snapshots")

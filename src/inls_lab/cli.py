@@ -125,7 +125,7 @@ SCHEMAS = {
     },
     "analyze": {
         "run_dir": (str,), "alpha": (float, 0.25), "mode": (_one_of(*WINDOW_MODES), "fint"),
-        **_defaults(sigma_c_window_series, c0=float, c0_tilde=float),
+        **_defaults(sigma_c_window_series, c0=_positive, c0_tilde=_positive),
     },
     "verify": {**_GRID, "trials": (_count, 1000)},
     "exact": {**_GRID, **_FAMILY,

@@ -134,14 +134,15 @@ def make_params(dim: int, sigma: float, b: float) -> ProblemParams:
 # grids
 
 
-def _cell_avg_weight_line(x, dx, b):
-    # cell edges are multiples of dx, so 0 is always an edge and every cell
-    # lies on one side of the origin; the average is exact
+def _cell_avg_weight_line(n, dx, b):
+    # exact cell averages of |x|^-b from the antiderivative sign(x)|x|^(1-b);
+    # the edges (k - n/2) dx are exact mirror images, so the weights are
+    # symmetric to the last bit, and for odd n the middle cell straddles 0
     if b == 0.0:
-        return np.ones_like(x)
-    lo = np.maximum(np.abs(x) - dx / 2, np.zeros_like(x))
-    hi = np.abs(x) + dx / 2
-    return (hi ** (1 - b) - lo ** (1 - b)) / ((1 - b) * dx)
+        return np.ones(n)
+    edges = (np.arange(n + 1) - n / 2) * dx
+    F = np.sign(edges) * np.abs(edges) ** (1 - b)
+    return (F[1:] - F[:-1]) / ((1 - b) * dx)
 
 
 @dataclass(frozen=True)
@@ -184,7 +185,7 @@ def line_grid(half_width: float, n: int, b: float = 0.0) -> Grid:
     nodes = -half_width + (np.arange(n) + 0.5) * dx
     return Grid(
         geometry="line", dim=1, extent=float(half_width), n=int(n), b=float(b),
-        nodes=nodes, weights=np.full(n, dx), weight_b=_cell_avg_weight_line(nodes, dx, b),
+        nodes=nodes, weights=np.full(n, dx), weight_b=_cell_avg_weight_line(n, dx, b),
         spacing=dx,
     )
 

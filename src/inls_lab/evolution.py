@@ -52,6 +52,8 @@ class StepPolicy:
     def __post_init__(self):
         if self.dt0 <= 0 or self.c_dt <= 0 or self.theta <= 0:
             raise ValidationError("dt0, c_dt, theta must all be positive")
+        if self.t_end is not None and not self.t_end > 0:
+            raise ValidationError(f"t_end must be positive, got {self.t_end}")
         if self.sample_every < 1 or (self.snapshot_every is not None and self.snapshot_every < 1):
             raise ValidationError("sample_every and snapshot_every must be at least 1")
         if self.t_end is None and self.theta >= 1e9:

@@ -142,6 +142,8 @@ def lp_norm(u: Field, p: float, region: tuple[float, float] | None = None) -> fl
         total = float(np.sum(np.abs(u.values) ** p * u.grid.weights))
     else:
         center, radius = region
+        if not radius > 0:
+            raise ValidationError(f"radius must be positive, got {radius}")
         total = _window_integral(u, p, center, radius)
     return total ** (1.0 / p)
 

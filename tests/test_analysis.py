@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from inls_lab import (
     Field, ValidationError, decompose, estimate_blowup_time,
     mass_concentration_series, make_params, rescaled_profile,
     sigma_c_window_series, window_radii,
 )
-from inls_lab.analysis import BlowupFit, smooth_cutoff
+from inls_lab.analysis import BlowupFit, _mollify_radial, smooth_cutoff
 from inls_lab.core import radial_grid
 from inls_lab.evolution import Trajectory, TrajectorySample
 from inls_lab import functionals as fn
@@ -171,6 +172,40 @@ def test_mollifier_smooth_field_convergence(ic_radial):
     assert errs[2] < 1e-2
 
 
+def _angular_kernel_reference(grid, rho, i, js):
+    """Angular integral of sin^(N-2) theta (A + c cos theta)_+^3 for the pairs
+    (i, j), up to a constant factor: closed form for N = 3, adaptive
+    quadrature on the support [0, theta*] for N = 2."""
+    r = grid.nodes
+    A = 1.0 - rho ** 2 * (r[i] ** 2 + r[js] ** 2)
+    c = 2.0 * rho ** 2 * r[i] * r[js]
+    if grid.dim == 3:
+        return (np.maximum(A + c, 0.0) ** 4 - np.maximum(A - c, 0.0) ** 4) / (8.0 * c)
+    theta_star = np.arccos(np.clip(-A / c, -1.0, 1.0))
+    return np.array([
+        quad(lambda th: (a + cc * math.cos(th)) ** 3, 0.0, ts,
+             epsabs=0.0, epsrel=1e-13, limit=200)[0]
+        for a, cc, ts in zip(A, c, theta_star)
+    ])
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("rho", [0.5, 3.0, 20.0])
+def test_mollify_radial_matches_angular_reference(dim, rho):
+    """The radial mollifier equals the row-normalized exact kernel, from a
+    bump wider than the grid (rho = 0.5) to one a few cells wide (rho = 20)."""
+    grid = radial_grid(dim, 4.0, 400)
+    u1 = np.random.default_rng(dim).uniform(0.5, 1.5, grid.n)
+    rows = np.arange(0, grid.n, 23)
+    ref = []
+    for i in rows:
+        js = np.nonzero(np.abs(grid.nodes - grid.nodes[i]) < 1.0 / rho)[0]
+        kw = _angular_kernel_reference(grid, rho, i, js) * grid.weights[js]
+        ref.append(np.sum(kw * u1[js]) / np.sum(kw))
+    got = _mollify_radial(u1, grid, rho)[rows]
+    assert np.max(np.abs(got - ref)) <= 1e-8 * np.max(np.abs(ref))
+
+
 def test_mass_concentration_on_family_trajectory():
     """Windows along the minimal-mass family capture essentially the whole
     ground-state mass, approaching it from below."""
@@ -217,3 +252,6 @@ def test_sigma_c_series_full_window_saturates(ic_radial):
     # running extremes behave as min (fint) and max (inft)
     inft = sigma_c_window_series(traj, fit, "inft", c0_tilde=1e-3)
     assert inft[-1].running_extreme == max(r.value for r in inft)
+    for scale in ({"c0": 0.0}, {"c0_tilde": -1.0}):
+        with pytest.raises(ValidationError, match="c0"):
+            sigma_c_window_series(traj, fit, "fint", **scale)

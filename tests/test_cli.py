@@ -336,14 +336,18 @@ def solve_calls(monkeypatch):
     pytest.param("evolve", "dt0", {"initial": "ground_state_multiple", "dt0": -1},
                  id="evolve-dt0-ground_state_multiple"),
     pytest.param("evolve", "initial_path", {"initial": "file"}, id="evolve-initial_path-missing"),
+    ("evolve", "t_end", -1),
     ("verify", "trials", 0),
     ("verify", "trials", -5),
+    ("analyze", "c0_tilde", -1),
 ])
 def test_malformed_value_exit_2(tmp_path, capsys, solve_calls, command, key, value):
     """A bad config exits 2 naming the key, before any solve or output directory."""
     kv = dict(dim=1, sigma=2.0, b=0.0, extent=16.0, n=256)
     if command == "evolve":
         kv.update(initial="gaussian", t_end=0.01)
+    if command == "analyze":
+        kv = dict(run_dir=str(tmp_path))
     kv.update(value if isinstance(value, dict) else {key: value})
     cfg = write_cfg(tmp_path / "bad.cfg", **kv)
     out = tmp_path / "x"

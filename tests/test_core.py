@@ -17,6 +17,24 @@ def test_line_grid_cell_centered_avoids_origin():
     assert g.weights.sum() == pytest.approx(20.0)
 
 
+def test_line_weight_b_mirror_symmetric():
+    """The cell averages of |x|^-b are symmetric to the last bit, also when
+    dx is not a power of two."""
+    for n in (4608, 6144):
+        wb = line_grid(16.0, n, 0.5).weight_b
+        assert np.array_equal(wb, wb[::-1])
+
+
+@pytest.mark.parametrize("b", [0.25, 0.5, 0.7])
+def test_line_weight_b_odd_n_origin_cell(b):
+    """For odd n the middle cell straddles the origin; its weight is the exact
+    average 2 (dx/2)^(1-b) / ((1-b) dx) over both halves."""
+    g = line_grid(8.0, 9, b)
+    dx = g.spacing
+    exact = 2.0 * (dx / 2) ** (1 - b) / ((1 - b) * dx)
+    assert g.weight_b[4] == pytest.approx(exact, rel=1e-14)
+
+
 def test_radial_grid_ball_volume():
     for dim in (2, 3):
         g = radial_grid(dim, 8.0, 4096)

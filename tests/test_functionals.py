@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import erf
 
-from inls_lab import Field, make_params
+from inls_lab import Field, ValidationError, make_params
 from inls_lab.core import line_grid
 from inls_lab import functionals as fn
 from inls_lab.exact import SFamilyParams, s_profile
@@ -239,6 +239,15 @@ def test_lp_norm_plateau():
     u = Field(vals, grid, params)
     p = 3.7
     assert fn.lp_norm(u, p) == pytest.approx(h * (2 * half) ** (1 / p), rel=1e-3)
+
+
+@pytest.mark.parametrize("radius", [0.0, -1.0])
+def test_lp_norm_rejects_nonpositive_region(ic_radial, radius):
+    """A window radius <= 0 is bad input, not the window of radius |R|."""
+    params, grid = ic_radial
+    u = gaussian_field(params, grid)
+    with pytest.raises(ValidationError, match="radius"):
+        fn.lp_norm(u, 2.0, region=(0.0, radius))
 
 
 def test_gradient_spectral_vs_fd(plain_line):

@@ -140,6 +140,13 @@ def test_non_convergence_raises():
     assert err.value.residual is not None
 
 
+def test_float64_solve_on_non_dyadic_line_grid():
+    """dx = 32/4608 is not a power of two; the weights stay symmetric, so the
+    symmetrized iteration converges."""
+    gs = solve_ground_state(make_params(1, 1.5, 0.5), line_grid(16.0, 4608, 0.5))
+    assert gs.iterations > 0
+
+
 def test_non_convergence_raises_in_longdouble():
     """max_iter bounds both phases together."""
     params = make_params(2, 0.75, 0.5)
