@@ -9,10 +9,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 from scipy.optimize import minimize_scalar
 
-from .core import Field, rescale
+from .core import Field, _apply_symbol, _spectrum, rescale
 from .errors import ValidationError
 from .evolution import Trajectory
 from .ground_state import GroundState
@@ -203,8 +202,7 @@ def _mollify_line(u1: np.ndarray, grid, rho: float) -> np.ndarray:
     total = kern.sum()
     if total <= 0:  # kernel narrower than one cell: discrete identity
         return u1.copy()
-    multiplier = scipy.fft.fft(kern / total)
-    return scipy.fft.ifft(scipy.fft.fft(u1) * multiplier)
+    return _apply_symbol(_spectrum(kern / total), u1)
 
 
 _ANGLE_NODES = 8       # Gauss-Legendre nodes on the bump's angular support

@@ -6,7 +6,8 @@ Every run writes manifest.json (resolved config with its defaults, package
 and library versions, git hash) into its output directory, then its own artifacts:
 field binaries, trajectory.csv, summary.json, analysis.csv, report JSONs.
 
-Exit codes: 0 success, 2 validation/config error, 3 numerical failure or a
+Exit codes: 0 success, 2 validation/config error or a file that cannot be
+read or written (missing, a directory, not UTF-8), 3 numerical failure or a
 failed acceptance reproduction.
 
 Config files are flat ``key = value`` text ('#' starts a comment).
@@ -45,7 +46,7 @@ from .evolution import StepPolicy, evolve
 from .exact import SFamilyParams, s_profile
 from .experiments import REGISTRY, reproduce as run_reproduce
 from .fieldio import (
-    attach_snapshots, integral, read_field, read_manifest, trajectory_from_csv,
+    attach_snapshots, integral, read_field, read_manifest, read_text, trajectory_from_csv,
     trajectory_to_csv, write_field, write_manifest, write_snapshots,
 )
 from .ground_state import SolverOptions, solve_ground_state
@@ -55,21 +56,13 @@ from .inequalities import (
 )
 
 
-def _input_file(path) -> Path:
-    """``path`` as an existing input file; a missing one is bad input (exit 2)."""
-    path = Path(path)
-    if not path.is_file():
-        raise ValidationError(f"input file not found: {path}")
-    return path
-
-
 def parse_config(path: str | None) -> dict:
     """Flat key = value configuration text; no nesting, no includes.  Values
     stay text (surrounding quotes stripped) until ``resolve_config`` casts them."""
     cfg: dict = {}
     if path is None:
         return cfg
-    text = _input_file(path).read_text()
+    text = read_text(path)
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -154,12 +147,13 @@ def resolve_config(command: str, raw: dict) -> dict:
 
 
 def _git_hash() -> str:
+    """HEAD of the checkout this package runs from, whatever the working
+    directory; "unknown" outside a checkout."""
     try:
-        out = subprocess.run(
-            ["git", "rev-parse", "HEAD"], capture_output=True, text=True, timeout=5
-        )
+        out = subprocess.run(["git", "rev-parse", "HEAD"], capture_output=True, text=True,
+                             timeout=5, cwd=Path(__file__).parent)
         return out.stdout.strip() if out.returncode == 0 else "unknown"
-    except OSError:
+    except (OSError, subprocess.SubprocessError):
         return "unknown"
 
 
@@ -216,7 +210,7 @@ def _initial_field(cfg, params, grid, family) -> Field:
     if kind == "file":
         if cfg["initial_path"] is None:
             raise ValidationError("config: initial = file needs key 'initial_path'")
-        return read_field(_input_file(cfg["initial_path"]), grid, params)
+        return read_field(cfg["initial_path"], grid, params)
     gs = solve_ground_state(params, grid)
     if kind == "s_family":
         return s_profile(family, gs, cfg["family_t0"])
@@ -266,8 +260,8 @@ def _write_trajectory(traj, out: Path, policy: StepPolicy) -> dict | None:
 
 def cmd_analyze(cfg, out, seed):
     run_dir = Path(cfg["run_dir"])
-    params, grid = read_manifest(_input_file(run_dir / "manifest.json"))
-    traj = trajectory_from_csv(_input_file(run_dir / "trajectory.csv"))
+    params, grid = read_manifest(run_dir / "manifest.json")
+    traj = trajectory_from_csv(run_dir / "trajectory.csv")
     snap_dir = run_dir / "snapshots"
     if snap_dir.exists():
         attach_snapshots(traj, snap_dir, grid, params)
@@ -400,7 +394,7 @@ def main(argv=None) -> int:
         cfg = resolve_config(args.command, raw)
         out = Path(args.out) if args.out else Path(f"out_{args.command.replace('-', '_')}")
         return COMMANDS[args.command](cfg, out, args.seed)
-    except ValidationError as exc:
+    except (ValidationError, OSError) as exc:   # an unreadable file is bad input too
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericsError as exc:

@@ -6,8 +6,9 @@ both run these functions, so the gate is exercised identically everywhere.
 
 Ground states come from one table, ``GROUND_STATES`` (three longdouble
 Pohozaev gates, five float64 cases), through one memo, ``ground_state(case)``;
-the blow-up runs on them are memoized alike (``collapse_trajectory(case)``
-takes its stop from ``COLLAPSE_THETA``).  ``@_experiment(name, budget_s)``
+the four blow-up runs behind criteria 6-11 come alike from one table,
+``TRAJECTORIES`` (each run's initial field and step policy), through one memo,
+``trajectory(run)``.  ``@_experiment(name, budget_s)``
 registers each experiment in ``REGISTRY``, times it, and builds its report
 from the ``(passed, details)`` it returns; a budget is recorded in the
 details and must be met to pass.
@@ -48,7 +49,7 @@ from .analysis import (
 )
 from .core import Field, grid_for, line_grid, make_params, radial_grid
 from .errors import ValidationError
-from .evolution import StepPolicy, evolve
+from .evolution import StepPolicy, Trajectory, evolve
 from .exact import SFamilyParams, s_profile, standing_wave
 from .ground_state import (
     GroundState, SolverOptions, c_of_Mm, gn_ratio, solve_ground_state,
@@ -104,9 +105,8 @@ GROUND_STATES = {
     "radial2_intercritical": (2, 1.0, 0.5, 12.0, 8192, np.float64),
 }
 POHOZAEV_CASES = ("line_mass_critical", "radial2_mass_critical", "radial3_intercritical")
-# ground-state case -> resolution stop theta of its 1.05 Q collapse
-COLLAPSE_THETA = {"quintic": 0.15, "line_b": 0.10}
 CORPUS_TRIALS = 1000      # random fields per inequality corpus
+S_FAMILY = SFamilyParams(T=1.0, lam=1.0, gamma=0.0)   # the tracked minimal-mass profile
 
 
 @lru_cache(maxsize=None)
@@ -117,45 +117,44 @@ def ground_state(case: str) -> GroundState:
     return solve_ground_state(params, grid_for(params, extent, n), SolverOptions(dtype=dtype))
 
 
-@lru_cache(maxsize=None)
-def s_family_trajectory():
-    """Evolution of the minimal-mass profile S_{T=1, lam=1, gamma=0} from t=0
-    on the quintic line (n=16384), stopped while the core is resolved."""
-    gs = ground_state("quintic_tracking")
-    u0 = s_profile(SFamilyParams(T=1.0, lam=1.0, gamma=0.0), gs, 0.0)
-    policy = StepPolicy(
-        dt0=2.5e-4, c_dt=1.25e-3, theta=0.039,
-        sample_every=20, snapshot_every=40, t_end=5.0,
-    )
-    return evolve(u0, policy)
-
-
-@lru_cache(maxsize=None)
-def collapse_trajectory(case: str):
-    """1.05 Q for a ``COLLAPSE_THETA`` line case: negative-energy
-    mass-critical collapse (b = 0 quintic, or the singular weight b = 0.5)."""
+def _above_q(case: str) -> Field:
+    """1.05 Q of a line case: negative-energy mass-critical collapse."""
     gs = ground_state(case)
-    u0 = gs.profile.with_values(1.05 * gs.profile.values.astype(complex))
-    policy = StepPolicy(
-        dt0=5e-4, c_dt=5e-3, theta=COLLAPSE_THETA[case],
-        sample_every=10, snapshot_every=50, t_end=5.0,
-    )
-    return evolve(u0, policy)
+    return gs.profile.with_values(1.05 * gs.profile.values.astype(complex))
 
 
-@lru_cache(maxsize=None)
-def intercritical_trajectory():
-    """Radial N=2 intercritical collapse from a negative-energy Gaussian."""
+def _negative_energy_gaussian() -> Field:
+    """Radial N=2 intercritical Gaussian; its energy must be negative."""
     params = make_params(2, 1.0, 0.5)
     grid = radial_grid(2, 10.0, 2048, 0.5)
     u0 = Field(1.9 * np.exp(-grid.nodes ** 2 / 2).astype(complex), grid, params)
     if fn.energy(u0) >= 0:
         raise ValidationError("intercritical seed should have negative energy")
-    policy = StepPolicy(
-        dt0=5e-4, c_dt=5e-3, theta=0.20,
-        sample_every=10, snapshot_every=4, t_end=5.0,
-    )
-    return evolve(u0, policy)
+    return u0
+
+
+# run -> (initial field, StepPolicy keywords); each run stops at its
+# resolution limit theta, while the core is still resolved.
+_COLLAPSE = dict(dt0=5e-4, c_dt=5e-3, sample_every=10, t_end=5.0)
+TRAJECTORIES = {
+    "s_family_quintic": (
+        lambda: s_profile(S_FAMILY, ground_state("quintic_tracking"), 0.0),
+        dict(dt0=2.5e-4, c_dt=1.25e-3, theta=0.039, sample_every=20, snapshot_every=40, t_end=5.0),
+    ),
+    "quintic_collapse": (lambda: _above_q("quintic"),
+                         dict(_COLLAPSE, theta=0.15, snapshot_every=50)),
+    "inls_collapse": (lambda: _above_q("line_b"),
+                      dict(_COLLAPSE, theta=0.10, snapshot_every=50)),
+    "intercritical_radial": (_negative_energy_gaussian,
+                             dict(_COLLAPSE, theta=0.20, snapshot_every=4)),
+}
+
+
+@lru_cache(maxsize=None)
+def trajectory(run: str) -> Trajectory:
+    """The evolution of a ``TRAJECTORIES`` run."""
+    initial, policy = TRAJECTORIES[run]
+    return evolve(initial(), StepPolicy(**policy))
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +319,7 @@ def virial_gate(seed):
     details = {}
 
     # mass-critical: variance is exactly quadratic with curvature 16 E[u0]
-    traj = collapse_trajectory("quintic")
+    traj = trajectory("quintic_collapse")
     e0 = traj.energies()[0]
     ts, Vs, gnorms = traj.times(), traj.variances(), traj.grad_norms()
     resolved = gnorms <= gnorms[-1] / 2.0
@@ -338,7 +337,7 @@ def virial_gate(seed):
 
     # intercritical: pointwise second difference matches
     #   8 (N sigma + b) E - 4 (N sigma + b - 2) |grad u|^2
-    itraj = intercritical_trajectory()
+    itraj = trajectory("intercritical_radial")
     p = itraj.snapshots()[0].snapshot.params
     e0i = itraj.energies()[0]
     a = p.dim * p.sigma + p.b
@@ -360,17 +359,16 @@ def virial_gate(seed):
 def s_family_tracking(seed):
     """Criterion 7 (+10): minimal-mass family tracking and profile convergence."""
     gs = ground_state("quintic_tracking")
-    traj = s_family_trajectory()
-    fam = SFamilyParams(T=1.0, lam=1.0, gamma=0.0)
+    traj = trajectory("s_family_quintic")
     m_q = fn.mass(gs.profile)
 
     snaps = traj.snapshots()
     final = snaps[-1]
-    exact_final = s_profile(fam, gs, final.time)
+    exact_final = s_profile(S_FAMILY, gs, final.time)
     diff = final.snapshot.with_values(final.snapshot.values - exact_final.values)
     err_stop = math.sqrt(fn.mass(diff) / m_q)
 
-    mass_devs = [abs(fn.mass(s_profile(fam, gs, s.time)) - m_q) / m_q for s in snaps]
+    mass_devs = [abs(fn.mass(s_profile(S_FAMILY, gs, s.time)) - m_q) / m_q for s in snaps]
     fit = estimate_blowup_time(traj, gs.params.s_c)
 
     resc = [(s.time, rescaled_profile(s.snapshot, gs).err) for s in snaps]
@@ -404,7 +402,7 @@ def s_family_tracking(seed):
 def theorem1_mass_concentration(seed):
     """Criterion 8: mass concentration in shrinking windows."""
     gs = ground_state("line_b")
-    traj = collapse_trajectory("line_b")
+    traj = trajectory("inls_collapse")
     fit = estimate_blowup_time(traj, gs.params.s_c)
     series = mass_concentration_series(traj, 0.25, fit)
     m_q = fn.mass(gs.profile)
@@ -427,15 +425,11 @@ def theorem1_mass_concentration(seed):
 @_experiment("rate_bound")
 def rate_bound(seed):
     """Criterion 9: lower-bound rate exponents across the blow-up matrix."""
-    runs = {
-        "s_family_quintic": (s_family_trajectory(), 0.0),
-        "quintic_collapse": (collapse_trajectory("quintic"), 0.0),
-        "inls_collapse": (collapse_trajectory("line_b"), 0.0),
-        "intercritical_radial": (intercritical_trajectory(), 0.25),
-    }
     details = {}
     passed = True
-    for name, (traj, s_c) in runs.items():
+    for name in TRAJECTORIES:
+        traj = trajectory(name)
+        s_c = traj.snapshots()[0].snapshot.params.s_c
         fit = estimate_blowup_time(traj, s_c)
         bound = rate_exponent_bound(s_c)
         details[name] = {"exponent": fit.exponent, "bound": bound, "T_hat": fit.T_hat}
@@ -446,7 +440,7 @@ def rate_bound(seed):
 @_experiment("sigma_c_concentration", budget_s=300.0)
 def sigma_c_concentration(seed):
     """Criterion 11: critical-norm window floors."""
-    traj = intercritical_trajectory()
+    traj = trajectory("intercritical_radial")
     p = traj.snapshots()[0].snapshot.params
     fit = estimate_blowup_time(traj, p.s_c)
     fint = sigma_c_window_series(traj, fit, "fint")

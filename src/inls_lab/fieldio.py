@@ -1,5 +1,6 @@
 """On-disk formats: binary fields, grid/params manifests, trajectory CSV.
-The readers raise ValidationError on malformed content.
+The readers raise ValidationError on malformed content, text that is not
+UTF-8 included; a file that cannot be read at all raises its OSError.
 
 Field binary layout (little endian): 32-byte header = 8-byte magic
 "INLSFLD1", u64 node count, 8-byte geometry tag ("line" / "radial", zero
@@ -34,13 +35,15 @@ def read_field_values(path) -> tuple[np.ndarray, str]:
     if len(raw) < 32 or raw[:8] != MAGIC:
         raise ValidationError(f"{path}: not a field binary (bad magic)")
     (n,) = struct.unpack("<Q", raw[8:16])
-    tag = raw[16:24].rstrip(b"\0").decode()
+    tag = raw[16:24].rstrip(b"\0")
+    if tag not in (b"line", b"radial"):
+        raise ValidationError(f"{path}: unknown geometry tag {tag!r}")
     expected = 32 + 16 * n
     if len(raw) != expected:
         raise ValidationError(f"{path}: expected {expected} bytes for n={n}, got {len(raw)}")
     # the (re, im) pairs read as complex directly: summing re + 1j*im would
     # turn -0.0 into 0.0 and an infinite imaginary part into a NaN real part
-    return np.frombuffer(raw, dtype="<c16", offset=32).astype(complex), tag
+    return np.frombuffer(raw, dtype="<c16", offset=32).astype(complex), tag.decode()
 
 
 def read_field(path, grid: Grid, params: ProblemParams) -> Field:
@@ -69,10 +72,19 @@ def write_manifest(path, params: ProblemParams, grid: Grid, **extra) -> None:
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
+def read_text(path) -> str:
+    """The UTF-8 text in ``path``; bytes that do not decode are bad input."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text ({exc})") from exc
+
+
 def _read_json(path):
     """The JSON document in ``path``; text that is not JSON is bad input."""
+    text = read_text(path)
     try:
-        return json.loads(Path(path).read_text())
+        return json.loads(text)
     except ValueError as exc:
         raise ValidationError(f"{path}: not a JSON document ({exc})") from exc
 
@@ -128,7 +140,7 @@ def trajectory_to_csv(traj: Trajectory, path) -> None:
 
 
 def trajectory_from_csv(path) -> Trajectory:
-    text = Path(path).read_text().strip().splitlines()
+    text = read_text(path).strip().splitlines()
     if not text or text[0].split(",") != list(CSV_COLUMNS):
         raise ValidationError(f"{path}: unexpected trajectory CSV header")
     traj = Trajectory()
@@ -178,7 +190,7 @@ def attach_snapshots(traj: Trajectory, snap_dir, grid: Grid, params: ProblemPara
 
 
 __all__ = [
-    "MAGIC", "CSV_COLUMNS",
+    "MAGIC", "CSV_COLUMNS", "read_text",
     "write_field", "read_field", "read_field_values",
     "manifest_dict", "write_manifest", "read_manifest", "params_grid_from_manifest",
     "trajectory_to_csv", "trajectory_from_csv",

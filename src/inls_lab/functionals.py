@@ -15,6 +15,8 @@ import numpy as np
 from .core import Field, grad_norm_sq_values, gradient_values
 from .errors import ValidationError
 
+BOUNDARY_SHELL = 0.1    # outer fraction of the extent that boundary_mass_fraction reads
+
 
 def mass(u: Field) -> float:
     """L2 mass integral of |u|^2."""
@@ -61,10 +63,10 @@ def radial_momentum(u: Field) -> float:
     return float(np.sum(np.imag(integrand) * u.grid.weights))
 
 
-def boundary_mass_fraction(u: Field, shell: float = 0.1) -> float:
-    """Fraction of the mass within the outer ``shell`` of the domain."""
+def boundary_mass_fraction(u: Field) -> float:
+    """Fraction of the mass in the outer ``BOUNDARY_SHELL`` of the domain."""
     x = np.abs(u.grid.nodes)
-    cutoff = (1.0 - shell) * u.grid.extent
+    cutoff = (1.0 - BOUNDARY_SHELL) * u.grid.extent
     m = np.abs(u.values) ** 2 * u.grid.weights
     total = m.sum()
     return float(m[x >= cutoff].sum() / total) if total > 0 else 0.0

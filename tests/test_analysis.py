@@ -209,10 +209,10 @@ def test_mollify_radial_matches_angular_reference(dim, rho):
 def test_mass_concentration_on_family_trajectory():
     """Windows along the minimal-mass family capture essentially the whole
     ground-state mass, approaching it from below."""
-    from inls_lab.experiments import ground_state, s_family_trajectory
+    from inls_lab.experiments import ground_state, trajectory
 
     gs = ground_state("quintic_tracking")
-    traj = s_family_trajectory()
+    traj = trajectory("s_family_quintic")
     fit = estimate_blowup_time(traj, gs.params.s_c)
     series = mass_concentration_series(traj, 0.25, fit)
     m_q = fn.mass(gs.profile)

@@ -175,9 +175,16 @@ def test_analyze_without_trajectory_exit_2(tmp_path, capsys):
 
 
 def _rewrite(*names_and_texts):
+    """Overwrite run files with text (str) or raw bytes."""
     def corrupt(run):
         for name, text in zip(names_and_texts[::2], names_and_texts[1::2]):
-            (run / name).write_text(text)
+            (run / name).write_bytes(text if isinstance(text, bytes) else text.encode())
+    return corrupt
+
+
+def _remove(name):
+    def corrupt(run):
+        (run / name).unlink()
     return corrupt
 
 
@@ -192,6 +199,8 @@ HEADER, ROW = ",".join(CSV_COLUMNS), "0.0,0.001,1.0,0.5,1.0,1.0,0.0"
 # |grad u|^2 = 1/(1 - t), sampled toward t = 1: a trajectory analyze can fit
 FITTABLE = "".join(f"{1 - 2 ** (-i / 4)!r},0.001,1.0,0.5,{2 ** (i / 4)!r},1.0,0.0\n"
                    for i in range(40))
+# a field binary of the right size for n = 256 whose geometry tag is not ASCII
+BAD_TAG_FLD = b"INLSFLD1" + (256).to_bytes(8, "little") + b"lin\xe9" + bytes(12 + 16 * 256)
 
 
 @pytest.mark.parametrize("command, corrupt", [
@@ -214,7 +223,19 @@ FITTABLE = "".join(f"{1 - 2 ** (-i / 4)!r},0.001,1.0,0.5,{2 ** (i / 4)!r},1.0,0.
                  id="snapshots-without-trajectory-rows"),
     pytest.param("analyze", _rewrite("trajectory.csv", f"{HEADER}\n{ROW}\n"),
                  id="trajectory-too-short-to-fit"),
+    pytest.param("analyze", _remove("snapshots/snapshots.json"), id="snapshot-index-missing"),
+    pytest.param("analyze", _rewrite("snapshots/snapshots.json", '[{"file": "no.fld", "time": 0}]'),
+                 id="snapshot-file-missing"),
+    pytest.param("analyze", _rewrite("snapshots/snapshots.json", '[{"file": ".", "time": 0}]'),
+                 id="snapshot-file-is-directory"),
+    pytest.param("analyze", _rewrite("trajectory.csv", f"{HEADER}\n{ROW}\n".encode() + b"\xff"),
+                 id="trajectory-not-utf8"),
+    pytest.param("analyze", _rewrite("snapshots/s.fld", BAD_TAG_FLD, "snapshots/snapshots.json",
+                                     '[{"file": "s.fld", "time": 0}]'),
+                 id="snapshot-tag-not-ascii"),
     pytest.param("evolve", _rewrite("u0.fld", "INLSFLD1 but not a field"), id="evolve-bad-fld"),
+    pytest.param("evolve", _rewrite("u0.fld", BAD_TAG_FLD), id="evolve-fld-tag-not-ascii"),
+    pytest.param("evolve", _remove("u0.fld"), id="evolve-fld-missing"),
 ])
 def test_malformed_run_input_exit_2(tmp_path, capsys, command, corrupt):
     """A malformed or unusable run input exits 2 before the output directory exists.
@@ -237,6 +258,37 @@ def test_malformed_run_input_exit_2(tmp_path, capsys, command, corrupt):
     assert main([command, "--config", cfg, "--out", str(out)]) == 2
     assert "error:" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_out_naming_a_file_exit_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path / "gs.cfg", dim=1, sigma=2.0, b=0.0, extent=16.0, n=256)
+    out = tmp_path / "taken"
+    out.write_text("keep\n")
+    assert main(["ground-state", "--config", cfg, "--out", str(out)]) == 2
+    assert "taken" in capsys.readouterr().err
+    assert out.read_text() == "keep\n"
+
+
+def test_config_not_utf8_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes("dim = 1  # d\u00e9j\u00e0\n".encode("latin-1"))
+    out = tmp_path / "x"
+    assert main(["ground-state", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "latin1.cfg" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_manifest_git_hash_is_the_package_checkout(tmp_path, monkeypatch):
+    """The manifest records the commit of the code that ran, also when the run
+    starts outside the checkout."""
+    pkg = Path(inls_lab.__file__).resolve().parent
+    head = subprocess.run(["git", "-C", str(pkg), "rev-parse", "HEAD"],
+                          capture_output=True, text=True, timeout=30)
+    monkeypatch.chdir(tmp_path)
+    cfg = write_cfg(tmp_path / "gs.cfg", dim=1, sigma=2.0, b=0.0, extent=16.0, n=256)
+    assert main(["ground-state", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+    manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+    assert manifest["git_hash"] == (head.stdout.strip() if head.returncode == 0 else "unknown")
 
 
 def test_reproduce_unknown_name_exit_2(tmp_path, capsys):

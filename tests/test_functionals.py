@@ -126,6 +126,18 @@ def test_radial_momentum_matches_variance_rate(quintic_gs):
     assert 4 * mom == pytest.approx(dv, rel=1e-3)
 
 
+def test_boundary_mass_fraction_uniform_and_zero():
+    """A uniform field puts its share of the cells in the outer shell; the zero
+    field reads 0."""
+    params = make_params(1, 2.0, 0.0)
+    grid = line_grid(16.0, 256)     # nodes at the odd multiples of dx/2 = 1/16
+    assert fn.BOUNDARY_SHELL == 0.1
+    # |x| >= 0.9 * 16 = 14.4 holds for the 13 outermost cells on each side
+    uniform = Field(np.full(grid.n, 2.0 + 0j), grid, params)
+    assert fn.boundary_mass_fraction(uniform) == 26 / 256
+    assert fn.boundary_mass_fraction(uniform.with_values(0 * uniform.values)) == 0.0
+
+
 def test_concentrated_mass_full_window(mc_line, rng):
     params, grid = mc_line
     u = random_bump_field(params, grid, rng)
