@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
+import math
 import subprocess
 import sys
 from dataclasses import fields
@@ -97,11 +98,12 @@ def _defaults(obj, **casts) -> dict:
 
 DTYPES = {t.__name__: t for t in (np.float64, np.longdouble)}
 _positive = _checked(float, lambda v: v > 0, "must be positive")
+_finite_positive = _checked(float, lambda v: 0 < v < math.inf, "must be finite and positive")
 _count = _checked(integral, lambda v: v >= 1, "must be at least 1")
 
 # Per subcommand, every key it reads: key -> (cast, default).  A key without a
 # default is required; any key not listed is a typo or belongs elsewhere.
-_GRID = {"dim": (integral,), "sigma": (float,), "b": (float,), "extent": (float,),
+_GRID = {"dim": (integral,), "sigma": (float,), "b": (float,), "extent": (_finite_positive,),
          "n": (integral,)}
 _FAMILY = {"family_T": (_positive, 1.0), "family_lambda": (_positive, 1.0),
            "family_gamma": (float, SFamilyParams.gamma)}
@@ -117,7 +119,9 @@ SCHEMAS = {
                     sample_every=integral, snapshot_every=integral),
     },
     "analyze": {
-        "run_dir": (str,), "alpha": (float, 0.25), "mode": (_one_of(*WINDOW_MODES), "fint"),
+        "run_dir": (str,),
+        "alpha": (_checked(float, lambda v: 0 < v < 0.5, "must lie in (0, 1/2)"), 0.25),
+        "mode": (_one_of(*WINDOW_MODES), "fint"),
         **_defaults(sigma_c_window_series, c0=_positive, c0_tilde=_positive),
     },
     "verify": {**_GRID, "trials": (_count, 1000)},
@@ -324,6 +328,9 @@ def cmd_verify(cfg, out, seed):
 def cmd_exact(cfg, out, seed):
     params, grid = _params_grid(cfg)
     family = SFamilyParams(cfg["family_T"], cfg["family_lambda"], cfg["family_gamma"])
+    if not all(t < family.T for t in cfg["times"]):
+        raise ValidationError(f"config: 'times' must all precede family_T = {family.T}, "
+                              f"got {cfg['times']}")
     _setup(cfg, out, params, grid, "exact")
     gs = solve_ground_state(params, grid)
     for i, t in enumerate(cfg["times"]):

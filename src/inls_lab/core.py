@@ -18,8 +18,10 @@ second-order accurate despite the singularity.
 The operator layer (the differential primitives below) is the only code that
 knows the two discretizations; its Laplacian and gradient quadrature are
 summation-by-parts companions.  Each grid lazily caches what the operators
-reuse (k, k^2 and Laplacian bands per dtype, the factorization of 1 - Lap,
-the last-dt linear propagator) for exactly as long as the grid lives.
+reuse (k, k^2 and Laplacian bands per dtype, the float64 factorization of
+1 - Lap, the last-dt linear propagator) for exactly as long as the grid lives.
+Operators work in the dtype of their input, except the Helmholtz solve,
+which is float64 for any rhs.
 """
 
 from __future__ import annotations
@@ -102,8 +104,8 @@ def make_params(dim: int, sigma: float, b: float) -> ProblemParams:
     """
     if not isinstance(dim, (int, np.integer)) or dim < 1:
         raise ValidationError(f"dim must be a positive integer, got {dim!r}")
-    if not sigma > 0:
-        raise ValidationError(f"sigma must be > 0, got {sigma!r}")
+    if not 0 < sigma < math.inf:
+        raise ValidationError(f"sigma must be finite and > 0, got {sigma!r}")
     b = float(b)
     sigma = float(sigma)
     if b < 0 or (b != 0.0 and b >= min(2.0, dim)):
@@ -177,8 +179,8 @@ class Grid:
 
 def line_grid(half_width: float, n: int, b: float = 0.0) -> Grid:
     """Periodized line [-L, L] with n cell-centered nodes (dim = 1)."""
-    if half_width <= 0 or n < 8:
-        raise ValidationError(f"need half_width > 0 and n >= 8, got {half_width}, {n}")
+    if not (0 < half_width < math.inf and n >= 8):
+        raise ValidationError(f"need finite half_width > 0 and n >= 8, got {half_width}, {n}")
     if not 0.0 <= b < 1.0:
         raise ValidationError(f"line geometry needs 0 <= b < 1 for integrability, got b={b}")
     dx = 2.0 * half_width / n
@@ -194,8 +196,8 @@ def radial_grid(dim: int, rmax: float, n: int, b: float = 0.0) -> Grid:
     """Radial shells on (0, Rmax] for dim >= 2 with exact volume weights."""
     if dim < 2:
         raise ValidationError("radial geometry requires dim >= 2 (use line_grid for dim=1)")
-    if rmax <= 0 or n < 8:
-        raise ValidationError(f"need rmax > 0 and n >= 8, got {rmax}, {n}")
+    if not (0 < rmax < math.inf and n >= 8):
+        raise ValidationError(f"need finite rmax > 0 and n >= 8, got {rmax}, {n}")
     if not 0.0 <= b < dim:
         raise ValidationError(f"need 0 <= b < dim for integrability, got b={b}")
     dr = rmax / n
@@ -381,23 +383,19 @@ def gradient_values(grid: Grid, values: np.ndarray) -> np.ndarray:
 
 
 def helmholtz_solve(grid: Grid, rhs: np.ndarray) -> np.ndarray:
-    """Solve (1 - Laplacian) u = rhs.
+    """Solve (1 - Laplacian) u = rhs in float64, for any rhs dtype.
 
     The Fourier multiplier 1/(1 + k^2) on the line; radially a tridiagonal
-    LAPACK solve with the grid's cached float64 factorization.  When the rhs
-    dtype is wider than float64 (longdouble), a single iterative-refinement
-    pass in that dtype recovers its extended-precision accuracy.
+    LAPACK solve with the grid's cached factorization.  A longdouble rhs is
+    rounded to float64 (complex128), and so is the result.
     """
+    rhs = np.asarray(rhs, dtype=np.complex128 if np.iscomplexobj(rhs) else np.float64)
     if grid.geometry == "line":
-        return _apply_symbol(1.0 / (1.0 + _wavenumbers_sq(grid, rhs.real.dtype)), rhs)
+        return _apply_symbol(1.0 / (1.0 + _wavenumbers_sq(grid, np.float64)), rhs)
     if np.iscomplexobj(rhs):
         return helmholtz_solve(grid, rhs.real) + 1j * helmholtz_solve(grid, rhs.imag)
     lu = _cached(grid, "helmholtz", lambda: _factor_one_minus_zlap(grid, 1.0))
-    x0 = _tridiag_solve(lu, rhs).astype(rhs.dtype)
-    if np.finfo(rhs.dtype).eps >= np.finfo(np.float64).eps:
-        return x0
-    resid = rhs - (x0 - apply_radial_lap(grid, x0))
-    return x0 + _tridiag_solve(lu, resid).astype(rhs.dtype)
+    return _tridiag_solve(lu, rhs)
 
 
 def _build_propagator(grid: Grid, dt: float):

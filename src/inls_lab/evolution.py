@@ -50,8 +50,11 @@ class StepPolicy:
     snapshot_every: int | None = None   # keep a field copy every k samples
 
     def __post_init__(self):
-        if self.dt0 <= 0 or self.c_dt <= 0 or self.theta <= 0:
-            raise ValidationError("dt0, c_dt, theta must all be positive")
+        if not 0 < self.dt0 < math.inf:
+            raise ValidationError(f"dt0 must be finite and positive, got {self.dt0}")
+        if not (self.c_dt > 0 and self.theta > 0):
+            raise ValidationError(
+                f"c_dt and theta must be positive, got {self.c_dt}, {self.theta}")
         if self.t_end is not None and not self.t_end > 0:
             raise ValidationError(f"t_end must be positive, got {self.t_end}")
         if self.sample_every < 1 or (self.snapshot_every is not None and self.snapshot_every < 1):

@@ -18,9 +18,9 @@ Tuning notes baked into the configurations below:
 * The deep Pohozaev gates finish in extended precision: at n ~ 2.6e5 the
   float64 evaluation of the elliptic residual is rounding-floor limited
   (~eps/dx^2), while the dilation identity needs that much resolution.  The
-  solver reaches that floor in float64 and polishes only the last few
-  iterations in longdouble (about three quarters of the iterations of each
-  gate run in float64; the reports record both counts).
+  solver reaches that floor in float64 and runs only the remaining
+  iterations in longdouble (most of each gate's iterations run in float64;
+  the reports record both counts).
 * Conservation, splitting-order, family-tracking, and the quadratic-virial
   gates run on the b = 0 mass-critical member (quintic line soliton), where
   Strang splitting retains its clean second order.  With b > 0 the

@@ -13,16 +13,17 @@ Deep grids push the float64 evaluation of Lap(Q) against its rounding floor
 (~ eps / dx^2), so the solver optionally finishes in extended precision;
 ``dtype=np.longdouble`` keeps the residual diagnostic meaningful down to
 ~1e-11 at n ~ 3e5.  Such a solve is a two-phase continuation: it iterates in
-float64 until the step norm reaches ``FLOAT64_STEP_TOL`` or stops shrinking
-(the float64 floor), then casts the iterate and polishes it in longdouble
-down to ``STEP_TOL``.  The stabilized map converges to the same fixed point
-from any nearby start (Pelinovsky & Stepanyants, SIAM J. Numer. Anal. 42,
-2004), so the float64 phase changes only the path to Q, and most iterations
-run at float64 speed.  The dtype of the iterate is the one precision
-decision: the Helmholtz solve refines itself when its rhs is wider than
-float64, and the residual and the Pohozaev residuals are taken on the
-longdouble iterate.  A float64 solve is the float64 phase alone, run to
-``STEP_TOL``.
+float64 until the step norm stops shrinking (the float64 floor), then casts
+the iterate and continues in longdouble down to ``STEP_TOL``.  The stabilized
+map converges to the same fixed point from any nearby start (Pelinovsky &
+Stepanyants, SIAM J. Numer. Anal. 42, 2004), so the float64 phase changes only
+the path to Q, and most iterations run at float64 speed.  Each iteration takes
+the map in defect-correction form, Q <- S^gamma (Q + (1 - Lap)^-1 F(Q)) with
+F(Q) = Lap Q - Q + W Q^p (the same map in exact arithmetic): F, the residual
+and the Pohozaev residuals are taken at the precision of the iterate, and the
+small correction is one float64 solve (iterative refinement in two
+precisions, Carson & Higham, SIAM J. Sci. Comput. 40, 2018).  A float64 solve
+is the float64 phase alone, run to ``STEP_TOL``.
 """
 
 from __future__ import annotations
@@ -68,7 +69,6 @@ class SolverOptions:
 
 STEP_TOL = 1e-12        # L2 distance between successive iterates
 RESIDUAL_TOL = 1e-8     # relative to ||Q||_L2
-FLOAT64_STEP_TOL = 1e-9  # a wider solve leaves its float64 phase here at the latest
 
 
 def solve_ground_state(
@@ -88,22 +88,17 @@ def solve_ground_state(
         raise ValidationError("grid geometry does not match params.dim")
     # a wider dtype continues the float64 phase; max_iter bounds both together
     wide = np.dtype(opts.dtype) != np.float64
-    Q, it, converged = _petviashvili(
-        params, grid, np.exp(-(grid.nodes ** 2) / 2.0),
-        FLOAT64_STEP_TOL if wide else STEP_TOL, opts.max_iter, until_stall=wide,
-    )
+    Q, it, converged = _petviashvili(params, grid, np.exp(-(grid.nodes ** 2) / 2.0),
+                                     opts.max_iter, until_stall=wide)
     float64_iterations = it
     if wide:
-        Q = Q.astype(opts.dtype)
-        Q, it_wide, converged = _petviashvili(params, grid, Q, STEP_TOL, opts.max_iter - it)
+        Q, it_wide, converged = _petviashvili(
+            params, grid, Q.astype(opts.dtype), opts.max_iter - it)
         it += it_wide
 
-    dt = Q.dtype.type
-    w = grid.weights.astype(dt)
-    W = grid.weight_b.astype(dt)
-    p = 2.0 * params.sigma + 1.0
+    w = grid.weights.astype(Q.dtype)
     norm = float(np.sqrt(np.sum(Q ** 2 * w)))
-    res = float(np.sqrt(np.sum((laplacian_values(grid, Q) - Q + W * Q ** p) ** 2 * w)))
+    res = float(np.sqrt(np.sum(_defect(params, grid, Q)[1] ** 2 * w)))
     if not converged or res > RESIDUAL_TOL * norm:
         raise ConvergenceError(
             f"ground state did not converge in {it} iterations "
@@ -127,26 +122,30 @@ def solve_ground_state(
     )
 
 
+def _defect(params: ProblemParams, grid: Grid, Q: np.ndarray):
+    """Lap Q and the defect F(Q) = Lap Q - Q + W Q^p of the ground-state
+    equation, both at the precision of ``Q``."""
+    lap = laplacian_values(grid, Q)
+    return lap, lap - Q + grid.weight_b.astype(Q.dtype) * Q ** (2.0 * params.sigma + 1.0)
+
+
 def _petviashvili(
-    params: ProblemParams, grid: Grid, Q: np.ndarray, tol: float, max_iter: int,
-    until_stall: bool = False,
+    params: ProblemParams, grid: Grid, Q: np.ndarray, max_iter: int, until_stall: bool = False,
 ) -> tuple[np.ndarray, int, bool]:
     """Petviashvili iteration at the precision of ``Q``.
 
     Returns the last iterate, the iterations taken and whether the L2 step
-    norm fell below ``tol``; ``until_stall`` also stops at the first step
+    norm fell below ``STEP_TOL``; ``until_stall`` also stops at the first step
     that does not shrink.
     """
-    dt = Q.dtype.type
-    w = grid.weights.astype(dt)
-    W = grid.weight_b.astype(dt)
-    p = 2.0 * params.sigma + 1.0
-    gamma = dt(p) / dt(2.0 * params.sigma)
+    w = grid.weights.astype(Q.dtype)
+    gamma = Q.dtype.type(2.0 * params.sigma + 1.0) / Q.dtype.type(2.0 * params.sigma)
     last = math.inf
     for it in range(1, max_iter + 1):
-        rhs = W * Q ** p
-        num = np.sum((Q - laplacian_values(grid, Q)) * Q * w)
-        den = np.sum(rhs * Q * w)
+        lap, F = _defect(params, grid, Q)
+        num = np.sum((Q - lap) * Q * w)      # <(1 - Lap) Q, Q>
+        den = num + np.sum(F * Q * w)        # <W Q^p, Q>
+        del lap                              # not held through the update's temporaries
         if den <= 0:
             raise NumericsError("Petviashvili denominator collapsed to zero")
         s_factor = num / den
@@ -154,13 +153,12 @@ def _petviashvili(
             raise NumericsError(
                 f"Petviashvili stabilizing factor diverged: S={float(s_factor):.3e}"
             )
-        Qn = s_factor ** gamma * helmholtz_solve(grid, rhs)
-        Qn = np.abs(Qn)
+        Qn = np.abs(s_factor ** gamma * (Q + helmholtz_solve(grid, F)))
         if grid.geometry == "line":
             Qn = 0.5 * (Qn + Qn[::-1])
         diff = float(np.sqrt(np.sum((Qn - Q) ** 2 * w)))
         Q = Qn
-        if diff < tol:
+        if diff < STEP_TOL:
             return Q, it, True
         if until_stall and diff >= last:
             return Q, it, False

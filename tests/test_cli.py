@@ -381,7 +381,11 @@ def solve_calls(monkeypatch):
     ("ground-state", "n", 256.7),
     ("ground-state", "dim", 1.9),
     ("ground-state", "dim", True),
+    ("ground-state", "extent", "nan"),
+    ("ground-state", "extent", "inf"),
+    ("ground-state", "sigma", "inf"),
     ("exact", "times", "0.1,abc"),
+    ("exact", "times", "0.2,1.5"),
     ("exact", "family_T", 0),
     ("evolve", "sample_every", 0),
     ("evolve", "initial", "bogus"),
@@ -389,9 +393,17 @@ def solve_calls(monkeypatch):
                  id="evolve-dt0-ground_state_multiple"),
     pytest.param("evolve", "initial_path", {"initial": "file"}, id="evolve-initial_path-missing"),
     ("evolve", "t_end", -1),
+    ("evolve", "dt0", "nan"),
+    ("evolve", "dt0", "inf"),
+    ("evolve", "c_dt", "nan"),
+    pytest.param("evolve", "theta", {"theta": "nan", "t_end": None},
+                 id="evolve-theta-nan-no-t_end"),
     ("verify", "trials", 0),
     ("verify", "trials", -5),
     ("analyze", "c0_tilde", -1),
+    ("analyze", "alpha", 0.7),
+    ("analyze", "alpha", "nan"),
+    ("analyze", "alpha", 0),
 ])
 def test_malformed_value_exit_2(tmp_path, capsys, solve_calls, command, key, value):
     """A bad config exits 2 naming the key, before any solve or output directory."""
@@ -401,7 +413,7 @@ def test_malformed_value_exit_2(tmp_path, capsys, solve_calls, command, key, val
     if command == "analyze":
         kv = dict(run_dir=str(tmp_path))
     kv.update(value if isinstance(value, dict) else {key: value})
-    cfg = write_cfg(tmp_path / "bad.cfg", **kv)
+    cfg = write_cfg(tmp_path / "bad.cfg", **{k: v for k, v in kv.items() if v is not None})
     out = tmp_path / "x"
     rc = main([command, "--config", cfg, "--out", str(out)])
     assert rc == 2

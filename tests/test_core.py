@@ -61,6 +61,18 @@ def test_grid_validation():
         radial_grid(2, -1.0, 256)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: line_grid(math.nan, 256),
+    lambda: line_grid(math.inf, 256),
+    lambda: radial_grid(2, math.nan, 256),
+    lambda: radial_grid(2, math.inf, 256),
+    lambda: make_params(1, math.inf, 0.5),
+], ids=["line-nan", "line-inf", "radial-nan", "radial-inf", "sigma-inf"])
+def test_non_finite_grid_and_params_rejected(build):
+    with pytest.raises(ValidationError):
+        build()
+
+
 def test_spectral_laplacian_annihilates_constants():
     params = make_params(1, 2.0, 0.0)
     g = line_grid(10.0, 512)

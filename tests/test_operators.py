@@ -13,6 +13,7 @@ from inls_lab.core import (
     radial_grid,
 )
 from inls_lab.evolution import step
+from inls_lab.ground_state import SolverOptions, solve_ground_state
 from inls_lab.inequalities import random_bump_field
 
 SETUPS = {
@@ -47,15 +48,17 @@ def test_summation_by_parts(geometry, kind, seed):
 
 
 @settings(max_examples=40, deadline=None)
-@given(dtype=st.sampled_from([np.float64, np.longdouble]), **cases)
-def test_helmholtz_round_trip(geometry, kind, seed, dtype):
+@given(**cases)
+def test_helmholtz_round_trip(geometry, kind, seed):
     u = bump(geometry, seed, kind)
     g = u.grid
-    v = u.values.astype(np.result_type(u.values.dtype, dtype))
+    v = u.values
     back = helmholtz_solve(g, v - laplacian_values(g, v))
     assert back.dtype == v.dtype
-    tol = 1e-12 if dtype is np.float64 else 1e-15   # a longdouble rhs is refined past float64
-    assert np.max(np.abs(back - v)) <= tol * np.max(np.abs(v))
+    assert np.max(np.abs(back - v)) <= 1e-12 * np.max(np.abs(v))
+    # a longdouble rhs is solved as its float64 rounding, bit for bit
+    wide = v.astype(np.result_type(v.dtype, np.longdouble)) / 3
+    assert np.array_equal(helmholtz_solve(g, wide), helmholtz_solve(g, wide.astype(v.dtype)))
 
 
 @settings(max_examples=30, deadline=None)
@@ -74,9 +77,10 @@ def test_real_input_is_the_real_part_of_its_complex_cast(geometry, seed, dtype):
     complex cast, and the result is the real part of that, bit for bit."""
     u = bump(geometry, seed, "real")
     v = u.values.astype(dtype)
-    for op in (laplacian_values, gradient_values, helmholtz_solve):
+    for op, out_dtype in ((laplacian_values, v.dtype), (gradient_values, v.dtype),
+                          (helmholtz_solve, np.float64)):   # a float64 solve for any rhs
         out = op(u.grid, v)
-        assert out.dtype == v.dtype
+        assert out.dtype == out_dtype
         assert np.array_equal(out, op(u.grid, v.astype(np.result_type(v, np.complex64))).real)
 
 
@@ -130,6 +134,16 @@ def test_helmholtz_factorizes_once_per_grid(monkeypatch):
     assert np.array_equal(helmholtz_solve(g, rhs), first)
     helmholtz_solve(g, rhs.astype(np.longdouble))
     assert len(calls) == 1
+
+
+def test_longdouble_ground_state_solves_once_per_iteration(monkeypatch):
+    """The longdouble phase refines in the Petviashvili update, not in the
+    Helmholtz solve: one float64 tridiagonal solve per iteration."""
+    calls = _count_calls(monkeypatch, "dgttrs")
+    gs = solve_ground_state(make_params(2, 0.75, 0.5), radial_grid(2, 14.0, 2048, 0.5),
+                            SolverOptions(dtype=np.longdouble))
+    assert gs.longdouble_iterations > 0
+    assert len(calls) == gs.iterations
 
 
 def test_propagator_factorizes_once_per_step_size(monkeypatch):
