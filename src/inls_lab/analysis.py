@@ -198,11 +198,8 @@ def _mollify_line(u1: np.ndarray, grid, rho: float) -> np.ndarray:
     n, dx = grid.n, grid.spacing
     m = np.arange(n)
     disp = ((m + n // 2) % n - n // 2) * dx   # fft-ordered displacements
-    kern = _bump((rho * disp) ** 2)
-    total = kern.sum()
-    if total <= 0:  # kernel narrower than one cell: discrete identity
-        return u1.copy()
-    return _apply_symbol(_spectrum(kern / total), u1)
+    kern = _bump((rho * disp) ** 2)     # includes displacement 0, so the sum is >= 1
+    return _apply_symbol(_spectrum(kern / kern.sum()), u1)
 
 
 _ANGLE_NODES = 8       # Gauss-Legendre nodes on the bump's angular support

@@ -105,16 +105,17 @@ _count = _checked(integral, lambda v: v >= 1, "must be at least 1")
 # default is required; any key not listed is a typo or belongs elsewhere.
 _GRID = {"dim": (integral,), "sigma": (float,), "b": (float,), "extent": (_finite_positive,),
          "n": (integral,)}
-_FAMILY = {"family_T": (_positive, 1.0), "family_lambda": (_positive, 1.0),
+_FAMILY = {"family_T": (_finite_positive, 1.0), "family_lambda": (_finite_positive, 1.0),
            "family_gamma": (float, SFamilyParams.gamma)}
 SCHEMAS = {
     "ground-state": {**_GRID, "dtype": (_one_of(*DTYPES), SolverOptions.dtype.__name__),
-                     **_defaults(SolverOptions, max_iter=integral)},
+                     **_defaults(SolverOptions, max_iter=_count)},
     "evolve": {
         **_GRID, **_FAMILY,
         "initial": (_one_of("ground_state_multiple", "gaussian", "s_family", "file"),),
         "initial_c": (float, 1.0), "initial_amplitude": (float, 1.0),
-        "initial_width": (float, 1.0), "initial_path": (str, None), "family_t0": (float, 0.0),
+        "initial_width": (_finite_positive, 1.0), "initial_path": (str, None),
+        "family_t0": (float, 0.0),
         **_defaults(StepPolicy, dt0=float, c_dt=float, t_end=float, theta=float,
                     sample_every=integral, snapshot_every=integral),
     },

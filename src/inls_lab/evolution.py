@@ -14,7 +14,9 @@ is invariant under the potential flow, the trailing half kick of step n and
 the leading half kick of step n+1 merge exactly into one kick of
 (dt_n + dt_{n+1})/2, so a step costs one kick and one linear flow.  The owed
 half kick is paid only where a full Strang state is needed: at each sample,
-at the final state, and before a stop is decided.
+at the final state, and before a stop is decided.  Each of those states is
+recorded on one path, inside the loop: a sample every ``sample_every`` steps
+and the terminal state, once, with a snapshot whenever any are requested.
 
 Step size: dt = min(dt0, c_dt / G) with G = |grad u|^2 (the parabolic scaling
 of the collapse), snapped down to the ladder dt0 * 2^(-j/16) and clamped so
@@ -55,8 +57,8 @@ class StepPolicy:
         if not (self.c_dt > 0 and self.theta > 0):
             raise ValidationError(
                 f"c_dt and theta must be positive, got {self.c_dt}, {self.theta}")
-        if self.t_end is not None and not self.t_end > 0:
-            raise ValidationError(f"t_end must be positive, got {self.t_end}")
+        if self.t_end is not None and not 0 < self.t_end < math.inf:
+            raise ValidationError(f"t_end must be finite and positive, got {self.t_end}")
         if self.sample_every < 1 or (self.snapshot_every is not None and self.snapshot_every < 1):
             raise ValidationError("sample_every and snapshot_every must be at least 1")
         if self.t_end is None and self.theta >= 1e9:
@@ -133,23 +135,20 @@ def _march(u0: Field, policy: StepPolicy, traj: Trajectory) -> None:
     u, G = _full_state(u0.with_values(u0.values.astype(complex)), 0.0)
     owed = 0.0            # half kick the last linear flow left unpaid
     t, dt, steps = 0.0, 0.0, 0
-    sample_idx = 0
     while True:
         sample = steps % policy.sample_every == 0
         if sample or _stop_reason(policy, G, t, steps, u.grid.spacing):
             if owed:
                 u, G = _full_state(u, owed)
                 owed = 0.0
-            if sample:
-                keep = (
-                    policy.snapshot_every is not None
-                    and sample_idx % policy.snapshot_every == 0
-                )
-                traj.samples.append(_record(u, t, dt, G, keep))
-                sample_idx += 1
             traj.termination = _stop_reason(policy, G, t, steps, u.grid.spacing)
+            if sample or traj.termination:
+                # the final state always keeps a snapshot when any are requested
+                keep = policy.snapshot_every is not None and (
+                    bool(traj.termination) or len(traj.samples) % policy.snapshot_every == 0)
+                traj.samples.append(_record(u, t, dt, G, keep))
             if traj.termination:
-                break
+                return
         dt = _ladder_dt(policy, G)
         t_next = t + dt
         if policy.t_end is not None and t_next >= policy.t_end - _T_ROUNDOFF * policy.t_end:
@@ -164,12 +163,6 @@ def _march(u0: Field, policy: StepPolicy, traj: Trajectory) -> None:
         owed = 0.5 * dt
         t = t_next
         steps += 1
-    # always include the final state (with a snapshot when any were requested)
-    final = _record(u, t, dt, G, policy.snapshot_every is not None)
-    if traj.samples and traj.samples[-1].time == final.time:
-        traj.samples[-1] = final
-    else:
-        traj.samples.append(final)
 
 
 LADDER_RUNGS = 16         # dt ladder rungs per octave

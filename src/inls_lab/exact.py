@@ -12,6 +12,7 @@ than taken on faith.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,10 +29,10 @@ class SFamilyParams:
     gamma: float = 0.0
 
     def __post_init__(self):
-        if not self.T > 0:
-            raise ValidationError(f"blow-up time T must be positive, got {self.T}")
-        if not self.lam > 0:
-            raise ValidationError(f"lambda must be positive, got {self.lam}")
+        if not 0 < self.T < math.inf:
+            raise ValidationError(f"blow-up time T must be finite and positive, got {self.T}")
+        if not 0 < self.lam < math.inf:
+            raise ValidationError(f"lambda must be finite and positive, got {self.lam}")
 
 
 def standing_wave(gs: GroundState, t: float) -> Field:

@@ -23,7 +23,9 @@ F(Q) = Lap Q - Q + W Q^p (the same map in exact arithmetic): F, the residual
 and the Pohozaev residuals are taken at the precision of the iterate, and the
 small correction is one float64 solve (iterative refinement in two
 precisions, Carson & Higham, SIAM J. Sci. Comput. 40, 2018).  A float64 solve
-is the float64 phase alone, run to ``STEP_TOL``.
+is the float64 phase alone, run to ``STEP_TOL``.  Outside the iteration the
+mass, residual and Pohozaev integrals are ``functionals``' own; NumPy sums a
+longdouble field in longdouble against the exactly promoted float64 weights.
 """
 
 from __future__ import annotations
@@ -34,9 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    Field, Grid, ProblemParams, grad_norm_sq_values, helmholtz_solve, laplacian_values,
-)
+from .core import Field, Grid, ProblemParams, helmholtz_solve, laplacian_values
 from .errors import ConvergenceError, NumericsError, ValidationError
 from . import functionals as fn
 
@@ -96,20 +96,20 @@ def solve_ground_state(
             params, grid, Q.astype(opts.dtype), opts.max_iter - it)
         it += it_wide
 
-    w = grid.weights.astype(Q.dtype)
-    norm = float(np.sqrt(np.sum(Q ** 2 * w)))
-    res = float(np.sqrt(np.sum(_defect(params, grid, Q)[1] ** 2 * w)))
-    if not converged or res > RESIDUAL_TOL * norm:
+    iterate = Field(Q, grid, params)
+    q_mass = fn.mass(iterate)
+    res = math.sqrt(fn.mass(iterate.with_values(_defect(params, grid, Q)[1])))
+    tol = RESIDUAL_TOL * math.sqrt(q_mass)
+    if not converged or res > tol:
         raise ConvergenceError(
             f"ground state did not converge in {it} iterations "
-            f"(residual {res:.3e}, tol {RESIDUAL_TOL * norm:.3e})",
+            f"(residual {res:.3e}, tol {tol:.3e})",
             residual=res,
         )
 
-    prof = Field(Q.astype(np.float64), grid, params)
+    prof = iterate.with_values(Q.astype(np.float64))
     _check_resolved(prof)
-    r1, r2 = pohozaev_residuals(Field(Q, grid, params))
-    q_mass = float(np.sum(Q ** 2 * w))
+    r1, r2 = pohozaev_residuals(iterate)
     return GroundState(
         profile=prof,
         residual=res,
@@ -126,7 +126,7 @@ def _defect(params: ProblemParams, grid: Grid, Q: np.ndarray):
     """Lap Q and the defect F(Q) = Lap Q - Q + W Q^p of the ground-state
     equation, both at the precision of ``Q``."""
     lap = laplacian_values(grid, Q)
-    return lap, lap - Q + grid.weight_b.astype(Q.dtype) * Q ** (2.0 * params.sigma + 1.0)
+    return lap, lap - Q + grid.weight_b * Q ** (2.0 * params.sigma + 1.0)
 
 
 def _petviashvili(
@@ -138,7 +138,7 @@ def _petviashvili(
     norm fell below ``STEP_TOL``; ``until_stall`` also stops at the first step
     that does not shrink.
     """
-    w = grid.weights.astype(Q.dtype)
+    w = grid.weights
     gamma = Q.dtype.type(2.0 * params.sigma + 1.0) / Q.dtype.type(2.0 * params.sigma)
     last = math.inf
     for it in range(1, max_iter + 1):
@@ -188,25 +188,21 @@ def _check_resolved(prof: Field) -> None:
 
 
 def pohozaev_residuals(u: Field) -> tuple[float, float]:
-    """Relative residuals of the two ground-state integral identities at the
-    real profile ``u``.
+    """Relative residuals of the two ground-state integral identities at ``u``.
 
-    r1 compares |grad Q|^2 against ((N sigma + b) / (2 sigma + 2 - N sigma - b)) ||Q||^2,
-    r2 compares the weighted potential against ((2 sigma + 2) / (...)) ||Q||^2.
-    Evaluated at the precision of ``u.values``.
+    r1 compares |grad u|^2 against ((N sigma + b) / (2 sigma + 2 - N sigma - b)) ||u||^2,
+    r2 compares the weighted potential against ((2 sigma + 2) / (...)) ||u||^2.
+    The integrals are ``functionals``' own, summed at the precision of
+    ``u.values``, so the residuals are invariant under phase and sign.
     """
-    Q, grid, params = u.values, u.grid, u.params
-    dt = Q.dtype.type
-    w = grid.weights.astype(dt)
-    W = grid.weight_b.astype(dt)
-    m = np.sum(Q ** 2 * w)
-    pot = np.sum(W * Q ** (2.0 * params.sigma + 2.0) * w)
-    g = grad_norm_sq_values(grid, Q)
-    a = params.dim * params.sigma + params.b
-    d_exp = 2.0 * params.sigma + 2.0 - a
+    m, pot, g = fn.mass(u), fn.potential(u), fn.grad_norm_sq(u)
+    if m <= 0:
+        raise ValidationError("pohozaev_residuals is undefined for the zero field")
+    a = u.params.dim * u.params.sigma + u.params.b
+    d_exp = 2.0 * u.params.sigma + 2.0 - a
     r1 = abs(g - (a / d_exp) * m) / m
-    r2 = abs(pot - ((2.0 * params.sigma + 2.0) / d_exp) * m) / m
-    return float(r1), float(r2)
+    r2 = abs(pot - ((2.0 * u.params.sigma + 2.0) / d_exp) * m) / m
+    return r1, r2
 
 
 def k_opt(params: ProblemParams, q_mass: float) -> float:

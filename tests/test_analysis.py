@@ -161,6 +161,14 @@ def test_mollifier_identity_limit(mc_line, ic_radial):
         assert rel < 1e-3
 
 
+def test_line_mollifier_narrower_than_a_cell_is_the_identity(mc_line):
+    # only displacement 0 lies inside the bump's support: the FFT path returns u1
+    params, grid = mc_line
+    u = Field(np.exp(-grid.nodes ** 2 / 2).astype(complex), grid, params)
+    dec = decompose(u, 0.5 * grid.extent, rho_freq=1.5 / grid.spacing)
+    assert np.max(np.abs(dec.u1H.values)) < 1e-14
+
+
 def test_mollifier_smooth_field_convergence(ic_radial):
     params, grid = ic_radial
     u = Field(np.exp(-grid.nodes ** 2 / 2).astype(complex), grid, params)

@@ -12,7 +12,9 @@ from inls_lab import cli
 from inls_lab.cli import _params_grid, main, parse_config, resolve_config
 from inls_lab.core import Field, grid_for, make_params
 from inls_lab.errors import ValidationError
-from inls_lab.fieldio import CSV_COLUMNS, write_field, write_manifest
+from inls_lab.fieldio import CSV_COLUMNS, trajectory_from_csv, write_field, write_manifest
+from inls_lab.ground_state import solve_ground_state
+from inls_lab import functionals as fn
 
 
 def write_cfg(path, **kv):
@@ -122,6 +124,24 @@ def test_exact_subcommand(tmp_path):
     assert rc == 0
     assert (out / "s_profile_000.fld").exists()
     assert (out / "s_profile_001.fld").exists()
+
+
+def test_evolve_from_s_family(tmp_path):
+    # at family_t0 = 0 with T = lambda = 1 the initial field is exp(i) Q
+    cfg = write_cfg(
+        tmp_path / "ev.cfg",
+        dim=1, sigma=2.0, b=0.0, extent=16.0, n=1024,
+        initial="s_family", family_T=1.0, family_lambda=1.0,
+        dt0=1e-3, t_end=0.01, sample_every=5,
+    )
+    out = tmp_path / "run"
+    rc = main(["evolve", "--config", cfg, "--out", str(out)])
+    assert rc == 0
+    params = make_params(1, 2.0, 0.0)
+    q_mass = fn.mass(solve_ground_state(params, grid_for(params, 16.0, 1024)).profile)
+    first = trajectory_from_csv(out / "trajectory.csv").samples[0]
+    assert first.time == 0.0
+    assert first.mass == pytest.approx(q_mass, rel=1e-12)
 
 
 def test_verify_subcommand(tmp_path):
@@ -387,6 +407,10 @@ def solve_calls(monkeypatch):
     ("exact", "times", "0.1,abc"),
     ("exact", "times", "0.2,1.5"),
     ("exact", "family_T", 0),
+    ("exact", "family_T", "inf"),
+    ("evolve", "family_lambda", "inf"),
+    ("ground-state", "max_iter", 0),
+    ("evolve", "initial_width", 0),
     ("evolve", "sample_every", 0),
     ("evolve", "initial", "bogus"),
     pytest.param("evolve", "dt0", {"initial": "ground_state_multiple", "dt0": -1},

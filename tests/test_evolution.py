@@ -123,6 +123,8 @@ def test_policy_validation():
     with pytest.raises(ValidationError):
         StepPolicy(theta=1e9, t_end=None)
     with pytest.raises(ValidationError):
+        StepPolicy(theta=1e9, t_end=math.inf)
+    with pytest.raises(ValidationError):
         StepPolicy(t_end=1.0, sample_every=0)
     with pytest.raises(ValidationError):
         StepPolicy(t_end=1.0, snapshot_every=0)

@@ -8,6 +8,7 @@ from inls_lab import (
     pohozaev_residuals, rescale, solve_ground_state,
 )
 from inls_lab.core import line_grid, radial_grid, sample_scaled
+from inls_lab.exact import standing_wave
 from inls_lab.ground_state import SolverOptions
 from inls_lab import functionals as fn
 from inls_lab.inequalities import corpus_rng, random_bump_field
@@ -43,6 +44,18 @@ def test_pohozaev_sensitivity_to_perturbation(line_b_gs):
     noisy = gs.profile.values * (1 + 0.01 * rng.standard_normal(gs.profile.grid.n))
     r1, r2 = pohozaev_residuals(gs.profile.with_values(noisy))
     assert r1 > 1e-3 or r2 > 1e-3
+
+
+def test_pohozaev_residuals_invariant_under_phase_and_sign(line_b_gs, intercritical_radial_gs):
+    for gs in (line_b_gs, intercritical_radial_gs):
+        ref = pohozaev_residuals(gs.profile)
+        for u in (standing_wave(gs, 0.3), gs.profile.with_values(-gs.profile.values)):
+            assert pohozaev_residuals(u) == pytest.approx(ref, rel=1e-12)
+
+
+def test_pohozaev_residuals_zero_field_rejected(line_b_gs):
+    with pytest.raises(ValidationError):
+        pohozaev_residuals(line_b_gs.profile.with_values(np.zeros(line_b_gs.profile.grid.n)))
 
 
 def test_mass_critical_gradient_ratio(radial2_gate_gs):
@@ -173,6 +186,15 @@ def test_float64_phase_ends_when_its_step_stops_shrinking():
                             SolverOptions(dtype=np.longdouble))
     assert 0 < gs.float64_iterations < gs.iterations
     assert gs.residual / math.sqrt(gs.q_mass) < 1e-10
+
+
+@pytest.mark.parametrize("dim, sigma, b, grid, match", [
+    (1, 2.0, 0.0, line_grid(8.0, 256, 0.0), "tail is not negligible"),
+    (2, 1.0, 0.5, radial_grid(2, 16.0, 96, 0.5), "core spans only"),
+])
+def test_unresolved_ground_state_warns(dim, sigma, b, grid, match):
+    with pytest.warns(RuntimeWarning, match=match):
+        solve_ground_state(make_params(dim, sigma, b), grid)
 
 
 def test_grid_param_mismatch_rejected():
