@@ -19,9 +19,9 @@ The operator layer (the differential primitives below) is the only code that
 knows the two discretizations; its Laplacian and gradient quadrature are
 summation-by-parts companions.  Each grid lazily caches what the operators
 reuse (k, k^2 and Laplacian bands per dtype, the float64 factorization of
-1 - Lap, the last-dt linear propagator) for exactly as long as the grid lives.
-Operators work in the dtype of their input, except the Helmholtz solve,
-which is float64 for any rhs.
+1 - Lap, the linear propagators of the most recent time steps) for exactly as
+long as the grid lives.  Operators work in the dtype of their input, except
+the Helmholtz solve, which is float64 for any rhs.
 """
 
 from __future__ import annotations
@@ -406,20 +406,24 @@ def _build_propagator(grid: Grid, dt: float):
     return _factor_one_minus_zlap(grid, 0.5j * dt)
 
 
-def free_flow(grid: Grid, values: np.ndarray, dt: float):
+def free_flow(grid: Grid, values: np.ndarray, dt: float, slots: int = 1):
     """Linear Schroedinger flow u -> exp(i dt Lap) u of complex ``values``.
 
     The exact Fourier multiplier on the line, a Crank-Nicolson (Cayley) step
-    radially; both are unitary in the grid inner product and preserve the
-    discrete |grad u|^2.  Returns the flowed values and that integral, taken
-    on ``values``: read off the spectrum the flow computes anyway on the line
-    (the ``grad_norm_sq_values`` sum), the face-flux quadrature radially.
-    The propagator of the most recent dt is cached on the grid.
+    radially; both are unitary in the grid inner product, run backward for a
+    negative dt, and preserve the discrete |grad u|^2.  Returns the flowed
+    values and that integral, taken on ``values``: read off the spectrum the
+    flow computes anyway on the line (the ``grad_norm_sq_values`` sum), the
+    face-flux quadrature radially.  The grid caches the propagators of the
+    ``slots`` most recently used dt; a new dt evicts the least recently used.
     """
-    last_dt, prop = grid._operators.get("propagator", (None, None))
-    if dt != last_dt:
+    cache = grid._operators.setdefault("propagators", {})
+    prop = cache.pop(dt, None)
+    if prop is None:
+        while len(cache) >= slots:
+            del cache[next(iter(cache))]
         prop = _build_propagator(grid, dt)
-        grid._operators["propagator"] = (dt, prop)
+    cache[dt] = prop                      # most recently used last
     if grid.geometry == "line":
         spectrum = _spectrum(values)
         return scipy.fft.ifft(prop * spectrum), _parseval_grad_sq(grid, spectrum)

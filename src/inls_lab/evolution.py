@@ -1,4 +1,4 @@
-"""Time integration of the equation by Strang splitting.
+"""Time integration of the equation by compositions of one Strang map.
 
 The potential flow  u -> u * exp(i tau |x|^-b |u|^(2 sigma))  is exact because
 the modulus is invariant; the linear flow is the exact spectral propagator on
@@ -8,26 +8,36 @@ unimodular, so mass is conserved to round-off.
 
 ``step(u, dt)`` is the one-step Strang map: half kick, linear flow, half
 kick; it returns the new field, and a caller that needs the time or the step
-count keeps it.  ``evolve`` marches the same map, built from the same kick,
-flow and full-state pieces, in FSAL form ("first same as last").  Since |u|
-is invariant under the potential flow, the trailing half kick of step n and
-the leading half kick of step n+1 merge exactly into one kick of
-(dt_n + dt_{n+1})/2, so a step costs one kick and one linear flow.  The owed
-half kick is paid only where a full Strang state is needed: at each sample,
-at the final state, and before a stop is decided.  Each of those states is
-recorded on one path, inside the loop: a sample every ``sample_every`` steps
-and the terminal state, once, with a snapshot whenever any are requested.
+count keeps it.  Any finite nonzero dt is a step: both flows run backward as
+exactly as forward, so ``step(step(u, h), -h)`` is u to round-off.  That
+symmetry is what lets a composition raise the order.
+
+``evolve`` marches a composition of the same map: one step of size dt runs
+the Strang substeps w_1 dt, ..., w_s dt of ``StepPolicy.weights``.
+``STRANG = (1.0,)`` is the second-order map itself; ``SUZUKI4`` is Suzuki's
+symmetric 5-stage rule (p, p, 1 - 4p, p, p) with p = 1/(4 - 4^(1/3)), which is
+fourth order (Suzuki, Phys. Lett. A 146, 1990); its middle substep is
+negative.  The march is in FSAL form ("first same as last") across substeps
+and steps alike.  Since |u| is invariant under the potential flow, the
+trailing half kick of one substep and the leading half kick of the next merge
+exactly into one kick of (h_i + h_(i+1))/2, so a step costs s kicks and s
+linear flows.  The owed half kick is paid only where a full state is needed:
+at each sample, at the final state, and before a stop is decided.  Each of
+those states is recorded on one path, inside the loop: a sample every
+``sample_every`` steps and the terminal state, once, with a snapshot whenever
+any are requested.  ``TrajectorySample.dt`` is the whole step that led to the
+sample, not a substep.
 
 Step size: dt = min(dt0, c_dt / G) with G = |grad u|^2 (the parabolic scaling
 of the collapse), snapped down to the ladder dt0 * 2^(-j/16) and clamped so
 that the last step lands on t_end.  G is measured on the field entering the
-linear flow, which both flows preserve: ``free_flow`` reads it off the
+last linear flow, which both flows preserve: ``free_flow`` reads it off the
 spectrum it computes anyway on the line and takes the face-flux quadrature
 radially; after a full state is formed it is that state's own G.  On the
-ladder dt changes rung only after G grows by 2^(1/16), so the grid's single
-cached propagator is rebuilt once per rung, not once per step.  The march
-stops at t_end or when the gradient of the full state outruns the grid
-(|grad u| * dx > theta).
+ladder dt changes rung only after G grows by 2^(1/16), and the grid caches one
+propagator per distinct substep of the current rung, so each is built once per
+rung, not once per step.  The march stops at t_end or when the gradient of the
+full state outruns the grid (|grad u| * dx > theta).
 """
 
 from __future__ import annotations
@@ -42,6 +52,11 @@ from .errors import NumericsError, ValidationError
 from . import functionals as fn
 
 
+STRANG = (1.0,)
+_SUZUKI_P = 1.0 / (4.0 - 4.0 ** (1.0 / 3.0))
+SUZUKI4 = (_SUZUKI_P, _SUZUKI_P, 1.0 - 4.0 * _SUZUKI_P, _SUZUKI_P, _SUZUKI_P)
+
+
 @dataclass
 class StepPolicy:
     dt0: float = 1e-3
@@ -50,8 +65,13 @@ class StepPolicy:
     theta: float = 0.5            # resolution limit: |grad u| * dx > theta
     sample_every: int = 10        # record diagnostics every k steps
     snapshot_every: int | None = None   # keep a field copy every k samples
+    weights: tuple[float, ...] = STRANG  # Strang substeps w * dt of one step
 
     def __post_init__(self):
+        if not (self.weights and all(math.isfinite(w) for w in self.weights)
+                and abs(math.fsum(self.weights) - 1.0) <= 1e-12):
+            raise ValidationError(
+                f"weights must be finite and sum to 1, got {self.weights}")
         if not 0 < self.dt0 < math.inf:
             raise ValidationError(f"dt0 must be finite and positive, got {self.dt0}")
         if not (self.c_dt > 0 and self.theta > 0):
@@ -101,9 +121,12 @@ class Trajectory:
 
 
 def step(u: Field, dt: float) -> Field:
-    """u after one Strang step of size dt (potential half, linear, potential half)."""
-    if not dt > 0:
-        raise ValidationError(f"dt must be positive, got {dt}")
+    """u after one Strang step of size dt (potential half, linear, potential half).
+
+    A negative dt is the exact backward step.
+    """
+    if not (dt != 0 and math.isfinite(dt)):
+        raise ValidationError(f"dt must be finite and nonzero, got {dt}")
     vals, _ = free_flow(u.grid, _kick(u, 0.5 * dt), dt)
     return _full_state(u.with_values(vals), 0.5 * dt)[0]
 
@@ -134,6 +157,7 @@ def evolve(u0: Field, policy: StepPolicy) -> Trajectory:
 def _march(u0: Field, policy: StepPolicy, traj: Trajectory) -> None:
     u, G = _full_state(u0.with_values(u0.values.astype(complex)), 0.0)
     owed = 0.0            # half kick the last linear flow left unpaid
+    slots = len(set(policy.weights))    # distinct substeps: propagators per rung
     t, dt, steps = 0.0, 0.0, 0
     while True:
         sample = steps % policy.sample_every == 0
@@ -156,11 +180,13 @@ def _march(u0: Field, policy: StepPolicy, traj: Trajectory) -> None:
             if t_next > policy.t_end + _T_ROUNDOFF * policy.t_end:
                 dt = policy.t_end - t
             t_next = policy.t_end
-        vals, G = free_flow(u.grid, _kick(u, owed + 0.5 * dt), dt)
-        if not np.isfinite(G):
-            raise NumericsError(f"non-finite field in step {steps}")
-        u = u.with_values(vals)
-        owed = 0.5 * dt
+        for w in policy.weights:
+            h = w * dt
+            vals, G = free_flow(u.grid, _kick(u, owed + 0.5 * h), h, slots)
+            if not np.isfinite(G):
+                raise NumericsError(f"non-finite field in step {steps}")
+            u = u.with_values(vals)
+            owed = 0.5 * h
         t = t_next
         steps += 1
 
@@ -229,5 +255,5 @@ def _record(u: Field, t: float, dt: float, G: float, keep_snapshot: bool) -> Tra
 
 __all__ = [
     "StepPolicy", "TrajectorySample", "Trajectory",
-    "step", "evolve",
+    "STRANG", "SUZUKI4", "step", "evolve",
 ]

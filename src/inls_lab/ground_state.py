@@ -76,8 +76,10 @@ def solve_ground_state(
 ) -> GroundState:
     """Compute the positive even/radial ground-state profile on ``grid``.
 
-    Raises ConvergenceError when max_iter is exhausted and NumericsError when
-    the stabilizing factor leaves [1e-6, 1e6].
+    Raises ConvergenceError when max_iter is exhausted or when the iteration
+    stalls with its residual above tolerance (after the RuntimeWarning of an
+    under-resolved grid, the usual cause), and NumericsError when the
+    stabilizing factor leaves [1e-6, 1e6].
     """
     opts = options or SolverOptions()
     if grid.b != params.b:
@@ -100,15 +102,21 @@ def solve_ground_state(
     q_mass = fn.mass(iterate)
     res = math.sqrt(fn.mass(iterate.with_values(_defect(params, grid, Q)[1])))
     tol = RESIDUAL_TOL * math.sqrt(q_mass)
-    if not converged or res > tol:
+    if not converged:
         raise ConvergenceError(
-            f"ground state did not converge in {it} iterations "
+            f"ground state did not converge in {it} iterations, max_iter exhausted "
             f"(residual {res:.3e}, tol {tol:.3e})",
             residual=res,
         )
-
     prof = iterate.with_values(Q.astype(np.float64))
-    _check_resolved(prof)
+    _check_resolved(prof)      # before the residual verdict: a coarse grid stalls it
+    if res > tol:
+        raise ConvergenceError(
+            f"ground-state iteration stalled after {it} iterations with residual "
+            f"{res:.3e} above tolerance {tol:.3e}",
+            residual=res,
+        )
+
     r1, r2 = pohozaev_residuals(iterate)
     return GroundState(
         profile=prof,

@@ -6,7 +6,7 @@ import pytest
 from inls_lab import Field, NumericsError, StepPolicy, ValidationError, evolve, make_params
 from inls_lab import core, evolution
 from inls_lab.core import line_grid, radial_grid
-from inls_lab.evolution import LADDER_RUNGS, step
+from inls_lab.evolution import LADDER_RUNGS, STRANG, SUZUKI4, step
 from inls_lab.exact import standing_wave
 from inls_lab import functionals as fn
 
@@ -36,8 +36,9 @@ def test_nan_detection(plain_line):
 
 def test_step_requires_positive_dt(plain_line):
     params, grid = plain_line
-    with pytest.raises(ValidationError):
-        step(Field(np.ones(grid.n, dtype=complex), grid, params), 0.0)
+    for dt in (0.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValidationError):
+            step(Field(np.ones(grid.n, dtype=complex), grid, params), dt)
 
 
 def test_standing_wave_short_run(quintic_gs):
@@ -128,6 +129,10 @@ def test_policy_validation():
         StepPolicy(t_end=1.0, sample_every=0)
     with pytest.raises(ValidationError):
         StepPolicy(t_end=1.0, snapshot_every=0)
+    # weights that do not sum to 1 would march sum(w) * dt while t advances by dt
+    for weights in ((), (0.5, math.nan, 0.5), (1.0, math.inf), (0.5, 0.5 + 1e-11), (2.0,)):
+        with pytest.raises(ValidationError):
+            StepPolicy(t_end=1.0, weights=weights)
 
 
 def test_snapshots_recorded_on_cadence(quintic_gs):
@@ -139,6 +144,19 @@ def test_snapshots_recorded_on_cadence(quintic_gs):
     snaps = traj.snapshots()
     assert len(snaps) >= 2
     assert snaps[-1].time == traj.samples[-1].time   # final state always kept
+
+
+def test_suzuki_composition_is_fourth_order(quintic_gs):
+    """SUZUKI4 against the discrete standing wave at t = 0.5 over dt halvings."""
+    errs = []
+    for dt in (1e-2, 5e-3, 2.5e-3):
+        traj = evolve(standing_wave(quintic_gs, 0.0),
+                      StepPolicy(dt0=dt, c_dt=1e9, theta=1e9, t_end=0.5, sample_every=1000,
+                                 snapshot_every=1, weights=SUZUKI4))
+        u, ref = traj.samples[-1].snapshot, standing_wave(quintic_gs, 0.5)
+        errs.append(math.sqrt(fn.mass(u.with_values(u.values - ref.values)) / fn.mass(ref)))
+    orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
+    assert all(3.6 <= o <= 4.4 for o in orders), (errs, orders)
 
 
 # -- the fused (FSAL) march --------------------------------------------------
@@ -162,17 +180,34 @@ def is_rung(dt, dt0):
     return j >= 0 and dt == dt0 * 2.0 ** (-j / LADDER_RUNGS)
 
 
+# each geometry with Strang (ids "line", "radial") and with SUZUKI4
+COMPOSITIONS = [pytest.param(geometry, weights, id=geometry + suffix)
+                for geometry in sorted(GEOMETRIES)
+                for weights, suffix in ((STRANG, ""), (SUZUKI4, "-suzuki4"))]
+
+
 @pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
-def test_fused_march_matches_repeated_steps(geometry):
+def test_step_reversed_by_negative_dt(geometry):
+    """step(step(u, h), -h) is u: the symmetry that lets a composition of the
+    Strang map, negative substeps included, raise its order."""
+    u, _ = gaussian(geometry)
+    back = step(step(u, 1e-3), -1e-3)
+    assert np.max(np.abs(back.values - u.values)) <= 1e-13 * np.max(np.abs(u.values))
+
+
+@pytest.mark.parametrize("geometry, ws", COMPOSITIONS)
+def test_fused_march_matches_repeated_steps(geometry, ws):
     u0, _ = gaussian(geometry, amplitude=1.0)
     dt = 1e-3
     traj = evolve(u0, StepPolicy(dt0=dt, c_dt=1e9, theta=1e9, t_end=40 * dt,
-                                 sample_every=7, snapshot_every=1))
+                                 sample_every=7, snapshot_every=1, weights=ws))
     assert all(s.dt == dt for s in traj.samples[1:])      # constant dt stays dt0
     u, steps = u0, 0
     for s in traj.samples:
         while steps < round(s.time / dt):
-            u, steps = step(u, dt), steps + 1
+            for w in ws:
+                u = step(u, w * dt)
+            steps += 1
         assert s.time == pytest.approx(steps * dt, rel=1e-12)
         assert np.max(np.abs(s.snapshot.values - u.values)) <= 1e-13 * np.max(np.abs(u.values))
     assert steps == 40
@@ -209,26 +244,35 @@ def test_samples_record_their_own_energy(geometry):
         assert s.energy == fn.energy(s.snapshot)
 
 
-@pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
-def test_propagator_built_once_per_rung(geometry, monkeypatch):
-    builds, flows = [], []
-    build, flow = core._build_propagator, evolution.free_flow
+@pytest.mark.parametrize("geometry, ws", COMPOSITIONS)
+def test_propagator_built_once_per_rung(geometry, ws, monkeypatch):
+    builds, flows, rungs = [], [], []
+    build, flow, ladder = core._build_propagator, evolution.free_flow, evolution._ladder_dt
 
     def counting_build(grid, dt):
         builds.append(dt)
         return build(grid, dt)
 
-    def recording_flow(grid, values, dt):
+    def recording_flow(grid, values, dt, *slots):
         flows.append(dt)
-        return flow(grid, values, dt)
+        return flow(grid, values, dt, *slots)
+
+    def recording_ladder(policy, G):
+        rungs.append(ladder(policy, G))
+        return rungs[-1]
 
     monkeypatch.setattr(core, "_build_propagator", counting_build)
     monkeypatch.setattr(evolution, "free_flow", recording_flow)
+    monkeypatch.setattr(evolution, "_ladder_dt", recording_ladder)
     u0, theta = gaussian(geometry)
-    policy = StepPolicy(dt0=5e-4, c_dt=5e-3, theta=theta, t_end=5.0, sample_every=10)
+    policy = StepPolicy(dt0=5e-4, c_dt=5e-3, theta=theta, t_end=5.0, sample_every=10,
+                        weights=ws)
     assert evolve(u0, policy).termination == "resolution_limit"
-    assert all(is_rung(dt, policy.dt0) for dt in flows)
-    assert builds == sorted(set(flows), reverse=True)      # one build per rung, in order
+    assert all(is_rung(dt, policy.dt0) for dt in rungs)
+    assert flows == [w * dt for dt in rungs for w in ws]     # each step: its substeps
+    # one build per distinct substep of each rung, rungs in order, and no more
+    assert builds == [h for dt in sorted(set(rungs), reverse=True)
+                      for h in dict.fromkeys(w * dt for w in ws)]
     assert len(flows) > 5 * len(builds)
 
 

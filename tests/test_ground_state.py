@@ -197,6 +197,16 @@ def test_unresolved_ground_state_warns(dim, sigma, b, grid, match):
         solve_ground_state(make_params(dim, sigma, b), grid)
 
 
+def test_under_resolved_stall_is_reported_as_such():
+    """The iteration meets STEP_TOL on this grid, but at a residual far above
+    tolerance: the resolution warning fires first and the error names the
+    residual, not an iteration budget."""
+    with pytest.warns(RuntimeWarning, match="core spans"):
+        with pytest.raises(ConvergenceError, match="stalled .* residual") as err:
+            solve_ground_state(make_params(1, 2.0, 0.0), line_grid(40.0, 64, 0.0))
+    assert "did not converge in" not in str(err.value)
+
+
 def test_grid_param_mismatch_rejected():
     params = make_params(1, 1.5, 0.5)
     with pytest.raises(ValidationError):
