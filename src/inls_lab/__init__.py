@@ -21,7 +21,7 @@ from .functionals import (
     radial_momentum, sup_concentrated_mass, variance,
 )
 from .ground_state import (
-    GroundState, SolverOptions, c_of_Mm, gn_ratio, k_opt,
+    GroundState, c_of_Mm, gn_ratio, k_opt,
     pohozaev_residuals, solve_ground_state,
 )
 from .analysis import (
@@ -36,7 +36,7 @@ __all__ = [
     "laplacian", "rescale",
     "mass", "potential", "energy", "grad_norm_sq", "variance",
     "radial_momentum", "concentrated_mass", "sup_concentrated_mass", "lp_norm",
-    "GroundState", "SolverOptions", "solve_ground_state", "pohozaev_residuals",
+    "GroundState", "solve_ground_state", "pohozaev_residuals",
     "k_opt", "gn_ratio", "c_of_Mm",
     "SFamilyParams", "standing_wave", "pseudoconformal", "s_profile",
     "StepPolicy", "Trajectory", "evolve", "step",

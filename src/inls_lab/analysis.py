@@ -230,9 +230,7 @@ def _mollify_radial(u1: np.ndarray, grid, rho: float) -> np.ndarray:
             th = half * (1.0 + x)
             ker = ker + wk * np.sin(th) ** (N - 2) * _bump(1.0 - A - c * np.cos(th))
         rows = half * ker * w[jj] * valid
-        sums = rows.sum(axis=1)
-        sums[sums <= 0] = 1.0
-        out[idx] = (rows * u1[jj]).sum(axis=1) / sums
+        out[idx] = (rows * u1[jj]).sum(axis=1) / rows.sum(axis=1)
     return out
 
 

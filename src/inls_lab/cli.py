@@ -50,7 +50,7 @@ from .fieldio import (
     attach_snapshots, integral, read_field, read_manifest, read_text, trajectory_from_csv,
     trajectory_to_csv, write_field, write_manifest, write_snapshots,
 )
-from .ground_state import SolverOptions, solve_ground_state
+from .ground_state import solve_ground_state
 from .inequalities import (
     DEFAULT_SEED, check_critical_gn, run_banica_report, run_critical_gn_report,
     run_gagliardo_report, run_radial_gn_report, run_strauss_report,
@@ -96,38 +96,37 @@ def _defaults(obj, **casts) -> dict:
     return {key: (cast, params[key].default) for key, cast in casts.items()}
 
 
-DTYPES = {t.__name__: t for t in (np.float64, np.longdouble)}
-_positive = _checked(float, lambda v: v > 0, "must be positive")
+_finite = _checked(float, math.isfinite, "must be finite")
 _finite_positive = _checked(float, lambda v: 0 < v < math.inf, "must be finite and positive")
 _count = _checked(integral, lambda v: v >= 1, "must be at least 1")
 
 # Per subcommand, every key it reads: key -> (cast, default).  A key without a
 # default is required; any key not listed is a typo or belongs elsewhere.
-_GRID = {"dim": (integral,), "sigma": (float,), "b": (float,), "extent": (_finite_positive,),
+_GRID = {"dim": (integral,), "sigma": (_finite,), "b": (_finite,), "extent": (_finite_positive,),
          "n": (integral,)}
 _FAMILY = {"family_T": (_finite_positive, 1.0), "family_lambda": (_finite_positive, 1.0),
-           "family_gamma": (float, SFamilyParams.gamma)}
+           "family_gamma": (_finite, SFamilyParams.gamma)}
 SCHEMAS = {
-    "ground-state": {**_GRID, "dtype": (_one_of(*DTYPES), SolverOptions.dtype.__name__),
-                     **_defaults(SolverOptions, max_iter=_count)},
+    "ground-state": {**_GRID, **_defaults(solve_ground_state,
+                                          dtype=_one_of("float64", "longdouble"), max_iter=_count)},
     "evolve": {
         **_GRID, **_FAMILY,
         "initial": (_one_of("ground_state_multiple", "gaussian", "s_family", "file"),),
-        "initial_c": (float, 1.0), "initial_amplitude": (float, 1.0),
+        "initial_c": (_finite, 1.0), "initial_amplitude": (_finite, 1.0),
         "initial_width": (_finite_positive, 1.0), "initial_path": (str, None),
-        "family_t0": (float, 0.0),
-        **_defaults(StepPolicy, dt0=float, c_dt=float, t_end=float, theta=float,
+        "family_t0": (_finite, 0.0),
+        **_defaults(StepPolicy, dt0=_finite, c_dt=_finite, t_end=_finite, theta=_finite,
                     sample_every=integral, snapshot_every=integral),
     },
     "analyze": {
         "run_dir": (str,),
         "alpha": (_checked(float, lambda v: 0 < v < 0.5, "must lie in (0, 1/2)"), 0.25),
         "mode": (_one_of(*WINDOW_MODES), "fint"),
-        **_defaults(sigma_c_window_series, c0=_positive, c0_tilde=_positive),
+        **_defaults(sigma_c_window_series, c0=_finite_positive, c0_tilde=_finite_positive),
     },
     "verify": {**_GRID, "trials": (_count, 1000)},
     "exact": {**_GRID, **_FAMILY,
-              "times": (lambda text: [float(t) for t in text.split(",")], [0.0])},
+              "times": (lambda text: [_finite(t) for t in text.split(",")], [0.0])},
     "reproduce": {"name": (str,)},
 }
 
@@ -184,9 +183,8 @@ def _params_grid(cfg: dict):
 
 def cmd_ground_state(cfg, out, seed):
     params, grid = _params_grid(cfg)
-    opts = SolverOptions(dtype=DTYPES[cfg["dtype"]], max_iter=cfg["max_iter"])
     _setup(cfg, out, params, grid, "ground_state")
-    gs = solve_ground_state(params, grid, opts)
+    gs = solve_ground_state(params, grid, dtype=cfg["dtype"], max_iter=cfg["max_iter"])
     write_field(out / "Q.fld", gs.profile)
     sidecar = {
         "params": params.as_dict(),
@@ -227,6 +225,8 @@ def cmd_evolve(cfg, out, seed):
     policy = StepPolicy(**{f.name: cfg[f.name] for f in fields(StepPolicy) if f.name in cfg})
     family = SFamilyParams(cfg["family_T"], cfg["family_lambda"], cfg["family_gamma"])
     u0 = _initial_field(cfg, params, grid, family)
+    if not np.isfinite(u0.values).all():
+        raise ValidationError(f"initial field ({cfg['initial']}) holds non-finite values")
     _setup(cfg, out, params, grid, "evolve")
     try:
         traj = evolve(u0, policy)

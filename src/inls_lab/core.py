@@ -229,13 +229,16 @@ def grid_for(params: ProblemParams, extent: float, n: int) -> Grid:
 
 @dataclass
 class Field:
-    """Complex grid function tied to a grid and problem parameters."""
+    """Complex grid function on a grid built for its params' dim and b."""
 
     values: np.ndarray
     grid: Grid
     params: ProblemParams
 
     def __post_init__(self):
+        if (self.grid.dim, self.grid.b) != (self.params.dim, self.params.b):
+            raise ValidationError(f"grid (dim, b) = {self.grid.dim, self.grid.b} does not "
+                                  f"match params {self.params.dim, self.params.b}")
         self.values = np.asarray(self.values)
         if self.values.shape != (self.grid.n,):
             raise ValidationError(

@@ -33,6 +33,8 @@ class SFamilyParams:
             raise ValidationError(f"blow-up time T must be finite and positive, got {self.T}")
         if not 0 < self.lam < math.inf:
             raise ValidationError(f"lambda must be finite and positive, got {self.lam}")
+        if not math.isfinite(self.gamma):
+            raise ValidationError(f"gamma must be finite, got {self.gamma}")
 
 
 def standing_wave(gs: GroundState, t: float) -> Field:
@@ -68,8 +70,8 @@ def s_profile(p: SFamilyParams, gs: GroundState, t: float) -> Field:
     quintic interpolation so the mass identity survives deep into the
     collapse.
     """
-    if not t < p.T:
-        raise ValidationError(f"need t < T, got t={t}, T={p.T}")
+    if not -math.inf < t < p.T:
+        raise ValidationError(f"need finite t < T, got t={t}, T={p.T}")
     prof = gs.profile
     if not prof.params.mass_critical:
         raise ValidationError("the blow-up family requires mass-critical parameters")

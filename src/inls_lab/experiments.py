@@ -59,9 +59,7 @@ from .core import Field, grid_for, line_grid, make_params, radial_grid
 from .errors import ValidationError
 from .evolution import SUZUKI4, StepPolicy, Trajectory, evolve
 from .exact import SFamilyParams, s_profile, standing_wave
-from .ground_state import (
-    GroundState, SolverOptions, c_of_Mm, gn_ratio, solve_ground_state,
-)
+from .ground_state import GroundState, c_of_Mm, gn_ratio, solve_ground_state
 from .inequalities import (
     DEFAULT_SEED, check_critical_gn, corpus_rng, random_bump_field,
     run_banica_report, run_gagliardo_report, run_critical_gn_report,
@@ -103,14 +101,14 @@ def _jsonable(obj):
 # case -> (dim, sigma, b, extent, n, dtype); the three deep Pohozaev gates
 # iterate in extended precision, the other cases in float64.
 GROUND_STATES = {
-    "line_mass_critical": (1, 1.5, 0.5, 15.0, 65536, np.longdouble),
-    "radial2_mass_critical": (2, 0.75, 0.5, 14.0, 20480, np.longdouble),
-    "radial3_intercritical": (3, 1.0, 0.5, 14.0, 262144, np.longdouble),
-    "cubic": (1, 1.0, 0.0, 20.0, 4096, np.float64),
-    "quintic": (1, 2.0, 0.0, 20.0, 4096, np.float64),
-    "quintic_tracking": (1, 2.0, 0.0, 20.0, 16384, np.float64),
-    "line_b": (1, 1.5, 0.5, 20.0, 8192, np.float64),
-    "radial2_intercritical": (2, 1.0, 0.5, 12.0, 8192, np.float64),
+    "line_mass_critical": (1, 1.5, 0.5, 15.0, 65536, "longdouble"),
+    "radial2_mass_critical": (2, 0.75, 0.5, 14.0, 20480, "longdouble"),
+    "radial3_intercritical": (3, 1.0, 0.5, 14.0, 262144, "longdouble"),
+    "cubic": (1, 1.0, 0.0, 20.0, 4096, "float64"),
+    "quintic": (1, 2.0, 0.0, 20.0, 4096, "float64"),
+    "quintic_tracking": (1, 2.0, 0.0, 20.0, 16384, "float64"),
+    "line_b": (1, 1.5, 0.5, 20.0, 8192, "float64"),
+    "radial2_intercritical": (2, 1.0, 0.5, 12.0, 8192, "float64"),
 }
 POHOZAEV_CASES = ("line_mass_critical", "radial2_mass_critical", "radial3_intercritical")
 CORPUS_TRIALS = 1000      # random fields per inequality corpus
@@ -122,7 +120,7 @@ def ground_state(case: str) -> GroundState:
     """The ground state of a ``GROUND_STATES`` case."""
     dim, sigma, b, extent, n, dtype = GROUND_STATES[case]
     params = make_params(dim, sigma, b)
-    return solve_ground_state(params, grid_for(params, extent, n), SolverOptions(dtype=dtype))
+    return solve_ground_state(params, grid_for(params, extent, n), dtype=dtype)
 
 
 def _above_q(case: str) -> Field:

@@ -11,7 +11,7 @@ spatial discretization error.
 
 Deep grids push the float64 evaluation of Lap(Q) against its rounding floor
 (~ eps / dx^2), so the solver optionally finishes in extended precision;
-``dtype=np.longdouble`` keeps the residual diagnostic meaningful down to
+``dtype="longdouble"`` keeps the residual diagnostic meaningful down to
 ~1e-11 at n ~ 3e5.  Such a solve is a two-phase continuation: it iterates in
 float64 until the step norm stops shrinking (the float64 floor), then casts
 the iterate and continues in longdouble down to ``STEP_TOL``.  The stabilized
@@ -49,7 +49,6 @@ class GroundState:
     float64_iterations: int     # the float64 phase; all of them for a float64 solve
     pohozaev_r1: float
     pohozaev_r2: float
-    k_opt: float
     q_mass: float
 
     @property
@@ -60,11 +59,9 @@ class GroundState:
     def longdouble_iterations(self) -> int:
         return self.iterations - self.float64_iterations
 
-
-@dataclass
-class SolverOptions:
-    max_iter: int = 2000
-    dtype: type = np.float64
+    @property
+    def k_opt(self) -> float:
+        return k_opt(self.params, self.q_mass)
 
 
 STEP_TOL = 1e-12        # L2 distance between successive iterates
@@ -72,33 +69,28 @@ RESIDUAL_TOL = 1e-8     # relative to ||Q||_L2
 
 
 def solve_ground_state(
-    params: ProblemParams, grid: Grid, options: SolverOptions | None = None
+    params: ProblemParams, grid: Grid, *, dtype: str = "float64", max_iter: int = 2000
 ) -> GroundState:
     """Compute the positive even/radial ground-state profile on ``grid``.
 
-    Raises ConvergenceError when max_iter is exhausted or when the iteration
-    stalls with its residual above tolerance (after the RuntimeWarning of an
+    ``dtype`` ("float64" or "longdouble") is the precision of the last phase;
+    ``max_iter`` bounds both phases together.  Raises ValidationError when
+    grid and params disagree (the Gaussian start is a ``Field``),
+    ConvergenceError when max_iter is exhausted or when the iteration stalls
+    with its residual above tolerance (after the RuntimeWarning of an
     under-resolved grid, the usual cause), and NumericsError when the
     stabilizing factor leaves [1e-6, 1e6].
     """
-    opts = options or SolverOptions()
-    if grid.b != params.b:
-        raise ValidationError(
-            f"grid was built with b={grid.b}, params have b={params.b}"
-        )
-    if (params.dim == 1) != (grid.geometry == "line"):
-        raise ValidationError("grid geometry does not match params.dim")
-    # a wider dtype continues the float64 phase; max_iter bounds both together
-    wide = np.dtype(opts.dtype) != np.float64
-    Q, it, converged = _petviashvili(params, grid, np.exp(-(grid.nodes ** 2) / 2.0),
-                                     opts.max_iter, until_stall=wide)
+    start = Field(np.exp(-(grid.nodes ** 2) / 2.0), grid, params)
+    # a wider dtype continues the float64 phase
+    wide = np.dtype(dtype) != np.float64
+    Q, it, converged = _petviashvili(params, grid, start.values, max_iter, until_stall=wide)
     float64_iterations = it
     if wide:
-        Q, it_wide, converged = _petviashvili(
-            params, grid, Q.astype(opts.dtype), opts.max_iter - it)
+        Q, it_wide, converged = _petviashvili(params, grid, Q.astype(dtype), max_iter - it)
         it += it_wide
 
-    iterate = Field(Q, grid, params)
+    iterate = start.with_values(Q)
     q_mass = fn.mass(iterate)
     res = math.sqrt(fn.mass(iterate.with_values(_defect(params, grid, Q)[1])))
     tol = RESIDUAL_TOL * math.sqrt(q_mass)
@@ -125,7 +117,6 @@ def solve_ground_state(
         float64_iterations=float64_iterations,
         pohozaev_r1=r1,
         pohozaev_r2=r2,
-        k_opt=k_opt(params, q_mass),
         q_mass=q_mass,
     )
 
@@ -257,6 +248,6 @@ def c_of_Mm(M: float, m: float, params: ProblemParams) -> float:
 
 
 __all__ = [
-    "GroundState", "SolverOptions", "solve_ground_state",
+    "GroundState", "solve_ground_state",
     "pohozaev_residuals", "k_opt", "gn_ratio", "c_of_Mm",
 ]

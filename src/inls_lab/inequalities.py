@@ -1,11 +1,11 @@
 """Executable checks of the functional inequalities, driven by a seeded
 corpus of random localized fields.
 
-Every check returns "left side minus right side" scaled by the natural
-positive magnitude of its right side, so a satisfied inequality reports a
-negative number and ``max_violation`` aggregates cleanly across a corpus.
-The critical-norm check has no quantified constant to compare against and is
-reported as a boundedness ratio instead.
+Every ``check_*`` returns the raw "left side minus right side", so a
+satisfied inequality gives a number <= 0.  The corpus reports scale it by the
+magnitude of the right side (``_excess``), so ``max_violation`` aggregates
+cleanly across a corpus.  The critical-norm check has no quantified constant
+to compare against and is reported as a boundedness ratio instead.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ share them across the session."""
 import numpy as np
 import pytest
 
-from inls_lab import experiments as exp
+from inls_lab import evolution, experiments as exp
 from inls_lab.core import line_grid, make_params, radial_grid
 
 
@@ -75,3 +75,16 @@ def fine_line():
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def leaky_flow(monkeypatch):
+    """Every linear flow of the march gains 1e-6 of amplitude, as a
+    non-unitary propagator would."""
+    flow = evolution.free_flow
+
+    def leaky(grid, values, dt, slots=1):
+        out, G = flow(grid, values, dt, slots)
+        return (1.0 + 1e-6) * out, G
+
+    monkeypatch.setattr(evolution, "free_flow", leaky)

@@ -12,8 +12,11 @@ from inls_lab import cli
 from inls_lab.cli import _params_grid, main, parse_config, resolve_config
 from inls_lab.core import Field, grid_for, make_params
 from inls_lab.errors import ValidationError
-from inls_lab.fieldio import CSV_COLUMNS, trajectory_from_csv, write_field, write_manifest
+from inls_lab.fieldio import (
+    CSV_COLUMNS, read_field, trajectory_from_csv, write_field, write_manifest,
+)
 from inls_lab.ground_state import solve_ground_state
+from inls_lab.inequalities import InequalityReport
 from inls_lab import functionals as fn
 
 
@@ -157,6 +160,34 @@ def test_verify_subcommand(tmp_path):
     assert (out / "inequality_banica.json").exists()
 
 
+def test_verify_violation_exit_3_with_witness(tmp_path, capsys, monkeypatch):
+    """A corpus that finds a violation: exit 3, VIOLATION printed, and its
+    witness field written next to the report."""
+    params = make_params(1, 1.5, 0.5)
+    grid = grid_for(params, 15.0, 1024)
+    witness = Field(np.exp(-grid.nodes ** 2 + 0.5j * grid.nodes), grid, params)
+    monkeypatch.setattr(cli, "run_gagliardo_report", lambda *args, **kwargs: InequalityReport(
+        "gagliardo", trials=1, max_violation=1e-3, witness=witness))
+    cfg = write_cfg(tmp_path / "v.cfg", dim=1, sigma=1.5, b=0.5, extent=15.0, n=1024, trials=4)
+    out = tmp_path / "verify"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 3
+    assert "gagliardo: max_violation=1.000e-03 [VIOLATION]" in capsys.readouterr().out
+    assert not json.loads((out / "inequality_gagliardo.json").read_text())["passed"]
+    back = read_field(out / "witness_gagliardo.fld", grid, params)
+    assert np.array_equal(back.values, witness.values)
+
+
+def test_evolve_reports_mass_drift(tmp_path, leaky_flow):
+    cfg = write_cfg(tmp_path / "ev.cfg", dim=1, sigma=2.0, b=0.0, extent=16.0, n=256,
+                    initial="gaussian", initial_amplitude=0.3, dt0=0.01, c_dt=1e9,
+                    theta=1e9, t_end=0.1)
+    out = tmp_path / "run"
+    assert main(["evolve", "--config", cfg, "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["termination"] == "t_end"
+    assert summary["mass_drift_flag"] is True
+
+
 def test_numerical_failure_exit_3(tmp_path, capsys):
     cfg = write_cfg(tmp_path / "gs.cfg", dim=1, sigma=1.5, b=0.5,
                     extent=12.0, n=512, max_iter=2)
@@ -221,6 +252,9 @@ FITTABLE = "".join(f"{1 - 2 ** (-i / 4)!r},0.001,1.0,0.5,{2 ** (i / 4)!r},1.0,0.
                    for i in range(40))
 # a field binary of the right size for n = 256 whose geometry tag is not ASCII
 BAD_TAG_FLD = b"INLSFLD1" + (256).to_bytes(8, "little") + b"lin\xe9" + bytes(12 + 16 * 256)
+# a well-formed n = 256 line field binary whose first value is inf
+INF_FLD = (b"INLSFLD1" + (256).to_bytes(8, "little") + b"line" + bytes(12)
+           + np.r_[np.inf, np.ones(255)].astype("<c16").tobytes())
 
 
 @pytest.mark.parametrize("command, corrupt", [
@@ -256,6 +290,7 @@ BAD_TAG_FLD = b"INLSFLD1" + (256).to_bytes(8, "little") + b"lin\xe9" + bytes(12 
     pytest.param("evolve", _rewrite("u0.fld", "INLSFLD1 but not a field"), id="evolve-bad-fld"),
     pytest.param("evolve", _rewrite("u0.fld", BAD_TAG_FLD), id="evolve-fld-tag-not-ascii"),
     pytest.param("evolve", _remove("u0.fld"), id="evolve-fld-missing"),
+    pytest.param("evolve", _rewrite("u0.fld", INF_FLD), id="evolve-fld-holds-inf"),
 ])
 def test_malformed_run_input_exit_2(tmp_path, capsys, command, corrupt):
     """A malformed or unusable run input exits 2 before the output directory exists.
@@ -428,6 +463,15 @@ def solve_calls(monkeypatch):
     ("analyze", "alpha", 0.7),
     ("analyze", "alpha", "nan"),
     ("analyze", "alpha", 0),
+    ("exact", "family_gamma", "nan"),
+    ("exact", "times", "0.1,-inf"),
+    ("evolve", "initial_amplitude", "nan"),
+    pytest.param("evolve", "initial_c", {"initial": "ground_state_multiple", "initial_c": "inf"},
+                 id="evolve-initial_c-inf-ground_state_multiple"),
+    pytest.param("evolve", "family_t0", {"initial": "s_family", "family_t0": "-inf"},
+                 id="evolve-family_t0-inf-s_family"),
+    ("evolve", "c_dt", "inf"),
+    ("analyze", "c0", "inf"),
 ])
 def test_malformed_value_exit_2(tmp_path, capsys, solve_calls, command, key, value):
     """A bad config exits 2 naming the key, before any solve or output directory."""

@@ -186,6 +186,19 @@ def test_field_length_mismatch_rejected():
         Field(np.zeros(128), g, params)
 
 
+@pytest.mark.parametrize("params, grid", [
+    pytest.param(make_params(1, 2.0, 0.0), line_grid(12.0, 256, 0.5), id="b"),
+    pytest.param(make_params(3, 1.0, 0.5), radial_grid(2, 12.0, 256, 0.5), id="dim"),
+    pytest.param(make_params(2, 1.0, 0.5), line_grid(12.0, 256, 0.5), id="line-for-radial"),
+    pytest.param(make_params(1, 1.5, 0.5), radial_grid(2, 12.0, 256, 0.5), id="radial-for-line"),
+])
+def test_field_rejects_grid_built_for_other_params(params, grid):
+    """A grid built for another (dim, b) would weight the field with the wrong
+    |x|^-b or volume elements."""
+    with pytest.raises(ValidationError, match="does not match params"):
+        Field(np.ones(grid.n, dtype=complex), grid, params)
+
+
 def test_grid_for_dispatch():
     p1 = make_params(1, 1.5, 0.5)
     p3 = make_params(3, 1.0, 0.5)

@@ -75,6 +75,14 @@ def test_subthreshold_runs_to_t_end(quintic_gs):
     assert not traj.mass_drift_flag
 
 
+def test_mass_drift_is_flagged(plain_line, leaky_flow):
+    params, grid = plain_line
+    u0 = Field(0.3 * np.exp(-grid.nodes ** 2 / 2).astype(complex), grid, params)
+    traj = evolve(u0, StepPolicy(dt0=0.01, c_dt=1e9, theta=1e9, t_end=0.1))
+    assert traj.termination == "t_end"
+    assert traj.mass_drift_flag
+
+
 def test_supercritical_hits_resolution_limit(quintic_gs):
     u0 = quintic_gs.profile.with_values(1.05 * quintic_gs.profile.values.astype(complex))
     traj = evolve(u0, StepPolicy(dt0=5e-4, c_dt=5e-3, theta=0.15, t_end=10.0, sample_every=10))

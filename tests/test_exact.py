@@ -28,6 +28,9 @@ def test_family_params_validation():
         SFamilyParams(T=-1.0, lam=1.0)
     with pytest.raises(ValidationError):
         SFamilyParams(T=1.0, lam=0.0)
+    for gamma in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValidationError, match="gamma"):
+            SFamilyParams(T=1.0, lam=1.0, gamma=gamma)
 
 
 def test_s_profile_t0_pointwise(quintic_gs):
@@ -41,6 +44,10 @@ def test_s_profile_t0_pointwise(quintic_gs):
 def test_s_profile_requires_t_below_T(quintic_gs):
     with pytest.raises(ValidationError):
         s_profile(SFamilyParams(T=0.5, lam=1.0), quintic_gs, 0.5)
+    # t -> -inf would sample Q at scale 0: an all-zero field, not a profile
+    for t in (-math.inf, math.nan):
+        with pytest.raises(ValidationError):
+            s_profile(SFamilyParams(T=0.5, lam=1.0), quintic_gs, t)
 
 
 def test_s_profile_mass_matches_ground_state(quintic_gs):

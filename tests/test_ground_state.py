@@ -9,8 +9,7 @@ from inls_lab import (
 )
 from inls_lab.core import line_grid, radial_grid, sample_scaled
 from inls_lab.exact import standing_wave
-from inls_lab.ground_state import SolverOptions
-from inls_lab import functionals as fn
+from inls_lab import functionals as fn, ground_state
 from inls_lab.inequalities import corpus_rng, random_bump_field
 
 
@@ -148,7 +147,7 @@ def test_non_convergence_raises():
     params = make_params(1, 1.5, 0.5)
     grid = line_grid(12.0, 512, 0.5)
     with pytest.raises(ConvergenceError) as err:
-        solve_ground_state(params, grid, SolverOptions(max_iter=2))
+        solve_ground_state(params, grid, max_iter=2)
     assert err.value.residual is not None
 
 
@@ -164,7 +163,7 @@ def test_non_convergence_raises_in_longdouble():
     params = make_params(2, 0.75, 0.5)
     grid = radial_grid(2, 14.0, 512, 0.5)
     with pytest.raises(ConvergenceError):
-        solve_ground_state(params, grid, SolverOptions(max_iter=2, dtype=np.longdouble))
+        solve_ground_state(params, grid, max_iter=2, dtype="longdouble")
 
 
 def test_float64_solve_is_one_phase(line_b_gs, intercritical_radial_gs):
@@ -182,8 +181,7 @@ def test_float64_phase_ends_when_its_step_stops_shrinking():
     """Only the stall rule leaves the float64 phase, and the longdouble phase
     still converges."""
     params = make_params(2, 0.75, 0.5)
-    gs = solve_ground_state(params, radial_grid(2, 14.0, 4096, 0.5),
-                            SolverOptions(dtype=np.longdouble))
+    gs = solve_ground_state(params, radial_grid(2, 14.0, 4096, 0.5), dtype="longdouble")
     assert 0 < gs.float64_iterations < gs.iterations
     assert gs.residual / math.sqrt(gs.q_mass) < 1e-10
 
@@ -213,6 +211,16 @@ def test_grid_param_mismatch_rejected():
         solve_ground_state(params, line_grid(12.0, 512, 0.25))
     with pytest.raises(ValidationError):
         solve_ground_state(params, radial_grid(2, 12.0, 512, 0.5))
+
+
+def test_dimension_mismatch_rejected_before_iterating(monkeypatch):
+    """N = 3 params on a 2-D radial grid: same geometry and b, other dimension."""
+    def no_iteration(*args, **kwargs):
+        raise AssertionError("the Petviashvili iteration ran")
+
+    monkeypatch.setattr(ground_state, "_petviashvili", no_iteration)
+    with pytest.raises(ValidationError, match="dim"):
+        solve_ground_state(make_params(3, 1.0, 0.5), radial_grid(2, 12.0, 1024, 0.5))
 
 
 @pytest.mark.parametrize(

@@ -13,7 +13,7 @@ from inls_lab.core import (
     radial_grid,
 )
 from inls_lab.evolution import step
-from inls_lab.ground_state import SolverOptions, solve_ground_state
+from inls_lab.ground_state import solve_ground_state
 from inls_lab.inequalities import random_bump_field
 
 SETUPS = {
@@ -141,7 +141,7 @@ def test_longdouble_ground_state_solves_once_per_iteration(monkeypatch):
     Helmholtz solve: one float64 tridiagonal solve per iteration."""
     calls = _count_calls(monkeypatch, "dgttrs")
     gs = solve_ground_state(make_params(2, 0.75, 0.5), radial_grid(2, 14.0, 2048, 0.5),
-                            SolverOptions(dtype=np.longdouble))
+                            dtype="longdouble")
     assert gs.longdouble_iterations > 0
     assert len(calls) == gs.iterations
 
