@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 
 from .core import (
     Field, Grid, ProblemParams, Regime,
-    grid_for, laplacian, line_grid, make_params, radial_grid, rescale,
+    grid_for, laplacian, line_grid, make_params, radial_grid,
 )
 from .errors import ConvergenceError, InlsError, NumericsError, ValidationError
 from .evolution import StepPolicy, Trajectory, evolve, step
@@ -26,7 +26,7 @@ from .ground_state import (
 )
 from .analysis import (
     BlowupFit, decompose, estimate_blowup_time, mass_concentration_series,
-    rescaled_profile, sigma_c_window_series, window_radii,
+    rescale, rescaled_profile, sigma_c_window_series, window_radii,
 )
 
 __all__ = [

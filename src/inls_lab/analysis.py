@@ -6,12 +6,13 @@ space-frequency decomposition with its critical-norm window series.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .core import Field, _apply_symbol, _spectrum, rescale
+from .core import Field, _apply_symbol, _spectrum, sample_scaled
 from .errors import ValidationError
 from .evolution import Trajectory
 from .ground_state import GroundState
@@ -135,6 +136,32 @@ class RescaledProfile:
     err: float             # relative H1 distance of the aligned slice to Q
 
 
+def rescale(u: Field, rho: float) -> Field:
+    """Scaling-symmetry action: rho^{(2-b)/(2 sigma)} u(rho x) on the same grid.
+
+    Cubic interpolation with zero extension.  Warns when more than 1% of the
+    field's mass lives where the shrunk image cannot represent it.
+    """
+    if not rho > 0:
+        raise ValidationError(f"rho must be positive, got {rho}")
+    p = u.params
+    amp = rho ** ((2.0 - p.b) / (2.0 * p.sigma))
+    vals = amp * sample_scaled(u, rho)
+    if rho < 1.0:
+        total = fn.mass(u)
+        if total > 0:
+            inside = fn.concentrated_mass(u, 0.0, rho * u.grid.extent)
+            lost = 1.0 - inside / total
+            if lost > 0.01:
+                warnings.warn(
+                    f"rescale(rho={rho:g}): {100 * lost:.1f}% of the mass falls "
+                    "outside the representable window",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
+    return u.with_values(vals)
+
+
 def rescaled_profile(u: Field, gs: GroundState) -> RescaledProfile:
     """Rescale u to the ground-state gradient scale and align its phase.
 
@@ -160,12 +187,6 @@ def rescaled_profile(u: Field, gs: GroundState) -> RescaledProfile:
 # space/frequency decomposition
 
 
-def _window_R(p, u0_mass: float, g: float, c: float) -> float:
-    """c ||u0||^((sigma+2)/(sigma(N-1)+b)) / |grad u|^((2-sigma)/(sigma(N-1)+b))."""
-    denom = p.sigma * (p.dim - 1) + p.b
-    return c * math.sqrt(u0_mass) ** ((p.sigma + 2.0) / denom) * g ** (-(2.0 - p.sigma) / denom)
-
-
 def window_radii(u: Field, u0_mass: float):
     """Spatial radius R and frequency radius rho of the concentration windows.
 
@@ -180,7 +201,9 @@ def window_radii(u: Field, u0_mass: float):
     if p.dim < 2:
         raise ValidationError("window radii require N >= 2")
     g = math.sqrt(fn.grad_norm_sq(u))
-    return _window_R(p, u0_mass, g, 1.0), g ** (1.0 / (1.0 - p.s_c))
+    denom = p.sigma * (p.dim - 1) + p.b
+    R = math.sqrt(u0_mass) ** ((p.sigma + 2.0) / denom) * g ** (-(2.0 - p.sigma) / denom)
+    return R, g ** (1.0 / (1.0 - p.s_c))
 
 
 def smooth_cutoff(s: np.ndarray) -> np.ndarray:
@@ -294,7 +317,8 @@ def sigma_c_window_series(
     """Critical-norm window integrals along the trajectory snapshots.
 
     mode "fint": window radius c0^2 |grad u|^(-1/(1-s_c)), running minimum.
-    mode "inft": the spatial-decomposition radius scaling, running maximum.
+    mode "inft": window radius c0_tilde R, R the spatial-decomposition radius
+    of ``window_radii`` (whose preconditions apply), running maximum.
     """
     if mode not in WINDOW_MODES:
         raise ValidationError(f"mode must be 'fint' or 'inft', got {mode!r}")
@@ -310,11 +334,10 @@ def sigma_c_window_series(
     out: list[WindowRecord] = []
     extreme = None
     for s in snaps:
-        g = math.sqrt(s.grad_norm_sq)
         if mode == "fint":
-            rad = c0 ** 2 * g ** (-1.0 / (1.0 - p.s_c))
+            rad = c0 ** 2 * math.sqrt(s.grad_norm_sq) ** (-1.0 / (1.0 - p.s_c))
         else:
-            rad = _window_R(p, m0, g, c0_tilde)
+            rad = c0_tilde * window_radii(s.snapshot, m0)[0]
         val = fn.lp_norm(s.snapshot, p.sigma_c, region=(0.0, rad)) ** p.sigma_c
         if extreme is None:
             extreme = val
@@ -326,7 +349,7 @@ def sigma_c_window_series(
 __all__ = [
     "BlowupFit", "estimate_blowup_time", "rate_exponent_bound",
     "ConcentrationRecord", "mass_concentration_series",
-    "RescaledProfile", "rescaled_profile",
+    "RescaledProfile", "rescale", "rescaled_profile",
     "window_radii", "smooth_cutoff", "decompose", "DecompositionResult",
     "WindowRecord", "WINDOW_MODES", "sigma_c_window_series",
 ]

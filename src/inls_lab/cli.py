@@ -14,10 +14,10 @@ Config files are flat ``key = value`` text ('#' starts a comment).
 ``SCHEMAS`` gives each subcommand's keys with their casts and defaults, and
 every check the config alone decides runs before the output directory is
 created, so a bad config exits 2 and leaves nothing behind.  The same holds
-for the files a run reads: analyze reads the run directory and fits its
-blow-up time, and evolve reads its initial field, before creating the output
-directory.  evolve's --snapshots flag overrides snapshot_every.  A failed
-evolve still writes trajectory.csv and summary.json (termination
+for the files a run reads and what it computes from them: analyze reads the
+run directory, fits its blow-up time and builds its concentration series, and
+evolve reads its initial field, before creating the output directory.  A
+failed evolve still writes trajectory.csv and summary.json (termination
 "numerics_error") before exiting 3.
 """
 
@@ -271,8 +271,6 @@ def cmd_analyze(cfg, out, seed):
     if snap_dir.exists():
         attach_snapshots(traj, snap_dir, grid, params)
     fit = estimate_blowup_time(traj, params.s_c)
-    _setup(cfg, out, params, grid, "analyze")
-    rows = ["t,T_hat_minus_t,grad_norm,window_radius,concentration"]
     verdicts = {"rate_exponent_below_bound": fit.exponent <= rate_exponent_bound(params.s_c)}
     floor, series = None, []
     snaps = traj.snapshots()
@@ -284,6 +282,8 @@ def cmd_analyze(cfg, out, seed):
         series = sigma_c_window_series(traj, fit, cfg["mode"],
                                        c0=cfg["c0"], c0_tilde=cfg["c0_tilde"])
         floor = series[-1].running_extreme
+    _setup(cfg, out, params, grid, "analyze")
+    rows = ["t,T_hat_minus_t,grad_norm,window_radius,concentration"]
     for r, s in zip(series, snaps):
         rows.append(f"{r.time!r},{fit.T_hat - r.time!r},"
                     f"{s.grad_norm_sq ** 0.5!r},{r.radius!r},{r.value!r}")
@@ -382,9 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None, help="flat key=value config file")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        p.add_argument("--snapshots", default=None,
-                       help="evolve only: keep a field snapshot every N samples "
-                            "(overrides snapshot_every)")
         if name == "reproduce":
             p.add_argument("name", nargs="?", default=None,
                            help=f"one of: {', '.join(sorted(REGISTRY))}")
@@ -395,8 +392,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         raw = parse_config(args.config)
-        if args.snapshots is not None:
-            raw["snapshot_every"] = args.snapshots
         if getattr(args, "name", None):
             raw["name"] = args.name
         cfg = resolve_config(args.command, raw)

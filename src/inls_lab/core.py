@@ -15,9 +15,12 @@ singular weight |x|^-b stays finite.  The weight is stored as the exact
 cell average of |x|^-b, which keeps quadratures of weighted integrands
 second-order accurate despite the singularity.
 
-The operator layer (the differential primitives below) is the only code that
-knows the two discretizations; its Laplacian and gradient quadrature are
-summation-by-parts companions.  Each grid lazily caches what the operators
+This module owns the grids, the fields on them and the operator layer (the
+differential primitives below: Laplacian, gradient and its quadrature,
+Helmholtz solve, free flow, spline sampling); the Laplacian and gradient
+quadrature are summation-by-parts companions.  Quadratures and window
+integrals (``functionals``) and the mollifiers (``analysis``) read a grid's
+nodes, weights and faces directly.  Each grid lazily caches what the operators
 reuse (k, k^2 and Laplacian bands per dtype, the float64 factorization of
 1 - Lap, the linear propagators of the most recent time steps) for exactly as
 long as the grid lives.  Operators work in the dtype of their input, except
@@ -27,7 +30,6 @@ the Helmholtz solve, which is float64 for any rhs.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -468,39 +470,11 @@ def sample_scaled(u: Field, scale: float, order: int = 3) -> np.ndarray:
     return ev(scale * u.grid.nodes)
 
 
-def rescale(u: Field, rho: float) -> Field:
-    """Scaling-symmetry action: rho^{(2-b)/(2 sigma)} u(rho x) on the same grid.
-
-    Cubic interpolation with zero extension.  Warns when more than 1% of the
-    field's mass lives where the shrunk image cannot represent it.
-    """
-    if not rho > 0:
-        raise ValidationError(f"rho must be positive, got {rho}")
-    p = u.params
-    amp = rho ** ((2.0 - p.b) / (2.0 * p.sigma))
-    vals = amp * sample_scaled(u, rho)
-    if rho < 1.0:
-        from .functionals import mass, concentrated_mass
-
-        total = mass(u)
-        if total > 0:
-            inside = concentrated_mass(u, 0.0, rho * u.grid.extent)
-            lost = 1.0 - inside / total
-            if lost > 0.01:
-                warnings.warn(
-                    f"rescale(rho={rho:g}): {100 * lost:.1f}% of the mass falls "
-                    "outside the representable window",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-    return u.with_values(vals)
-
-
 __all__ = [
     "Regime", "ProblemParams", "make_params", "sigma_star", "b_tilde",
     "Grid", "line_grid", "radial_grid", "grid_for",
     "Field",
     "laplacian", "laplacian_values", "gradient_values", "grad_norm_sq_values",
     "helmholtz_solve", "apply_radial_lap", "free_flow",
-    "rescale", "sample_scaled",
+    "sample_scaled",
 ]

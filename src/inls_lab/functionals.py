@@ -76,42 +76,32 @@ def boundary_mass_fraction(u: Field) -> float:
 # window integrals
 
 
-def _cumulative(u: Field, p: float):
-    """Cumulative integral of |u|^p against the volume measure at cell edges,
-    plus the interpolation coordinate in which cell density is constant."""
+def _window_integral(u: Field, p: float, center, radius: float):
+    """Integral of |u|^p over {|x - center| <= radius} from the cumulative sum
+    at cell edges, interpolated in the coordinate where cell density is
+    constant.  ``center`` may be an array of line centers."""
+    if not radius > 0:
+        raise ValidationError(f"radius must be positive, got {radius}")
     g = u.grid
-    dens = np.abs(u.values) ** p * g.weights
-    cum = np.concatenate([[0.0], np.cumsum(dens)])
+    cum = np.concatenate([[0.0], np.cumsum(np.abs(u.values) ** p * g.weights)])
     if g.geometry == "line":
         coord = np.concatenate([[g.nodes[0] - g.spacing / 2], g.nodes + g.spacing / 2])
-        return coord, cum
-    return g.faces ** g.dim, cum
-
-
-def _window_integral(u: Field, p: float, center: float, radius: float) -> float:
-    g = u.grid
-    coord, cum = _cumulative(u, p)
-    if g.geometry == "line":
-        lo = np.interp(center - radius, coord, cum)
-        hi = np.interp(center + radius, coord, cum)
-        return float(hi - lo)
+        return np.interp(center + radius, coord, cum) - np.interp(center - radius, coord, cum)
     if abs(center) > 1e-12:
         raise ValidationError("radial geometry supports origin-centered windows only")
-    return float(np.interp(min(radius, g.extent) ** g.dim, coord, cum))
+    return np.interp(min(radius, g.extent) ** g.dim, g.faces ** g.dim, cum)
 
 
 def concentrated_mass(u: Field, center: float, radius: float) -> float:
     """Mass inside {|x - center| <= radius}, boundary cell fractionally weighted."""
-    if not radius > 0:
-        raise ValidationError(f"radius must be positive, got {radius}")
-    if radius < u.grid.spacing:
+    if 0 < radius < u.grid.spacing:
         warnings.warn(
             f"window radius {radius:g} is below one cell ({u.grid.spacing:g}); "
             "returning the single-cell estimate",
             RuntimeWarning,
             stacklevel=2,
         )
-    return _window_integral(u, 2.0, center, radius)
+    return float(_window_integral(u, 2.0, center, radius))
 
 
 def sup_concentrated_mass(u: Field, radius: float) -> tuple[float, float]:
@@ -120,15 +110,10 @@ def sup_concentrated_mass(u: Field, radius: float) -> tuple[float, float]:
     Exact over grid centers on the line (prefix sums); radial geometry
     returns the origin window, where radial collapse concentrates.
     """
-    if not radius > 0:
-        raise ValidationError(f"radius must be positive, got {radius}")
     g = u.grid
     if g.geometry == "radial":
-        return _window_integral(u, 2.0, 0.0, radius), 0.0
-    coord, cum = _cumulative(u, 2.0)
-    hi = np.interp(g.nodes + radius, coord, cum)
-    lo = np.interp(g.nodes - radius, coord, cum)
-    vals = hi - lo
+        return float(_window_integral(u, 2.0, 0.0, radius)), 0.0
+    vals = _window_integral(u, 2.0, g.nodes, radius)
     j = int(np.argmax(vals))
     return float(vals[j]), float(g.nodes[j])
 
@@ -143,10 +128,7 @@ def lp_norm(u: Field, p: float, region: tuple[float, float] | None = None) -> fl
     if region is None:
         total = float(np.sum(np.abs(u.values) ** p * u.grid.weights))
     else:
-        center, radius = region
-        if not radius > 0:
-            raise ValidationError(f"radius must be positive, got {radius}")
-        total = _window_integral(u, p, center, radius)
+        total = float(_window_integral(u, p, *region))
     return total ** (1.0 / p)
 
 

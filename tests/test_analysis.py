@@ -114,6 +114,12 @@ def test_window_radii_sigma_gate():
     u = Field(np.exp(-grid.nodes ** 2), grid, params)
     with pytest.raises(ValidationError):
         window_radii(u, 1.0)
+    # the inft series takes its radius from window_radii, gate included
+    traj = synthetic_trajectory([0.0], [math.sqrt(fn.grad_norm_sq(u))])
+    traj.samples[0].snapshot = u
+    fit = BlowupFit(T_hat=1.0, exponent=-0.4, r_squared=1.0, window=(0.0, 0.0))
+    with pytest.raises(ValidationError):
+        sigma_c_window_series(traj, fit, "inft")
 
 
 def test_smooth_cutoff_shape():

@@ -315,6 +315,25 @@ def test_malformed_run_input_exit_2(tmp_path, capsys, command, corrupt):
     assert not out.exists()
 
 
+def test_inft_outside_its_regime_exit_2(tmp_path, capsys):
+    """mode = inft on an N = 1 run has no decomposition radius: analyze exits 2
+    before the output directory exists."""
+    run = tmp_path / "run"
+    (run / "snapshots").mkdir(parents=True)
+    params = make_params(1, 3.0, 0.0)
+    grid = grid_for(params, 16.0, 256)
+    write_manifest(run / "manifest.json", params, grid)
+    (run / "trajectory.csv").write_text(f"{HEADER}\n{FITTABLE}")
+    write_field(run / "snapshots" / "s.fld",
+                Field(np.exp(-grid.nodes ** 2).astype(complex), grid, params))
+    (run / "snapshots" / "snapshots.json").write_text('[{"file": "s.fld", "time": 0.0}]')
+    cfg = write_cfg(tmp_path / "an.cfg", run_dir=str(run), mode="inft")
+    out = tmp_path / "out"
+    assert main(["analyze", "--config", cfg, "--out", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_out_naming_a_file_exit_2(tmp_path, capsys):
     cfg = write_cfg(tmp_path / "gs.cfg", dim=1, sigma=2.0, b=0.0, extent=16.0, n=256)
     out = tmp_path / "taken"
@@ -490,12 +509,16 @@ def test_malformed_value_exit_2(tmp_path, capsys, solve_calls, command, key, val
     assert not solve_calls
 
 
-def test_snapshots_flag_is_evolve_only(tmp_path, capsys, solve_calls):
-    cfg = write_cfg(tmp_path / "gs.cfg", dim=1, sigma=2.0, b=0.0, extent=16.0, n=256)
+@pytest.mark.parametrize("command", ["ground-state", "evolve"])
+def test_snapshots_flag_is_rejected(tmp_path, capsys, solve_calls, command):
+    """snapshot_every is set in the config only; the flag is an argparse error."""
+    cfg = write_cfg(tmp_path / "c.cfg", dim=1, sigma=2.0, b=0.0, extent=16.0, n=256,
+                    **({"initial": "gaussian", "t_end": 0.01} if command == "evolve" else {}))
     out = tmp_path / "x"
-    rc = main(["ground-state", "--config", cfg, "--out", str(out), "--snapshots", "3"])
-    assert rc == 2
-    assert "snapshot_every" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", cfg, "--out", str(out), "--snapshots", "3"])
+    assert exc.value.code == 2
+    assert "--snapshots" in capsys.readouterr().err
     assert not out.exists()
     assert not solve_calls
 

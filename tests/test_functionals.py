@@ -219,8 +219,8 @@ def test_sup_dominates_every_center_exhaustive():
     grid = line_grid(10.0, 512, 0.5)
     u = random_bump_field(params, grid, corpus_rng(0x1515, "supgrid"))
     val, _ = fn.sup_concentrated_mass(u, 0.8)
-    for y in grid.nodes:
-        assert val >= fn.concentrated_mass(u, y, 0.8) - 1e-12
+    # the sup and the pointwise window share one integral, so they agree exactly
+    assert val == max(fn.concentrated_mass(u, y, 0.8) for y in grid.nodes)
 
 
 def test_sup_concentrated_mass_radial_origin(ic_radial):

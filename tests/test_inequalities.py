@@ -35,7 +35,7 @@ def test_gagliardo_corpus_nonpositive(line_b_gs):
 
 
 def test_gagliardo_ratio_scale_invariant(line_gate_gs):
-    from inls_lab.core import rescale
+    from inls_lab.analysis import rescale
 
     u = line_gate_gs.profile.with_values(
         line_gate_gs.profile.values * np.exp(0.1j * line_gate_gs.profile.grid.nodes)
@@ -176,7 +176,7 @@ def test_critical_gn_scale_invariance():
     # both sides share the scaling-symmetry homogeneity, so the ratio is
     # invariant; the domain must hold every rescaled copy (widest still dies
     # at the Dirichlet wall, narrowest still resolves)
-    from inls_lab.core import rescale
+    from inls_lab.analysis import rescale
 
     params = make_params(2, 1.0, 0.5)
     grid = radial_grid(2, 24.0, 32768, 0.5)
