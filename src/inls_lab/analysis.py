@@ -200,10 +200,17 @@ def window_radii(u: Field, u0_mass: float):
         raise ValidationError(f"need sigma < 2, got sigma={p.sigma}")
     if p.dim < 2:
         raise ValidationError("window radii require N >= 2")
-    g = math.sqrt(fn.grad_norm_sq(u))
+    g = _grad_norm(fn.grad_norm_sq(u))
     denom = p.sigma * (p.dim - 1) + p.b
     R = math.sqrt(u0_mass) ** ((p.sigma + 2.0) / denom) * g ** (-(2.0 - p.sigma) / denom)
     return R, g ** (1.0 / (1.0 - p.s_c))
+
+
+def _grad_norm(grad_norm_sq: float) -> float:
+    """|grad u|, which the window radii take to a negative power."""
+    if not grad_norm_sq > 0:
+        raise ValidationError("concentration windows are undefined where |grad u| = 0")
+    return math.sqrt(grad_norm_sq)
 
 
 def smooth_cutoff(s: np.ndarray) -> np.ndarray:
@@ -335,7 +342,7 @@ def sigma_c_window_series(
     extreme = None
     for s in snaps:
         if mode == "fint":
-            rad = c0 ** 2 * math.sqrt(s.grad_norm_sq) ** (-1.0 / (1.0 - p.s_c))
+            rad = c0 ** 2 * _grad_norm(s.grad_norm_sq) ** (-1.0 / (1.0 - p.s_c))
         else:
             rad = c0_tilde * window_radii(s.snapshot, m0)[0]
         val = fn.lp_norm(s.snapshot, p.sigma_c, region=(0.0, rad)) ** p.sigma_c

@@ -194,8 +194,7 @@ def cmd_ground_state(cfg, out, seed):
         "k_opt": gs.k_opt,
         "q_mass": gs.q_mass,
         "iterations": gs.iterations,
-        "float64_iterations": gs.float64_iterations,
-        "longdouble_iterations": gs.longdouble_iterations,
+        "newton_steps": gs.newton_steps,
         "regime_label": "proven" if params.proven_regime else "unproven-regime",
     }
     (out / "ground_state.json").write_text(json.dumps(sidecar, indent=2) + "\n")

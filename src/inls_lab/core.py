@@ -17,14 +17,14 @@ second-order accurate despite the singularity.
 
 This module owns the grids, the fields on them and the operator layer (the
 differential primitives below: Laplacian, gradient and its quadrature,
-Helmholtz solve, free flow, spline sampling); the Laplacian and gradient
+Helmholtz solves, free flow, spline sampling); the Laplacian and gradient
 quadrature are summation-by-parts companions.  Quadratures and window
 integrals (``functionals``) and the mollifiers (``analysis``) read a grid's
 nodes, weights and faces directly.  Each grid lazily caches what the operators
 reuse (k, k^2 and Laplacian bands per dtype, the float64 factorization of
 1 - Lap, the linear propagators of the most recent time steps) for exactly as
 long as the grid lives.  Operators work in the dtype of their input, except
-the Helmholtz solve, which is float64 for any rhs.
+the Helmholtz solves, which are float64 for any rhs.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from scipy.linalg import lapack
 from .errors import NumericsError, ValidationError
 
 MASS_CRITICAL_TOL = 1e-12
+MINRES_RTOL = 1e-8      # relative residual of the line's shifted Helmholtz solve
 
 
 class Regime(Enum):
@@ -298,12 +299,16 @@ def _radial_lap_bands(grid: Grid, dtype):
     return _cached(grid, ("bands", dtype), build)
 
 
-def _factor_one_minus_zlap(grid: Grid, z):
-    """LAPACK gttrf factors of the radial float64 tridiagonal 1 - z Lap
-    (zgttrf for complex z), as plain arrays for ``_tridiag_solve``."""
+def _factor_one_minus_zlap(grid: Grid, z, shift=None):
+    """LAPACK gttrf factors of the radial float64 tridiagonal 1 - z Lap - shift
+    (zgttrf for complex z), as plain arrays for ``_tridiag_solve``.  A float64
+    ``shift`` array is overwritten: the factors are built in its buffer."""
     lo, dg, up = _radial_lap_bands(grid, np.float64)
     d = 1.0 - z * dg
-    *lu, info = (lapack.zgttrf if np.iscomplexobj(d) else lapack.dgttrf)(-z * lo, d, -z * up)
+    if shift is not None:
+        d = np.subtract(d, shift, out=shift)
+    *lu, info = (lapack.zgttrf if np.iscomplexobj(d) else lapack.dgttrf)(
+        -z * lo, d, -z * up, overwrite_dl=1, overwrite_d=1, overwrite_du=1)
     if info:
         raise np.linalg.LinAlgError(f"singular tridiagonal system (gttrf info={info})")
     return lu
@@ -403,6 +408,29 @@ def helmholtz_solve(grid: Grid, rhs: np.ndarray) -> np.ndarray:
     return _tridiag_solve(lu, rhs)
 
 
+def shifted_helmholtz_solve(grid: Grid, rhs: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """Solve (1 - Laplacian - shift) u = rhs in float64 for a real rhs and a
+    float64 potential ``shift``, as for the Jacobian of the ground-state
+    equation: self-adjoint in the grid inner product, possibly indefinite.
+
+    Radially the exact tridiagonal system, factored in ``shift``'s buffer
+    (which it overwrites); on the line MINRES, preconditioned by the SPD
+    (1 - Laplacian)^-1 of ``helmholtz_solve`` (J. Yang, J. Comput. Phys. 228,
+    2009), to a relative residual of ``MINRES_RTOL``.
+    """
+    rhs = np.asarray(rhs, dtype=np.float64)
+    if grid.geometry == "radial":
+        return _tridiag_solve(_factor_one_minus_zlap(grid, 1.0, shift), rhs)
+    from scipy.sparse.linalg import LinearOperator, minres
+
+    def jacobian(u):
+        return u - laplacian_values(grid, u) - shift * u
+
+    shape = (grid.n, grid.n)
+    return minres(LinearOperator(shape, jacobian, dtype=np.float64), rhs, rtol=MINRES_RTOL,
+                  M=LinearOperator(shape, lambda r: helmholtz_solve(grid, r), dtype=np.float64))[0]
+
+
 def _build_propagator(grid: Grid, dt: float):
     """The exact Fourier multiplier on the line, the zgttrf factors of the
     Crank-Nicolson matrix 1 - (i dt/2) Lap radially."""
@@ -475,6 +503,6 @@ __all__ = [
     "Grid", "line_grid", "radial_grid", "grid_for",
     "Field",
     "laplacian", "laplacian_values", "gradient_values", "grad_norm_sq_values",
-    "helmholtz_solve", "apply_radial_lap", "free_flow",
+    "helmholtz_solve", "shifted_helmholtz_solve", "apply_radial_lap", "free_flow",
     "sample_scaled",
 ]

@@ -18,9 +18,9 @@ Tuning notes baked into the configurations below:
 * The deep Pohozaev gates finish in extended precision: at n ~ 2.6e5 the
   float64 evaluation of the elliptic residual is rounding-floor limited
   (~eps/dx^2), while the dilation identity needs that much resolution.  The
-  solver reaches that floor in float64 and runs only the remaining
-  iterations in longdouble (most of each gate's iterations run in float64;
-  the reports record both counts).
+  solver iterates in float64 to the handover step norm, then polishes with
+  two Newton steps in two precisions (longdouble defect, float64 Jacobian
+  solve); the reports record the iterations and the Newton steps.
 * Conservation, splitting-order, family-tracking, and the quadratic-virial
   gates run on the b = 0 mass-critical member (quintic line soliton), where
   Strang splitting retains its clean second order.  With b > 0 the
@@ -223,8 +223,7 @@ def pohozaev_gate(seed):
             "r2": gs.pohozaev_r2,
             "relative_residual": gs.residual / math.sqrt(gs.q_mass),
             "iterations": gs.iterations,
-            "float64_iterations": gs.float64_iterations,
-            "longdouble_iterations": gs.longdouble_iterations,
+            "newton_steps": gs.newton_steps,
             "proven_regime": gs.params.proven_regime,
         }
         ok = gs.pohozaev_r1 < 1e-6 and gs.pohozaev_r2 < 1e-6

@@ -9,23 +9,18 @@ is exact for both discretizations), so the two Pohozaev residuals collapse to
 a single independent check of the dilation identity -- the honest measure of
 spatial discretization error.
 
-Deep grids push the float64 evaluation of Lap(Q) against its rounding floor
-(~ eps / dx^2), so the solver optionally finishes in extended precision;
-``dtype="longdouble"`` keeps the residual diagnostic meaningful down to
-~1e-11 at n ~ 3e5.  Such a solve is a two-phase continuation: it iterates in
-float64 until the step norm stops shrinking (the float64 floor), then casts
-the iterate and continues in longdouble down to ``STEP_TOL``.  The stabilized
-map converges to the same fixed point from any nearby start (Pelinovsky &
-Stepanyants, SIAM J. Numer. Anal. 42, 2004), so the float64 phase changes only
-the path to Q, and most iterations run at float64 speed.  Each iteration takes
-the map in defect-correction form, Q <- S^gamma (Q + (1 - Lap)^-1 F(Q)) with
-F(Q) = Lap Q - Q + W Q^p (the same map in exact arithmetic): F, the residual
-and the Pohozaev residuals are taken at the precision of the iterate, and the
-small correction is one float64 solve (iterative refinement in two
-precisions, Carson & Higham, SIAM J. Sci. Comput. 40, 2018).  A float64 solve
-is the float64 phase alone, run to ``STEP_TOL``.  Outside the iteration the
-mass, residual and Pohozaev integrals are ``functionals``' own; NumPy sums a
-longdouble field in longdouble against the exactly promoted float64 weights.
+Each iteration takes the map in defect-correction form,
+Q <- S^gamma (Q + (1 - Lap)^-1 F(Q)) with F(Q) = Lap Q - Q + W Q^p (the same
+map in exact arithmetic), one float64 Helmholtz solve per iteration.  Deep
+grids push the float64 evaluation of Lap Q against its rounding floor
+(~ eps / dx^2), so ``dtype="longdouble"`` hands the float64 iterate over at
+step norm ``HANDOVER_TOL`` to Newton's method in two precisions: F in
+longdouble, the Jacobian system (1 - Lap - p W Q^(p - 1)) delta = F in
+float64 (iterative refinement, Carson & Higham, SIAM J. Sci. Comput. 40,
+2018), two or three steps to ``STEP_TOL``.  That keeps the residual
+diagnostic meaningful down to ~1e-11 at n ~ 3e5.  The mass, residual and
+Pohozaev integrals are ``functionals``' own; NumPy sums a longdouble field in
+longdouble against the exactly promoted float64 weights.
 """
 
 from __future__ import annotations
@@ -36,7 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Field, Grid, ProblemParams, helmholtz_solve, laplacian_values
+from .core import Field, Grid, ProblemParams, laplacian_values
+from .core import helmholtz_solve, shifted_helmholtz_solve
 from .errors import ConvergenceError, NumericsError, ValidationError
 from . import functionals as fn
 
@@ -45,8 +41,8 @@ from . import functionals as fn
 class GroundState:
     profile: Field
     residual: float
-    iterations: int             # total over both phases
-    float64_iterations: int     # the float64 phase; all of them for a float64 solve
+    iterations: int             # the float64 Petviashvili iterations
+    newton_steps: int           # the Newton steps of a longdouble solve; 0 in float64
     pohozaev_r1: float
     pohozaev_r2: float
     q_mass: float
@@ -56,16 +52,14 @@ class GroundState:
         return self.profile.params
 
     @property
-    def longdouble_iterations(self) -> int:
-        return self.iterations - self.float64_iterations
-
-    @property
     def k_opt(self) -> float:
         return k_opt(self.params, self.q_mass)
 
 
 STEP_TOL = 1e-12        # L2 distance between successive iterates
 RESIDUAL_TOL = 1e-8     # relative to ||Q||_L2
+HANDOVER_TOL = 1e-7     # float64 step norm at which a wider solve turns to Newton
+NEWTON_STEPS = 4        # cap on the Newton steps, also counted against max_iter
 
 
 def solve_ground_state(
@@ -73,31 +67,30 @@ def solve_ground_state(
 ) -> GroundState:
     """Compute the positive even/radial ground-state profile on ``grid``.
 
-    ``dtype`` ("float64" or "longdouble") is the precision of the last phase;
-    ``max_iter`` bounds both phases together.  Raises ValidationError when
-    grid and params disagree (the Gaussian start is a ``Field``),
-    ConvergenceError when max_iter is exhausted or when the iteration stalls
-    with its residual above tolerance (after the RuntimeWarning of an
-    under-resolved grid, the usual cause), and NumericsError when the
-    stabilizing factor leaves [1e-6, 1e6].
+    ``dtype`` ("float64" or "longdouble") is the precision of the Newton
+    polish; ``max_iter`` bounds iterations and Newton steps together.  Raises
+    ValidationError when grid and params disagree (the Gaussian start is a
+    ``Field``), ConvergenceError when max_iter or ``NEWTON_STEPS`` runs out or
+    when the iteration stalls with its residual above tolerance (after the
+    RuntimeWarning of an under-resolved grid, the usual cause), and
+    NumericsError when the stabilizing factor leaves [1e-6, 1e6].
     """
-    start = Field(np.exp(-(grid.nodes ** 2) / 2.0), grid, params)
-    # a wider dtype continues the float64 phase
+    Q = Field(np.exp(-(grid.nodes ** 2) / 2.0), grid, params).values    # the Gaussian start
     wide = np.dtype(dtype) != np.float64
-    Q, it, converged = _petviashvili(params, grid, start.values, max_iter, until_stall=wide)
-    float64_iterations = it
-    if wide:
-        Q, it_wide, converged = _petviashvili(params, grid, Q.astype(dtype), max_iter - it)
-        it += it_wide
+    Q, it, converged = _petviashvili(params, grid, Q, max_iter, HANDOVER_TOL if wide else STEP_TOL)
+    steps = 0
+    if wide and converged:
+        Q = Q.astype(dtype)              # not held beside the float64 iterate
+        Q, steps, converged = _newton(params, grid, Q, min(NEWTON_STEPS, max_iter - it))
 
-    iterate = start.with_values(Q)
+    iterate = Field(Q, grid, params)
     q_mass = fn.mass(iterate)
     res = math.sqrt(fn.mass(iterate.with_values(_defect(params, grid, Q)[1])))
     tol = RESIDUAL_TOL * math.sqrt(q_mass)
     if not converged:
         raise ConvergenceError(
-            f"ground state did not converge in {it} iterations, max_iter exhausted "
-            f"(residual {res:.3e}, tol {tol:.3e})",
+            f"ground state did not converge in {it} iterations and {steps} Newton steps "
+            f"(max_iter {max_iter}, residual {res:.3e}, tol {tol:.3e})",
             residual=res,
         )
     prof = iterate.with_values(Q.astype(np.float64))
@@ -110,15 +103,8 @@ def solve_ground_state(
         )
 
     r1, r2 = pohozaev_residuals(iterate)
-    return GroundState(
-        profile=prof,
-        residual=res,
-        iterations=it,
-        float64_iterations=float64_iterations,
-        pohozaev_r1=r1,
-        pohozaev_r2=r2,
-        q_mass=q_mass,
-    )
+    return GroundState(profile=prof, residual=res, iterations=it, newton_steps=steps,
+                       pohozaev_r1=r1, pohozaev_r2=r2, q_mass=q_mass)
 
 
 def _defect(params: ProblemParams, grid: Grid, Q: np.ndarray):
@@ -128,18 +114,11 @@ def _defect(params: ProblemParams, grid: Grid, Q: np.ndarray):
     return lap, lap - Q + grid.weight_b * Q ** (2.0 * params.sigma + 1.0)
 
 
-def _petviashvili(
-    params: ProblemParams, grid: Grid, Q: np.ndarray, max_iter: int, until_stall: bool = False,
-) -> tuple[np.ndarray, int, bool]:
-    """Petviashvili iteration at the precision of ``Q``.
-
-    Returns the last iterate, the iterations taken and whether the L2 step
-    norm fell below ``STEP_TOL``; ``until_stall`` also stops at the first step
-    that does not shrink.
-    """
+def _petviashvili(params: ProblemParams, grid: Grid, Q: np.ndarray, max_iter: int, tol=STEP_TOL):
+    """Petviashvili iteration at the precision of ``Q``; returns the last
+    iterate, the iterations taken and whether the L2 step norm fell below ``tol``."""
     w = grid.weights
     gamma = Q.dtype.type(2.0 * params.sigma + 1.0) / Q.dtype.type(2.0 * params.sigma)
-    last = math.inf
     for it in range(1, max_iter + 1):
         lap, F = _defect(params, grid, Q)
         num = np.sum((Q - lap) * Q * w)      # <(1 - Lap) Q, Q>
@@ -157,12 +136,30 @@ def _petviashvili(
             Qn = 0.5 * (Qn + Qn[::-1])
         diff = float(np.sqrt(np.sum((Qn - Q) ** 2 * w)))
         Q = Qn
-        if diff < STEP_TOL:
+        if diff < tol:
             return Q, it, True
-        if until_stall and diff >= last:
-            return Q, it, False
-        last = diff
     return Q, max_iter, False
+
+
+def _newton(params: ProblemParams, grid: Grid, Q: np.ndarray, max_steps: int):
+    """Newton's method on F(Q) = 0, updating ``Q`` in place; returns it, the
+    steps taken and whether the L2 step norm fell below ``STEP_TOL``."""
+    p = 2.0 * params.sigma + 1.0
+    for step in range(1, max_steps + 1):
+        F = _defect(params, grid, Q)[1].astype(np.float64)   # drops Lap Q before the solve
+        V = Q.astype(np.float64)                              # V = p W Q^(p - 1), in place
+        V **= p - 1.0
+        V *= grid.weight_b
+        V *= p
+        delta = shifted_helmholtz_solve(grid, F, V)
+        if grid.geometry == "line":
+            delta = 0.5 * (delta + delta[::-1])
+        Q += delta
+        diff = float(np.sqrt(np.sum(delta ** 2 * grid.weights)))
+        del F, V, delta                      # not held through the next defect
+        if diff < STEP_TOL:
+            return Q, step, True
+    return Q, max_steps, False
 
 
 def _check_resolved(prof: Field) -> None:

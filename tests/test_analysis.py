@@ -122,6 +122,22 @@ def test_window_radii_sigma_gate():
         sigma_c_window_series(traj, fit, "inft")
 
 
+@pytest.mark.parametrize("mode", ["fint", "inft"])
+def test_window_series_rejects_zero_gradient_snapshot(ic_radial, mode):
+    """|grad u| = 0 (a zero field, as only a hand-edited run directory holds)
+    has no window radius in either mode: a ValidationError, so ``analyze``
+    exits 2, not a ZeroDivisionError from the negative power."""
+    params, grid = ic_radial
+    traj = synthetic_trajectory([0.0], [0.0])
+    traj.samples[0].snapshot = Field(np.zeros(grid.n, dtype=complex), grid, params)
+    fit = BlowupFit(T_hat=1.0, exponent=-0.4, r_squared=1.0, window=(0.0, 0.0))
+    with pytest.raises(ValidationError, match="grad u"):
+        sigma_c_window_series(traj, fit, mode)
+    if mode == "inft":
+        with pytest.raises(ValidationError, match="grad u"):
+            window_radii(traj.samples[0].snapshot, 1.0)
+
+
 def test_smooth_cutoff_shape():
     s = np.array([0.0, 0.5, 1.0, 1.5, 2.0, 3.0])
     vals = smooth_cutoff(s)

@@ -46,9 +46,9 @@ def test_ground_state_subcommand(tmp_path):
     assert rc == 0
     sidecar = json.loads((out / "ground_state.json").read_text())
     assert sidecar["pohozaev_r1"] < 1e-6
-    # a float64 solve is all float64 phase
-    assert sidecar["float64_iterations"] == sidecar["iterations"] > 0
-    assert sidecar["longdouble_iterations"] == 0
+    # a float64 solve is Petviashvili iteration alone
+    assert sidecar["iterations"] > 0
+    assert sidecar["newton_steps"] == 0
     assert (out / "Q.fld").exists()
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["experiment"] == "ground_state"
@@ -331,6 +331,28 @@ def test_inft_outside_its_regime_exit_2(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["analyze", "--config", cfg, "--out", str(out)]) == 2
     assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", ["fint", "inft"])
+def test_zero_gradient_snapshot_exit_2(tmp_path, capsys, mode):
+    """A hand-edited run whose snapshot is the zero field, recorded with
+    |grad u| = 0, has no window radius in either mode: analyze exits 2 before
+    the output directory exists."""
+    run = tmp_path / "run"
+    (run / "snapshots").mkdir(parents=True)
+    params = make_params(2, 1.0, 0.5)
+    grid = grid_for(params, 10.0, 256)
+    write_manifest(run / "manifest.json", params, grid)
+    rows = FITTABLE.splitlines()
+    rows[0] = "0.0,0.001,1.0,0.5,0.0,1.0,0.0"
+    (run / "trajectory.csv").write_text("\n".join([HEADER] + rows) + "\n")
+    write_field(run / "snapshots" / "s.fld", Field(np.zeros(grid.n, dtype=complex), grid, params))
+    (run / "snapshots" / "snapshots.json").write_text('[{"file": "s.fld", "time": 0.0}]')
+    cfg = write_cfg(tmp_path / "an.cfg", run_dir=str(run), mode=mode)
+    out = tmp_path / "out"
+    assert main(["analyze", "--config", cfg, "--out", str(out)]) == 2
+    assert "grad u" in capsys.readouterr().err
     assert not out.exists()
 
 

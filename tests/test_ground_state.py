@@ -159,31 +159,92 @@ def test_float64_solve_on_non_dyadic_line_grid():
 
 
 def test_non_convergence_raises_in_longdouble():
-    """max_iter bounds both phases together."""
+    """max_iter bounds the iterations and Newton steps together."""
     params = make_params(2, 0.75, 0.5)
     grid = radial_grid(2, 14.0, 512, 0.5)
     with pytest.raises(ConvergenceError):
         solve_ground_state(params, grid, max_iter=2, dtype="longdouble")
 
 
-def test_float64_solve_is_one_phase(line_b_gs, intercritical_radial_gs):
+def test_float64_solve_makes_no_newton_steps(line_b_gs, intercritical_radial_gs):
     for gs in (line_b_gs, intercritical_radial_gs):
-        assert gs.float64_iterations == gs.iterations > 0
-        assert gs.longdouble_iterations == 0
+        assert gs.newton_steps == 0
+        assert gs.iterations > 0
 
 
-def test_longdouble_solve_iterates_in_two_phases(radial2_gate_gs):
+def test_longdouble_solve_is_petviashvili_then_newton(radial2_gate_gs):
     gs = radial2_gate_gs
-    assert 0 < gs.float64_iterations < gs.iterations
+    assert gs.iterations > 0
+    assert 0 < gs.newton_steps <= ground_state.NEWTON_STEPS
 
 
-def test_float64_phase_ends_when_its_step_stops_shrinking():
-    """Only the stall rule leaves the float64 phase, and the longdouble phase
-    still converges."""
+def test_float64_iteration_hands_over_to_newton_at_its_tolerance():
+    """The float64 iteration of a longdouble solve stops at the first step
+    below HANDOVER_TOL, well before STEP_TOL, and Newton still converges."""
     params = make_params(2, 0.75, 0.5)
-    gs = solve_ground_state(params, radial_grid(2, 14.0, 4096, 0.5), dtype="longdouble")
-    assert 0 < gs.float64_iterations < gs.iterations
+    grid = radial_grid(2, 14.0, 4096, 0.5)
+    gs = solve_ground_state(params, grid, dtype="longdouble")
+    start = np.exp(-grid.nodes ** 2 / 2.0)
+    _, handover, converged = ground_state._petviashvili(
+        params, grid, start, 2000, ground_state.HANDOVER_TOL)
+    assert converged and gs.iterations == handover
+    assert gs.iterations < solve_ground_state(params, grid).iterations
     assert gs.residual / math.sqrt(gs.q_mass) < 1e-10
+
+
+NEWTON_CASES = [
+    pytest.param(2, 0.75, 0.5, radial_grid(2, 14.0, 2048, 0.5), id="radial-b0.5"),
+    pytest.param(1, 1.5, 0.5, line_grid(16.0, 1024, 0.5), id="line-b0.5"),
+    pytest.param(1, 2.0, 0.0, line_grid(16.0, 1024, 0.0), id="line-quintic-b0"),
+]
+
+
+def _newton_solve(monkeypatch, params, grid):
+    """A longdouble solve, and the L2 norms of its Newton corrections."""
+    norms = []
+    solve = ground_state.shifted_helmholtz_solve
+
+    def recording(grid, rhs, shift):
+        delta = solve(grid, rhs, shift)
+        norms.append(float(np.sqrt(np.sum(delta ** 2 * grid.weights))))
+        return delta
+
+    monkeypatch.setattr(ground_state, "shifted_helmholtz_solve", recording)
+    return solve_ground_state(params, grid, dtype="longdouble"), norms
+
+
+@pytest.mark.parametrize("dim, sigma, b, grid", NEWTON_CASES)
+def test_newton_polish_matches_longdouble_petviashvili(monkeypatch, dim, sigma, b, grid):
+    """The polish converges to the fixed point that Petviashvili iteration
+    run wholly in longdouble reaches, the b = 0 line's translation kernel
+    notwithstanding."""
+    params = make_params(dim, sigma, b)
+    gs, norms = _newton_solve(monkeypatch, params, grid)
+    start = np.exp(-grid.nodes ** 2 / 2.0).astype(np.longdouble)
+    ref, _, converged = ground_state._petviashvili(params, grid, start, 2000)
+    assert converged
+    assert gs.newton_steps == len(norms) >= 2
+    assert float(np.max(np.abs(gs.profile.values - ref))) < 1e-12
+
+
+@pytest.mark.parametrize("dim, sigma, b, grid", NEWTON_CASES)
+def test_newton_steps_shrink_by_two_orders(monkeypatch, dim, sigma, b, grid):
+    """Each correction is at most 1e-2 of the one before; the float64
+    Jacobian's rounding, not the quadratic rate, bounds the last one."""
+    gs, norms = _newton_solve(monkeypatch, make_params(dim, sigma, b), grid)
+    assert norms[-1] < ground_state.STEP_TOL
+    for before, after in zip(norms, norms[1:]):
+        assert after <= 1e-2 * before
+
+
+def test_newton_cap_exhausted_raises(monkeypatch):
+    """One Newton step cannot meet STEP_TOL from the handover: the error
+    names the Newton steps and carries the residual."""
+    monkeypatch.setattr(ground_state, "NEWTON_STEPS", 1)
+    with pytest.raises(ConvergenceError, match="1 Newton steps") as err:
+        solve_ground_state(make_params(2, 0.75, 0.5), radial_grid(2, 14.0, 2048, 0.5),
+                           dtype="longdouble")
+    assert err.value.residual is not None
 
 
 @pytest.mark.parametrize("dim, sigma, b, grid, match", [

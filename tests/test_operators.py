@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import lapack
@@ -10,7 +11,7 @@ from inls_lab import make_params
 from inls_lab import functionals as fn
 from inls_lab.core import (
     grad_norm_sq_values, gradient_values, helmholtz_solve, laplacian_values, line_grid,
-    radial_grid,
+    radial_grid, shifted_helmholtz_solve,
 )
 from inls_lab.evolution import step
 from inls_lab.ground_state import solve_ground_state
@@ -136,14 +137,50 @@ def test_helmholtz_factorizes_once_per_grid(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("geometry", ["line", "radial"])
+def test_shifted_helmholtz_solve_inverts_an_indefinite_operator(geometry):
+    """(1 - Lap - V) u = rhs for a potential deep enough to make the operator
+    indefinite, as the ground-state Jacobian is; a zero potential radially is
+    the plain Helmholtz solve."""
+    params, make_grid = SETUPS[geometry]
+    grid = make_grid()
+    rhs = np.exp(-grid.nodes ** 2)
+    shift = 4.0 * np.exp(-grid.nodes ** 2 / 4.0)
+    assert np.min(1.0 - shift) < 0
+    u = shifted_helmholtz_solve(grid, rhs, shift.copy())
+    residual = u - laplacian_values(grid, u) - shift * u - rhs
+    assert np.max(np.abs(residual)) < 1e-6 * np.max(np.abs(rhs))
+    if geometry == "radial":
+        assert np.array_equal(shifted_helmholtz_solve(grid, rhs, np.zeros(grid.n)),
+                              helmholtz_solve(grid, rhs))
+
+
 def test_longdouble_ground_state_solves_once_per_iteration(monkeypatch):
-    """The longdouble phase refines in the Petviashvili update, not in the
-    Helmholtz solve: one float64 tridiagonal solve per iteration."""
+    """The longdouble polish refines in the Newton update, not in the solve:
+    one float64 tridiagonal solve per Petviashvili iteration or Newton step."""
     calls = _count_calls(monkeypatch, "dgttrs")
     gs = solve_ground_state(make_params(2, 0.75, 0.5), radial_grid(2, 14.0, 2048, 0.5),
                             dtype="longdouble")
-    assert gs.longdouble_iterations > 0
-    assert len(calls) == gs.iterations
+    assert gs.newton_steps > 0
+    assert len(calls) == gs.iterations + gs.newton_steps
+
+
+@pytest.mark.parametrize("geometry", ["line", "radial"])
+def test_float64_ground_state_takes_no_newton_path(monkeypatch, geometry):
+    """A float64 solve, as every trajectory starts from, makes no Newton step:
+    no MINRES, and no factorization but the grid's cached Helmholtz factor."""
+    def no_minres(*args, **kwargs):
+        raise AssertionError("MINRES ran")
+
+    monkeypatch.setattr(scipy.sparse.linalg, "minres", no_minres)
+    factors = _count_calls(monkeypatch, "dgttrf")
+    if geometry == "line":
+        params, grid = make_params(1, 1.5, 0.5), line_grid(16.0, 1024, 0.5)
+    else:
+        params, grid = make_params(2, 0.75, 0.5), radial_grid(2, 14.0, 1024, 0.5)
+    gs = solve_ground_state(params, grid)
+    assert gs.newton_steps == 0
+    assert len(factors) == (geometry == "radial")
 
 
 def test_propagator_factorizes_once_per_step_size(monkeypatch):
