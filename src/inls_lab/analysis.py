@@ -60,20 +60,18 @@ def estimate_blowup_time(traj: Trajectory, s_c: float) -> BlowupFit:
     span = t_last - float(t_w[0])
     ly = np.log(g_w)
 
-    def misfit(T):
+    def loglog_line(T):         # log grad norm against log(T - t): line, residual
         lx = np.log(T - t_w)
         c = np.polyfit(lx, ly, 1)
-        return float(np.sum((ly - np.polyval(c, lx)) ** 2))
+        return c, float(np.sum((ly - np.polyval(c, lx)) ** 2))
 
     hi = max(t_last + 4.0 * span, T0 + span)
     res = minimize_scalar(
-        misfit, bounds=(t_last + 1e-12 * max(1.0, t_last), hi),
+        lambda T: loglog_line(T)[1], bounds=(t_last + 1e-12 * max(1.0, t_last), hi),
         method="bounded", options={"xatol": 1e-13},
     )
     T_hat = float(res.x)
-    lx = np.log(T_hat - t_w)
-    c = np.polyfit(lx, ly, 1)
-    ss_res = float(np.sum((ly - np.polyval(c, lx)) ** 2))
+    c, ss_res = loglog_line(T_hat)
     ss_tot = float(np.sum((ly - ly.mean()) ** 2))
     return BlowupFit(
         T_hat=T_hat,
@@ -91,40 +89,32 @@ def rate_exponent_bound(s_c: float) -> float:
 
 
 @dataclass(frozen=True)
-class ConcentrationRecord:
+class WindowRecord:
     time: float
-    value: float
-    center: float
     radius: float
-    window_grad_product: float
+    value: float          # the window's mass or integral of |u|^sigma_c
 
 
 def mass_concentration_series(
     traj: Trajectory, alpha: float, fit: BlowupFit
-) -> list[ConcentrationRecord]:
-    """Window masses sup_y over balls of radius (T_hat - t)^alpha per snapshot.
+) -> list[WindowRecord]:
+    """Window masses sup_y over balls of radius (T_hat - t)^alpha, one record
+    per snapshot; every snapshot must precede T_hat.
 
-    The hypothesis lambda(t) * |grad u(t)| -> infinity is reported through
-    window_grad_product rather than enforced.
+    The hypothesis lambda(t) * |grad u(t)| -> infinity is the reader's to
+    report, from each record's radius and its snapshot's gradient norm.
     """
     if not 0.0 < alpha < 0.5:
         raise ValidationError(f"alpha must lie in (0, 1/2), got {alpha}")
     snaps = traj.snapshots()
     if not snaps:
         raise ValidationError("trajectory holds no field snapshots")
+    if not fit.T_hat > snaps[-1].time:
+        raise ValidationError(f"T_hat={fit.T_hat!r} does not follow the last snapshot")
     out = []
     for s in snaps:
-        gap = fit.T_hat - s.time
-        if gap <= 0:
-            continue
-        lam = gap ** alpha
-        val, ctr = fn.sup_concentrated_mass(s.snapshot, lam)
-        out.append(
-            ConcentrationRecord(
-                time=s.time, value=val, center=ctr, radius=lam,
-                window_grad_product=lam * math.sqrt(s.grad_norm_sq),
-            )
-        )
+        lam = (fit.T_hat - s.time) ** alpha
+        out.append(WindowRecord(s.time, lam, fn.sup_concentrated_mass(s.snapshot, lam)[0]))
     return out
 
 
@@ -269,8 +259,6 @@ class DecompositionResult:
     u1L: Field
     u1H: Field
     u2: Field
-    R: float
-    rho: float
 
     def reconstruction_error(self, u: Field) -> float:
         total = self.u1L.values + self.u1H.values + self.u2.values
@@ -297,35 +285,20 @@ def decompose(u: Field, R: float, rho_freq: float) -> DecompositionResult:
     else:
         u1L = _mollify_radial(u1, u.grid, rho_freq)
     u1H = u1 - u1L
-    return DecompositionResult(
-        u1L=u.with_values(u1L), u1H=u.with_values(u1H), u2=u.with_values(u2),
-        R=float(R), rho=float(rho_freq),
-    )
-
-
-@dataclass(frozen=True)
-class WindowRecord:
-    time: float
-    radius: float
-    value: float          # integral of |u|^sigma_c over the window
-    running_extreme: float
+    return DecompositionResult(u.with_values(u1L), u.with_values(u1H), u.with_values(u2))
 
 
 WINDOW_MODES = ("fint", "inft")
 
 
 def sigma_c_window_series(
-    traj: Trajectory,
-    fit: BlowupFit,
-    mode: str,
-    c0: float = 10.0,
-    c0_tilde: float = 1.0,
+    traj: Trajectory, mode: str, c0: float = 10.0, c0_tilde: float = 1.0
 ) -> list[WindowRecord]:
-    """Critical-norm window integrals along the trajectory snapshots.
+    """Critical-norm window integrals, one record per trajectory snapshot.
 
-    mode "fint": window radius c0^2 |grad u|^(-1/(1-s_c)), running minimum.
+    mode "fint": window radius c0^2 |grad u|^(-1/(1-s_c)).
     mode "inft": window radius c0_tilde R, R the spatial-decomposition radius
-    of ``window_radii`` (whose preconditions apply), running maximum.
+    of ``window_radii`` (whose preconditions apply).
     """
     if mode not in WINDOW_MODES:
         raise ValidationError(f"mode must be 'fint' or 'inft', got {mode!r}")
@@ -338,25 +311,21 @@ def sigma_c_window_series(
     if not p.intercritical:
         raise ValidationError("critical-norm windows require intercritical parameters")
     m0 = traj.initial_mass
-    out: list[WindowRecord] = []
-    extreme = None
+    out = []
     for s in snaps:
         if mode == "fint":
             rad = c0 ** 2 * _grad_norm(s.grad_norm_sq) ** (-1.0 / (1.0 - p.s_c))
         else:
             rad = c0_tilde * window_radii(s.snapshot, m0)[0]
         val = fn.lp_norm(s.snapshot, p.sigma_c, region=(0.0, rad)) ** p.sigma_c
-        if extreme is None:
-            extreme = val
-        extreme = min(extreme, val) if mode == "fint" else max(extreme, val)
-        out.append(WindowRecord(time=s.time, radius=rad, value=val, running_extreme=extreme))
+        out.append(WindowRecord(s.time, rad, val))
     return out
 
 
 __all__ = [
     "BlowupFit", "estimate_blowup_time", "rate_exponent_bound",
-    "ConcentrationRecord", "mass_concentration_series",
+    "WindowRecord", "mass_concentration_series",
     "RescaledProfile", "rescale", "rescaled_profile",
     "window_radii", "smooth_cutoff", "decompose", "DecompositionResult",
-    "WindowRecord", "WINDOW_MODES", "sigma_c_window_series",
+    "WINDOW_MODES", "sigma_c_window_series",
 ]

@@ -271,16 +271,14 @@ def cmd_analyze(cfg, out, seed):
         attach_snapshots(traj, snap_dir, grid, params)
     fit = estimate_blowup_time(traj, params.s_c)
     verdicts = {"rate_exponent_below_bound": fit.exponent <= rate_exponent_bound(params.s_c)}
-    floor, series = None, []
-    snaps = traj.snapshots()
+    series, snaps = [], traj.snapshots()
     if params.mass_critical and snaps:
         series = mass_concentration_series(traj, cfg["alpha"], fit)
-        floor = min(r.value for r in series)
         verdicts["final_window_mass"] = series[-1].value
     elif params.intercritical and snaps:
-        series = sigma_c_window_series(traj, fit, cfg["mode"],
-                                       c0=cfg["c0"], c0_tilde=cfg["c0_tilde"])
-        floor = series[-1].running_extreme
+        series = sigma_c_window_series(traj, cfg["mode"], c0=cfg["c0"], c0_tilde=cfg["c0_tilde"])
+    extreme = max if params.intercritical and cfg["mode"] == "inft" else min
+    floor = extreme(r.value for r in series) if series else None
     _setup(cfg, out, params, grid, "analyze")
     rows = ["t,T_hat_minus_t,grad_norm,window_radius,concentration"]
     for r, s in zip(series, snaps):

@@ -117,9 +117,8 @@ def test_window_radii_sigma_gate():
     # the inft series takes its radius from window_radii, gate included
     traj = synthetic_trajectory([0.0], [math.sqrt(fn.grad_norm_sq(u))])
     traj.samples[0].snapshot = u
-    fit = BlowupFit(T_hat=1.0, exponent=-0.4, r_squared=1.0, window=(0.0, 0.0))
     with pytest.raises(ValidationError):
-        sigma_c_window_series(traj, fit, "inft")
+        sigma_c_window_series(traj, "inft")
 
 
 @pytest.mark.parametrize("mode", ["fint", "inft"])
@@ -130,9 +129,8 @@ def test_window_series_rejects_zero_gradient_snapshot(ic_radial, mode):
     params, grid = ic_radial
     traj = synthetic_trajectory([0.0], [0.0])
     traj.samples[0].snapshot = Field(np.zeros(grid.n, dtype=complex), grid, params)
-    fit = BlowupFit(T_hat=1.0, exponent=-0.4, r_squared=1.0, window=(0.0, 0.0))
     with pytest.raises(ValidationError, match="grad u"):
-        sigma_c_window_series(traj, fit, mode)
+        sigma_c_window_series(traj, mode)
     if mode == "inft":
         with pytest.raises(ValidationError, match="grad u"):
             window_radii(traj.samples[0].snapshot, 1.0)
@@ -249,8 +247,22 @@ def test_mass_concentration_on_family_trajectory():
     values = [r.value for r in series]
     assert values[-1] >= 0.9 * m_q
     assert max(values) <= m_q * (1 + 1e-9)
-    products = [r.window_grad_product for r in series]
+    assert len(series) == len(traj.snapshots())
+    products = [r.radius * math.sqrt(s.grad_norm_sq)
+                for r, s in zip(series, traj.snapshots())]
     assert products[-1] > products[0]
+
+
+def test_concentration_series_rejects_fit_before_last_snapshot(quintic_gs):
+    """A fit whose T_hat precedes a snapshot would leave that snapshot without
+    a window: the series raises rather than return fewer records."""
+    ts = [0.0, 0.25, 0.75]
+    traj = synthetic_trajectory(ts, [1.0] * len(ts))
+    for sample in traj.samples:
+        sample.snapshot = quintic_gs.profile
+    fit = BlowupFit(T_hat=0.5, exponent=-1.0, r_squared=1.0, window=(0.0, 0.25))
+    with pytest.raises(ValidationError, match="T_hat"):
+        mass_concentration_series(traj, 0.25, fit)
 
 
 def test_sigma_c_series_regime_gate(quintic_gs):
@@ -260,11 +272,10 @@ def test_sigma_c_series_regime_gate(quintic_gs):
     traj = evolve(standing_wave(quintic_gs, 0.0),
                   StepPolicy(dt0=1e-3, c_dt=1e9, theta=1e9, t_end=0.02,
                              sample_every=5, snapshot_every=1))
-    fit = BlowupFit(T_hat=1.0, exponent=-1.0, r_squared=1.0, window=(0.0, 0.02))
     with pytest.raises(ValidationError):
-        sigma_c_window_series(traj, fit, "fint")
+        sigma_c_window_series(traj, "fint")
     with pytest.raises(ValidationError):
-        sigma_c_window_series(traj, fit, "nonsense")
+        sigma_c_window_series(traj, "nonsense")
 
 
 def test_sigma_c_series_full_window_saturates(ic_radial):
@@ -274,14 +285,13 @@ def test_sigma_c_series_full_window_saturates(ic_radial):
     u0 = Field(1.9 * np.exp(-grid.nodes ** 2 / 2).astype(complex), grid, params)
     traj = evolve(u0, StepPolicy(dt0=1e-3, c_dt=1e9, theta=1e9, t_end=0.01,
                                  sample_every=2, snapshot_every=1))
-    fit = BlowupFit(T_hat=1.0, exponent=-0.4, r_squared=1.0, window=(0.0, 0.01))
-    series = sigma_c_window_series(traj, fit, "fint", c0=100.0)
+    series = sigma_c_window_series(traj, "fint", c0=100.0)
     snaps = traj.snapshots()
     full = fn.lp_norm(snaps[0].snapshot, params.sigma_c) ** params.sigma_c
     assert series[0].value == pytest.approx(full, rel=1e-12)
-    # running extremes behave as min (fint) and max (inft)
-    inft = sigma_c_window_series(traj, fit, "inft", c0_tilde=1e-3)
-    assert inft[-1].running_extreme == max(r.value for r in inft)
+    # one record per snapshot, in both modes
+    inft = sigma_c_window_series(traj, "inft", c0_tilde=1e-3)
+    assert [r.time for r in inft] == [r.time for r in series] == [s.time for s in snaps]
     for scale in ({"c0": 0.0}, {"c0_tilde": -1.0}):
         with pytest.raises(ValidationError, match="c0"):
-            sigma_c_window_series(traj, fit, "fint", **scale)
+            sigma_c_window_series(traj, "fint", **scale)

@@ -25,6 +25,13 @@ def write_cfg(path, **kv):
     return str(path)
 
 
+def _csv_column(out, name):
+    """One column of an ``analysis.csv``, as the floats written there."""
+    header, *rows = (out / "analysis.csv").read_text().splitlines()
+    i = header.split(",").index(name)
+    return [float(row.split(",")[i]) for row in rows]
+
+
 def test_parse_config_types(tmp_path):
     p = tmp_path / "c.cfg"
     p.write_text("a = 3\nb = 0.5  # trailing comment\nname = hello\nflag = true\n\n# comment\n")
@@ -113,6 +120,7 @@ def test_evolve_with_snapshots_then_analyze(tmp_path):
     s = json.loads((out / "summary.json").read_text())
     assert s["T_hat"] > summary["final"]["t"]
     assert (out / "analysis.csv").read_text().startswith("t,")
+    assert s["concentration_floor"] == min(_csv_column(out, "concentration"))
 
 
 def test_exact_subcommand(tmp_path):
@@ -425,6 +433,13 @@ def test_intercritical_evolve_analyze_verify_roundtrip(tmp_path):
     lines = (out / "analysis.csv").read_text().strip().splitlines()
     assert lines[0] == "t,T_hat_minus_t,grad_norm,window_radius,concentration"
     assert len(lines) > 3
+    assert s["concentration_floor"] == min(_csv_column(out, "concentration"))
+    # the inft floor is the largest window value
+    an_cfg = write_cfg(tmp_path / "an_inft.cfg", run_dir=str(run), mode="inft")
+    out = tmp_path / "an_inft"
+    assert main(["analyze", "--config", an_cfg, "--out", str(out)]) == 0
+    s = json.loads((out / "summary.json").read_text())
+    assert s["concentration_floor"] == max(_csv_column(out, "concentration"))
 
     v_cfg = write_cfg(tmp_path / "v.cfg", dim=2, sigma=1.0, b=0.5,
                       extent=12.0, n=1024, trials=30)

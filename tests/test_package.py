@@ -1,5 +1,7 @@
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import inls_lab
 
@@ -13,3 +15,37 @@ def test_every_exported_name_resolves():
     for mod in modules:
         missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
         assert not missing, f"{mod.__name__}.__all__ names missing attributes: {missing}"
+
+
+def _dispatched(fn: ast.FunctionDef) -> bool:
+    """A dispatch signature: an ``_experiment(...)`` body or a ``cmd_*``
+    command, called uniformly through ``REGISTRY`` or ``COMMANDS``."""
+    if fn.name.startswith("cmd_"):
+        return True
+    return any(isinstance(d, ast.Call) and getattr(d.func, "id", None) == "_experiment"
+               for d in fn.decorator_list)
+
+
+def _unread_parameters(path: Path) -> list[str]:
+    found = []
+    for fn in ast.walk(ast.parse(path.read_text(), str(path))):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) or _dispatched(fn):
+            continue
+        a = fn.args
+        params = [arg.arg for arg in a.posonlyargs + a.args + a.kwonlyargs]
+        params += [arg.arg for arg in (a.vararg, a.kwarg) if arg is not None]
+        read = {node.id for stmt in fn.body for node in ast.walk(stmt)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        found += [f"{path.name}:{fn.lineno} {fn.name}({name})" for name in params
+                  if name not in read and name not in ("self", "cls")
+                  and not name.startswith("_")]
+    return found
+
+
+def test_no_unread_parameters():
+    """Every parameter of a function in the package is read by its body,
+    but for self/cls, _-prefixed names and the dispatch signatures."""
+    found = []
+    for path in sorted(Path(inls_lab.__file__).parent.glob("*.py")):
+        found += _unread_parameters(path)
+    assert not found, f"parameters their function never reads: {found}"
