@@ -2,9 +2,10 @@
 artifacts.
 
 Subcommands: ground-state, evolve, analyze, verify, exact, reproduce.
-Every run writes manifest.json (resolved config with its defaults, package
-and library versions, git hash) into its output directory, then its own artifacts:
-field binaries, trajectory.csv, summary.json, analysis.csv, report JSONs.
+Every run but reproduce writes manifest.json (resolved config with its
+defaults, package and library versions, git hash) into its output directory,
+then its own artifacts: field binaries, trajectory.csv, summary.json,
+analysis.csv, report JSONs; reproduce writes only report_<name>.json.
 
 Exit codes: 0 success, 2 validation/config error or a file that cannot be
 read or written (missing, a directory, not UTF-8), 3 numerical failure or a
@@ -58,9 +59,9 @@ from .inequalities import (
 
 
 def parse_config(path: str | None) -> dict:
-    """Flat key = value configuration text; no nesting, no includes.  Values
-    stay text (surrounding quotes stripped) until ``resolve_config`` casts them."""
-    cfg: dict = {}
+    """Flat key = value configuration text, each key once; no nesting, no includes.
+    Values stay text (surrounding quotes stripped) until ``resolve_config`` casts them."""
+    cfg, seen = {}, {}     # key -> value text, key -> line number
     if path is None:
         return cfg
     text = read_text(path)
@@ -71,6 +72,9 @@ def parse_config(path: str | None) -> dict:
         if "=" not in line:
             raise ValidationError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
+        if key in seen:
+            raise ValidationError(f"{path}: key '{key}' given twice (lines {seen[key]}, {lineno})")
+        seen[key] = lineno
         cfg[key] = value.strip("'\"")
     return cfg
 

@@ -90,6 +90,8 @@ def check_gagliardo(u: Field, k_opt: float) -> float:
 
 
 def _banica_sides(v: Field, theta: np.ndarray, q_mass: float):
+    if not v.params.mass_critical:
+        raise ValidationError("check_banica needs mass-critical sigma = (2 - b)/N")
     if fn.mass(v) > q_mass * (1.0 + 1e-12):
         raise ValidationError("check_banica requires mass(v) <= mass(Q)")
     grad_theta = gradient_values(v.grid, np.asarray(theta, dtype=float))
@@ -102,8 +104,8 @@ def _banica_sides(v: Field, theta: np.ndarray, q_mass: float):
 def check_banica(v: Field, theta: np.ndarray, q_mass: float) -> float:
     """Squared momentum-type pairing minus 2 E(v) * int |v|^2 |grad theta|^2.
 
-    Requires mass(v) <= q_mass (the ground-state mass), under which the
-    energy is nonnegative and the right side is a genuine bound.
+    Mass-critical params and mass(v) <= q_mass (the ground-state mass) make
+    the energy nonnegative, so the right side is a genuine bound.
     """
     lhs, rhs = _banica_sides(v, theta, q_mass)
     return lhs - rhs
@@ -187,11 +189,6 @@ def check_critical_gn(u: Field) -> float:
 # corpus-driven suite
 
 
-def _scaled_to_mass(v: Field, target: float) -> Field:
-    m = fn.mass(v)
-    return v.with_values(v.values * math.sqrt(target / m))
-
-
 def _excess(lhs: float, rhs: float) -> float:
     """(left - right) / |right|, or left - right where the right side vanishes."""
     raw, scale = lhs - rhs, abs(rhs)
@@ -204,16 +201,15 @@ RADIAL_GN_ETAS = (1e-2, 1e-1, 1.0)
 RADIAL_GN_R = 1.0
 
 
-def _corpus(name, params, grid, trials, seed, score, values=(None,), reference=None):
-    """The report ``name`` over one seeded corpus of random bump fields.
+def _corpus(name, params, grid, trials, seed, score, values=(None,)):
+    """The report ``name``: the worst score over one seeded corpus of random
+    bump fields, and the field that scored it.
 
     ``trials`` is split evenly over the sweep ``values`` (at least one field
     each); ``score(u, value, rng)`` returns (score, field scored), drawing any
-    further randomness from the corpus stream.  A signed report takes the
-    worst score as ``max_violation`` and keeps the field that scored it as
-    ``witness`` unless that score is clearly negative.  With ``reference``
-    (the score at the ground state) it is a boundedness report instead: the
-    supremum goes to ``extra`` and ``max_violation`` reads -1, no sign check.
+    further randomness from the corpus stream.  The worst score is
+    ``max_violation``; its field is the ``witness`` unless that score is
+    clearly negative.  A NaN score is the worst and stays so.
     """
     if trials < 1:
         raise ValidationError(f"trials must be at least 1, got {trials}")
@@ -223,15 +219,10 @@ def _corpus(name, params, grid, trials, seed, score, values=(None,), reference=N
     for value in values:
         for _ in range(per_value):
             s, cand = score(random_bump_field(params, grid, rng), value, rng)
-            if s > worst:
+            if not (s <= worst or math.isnan(worst)):
                 worst = s
-                witness = cand if s > -1e-10 else None
-    extra = {}
-    if reference is not None:     # boundedness report, not a sign check
-        extra = {"sup_ratio": worst, "q_reference": reference,
-                 "sup_over_reference": worst / reference}
-        worst = -1.0
-    return InequalityReport(name, per_value * len(values), worst, witness, extra)
+                witness = None if s <= -1e-10 else cand
+    return InequalityReport(name, per_value * len(values), worst, witness)
 
 
 def run_gagliardo_report(params, grid, k_opt_value, trials, seed):
@@ -241,7 +232,7 @@ def run_gagliardo_report(params, grid, k_opt_value, trials, seed):
 
 def run_banica_report(params, grid, q_mass, trials, seed):
     def score(u, _, rng):
-        v = _scaled_to_mass(u, rng.uniform(0.05, 0.95) * q_mass)
+        v = u.with_values(u.values * math.sqrt(rng.uniform(0.05, 0.95) * q_mass / fn.mass(u)))
         theta = rng.uniform(-1.0, 1.0) * grid.nodes ** 2 + random_bump_field(
             params, grid, rng
         ).values.real
@@ -262,10 +253,14 @@ def run_radial_gn_report(params, grid, trials, seed):
 
 
 def run_critical_gn_report(params, grid, q_reference: float, trials, seed):
-    """Boundedness report: empirical sup of the critical-norm ratio over the
-    corpus, referenced to its value at the ground state."""
-    return _corpus("critical_gn", params, grid, trials, seed,
-                   lambda u, _, rng: (check_critical_gn(u), None), reference=q_reference)
+    """Boundedness report: the corpus sup of the critical-norm ratio against its
+    value at the ground state; ``max_violation`` reads -1 while the sup is finite."""
+    rep = _corpus("critical_gn", params, grid, trials, seed,
+                  lambda u, _, rng: (check_critical_gn(u), None))
+    sup = rep.max_violation
+    return InequalityReport(rep.name, rep.trials, -1.0 if math.isfinite(sup) else sup,
+                            extra={"sup_ratio": sup, "q_reference": q_reference,
+                                   "sup_over_reference": sup / q_reference})
 
 
 __all__ = [

@@ -7,10 +7,13 @@ inls_lab.experiments, so the CLI `reproduce` subcommand runs the identical
 code paths.
 """
 
+import json
+
 from inls_lab import experiments as exp
 
 
 def _report_line(criterion: str, report, extra: str = "") -> None:
+    json.dumps(report.as_dict())    # every report serializes as it stands
     status = "PASS" if report.passed else "FAIL"
     print(f"[{criterion}] {status} {report.name} ({report.elapsed:.1f}s){extra}")
 

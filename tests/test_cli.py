@@ -462,6 +462,18 @@ def test_unknown_config_key_exit_2(tmp_path, capsys):
     assert "trials" in capsys.readouterr().err
 
 
+def test_config_key_given_twice_exit_2(tmp_path, capsys, solve_calls):
+    """A repeated key is bad input naming the key and both lines, not a silent override."""
+    cfg = tmp_path / "ex.cfg"
+    cfg.write_text("dim = 1\nsigma = 2.0\nb = 0.0\nextent = 16.0\nn = 4096\nn = 512\n")
+    out = tmp_path / "x"
+    assert main(["exact", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "'n'" in err and "(lines 5, 6)" in err
+    assert not out.exists()
+    assert not solve_calls
+
+
 @pytest.mark.parametrize("dtype", ["long_double", "float32", 64])
 def test_unknown_dtype_exit_2(tmp_path, capsys, dtype):
     cfg = write_cfg(tmp_path / "gs.cfg", dim=1, sigma=2.0, b=0.0, extent=16.0, n=256,

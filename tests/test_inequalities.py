@@ -1,15 +1,18 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from inls_lab import Field, ValidationError, make_params
+from inls_lab import experiments as exp
+from inls_lab import inequalities as ineq
 from inls_lab.core import line_grid, radial_grid
 from inls_lab import functionals as fn
 from inls_lab.inequalities import (
-    check_banica, check_critical_gn, check_gagliardo, check_radial_gn,
-    check_strauss, corpus_rng, random_bump_field, run_gagliardo_report,
-    run_radial_gn_report, run_strauss_report, young_constant,
+    _corpus, check_banica, check_critical_gn, check_gagliardo, check_radial_gn,
+    check_strauss, corpus_rng, random_bump_field, run_critical_gn_report,
+    run_gagliardo_report, run_radial_gn_report, run_strauss_report, young_constant,
 )
 from inls_lab.ground_state import gn_ratio
 
@@ -63,6 +66,16 @@ def test_banica_mass_hypothesis_enforced(line_b_gs):
     v = line_b_gs.profile.with_values(1.5 * line_b_gs.profile.values.astype(complex))
     with pytest.raises(ValidationError):
         check_banica(v, line_b_gs.profile.grid.nodes ** 2, line_b_gs.q_mass)
+
+
+def test_banica_needs_mass_critical_params():
+    # on an intercritical line the energy of a field below ||Q||^2 can be
+    # negative, so the bound has no hypothesis to stand on
+    params = make_params(1, 3.0, 0.5)
+    grid = line_grid(12.0, 1024, 0.5)
+    v = Field(0.5 * np.exp(-grid.nodes ** 2).astype(complex), grid, params)
+    with pytest.raises(ValidationError, match="mass-critical"):
+        check_banica(v, grid.nodes ** 2, q_mass=10.0)
 
 
 def test_banica_corpus(line_b_gs):
@@ -230,6 +243,47 @@ def test_report_passing_corpus_has_no_witness(line_b_gs, mc_line):
     rep = run_gagliardo_report(params, grid, line_b_gs.k_opt, trials=40, seed=3)
     assert rep.passed
     assert rep.witness is None
+
+
+def test_report_fails_closed_on_nan(mc_line):
+    params, grid = mc_line
+    rep = run_gagliardo_report(params, grid, math.nan, trials=20, seed=1)
+    assert math.isnan(rep.max_violation)
+    assert not rep.passed
+    assert isinstance(rep.witness, Field)
+
+
+def test_report_nan_score_stays_the_worst(mc_line):
+    params, grid = mc_line
+    scores, scored = iter([-1.0, math.nan, 2.0, -0.5]), []
+
+    def score(u, _, rng):
+        scored.append(u)
+        return next(scores), u
+
+    rep = _corpus("nan_probe", params, grid, 4, 1, score)
+    assert math.isnan(rep.max_violation)
+    assert rep.witness is scored[1]
+
+
+def test_critical_gn_report_reads_minus_one_only_for_a_finite_sup(ic_radial, monkeypatch):
+    params, grid = ic_radial
+    rep = run_critical_gn_report(params, grid, 0.5, trials=3, seed=1)
+    assert rep.max_violation == -1.0 and rep.passed
+    assert rep.as_dict()["sup_over_reference"] == rep.extra["sup_ratio"] / 0.5
+    monkeypatch.setattr(ineq, "check_critical_gn", lambda u: math.nan)
+    rep = run_critical_gn_report(params, grid, 0.5, trials=3, seed=1)
+    assert math.isnan(rep.extra["sup_ratio"])
+    assert not rep.passed
+
+
+def test_criterion_12_fails_on_nan_reconstruction(monkeypatch):
+    nan_decomposition = SimpleNamespace(reconstruction_error=lambda u: math.nan)
+    monkeypatch.setattr(exp, "decompose", lambda u, R, rho: nan_decomposition)
+    monkeypatch.setattr(exp, "CORPUS_TRIALS", 4)
+    rep = exp.inequality_suite()
+    assert math.isnan(rep.details["decomposition_reconstruction_max"])
+    assert not rep.passed
 
 
 def test_report_splits_trials_over_the_sweep(ic_radial):
