@@ -394,6 +394,9 @@ def main(argv=None) -> int:
     try:
         raw = parse_config(args.config)
         if getattr(args, "name", None):
+            if "name" in raw:
+                raise ValidationError(f"{args.config}: key 'name' given twice "
+                                      "(in the file and on the command line)")
             raw["name"] = args.name
         cfg = resolve_config(args.command, raw)
         out = Path(args.out) if args.out else Path(f"out_{args.command.replace('-', '_')}")

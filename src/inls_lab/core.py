@@ -180,10 +180,14 @@ class Grid:
         return {}
 
 
+MIN_CELLS = 8        # the fewest cells either grid constructor accepts
+
+
 def line_grid(half_width: float, n: int, b: float = 0.0) -> Grid:
     """Periodized line [-L, L] with n cell-centered nodes (dim = 1)."""
-    if not (0 < half_width < math.inf and n >= 8):
-        raise ValidationError(f"need finite half_width > 0 and n >= 8, got {half_width}, {n}")
+    if not (0 < half_width < math.inf and n >= MIN_CELLS):
+        raise ValidationError(
+            f"need finite half_width > 0 and n >= {MIN_CELLS}, got {half_width}, {n}")
     if not 0.0 <= b < 1.0:
         raise ValidationError(f"line geometry needs 0 <= b < 1 for integrability, got b={b}")
     dx = 2.0 * half_width / n
@@ -199,8 +203,8 @@ def radial_grid(dim: int, rmax: float, n: int, b: float = 0.0) -> Grid:
     """Radial shells on (0, Rmax] for dim >= 2 with exact volume weights."""
     if dim < 2:
         raise ValidationError("radial geometry requires dim >= 2 (use line_grid for dim=1)")
-    if not (0 < rmax < math.inf and n >= 8):
-        raise ValidationError(f"need finite rmax > 0 and n >= 8, got {rmax}, {n}")
+    if not (0 < rmax < math.inf and n >= MIN_CELLS):
+        raise ValidationError(f"need finite rmax > 0 and n >= {MIN_CELLS}, got {rmax}, {n}")
     if not 0.0 <= b < dim:
         raise ValidationError(f"need 0 <= b < dim for integrability, got b={b}")
     dr = rmax / n

@@ -18,9 +18,13 @@ Tuning notes baked into the configurations below:
 * The deep Pohozaev gates finish in extended precision: at n ~ 2.6e5 the
   float64 evaluation of the elliptic residual is rounding-floor limited
   (~eps/dx^2), while the dilation identity needs that much resolution.  The
-  solver iterates in float64 to the handover step norm, then polishes with
-  two Newton steps in two precisions (longdouble defect, float64 Jacobian
-  solve); the reports record the iterations and the Newton steps.
+  solver iterates in float64 to the handover step norm, first on a quarter
+  of the cells from the Gaussian, then on the full grid from that iterate
+  interpolated (11 + 4, 23 + 6 and 55 + 4 iterations on the line, radial
+  N = 2 and radial N = 3 gates, where the Gaussian start took 11, 23 and 55
+  on the full grid), then polishes with two Newton steps in two precisions
+  (longdouble defect, float64 Jacobian solve); the reports record the
+  iterations on both grids and the Newton steps.
 * Conservation, splitting-order, family-tracking, and the quadratic-virial
   gates run on the b = 0 mass-critical member (quintic line soliton), where
   Strang splitting retains its clean second order.  With b > 0 the

@@ -13,14 +13,14 @@ Each iteration takes the map in defect-correction form,
 Q <- S^gamma (Q + (1 - Lap)^-1 F(Q)) with F(Q) = Lap Q - Q + W Q^p (the same
 map in exact arithmetic), one float64 Helmholtz solve per iteration.  Deep
 grids push the float64 evaluation of Lap Q against its rounding floor
-(~ eps / dx^2), so ``dtype="longdouble"`` hands the float64 iterate over at
-step norm ``HANDOVER_TOL`` to Newton's method in two precisions: F in
-longdouble, the Jacobian system (1 - Lap - p W Q^(p - 1)) delta = F in
+(~ eps / dx^2), so ``dtype="longdouble"`` iterates to step norm
+``HANDOVER_TOL`` on n // ``COARSEN`` cells from the Gaussian, then on n from
+that iterate's linear interpolant (nested iteration: 4-6 fine iterations on
+the gates, not 11-55), and hands over to Newton's method in two precisions:
+F in longdouble, the Jacobian system (1 - Lap - p W Q^(p - 1)) delta = F in
 float64 (iterative refinement, Carson & Higham, SIAM J. Sci. Comput. 40,
-2018), two or three steps to ``STEP_TOL``.  That keeps the residual
-diagnostic meaningful down to ~1e-11 at n ~ 3e5.  The mass, residual and
-Pohozaev integrals are ``functionals``' own; NumPy sums a longdouble field in
-longdouble against the exactly promoted float64 weights.
+2018), two or three steps to ``STEP_TOL``: residuals ~1e-11 at n ~ 3e5.  The
+integrals are ``functionals``' own, summed at the precision of the field.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Field, Grid, ProblemParams, laplacian_values
+from .core import MIN_CELLS, Field, Grid, ProblemParams, grid_for, laplacian_values
 from .core import helmholtz_solve, shifted_helmholtz_solve
 from .errors import ConvergenceError, NumericsError, ValidationError
 from . import functionals as fn
@@ -41,7 +41,7 @@ from . import functionals as fn
 class GroundState:
     profile: Field
     residual: float
-    iterations: int             # the float64 Petviashvili iterations
+    iterations: int             # the float64 Petviashvili iterations, on both grids
     newton_steps: int           # the Newton steps of a longdouble solve; 0 in float64
     pohozaev_r1: float
     pohozaev_r2: float
@@ -60,6 +60,7 @@ STEP_TOL = 1e-12        # L2 distance between successive iterates
 RESIDUAL_TOL = 1e-8     # relative to ||Q||_L2
 HANDOVER_TOL = 1e-7     # float64 step norm at which a wider solve turns to Newton
 NEWTON_STEPS = 4        # cap on the Newton steps, also counted against max_iter
+COARSEN = 4             # a longdouble solve starts from a float64 solve on n // COARSEN cells
 
 
 def solve_ground_state(
@@ -68,16 +69,27 @@ def solve_ground_state(
     """Compute the positive even/radial ground-state profile on ``grid``.
 
     ``dtype`` ("float64" or "longdouble") is the precision of the Newton
-    polish; ``max_iter`` bounds iterations and Newton steps together.  Raises
-    ValidationError when grid and params disagree (the Gaussian start is a
-    ``Field``), ConvergenceError when max_iter or ``NEWTON_STEPS`` runs out or
-    when the iteration stalls with its residual above tolerance (after the
-    RuntimeWarning of an under-resolved grid, the usual cause), and
-    NumericsError when the stabilizing factor leaves [1e-6, 1e6].
+    polish; ``max_iter`` bounds the iterations on both grids and the Newton
+    steps together.  Raises ValidationError, before any iteration, when grid
+    and params disagree, ConvergenceError when max_iter or ``NEWTON_STEPS``
+    runs out or when the iteration stalls with its residual above tolerance
+    (after the RuntimeWarning of an under-resolved grid, the usual cause),
+    and NumericsError when the stabilizing factor leaves [1e-6, 1e6].
     """
-    Q = Field(np.exp(-(grid.nodes ** 2) / 2.0), grid, params).values    # the Gaussian start
+    Field(grid.nodes, grid, params)      # rejects a mismatched grid before any iteration
     wide = np.dtype(dtype) != np.float64
-    Q, it, converged = _petviashvili(params, grid, Q, max_iter, HANDOVER_TOL if wide else STEP_TOL)
+    it = 0
+    if wide and grid.n // COARSEN >= MIN_CELLS:      # nested iteration from a coarse solve
+        coarse = grid_for(params, grid.extent, grid.n // COARSEN)
+        Q = np.exp(-(coarse.nodes ** 2) / 2.0)
+        Q, it, _ = _petviashvili(params, coarse, Q, max_iter, HANDOVER_TOL)
+        Q = np.interp(grid.nodes, coarse.nodes, Q)
+        del coarse                       # not held through the fine phase
+    else:
+        Q = np.exp(-(grid.nodes ** 2) / 2.0)           # the Gaussian start
+    Q, fine, converged = _petviashvili(params, grid, Q, max_iter - it,
+                                       HANDOVER_TOL if wide else STEP_TOL)
+    it += fine
     steps = 0
     if wide and converged:
         Q = Q.astype(dtype)              # not held beside the float64 iterate

@@ -401,6 +401,17 @@ def test_reproduce_unknown_name_exit_2(tmp_path, capsys):
     assert "registered" in capsys.readouterr().err
 
 
+def test_reproduce_name_given_twice_exit_2(tmp_path, capsys):
+    """A name both on the command line and in the config is a key given twice,
+    not an override: nothing runs and nothing is written."""
+    cfg = write_cfg(tmp_path / "r.cfg", name="inequalities")
+    out = tmp_path / "r"
+    assert main(["reproduce", "cmm_exactness", "--config", cfg, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "'name' given twice" in captured.err
+    assert captured.out == "" and not out.exists()
+
+
 def test_reproduce_cmm(tmp_path):
     out = tmp_path / "rep"
     rc = main(["reproduce", "cmm_exactness", "--out", str(out)])

@@ -7,7 +7,7 @@ from inls_lab import (
     ConvergenceError, ValidationError, c_of_Mm, gn_ratio, k_opt, make_params,
     pohozaev_residuals, rescale, solve_ground_state,
 )
-from inls_lab.core import line_grid, radial_grid, sample_scaled
+from inls_lab.core import MIN_CELLS, line_grid, radial_grid, sample_scaled
 from inls_lab.exact import standing_wave
 from inls_lab import functionals as fn, ground_state
 from inls_lab.inequalities import corpus_rng, random_bump_field
@@ -159,10 +159,12 @@ def test_float64_solve_on_non_dyadic_line_grid():
 
 
 def test_non_convergence_raises_in_longdouble():
-    """max_iter bounds the iterations and Newton steps together."""
+    """max_iter bounds the iterations on both grids and the Newton steps
+    together: the coarse phase spends it, and the fine phase and Newton get
+    none."""
     params = make_params(2, 0.75, 0.5)
     grid = radial_grid(2, 14.0, 512, 0.5)
-    with pytest.raises(ConvergenceError):
+    with pytest.raises(ConvergenceError, match="in 2 iterations and 0 Newton steps"):
         solve_ground_state(params, grid, max_iter=2, dtype="longdouble")
 
 
@@ -178,18 +180,55 @@ def test_longdouble_solve_is_petviashvili_then_newton(radial2_gate_gs):
     assert 0 < gs.newton_steps <= ground_state.NEWTON_STEPS
 
 
-def test_float64_iteration_hands_over_to_newton_at_its_tolerance():
-    """The float64 iteration of a longdouble solve stops at the first step
-    below HANDOVER_TOL, well before STEP_TOL, and Newton still converges."""
+def test_longdouble_iterations_count_both_grids():
+    """A longdouble solve iterates from the Gaussian on n // COARSEN cells to
+    HANDOVER_TOL, then on n from the linear interpolant of that iterate, well
+    before STEP_TOL; ``iterations`` counts both phases, and Newton still
+    converges."""
     params = make_params(2, 0.75, 0.5)
     grid = radial_grid(2, 14.0, 4096, 0.5)
     gs = solve_ground_state(params, grid, dtype="longdouble")
-    start = np.exp(-grid.nodes ** 2 / 2.0)
-    _, handover, converged = ground_state._petviashvili(
-        params, grid, start, 2000, ground_state.HANDOVER_TOL)
-    assert converged and gs.iterations == handover
+    coarse = radial_grid(2, 14.0, 4096 // ground_state.COARSEN, 0.5)
+    Qc, coarse_it, converged = ground_state._petviashvili(
+        params, coarse, np.exp(-coarse.nodes ** 2 / 2.0), 2000, ground_state.HANDOVER_TOL)
+    assert converged
+    _, fine_it, converged = ground_state._petviashvili(
+        params, grid, np.interp(grid.nodes, coarse.nodes, Qc), 2000, ground_state.HANDOVER_TOL)
+    assert converged and gs.iterations == coarse_it + fine_it
     assert gs.iterations < solve_ground_state(params, grid).iterations
     assert gs.residual / math.sqrt(gs.q_mass) < 1e-10
+
+
+def _phase_grids(monkeypatch, params, grid, dtype):
+    """A solve, and the cell counts of the grids its Petviashvili phases ran on."""
+    ns = []
+    iterate = ground_state._petviashvili
+
+    def recording(params, grid, *args):
+        ns.append(grid.n)
+        return iterate(params, grid, *args)
+
+    monkeypatch.setattr(ground_state, "_petviashvili", recording)
+    return solve_ground_state(params, grid, dtype=dtype), ns
+
+
+@pytest.mark.parametrize("dtype, phases", [
+    pytest.param("float64", [2048], id="float64"),
+    pytest.param("longdouble", [2048 // ground_state.COARSEN, 2048], id="longdouble"),
+])
+def test_only_longdouble_solves_start_on_the_coarse_grid(monkeypatch, dtype, phases):
+    _, ns = _phase_grids(monkeypatch, make_params(2, 0.75, 0.5),
+                         radial_grid(2, 14.0, 2048, 0.5), dtype)
+    assert ns == phases
+
+
+def test_longdouble_solve_too_small_to_coarsen_converges(monkeypatch):
+    """16 // COARSEN cells is no grid: one phase from the Gaussian, then Newton."""
+    assert 16 // ground_state.COARSEN < MIN_CELLS
+    with pytest.warns(RuntimeWarning, match="core spans"):
+        gs, ns = _phase_grids(monkeypatch, make_params(2, 0.75, 0.5),
+                              radial_grid(2, 14.0, 16, 0.5), "longdouble")
+    assert ns == [16] and gs.newton_steps > 0
 
 
 NEWTON_CASES = [
@@ -275,13 +314,17 @@ def test_grid_param_mismatch_rejected():
 
 
 def test_dimension_mismatch_rejected_before_iterating(monkeypatch):
-    """N = 3 params on a 2-D radial grid: same geometry and b, other dimension."""
+    """N = 3 params on a 2-D radial grid: same geometry and b, other dimension.
+    The check also precedes a longdouble solve's coarse phase, whose grid is
+    built from params and so agrees with them."""
     def no_iteration(*args, **kwargs):
         raise AssertionError("the Petviashvili iteration ran")
 
     monkeypatch.setattr(ground_state, "_petviashvili", no_iteration)
-    with pytest.raises(ValidationError, match="dim"):
-        solve_ground_state(make_params(3, 1.0, 0.5), radial_grid(2, 12.0, 1024, 0.5))
+    for dtype in ("float64", "longdouble"):
+        with pytest.raises(ValidationError, match="dim"):
+            solve_ground_state(make_params(3, 1.0, 0.5), radial_grid(2, 12.0, 1024, 0.5),
+                               dtype=dtype)
 
 
 @pytest.mark.parametrize(
