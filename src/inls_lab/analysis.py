@@ -120,9 +120,8 @@ def mass_concentration_series(
 
 @dataclass(frozen=True)
 class RescaledProfile:
-    field: Field           # rescaled slice, not phase-aligned
-    rho: float
-    theta: float           # phase maximizing Re<e^{i theta} v, Q>
+    rho: float             # rescale(u, rho) is the slice compared with Q
+    theta: float           # phase maximizing Re<e^{i theta} rescale(u, rho), Q>
     err: float             # relative H1 distance of the aligned slice to Q
 
 
@@ -156,7 +155,7 @@ def rescaled_profile(u: Field, gs: GroundState) -> RescaledProfile:
     """Rescale u to the ground-state gradient scale and align its phase.
 
     rho = |grad Q| / |grad u|; err is the relative H1 distance between the
-    phase-aligned rescaled slice and Q.
+    phase-aligned slice e^{i theta} rescale(u, rho) and Q.
     """
     if not u.params.mass_critical:
         raise ValidationError("rescaled-profile comparison requires mass-critical parameters")
@@ -170,7 +169,7 @@ def rescaled_profile(u: Field, gs: GroundState) -> RescaledProfile:
     theta = float(-np.angle(ip)) if ip != 0 else 0.0
     diff = u.with_values(np.exp(1j * theta) * v.values - q)
     h1 = lambda f: math.sqrt(fn.mass(f) + fn.grad_norm_sq(f))
-    return RescaledProfile(field=v, rho=rho, theta=theta, err=h1(diff) / h1(gs.profile))
+    return RescaledProfile(rho=rho, theta=theta, err=h1(diff) / h1(gs.profile))
 
 
 # ---------------------------------------------------------------------------

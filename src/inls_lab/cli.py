@@ -233,20 +233,20 @@ def cmd_evolve(cfg, out, seed):
     _setup(cfg, out, params, grid, "evolve")
     try:
         traj = evolve(u0, policy)
-    except NumericsError as exc:
-        if exc.trajectory is not None:    # keep what the run recorded before failing
-            _write_trajectory(exc.trajectory, out, policy)
+    except NumericsError as exc:        # keep what the run recorded before failing
+        _write_trajectory(exc.trajectory, out)
         raise
-    final = _write_trajectory(traj, out, policy)
+    final = _write_trajectory(traj, out)
     print(f"evolve: {traj.termination} at t={final['t']:.5f}, "
           f"|grad u|={final['grad_norm_sq'] ** 0.5:.3f}, samples={len(traj.samples)}")
     return 0
 
 
-def _write_trajectory(traj, out: Path, policy: StepPolicy) -> dict | None:
-    """trajectory.csv, the snapshots and summary.json; returns the summary's final state."""
+def _write_trajectory(traj, out: Path) -> dict | None:
+    """trajectory.csv, the snapshots if it holds any, and summary.json; returns
+    the summary's final state."""
     trajectory_to_csv(traj, out / "trajectory.csv")
-    if policy.snapshot_every is not None:
+    if traj.snapshots():
         write_snapshots(traj, out / "snapshots")
     final = None
     if traj.samples:

@@ -39,7 +39,7 @@ import scipy.fft
 from scipy.interpolate import make_interp_spline
 from scipy.linalg import lapack
 
-from .errors import NumericsError, ValidationError
+from .errors import ValidationError
 
 MASS_CRITICAL_TOL = 1e-12
 MINRES_RTOL = 1e-8      # relative residual of the line's shifted Helmholtz solve
@@ -257,10 +257,6 @@ class Field:
 
     def with_values(self, values: np.ndarray) -> "Field":
         return Field(values, self.grid, self.params)
-
-    def check_finite(self, context: str = "field") -> None:
-        if not np.all(np.isfinite(self.values)):
-            raise NumericsError(f"non-finite values detected in {context}")
 
 
 # ---------------------------------------------------------------------------

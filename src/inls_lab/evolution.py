@@ -99,10 +99,21 @@ class TrajectorySample:
 
 @dataclass
 class Trajectory:
+    """One run's samples, its whole record, and why it stopped."""
     samples: list[TrajectorySample] = field(default_factory=list)
     termination: str = ""
-    mass_drift_flag: bool = False
-    initial_mass: float = 0.0
+
+    @property
+    def initial_mass(self) -> float:
+        return self.samples[0].mass
+
+    @property
+    def mass_drift_flag(self) -> bool:
+        """The last sample's mass is off the first's by more than 1e-6 relative."""
+        if not self.samples:
+            return False
+        m0 = self.initial_mass
+        return abs(self.samples[-1].mass - m0) > 1e-6 * max(m0, 1e-300)
 
     def times(self) -> np.ndarray:
         return np.array([s.time for s in self.samples])
@@ -134,23 +145,20 @@ def step(u: Field, dt: float) -> Field:
 def evolve(u0: Field, policy: StepPolicy) -> Trajectory:
     """March u0 under the adaptive policy, recording diagnostics.
 
-    Terminates at policy.t_end, at the resolution limit or after MAX_STEPS
-    steps, whichever comes first; the reason lands in Trajectory.termination.  Mass drift beyond
-    1e-6 relative is flagged, not raised.  A ``NumericsError`` raised by the
-    march carries the trajectory recorded so far as its ``trajectory``, with
-    termination "numerics_error".
+    The first sample is u0, before any step.  Terminates at
+    policy.t_end, at the resolution limit or after MAX_STEPS steps, whichever
+    comes first; the reason lands in Trajectory.termination.  Mass drift
+    beyond 1e-6 relative is flagged, not raised.  Every ``NumericsError`` it
+    raises, non-finite initial data included, carries the trajectory recorded
+    so far as its ``trajectory``, with termination "numerics_error".
     """
-    u0.check_finite("initial data")
-    traj = Trajectory(initial_mass=fn.mass(u0))
+    traj = Trajectory()
     try:
         _march(u0, policy, traj)
     except NumericsError as exc:
         traj.termination = "numerics_error"
         exc.trajectory = traj
         raise
-    m_final = traj.samples[-1].mass
-    if abs(m_final - traj.initial_mass) > 1e-6 * max(traj.initial_mass, 1e-300):
-        traj.mass_drift_flag = True
     return traj
 
 
@@ -167,7 +175,7 @@ def _march(u0: Field, policy: StepPolicy, traj: Trajectory) -> None:
                 owed = 0.0
             traj.termination = _stop_reason(policy, G, t, steps, u.grid.spacing)
             if sample or traj.termination:
-                # the final state always keeps a snapshot when any are requested
+                # the first and final states keep a snapshot when any are requested
                 keep = policy.snapshot_every is not None and (
                     bool(traj.termination) or len(traj.samples) % policy.snapshot_every == 0)
                 traj.samples.append(_record(u, t, dt, G, keep))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import struct
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,8 @@ from .evolution import Trajectory, TrajectorySample
 
 MAGIC = b"INLSFLD1"
 CSV_COLUMNS = ("t", "dt", "mass", "energy", "grad_norm_sq", "variance", "boundary_frac")
+# the TrajectorySample fields behind the columns, in column order
+_SAMPLE_FIELDS = [f.name for f in fields(TrajectorySample)][:len(CSV_COLUMNS)]
 
 
 def write_field(path, field: Field) -> None:
@@ -55,20 +58,9 @@ def read_field(path, grid: Grid, params: ProblemParams) -> Field:
     return Field(vals, grid, params)
 
 
-def manifest_dict(params: ProblemParams, grid: Grid) -> dict:
-    return {
-        "dim": params.dim,
-        "sigma": params.sigma,
-        "b": params.b,
-        "geometry": grid.geometry,
-        "L_or_Rmax": grid.extent,
-        "n": grid.n,
-    }
-
-
 def write_manifest(path, params: ProblemParams, grid: Grid, **extra) -> None:
-    doc = manifest_dict(params, grid)
-    doc.update(extra)
+    doc = {"dim": params.dim, "sigma": params.sigma, "b": params.b, "geometry": grid.geometry,
+           "L_or_Rmax": grid.extent, "n": grid.n, **extra}
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
@@ -128,14 +120,7 @@ def params_grid_from_manifest(doc: dict) -> tuple[ProblemParams, Grid]:
 
 def trajectory_to_csv(traj: Trajectory, path) -> None:
     lines = [",".join(CSV_COLUMNS)]
-    for s in traj.samples:
-        lines.append(
-            ",".join(
-                repr(v) for v in (
-                    s.time, s.dt, s.mass, s.energy, s.grad_norm_sq, s.variance, s.boundary_frac
-                )
-            )
-        )
+    lines += [",".join(repr(getattr(s, name)) for name in _SAMPLE_FIELDS) for s in traj.samples]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -154,8 +139,6 @@ def trajectory_from_csv(path) -> Trajectory:
                 f"{path}:{lineno}: expected {len(CSV_COLUMNS)} values, got {len(vals)}"
             )
         traj.samples.append(TrajectorySample(*vals))
-    if traj.samples:
-        traj.initial_mass = traj.samples[0].mass
     return traj
 
 
@@ -192,7 +175,7 @@ def attach_snapshots(traj: Trajectory, snap_dir, grid: Grid, params: ProblemPara
 __all__ = [
     "MAGIC", "CSV_COLUMNS", "read_text",
     "write_field", "read_field", "read_field_values",
-    "manifest_dict", "write_manifest", "read_manifest", "params_grid_from_manifest",
+    "write_manifest", "read_manifest", "params_grid_from_manifest",
     "trajectory_to_csv", "trajectory_from_csv",
     "write_snapshots", "attach_snapshots",
 ]

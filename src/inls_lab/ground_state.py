@@ -79,7 +79,11 @@ def solve_ground_state(
     Field(grid.nodes, grid, params)      # rejects a mismatched grid before any iteration
     wide = np.dtype(dtype) != np.float64
     it = 0
-    if wide and grid.n // COARSEN >= MIN_CELLS:      # nested iteration from a coarse solve
+    # Nested iteration from a coarse solve, for longdouble only: a float64 solve
+    # needs step norm STEP_TOL, which on deep grids sits at float64's rounding
+    # floor.  On the radial N = 2, n = 20480 grid of the README the coarse start
+    # ran 2000 iterations without reaching it; the Gaussian start takes 75.
+    if wide and grid.n // COARSEN >= MIN_CELLS:
         coarse = grid_for(params, grid.extent, grid.n // COARSEN)
         Q = np.exp(-(coarse.nodes ** 2) / 2.0)
         Q, it, _ = _petviashvili(params, coarse, Q, max_iter, HANDOVER_TOL)

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,7 @@ from inls_lab import cli
 from inls_lab.cli import _params_grid, main, parse_config, resolve_config
 from inls_lab.core import Field, grid_for, make_params
 from inls_lab.errors import ValidationError
+from inls_lab.experiments import REGISTRY
 from inls_lab.fieldio import (
     CSV_COLUMNS, read_field, trajectory_from_csv, write_field, write_manifest,
 )
@@ -30,6 +32,25 @@ def _csv_column(out, name):
     header, *rows = (out / "analysis.csv").read_text().splitlines()
     i = header.split(",").index(name)
     return [float(row.split(",")[i]) for row in rows]
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_session_resolves(tmp_path):
+    """Each config the README writes (``cat > X.cfg <<EOF``) resolves for the
+    subcommand it is run with, and each name it reproduces is registered."""
+    text = README.read_text()
+    blocks = dict(re.findall(r"^cat > (\S+) <<EOF\n(.*?)^EOF$", text, re.M | re.S))
+    runs = re.findall(r"^inls-lab (\S+) --config (\S+)", text, re.M)
+    assert sorted(blocks) == sorted(name for _, name in runs) and runs
+    for command, name in runs:
+        (tmp_path / name).write_text(blocks[name])
+        resolve_config(command, parse_config(str(tmp_path / name)))
+    names = re.findall(r"^inls-lab reproduce (\w+)", text, re.M)
+    assert names and set(names) <= set(REGISTRY)
+    listed = re.search(r"Registered `reproduce` names: (.*?)\.\n", text, re.S).group(1)
+    assert set(re.findall(r"`(\w+)`", listed)) == set(REGISTRY)
 
 
 def test_parse_config_types(tmp_path):

@@ -174,3 +174,13 @@ def test_evolved_trajectory_csv_and_snapshots_round_trip(tmp_path_factory, geome
     for s, b in zip(traj.samples, back.samples, strict=True):
         assert astuple(b)[:len(CSV_COLUMNS)] == astuple(s)[:len(CSV_COLUMNS)]
         assert np.array_equal(b.snapshot.values, s.snapshot.values)
+
+
+def test_mass_drift_survives_the_csv_round_trip(tmp_path, plain_line, leaky_flow):
+    params, grid = plain_line
+    u0 = Field(0.3 * np.exp(-grid.nodes ** 2 / 2).astype(complex), grid, params)
+    traj = evolve(u0, StepPolicy(dt0=0.01, c_dt=1e9, theta=1e9, t_end=0.1))
+    trajectory_to_csv(traj, tmp_path / "trajectory.csv")
+    back = trajectory_from_csv(tmp_path / "trajectory.csv")
+    assert traj.mass_drift_flag is back.mass_drift_flag is True
+    assert back.initial_mass == traj.initial_mass
