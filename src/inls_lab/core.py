@@ -22,9 +22,9 @@ quadrature are summation-by-parts companions.  Quadratures and window
 integrals (``functionals``) and the mollifiers (``analysis``) read a grid's
 nodes, weights and faces directly.  Each grid lazily caches what the operators
 reuse (k, k^2 and Laplacian bands per dtype, the float64 factorization of
-1 - Lap, the linear propagators of the most recent time steps) for exactly as
-long as the grid lives.  Operators work in the dtype of their input, except
-the Helmholtz solves, which are float64 for any rhs.
+1 - Lap, the recent time steps' linear propagators, the half grid of even line
+fields with its own cache) as long as the grid lives.  Operators work in the
+dtype of their input, except the Helmholtz solves, which are float64 for any rhs.
 """
 
 from __future__ import annotations
@@ -160,7 +160,7 @@ class Grid:
     quadratures, the elliptic solver, and the evolution phase.
     """
 
-    geometry: str                 # "line" | "radial"
+    geometry: str                 # "line" | "radial" | "half_line" (see ``half``)
     dim: int
     extent: float                 # half-width L (line) or Rmax (radial)
     n: int
@@ -173,11 +173,19 @@ class Grid:
     faces: np.ndarray | None = field(default=None, repr=False)
     face_alpha: np.ndarray | None = field(default=None, repr=False)
     surf: float = 0.0             # area of the unit sphere A_N (radial)
+    full: Grid | None = field(default=None, repr=False)     # the line of a half grid
 
     @cached_property
     def _operators(self) -> dict:
         """The operator layer's cache for this grid (see the module docstring)."""
         return {}
+
+    @cached_property
+    def half(self) -> Grid:
+        """The n/2 cells x > 0 of an even-n line grid: even fields' right halves."""
+        m = self.n // 2
+        return Grid("half_line", 1, self.extent, m, self.b, self.nodes[m:], self.weights[m:],
+                    self.weight_b[m:], self.spacing, full=self)
 
 
 MIN_CELLS = 8        # the fewest cells either grid constructor accepts
@@ -271,8 +279,10 @@ def _cached(grid: Grid, key, build):
 
 
 def _wavenumbers(grid: Grid, dtype) -> np.ndarray:
-    """The line's wavenumbers k (FFT order) in ``dtype``."""
+    """The line's wavenumbers k (FFT order; a half grid's pi m / L, m < n/2) in ``dtype``."""
     dtype = np.dtype(dtype)
+    if grid.geometry == "half_line":
+        return _wavenumbers(grid.full, dtype)[:grid.n]
     return _cached(grid, ("k", dtype),
                    lambda: (2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.spacing)).astype(dtype))
 
@@ -337,7 +347,14 @@ def _apply_symbol(symbol: np.ndarray, values: np.ndarray) -> np.ndarray:
 def _parseval_grad_sq(grid: Grid, spectrum: np.ndarray):
     """Integral of |grad u|^2 on the line from the spectrum of u (Parseval)."""
     k2 = _wavenumbers_sq(grid, spectrum.real.dtype)
-    return np.sum(k2 * np.abs(spectrum) ** 2) * grid.spacing / grid.n
+    total = np.sum(k2 * np.abs(spectrum) ** 2) * grid.spacing
+    return 2.0 * total if grid.geometry == "half_line" else total / grid.n
+
+
+def _cosine_transform(transform, values: np.ndarray) -> np.ndarray:
+    """Orthonormal DCT-II (``dct``) or its inverse of complex values, on (re, im) columns."""
+    pairs = np.ascontiguousarray(values).view(values.real.dtype).reshape(-1, 2)
+    return transform(pairs, type=2, norm="ortho", axis=0).view(values.dtype)[:, 0]
 
 
 def apply_radial_lap(grid: Grid, u: np.ndarray) -> np.ndarray:
@@ -432,9 +449,9 @@ def shifted_helmholtz_solve(grid: Grid, rhs: np.ndarray, shift: np.ndarray) -> n
 
 
 def _build_propagator(grid: Grid, dt: float):
-    """The exact Fourier multiplier on the line, the zgttrf factors of the
-    Crank-Nicolson matrix 1 - (i dt/2) Lap radially."""
-    if grid.geometry == "line":
+    """The exact Fourier (on a half grid, cosine) multiplier on the line, the
+    zgttrf factors of the Crank-Nicolson matrix 1 - (i dt/2) Lap radially."""
+    if grid.geometry != "radial":
         return np.exp(-1j * _wavenumbers_sq(grid, np.float64) * dt)
     return _factor_one_minus_zlap(grid, 0.5j * dt)
 
@@ -444,9 +461,10 @@ def free_flow(grid: Grid, values: np.ndarray, dt: float, slots: int = 1):
 
     The exact Fourier multiplier on the line, a Crank-Nicolson (Cayley) step
     radially; both are unitary in the grid inner product, run backward for a
-    negative dt, and preserve the discrete |grad u|^2.  Returns the flowed
-    values and that integral, taken on ``values``: read off the spectrum the
-    flow computes anyway on the line (the ``grad_norm_sq_values`` sum), the
+    negative dt, and preserve the discrete |grad u|^2; on a half grid it acts
+    on the cosine series of the even field whose right half is ``values``.
+    Returns the flowed values and that integral, taken on (the whole field of)
+    ``values``: read off the spectrum the flow computes anyway on the line, the
     face-flux quadrature radially.  The grid caches the propagators of the
     ``slots`` most recently used dt; a new dt evicts the least recently used.
     """
@@ -457,6 +475,9 @@ def free_flow(grid: Grid, values: np.ndarray, dt: float, slots: int = 1):
             del cache[next(iter(cache))]
         prop = _build_propagator(grid, dt)
     cache[dt] = prop                      # most recently used last
+    if grid.geometry == "half_line":
+        coeffs = _cosine_transform(scipy.fft.dct, values)
+        return _cosine_transform(scipy.fft.idct, prop * coeffs), _parseval_grad_sq(grid, coeffs)
     if grid.geometry == "line":
         spectrum = _spectrum(values)
         return scipy.fft.ifft(prop * spectrum), _parseval_grad_sq(grid, spectrum)

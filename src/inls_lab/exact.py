@@ -68,7 +68,7 @@ def s_profile(p: SFamilyParams, gs: GroundState, t: float) -> Field:
     with a single scale lam in both the amplitude and the argument (the
     choice under which the L2 norm is exactly that of Q).  Q is sampled with
     quintic interpolation so the mass identity survives deep into the
-    collapse.
+    collapse.  On the line it is exactly even: x < 0 mirrors x >= 0.
     """
     if not -math.inf < t < p.T:
         raise ValidationError(f"need finite t < T, got t={t}, T={p.T}")
@@ -79,8 +79,11 @@ def s_profile(p: SFamilyParams, gs: GroundState, t: float) -> Field:
     x = prof.grid.nodes
     N = prof.params.dim
     core = (p.lam / s) ** (N / 2.0) * sample_scaled(prof, p.lam / s, order=5)
-    phase = np.exp(1j * p.gamma) * np.exp(1j * p.lam ** 2 / s) * np.exp(-1j * x ** 2 / (4.0 * s))
-    return prof.with_values(phase * core)
+    vals = np.exp(1j * p.gamma) * np.exp(1j * p.lam ** 2 / s) * np.exp(-1j * x ** 2 / (4.0 * s))
+    vals *= core
+    if prof.grid.geometry == "line":
+        vals[:prof.grid.n // 2] = vals[:(prof.grid.n - 1) // 2:-1]
+    return prof.with_values(vals)
 
 
 __all__ = ["SFamilyParams", "standing_wave", "pseudoconformal", "s_profile"]

@@ -435,7 +435,8 @@ def rate_bound(seed):
         s_c = traj.snapshots()[0].snapshot.params.s_c
         fit = estimate_blowup_time(traj, s_c)
         bound = rate_exponent_bound(s_c)
-        details[name] = {"exponent": fit.exponent, "bound": bound, "T_hat": fit.T_hat}
+        details[name] = {"exponent": fit.exponent, "bound": bound, "T_hat": fit.T_hat,
+                         "resolved_energy_drift": traj.resolved_energy_drift()}
         passed &= fit.exponent <= bound
     return passed, details
 

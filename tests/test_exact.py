@@ -5,7 +5,9 @@ import pytest
 import scipy.fft
 
 from inls_lab import ValidationError, pseudoconformal, s_profile, standing_wave
+from inls_lab.core import line_grid, sample_scaled
 from inls_lab.exact import SFamilyParams
+from inls_lab.ground_state import solve_ground_state
 from inls_lab import functionals as fn
 
 
@@ -39,6 +41,22 @@ def test_s_profile_t0_pointwise(quintic_gs):
     x = quintic_gs.profile.grid.nodes
     expected = np.exp(1j) * np.exp(-1j * x ** 2 / 4) * quintic_gs.profile.values
     assert np.max(np.abs(fld.values - expected)) < 1e-13
+
+
+@pytest.mark.parametrize("n", [4096, 1025])
+def test_s_profile_is_exactly_even_on_the_line(quintic_gs, n):
+    """Taken at x >= 0 and mirrored (through the middle node for an odd n), so
+    that a march from it takes the half path."""
+    gs = quintic_gs if n == quintic_gs.profile.grid.n else solve_ground_state(
+        quintic_gs.params, line_grid(20.0, n))
+    fam = SFamilyParams(T=1.0, lam=0.8, gamma=0.3)
+    for t in (0.0, 0.5, 0.9):
+        v = s_profile(fam, gs, t).values
+        assert np.array_equal(v, v[::-1])
+    x, s = gs.profile.grid.nodes, 0.1
+    expected = (np.exp(0.3j + 0.64j / s - 1j * x ** 2 / (4 * s)) * (0.8 / s) ** 0.5
+                * sample_scaled(gs.profile, 0.8 / s, order=5))
+    assert np.max(np.abs(v - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
 def test_s_profile_requires_t_below_T(quintic_gs):

@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import lapack
 
-from inls_lab import make_params
+from inls_lab import core, make_params
 from inls_lab import functionals as fn
 from inls_lab.core import (
-    grad_norm_sq_values, gradient_values, helmholtz_solve, laplacian_values, line_grid,
-    radial_grid, shifted_helmholtz_solve,
+    free_flow, grad_norm_sq_values, gradient_values, helmholtz_solve, laplacian_values,
+    line_grid, radial_grid, shifted_helmholtz_solve,
 )
 from inls_lab.evolution import step
 from inls_lab.ground_state import solve_ground_state
@@ -191,3 +191,50 @@ def test_propagator_factorizes_once_per_step_size(monkeypatch):
     assert len(calls) == 1
     step(u, 5e-4)
     assert len(calls) == 2
+
+
+# -- the half grid of the line: exactly even fields as cosine series ---------
+
+def even_bump(seed):
+    """An exactly even line field (addition commutes) and its right half."""
+    u = bump("line", seed)
+    values = u.values + u.values[::-1]
+    return u.with_values(values), values[u.grid.n // 2:]
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 31))
+def test_cosine_parseval_is_the_line_gradient_quadrature(seed):
+    u, right = even_bump(seed)
+    _, G = free_flow(u.grid.half, right, 1e-3)        # |grad u|^2 of the flow's input
+    assert G == pytest.approx(grad_norm_sq_values(u.grid, u.values), rel=1e-13)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 31), dt=st.floats(min_value=1e-5, max_value=1e-1))
+def test_half_grid_flow_is_reversible_and_unitary(seed, dt):
+    u, right = even_bump(seed)
+    half = u.grid.half
+    there, _ = free_flow(half, right, dt)
+    back, _ = free_flow(half, there, -dt)
+    assert np.max(np.abs(back - right)) <= 1e-13 * np.max(np.abs(right))
+    mass = lambda v: np.sum(np.abs(v) ** 2 * half.weights)
+    assert mass(there) == pytest.approx(mass(right), rel=1e-13)
+
+
+def test_half_and_full_propagators_are_built_once_each(monkeypatch):
+    builds, build = [], core._build_propagator
+
+    def counting_build(grid, dt):
+        builds.append(grid)
+        return build(grid, dt)
+
+    monkeypatch.setattr(core, "_build_propagator", counting_build)
+    u, right = even_bump(7)
+    full = u.values
+    for _ in range(3):
+        full, _ = free_flow(u.grid, full, 1e-3)
+        right, _ = free_flow(u.grid.half, right, 1e-3)
+    assert len(builds) == 2 and builds[0] is u.grid and builds[1] is u.grid.half
+    # the half flow is the full flow of the even field, mirrored
+    assert np.max(np.abs(full[u.grid.n // 2:] - right)) <= 1e-13 * np.max(np.abs(right))
