@@ -247,7 +247,8 @@ def _mollify_radial(u1: np.ndarray, grid, rho: float) -> np.ndarray:
         ker = 0.0
         for x, wk in zip(nodes, weights):
             th = half * (1.0 + x)
-            ker = ker + wk * np.sin(th) ** (N - 2) * _bump(1.0 - A - c * np.cos(th))
+            weight = wk if N == 2 else wk * np.sin(th) ** (N - 2)     # sin^0 = 1 exactly
+            ker = ker + weight * _bump(1.0 - A - c * np.cos(th))
         rows = half * ker * w[jj] * valid
         out[idx] = (rows * u1[jj]).sum(axis=1) / rows.sum(axis=1)
     return out

@@ -347,7 +347,7 @@ def _apply_symbol(symbol: np.ndarray, values: np.ndarray) -> np.ndarray:
 def _parseval_grad_sq(grid: Grid, spectrum: np.ndarray):
     """Integral of |grad u|^2 on the line from the spectrum of u (Parseval)."""
     k2 = _wavenumbers_sq(grid, spectrum.real.dtype)
-    total = np.sum(k2 * np.abs(spectrum) ** 2) * grid.spacing
+    total = np.sum(k2 * (spectrum.real ** 2 + spectrum.imag ** 2)) * grid.spacing
     return 2.0 * total if grid.geometry == "half_line" else total / grid.n
 
 

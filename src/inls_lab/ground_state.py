@@ -72,8 +72,9 @@ def solve_ground_state(
     polish; ``max_iter`` bounds the iterations on both grids and the Newton
     steps together.  Raises ValidationError, before any iteration, when grid
     and params disagree, ConvergenceError when max_iter or ``NEWTON_STEPS``
-    runs out or when the iteration stalls with its residual above tolerance
-    (after the RuntimeWarning of an under-resolved grid, the usual cause),
+    runs out, when a Newton iterate turns negative, or when the iteration
+    stalls with its residual above tolerance (after the RuntimeWarning of an
+    under-resolved grid, the usual cause of both),
     and NumericsError when the stabilizing factor leaves [1e-6, 1e6].
     """
     Field(grid.nodes, grid, params)      # rejects a mismatched grid before any iteration
@@ -159,7 +160,8 @@ def _petviashvili(params: ProblemParams, grid: Grid, Q: np.ndarray, max_iter: in
 
 def _newton(params: ProblemParams, grid: Grid, Q: np.ndarray, max_steps: int):
     """Newton's method on F(Q) = 0, updating ``Q`` in place; returns it, the
-    steps taken and whether the L2 step norm fell below ``STEP_TOL``."""
+    steps taken and whether the L2 step norm fell below ``STEP_TOL``; raises
+    ConvergenceError on an iterate below -``RESIDUAL_TOL`` times its peak."""
     p = 2.0 * params.sigma + 1.0
     for step in range(1, max_steps + 1):
         F = _defect(params, grid, Q)[1].astype(np.float64)   # drops Lap Q before the solve
@@ -171,6 +173,9 @@ def _newton(params: ProblemParams, grid: Grid, Q: np.ndarray, max_steps: int):
         if grid.geometry == "line":
             delta = 0.5 * (delta + delta[::-1])
         Q += delta
+        if Q.min() < -RESIDUAL_TOL * Q.max():     # resolved profiles dip to ~ -1e-17 of it
+            raise ConvergenceError(f"Newton step {step} dips to {float(Q.min() / Q.max()):.1e} "
+                                   "of the peak: the grid under-resolves the ground state")
         diff = float(np.sqrt(np.sum(delta ** 2 * grid.weights)))
         del F, V, delta                      # not held through the next defect
         if diff < STEP_TOL:

@@ -21,6 +21,7 @@ from .errors import ValidationError
 from . import functionals as fn
 
 DEFAULT_SEED = 0x1515
+BLOCK = 64      # nodes per entry of a bump's coarse plane-wave table
 
 
 def corpus_rng(seed: int, label: str) -> np.random.Generator:
@@ -30,9 +31,14 @@ def corpus_rng(seed: int, label: str) -> np.random.Generator:
 
 def random_bump_field(params: ProblemParams, grid: Grid, rng: np.random.Generator) -> Field:
     """Sum of 1-4 Gaussian bumps with random widths, centers, and phases,
-    supported well inside the domain."""
+    supported well inside the domain.  On the uniform nodes a bump's plane
+    wave exp(i(phi + s x_j)) is geometric in j: the outer product of its values
+    at x_0, x_BLOCK, ... and exp(i s dx r) for r < BLOCK, trimmed to n, costs
+    n / BLOCK + BLOCK complex exps instead of n (within 1e-14 of the peak of the
+    one-exp-per-node form at extent 12, as the tests pin)."""
     n_bumps = int(rng.integers(1, 5))
     x = grid.nodes
+    fine = grid.spacing * np.arange(BLOCK)
     vals = np.zeros(grid.n, dtype=complex)
     for _ in range(n_bumps):
         width = rng.uniform(0.4, 1.6)
@@ -43,7 +49,8 @@ def random_bump_field(params: ProblemParams, grid: Grid, rng: np.random.Generato
         amp = rng.uniform(0.2, 1.0)
         phase = rng.uniform(0.0, 2.0 * np.pi)
         speed = rng.uniform(-2.0, 2.0)
-        vals += amp * np.exp(-((x - center) ** 2) / (2.0 * width ** 2) + 1j * (phase + speed * x))
+        wave = np.outer(np.exp(1j * (phase + speed * x[::BLOCK])), np.exp(1j * speed * fine))
+        vals += amp * np.exp(-((x - center) ** 2) / (2.0 * width ** 2)) * wave.ravel()[:grid.n]
     return Field(vals, grid, params)
 
 

@@ -9,7 +9,7 @@ from inls_lab import (
     mass_concentration_series, make_params, rescaled_profile,
     sigma_c_window_series, window_radii,
 )
-from inls_lab.analysis import BlowupFit, _mollify_radial, smooth_cutoff
+from inls_lab.analysis import _ANGLE_NODES, BlowupFit, _bump, _mollify_radial, smooth_cutoff
 from inls_lab.core import radial_grid
 from inls_lab.evolution import Trajectory, TrajectorySample
 from inls_lab import functionals as fn
@@ -233,6 +233,30 @@ def test_mollify_radial_matches_angular_reference(dim, rho):
         ref.append(np.sum(kw * u1[js]) / np.sum(kw))
     got = _mollify_radial(u1, grid, rho)[rows]
     assert np.max(np.abs(got - ref)) <= 1e-8 * np.max(np.abs(ref))
+
+
+def test_mollify_radial_n2_is_the_sin0_weighted_sum():
+    """In N = 2 the kernel skips the angular weight sin(theta)^0; it is bit
+    for bit the Gauss-Legendre sum that multiplies by it."""
+    grid = radial_grid(2, 4.0, 300)
+    rho = 3.0
+    u1 = np.random.default_rng(7).uniform(0.5, 1.5, grid.n)
+    r, w, n = grid.nodes, grid.weights, grid.n
+    K = int(np.ceil(1.0 / (rho * grid.spacing))) + 1
+    jj = np.maximum(np.arange(n) - K, 0)[:, None] + np.arange(2 * K + 1)
+    valid = jj < n
+    jj = np.minimum(jj, n - 1)
+    ri, rj = r[:, None], r[jj]
+    A = 1.0 - rho ** 2 * (ri ** 2 + rj ** 2)
+    c = 2.0 * rho ** 2 * ri * rj
+    half = 0.5 * np.arccos(np.clip(-A / c, -1.0, 1.0))
+    ker = 0.0
+    for x, wk in zip(*np.polynomial.legendre.leggauss(_ANGLE_NODES)):
+        th = half * (1.0 + x)
+        ker = ker + wk * np.sin(th) ** 0 * _bump(1.0 - A - c * np.cos(th))
+    rows = half * ker * w[jj] * valid
+    ref = (rows * u1[jj]).sum(axis=1) / rows.sum(axis=1)
+    assert np.array_equal(_mollify_radial(u1, grid, rho), ref)
 
 
 def test_mass_concentration_on_family_trajectory():

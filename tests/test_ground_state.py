@@ -305,6 +305,21 @@ def test_under_resolved_stall_is_reported_as_such():
     assert "did not converge in" not in str(err.value)
 
 
+@pytest.mark.filterwarnings("ignore:ground-state:RuntimeWarning")
+@pytest.mark.parametrize("dtype", ["float64", "longdouble"])
+@pytest.mark.parametrize("params, grid", [
+    (make_params(1, 2.0, 0.0), line_grid(40.0, 64, 0.0)),
+    (make_params(1, 1.2, 0.5), line_grid(30.0, 64, 0.5)),
+], ids=["quintic", "sigma1.2-b0.5"])
+def test_under_resolved_line_grid_fails_in_both_precisions(params, grid, dtype):
+    """64 cells under-resolve both profiles.  float64 stalls above tolerance;
+    longdouble's first Newton iterate turns negative, and the solve says so
+    instead of returning a sign-changing profile or a NaN residual."""
+    match = "under-resolves" if dtype == "longdouble" else "stalled"
+    with pytest.raises(ConvergenceError, match=match):
+        solve_ground_state(params, grid, dtype=dtype)
+
+
 def test_grid_param_mismatch_rejected():
     params = make_params(1, 1.5, 0.5)
     with pytest.raises(ValidationError):

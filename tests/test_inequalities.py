@@ -301,11 +301,14 @@ def test_report_same_seed_same_report(line_b_gs, mc_line):
     assert np.array_equal(a.witness.values, b.witness.values)
 
 
-@pytest.mark.parametrize("grid", [line_grid(12.0, 1024, 0.5), radial_grid(2, 12.0, 1024, 0.5)],
-                         ids=["line", "radial"])
+@pytest.mark.parametrize("grid", [
+    line_grid(12.0, 1024, 0.5), radial_grid(2, 12.0, 1024, 0.5),
+    line_grid(12.0, 1000, 0.5), radial_grid(2, 12.0, 999, 0.5),
+], ids=["line", "radial", "line-ragged", "radial-ragged"])
 def test_random_bump_field_matches_two_exp_formula(grid):
-    """Each bump is one complex exp; the field and the stream after it agree
-    with the Gaussian-times-phase form built from the same draws."""
+    """The blocked plane-wave tables, trimmed to n also when n is not a
+    multiple of BLOCK, agree with the Gaussian-times-phase form built from the
+    same draws, and leave the stream where that form does."""
     params = make_params(grid.dim, 1.0, 0.5)
     for seed in range(5):
         rng, ref_rng = corpus_rng(seed, "bumps"), corpus_rng(seed, "bumps")
