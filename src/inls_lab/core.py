@@ -183,6 +183,8 @@ class Grid:
     @cached_property
     def half(self) -> Grid:
         """The n/2 cells x > 0 of an even-n line grid: even fields' right halves."""
+        if self.geometry != "line" or self.n % 2:
+            raise ValidationError(f"half needs an even-n line grid, got {self.geometry} n={self.n}")
         m = self.n // 2
         return Grid("half_line", 1, self.extent, m, self.b, self.nodes[m:], self.weights[m:],
                     self.weight_b[m:], self.spacing, full=self)

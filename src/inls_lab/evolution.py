@@ -135,9 +135,10 @@ class Trajectory:
         return [s for s in self.samples if s.snapshot is not None]
 
     def resolved_energy_drift(self) -> float:
-        """max |E - E0| / energy_scale(u0) over the samples with |grad u| <= its final / 2."""
+        """max |E - E0| / energy_scale(u0) over the samples with |grad u| <= its final / 2;
+        the first sample holds energy_scale(u0) = G0 - E0, as E = G/2 - P/(2 sigma + 2)."""
         g, e = self.grad_norms(), self.energies()
-        scale = fn.energy_scale(self.samples[0].snapshot)
+        scale = self.samples[0].grad_norm_sq - e[0]
         return float(np.max(np.abs(e[g <= g[-1] / 2.0] - e[0])) / scale)
 
 

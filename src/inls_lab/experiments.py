@@ -15,16 +15,16 @@ details and must be met to pass.
 
 Tuning notes baked into the configurations below:
 
-* The deep Pohozaev gates finish in extended precision: at n ~ 2.6e5 the
-  float64 evaluation of the elliptic residual is rounding-floor limited
-  (~eps/dx^2), while the dilation identity needs that much resolution.  The
-  solver iterates in float64 to the handover step norm, first on a quarter
-  of the cells from the Gaussian, then on the full grid from that iterate
-  interpolated (11 + 4, 23 + 6 and 55 + 4 iterations on the line, radial
-  N = 2 and radial N = 3 gates, where the Gaussian start took 11, 23 and 55
-  on the full grid), then polishes with two Newton steps in two precisions
-  (longdouble defect, float64 Jacobian solve); the reports record the
-  iterations on both grids and the Newton steps.
+* Every ground state iterates in float64 to the handover step norm, first
+  on a quarter of the cells from the Gaussian, then on the full grid from
+  that iterate interpolated (11 + 4, 23 + 6 and 55 + 4 iterations on the
+  line, radial N = 2 and radial N = 3 gates, where the Gaussian start took
+  11, 23 and 55 on the full grid), then polishes with two or three Newton
+  steps (float64 Jacobian solve).  The deep Pohozaev gates take the Newton
+  defect in extended precision: at n ~ 2.6e5 its float64 evaluation is
+  rounding-floor limited (~eps/dx^2), while the dilation identity needs that
+  much resolution.  The reports record the iterations on both grids and
+  the Newton steps.
 * Conservation, splitting-order, family-tracking, and the quadratic-virial
   gates run on the b = 0 mass-critical member (quintic line soliton), where
   Strang splitting retains its clean second order.  With b > 0 the
@@ -91,7 +91,7 @@ class ExperimentReport:
 # shared heavy intermediates (memoized for the lifetime of the process)
 
 # case -> (dim, sigma, b, extent, n, dtype); the three deep Pohozaev gates
-# iterate in extended precision, the other cases in float64.
+# take their Newton defect in extended precision, the other cases in float64.
 GROUND_STATES = {
     "line_mass_critical": (1, 1.5, 0.5, 15.0, 65536, "longdouble"),
     "radial2_mass_critical": (2, 0.75, 0.5, 14.0, 20480, "longdouble"),

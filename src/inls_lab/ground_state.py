@@ -13,14 +13,14 @@ Each iteration takes the map in defect-correction form,
 Q <- S^gamma (Q + (1 - Lap)^-1 F(Q)) with F(Q) = Lap Q - Q + W Q^p (the same
 map in exact arithmetic), one float64 Helmholtz solve per iteration.  Deep
 grids push the float64 evaluation of Lap Q against its rounding floor
-(~ eps / dx^2), so ``dtype="longdouble"`` iterates to step norm
-``HANDOVER_TOL`` on n // ``COARSEN`` cells from the Gaussian, then on n from
-that iterate's linear interpolant (nested iteration: 4-6 fine iterations on
-the gates, not 11-55), and hands over to Newton's method in two precisions:
-F in longdouble, the Jacobian system (1 - Lap - p W Q^(p - 1)) delta = F in
-float64 (iterative refinement, Carson & Higham, SIAM J. Sci. Comput. 40,
-2018), two or three steps to ``STEP_TOL``: residuals ~1e-11 at n ~ 3e5.  The
-integrals are ``functionals``' own, summed at the precision of the field.
+(~ eps / dx^2), so every solve iterates to step norm ``HANDOVER_TOL`` on
+n // ``COARSEN`` cells from the Gaussian, then on n from that iterate's linear
+interpolant (nested iteration: 4-6 fine iterations on the gates, not 11-55),
+and hands over to Newton's method: F at the precision ``dtype`` names, the
+Jacobian system (1 - Lap - p W Q^(p - 1)) delta = F in float64 (iterative
+refinement in longdouble, Carson & Higham, SIAM J. Sci. Comput. 40, 2018),
+two or three steps to ``STEP_TOL``: longdouble residuals ~1e-11 at n ~ 3e5.
+The integrals are ``functionals``' own, summed at the precision of the field.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ class GroundState:
     profile: Field
     residual: float
     iterations: int             # the float64 Petviashvili iterations, on both grids
-    newton_steps: int           # the Newton steps of a longdouble solve; 0 in float64
+    newton_steps: int           # the Newton steps after the float64 iterations
     pohozaev_r1: float
     pohozaev_r2: float
     q_mass: float
@@ -58,9 +58,9 @@ class GroundState:
 
 STEP_TOL = 1e-12        # L2 distance between successive iterates
 RESIDUAL_TOL = 1e-8     # relative to ||Q||_L2
-HANDOVER_TOL = 1e-7     # float64 step norm at which a wider solve turns to Newton
+HANDOVER_TOL = 1e-7     # float64 step norm at which the solve turns to Newton
 NEWTON_STEPS = 4        # cap on the Newton steps, also counted against max_iter
-COARSEN = 4             # a longdouble solve starts from a float64 solve on n // COARSEN cells
+COARSEN = 4             # a solve starts from a float64 solve on n // COARSEN cells
 
 
 def solve_ground_state(
@@ -69,34 +69,28 @@ def solve_ground_state(
     """Compute the positive even/radial ground-state profile on ``grid``.
 
     ``dtype`` ("float64" or "longdouble") is the precision of the Newton
-    polish; ``max_iter`` bounds the iterations on both grids and the Newton
-    steps together.  Raises ValidationError, before any iteration, when grid
-    and params disagree, ConvergenceError when max_iter or ``NEWTON_STEPS``
-    runs out, when a Newton iterate turns negative, or when the iteration
-    stalls with its residual above tolerance (after the RuntimeWarning of an
-    under-resolved grid, the usual cause of both),
+    defect and changes nothing else; ``max_iter`` bounds the iterations on
+    both grids and the Newton steps together.  Raises ValidationError, before
+    any iteration, when grid and params disagree, ConvergenceError when
+    max_iter or ``NEWTON_STEPS`` runs out, when a Newton iterate turns
+    negative (an under-resolved grid), or when the Newton steps stall with the
+    residual above tolerance (usually float64's rounding floor on a deep grid),
     and NumericsError when the stabilizing factor leaves [1e-6, 1e6].
     """
     Field(grid.nodes, grid, params)      # rejects a mismatched grid before any iteration
-    wide = np.dtype(dtype) != np.float64
     it = 0
-    # Nested iteration from a coarse solve, for longdouble only: a float64 solve
-    # needs step norm STEP_TOL, which on deep grids sits at float64's rounding
-    # floor.  On the radial N = 2, n = 20480 grid of the README the coarse start
-    # ran 2000 iterations without reaching it; the Gaussian start takes 75.
-    if wide and grid.n // COARSEN >= MIN_CELLS:
+    if grid.n // COARSEN >= MIN_CELLS:
         coarse = grid_for(params, grid.extent, grid.n // COARSEN)
         Q = np.exp(-(coarse.nodes ** 2) / 2.0)
-        Q, it, _ = _petviashvili(params, coarse, Q, max_iter, HANDOVER_TOL)
+        Q, it, _ = _petviashvili(params, coarse, Q, max_iter)
         Q = np.interp(grid.nodes, coarse.nodes, Q)
         del coarse                       # not held through the fine phase
     else:
         Q = np.exp(-(grid.nodes ** 2) / 2.0)           # the Gaussian start
-    Q, fine, converged = _petviashvili(params, grid, Q, max_iter - it,
-                                       HANDOVER_TOL if wide else STEP_TOL)
+    Q, fine, converged = _petviashvili(params, grid, Q, max_iter - it)
     it += fine
     steps = 0
-    if wide and converged:
+    if converged:
         Q = Q.astype(dtype)              # not held beside the float64 iterate
         Q, steps, converged = _newton(params, grid, Q, min(NEWTON_STEPS, max_iter - it))
 
@@ -114,8 +108,8 @@ def solve_ground_state(
     _check_resolved(prof)      # before the residual verdict: a coarse grid stalls it
     if res > tol:
         raise ConvergenceError(
-            f"ground-state iteration stalled after {it} iterations with residual "
-            f"{res:.3e} above tolerance {tol:.3e}",
+            f"ground state stalled after {it} iterations and {steps} Newton steps "
+            f"with residual {res:.3e} above tolerance {tol:.3e}",
             residual=res,
         )
 
@@ -131,7 +125,8 @@ def _defect(params: ProblemParams, grid: Grid, Q: np.ndarray):
     return lap, lap - Q + grid.weight_b * Q ** (2.0 * params.sigma + 1.0)
 
 
-def _petviashvili(params: ProblemParams, grid: Grid, Q: np.ndarray, max_iter: int, tol=STEP_TOL):
+def _petviashvili(params: ProblemParams, grid: Grid, Q: np.ndarray, max_iter: int,
+                  tol=HANDOVER_TOL):
     """Petviashvili iteration at the precision of ``Q``; returns the last
     iterate, the iterations taken and whether the L2 step norm fell below ``tol``."""
     w = grid.weights
@@ -160,9 +155,11 @@ def _petviashvili(params: ProblemParams, grid: Grid, Q: np.ndarray, max_iter: in
 
 def _newton(params: ProblemParams, grid: Grid, Q: np.ndarray, max_steps: int):
     """Newton's method on F(Q) = 0, updating ``Q`` in place; returns it, the
-    steps taken and whether the L2 step norm fell below ``STEP_TOL``; raises
-    ConvergenceError on an iterate below -``RESIDUAL_TOL`` times its peak."""
+    steps taken and whether the L2 step norm fell below ``STEP_TOL`` or stopped
+    halving (a float64 defect's rounding floor: the residual then decides);
+    raises ConvergenceError on an iterate below -``RESIDUAL_TOL`` times its peak."""
     p = 2.0 * params.sigma + 1.0
+    before = math.inf
     for step in range(1, max_steps + 1):
         F = _defect(params, grid, Q)[1].astype(np.float64)   # drops Lap Q before the solve
         V = Q.astype(np.float64)                              # V = p W Q^(p - 1), in place
@@ -178,8 +175,9 @@ def _newton(params: ProblemParams, grid: Grid, Q: np.ndarray, max_steps: int):
                                    "of the peak: the grid under-resolves the ground state")
         diff = float(np.sqrt(np.sum(delta ** 2 * grid.weights)))
         del F, V, delta                      # not held through the next defect
-        if diff < STEP_TOL:
+        if diff < STEP_TOL or diff > 0.5 * before:
             return Q, step, True
+        before = diff
     return Q, max_steps, False
 
 

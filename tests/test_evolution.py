@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from inls_lab import Field, NumericsError, StepPolicy, ValidationError, evolve, make_params
-from inls_lab import core, evolution, experiments
-from inls_lab.core import line_grid, radial_grid
+from inls_lab import core, evolution, experiments, solve_ground_state
+from inls_lab.core import grid_for, line_grid, radial_grid
 from inls_lab.evolution import LADDER_RUNGS, STRANG, SUZUKI4, step
 from inls_lab.exact import standing_wave
+from inls_lab.fieldio import trajectory_from_csv, trajectory_to_csv
 from inls_lab import functionals as fn
 
 
@@ -396,3 +397,42 @@ def test_blowup_run_conserves_energy_while_resolved(run):
     most half its final value) stays below 1e-2 energy scales of u0; measured
     1.8e-5, 7.6e-4 and 1.7e-3."""
     assert experiments.trajectory(run).resolved_energy_drift() < 1e-2
+
+
+def test_resolved_energy_drift_needs_no_snapshot(tmp_path):
+    """The first sample holds energy_scale(u0) = G0 - E0, so a run without
+    snapshots, and its CSV round trip, report the drift of the same run with
+    snapshots."""
+    params, grid = make_params(1, 2.0, 0.0), line_grid(12.0, 1024, 0.0)
+    u0 = Field(2.0 * np.exp(-grid.nodes ** 2).astype(complex), grid, params)
+    policy = dict(dt0=1e-3, c_dt=5e-3, theta=0.5, t_end=1.0)
+    bare = evolve(u0, StepPolicy(**policy))
+    drift = evolve(u0, StepPolicy(**policy, snapshot_every=1)).resolved_energy_drift()
+    assert not bare.snapshots() and drift > 0
+    assert bare.samples[0].grad_norm_sq - bare.samples[0].energy == pytest.approx(
+        fn.energy_scale(u0), rel=1e-14)
+    trajectory_to_csv(bare, tmp_path / "trajectory.csv")
+    assert bare.resolved_energy_drift() == drift
+    assert trajectory_from_csv(tmp_path / "trajectory.csv").resolved_energy_drift() == drift
+
+
+# The line runs of experiments.TRAJECTORIES and the GROUND_STATES case each
+# starts from; inls_collapse's G doubles under n -> 2n (ROADMAP open item 1).
+@pytest.mark.parametrize("run, case", [("s_family_quintic", "quintic_tracking"),
+                                       ("quintic_collapse", "quintic")])
+def test_line_run_gradient_is_grid_converged(monkeypatch, run, case):
+    """G(0.5) of a run agrees to 1e-6 relative with the same run on 2n cells,
+    started from the ground state solved again on them; measured 1.5e-12 and
+    1.6e-12."""
+    initial, policy = experiments.TRAJECTORIES[run]
+    policy = StepPolicy(**dict(policy, t_end=0.5))
+    dim, sigma, b, extent, n, dtype = experiments.GROUND_STATES[case]
+    params = make_params(dim, sigma, b)
+    fine = solve_ground_state(params, grid_for(params, extent, 2 * n), dtype=dtype)
+    G = []
+    for gs in (experiments.ground_state(case), fine):
+        monkeypatch.setattr(experiments, "ground_state", lambda _: gs)
+        traj = evolve(initial(), policy)
+        assert traj.termination == "t_end"
+        G.append(traj.samples[-1].grad_norm_sq)
+    assert G[1] == pytest.approx(G[0], rel=1e-6)

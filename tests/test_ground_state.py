@@ -168,10 +168,10 @@ def test_non_convergence_raises_in_longdouble():
         solve_ground_state(params, grid, max_iter=2, dtype="longdouble")
 
 
-def test_float64_solve_makes_no_newton_steps(line_b_gs, intercritical_radial_gs):
+def test_float64_solve_is_petviashvili_then_newton(line_b_gs, intercritical_radial_gs):
     for gs in (line_b_gs, intercritical_radial_gs):
-        assert gs.newton_steps == 0
         assert gs.iterations > 0
+        assert 0 < gs.newton_steps <= ground_state.NEWTON_STEPS
 
 
 def test_longdouble_solve_is_petviashvili_then_newton(radial2_gate_gs):
@@ -181,21 +181,21 @@ def test_longdouble_solve_is_petviashvili_then_newton(radial2_gate_gs):
 
 
 def test_longdouble_iterations_count_both_grids():
-    """A longdouble solve iterates from the Gaussian on n // COARSEN cells to
-    HANDOVER_TOL, then on n from the linear interpolant of that iterate, well
-    before STEP_TOL; ``iterations`` counts both phases, and Newton still
-    converges."""
+    """A solve iterates from the Gaussian on n // COARSEN cells to
+    HANDOVER_TOL, then on n from the linear interpolant of that iterate, in
+    fewer iterations, well before STEP_TOL; ``iterations`` counts both phases,
+    and Newton still converges."""
     params = make_params(2, 0.75, 0.5)
     grid = radial_grid(2, 14.0, 4096, 0.5)
     gs = solve_ground_state(params, grid, dtype="longdouble")
     coarse = radial_grid(2, 14.0, 4096 // ground_state.COARSEN, 0.5)
     Qc, coarse_it, converged = ground_state._petviashvili(
-        params, coarse, np.exp(-coarse.nodes ** 2 / 2.0), 2000, ground_state.HANDOVER_TOL)
+        params, coarse, np.exp(-coarse.nodes ** 2 / 2.0), 2000)
     assert converged
     _, fine_it, converged = ground_state._petviashvili(
-        params, grid, np.interp(grid.nodes, coarse.nodes, Qc), 2000, ground_state.HANDOVER_TOL)
+        params, grid, np.interp(grid.nodes, coarse.nodes, Qc), 2000)
     assert converged and gs.iterations == coarse_it + fine_it
-    assert gs.iterations < solve_ground_state(params, grid).iterations
+    assert fine_it < coarse_it
     assert gs.residual / math.sqrt(gs.q_mass) < 1e-10
 
 
@@ -208,18 +208,18 @@ def _phase_grids(monkeypatch, params, grid, dtype):
         ns.append(grid.n)
         return iterate(params, grid, *args)
 
-    monkeypatch.setattr(ground_state, "_petviashvili", recording)
-    return solve_ground_state(params, grid, dtype=dtype), ns
+    with monkeypatch.context() as patch:
+        patch.setattr(ground_state, "_petviashvili", recording)
+        return solve_ground_state(params, grid, dtype=dtype), ns
 
 
-@pytest.mark.parametrize("dtype, phases", [
-    pytest.param("float64", [2048], id="float64"),
-    pytest.param("longdouble", [2048 // ground_state.COARSEN, 2048], id="longdouble"),
-])
-def test_only_longdouble_solves_start_on_the_coarse_grid(monkeypatch, dtype, phases):
+@pytest.mark.parametrize("dtype", ["float64", "longdouble"])
+def test_only_longdouble_solves_start_on_the_coarse_grid(monkeypatch, dtype):
+    """The name is kept from when float64 solves iterated on n cells alone:
+    a solve in either precision now iterates on n // COARSEN cells, then on n."""
     _, ns = _phase_grids(monkeypatch, make_params(2, 0.75, 0.5),
                          radial_grid(2, 14.0, 2048, 0.5), dtype)
-    assert ns == phases
+    assert ns == [2048 // ground_state.COARSEN, 2048]
 
 
 def test_longdouble_solve_too_small_to_coarsen_converges(monkeypatch):
@@ -236,6 +236,20 @@ NEWTON_CASES = [
     pytest.param(1, 1.5, 0.5, line_grid(16.0, 1024, 0.5), id="line-b0.5"),
     pytest.param(1, 2.0, 0.0, line_grid(16.0, 1024, 0.0), id="line-quintic-b0"),
 ]
+
+
+@pytest.mark.parametrize("dim, sigma, b, grid", NEWTON_CASES)
+def test_both_precisions_run_the_same_phases(monkeypatch, dim, sigma, b, grid):
+    """``dtype`` sets only the precision of the Newton defect: both precisions
+    iterate on n // COARSEN cells, then on n, as often, and take as many
+    Newton steps to the same profile."""
+    params = make_params(dim, sigma, b)
+    wide, wide_ns = _phase_grids(monkeypatch, params, grid, "longdouble")
+    narrow, narrow_ns = _phase_grids(monkeypatch, params, grid, "float64")
+    assert wide_ns == narrow_ns == [grid.n // ground_state.COARSEN, grid.n]
+    assert wide.iterations == narrow.iterations
+    assert wide.newton_steps == narrow.newton_steps
+    assert float(np.max(np.abs(wide.profile.values - narrow.profile.values))) < 1e-11
 
 
 def _newton_solve(monkeypatch, params, grid):
@@ -260,7 +274,8 @@ def test_newton_polish_matches_longdouble_petviashvili(monkeypatch, dim, sigma, 
     params = make_params(dim, sigma, b)
     gs, norms = _newton_solve(monkeypatch, params, grid)
     start = np.exp(-grid.nodes ** 2 / 2.0).astype(np.longdouble)
-    ref, _, converged = ground_state._petviashvili(params, grid, start, 2000)
+    ref, _, converged = ground_state._petviashvili(params, grid, start, 2000,
+                                                   ground_state.STEP_TOL)
     assert converged
     assert gs.newton_steps == len(norms) >= 2
     assert float(np.max(np.abs(gs.profile.values - ref))) < 1e-12
@@ -295,14 +310,15 @@ def test_unresolved_ground_state_warns(dim, sigma, b, grid, match):
         solve_ground_state(make_params(dim, sigma, b), grid)
 
 
-def test_under_resolved_stall_is_reported_as_such():
-    """The iteration meets STEP_TOL on this grid, but at a residual far above
-    tolerance: the resolution warning fires first and the error names the
-    residual, not an iteration budget."""
-    with pytest.warns(RuntimeWarning, match="core spans"):
-        with pytest.raises(ConvergenceError, match="stalled .* residual") as err:
-            solve_ground_state(make_params(1, 2.0, 0.0), line_grid(40.0, 64, 0.0))
+def test_rounding_floor_stall_is_reported_as_such():
+    """On this deep grid a float64 defect's rounding floor stops the Newton
+    steps from halving at a residual above tolerance: the error names the
+    residual, not an iteration budget, and a longdouble defect converges."""
+    params, grid = make_params(2, 0.75, 0.5), radial_grid(2, 14.0, 131072, 0.5)
+    with pytest.raises(ConvergenceError, match="stalled .* residual") as err:
+        solve_ground_state(params, grid)
     assert "did not converge in" not in str(err.value)
+    assert solve_ground_state(params, grid, dtype="longdouble").newton_steps > 0
 
 
 @pytest.mark.filterwarnings("ignore:ground-state:RuntimeWarning")
@@ -312,11 +328,10 @@ def test_under_resolved_stall_is_reported_as_such():
     (make_params(1, 1.2, 0.5), line_grid(30.0, 64, 0.5)),
 ], ids=["quintic", "sigma1.2-b0.5"])
 def test_under_resolved_line_grid_fails_in_both_precisions(params, grid, dtype):
-    """64 cells under-resolve both profiles.  float64 stalls above tolerance;
-    longdouble's first Newton iterate turns negative, and the solve says so
-    instead of returning a sign-changing profile or a NaN residual."""
-    match = "under-resolves" if dtype == "longdouble" else "stalled"
-    with pytest.raises(ConvergenceError, match=match):
+    """64 cells under-resolve both profiles.  In either precision the first
+    Newton iterate turns negative, and the solve says so instead of returning
+    a sign-changing profile or a NaN residual."""
+    with pytest.raises(ConvergenceError, match="under-resolves"):
         solve_ground_state(params, grid, dtype=dtype)
 
 
@@ -330,8 +345,8 @@ def test_grid_param_mismatch_rejected():
 
 def test_dimension_mismatch_rejected_before_iterating(monkeypatch):
     """N = 3 params on a 2-D radial grid: same geometry and b, other dimension.
-    The check also precedes a longdouble solve's coarse phase, whose grid is
-    built from params and so agrees with them."""
+    The check also precedes the coarse phase, whose grid is built from params
+    and so agrees with them."""
     def no_iteration(*args, **kwargs):
         raise AssertionError("the Petviashvili iteration ran")
 

@@ -2,12 +2,11 @@
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import lapack
 
-from inls_lab import core, make_params
+from inls_lab import ValidationError, core, make_params
 from inls_lab import functionals as fn
 from inls_lab.core import (
     free_flow, grad_norm_sq_values, gradient_values, helmholtz_solve, laplacian_values,
@@ -155,32 +154,15 @@ def test_shifted_helmholtz_solve_inverts_an_indefinite_operator(geometry):
                               helmholtz_solve(grid, rhs))
 
 
-def test_longdouble_ground_state_solves_once_per_iteration(monkeypatch):
-    """The longdouble polish refines in the Newton update, not in the solve:
-    one float64 tridiagonal solve per Petviashvili iteration or Newton step."""
+@pytest.mark.parametrize("dtype", ["float64", "longdouble"])
+def test_ground_state_solves_once_per_iteration(monkeypatch, dtype):
+    """The polish refines in the Newton update, not in the solve: one float64
+    tridiagonal solve per Petviashvili iteration or Newton step."""
     calls = _count_calls(monkeypatch, "dgttrs")
     gs = solve_ground_state(make_params(2, 0.75, 0.5), radial_grid(2, 14.0, 2048, 0.5),
-                            dtype="longdouble")
+                            dtype=dtype)
     assert gs.newton_steps > 0
     assert len(calls) == gs.iterations + gs.newton_steps
-
-
-@pytest.mark.parametrize("geometry", ["line", "radial"])
-def test_float64_ground_state_takes_no_newton_path(monkeypatch, geometry):
-    """A float64 solve, as every trajectory starts from, makes no Newton step:
-    no MINRES, and no factorization but the grid's cached Helmholtz factor."""
-    def no_minres(*args, **kwargs):
-        raise AssertionError("MINRES ran")
-
-    monkeypatch.setattr(scipy.sparse.linalg, "minres", no_minres)
-    factors = _count_calls(monkeypatch, "dgttrf")
-    if geometry == "line":
-        params, grid = make_params(1, 1.5, 0.5), line_grid(16.0, 1024, 0.5)
-    else:
-        params, grid = make_params(2, 0.75, 0.5), radial_grid(2, 14.0, 1024, 0.5)
-    gs = solve_ground_state(params, grid)
-    assert gs.newton_steps == 0
-    assert len(factors) == (geometry == "radial")
 
 
 def test_propagator_factorizes_once_per_step_size(monkeypatch):
@@ -238,3 +220,11 @@ def test_half_and_full_propagators_are_built_once_each(monkeypatch):
     assert len(builds) == 2 and builds[0] is u.grid and builds[1] is u.grid.half
     # the half flow is the full flow of the even field, mirrored
     assert np.max(np.abs(full[u.grid.n // 2:] - right)) <= 1e-13 * np.max(np.abs(right))
+
+
+@pytest.mark.parametrize("grid", [line_grid(12.0, 255), radial_grid(2, 12.0, 256)],
+                         ids=["odd-line", "radial"])
+def test_half_grid_needs_an_even_line(grid):
+    """An odd line has no n/2 right-half cells, and shells have no mirror."""
+    with pytest.raises(ValidationError, match="even-n line"):
+        grid.half
