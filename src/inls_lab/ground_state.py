@@ -11,16 +11,16 @@ spatial discretization error.
 
 Each iteration takes the map in defect-correction form,
 Q <- S^gamma (Q + (1 - Lap)^-1 F(Q)) with F(Q) = Lap Q - Q + W Q^p (the same
-map in exact arithmetic), one float64 Helmholtz solve per iteration.  Deep
-grids push the float64 evaluation of Lap Q against its rounding floor
-(~ eps / dx^2), so every solve iterates to step norm ``HANDOVER_TOL`` on
-n // ``COARSEN`` cells from the Gaussian, then on n from that iterate's linear
+map in exact arithmetic), one float64 Helmholtz solve per iteration.  A solve
+iterates to step norm ``HANDOVER_TOL`` on n // ``COARSEN`` cells from the
+Gaussian when they resolve its core, then on n from that iterate's linear
 interpolant (nested iteration: 4-6 fine iterations on the gates, not 11-55),
-and hands over to Newton's method: F at the precision ``dtype`` names, the
-Jacobian system (1 - Lap - p W Q^(p - 1)) delta = F in float64 (iterative
-refinement in longdouble, Carson & Higham, SIAM J. Sci. Comput. 40, 2018),
-two or three steps to ``STEP_TOL``: longdouble residuals ~1e-11 at n ~ 3e5.
-The integrals are ``functionals``' own, summed at the precision of the field.
+then Newton steps, (1 - Lap - p W Q^(p - 1)) delta = F in float64, to
+``STEP_TOL``.  Deep radial grids push the band-form Lap Q to its rounding floor
+(~ eps Q / dr^2), so an extended solve keeps the radial iterate as a float64
+pair Q + lo (error-free sums: Dekker, Numer. Math. 18, 1971; Ogita, Rump &
+Oishi, SIAM J. Sci. Comput. 26, 2005) with Lap Q in flux form; on the line the
+FFT's floor holds however Q is stored.  The integrals are ``functionals``' own.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MIN_CELLS, Field, Grid, ProblemParams, grid_for, laplacian_values
-from .core import helmholtz_solve, shifted_helmholtz_solve
+from .core import Field, Grid, ProblemParams, grid_for, laplacian_values
+from .core import apply_radial_lap, helmholtz_solve, shifted_helmholtz_solve
 from .errors import ConvergenceError, NumericsError, ValidationError
 from . import functionals as fn
 
@@ -61,6 +61,7 @@ RESIDUAL_TOL = 1e-8     # relative to ||Q||_L2
 HANDOVER_TOL = 1e-7     # float64 step norm at which the solve turns to Newton
 NEWTON_STEPS = 4        # cap on the Newton steps, also counted against max_iter
 COARSEN = 4             # a solve starts from a float64 solve on n // COARSEN cells
+CORE_CELLS = 8          # the fewest cells above half its peak that resolve a profile's core
 
 
 def solve_ground_state(
@@ -68,35 +69,35 @@ def solve_ground_state(
 ) -> GroundState:
     """Compute the positive even/radial ground-state profile on ``grid``.
 
-    ``dtype`` ("float64" or "longdouble") is the precision of the Newton
-    defect and changes nothing else; ``max_iter`` bounds the iterations on
-    both grids and the Newton steps together.  Raises ValidationError, before
-    any iteration, when grid and params disagree, ConvergenceError when
-    max_iter or ``NEWTON_STEPS`` runs out, when a Newton iterate turns
-    negative (an under-resolved grid), or when the Newton steps stall with the
-    residual above tolerance (usually float64's rounding floor on a deep grid),
-    and NumericsError when the stabilizing factor leaves [1e-6, 1e6].
+    ``dtype`` is the precision of the Newton defect and changes nothing else:
+    "float64", or "longdouble", which means extended (a float64 pair Q + lo)
+    and changes only radial solves.  ``max_iter`` bounds the iterations on both
+    grids and the Newton steps together.  Raises ValidationError, before any
+    iteration, when grid and params disagree or ``dtype`` is neither,
+    ConvergenceError when max_iter or ``NEWTON_STEPS`` runs out, when a Newton
+    iterate turns negative (an under-resolved grid), or when the Newton steps
+    stall above tolerance (float64's rounding floor on a deep grid), and
+    NumericsError when the stabilizing factor leaves [1e-6, 1e6].
     """
     Field(grid.nodes, grid, params)      # rejects a mismatched grid before any iteration
-    it = 0
-    if grid.n // COARSEN >= MIN_CELLS:
+    if dtype not in ("float64", "longdouble"):
+        raise ValidationError(f"dtype must be 'float64' or 'longdouble', got {dtype!r}")
+    it, Q = 0, np.exp(-(grid.nodes ** 2) / 2.0)           # the Gaussian start
+    if np.count_nonzero(Q > 0.5) >= COARSEN * CORE_CELLS:   # n // COARSEN cells resolve its core
         coarse = grid_for(params, grid.extent, grid.n // COARSEN)
-        Q = np.exp(-(coarse.nodes ** 2) / 2.0)
-        Q, it, _ = _petviashvili(params, coarse, Q, max_iter)
+        Q, it, _ = _petviashvili(params, coarse, np.exp(-(coarse.nodes ** 2) / 2.0), max_iter)
         Q = np.interp(grid.nodes, coarse.nodes, Q)
         del coarse                       # not held through the fine phase
-    else:
-        Q = np.exp(-(grid.nodes ** 2) / 2.0)           # the Gaussian start
     Q, fine, converged = _petviashvili(params, grid, Q, max_iter - it)
     it += fine
-    steps = 0
+    steps, lo = 0, None
     if converged:
-        Q = Q.astype(dtype)              # not held beside the float64 iterate
-        Q, steps, converged = _newton(params, grid, Q, min(NEWTON_STEPS, max_iter - it))
+        lo = np.zeros(grid.n) if dtype == "longdouble" and grid.geometry == "radial" else None
+        Q, lo, steps, converged = _newton(params, grid, Q, lo, min(NEWTON_STEPS, max_iter - it))
 
     iterate = Field(Q, grid, params)
     q_mass = fn.mass(iterate)
-    res = math.sqrt(fn.mass(iterate.with_values(_defect(params, grid, Q)[1])))
+    res = math.sqrt(fn.mass(iterate.with_values(_newton_defect(params, grid, Q, lo)[0])))
     tol = RESIDUAL_TOL * math.sqrt(q_mass)
     if not converged:
         raise ConvergenceError(
@@ -104,8 +105,7 @@ def solve_ground_state(
             f"(max_iter {max_iter}, residual {res:.3e}, tol {tol:.3e})",
             residual=res,
         )
-    prof = iterate.with_values(Q.astype(np.float64))
-    _check_resolved(prof)      # before the residual verdict: a coarse grid stalls it
+    _check_resolved(iterate)   # before the residual verdict: a coarse grid stalls it
     if res > tol:
         raise ConvergenceError(
             f"ground state stalled after {it} iterations and {steps} Newton steps "
@@ -114,7 +114,7 @@ def solve_ground_state(
         )
 
     r1, r2 = pohozaev_residuals(iterate)
-    return GroundState(profile=prof, residual=res, iterations=it, newton_steps=steps,
+    return GroundState(profile=iterate, residual=res, iterations=it, newton_steps=steps,
                        pohozaev_r1=r1, pohozaev_r2=r2, q_mass=q_mass)
 
 
@@ -153,32 +153,52 @@ def _petviashvili(params: ProblemParams, grid: Grid, Q: np.ndarray, max_iter: in
     return Q, max_iter, False
 
 
-def _newton(params: ProblemParams, grid: Grid, Q: np.ndarray, max_steps: int):
-    """Newton's method on F(Q) = 0, updating ``Q`` in place; returns it, the
-    steps taken and whether the L2 step norm fell below ``STEP_TOL`` or stopped
+def _newton_defect(params: ProblemParams, grid: Grid, Q: np.ndarray, lo):
+    """In float64, the defect F at Q, or at the radial pair Q + lo to first
+    order in lo, and the Jacobian's potential V = p W Q^(p - 1).  The pair's
+    Lap Q is in flux form: ``np.diff`` is exact where neighbours lie within 2x."""
+    p = 2.0 * params.sigma + 1.0
+    V = Q ** (p - 1.0) * grid.weight_b * p
+    if lo is None:
+        return _defect(params, grid, Q)[1], V
+    flux = np.diff(Q, append=-Q[-1]) * (grid.face_alpha[1:] / grid.spacing)  # Dirichlet ghost
+    F = np.diff(flux, prepend=0.0) / (grid.weights / grid.surf) - Q + grid.weight_b * Q ** p
+    return F + (apply_radial_lap(grid, lo) - lo + V * lo), V
+
+
+def _two_sum(a: np.ndarray, b: np.ndarray):
+    """Knuth's branch-free TwoSum: s = fl(a + b) and e with s + e == a + b exactly."""
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def _newton(params: ProblemParams, grid: Grid, Q: np.ndarray, lo, max_steps: int):
+    """Newton's method on F(Q) = 0, updating ``Q`` in place, or the float64
+    pair Q + lo by ``_two_sum`` unless ``lo`` is None; returns Q, lo, the steps
+    taken and whether the L2 step norm fell below ``STEP_TOL`` or stopped
     halving (a float64 defect's rounding floor: the residual then decides);
     raises ConvergenceError on an iterate below -``RESIDUAL_TOL`` times its peak."""
-    p = 2.0 * params.sigma + 1.0
     before = math.inf
     for step in range(1, max_steps + 1):
-        F = _defect(params, grid, Q)[1].astype(np.float64)   # drops Lap Q before the solve
-        V = Q.astype(np.float64)                              # V = p W Q^(p - 1), in place
-        V **= p - 1.0
-        V *= grid.weight_b
-        V *= p
+        F, V = _newton_defect(params, grid, Q, lo)
         delta = shifted_helmholtz_solve(grid, F, V)
         if grid.geometry == "line":
             delta = 0.5 * (delta + delta[::-1])
-        Q += delta
+        if lo is None:
+            Q += delta
+        else:
+            s, e = _two_sum(Q, delta)
+            Q[...], lo = _two_sum(s, e + lo)
         if Q.min() < -RESIDUAL_TOL * Q.max():     # resolved profiles dip to ~ -1e-17 of it
             raise ConvergenceError(f"Newton step {step} dips to {float(Q.min() / Q.max()):.1e} "
                                    "of the peak: the grid under-resolves the ground state")
         diff = float(np.sqrt(np.sum(delta ** 2 * grid.weights)))
         del F, V, delta                      # not held through the next defect
         if diff < STEP_TOL or diff > 0.5 * before:
-            return Q, step, True
+            return Q, lo, step, True
         before = diff
-    return Q, max_steps, False
+    return Q, lo, max_steps, False
 
 
 def _check_resolved(prof: Field) -> None:
@@ -194,7 +214,7 @@ def _check_resolved(prof: Field) -> None:
             stacklevel=3,
         )
     width_cells = np.count_nonzero(vals > 0.5 * peak)
-    if width_cells < 8:
+    if width_cells < CORE_CELLS:
         warnings.warn(
             f"ground-state core spans only {width_cells} cells; refine the grid",
             RuntimeWarning,

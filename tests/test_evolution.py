@@ -416,6 +416,15 @@ def test_resolved_energy_drift_needs_no_snapshot(tmp_path):
     assert trajectory_from_csv(tmp_path / "trajectory.csv").resolved_energy_drift() == drift
 
 
+def test_resolved_energy_drift_rejects_a_run_that_does_not_concentrate():
+    """A quintic Gaussian of amplitude 0.5 disperses: no sample has |grad u| at
+    most half its final value, and the error says so."""
+    params, grid = make_params(1, 2.0, 0.0), line_grid(20.0, 1024)
+    u0 = Field(0.5 * np.exp(-grid.nodes ** 2).astype(complex), grid, params)
+    with pytest.raises(ValidationError, match="did not concentrate"):
+        evolve(u0, StepPolicy(t_end=0.1)).resolved_energy_drift()
+
+
 # The line runs of experiments.TRAJECTORIES and the GROUND_STATES case each
 # starts from; inls_collapse's G doubles under n -> 2n (ROADMAP open item 1).
 @pytest.mark.parametrize("run, case", [("s_family_quintic", "quintic_tracking"),

@@ -1,13 +1,16 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from inls_lab import (
     ConvergenceError, ValidationError, c_of_Mm, gn_ratio, k_opt, make_params,
     pohozaev_residuals, rescale, solve_ground_state,
 )
-from inls_lab.core import MIN_CELLS, line_grid, radial_grid, sample_scaled
+from inls_lab.core import MIN_CELLS, apply_radial_lap, line_grid, radial_grid, sample_scaled
 from inls_lab.exact import standing_wave
 from inls_lab import functionals as fn, ground_state
 from inls_lab.inequalities import corpus_rng, random_bump_field
@@ -222,6 +225,17 @@ def test_only_longdouble_solves_start_on_the_coarse_grid(monkeypatch, dtype):
     assert ns == [2048 // ground_state.COARSEN, 2048]
 
 
+@pytest.mark.parametrize("dtype", ["float64", "longdouble"])
+def test_coarse_phase_needs_the_start_resolved(monkeypatch, dtype):
+    """The Gaussian start's core (above 1/2) spans 7 of these 96 cells, fewer
+    than COARSEN * CORE_CELLS, so 96 // COARSEN cells cannot resolve it: one
+    phase on n, then Newton."""
+    with pytest.warns(RuntimeWarning, match="core spans"):
+        gs, ns = _phase_grids(monkeypatch, make_params(2, 1.0, 0.5),
+                              radial_grid(2, 16.0, 96, 0.5), dtype)
+    assert ns == [96] and gs.newton_steps > 0
+
+
 def test_longdouble_solve_too_small_to_coarsen_converges(monkeypatch):
     """16 // COARSEN cells is no grid: one phase from the Gaussian, then Newton."""
     assert 16 // ground_state.COARSEN < MIN_CELLS
@@ -313,7 +327,8 @@ def test_unresolved_ground_state_warns(dim, sigma, b, grid, match):
 def test_rounding_floor_stall_is_reported_as_such():
     """On this deep grid a float64 defect's rounding floor stops the Newton
     steps from halving at a residual above tolerance: the error names the
-    residual, not an iteration budget, and a longdouble defect converges."""
+    residual, not an iteration budget, and the extended (float64 pair) defect
+    converges."""
     params, grid = make_params(2, 0.75, 0.5), radial_grid(2, 14.0, 131072, 0.5)
     with pytest.raises(ConvergenceError, match="stalled .* residual") as err:
         solve_ground_state(params, grid)
@@ -326,13 +341,55 @@ def test_rounding_floor_stall_is_reported_as_such():
 @pytest.mark.parametrize("params, grid", [
     (make_params(1, 2.0, 0.0), line_grid(40.0, 64, 0.0)),
     (make_params(1, 1.2, 0.5), line_grid(30.0, 64, 0.5)),
-], ids=["quintic", "sigma1.2-b0.5"])
+    (make_params(1, 2.0, 0.0), line_grid(40.0, 48, 0.0)),
+], ids=["quintic", "sigma1.2-b0.5", "quintic-48"])
 def test_under_resolved_line_grid_fails_in_both_precisions(params, grid, dtype):
-    """64 cells under-resolve both profiles.  In either precision the first
-    Newton iterate turns negative, and the solve says so instead of returning
-    a sign-changing profile or a NaN residual."""
+    """64 and 48 cells under-resolve the profiles.  In either precision the
+    first Newton iterate turns negative, and the solve says so instead of
+    returning a sign-changing profile or a NaN residual.  48 // COARSEN cells
+    cannot resolve the Gaussian start either, so the solve skips them: from
+    there the coarse iteration diverged (S = 4.6e9)."""
     with pytest.raises(ConvergenceError, match="under-resolves"):
         solve_ground_state(params, grid, dtype=dtype)
+
+
+_FINITE = st.floats(min_value=-1e300, max_value=1e300, allow_nan=False)
+
+
+@given(_FINITE, _FINITE)
+def test_two_sum_is_error_free(a, b):
+    s, e = ground_state._two_sum(np.array([a]), np.array([b]))
+    assert s[0] == a + b
+    assert Fraction(float(s[0])) + Fraction(float(e[0])) == Fraction(a) + Fraction(b)
+
+
+@pytest.mark.parametrize("dim, sigma", [(2, 0.75), (3, 1.0)])
+def test_flux_form_laplacian_matches_band_form(dim, sigma):
+    """The pair's Lap Q (flux differences) is the band form's operator: with
+    lo = 0 the two defects differ by rounding, 1e-12 of max |Lap Q| at n = 512
+    (measured 1.6e-13 to 2.1e-13)."""
+    params, grid = make_params(dim, sigma, 0.5), radial_grid(dim, 14.0, 512, 0.5)
+    Q = np.exp(-grid.nodes ** 2 / 2.0)
+    flux = ground_state._newton_defect(params, grid, Q, np.zeros(grid.n))[0]
+    band = ground_state._newton_defect(params, grid, Q, None)[0]
+    assert np.max(np.abs(flux - band)) < 1e-12 * np.max(np.abs(apply_radial_lap(grid, Q)))
+
+
+def test_pair_defect_matches_longdouble_on_the_deep_radial_grid():
+    """On radial3's grid (n = 262144) the pair defect of Q + lo is within 1e-9
+    (L2) of a longdouble defect of the same sum (measured 8e-11), where the
+    float64 defect of the rounded sum is 1.7e-7 off, above the 2.2e-8
+    tolerance of the ground state there."""
+    params, grid = make_params(3, 1.0, 0.5), radial_grid(3, 14.0, 262144, 0.5)
+    Q = np.exp(-grid.nodes ** 2 / 2.0)
+    lo = np.random.default_rng(0).uniform(-0.5, 0.5, grid.n) * np.spacing(Q)
+    ref = ground_state._defect(params, grid, Q.astype(np.longdouble) + lo)[1]
+
+    def l2_error(F):
+        return float(np.sqrt(np.sum((F - ref) ** 2 * grid.weights)))
+
+    assert l2_error(ground_state._newton_defect(params, grid, Q, lo)[0]) < 1e-9
+    assert l2_error(ground_state._newton_defect(params, grid, Q + lo, None)[0]) > 1e-8
 
 
 def test_grid_param_mismatch_rejected():
@@ -355,6 +412,9 @@ def test_dimension_mismatch_rejected_before_iterating(monkeypatch):
         with pytest.raises(ValidationError, match="dim"):
             solve_ground_state(make_params(3, 1.0, 0.5), radial_grid(2, 12.0, 1024, 0.5),
                                dtype=dtype)
+    with pytest.raises(ValidationError, match="dtype"):
+        solve_ground_state(make_params(2, 1.0, 0.5), radial_grid(2, 12.0, 1024, 0.5),
+                           dtype="float32")
 
 
 @pytest.mark.parametrize(
