@@ -4,7 +4,11 @@ Two discretizations are supported:
 
 * ``line`` -- the whole real line periodized on [-L, L] with n cell-centered
   nodes; every operator is an exact Fourier multiplier on one transform of
-  the complex-cast values.
+  the complex-cast values.  An exactly even field on an even n lives on the
+  line's half grid (``Grid.half``, its n/2 cells x > 0, weighted 2 dx) as a
+  cosine series: the same multipliers act on its orthonormal DCT-II, and
+  every quadrature is the whole field's.  The gradient, which is odd, has no
+  cosine form and raises there.
 * ``radial`` -- radially symmetric fields on (0, Rmax] in dimension N >= 2,
   discretized by a flux-form (finite-volume) Laplacian on n cell-centered
   shells.  The zero-flux face at r = 0 realizes the even reflection
@@ -22,14 +26,16 @@ quadrature are summation-by-parts companions.  Quadratures and window
 integrals (``functionals``) and the mollifiers (``analysis``) read a grid's
 nodes, weights and faces directly.  Each grid lazily caches what the operators
 reuse (k, k^2 and Laplacian bands per dtype, the float64 factorization of
-1 - Lap, the recent time steps' linear propagators, the half grid of even line
-fields with its own cache) as long as the grid lives.  Operators work in the
+1 - Lap, the recent time steps' linear propagators) as long as the grid lives;
+a line grid holds its half grid, which has its own cache, only weakly, so the
+pair is freed with the last reference to either.  Operators work in the
 dtype of their input, except the Helmholtz solves, which are float64 for any rhs.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -155,7 +161,8 @@ class Grid:
     """Cell-centered spatial grid (line or radial geometry).
 
     ``weights`` integrates over the full N-dimensional volume: plain dx on
-    the line, exact shell volumes A_N * (r_+^N - r_-^N)/N radially.
+    the line, exact shell volumes A_N * (r_+^N - r_-^N)/N radially, and 2 dx
+    on a half grid, whose quadratures are those of the whole even field.
     ``weight_b`` is the exact cell average of |x|^-b used by all weighted
     quadratures, the elliptic solver, and the evolution phase.
     """
@@ -180,14 +187,28 @@ class Grid:
         """The operator layer's cache for this grid (see the module docstring)."""
         return {}
 
-    @cached_property
+    @property
+    def halvable(self) -> bool:
+        """An even-n line grid, which has a ``half``."""
+        return self.geometry == "line" and self.n % 2 == 0
+
+    @property
     def half(self) -> Grid:
-        """The n/2 cells x > 0 of an even-n line grid: even fields' right halves."""
-        if self.geometry != "line" or self.n % 2:
-            raise ValidationError(f"half needs an even-n line grid, got {self.geometry} n={self.n}")
-        m = self.n // 2
-        return Grid("half_line", 1, self.extent, m, self.b, self.nodes[m:], self.weights[m:],
-                    self.weight_b[m:], self.spacing, full=self)
+        """The n/2 cells x > 0 of an even-n line grid: even fields' right halves,
+        on which every line operator but the (odd) gradient is a cosine series.
+        The same grid while any caller holds it.  The half holds its line
+        (``full``) and the line holds the half only weakly, so no reference
+        cycle keeps either alive."""
+        half = self._operators.get("half", lambda: None)()
+        if half is None:
+            if not self.halvable:
+                raise ValidationError(
+                    f"half needs an even-n line grid, got {self.geometry} n={self.n}")
+            m = self.n // 2
+            half = Grid("half_line", 1, self.extent, m, self.b, self.nodes[m:],
+                        2.0 * self.weights[m:], self.weight_b[m:], self.spacing, full=self)
+            self._operators["half"] = weakref.ref(half)
+        return half
 
 
 MIN_CELLS = 8        # the fewest cells either grid constructor accepts
@@ -283,10 +304,9 @@ def _cached(grid: Grid, key, build):
 def _wavenumbers(grid: Grid, dtype) -> np.ndarray:
     """The line's wavenumbers k (FFT order; a half grid's pi m / L, m < n/2) in ``dtype``."""
     dtype = np.dtype(dtype)
-    if grid.geometry == "half_line":
-        return _wavenumbers(grid.full, dtype)[:grid.n]
-    return _cached(grid, ("k", dtype),
-                   lambda: (2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.spacing)).astype(dtype))
+    n = grid.n if grid.full is None else grid.full.n
+    return _cached(grid, ("k", dtype), lambda: (
+        2.0 * np.pi * np.fft.fftfreq(n, d=grid.spacing)[:grid.n]).astype(dtype))
 
 
 def _wavenumbers_sq(grid: Grid, dtype) -> np.ndarray:
@@ -339,9 +359,12 @@ def _spectrum(values: np.ndarray) -> np.ndarray:
     return scipy.fft.fft(np.asarray(values, dtype=np.result_type(values.dtype, np.complex64)))
 
 
-def _apply_symbol(symbol: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """The line operator with Fourier multiplier ``symbol`` applied to
-    ``values``; real input gives the real part, in its own dtype."""
+def _apply_symbol(grid: Grid, symbol: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The line operator with multiplier ``symbol`` applied to ``values``: on
+    the Fourier series, or on the cosine series on a half grid; real input
+    gives real output, in its own dtype."""
+    if grid.geometry == "half_line":
+        return _cosine_transform(scipy.fft.idct, symbol * _cosine_transform(scipy.fft.dct, values))
     out = scipy.fft.ifft(symbol * _spectrum(values))
     return out if np.iscomplexobj(values) else out.real
 
@@ -354,12 +377,22 @@ def _parseval_grad_sq(grid: Grid, spectrum: np.ndarray):
 
 
 def _cosine_transform(transform, values: np.ndarray) -> np.ndarray:
-    """Orthonormal DCT-II (``dct``) or its inverse of complex values, on (re, im) columns."""
+    """Orthonormal DCT-II (``dct``) or its inverse of real values, or of
+    complex values on (re, im) columns."""
+    if not np.iscomplexobj(values):
+        return transform(values, type=2, norm="ortho")
     pairs = np.ascontiguousarray(values).view(values.real.dtype).reshape(-1, 2)
     return transform(pairs, type=2, norm="ortho", axis=0).view(values.dtype)[:, 0]
 
 
+def _no_cosine_form(grid: Grid, operator: str) -> None:
+    if grid.geometry == "half_line":
+        raise ValidationError(f"{operator} has no cosine form on the half grid (Grid.half) "
+                              "of an even line field")
+
+
 def apply_radial_lap(grid: Grid, u: np.ndarray) -> np.ndarray:
+    _no_cosine_form(grid, "apply_radial_lap")
     lo, dg, up = _radial_lap_bands(grid, u.real.dtype)
     out = dg * u
     out[1:] = out[1:] + lo * u[:-1]
@@ -368,11 +401,11 @@ def apply_radial_lap(grid: Grid, u: np.ndarray) -> np.ndarray:
 
 
 def laplacian_values(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """Discrete Laplacian of raw values: exact spectral on the line,
-    flux-form finite volume radially."""
+    """Discrete Laplacian of raw values: exact spectral on the line (a cosine
+    series on a half grid), flux-form finite volume radially."""
     if grid.geometry == "radial":
         return apply_radial_lap(grid, values)
-    return _apply_symbol(-_wavenumbers_sq(grid, values.real.dtype), values)
+    return _apply_symbol(grid, -_wavenumbers_sq(grid, values.real.dtype), values)
 
 
 def laplacian(u: Field) -> Field:
@@ -385,12 +418,16 @@ def grad_norm_sq_values(grid: Grid, values: np.ndarray, r_min: float = 0.0):
 
     The summation-by-parts companion of ``laplacian_values``: the spectral
     Parseval sum on the line, the face-flux quadrature of the finite-volume
-    Laplacian radially (including the Dirichlet wall flux).  ``r_min``
+    Laplacian radially (including the Dirichlet wall flux), the cosine
+    Parseval sum of the whole even field on a half grid.  ``r_min``
     restricts the radial sum to the faces at or beyond that radius.
     """
+    if r_min > 0 and grid.geometry != "radial":
+        raise ValidationError("gradient tail integrals require radial geometry (N >= 2), "
+                              f"got a {grid.geometry} grid")
+    if grid.geometry == "half_line":
+        return _parseval_grad_sq(grid, _cosine_transform(scipy.fft.dct, values))
     if grid.geometry == "line":
-        if r_min > 0:
-            raise ValidationError("gradient tail integrals require radial geometry (N >= 2)")
         return _parseval_grad_sq(grid, _spectrum(values))
     d = np.diff(values) / grid.spacing
     faces = (grid.face_alpha[1:-1] * np.abs(d) ** 2)[grid.faces[1:-1] >= r_min]
@@ -400,8 +437,9 @@ def grad_norm_sq_values(grid: Grid, values: np.ndarray, r_min: float = 0.0):
 
 def gradient_values(grid: Grid, values: np.ndarray) -> np.ndarray:
     """Node-centered first derivative (spectral on the line, centered radially)."""
+    _no_cosine_form(grid, "gradient_values (an even field's gradient is odd)")
     if grid.geometry == "line":
-        return _apply_symbol(1j * _wavenumbers(grid, values.real.dtype), values)
+        return _apply_symbol(grid, 1j * _wavenumbers(grid, values.real.dtype), values)
     # a multiply, as NumPy's complex-by-real division is, so real and complex round alike
     h = 0.5 / values.real.dtype.type(grid.spacing)
     out = np.empty_like(values)
@@ -414,13 +452,14 @@ def gradient_values(grid: Grid, values: np.ndarray) -> np.ndarray:
 def helmholtz_solve(grid: Grid, rhs: np.ndarray) -> np.ndarray:
     """Solve (1 - Laplacian) u = rhs in float64, for any rhs dtype.
 
-    The Fourier multiplier 1/(1 + k^2) on the line; radially a tridiagonal
-    LAPACK solve with the grid's cached factorization.  A longdouble rhs is
-    rounded to float64 (complex128), and so is the result.
+    The Fourier multiplier 1/(1 + k^2) on the line (the cosine multiplier on
+    a half grid); radially a tridiagonal LAPACK solve with the grid's cached
+    factorization.  A longdouble rhs is rounded to float64 (complex128), and
+    so is the result.
     """
     rhs = np.asarray(rhs, dtype=np.complex128 if np.iscomplexobj(rhs) else np.float64)
-    if grid.geometry == "line":
-        return _apply_symbol(1.0 / (1.0 + _wavenumbers_sq(grid, np.float64)), rhs)
+    if grid.geometry != "radial":
+        return _apply_symbol(grid, 1.0 / (1.0 + _wavenumbers_sq(grid, np.float64)), rhs)
     if np.iscomplexobj(rhs):
         return helmholtz_solve(grid, rhs.real) + 1j * helmholtz_solve(grid, rhs.imag)
     lu = _cached(grid, "helmholtz", lambda: _factor_one_minus_zlap(grid, 1.0))
@@ -433,9 +472,10 @@ def shifted_helmholtz_solve(grid: Grid, rhs: np.ndarray, shift: np.ndarray) -> n
     equation: self-adjoint in the grid inner product, possibly indefinite.
 
     Radially the exact tridiagonal system, factored in ``shift``'s buffer
-    (which it overwrites); on the line MINRES, preconditioned by the SPD
-    (1 - Laplacian)^-1 of ``helmholtz_solve`` (J. Yang, J. Comput. Phys. 228,
-    2009), to a relative residual of ``MINRES_RTOL``.
+    (which it overwrites); on the line and on a half grid MINRES,
+    preconditioned by the SPD (1 - Laplacian)^-1 of ``helmholtz_solve``
+    (J. Yang, J. Comput. Phys. 228, 2009), to a relative residual of
+    ``MINRES_RTOL``.
     """
     rhs = np.asarray(rhs, dtype=np.float64)
     if grid.geometry == "radial":

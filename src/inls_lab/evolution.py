@@ -170,7 +170,7 @@ def evolve(u0: Field, policy: StepPolicy) -> Trajectory:
     """
     traj = Trajectory()
     v, grid = u0.values.astype(complex), u0.grid
-    even = grid.geometry == "line" and grid.n % 2 == 0 and np.array_equal(v, v[::-1])
+    even = grid.halvable and np.array_equal(v, v[::-1])
     u = Field(v[grid.n // 2:], grid.half, u0.params) if even else u0.with_values(v)
     try:
         _march(u, policy, traj)

@@ -17,17 +17,18 @@ Tuning notes baked into the configurations below:
 
 * Every ground state iterates in float64 to the handover step norm, first
   on a quarter of the cells from the Gaussian, then on the full grid from
-  that iterate interpolated (11 + 4, 23 + 6 and 55 + 4 iterations on the
+  that iterate interpolated (10 + 3, 19 + 2 and 47 + 1 iterations on the
   line, radial N = 2 and radial N = 3 gates, where the Gaussian start took
-  11, 23 and 55 on the full grid), then polishes with two or three Newton
-  steps (float64 Jacobian solve).  The Pohozaev gates take the extended
-  Newton defect: radially a float64 pair (Q, lo) with a flux-form Laplacian,
-  since at n ~ 2.6e5 the float64 band-form defect of Q is rounding-floor
-  limited (~eps Q/dr^2, 1.6e-7 against a 2.2e-8 tolerance) while the
-  dilation identity needs that much resolution.  On the line the FFT's floor
-  holds whatever the storage, so the extended defect is the float64 one, and
-  the line gate passes at 0.51 of the residual tolerance.  The reports record
-  the iterations on both grids and the Newton steps.
+  10, 19 and 47 on the full grid; the even lines on their half grids), then
+  polishes with two or three Newton steps (float64 Jacobian solve).  The
+  Pohozaev gates take the extended Newton defect: radially a float64 pair
+  (Q, lo) with a flux-form Laplacian, since at n ~ 2.6e5 the float64
+  band-form defect of Q is rounding-floor limited (~eps Q/dr^2, 1.6e-7
+  against a 2.2e-8 tolerance) while the dilation identity needs that much
+  resolution.  On the line the FFT's floor holds whatever the storage, so the
+  extended defect is the float64 one, and the line gate passes at 0.73 of the
+  residual tolerance.  The reports record the iterations on both grids and
+  the Newton steps.
 * Conservation, splitting-order, family-tracking, and the quadratic-virial
   gates run on the b = 0 mass-critical member (quintic line soliton), where
   Strang splitting retains its clean second order.  With b > 0 the

@@ -14,13 +14,19 @@ Q <- S^gamma (Q + (1 - Lap)^-1 F(Q)) with F(Q) = Lap Q - Q + W Q^p (the same
 map in exact arithmetic), one float64 Helmholtz solve per iteration.  A solve
 iterates to step norm ``HANDOVER_TOL`` on n // ``COARSEN`` cells from the
 Gaussian when they resolve its core, then on n from that iterate's linear
-interpolant (nested iteration: 4-6 fine iterations on the gates, not 11-55),
+interpolant (nested iteration: 1-3 fine iterations on the gates, not 10-47),
 then Newton steps, (1 - Lap - p W Q^(p - 1)) delta = F in float64, to
-``STEP_TOL``.  Deep radial grids push the band-form Lap Q to its rounding floor
-(~ eps Q / dr^2), so an extended solve keeps the radial iterate as a float64
-pair Q + lo (error-free sums: Dekker, Numer. Math. 18, 1971; Ogita, Rump &
-Oishi, SIAM J. Sci. Comput. 26, 2005) with Lap Q in flux form; on the line the
-FFT's floor holds however Q is stored.  The integrals are ``functionals``' own.
+``STEP_TOL``.  Petviashvili iteration converges only linearly (Pelinovsky &
+Stepanyants, SIAM J. Numer. Anal. 42, 2004), so the handover comes as soon as
+Newton still takes two steps.  On an even-n line every phase runs on the
+half grids (``Grid.half``), where the even profile is a cosine series of half
+the length, and the profile is mirrored back; the coarsening rule and the
+resolution check count the full grid's cells, and an odd-n line iterates on
+the full grids.  Deep radial grids push the band-form Lap Q to its rounding
+floor (~ eps Q / dr^2), so an extended solve keeps the radial iterate as a
+float64 pair Q + lo (error-free sums: Dekker, Numer. Math. 18, 1971; Ogita,
+Rump & Oishi, SIAM J. Sci. Comput. 26, 2005) with Lap Q in flux form; on the
+line the FFT's floor holds however Q is stored.  The integrals are ``functionals``' own.
 """
 
 from __future__ import annotations
@@ -58,7 +64,7 @@ class GroundState:
 
 STEP_TOL = 1e-12        # L2 distance between successive iterates
 RESIDUAL_TOL = 1e-8     # relative to ||Q||_L2
-HANDOVER_TOL = 1e-7     # float64 step norm at which the solve turns to Newton
+HANDOVER_TOL = 1e-6     # float64 step norm at which the solve turns to Newton
 NEWTON_STEPS = 4        # cap on the Newton steps, also counted against max_iter
 COARSEN = 4             # a solve starts from a float64 solve on n // COARSEN cells
 CORE_CELLS = 8          # the fewest cells above half its peak that resolve a profile's core
@@ -82,22 +88,27 @@ def solve_ground_state(
     Field(grid.nodes, grid, params)      # rejects a mismatched grid before any iteration
     if dtype not in ("float64", "longdouble"):
         raise ValidationError(f"dtype must be 'float64' or 'longdouble', got {dtype!r}")
+    work = _solve_grid(grid)
     it, Q = 0, np.exp(-(grid.nodes ** 2) / 2.0)           # the Gaussian start
     if np.count_nonzero(Q > 0.5) >= COARSEN * CORE_CELLS:   # n // COARSEN cells resolve its core
         coarse = grid_for(params, grid.extent, grid.n // COARSEN)
+        if work is not grid:         # halved only with the fine grid: odd-n lines stay whole
+            coarse = _solve_grid(coarse)
         Q, it, _ = _petviashvili(params, coarse, np.exp(-(coarse.nodes ** 2) / 2.0), max_iter)
-        Q = np.interp(grid.nodes, coarse.nodes, Q)
+        Q = np.interp(work.nodes, coarse.nodes, Q)
         del coarse                       # not held through the fine phase
-    Q, fine, converged = _petviashvili(params, grid, Q, max_iter - it)
+    else:
+        Q = Q[grid.n - work.n:]          # the start's right half on a half grid
+    Q, fine, converged = _petviashvili(params, work, Q, max_iter - it)
     it += fine
     steps, lo = 0, None
     if converged:
-        lo = np.zeros(grid.n) if dtype == "longdouble" and grid.geometry == "radial" else None
-        Q, lo, steps, converged = _newton(params, grid, Q, lo, min(NEWTON_STEPS, max_iter - it))
+        lo = np.zeros(work.n) if dtype == "longdouble" and work.geometry == "radial" else None
+        Q, lo, steps, converged = _newton(params, work, Q, lo, min(NEWTON_STEPS, max_iter - it))
 
-    iterate = Field(Q, grid, params)
+    iterate = Field(Q if work is grid else np.concatenate((Q[::-1], Q)), grid, params)
     q_mass = fn.mass(iterate)
-    res = math.sqrt(fn.mass(iterate.with_values(_newton_defect(params, grid, Q, lo)[0])))
+    res = math.sqrt(fn.mass(Field(_newton_defect(params, work, Q, lo)[0], work, params)))
     tol = RESIDUAL_TOL * math.sqrt(q_mass)
     if not converged:
         raise ConvergenceError(
@@ -116,6 +127,12 @@ def solve_ground_state(
     r1, r2 = pohozaev_residuals(iterate)
     return GroundState(profile=iterate, residual=res, iterations=it, newton_steps=steps,
                        pohozaev_r1=r1, pohozaev_r2=r2, q_mass=q_mass)
+
+
+def _solve_grid(grid: Grid) -> Grid:
+    """The grid a solve iterates on: an even-n line's half grid, where the
+    even profile is a cosine series, or ``grid`` itself."""
+    return grid.half if grid.halvable else grid
 
 
 def _defect(params: ProblemParams, grid: Grid, Q: np.ndarray):

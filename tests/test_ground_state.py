@@ -255,15 +255,48 @@ NEWTON_CASES = [
 @pytest.mark.parametrize("dim, sigma, b, grid", NEWTON_CASES)
 def test_both_precisions_run_the_same_phases(monkeypatch, dim, sigma, b, grid):
     """``dtype`` sets only the precision of the Newton defect: both precisions
-    iterate on n // COARSEN cells, then on n, as often, and take as many
+    iterate on n // COARSEN cells, then on n (an even line on the half grids of
+    both, n // (2 COARSEN) and n // 2 cells), as often, and take as many
     Newton steps to the same profile."""
     params = make_params(dim, sigma, b)
     wide, wide_ns = _phase_grids(monkeypatch, params, grid, "longdouble")
     narrow, narrow_ns = _phase_grids(monkeypatch, params, grid, "float64")
-    assert wide_ns == narrow_ns == [grid.n // ground_state.COARSEN, grid.n]
+    cells = grid.n // 2 if grid.geometry == "line" else grid.n
+    assert wide_ns == narrow_ns == [cells // ground_state.COARSEN, cells]
     assert wide.iterations == narrow.iterations
     assert wide.newton_steps == narrow.newton_steps
     assert float(np.max(np.abs(wide.profile.values - narrow.profile.values))) < 1e-11
+
+
+@pytest.mark.parametrize("dim, sigma, b, grid", [case for case in NEWTON_CASES
+                                                  if case.id.startswith("line")])
+def test_even_line_solve_on_the_half_grid_is_the_full_grid_solve(monkeypatch, dim, sigma, b,
+                                                                 grid):
+    """An even-n line solve iterates on the half grids and mirrors its profile
+    back, exactly even; the same solve on the full grids takes as many
+    iterations and Newton steps to the same profile."""
+    params = make_params(dim, sigma, b)
+    gs = solve_ground_state(params, grid)
+    assert gs.profile.grid is grid and np.array_equal(gs.profile.values, gs.profile.values[::-1])
+    monkeypatch.setattr(ground_state, "_solve_grid", lambda grid: grid)
+    ref = solve_ground_state(params, grid)
+    assert (gs.iterations, gs.newton_steps) == (ref.iterations, ref.newton_steps)
+    assert float(np.max(np.abs(gs.profile.values - ref.profile.values))) < 1e-12
+    assert gs.pohozaev_r1 == pytest.approx(ref.pohozaev_r1, abs=1e-15)
+
+
+@pytest.mark.parametrize("n", [1023, 1025])
+def test_odd_line_solves_on_the_full_grids(monkeypatch, n):
+    """An odd-n line has no half grid: both phases run on the full grids, the
+    coarse one too when its own n // COARSEN is even (1025), and Newton
+    converges to an exactly even profile, the all-full-grid solve's."""
+    params, grid = make_params(1, 1.5, 0.5), line_grid(16.0, n, 0.5)
+    gs, ns = _phase_grids(monkeypatch, params, grid, "float64")
+    assert ns == [grid.n // ground_state.COARSEN, grid.n]
+    assert 0 < gs.newton_steps <= 2
+    assert np.array_equal(gs.profile.values, gs.profile.values[::-1])
+    monkeypatch.setattr(ground_state, "_solve_grid", lambda grid: grid)
+    assert np.array_equal(solve_ground_state(params, grid).profile.values, gs.profile.values)
 
 
 def _newton_solve(monkeypatch, params, grid):

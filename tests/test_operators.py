@@ -1,16 +1,19 @@
 """Invariants of the operator layer in ``core`` and of the cache each grid owns."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import lapack
 
-from inls_lab import ValidationError, core, make_params
+from inls_lab import Field, ValidationError, core, make_params
 from inls_lab import functionals as fn
 from inls_lab.core import (
-    free_flow, grad_norm_sq_values, gradient_values, helmholtz_solve, laplacian_values,
-    line_grid, radial_grid, shifted_helmholtz_solve,
+    apply_radial_lap, free_flow, grad_norm_sq_values, gradient_values, helmholtz_solve,
+    laplacian_values, line_grid, radial_grid, shifted_helmholtz_solve,
 )
 from inls_lab.evolution import step
 from inls_lab.ground_state import solve_ground_state
@@ -177,11 +180,52 @@ def test_propagator_factorizes_once_per_step_size(monkeypatch):
 
 # -- the half grid of the line: exactly even fields as cosine series ---------
 
-def even_bump(seed):
+def even_bump(seed, kind="complex"):
     """An exactly even line field (addition commutes) and its right half."""
-    u = bump("line", seed)
+    u = bump("line", seed, kind)
     values = u.values + u.values[::-1]
     return u.with_values(values), values[u.grid.n // 2:]
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 31), kind=st.sampled_from(["real", "complex"]))
+def test_half_grid_operators_are_the_full_grid_operators(seed, kind):
+    """On an exactly even line field each half-grid operator gives the right
+    half of the full grid's, and each quadrature the whole field's, to 1e-12;
+    a real field is operated on as its complex cast, bit for bit."""
+    u, right = even_bump(seed, kind)
+    half, m = u.grid.half, u.grid.n // 2
+    for op in (laplacian_values, helmholtz_solve):
+        out, ref = op(half, right), op(u.grid, u.values)[m:]
+        assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert np.array_equal(out.real, op(half, right.astype(complex)).real)
+    assert grad_norm_sq_values(half, right) == pytest.approx(
+        grad_norm_sq_values(u.grid, u.values), rel=1e-12)
+    for integral in (fn.mass, fn.potential, fn.variance):
+        assert integral(Field(right, half, u.params)) == pytest.approx(integral(u), rel=1e-12)
+
+
+def test_half_grid_shifted_solve_inverts_the_full_line_operator():
+    """MINRES on the half grid solves the full line's indefinite system for an
+    even rhs and potential, to the accuracy of the full-grid solve."""
+    grid = SETUPS["line"][1]()
+    m, rhs, shift = grid.n // 2, np.exp(-grid.nodes ** 2), 4.0 * np.exp(-grid.nodes ** 2 / 4.0)
+    right = shifted_helmholtz_solve(grid.half, rhs[m:], shift[m:].copy())
+    u = np.concatenate((right[::-1], right))
+    residual = u - laplacian_values(grid, u) - shift * u - rhs
+    assert np.max(np.abs(residual)) < 1e-6 * np.max(np.abs(rhs))
+
+
+def test_half_grid_rejects_operators_without_a_cosine_form():
+    """An even field's gradient is odd, and the radial operators have no
+    cosine form: on a half grid they raise instead of taking a radial branch."""
+    u, right = even_bump(3)
+    half = u.grid.half
+    for call in (lambda: gradient_values(half, right), lambda: apply_radial_lap(half, right),
+                 lambda: grad_norm_sq_values(half, right, r_min=1.0),
+                 lambda: fn.radial_momentum(Field(right, half, u.params))):
+        with pytest.raises(ValidationError, match="half"):
+            call()
 
 
 @settings(max_examples=30, deadline=None)
@@ -220,6 +264,24 @@ def test_half_and_full_propagators_are_built_once_each(monkeypatch):
     assert len(builds) == 2 and builds[0] is u.grid and builds[1] is u.grid.half
     # the half flow is the full flow of the even field, mirrored
     assert np.max(np.abs(full[u.grid.n // 2:] - right)) <= 1e-13 * np.max(np.abs(right))
+
+
+def test_half_grid_is_cached_without_a_reference_cycle():
+    """A line keeps its half, operator caches and all, while a caller holds
+    it, and the pair is freed by reference counting alone."""
+    grid = line_grid(12.0, 256)
+    half = grid.half
+    helmholtz_solve(half, np.exp(-half.nodes ** 2))
+    assert grid.half is half and half.full is grid
+    refs = weakref.ref(grid), weakref.ref(half)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del grid, half
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @pytest.mark.parametrize("grid", [line_grid(12.0, 255), radial_grid(2, 12.0, 256)],

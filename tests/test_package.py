@@ -5,6 +5,9 @@ from pathlib import Path
 
 import inls_lab
 
+pytest_plugins = ["pytester"]
+ROOT = Path(__file__).resolve().parents[1]
+
 
 def test_every_exported_name_resolves():
     """``from inls_lab.<module> import *`` works: each ``__all__`` name exists."""
@@ -49,3 +52,22 @@ def test_no_unread_parameters():
     for path in sorted(Path(inls_lab.__file__).parent.glob("*.py")):
         found += _unread_parameters(path)
     assert not found, f"parameters their function never reads: {found}"
+
+
+def test_failing_property_test_is_reported_and_the_session_goes_on(pytester):
+    """Under this project's pytest configuration, which turns DeprecationWarning
+    into an error, a failing ``@given`` test is reported as a failure and the
+    tests after it still run.  Hypothesis imports libcst to report the failing
+    example, and that import warns; unfiltered, it aborted the session."""
+    pytester.makepyprojecttoml((ROOT / "pyproject.toml").read_text())
+    pytester.mkdir("tests")
+    (pytester.path / "tests" / "test_sample.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_fails(x):\n"
+        "    assert x < 5\n\n\n"
+        "def test_after():\n"
+        "    pass\n")
+    result = pytester.runpytest_subprocess("-p", "no:cacheprovider")
+    result.assert_outcomes(failed=1, passed=1)
+    result.stdout.no_fnmatch_line("*INTERNALERROR*")
