@@ -40,8 +40,9 @@ rung, not once per step.  The march stops at t_end or when the gradient of the
 full state outruns the grid (|grad u| * dx > theta).
 
 An exactly even line field on an even n is a cosine series, which both flows
-keep even: ``evolve`` marches its n/2 cells x > 0 on ``Grid.half`` and mirrors
-each recorded state back.  Other fields, and ``step``, run on the full grid.
+keep even: ``evolve`` marches its n/2 cells x > 0 on ``Grid.half``, takes each
+record there as the whole even field's quadratures, and mirrors only the kept
+snapshots back to the line.  Other fields, and ``step``, run on the full grid.
 """
 
 from __future__ import annotations
@@ -182,7 +183,7 @@ def evolve(u0: Field, policy: StepPolicy) -> Trajectory:
 
 
 def _march(v: Field, policy: StepPolicy, traj: Trajectory) -> None:
-    v, u, G = _full_state(v, 0.0)
+    v, G = _full_state(v, 0.0)
     owed = 0.0            # half kick the last linear flow left unpaid
     slots = len(set(policy.weights))    # distinct substeps: propagators per rung
     t, dt, steps = 0.0, 0.0, 0
@@ -190,14 +191,14 @@ def _march(v: Field, policy: StepPolicy, traj: Trajectory) -> None:
         sample = steps % policy.sample_every == 0
         if sample or _stop_reason(policy, G, t, steps, v.grid.spacing):
             if owed:
-                v, u, G = _full_state(v, owed)
+                v, G = _full_state(v, owed)
                 owed = 0.0
             traj.termination = _stop_reason(policy, G, t, steps, v.grid.spacing)
             if sample or traj.termination:
                 # the first and final states keep a snapshot when any are requested
                 keep = policy.snapshot_every is not None and (
                     bool(traj.termination) or len(traj.samples) % policy.snapshot_every == 0)
-                traj.samples.append(_record(u, t, dt, G, keep))
+                traj.samples.append(_record(v, t, dt, G, keep))
             if traj.termination:
                 return
         dt = _ladder_dt(policy, G)
@@ -224,27 +225,32 @@ _T_ROUNDOFF = 1e-12       # a gap to t_end below this fraction of it is round-of
 
 
 def _kick(u: Field, tau: float) -> np.ndarray:
-    """Values of u after the potential flow over time tau (exact: |u| is invariant)."""
+    """Values of u after the potential flow over time tau (exact: |u| is invariant);
+    cos and sin are taken only on the index window of the phases |theta| >= 2^-27,
+    outside which they round to exactly 1 and theta."""
     vals = u.values
     theta = (vals.real ** 2 + vals.imag ** 2) ** u.params.sigma
-    theta *= tau * u.grid.weight_b
+    theta *= tau * u.grid.weight_b if u.grid.b else tau
     out = np.empty(vals.shape, dtype=complex)
-    np.cos(theta, out=out.real)
-    np.sin(theta, out=out.imag)
+    out.real, out.imag = 1.0, theta
+    live = np.flatnonzero(np.abs(theta) >= 2.0 ** -27)
+    if live.size:
+        window = slice(live[0], live[-1] + 1)
+        np.cos(theta[window], out=out.real[window])
+        np.sin(theta[window], out=out.imag[window])
     out *= vals
     return out
 
 
-def _full_state(v: Field, owed: float) -> tuple[Field, Field, float]:
-    """v with its owed half kick paid, its full (mirrored) state u, and u's |grad u|^2."""
+def _full_state(v: Field, owed: float) -> tuple[Field, float]:
+    """v with its owed half kick paid, and its |grad u|^2 (on a half grid, the
+    whole even field's)."""
     if owed:
         v = v.with_values(_kick(v, owed))
-    u = v if v.grid.full is None else Field(
-        np.concatenate((v.values[::-1], v.values)), v.grid.full, v.params)
-    G = fn.grad_norm_sq(u)
+    G = fn.grad_norm_sq(v)
     if not np.isfinite(G):
         raise NumericsError("non-finite field in the evolution")
-    return v, u, G
+    return v, G
 
 
 def _ladder_dt(policy: StepPolicy, G: float) -> float:
@@ -269,7 +275,11 @@ def _stop_reason(policy: StepPolicy, G: float, t: float, steps: int, dx: float) 
 
 
 def _record(u: Field, t: float, dt: float, G: float, keep_snapshot: bool) -> TrajectorySample:
-    """The sample of full state u at time t; G is its own |grad u|^2."""
+    """The sample of state u at time t; G is its own |grad u|^2.  On a half grid
+    it is the whole even field's, and a kept snapshot is mirrored onto the line."""
+    snapshot = u.copy() if keep_snapshot and u.grid.full is None else None
+    if keep_snapshot and u.grid.full is not None:
+        snapshot = Field(np.concatenate((u.values[::-1], u.values)), u.grid.full, u.params)
     return TrajectorySample(
         time=t,
         dt=dt,
@@ -278,7 +288,7 @@ def _record(u: Field, t: float, dt: float, G: float, keep_snapshot: bool) -> Tra
         grad_norm_sq=G,
         variance=fn.variance(u),
         boundary_frac=fn.boundary_mass_fraction(u),
-        snapshot=u.copy() if keep_snapshot else None,
+        snapshot=snapshot,
     )
 
 

@@ -79,14 +79,20 @@ def boundary_mass_fraction(u: Field) -> float:
 def _window_integral(u: Field, p: float, center, radius: float):
     """Integral of |u|^p over {|x - center| <= radius} from the cumulative sum
     at cell edges, interpolated in the coordinate where cell density is
-    constant.  ``center`` may be an array of line centers."""
+    constant.  ``center`` may be an array of line centers.  On a half grid the
+    sum runs from x = 0 and, extended as an odd function, gives the whole even
+    field's window for any line center."""
     if not radius > 0:
         raise ValidationError(f"radius must be positive, got {radius}")
     g = u.grid
     cum = np.concatenate([[0.0], np.cumsum(np.abs(u.values) ** p * g.weights)])
-    if g.geometry == "line":
+    if g.geometry != "radial":
         coord = np.concatenate([[g.nodes[0] - g.spacing / 2], g.nodes + g.spacing / 2])
-        return np.interp(center + radius, coord, cum) - np.interp(center - radius, coord, cum)
+        if g.geometry == "line":
+            return np.interp(center + radius, coord, cum) - np.interp(center - radius, coord, cum)
+        # weights 2 dx: cum is twice the even field's integral from 0, odd in x
+        edge = lambda y: np.sign(y) * np.interp(np.abs(y), coord, cum) / 2
+        return edge(center + radius) - edge(center - radius)
     if abs(center) > 1e-12:
         raise ValidationError("radial geometry supports origin-centered windows only")
     return np.interp(min(radius, g.extent) ** g.dim, g.faces ** g.dim, cum)
@@ -107,8 +113,9 @@ def concentrated_mass(u: Field, center: float, radius: float) -> float:
 def sup_concentrated_mass(u: Field, radius: float) -> tuple[float, float]:
     """Largest window mass over all grid-centered windows, with its center.
 
-    Exact over grid centers on the line (prefix sums); radial geometry
-    returns the origin window, where radial collapse concentrates.
+    Exact over grid centers on the line (prefix sums), and on a half grid
+    over its centers x > 0, the mirrors of the whole even field's; radial
+    geometry returns the origin window, where radial collapse concentrates.
     """
     g = u.grid
     if g.geometry == "radial":

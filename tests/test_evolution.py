@@ -241,13 +241,25 @@ def test_every_dt_is_a_rung_below_the_ceiling(geometry):
     assert len({s.dt for s in traj.samples[1:]}) > 10       # the collapse walks the ladder
 
 
+def recorded(u: Field) -> Field:
+    """The field a sample of snapshot u is taken on: the right half on the half
+    grid if u is an exactly even line field on an even n, else u itself."""
+    if not (u.grid.halvable and np.array_equal(u.values, u.values[::-1])):
+        return u
+    return Field(u.values[u.grid.n // 2:], u.grid.half, u.params)
+
+
 @pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
 def test_samples_record_their_own_gradient(geometry):
+    """Each sample's G is its own field's, taken on the grid it marched on
+    (the half grid for the even "line" Gaussian), and the full line's to 1e-13."""
     u0, theta = gaussian(geometry)
     traj = evolve(u0, StepPolicy(dt0=5e-4, c_dt=5e-3, theta=theta, t_end=5.0,
                                  sample_every=5, snapshot_every=1))
+    assert (recorded(u0).grid.geometry == "half_line") == (geometry == "line")
     for s in traj.samples:
-        assert s.grad_norm_sq == fn.grad_norm_sq(s.snapshot)
+        assert s.grad_norm_sq == fn.grad_norm_sq(recorded(s.snapshot))
+        assert s.grad_norm_sq == pytest.approx(fn.grad_norm_sq(s.snapshot), rel=1e-13)
     assert math.sqrt(traj.samples[-1].grad_norm_sq) * u0.grid.spacing > theta
 
 
@@ -257,7 +269,8 @@ def test_samples_record_their_own_energy(geometry):
     traj = evolve(u0, StepPolicy(dt0=5e-4, c_dt=5e-3, theta=theta, t_end=5.0,
                                  sample_every=5, snapshot_every=1))
     for s in traj.samples:
-        assert s.energy == fn.energy(s.snapshot)
+        assert s.energy == fn.energy(recorded(s.snapshot))
+        assert s.energy == pytest.approx(fn.energy(s.snapshot), rel=1e-13)
 
 
 @pytest.mark.parametrize("geometry, ws", COMPOSITIONS)
@@ -319,6 +332,130 @@ def test_even_march_matches_full_march(monkeypatch):
         assert np.array_equal(a.snapshot.values, a.snapshot.values[::-1])
         assert np.max(np.abs(a.snapshot.values - b.snapshot.values)) <= (
             1e-13 * np.max(np.abs(b.snapshot.values)))
+
+
+def test_even_march_takes_no_full_grid_transform(monkeypatch):
+    """An even line march records on the half grid: without snapshots it takes
+    no complex FFT, and each kept snapshot is the whole even field on the line.
+    The tilted field, which marches on the line, shows that the counter counts."""
+    calls, fft = [], core.scipy.fft.fft
+
+    def counting_fft(*args, **kwargs):
+        calls.append(1)
+        return fft(*args, **kwargs)
+
+    monkeypatch.setattr(core.scipy.fft, "fft", counting_fft)
+    u0, theta = gaussian("line")
+    policy = dict(dt0=5e-4, c_dt=5e-3, theta=theta, t_end=5.0, sample_every=5)
+    assert len(evolve(u0, StepPolicy(**policy)).samples) > 10
+    assert calls == []
+    snaps = evolve(u0, StepPolicy(**policy, snapshot_every=3)).snapshots()
+    assert len(snaps) > 3 and calls == []
+    for s in snaps:
+        assert s.snapshot.grid is u0.grid
+        assert np.array_equal(s.snapshot.values, s.snapshot.values[::-1])
+    evolve(gaussian("line_tilted")[0], StepPolicy(**policy))
+    assert calls
+
+
+# -- the kick: cos and sin only where the phase survives rounding ------------
+
+def kick_phases(u: Field, tau: float) -> np.ndarray:
+    """The kick's phase theta of each cell, multiplied by tau * weight_b on
+    every grid (b = 0 included, where weight_b is all ones)."""
+    vals = u.values
+    return (vals.real ** 2 + vals.imag ** 2) ** u.params.sigma * (tau * u.grid.weight_b)
+
+
+def plain_kick(u: Field, tau: float) -> np.ndarray:
+    """The potential flow with cos and sin taken on every cell."""
+    theta = kick_phases(u, tau)
+    out = np.empty(theta.shape, dtype=complex)
+    np.cos(theta, out=out.real)
+    np.sin(theta, out=out.imag)
+    out *= u.values
+    return out
+
+
+def assert_kick_is_plain(u: Field, tau: float) -> None:
+    out = evolution._kick(u, tau)
+    ref = plain_kick(u, tau)
+    assert np.array_equal(out.view(float), ref.view(float), equal_nan=True)
+
+
+@pytest.mark.parametrize("run", sorted(experiments.TRAJECTORIES))
+def test_kick_is_the_plain_kick_on_each_run(run, monkeypatch):
+    """On each acceptance run's initial field, on the grid it marches on, the
+    kick equals the cos/sin kick bit for bit at the run's step sizes, forward
+    and backward; phases lie on both sides of 2^-27, so the window is proper."""
+    initial, policy = experiments.TRAJECTORIES[run]
+    u0, marched = initial(), []
+    with monkeypatch.context() as m:
+        m.setattr(evolution, "_march", lambda v, policy, traj: marched.append(v))
+        evolve(u0, StepPolicy(**policy))
+    v = marched[0]
+    assert v.grid.geometry == ("radial" if u0.grid.geometry == "radial" else "half_line")
+    for tau in (0.5 * policy["dt0"], policy["dt0"], -0.3 * policy["dt0"]):
+        phases = np.abs(kick_phases(v, tau))
+        assert phases.max() >= 2.0 ** -27 > phases.min()
+        assert_kick_is_plain(v, tau)
+
+
+def test_kick_is_the_plain_kick_across_the_window_edges():
+    """Phases that straddle 2^-27 by an ulp or so at both ends of the window,
+    the threshold itself included, and a far tail: the kick is bit-identical.
+    So it is when the window's end cells hold phases of order 1 between cells
+    below 2^-27, where a window one cell short would change bits."""
+    params, grid = make_params(1, 1.0, 0.0), line_grid(12.0, 64)
+    thr = 2.0 ** -27
+    near = thr * (1.0 + np.array([-4, -2, -1, 0, 0, 1, 2, 4]) * 2.0 ** -52)
+    targets = np.concatenate((np.full(8, 1e-30), near, np.geomspace(thr, 2.0, 32), near[::-1],
+                              np.full(8, 1e-30)))
+    rng = np.random.default_rng(5)
+    vals = np.sqrt(targets) * np.exp(2j * np.pi * rng.uniform(size=grid.n))
+    vals[[12, 51]] = 2.0 ** -14 * (1 + 1j)      # |theta| = 2^-27 exactly at tau = +-1
+    u = Field(vals, grid, params)
+    for tau in (1.0, -1.0):
+        phases = np.abs(kick_phases(u, tau))
+        live = np.flatnonzero(phases >= thr)
+        assert phases[12] == phases[51] == thr and 8 < live[0] <= 12 and 51 <= live[-1] < 55
+        assert thr * (1 - 1e-14) < phases[live[0] - 1] < thr
+        assert thr * (1 - 1e-14) < phases[live[-1] + 1] < thr
+        assert_kick_is_plain(u, tau)
+    spikes = np.where(np.isin(np.arange(grid.n), [8, 30, 55]), 1.0, 1e-6) * (1 + 0.5j)
+    assert_kick_is_plain(Field(spikes, grid, params), 1.0)
+
+
+def test_kick_with_every_phase_below_the_window(plain_line):
+    """No phase reaches 2^-27: the window is empty and the kick is u (1 + i theta)."""
+    params, grid = plain_line
+    u = Field(1e-4 * np.exp(-grid.nodes ** 2 / 2).astype(complex), grid, params)
+    assert np.abs(kick_phases(u, 1e-2)).max() < 2.0 ** -27
+    assert_kick_is_plain(u, 1e-2)
+
+
+def test_kick_is_the_plain_kick_with_a_singular_weight(mc_line):
+    """On a b > 0 line the phase carries the weight |x|^-b; full grid and half."""
+    params, grid = mc_line
+    u = Field(np.exp(-grid.nodes ** 2 / 2) * np.exp(0.3j * grid.nodes ** 2), grid, params)
+    half = Field(u.values[grid.n // 2:], grid.half, params)
+    for v in (u, half):
+        phases = kick_phases(v, 5e-4)
+        assert phases.max() >= 2.0 ** -27 > phases.min()
+        assert_kick_is_plain(v, 5e-4)
+
+
+def test_nan_outside_the_kick_window_is_caught(plain_line):
+    """A NaN in the far tail of an even field lies outside the kick's window:
+    the kick still carries it, and evolve raises NumericsError."""
+    params, grid = plain_line
+    vals = np.exp(-grid.nodes ** 2 / 2).astype(complex)
+    vals[0] = vals[-1] = np.nan
+    half = Field(vals[grid.n // 2:], grid.half, params)
+    assert kick_phases(half, 1e-3)[-2] < 2.0 ** -27           # the NaN's neighbour
+    assert np.isnan(evolution._kick(half, 1e-3)[-1])
+    with pytest.raises(NumericsError):
+        evolve(Field(vals, grid, params), StepPolicy(t_end=1.0))
 
 
 @pytest.mark.parametrize("run", sorted(experiments.TRAJECTORIES))
@@ -385,7 +522,9 @@ def test_first_sample_is_the_initial_data(plain_line):
                                  sample_every=2, snapshot_every=3))
     first = traj.samples[0]
     assert first.time == 0.0
-    assert traj.initial_mass == fn.mass(u0)
+    assert recorded(u0).grid is grid.half            # the even Gaussian marches halved
+    assert traj.initial_mass == fn.mass(recorded(u0))
+    assert traj.initial_mass == pytest.approx(fn.mass(u0), rel=1e-13)
     assert np.array_equal(first.snapshot.values, u0.values)
 
 

@@ -201,8 +201,28 @@ def test_half_grid_operators_are_the_full_grid_operators(seed, kind):
         assert np.array_equal(out.real, op(half, right.astype(complex)).real)
     assert grad_norm_sq_values(half, right) == pytest.approx(
         grad_norm_sq_values(u.grid, u.values), rel=1e-12)
-    for integral in (fn.mass, fn.potential, fn.variance):
+    for integral in (fn.mass, fn.potential, fn.variance, fn.boundary_mass_fraction):
         assert integral(Field(right, half, u.params)) == pytest.approx(integral(u), rel=1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 31), kind=st.sampled_from(["real", "complex"]))
+def test_half_grid_window_integrals_are_the_full_grid_ones(seed, kind):
+    """The window integrals of an exactly even field on the half grid are the
+    whole field's, to 1e-12, for windows left of, across and right of x = 0
+    (each holds a sizable share of the mass, so the full grid's difference of
+    prefix sums is itself accurate to that); the best window's center is the
+    x >= 0 mirror of the full grid's."""
+    u, right = even_bump(seed, kind)
+    v = Field(right, u.grid.half, u.params)
+    for center, radius in ((-3.0, 4.0), (0.4, 6.0), (1.3, 7.0), (-0.2, 30.0)):
+        assert fn.concentrated_mass(v, center, radius) == pytest.approx(
+            fn.concentrated_mass(u, center, radius), rel=1e-12)
+        for p in (2.0, 3.5):
+            assert fn.lp_norm(v, p, (center, radius)) == pytest.approx(
+                fn.lp_norm(u, p, (center, radius)), rel=1e-12)
+    (best, at), (ref, ref_at) = fn.sup_concentrated_mass(v, 1.0), fn.sup_concentrated_mass(u, 1.0)
+    assert best == pytest.approx(ref, rel=1e-12) and at == abs(ref_at)
 
 
 def test_half_grid_shifted_solve_inverts_the_full_line_operator():
