@@ -10,7 +10,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .core import Field, _apply_symbol, _spectrum, sample_scaled
 from .errors import ValidationError
@@ -37,6 +36,8 @@ def estimate_blowup_time(traj: Trajectory, s_c: float) -> BlowupFit:
     also guards faster-than-minimal collapse, where the linearization alone
     lands before the last sample.  The refined fit supplies the exponent.
     """
+    from scipy.optimize import minimize_scalar     # loaded by the commands that fit
+
     ts = traj.times()
     gs = traj.grad_norms()
     if len(ts) < 4:

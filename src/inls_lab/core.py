@@ -38,12 +38,12 @@ import math
 import weakref
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 import scipy.fft
-from scipy.interpolate import make_interp_spline
 from scipy.linalg import lapack
+from scipy.sparse.linalg import LinearOperator, minres
 
 from .errors import ValidationError
 
@@ -480,7 +480,6 @@ def shifted_helmholtz_solve(grid: Grid, rhs: np.ndarray, shift: np.ndarray) -> n
     rhs = np.asarray(rhs, dtype=np.float64)
     if grid.geometry == "radial":
         return _tridiag_solve(_factor_one_minus_zlap(grid, 1.0, shift), rhs)
-    from scipy.sparse.linalg import LinearOperator, minres
 
     def jacobian(u):
         return u - laplacian_values(grid, u) - shift * u
@@ -505,10 +504,12 @@ def free_flow(grid: Grid, values: np.ndarray, dt: float, slots: int = 1):
     radially; both are unitary in the grid inner product, run backward for a
     negative dt, and preserve the discrete |grad u|^2; on a half grid it acts
     on the cosine series of the even field whose right half is ``values``.
-    Returns the flowed values and that integral, taken on (the whole field of)
-    ``values``: read off the spectrum the flow computes anyway on the line, the
-    face-flux quadrature radially.  The grid caches the propagators of the
-    ``slots`` most recently used dt; a new dt evicts the least recently used.
+    Returns the flowed values and a function of no arguments that takes that
+    integral on (the whole field of) ``values``: from the spectrum the flow
+    computes anyway on the line, by the face-flux quadrature radially.  A
+    caller that does not read the integral pays no sum.  The grid caches the
+    propagators of the ``slots`` most recently used dt; a new dt evicts the
+    least recently used.
     """
     cache = grid._operators.setdefault("propagators", {})
     prop = cache.pop(dt, None)
@@ -519,12 +520,13 @@ def free_flow(grid: Grid, values: np.ndarray, dt: float, slots: int = 1):
     cache[dt] = prop                      # most recently used last
     if grid.geometry == "half_line":
         coeffs = _cosine_transform(scipy.fft.dct, values)
-        return _cosine_transform(scipy.fft.idct, prop * coeffs), _parseval_grad_sq(grid, coeffs)
+        return (_cosine_transform(scipy.fft.idct, prop * coeffs),
+                partial(_parseval_grad_sq, grid, coeffs))
     if grid.geometry == "line":
         spectrum = _spectrum(values)
-        return scipy.fft.ifft(prop * spectrum), _parseval_grad_sq(grid, spectrum)
+        return scipy.fft.ifft(prop * spectrum), partial(_parseval_grad_sq, grid, spectrum)
     out = _tridiag_solve(prop, values + 0.5j * dt * apply_radial_lap(grid, values))
-    return out, grad_norm_sq_values(grid, values)
+    return out, partial(grad_norm_sq_values, grid, values)
 
 
 # ---------------------------------------------------------------------------
@@ -534,6 +536,8 @@ def free_flow(grid: Grid, values: np.ndarray, dt: float, slots: int = 1):
 def _interp_spline(grid: Grid, values: np.ndarray, order: int = 3):
     """Spline evaluator with zero extension; radial data is mirrored through
     r = 0 so near-origin evaluations are well defined."""
+    from scipy.interpolate import make_interp_spline   # loaded by the commands that rescale
+
     if grid.geometry == "line":
         xs, ys = grid.nodes, values
     else:

@@ -33,8 +33,9 @@ of the collapse), snapped down to the ladder dt0 * 2^(-j/16) and clamped so
 that the last step lands on t_end.  G is measured on the field entering the
 last linear flow, which both flows preserve: ``free_flow`` reads it off the
 spectrum it computes anyway on the line and takes the face-flux quadrature
-radially; after a full state is formed it is that state's own G.  On the
-ladder dt changes rung only after G grows by 2^(1/16), and the grid caches one
+radially; the march takes that sum only after a step that no sample follows,
+and a state formed for a sample or a stop has its own G.  On the ladder dt
+changes rung only after G grows by 2^(1/16), and the grid caches one
 propagator per distinct substep of the current rung, so each is built once per
 rung, not once per step.  The march stops at t_end or when the gradient of the
 full state outruns the grid (|grad u| * dx > theta).
@@ -183,16 +184,16 @@ def evolve(u0: Field, policy: StepPolicy) -> Trajectory:
 
 
 def _march(v: Field, policy: StepPolicy, traj: Trajectory) -> None:
-    v, G = _full_state(v, 0.0)
     owed = 0.0            # half kick the last linear flow left unpaid
     slots = len(set(policy.weights))    # distinct substeps: propagators per rung
     t, dt, steps = 0.0, 0.0, 0
     while True:
         sample = steps % policy.sample_every == 0
+        if not sample:
+            G = flowed_grad_sq()        # of the field entering the last linear flow
         if sample or _stop_reason(policy, G, t, steps, v.grid.spacing):
-            if owed:
-                v, G = _full_state(v, owed)
-                owed = 0.0
+            v, G = _full_state(v, owed)
+            owed = 0.0
             traj.termination = _stop_reason(policy, G, t, steps, v.grid.spacing)
             if sample or traj.termination:
                 # the first and final states keep a snapshot when any are requested
@@ -210,8 +211,8 @@ def _march(v: Field, policy: StepPolicy, traj: Trajectory) -> None:
             t_next = policy.t_end
         for w in policy.weights:
             h = w * dt
-            vals, G = free_flow(v.grid, _kick(v, owed + 0.5 * h), h, slots)
-            if not np.isfinite(G):
+            vals, flowed_grad_sq = free_flow(v.grid, _kick(v, owed + 0.5 * h), h, slots)
+            if not np.isfinite(vals.sum()):      # NaN or inf if any value is
                 raise NumericsError(f"non-finite field in step {steps}")
             v = v.with_values(vals)
             owed = 0.5 * h

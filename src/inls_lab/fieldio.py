@@ -163,6 +163,8 @@ def attach_snapshots(traj: Trajectory, snap_dir, grid: Grid, params: ProblemPara
         entries = [(snap_dir / entry["file"], float(entry["time"])) for entry in index]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"{snap_dir / 'snapshots.json'}: malformed snapshot index") from exc
+    if not np.isfinite([t for _, t in entries]).all():
+        raise ValidationError(f"{snap_dir / 'snapshots.json'}: a snapshot time is not finite")
     if entries and not traj.samples:
         raise ValidationError(f"{snap_dir}: snapshots but no trajectory samples to attach them to")
     times = traj.times()

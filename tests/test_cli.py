@@ -304,6 +304,9 @@ INF_FLD = (b"INLSFLD1" + (256).to_bytes(8, "little") + b"line" + bytes(12)
     pytest.param("analyze", _rewrite("trajectory.csv", f"{HEADER}\n", "snapshots/snapshots.json",
                                      '[{"file": "../u0.fld", "time": 0.0}]'),
                  id="snapshots-without-trajectory-rows"),
+    pytest.param("analyze", _rewrite("snapshots/snapshots.json",
+                                     '[{"file": "../u0.fld", "time": NaN}]'),
+                 id="snapshot-time-nan"),
     pytest.param("analyze", _rewrite("trajectory.csv", f"{HEADER}\n{ROW}\n"),
                  id="trajectory-too-short-to-fit"),
     pytest.param("analyze", _remove("snapshots/snapshots.json"), id="snapshot-index-missing"),

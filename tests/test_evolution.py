@@ -358,6 +358,28 @@ def test_even_march_takes_no_full_grid_transform(monkeypatch):
     assert calls
 
 
+@pytest.mark.parametrize("every", [1, 3])
+def test_march_takes_the_gradient_sum_only_where_it_reads_G(plain_line, every, monkeypatch):
+    """A flow's |grad u|^2 is summed only after a step that no sample follows;
+    with a sample on every step that is none, and each sample takes one sum of
+    its own state.  Suzuki steps, so a step has five flows."""
+    calls, parseval = [], core._parseval_grad_sq
+
+    def counting_parseval(grid, spectrum):
+        calls.append(grid)
+        return parseval(grid, spectrum)
+
+    monkeypatch.setattr(core, "_parseval_grad_sq", counting_parseval)
+    params, grid = plain_line
+    u0 = Field(0.3 * np.exp(-grid.nodes ** 2 / 2).astype(complex), grid, params)
+    traj = evolve(u0, StepPolicy(dt0=0.01, c_dt=1e9, theta=1e9, t_end=0.1,
+                                 sample_every=every, weights=SUZUKI4))
+    unsampled = sum(1 for k in range(1, 11) if k % every)      # 10 steps
+    assert len(traj.samples) == (11 if every == 1 else 5)
+    assert len(calls) == len(traj.samples) + unsampled
+    assert all(g is grid.half for g in calls)
+
+
 # -- the kick: cos and sin only where the phase survives rounding ------------
 
 def kick_phases(u: Field, tau: float) -> np.ndarray:

@@ -176,6 +176,26 @@ def test_evolved_trajectory_csv_and_snapshots_round_trip(tmp_path_factory, geome
         assert np.array_equal(b.snapshot.values, s.snapshot.values)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_snapshot_time_is_rejected(tmp_path, bad):
+    """A snapshot time that is not finite is nearest to no sample: the index is
+    rejected, not attached by argmin to the first sample."""
+    params, grid = GRIDS["line"]
+    u0 = Field(np.exp(-grid.nodes ** 2 / 2).astype(complex), grid, params)
+    traj = evolve(u0, StepPolicy(dt0=1e-2, c_dt=1e9, theta=1e9, t_end=0.05,
+                                 sample_every=1, snapshot_every=2))
+    trajectory_to_csv(traj, tmp_path / "trajectory.csv")
+    index = write_snapshots(traj, tmp_path / "snapshots")
+    back = trajectory_from_csv(tmp_path / "trajectory.csv")
+    attach_snapshots(back, tmp_path / "snapshots", grid, params)
+    assert [s.time for s in back.snapshots()] == [entry["time"] for entry in index]
+    index[-1]["time"] = bad
+    (tmp_path / "snapshots" / "snapshots.json").write_text(json.dumps(index))  # NaN, Infinity
+    with pytest.raises(ValidationError, match="not finite"):
+        attach_snapshots(trajectory_from_csv(tmp_path / "trajectory.csv"),
+                         tmp_path / "snapshots", grid, params)
+
+
 def test_mass_drift_survives_the_csv_round_trip(tmp_path, plain_line, leaky_flow):
     params, grid = plain_line
     u0 = Field(0.3 * np.exp(-grid.nodes ** 2 / 2).astype(complex), grid, params)

@@ -252,7 +252,7 @@ def test_half_grid_rejects_operators_without_a_cosine_form():
 @given(seed=st.integers(0, 2 ** 31))
 def test_cosine_parseval_is_the_line_gradient_quadrature(seed):
     u, right = even_bump(seed)
-    _, G = free_flow(u.grid.half, right, 1e-3)        # |grad u|^2 of the flow's input
+    G = free_flow(u.grid.half, right, 1e-3)[1]()      # |grad u|^2 of the flow's input
     assert G == pytest.approx(grad_norm_sq_values(u.grid, u.values), rel=1e-13)
 
 

@@ -1,6 +1,10 @@
 import ast
 import importlib
+import json
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import inls_lab
@@ -71,3 +75,49 @@ def test_failing_property_test_is_reported_and_the_session_goes_on(pytester):
     result = pytester.runpytest_subprocess("-p", "no:cacheprovider")
     result.assert_outcomes(failed=1, passed=1)
     result.stdout.no_fnmatch_line("*INTERNALERROR*")
+
+
+# scipy.spatial comes with scipy.interpolate; scipy.sparse.linalg holds MINRES,
+# which every Newton step of a line ground state runs
+START_UP = ("scipy.interpolate", "scipy.optimize", "scipy.spatial", "scipy.sparse.linalg")
+PRELUDE = f"""import json, sys
+import inls_lab, inls_lab.cli
+loaded = lambda: [m for m in {START_UP!r} if m in sys.modules]
+"""
+
+
+def _fresh_python(code: str):
+    """The JSON on the last line a fresh interpreter prints running ``code``."""
+    src = str(Path(inls_lab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", PRELUDE + code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_import_leaves_the_spline_and_fit_packages_unloaded():
+    """Importing the package and its CLI loads neither scipy.interpolate nor
+    scipy.optimize: the commands that never rescale or fit do not pay for them."""
+    assert _fresh_python("print(json.dumps(loaded()))") == ["scipy.sparse.linalg"]
+
+
+def test_deferred_imports_resolve_at_first_use():
+    """After the import, a rescaled sample and a blow-up fit load what they use."""
+    spline_error, T_hat, after = _fresh_python("""
+import numpy as np
+from inls_lab import Field, Trajectory, estimate_blowup_time, line_grid, make_params
+from inls_lab.core import sample_scaled
+from inls_lab.evolution import TrajectorySample
+
+grid = line_grid(16.0, 256)
+u = Field(np.exp(-grid.nodes ** 2), grid, make_params(1, 2.0, 0.0))
+# |grad u|^2 = 1/(1 - t), sampled toward t = 1
+traj = Trajectory([TrajectorySample(1 - 2 ** (-i / 4), 1e-3, 1.0, 0.5, 2 ** (i / 4), 1.0, 0.0)
+                   for i in range(40)])
+print(json.dumps([float(np.max(np.abs(sample_scaled(u, 1.0) - u.values))),
+                  estimate_blowup_time(traj, 0.0).T_hat, loaded()]))
+""")
+    assert spline_error < 1e-12 and abs(T_hat - 1.0) < 1e-6
+    assert after == list(START_UP)
