@@ -111,8 +111,9 @@ _GRID = {"dim": (integral,), "sigma": (_finite,), "b": (_finite,), "extent": (_f
 _FAMILY = {"family_T": (_finite_positive, 1.0), "family_lambda": (_finite_positive, 1.0),
            "family_gamma": (_finite, SFamilyParams.gamma)}
 SCHEMAS = {
-    "ground-state": {**_GRID, **_defaults(solve_ground_state,
-                                          dtype=_one_of("float64", "longdouble"), max_iter=_count)},
+    # dtype, recorded in the manifest, selects nothing: older configs still run
+    "ground-state": {**_GRID, "dtype": (_one_of("float64", "longdouble"), "float64"),
+                     **_defaults(solve_ground_state, max_iter=_count)},
     "evolve": {
         **_GRID, **_FAMILY,
         "initial": (_one_of("ground_state_multiple", "gaussian", "s_family", "file"),),
@@ -188,7 +189,7 @@ def _params_grid(cfg: dict):
 def cmd_ground_state(cfg, out, seed):
     params, grid = _params_grid(cfg)
     _setup(cfg, out, params, grid, "ground_state")
-    gs = solve_ground_state(params, grid, dtype=cfg["dtype"], max_iter=cfg["max_iter"])
+    gs = solve_ground_state(params, grid, max_iter=cfg["max_iter"])
     write_field(out / "Q.fld", gs.profile)
     sidecar = {
         "params": params.as_dict(),

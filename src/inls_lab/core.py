@@ -11,8 +11,9 @@ Two discretizations are supported:
   cosine form and raises there.
 * ``radial`` -- radially symmetric fields on (0, Rmax] in dimension N >= 2,
   discretized by a flux-form (finite-volume) Laplacian on n cell-centered
-  shells.  The zero-flux face at r = 0 realizes the even reflection
-  condition; a ghost value -u[-1] realizes homogeneous Dirichlet at Rmax.
+  shells, whose face data (``face_alpha``, ``surf``) only this module reads.
+  The zero-flux face at r = 0 realizes the even reflection condition; a
+  ghost value -u[-1] realizes homogeneous Dirichlet at Rmax.
 
 Both grids are cell-centered, so coordinates never hit the origin and the
 singular weight |x|^-b stays finite.  The weight is stored as the exact
@@ -25,11 +26,12 @@ Helmholtz solves, free flow, spline sampling); the Laplacian and gradient
 quadrature are summation-by-parts companions.  Quadratures and window
 integrals (``functionals``) and the mollifiers (``analysis``) read a grid's
 nodes, weights and faces directly.  Each grid lazily caches what the operators
-reuse (k, k^2 and Laplacian bands per dtype, the float64 factorization of
-1 - Lap, the recent time steps' linear propagators) as long as the grid lives;
-a line grid holds its half grid, which has its own cache, only weakly, so the
-pair is freed with the last reference to either.  Operators work in the
-dtype of their input, except the Helmholtz solves, which are float64 for any rhs.
+reuse (k, k^2 per dtype, the radial Laplacian's float64 factors, the float64
+factorization of 1 - Lap, the recent time steps' linear propagators) as long
+as the grid lives; a line grid holds its half grid, which has its own cache,
+only weakly, so the pair is freed with the last reference to either.
+Operators work in the dtype of their input, except the Helmholtz solves,
+which are float64 for any rhs.
 """
 
 from __future__ import annotations
@@ -314,28 +316,26 @@ def _wavenumbers_sq(grid: Grid, dtype) -> np.ndarray:
     return _cached(grid, ("k2", dtype), lambda: _wavenumbers(grid, dtype) ** 2)
 
 
-def _radial_lap_bands(grid: Grid, dtype):
-    """Sub/diag/super arrays of the flux-form radial Laplacian."""
-    dtype = np.dtype(dtype).type
+def _radial_flux_factors(grid: Grid):
+    """alpha / dr at the n outer cell faces and the reciprocal shell volumes, in
+    float64 (a multiply, as NumPy's complex-by-real division does not round as the real)."""
+    return _cached(grid, "flux", lambda: (grid.face_alpha[1:] / grid.spacing,
+                                          grid.surf / grid.weights))
 
-    def build():
-        alpha = grid.face_alpha.astype(dtype)
-        vol = (grid.weights / grid.surf).astype(dtype)
-        dr = dtype(grid.spacing)
-        lo = alpha[1:-1] / (dr * vol[1:])
-        up = alpha[1:-1] / (dr * vol[:-1])
-        dg = -(alpha[1:] + alpha[:-1]) / (dr * vol)
-        dg[-1] = -(2.0 * alpha[-1] + alpha[-2]) / (dr * vol[-1])
-        return lo, dg, up
 
-    return _cached(grid, ("bands", dtype), build)
+def _radial_lap_bands(grid: Grid):
+    """Sub/diag/super of ``apply_radial_lap``'s tridiagonal, for the gttrf factorizations."""
+    a, inv_vol = _radial_flux_factors(grid)
+    dg = -(a + np.concatenate(([0.0], a[:-1]))) * inv_vol
+    dg[-1] = -(2.0 * a[-1] + a[-2]) * inv_vol[-1]         # Dirichlet ghost -u[-1]
+    return a[:-1] * inv_vol[1:], dg, a[:-1] * inv_vol[:-1]
 
 
 def _factor_one_minus_zlap(grid: Grid, z, shift=None):
     """LAPACK gttrf factors of the radial float64 tridiagonal 1 - z Lap - shift
     (zgttrf for complex z), as plain arrays for ``_tridiag_solve``.  A float64
     ``shift`` array is overwritten: the factors are built in its buffer."""
-    lo, dg, up = _radial_lap_bands(grid, np.float64)
+    lo, dg, up = _radial_lap_bands(grid)
     d = 1.0 - z * dg
     if shift is not None:
         d = np.subtract(d, shift, out=shift)
@@ -385,19 +385,19 @@ def _cosine_transform(transform, values: np.ndarray) -> np.ndarray:
     return transform(pairs, type=2, norm="ortho", axis=0).view(values.dtype)[:, 0]
 
 
-def _no_cosine_form(grid: Grid, operator: str) -> None:
-    if grid.geometry == "half_line":
-        raise ValidationError(f"{operator} has no cosine form on the half grid (Grid.half) "
-                              "of an even line field")
-
-
 def apply_radial_lap(grid: Grid, u: np.ndarray) -> np.ndarray:
-    _no_cosine_form(grid, "apply_radial_lap")
-    lo, dg, up = _radial_lap_bands(grid, u.real.dtype)
-    out = dg * u
-    out[1:] = out[1:] + lo * u[:-1]
-    out[:-1] = out[:-1] + up * u[1:]
-    return out
+    """The radial Laplacian in the dtype of ``u`` as a difference of face fluxes,
+    u[i+1] - u[i] (exact where neighbours lie within 2x) times alpha / dr."""
+    if grid.geometry != "radial":
+        raise ValidationError(f"apply_radial_lap needs a radial grid, got {grid.geometry}")
+    a, inv_vol = _radial_flux_factors(grid)
+    flux = np.empty(u.shape, np.result_type(u, a))
+    np.subtract(u[1:], u[:-1], out=flux[:-1])
+    flux[-1] = -2.0 * u[-1]                  # Dirichlet ghost -u[-1] at Rmax
+    flux *= a
+    flux[1:] -= flux[:-1]                    # NumPy buffers the overlap; no flux at r = 0
+    flux *= inv_vol
+    return flux
 
 
 def laplacian_values(grid: Grid, values: np.ndarray) -> np.ndarray:
@@ -437,7 +437,9 @@ def grad_norm_sq_values(grid: Grid, values: np.ndarray, r_min: float = 0.0):
 
 def gradient_values(grid: Grid, values: np.ndarray) -> np.ndarray:
     """Node-centered first derivative (spectral on the line, centered radially)."""
-    _no_cosine_form(grid, "gradient_values (an even field's gradient is odd)")
+    if grid.geometry == "half_line":
+        raise ValidationError("an even field's gradient is odd: it has no cosine form on the "
+                              "half grid (Grid.half)")
     if grid.geometry == "line":
         return _apply_symbol(grid, 1j * _wavenumbers(grid, values.real.dtype), values)
     # a multiply, as NumPy's complex-by-real division is, so real and complex round alike

@@ -4,8 +4,8 @@ Each experiment returns an ExperimentReport with a pass flag and the numbers
 behind it; the CLI ``reproduce`` subcommand and the acceptance test suite
 both run these functions, so the gate is exercised identically everywhere.
 
-Ground states come from one table, ``GROUND_STATES`` (three extended-precision
-Pohozaev gates, five float64 cases), through one memo, ``ground_state(case)``;
+Ground states come from one table, ``GROUND_STATES`` (three Pohozaev gates,
+five other cases), through one memo, ``ground_state(case)``;
 the four blow-up runs behind criteria 6-11 come alike from one table,
 ``TRAJECTORIES`` (each run's initial field and step policy), through one memo,
 ``trajectory(run)``.  ``@_experiment(name, budget_s)``
@@ -20,15 +20,15 @@ Tuning notes baked into the configurations below:
   that iterate interpolated (10 + 3, 19 + 2 and 47 + 1 iterations on the
   line, radial N = 2 and radial N = 3 gates, where the Gaussian start took
   10, 19 and 47 on the full grid; the even lines on their half grids), then
-  polishes with two or three Newton steps (float64 Jacobian solve).  The
-  Pohozaev gates take the extended Newton defect: radially a float64 pair
-  (Q, lo) with a flux-form Laplacian, since at n ~ 2.6e5 the float64
-  band-form defect of Q is rounding-floor limited (~eps Q/dr^2, 1.6e-7
-  against a 2.2e-8 tolerance) while the dilation identity needs that much
-  resolution.  On the line the FFT's floor holds whatever the storage, so the
-  extended defect is the float64 one, and the line gate passes at 0.73 of the
-  residual tolerance.  The reports record the iterations on both grids and
-  the Newton steps.
+  polishes with two Newton steps (float64 Jacobian solve).  Radially the
+  Newton iterate is a float64 pair (Q, lo), since at n ~ 2.6e5 the defect of
+  a float64 Q is rounding-floor limited (~eps Q/dr^2, 1.6e-7 against a
+  2.2e-8 tolerance) while the dilation identity needs that much resolution;
+  on ``radial2_intercritical`` the pair also spares the third step that a
+  float64 defect spent at its floor.  On the line the FFT's floor holds
+  whatever the storage, so the defect is the float64 one, and the line gate
+  passes at 0.73 of the residual tolerance.  The reports record the
+  iterations on both grids and the Newton steps.
 * Conservation, splitting-order, family-tracking, and the quadratic-virial
   gates run on the b = 0 mass-critical member (quintic line soliton), where
   Strang splitting retains its clean second order.  With b > 0 the
@@ -94,18 +94,16 @@ class ExperimentReport:
 # ---------------------------------------------------------------------------
 # shared heavy intermediates (memoized for the lifetime of the process)
 
-# case -> (dim, sigma, b, extent, n, dtype); the three Pohozaev gates take the
-# extended Newton defect ("longdouble", which changes only radial solves), the
-# other cases the float64 one.
+# case -> (dim, sigma, b, extent, n); the first three are the Pohozaev gates.
 GROUND_STATES = {
-    "line_mass_critical": (1, 1.5, 0.5, 15.0, 65536, "longdouble"),
-    "radial2_mass_critical": (2, 0.75, 0.5, 14.0, 20480, "longdouble"),
-    "radial3_intercritical": (3, 1.0, 0.5, 14.0, 262144, "longdouble"),
-    "cubic": (1, 1.0, 0.0, 20.0, 4096, "float64"),
-    "quintic": (1, 2.0, 0.0, 20.0, 4096, "float64"),
-    "quintic_tracking": (1, 2.0, 0.0, 20.0, 16384, "float64"),
-    "line_b": (1, 1.5, 0.5, 20.0, 8192, "float64"),
-    "radial2_intercritical": (2, 1.0, 0.5, 12.0, 8192, "float64"),
+    "line_mass_critical": (1, 1.5, 0.5, 15.0, 65536),
+    "radial2_mass_critical": (2, 0.75, 0.5, 14.0, 20480),
+    "radial3_intercritical": (3, 1.0, 0.5, 14.0, 262144),
+    "cubic": (1, 1.0, 0.0, 20.0, 4096),
+    "quintic": (1, 2.0, 0.0, 20.0, 4096),
+    "quintic_tracking": (1, 2.0, 0.0, 20.0, 16384),
+    "line_b": (1, 1.5, 0.5, 20.0, 8192),
+    "radial2_intercritical": (2, 1.0, 0.5, 12.0, 8192),
 }
 POHOZAEV_CASES = ("line_mass_critical", "radial2_mass_critical", "radial3_intercritical")
 CORPUS_TRIALS = 1000      # random fields per inequality corpus
@@ -115,9 +113,9 @@ S_FAMILY = SFamilyParams(T=1.0, lam=1.0, gamma=0.0)   # the tracked minimal-mass
 @lru_cache(maxsize=None)
 def ground_state(case: str) -> GroundState:
     """The ground state of a ``GROUND_STATES`` case."""
-    dim, sigma, b, extent, n, dtype = GROUND_STATES[case]
+    dim, sigma, b, extent, n = GROUND_STATES[case]
     params = make_params(dim, sigma, b)
-    return solve_ground_state(params, grid_for(params, extent, n), dtype=dtype)
+    return solve_ground_state(params, grid_for(params, extent, n))
 
 
 def _above_q(case: str) -> Field:

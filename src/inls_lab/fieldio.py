@@ -21,12 +21,15 @@ from .errors import ValidationError
 from .evolution import Trajectory, TrajectorySample
 
 MAGIC = b"INLSFLD1"
+GEOMETRIES = ("line", "radial")    # the geometry tags a field binary carries
 CSV_COLUMNS = ("t", "dt", "mass", "energy", "grad_norm_sq", "variance", "boundary_frac")
 # the TrajectorySample fields behind the columns, in column order
 _SAMPLE_FIELDS = [f.name for f in fields(TrajectorySample)][:len(CSV_COLUMNS)]
 
 
 def write_field(path, field: Field) -> None:
+    if field.grid.geometry not in GEOMETRIES:
+        raise ValidationError(f"a field binary has no tag for a {field.grid.geometry} grid")
     path = Path(path)
     tag = field.grid.geometry.encode().ljust(8, b"\0")
     header = MAGIC + struct.pack("<Q", field.grid.n) + tag + b"\0" * 8
@@ -39,7 +42,7 @@ def read_field_values(path) -> tuple[np.ndarray, str]:
         raise ValidationError(f"{path}: not a field binary (bad magic)")
     (n,) = struct.unpack("<Q", raw[8:16])
     tag = raw[16:24].rstrip(b"\0")
-    if tag not in (b"line", b"radial"):
+    if tag.decode("latin-1") not in GEOMETRIES:
         raise ValidationError(f"{path}: unknown geometry tag {tag!r}")
     expected = 32 + 16 * n
     if len(raw) != expected:

@@ -22,11 +22,12 @@ Newton still takes two steps.  On an even-n line every phase runs on the
 half grids (``Grid.half``), where the even profile is a cosine series of half
 the length, and the profile is mirrored back; the coarsening rule and the
 resolution check count the full grid's cells, and an odd-n line iterates on
-the full grids.  Deep radial grids push the band-form Lap Q to its rounding
-floor (~ eps Q / dr^2), so an extended solve keeps the radial iterate as a
-float64 pair Q + lo (error-free sums: Dekker, Numer. Math. 18, 1971; Ogita,
-Rump & Oishi, SIAM J. Sci. Comput. 26, 2005) with Lap Q in flux form; on the
-line the FFT's floor holds however Q is stored.  The integrals are ``functionals``' own.
+the full grids.  A float64 Q on a deep radial grid is itself a floor on the
+defect (Lap of its rounding, ~ eps Q / dr^2), so radial Newton steps keep the
+iterate as a float64 pair Q + lo (error-free sums: Dekker, Numer. Math. 18,
+1971; Ogita, Rump & Oishi, SIAM J. Sci. Comput. 26, 2005), whose defect adds
+the terms linear in lo to the flux-form defect of Q; on the line the FFT's
+floor holds however Q is stored.  The integrals are ``functionals``' own.
 """
 
 from __future__ import annotations
@@ -70,24 +71,17 @@ COARSEN = 4             # a solve starts from a float64 solve on n // COARSEN ce
 CORE_CELLS = 8          # the fewest cells above half its peak that resolve a profile's core
 
 
-def solve_ground_state(
-    params: ProblemParams, grid: Grid, *, dtype: str = "float64", max_iter: int = 2000
-) -> GroundState:
+def solve_ground_state(params: ProblemParams, grid: Grid, *, max_iter: int = 2000) -> GroundState:
     """Compute the positive even/radial ground-state profile on ``grid``.
 
-    ``dtype`` is the precision of the Newton defect and changes nothing else:
-    "float64", or "longdouble", which means extended (a float64 pair Q + lo)
-    and changes only radial solves.  ``max_iter`` bounds the iterations on both
-    grids and the Newton steps together.  Raises ValidationError, before any
-    iteration, when grid and params disagree or ``dtype`` is neither,
-    ConvergenceError when max_iter or ``NEWTON_STEPS`` runs out, when a Newton
-    iterate turns negative (an under-resolved grid), or when the Newton steps
-    stall above tolerance (float64's rounding floor on a deep grid), and
-    NumericsError when the stabilizing factor leaves [1e-6, 1e6].
+    ``max_iter`` bounds the iterations on both grids and the Newton steps
+    together.  Raises ValidationError, before any iteration, when grid and
+    params disagree, ConvergenceError when max_iter or ``NEWTON_STEPS`` runs
+    out, when a Newton iterate turns negative (an under-resolved grid), or when
+    the Newton steps stall above tolerance (the defect's rounding floor on a
+    deep grid), and NumericsError when the stabilizing factor leaves [1e-6, 1e6].
     """
     Field(grid.nodes, grid, params)      # rejects a mismatched grid before any iteration
-    if dtype not in ("float64", "longdouble"):
-        raise ValidationError(f"dtype must be 'float64' or 'longdouble', got {dtype!r}")
     work = _solve_grid(grid)
     it, Q = 0, np.exp(-(grid.nodes ** 2) / 2.0)           # the Gaussian start
     if np.count_nonzero(Q > 0.5) >= COARSEN * CORE_CELLS:   # n // COARSEN cells resolve its core
@@ -101,9 +95,8 @@ def solve_ground_state(
         Q = Q[grid.n - work.n:]          # the start's right half on a half grid
     Q, fine, converged = _petviashvili(params, work, Q, max_iter - it)
     it += fine
-    steps, lo = 0, None
+    steps, lo = 0, np.zeros(work.n) if work.geometry == "radial" else None
     if converged:
-        lo = np.zeros(work.n) if dtype == "longdouble" and work.geometry == "radial" else None
         Q, lo, steps, converged = _newton(params, work, Q, lo, min(NEWTON_STEPS, max_iter - it))
 
     iterate = Field(Q if work is grid else np.concatenate((Q[::-1], Q)), grid, params)
@@ -147,7 +140,7 @@ def _petviashvili(params: ProblemParams, grid: Grid, Q: np.ndarray, max_iter: in
     """Petviashvili iteration at the precision of ``Q``; returns the last
     iterate, the iterations taken and whether the L2 step norm fell below ``tol``."""
     w = grid.weights
-    gamma = Q.dtype.type(2.0 * params.sigma + 1.0) / Q.dtype.type(2.0 * params.sigma)
+    gamma = (2.0 * params.sigma + 1.0) / (2.0 * params.sigma)
     for it in range(1, max_iter + 1):
         lap, F = _defect(params, grid, Q)
         num = np.sum((Q - lap) * Q * w)      # <(1 - Lap) Q, Q>
@@ -172,15 +165,11 @@ def _petviashvili(params: ProblemParams, grid: Grid, Q: np.ndarray, max_iter: in
 
 def _newton_defect(params: ProblemParams, grid: Grid, Q: np.ndarray, lo):
     """In float64, the defect F at Q, or at the radial pair Q + lo to first
-    order in lo, and the Jacobian's potential V = p W Q^(p - 1).  The pair's
-    Lap Q is in flux form: ``np.diff`` is exact where neighbours lie within 2x."""
+    order in lo, and the Jacobian's potential V = p W Q^(p - 1)."""
     p = 2.0 * params.sigma + 1.0
     V = Q ** (p - 1.0) * grid.weight_b * p
-    if lo is None:
-        return _defect(params, grid, Q)[1], V
-    flux = np.diff(Q, append=-Q[-1]) * (grid.face_alpha[1:] / grid.spacing)  # Dirichlet ghost
-    F = np.diff(flux, prepend=0.0) / (grid.weights / grid.surf) - Q + grid.weight_b * Q ** p
-    return F + (apply_radial_lap(grid, lo) - lo + V * lo), V
+    F = _defect(params, grid, Q)[1]
+    return (F if lo is None else F + (apply_radial_lap(grid, lo) - lo + V * lo)), V
 
 
 def _two_sum(a: np.ndarray, b: np.ndarray):

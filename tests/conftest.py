@@ -5,7 +5,7 @@ share them across the session."""
 import numpy as np
 import pytest
 
-from inls_lab import evolution, experiments as exp
+from inls_lab import evolution, experiments as exp, ground_state
 from inls_lab.core import line_grid, make_params, radial_grid
 
 
@@ -88,3 +88,15 @@ def leaky_flow(monkeypatch):
         return (1.0 + 1e-6) * out, G
 
     monkeypatch.setattr(evolution, "free_flow", leaky)
+
+
+@pytest.fixture
+def newton_defect(monkeypatch, dtype):
+    """Radial Newton steps with the defect a ``dtype`` case names:
+    "longdouble" keeps the float64 pair (Q, lo), the extended defect every
+    radial solve carries; "float64" drops lo, leaving the float64 defect at Q."""
+    if dtype == "float64":
+        defect = ground_state._newton_defect
+        monkeypatch.setattr(ground_state, "_newton_defect",
+                            lambda params, grid, Q, lo: defect(params, grid, Q, None))
+    return dtype

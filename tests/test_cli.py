@@ -509,6 +509,20 @@ def test_config_key_given_twice_exit_2(tmp_path, capsys, solve_calls):
     assert not solve_calls
 
 
+def test_dtype_is_recorded_and_selects_nothing(tmp_path):
+    """``dtype`` takes either precision name, is recorded in the manifest, and
+    changes no output: every radial Newton solve carries the float64 pair."""
+    written = []
+    for dtype in ("float64", "longdouble"):
+        cfg = write_cfg(tmp_path / f"{dtype}.cfg", dim=2, sigma=0.75, b=0.5, extent=14.0,
+                        n=2048, dtype=dtype)
+        out = tmp_path / dtype
+        assert main(["ground-state", "--config", cfg, "--out", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["config"]["dtype"] == dtype
+        written.append([(out / name).read_bytes() for name in ("Q.fld", "ground_state.json")])
+    assert written[0] == written[1]
+
+
 @pytest.mark.parametrize("dtype", ["long_double", "float32", 64])
 def test_unknown_dtype_exit_2(tmp_path, capsys, dtype):
     cfg = write_cfg(tmp_path / "gs.cfg", dim=1, sigma=2.0, b=0.0, extent=16.0, n=256,

@@ -596,9 +596,9 @@ def test_line_run_gradient_is_grid_converged(monkeypatch, run, case):
     1.6e-12."""
     initial, policy = experiments.TRAJECTORIES[run]
     policy = StepPolicy(**dict(policy, t_end=0.5))
-    dim, sigma, b, extent, n, dtype = experiments.GROUND_STATES[case]
+    dim, sigma, b, extent, n = experiments.GROUND_STATES[case]
     params = make_params(dim, sigma, b)
-    fine = solve_ground_state(params, grid_for(params, extent, 2 * n), dtype=dtype)
+    fine = solve_ground_state(params, grid_for(params, extent, 2 * n))
     G = []
     for gs in (experiments.ground_state(case), fine):
         monkeypatch.setattr(experiments, "ground_state", lambda _: gs)

@@ -60,6 +60,16 @@ def test_field_binary_rejects_corruption(tmp_path, mc_line):
         read_field_values(path)
 
 
+def test_half_grid_field_is_rejected_before_writing(tmp_path, mc_line):
+    """A half-grid field has no geometry tag ("half_line" would overrun its 8
+    bytes and give an unreadable file): bad input, and no file is written."""
+    params, grid = mc_line
+    half = grid.half
+    with pytest.raises(ValidationError, match="half_line"):
+        write_field(tmp_path / "u.fld", Field(np.zeros(half.n, dtype=complex), half, params))
+    assert not (tmp_path / "u.fld").exists()
+
+
 def test_geometry_mismatch_rejected(tmp_path, mc_line, ic_radial):
     p1, g1 = mc_line
     p2, g2 = ic_radial

@@ -10,9 +10,10 @@ from inls_lab import (
     ConvergenceError, ValidationError, c_of_Mm, gn_ratio, k_opt, make_params,
     pohozaev_residuals, rescale, solve_ground_state,
 )
+from inls_lab.cli import main
 from inls_lab.core import MIN_CELLS, apply_radial_lap, line_grid, radial_grid, sample_scaled
 from inls_lab.exact import standing_wave
-from inls_lab import functionals as fn, ground_state
+from inls_lab import core, functionals as fn, ground_state
 from inls_lab.inequalities import corpus_rng, random_bump_field
 
 
@@ -164,17 +165,29 @@ def test_float64_solve_on_non_dyadic_line_grid():
 def test_non_convergence_raises_in_longdouble():
     """max_iter bounds the iterations on both grids and the Newton steps
     together: the coarse phase spends it, and the fine phase and Newton get
-    none."""
+    none.  (A radial solve is the extended one the name refers to.)"""
     params = make_params(2, 0.75, 0.5)
     grid = radial_grid(2, 14.0, 512, 0.5)
     with pytest.raises(ConvergenceError, match="in 2 iterations and 0 Newton steps"):
-        solve_ground_state(params, grid, max_iter=2, dtype="longdouble")
+        solve_ground_state(params, grid, max_iter=2)
 
 
 def test_float64_solve_is_petviashvili_then_newton(line_b_gs, intercritical_radial_gs):
     for gs in (line_b_gs, intercritical_radial_gs):
         assert gs.iterations > 0
         assert 0 < gs.newton_steps <= ground_state.NEWTON_STEPS
+
+
+def test_radial_pair_converges_in_two_newton_steps(intercritical_radial_gs):
+    """``radial2_intercritical`` takes two Newton steps, where a float64 defect
+    took a third only to find its grid's rounding floor: the pair's residual
+    is 2.0e-14 of ||Q|| (9.0e-11 with the float64 defect), and r1 and r2
+    agree to 1e-6 relative, as the discrete energy identity makes them
+    (measured 8.7e-11; 1.0e-5 with the float64 defect)."""
+    gs = intercritical_radial_gs
+    assert gs.newton_steps == 2
+    assert gs.residual < 1e-13 * math.sqrt(gs.q_mass)
+    assert gs.pohozaev_r1 == pytest.approx(gs.pohozaev_r2, rel=1e-6)
 
 
 def test_longdouble_solve_is_petviashvili_then_newton(radial2_gate_gs):
@@ -190,7 +203,7 @@ def test_longdouble_iterations_count_both_grids():
     and Newton still converges."""
     params = make_params(2, 0.75, 0.5)
     grid = radial_grid(2, 14.0, 4096, 0.5)
-    gs = solve_ground_state(params, grid, dtype="longdouble")
+    gs = solve_ground_state(params, grid)
     coarse = radial_grid(2, 14.0, 4096 // ground_state.COARSEN, 0.5)
     Qc, coarse_it, converged = ground_state._petviashvili(
         params, coarse, np.exp(-coarse.nodes ** 2 / 2.0), 2000)
@@ -202,7 +215,7 @@ def test_longdouble_iterations_count_both_grids():
     assert gs.residual / math.sqrt(gs.q_mass) < 1e-10
 
 
-def _phase_grids(monkeypatch, params, grid, dtype):
+def _phase_grids(monkeypatch, params, grid):
     """A solve, and the cell counts of the grids its Petviashvili phases ran on."""
     ns = []
     iterate = ground_state._petviashvili
@@ -213,35 +226,36 @@ def _phase_grids(monkeypatch, params, grid, dtype):
 
     with monkeypatch.context() as patch:
         patch.setattr(ground_state, "_petviashvili", recording)
-        return solve_ground_state(params, grid, dtype=dtype), ns
+        return solve_ground_state(params, grid), ns
 
 
 @pytest.mark.parametrize("dtype", ["float64", "longdouble"])
-def test_only_longdouble_solves_start_on_the_coarse_grid(monkeypatch, dtype):
+def test_only_longdouble_solves_start_on_the_coarse_grid(monkeypatch, newton_defect):
     """The name is kept from when float64 solves iterated on n cells alone:
-    a solve in either precision now iterates on n // COARSEN cells, then on n."""
+    a solve with either Newton defect iterates on n // COARSEN cells, then on n."""
     _, ns = _phase_grids(monkeypatch, make_params(2, 0.75, 0.5),
-                         radial_grid(2, 14.0, 2048, 0.5), dtype)
+                         radial_grid(2, 14.0, 2048, 0.5))
     assert ns == [2048 // ground_state.COARSEN, 2048]
 
 
 @pytest.mark.parametrize("dtype", ["float64", "longdouble"])
-def test_coarse_phase_needs_the_start_resolved(monkeypatch, dtype):
+def test_coarse_phase_needs_the_start_resolved(monkeypatch, newton_defect):
     """The Gaussian start's core (above 1/2) spans 7 of these 96 cells, fewer
     than COARSEN * CORE_CELLS, so 96 // COARSEN cells cannot resolve it: one
-    phase on n, then Newton."""
+    phase on n, then Newton, with either Newton defect."""
     with pytest.warns(RuntimeWarning, match="core spans"):
         gs, ns = _phase_grids(monkeypatch, make_params(2, 1.0, 0.5),
-                              radial_grid(2, 16.0, 96, 0.5), dtype)
+                              radial_grid(2, 16.0, 96, 0.5))
     assert ns == [96] and gs.newton_steps > 0
 
 
 def test_longdouble_solve_too_small_to_coarsen_converges(monkeypatch):
-    """16 // COARSEN cells is no grid: one phase from the Gaussian, then Newton."""
+    """16 // COARSEN cells is no grid: one phase from the Gaussian, then the
+    extended (float64 pair) Newton steps of every radial solve."""
     assert 16 // ground_state.COARSEN < MIN_CELLS
     with pytest.warns(RuntimeWarning, match="core spans"):
         gs, ns = _phase_grids(monkeypatch, make_params(2, 0.75, 0.5),
-                              radial_grid(2, 14.0, 16, 0.5), "longdouble")
+                              radial_grid(2, 14.0, 16, 0.5))
     assert ns == [16] and gs.newton_steps > 0
 
 
@@ -254,13 +268,18 @@ NEWTON_CASES = [
 
 @pytest.mark.parametrize("dim, sigma, b, grid", NEWTON_CASES)
 def test_both_precisions_run_the_same_phases(monkeypatch, dim, sigma, b, grid):
-    """``dtype`` sets only the precision of the Newton defect: both precisions
-    iterate on n // COARSEN cells, then on n (an even line on the half grids of
-    both, n // (2 COARSEN) and n // 2 cells), as often, and take as many
-    Newton steps to the same profile."""
+    """The float64 pair sets only the precision of the radial Newton defect: a
+    solve whose defect drops lo (the float64 defect at Q) iterates on
+    n // COARSEN cells, then on n (an even line on the half grids,
+    n // (2 COARSEN) and n // 2 cells), as often, and takes as many Newton
+    steps to the same profile.  A line solve carries no pair, so there the two
+    solves are one."""
     params = make_params(dim, sigma, b)
-    wide, wide_ns = _phase_grids(monkeypatch, params, grid, "longdouble")
-    narrow, narrow_ns = _phase_grids(monkeypatch, params, grid, "float64")
+    wide, wide_ns = _phase_grids(monkeypatch, params, grid)
+    defect = ground_state._newton_defect
+    monkeypatch.setattr(ground_state, "_newton_defect",
+                        lambda params, grid, Q, lo: defect(params, grid, Q, None))
+    narrow, narrow_ns = _phase_grids(monkeypatch, params, grid)
     cells = grid.n // 2 if grid.geometry == "line" else grid.n
     assert wide_ns == narrow_ns == [cells // ground_state.COARSEN, cells]
     assert wide.iterations == narrow.iterations
@@ -291,7 +310,7 @@ def test_odd_line_solves_on_the_full_grids(monkeypatch, n):
     coarse one too when its own n // COARSEN is even (1025), and Newton
     converges to an exactly even profile, the all-full-grid solve's."""
     params, grid = make_params(1, 1.5, 0.5), line_grid(16.0, n, 0.5)
-    gs, ns = _phase_grids(monkeypatch, params, grid, "float64")
+    gs, ns = _phase_grids(monkeypatch, params, grid)
     assert ns == [grid.n // ground_state.COARSEN, grid.n]
     assert 0 < gs.newton_steps <= 2
     assert np.array_equal(gs.profile.values, gs.profile.values[::-1])
@@ -300,7 +319,7 @@ def test_odd_line_solves_on_the_full_grids(monkeypatch, n):
 
 
 def _newton_solve(monkeypatch, params, grid):
-    """A longdouble solve, and the L2 norms of its Newton corrections."""
+    """A solve, and the L2 norms of its Newton corrections."""
     norms = []
     solve = ground_state.shifted_helmholtz_solve
 
@@ -310,7 +329,7 @@ def _newton_solve(monkeypatch, params, grid):
         return delta
 
     monkeypatch.setattr(ground_state, "shifted_helmholtz_solve", recording)
-    return solve_ground_state(params, grid, dtype="longdouble"), norms
+    return solve_ground_state(params, grid), norms
 
 
 @pytest.mark.parametrize("dim, sigma, b, grid", NEWTON_CASES)
@@ -343,8 +362,7 @@ def test_newton_cap_exhausted_raises(monkeypatch):
     names the Newton steps and carries the residual."""
     monkeypatch.setattr(ground_state, "NEWTON_STEPS", 1)
     with pytest.raises(ConvergenceError, match="1 Newton steps") as err:
-        solve_ground_state(make_params(2, 0.75, 0.5), radial_grid(2, 14.0, 2048, 0.5),
-                           dtype="longdouble")
+        solve_ground_state(make_params(2, 0.75, 0.5), radial_grid(2, 14.0, 2048, 0.5))
     assert err.value.residual is not None
 
 
@@ -358,15 +376,16 @@ def test_unresolved_ground_state_warns(dim, sigma, b, grid, match):
 
 
 def test_rounding_floor_stall_is_reported_as_such():
-    """On this deep grid a float64 defect's rounding floor stops the Newton
-    steps from halving at a residual above tolerance: the error names the
-    residual, not an iteration budget, and the extended (float64 pair) defect
-    converges."""
-    params, grid = make_params(2, 0.75, 0.5), radial_grid(2, 14.0, 131072, 0.5)
+    """On the line gate's profile at twice its cells, the FFT's rounding floor
+    (~ eps ||Q|| k_max^2) stops the Newton steps from halving at a residual
+    (measured 3.2e-8) above tolerance (1.1e-8): the error names the residual,
+    not an iteration budget.  Radially the float64 pair lifts that floor: the
+    deep grid on which a float64 defect stalled (residual 1.6e-7) converges."""
     with pytest.raises(ConvergenceError, match="stalled .* residual") as err:
-        solve_ground_state(params, grid)
+        solve_ground_state(make_params(1, 1.5, 0.5), line_grid(15.0, 131072, 0.5))
     assert "did not converge in" not in str(err.value)
-    assert solve_ground_state(params, grid, dtype="longdouble").newton_steps > 0
+    gs = solve_ground_state(make_params(2, 0.75, 0.5), radial_grid(2, 14.0, 131072, 0.5))
+    assert gs.newton_steps > 0
 
 
 @pytest.mark.filterwarnings("ignore:ground-state:RuntimeWarning")
@@ -376,14 +395,20 @@ def test_rounding_floor_stall_is_reported_as_such():
     (make_params(1, 1.2, 0.5), line_grid(30.0, 64, 0.5)),
     (make_params(1, 2.0, 0.0), line_grid(40.0, 48, 0.0)),
 ], ids=["quintic", "sigma1.2-b0.5", "quintic-48"])
-def test_under_resolved_line_grid_fails_in_both_precisions(params, grid, dtype):
-    """64 and 48 cells under-resolve the profiles.  In either precision the
-    first Newton iterate turns negative, and the solve says so instead of
-    returning a sign-changing profile or a NaN residual.  48 // COARSEN cells
-    cannot resolve the Gaussian start either, so the solve skips them: from
-    there the coarse iteration diverged (S = 4.6e9)."""
-    with pytest.raises(ConvergenceError, match="under-resolves"):
-        solve_ground_state(params, grid, dtype=dtype)
+def test_under_resolved_line_grid_fails_in_both_precisions(tmp_path, capsys, params, grid,
+                                                           dtype):
+    """64 and 48 cells under-resolve the profiles.  The first Newton iterate
+    turns negative, and the solve says so instead of returning a
+    sign-changing profile or a NaN residual; the CLI's ``ground-state``, given
+    either precision its ``dtype`` key accepts (which selects nothing), exits 3
+    with that message.  48 // COARSEN cells cannot resolve the Gaussian start
+    either, so the solve skips them: from there the coarse iteration diverged
+    (S = 4.6e9)."""
+    cfg = tmp_path / "gs.cfg"
+    cfg.write_text(f"dim = 1\nsigma = {params.sigma}\nb = {params.b}\nextent = {grid.extent}\n"
+                   f"n = {grid.n}\ndtype = {dtype}\n")
+    assert main(["ground-state", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 3
+    assert "under-resolves" in capsys.readouterr().err
 
 
 _FINITE = st.floats(min_value=-1e300, max_value=1e300, allow_nan=False)
@@ -398,14 +423,21 @@ def test_two_sum_is_error_free(a, b):
 
 @pytest.mark.parametrize("dim, sigma", [(2, 0.75), (3, 1.0)])
 def test_flux_form_laplacian_matches_band_form(dim, sigma):
-    """The pair's Lap Q (flux differences) is the band form's operator: with
-    lo = 0 the two defects differ by rounding, 1e-12 of max |Lap Q| at n = 512
-    (measured 1.6e-13 to 2.1e-13)."""
+    """The applied Laplacian (flux differences) is the operator whose bands
+    the gttrf factorizations invert: the two, and the ground-state defects
+    built on them, differ by rounding, 1e-12 of max |Lap Q| at n = 512, on a
+    profile that is 2.2e-2 of its peak at the Dirichlet wall."""
     params, grid = make_params(dim, sigma, 0.5), radial_grid(dim, 14.0, 512, 0.5)
-    Q = np.exp(-grid.nodes ** 2 / 2.0)
-    flux = ground_state._newton_defect(params, grid, Q, np.zeros(grid.n))[0]
-    band = ground_state._newton_defect(params, grid, Q, None)[0]
-    assert np.max(np.abs(flux - band)) < 1e-12 * np.max(np.abs(apply_radial_lap(grid, Q)))
+    Q = np.exp(-grid.nodes ** 2 / 51.0)
+    lo, dg, up = core._radial_lap_bands(grid)
+    band = dg * Q
+    band[1:] += lo * Q[:-1]
+    band[:-1] += up * Q[1:]
+    flux = apply_radial_lap(grid, Q)
+    scale = 1e-12 * np.max(np.abs(flux))
+    assert np.max(np.abs(flux - band)) < scale
+    defect = ground_state._defect(params, grid, Q)[1]
+    assert np.max(np.abs(defect - (band - Q + grid.weight_b * Q ** (2 * sigma + 1)))) < scale
 
 
 def test_pair_defect_matches_longdouble_on_the_deep_radial_grid():
@@ -441,13 +473,8 @@ def test_dimension_mismatch_rejected_before_iterating(monkeypatch):
         raise AssertionError("the Petviashvili iteration ran")
 
     monkeypatch.setattr(ground_state, "_petviashvili", no_iteration)
-    for dtype in ("float64", "longdouble"):
-        with pytest.raises(ValidationError, match="dim"):
-            solve_ground_state(make_params(3, 1.0, 0.5), radial_grid(2, 12.0, 1024, 0.5),
-                               dtype=dtype)
-    with pytest.raises(ValidationError, match="dtype"):
-        solve_ground_state(make_params(2, 1.0, 0.5), radial_grid(2, 12.0, 1024, 0.5),
-                           dtype="float32")
+    with pytest.raises(ValidationError, match="dim"):
+        solve_ground_state(make_params(3, 1.0, 0.5), radial_grid(2, 12.0, 1024, 0.5))
 
 
 @pytest.mark.parametrize(

@@ -158,12 +158,12 @@ def test_shifted_helmholtz_solve_inverts_an_indefinite_operator(geometry):
 
 
 @pytest.mark.parametrize("dtype", ["float64", "longdouble"])
-def test_ground_state_solves_once_per_iteration(monkeypatch, dtype):
+def test_ground_state_solves_once_per_iteration(monkeypatch, newton_defect):
     """The polish refines in the Newton update, not in the solve: one float64
-    tridiagonal solve per Petviashvili iteration or Newton step."""
+    tridiagonal solve per Petviashvili iteration or Newton step, with either
+    Newton defect."""
     calls = _count_calls(monkeypatch, "dgttrs")
-    gs = solve_ground_state(make_params(2, 0.75, 0.5), radial_grid(2, 14.0, 2048, 0.5),
-                            dtype=dtype)
+    gs = solve_ground_state(make_params(2, 0.75, 0.5), radial_grid(2, 14.0, 2048, 0.5))
     assert gs.newton_steps > 0
     assert len(calls) == gs.iterations + gs.newton_steps
 
@@ -234,6 +234,12 @@ def test_half_grid_shifted_solve_inverts_the_full_line_operator():
     u = np.concatenate((right[::-1], right))
     residual = u - laplacian_values(grid, u) - shift * u - rhs
     assert np.max(np.abs(residual)) < 1e-6 * np.max(np.abs(rhs))
+
+
+def test_radial_laplacian_rejects_a_line_grid():
+    u = bump("line", 3)
+    with pytest.raises(ValidationError, match="radial grid, got line"):
+        apply_radial_lap(u.grid, u.values)
 
 
 def test_half_grid_rejects_operators_without_a_cosine_form():

@@ -58,6 +58,19 @@ def test_no_unread_parameters():
     assert not found, f"parameters their function never reads: {found}"
 
 
+def test_radial_discretization_stays_in_core():
+    """Only ``core`` reads a radial grid's face data (``face_alpha``, ``surf``):
+    every other module goes through its operators."""
+    found = []
+    for path in sorted(Path(inls_lab.__file__).parent.glob("*.py")):
+        if path.name == "core.py":
+            continue
+        found += [f"{path.name}:{node.lineno} .{node.attr}"
+                  for node in ast.walk(ast.parse(path.read_text(), str(path)))
+                  if isinstance(node, ast.Attribute) and node.attr in ("face_alpha", "surf")]
+    assert not found, f"face data read outside core: {found}"
+
+
 def test_failing_property_test_is_reported_and_the_session_goes_on(pytester):
     """Under this project's pytest configuration, which turns DeprecationWarning
     into an error, a failing ``@given`` test is reported as a failure and the
