@@ -350,12 +350,12 @@ def cmd_reproduce(cfg, out, seed):
     (out / f"report_{name}.json").write_text(json.dumps(report.as_dict(), indent=2) + "\n")
     print(f"{name}: {'PASS' if report.passed else 'FAIL'} "
           f"({report.elapsed:.1f}s)")
-    for key, val in report.details.items():
-        if isinstance(val, dict):
-            print(f"  {key}: " + ", ".join(f"{k}={_short(v)}" for k, v in val.items()
-                                           if not isinstance(v, (list, dict))))
-        elif not isinstance(val, list):
-            print(f"  {key}: {_short(val)}")
+    for g in report.gates:
+        bound = "(not gated)" if g.bound is None else f"{g.sense} {_short(g.bound)}"
+        margin = "" if g.margin is None else f"  margin {g.margin:.3g}"
+        print(f"  {g.name} = {_short(g.value)} {bound}{margin}{'' if g.passed else '  FAIL'}")
+    if report.tightest is not None:
+        print(f"tightest: {report.tightest.name}, margin {report.tightest.margin:.3g}")
     return 0 if report.passed else 3
 
 

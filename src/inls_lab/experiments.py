@@ -1,7 +1,7 @@
 """Canned, reproducible experiments mirroring the acceptance criteria.
 
-Each experiment returns an ExperimentReport with a pass flag and the numbers
-behind it; the CLI ``reproduce`` subcommand and the acceptance test suite
+Each experiment returns an ExperimentReport, its numbers and the gates they
+pass by; the CLI ``reproduce`` subcommand and the acceptance test suite
 both run these functions, so the gate is exercised identically everywhere.
 
 Ground states come from one table, ``GROUND_STATES`` (three Pohozaev gates,
@@ -10,8 +10,12 @@ the four blow-up runs behind criteria 6-11 come alike from one table,
 ``TRAJECTORIES`` (each run's initial field and step policy), through one memo,
 ``trajectory(run)``.  ``@_experiment(name, budget_s)``
 registers each experiment in ``REGISTRY``, times it, and builds its report
-from the ``(passed, details)`` it returns; a budget is recorded in the
-details and must be met to pass.
+from the ``(details, gates)`` it returns; a budget is recorded in the
+details and is one more gate, ``elapsed_seconds < budget_s``.
+
+A report passes when each ``Gate(name, value, sense, bound)`` holds ``value sense
+bound`` (``<``, ``<=``, ``>=`` or ``is``; a NaN fails) or is ungated (``bound=None``).
+Its margin, value / bound inverted for ``>=`` and a negative bound, passes below 1.
 
 Tuning notes baked into the configurations below:
 
@@ -52,8 +56,9 @@ Tuning notes baked into the configurations below:
 from __future__ import annotations
 
 import math
+import operator
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass
 from functools import lru_cache, wraps
 
 import numpy as np
@@ -67,27 +72,60 @@ from .core import Field, grid_for, make_params
 from .errors import ValidationError
 from .evolution import SUZUKI4, StepPolicy, Trajectory, evolve
 from .exact import SFamilyParams, s_profile, standing_wave
-from .ground_state import GroundState, c_of_Mm, gn_ratio, solve_ground_state
+from .ground_state import RESIDUAL_TOL, GroundState, c_of_Mm, gn_ratio, solve_ground_state
 from .inequalities import (
-    DEFAULT_SEED, check_critical_gn, corpus_rng, random_bump_field,
+    DEFAULT_SEED, VIOLATION_TOL, check_critical_gn, corpus_rng, random_bump_field,
     run_banica_report, run_gagliardo_report, run_critical_gn_report,
     run_radial_gn_report, run_strauss_report,
 )
 
 
-@dataclass
+@dataclass(frozen=True)
+class Gate:
+    name: str
+    value: float | bool | str
+    sense: str
+    bound: float | bool | str | None
+    _SENSES = {"<": operator.lt, "<=": operator.le, ">=": operator.ge, "is": operator.eq}
+
+    @property
+    def passed(self) -> bool:
+        return self.bound is None or bool(self._SENSES[self.sense](self.value, self.bound))
+
+    @property
+    def margin(self) -> float | None:
+        """None for a flag, an ungated value or a value and bound of opposite signs."""
+        if self.bound is None or self.sense == "is" or self.value * self.bound < 0:
+            return None
+        flip = (self.sense == ">=") != (self.bound < 0)
+        num, den = (self.bound, self.value) if flip else (self.value, self.bound)
+        return num / den if den else math.inf
+
+
+@dataclass(frozen=True)
 class ExperimentReport:
     name: str
-    passed: bool
     elapsed: float
-    details: dict = dc_field(default_factory=dict)
+    details: dict
+    gates: tuple
+
+    @property
+    def passed(self) -> bool:
+        return all(g.passed for g in self.gates)
+
+    @property
+    def tightest(self) -> Gate | None:
+        """The gate with the largest margin (a NaN margin counts as largest)."""
+        return max((g for g in self.gates if g.margin is not None), default=None,
+                   key=lambda g: math.inf if math.isnan(g.margin) else g.margin)
 
     def as_dict(self) -> dict:
         return {
             "name": self.name,
-            "passed": bool(self.passed),
+            "passed": self.passed,
             "elapsed_seconds": round(self.elapsed, 2),
             "details": self.details,
+            "gates": [{**asdict(g), "margin": g.margin} for g in self.gates],
         }
 
 
@@ -160,24 +198,24 @@ def trajectory(run: str) -> Trajectory:
 
 
 # ---------------------------------------------------------------------------
-# registration: each experiment returns (passed, details)
+# registration: each experiment returns (details, gates)
 
 REGISTRY: dict = {}
 
 
 def _experiment(name: str, budget_s: float | None = None):
     """Register an experiment under ``name``, timed and wrapped in its report;
-    with ``budget_s`` the report records the budget and fails a slower run."""
+    with ``budget_s`` the report records the budget and gates the run time."""
     def register(run):
         @wraps(run)
         def timed(seed: int = DEFAULT_SEED) -> ExperimentReport:
             t0 = time.perf_counter()
-            passed, details = run(seed)
+            details, gates = run(seed)
             elapsed = time.perf_counter() - t0
             if budget_s is not None:
                 details["runtime_budget_seconds"] = budget_s
-                passed = passed and elapsed < budget_s
-            return ExperimentReport(name, passed, elapsed, details)
+                gates.append(Gate("elapsed_seconds", elapsed, "<", budget_s))
+            return ExperimentReport(name, elapsed, details, tuple(gates))
 
         REGISTRY[name] = timed
         return timed
@@ -192,8 +230,7 @@ def _experiment(name: str, budget_s: float | None = None):
 @_experiment("ground_state_oracles")
 def soliton_oracles(seed):
     """Criterion 1: closed-form soliton oracles."""
-    details = {}
-    passed = True
+    details, gates = {}, []
     for name, exact in (
         ("cubic", lambda x: np.sqrt(2.0) / np.cosh(x)),
         ("quintic", lambda x: 3.0 ** 0.25 / np.cosh(2.0 * x) ** 0.5),
@@ -201,15 +238,14 @@ def soliton_oracles(seed):
         gs = ground_state(name)
         err = float(np.max(np.abs(gs.profile.values - exact(gs.profile.grid.nodes))))
         details[name] = {"linf_error": err, "iterations": gs.iterations}
-        passed &= err < 1e-6
-    return passed, details
+        gates.append(Gate(f"{name}.linf_error", err, "<", 1e-6))
+    return details, gates
 
 
 @_experiment("pohozaev_gate", budget_s=60.0)
 def pohozaev_gate(seed):
     """Criterion 2: Pohozaev identity gate."""
-    details = {}
-    passed = True
+    details, gates = {}, []
     for case in POHOZAEV_CASES:
         gs = ground_state(case)
         p = gs.params
@@ -221,22 +257,21 @@ def pohozaev_gate(seed):
             "newton_steps": gs.newton_steps,
             "proven_regime": gs.params.proven_regime,
         }
-        ok = gs.pohozaev_r1 < 1e-6 and gs.pohozaev_r2 < 1e-6
+        bounds = {"r1": 1e-6, "r2": 1e-6, "relative_residual": RESIDUAL_TOL}
         if p.mass_critical:
             ratio = fn.grad_norm_sq(gs.profile) / fn.mass(gs.profile)
             target = p.dim / (2.0 - p.b)
             entry["grad_mass_ratio_dev"] = abs(ratio - target) / target
-            ok &= entry["grad_mass_ratio_dev"] < 1e-5
+            bounds["grad_mass_ratio_dev"] = 1e-5
         details[case] = entry
-        passed &= ok
-    return passed, details
+        gates += [Gate(f"{case}.{key}", entry[key], "<", bound) for key, bound in bounds.items()]
+    return details, gates
 
 
 @_experiment("gn_sharpness")
 def gn_sharpness(seed):
     """Criterion 3: sharpness of the interpolation inequality."""
-    details = {}
-    passed = True
+    details, gates = {}, []
     for case in POHOZAEV_CASES:
         gs = ground_state(case)
         ratio_dev = abs(gn_ratio(gs.profile) - gs.k_opt) / gs.k_opt
@@ -244,15 +279,15 @@ def gn_sharpness(seed):
         # (P - K D) / (K D) = gn_ratio / K - 1 over the Gagliardo corpus
         corpus = run_gagliardo_report(gs.params, grid, gs.k_opt, CORPUS_TRIALS, seed)
         details[case] = {"sharpness_dev": ratio_dev, "corpus_max_excess": corpus.max_violation}
-        passed &= ratio_dev < 1e-5 and corpus.passed
-    return passed, details
+        gates += [Gate(f"{case}.sharpness_dev", ratio_dev, "<", 1e-5),
+                  Gate(f"{case}.corpus_max_excess", corpus.max_violation, "<=", VIOLATION_TOL)]
+    return details, gates
 
 
 @_experiment("cmm_exactness")
 def cmm_exactness(seed):
     """Criterion 4: exactness of the compactness constant."""
-    details = {}
-    passed = True
+    details, gates = {}, []
     for dim, sigma, b in ((1, 1.5, 0.5), (2, 0.75, 0.5), (1, 2.0, 0.0), (3, 0.5, 0.5)):
         params = make_params(dim, sigma, b)
         q_sq = 1.37  # any positive ||Q||^2; the identity is exact in it
@@ -261,8 +296,8 @@ def cmm_exactness(seed):
         m = m_pow ** (1.0 / ((4.0 - 2.0 * params.b) / params.dim + 2.0))
         c_val = c_of_Mm(M, m, params)
         details[f"N{dim}_b{b}"] = {"C": c_val, "deviation": abs(c_val - 1.0)}
-        passed &= abs(c_val - 1.0) < 1e-12
-    return passed, details
+        gates.append(Gate(f"N{dim}_b{b}.deviation", abs(c_val - 1.0), "<", 1e-12))
+    return details, gates
 
 
 @_experiment("conservation")
@@ -289,13 +324,11 @@ def conservation_gate(seed):
         "strang_orders": orders,
         "energy_zero_note": "drift scaled by |kinetic|+|potential| since E[Q] ~ 0",
     }
-    passed = (
-        mass_drift < 1e-8
-        and energy_drift < 1e-6
-        and l2_error_t1 < 1e-4
-        and all(1.8 <= o <= 2.2 for o in orders)
-    )
-    return passed, details
+    return details, [Gate("mass_drift", mass_drift, "<", 1e-8),
+                     Gate("energy_drift_scaled", energy_drift, "<", 1e-6),
+                     Gate("l2_error_t1", l2_error_t1, "<", 1e-4)] + [
+        Gate(f"strang_orders[{i}]", o, sense, bound) for i, o in enumerate(orders)
+        for sense, bound in ((">=", 1.8), ("<=", 2.2))]
 
 
 def _standing_wave_run(gs: GroundState, dt: float, t_end: float):
@@ -334,7 +367,6 @@ def virial_gate(seed):
         "curvature_dev": curvature_dev,
         "fit_residual": rel_resid,
     }
-    ok1 = curvature_dev < 0.01 and rel_resid < 1e-3
 
     # intercritical: pointwise second difference matches
     #   8 (N sigma + b) E - 4 (N sigma + b - 2) |grad u|^2
@@ -352,8 +384,9 @@ def virial_gate(seed):
         devs.append(abs(d2 - rhs) / abs(rhs))
     details["intercritical"] = {"max_pointwise_dev": float(np.max(devs)),
                                 "median_pointwise_dev": float(np.median(devs))}
-    ok2 = float(np.max(devs)) < 0.02
-    return ok1 and ok2, details
+    return details, [Gate("mass_critical.curvature_dev", curvature_dev, "<", 0.01),
+                     Gate("mass_critical.fit_residual", rel_resid, "<", 1e-3),
+                     Gate("intercritical.max_pointwise_dev", float(np.max(devs)), "<", 0.02)]
 
 
 @_experiment("s_family_tracking")
@@ -387,25 +420,20 @@ def s_family_tracking(seed):
         "termination": traj.termination,
         "rescaled_series": [(round(t, 4), float(e)) for t, e in resc],
     }
-    passed = (
-        err_stop < 1e-2
-        and abs(fit.T_hat - 1.0) < 0.01
-        and abs(fit.exponent + 1.0) < 0.10
-        and float(np.max(mass_devs)) < 1e-6
-        and traj.termination == "resolution_limit"
-        and errs[-1] < 5e-2
-        and drops
-    )
-    return passed, details
+    return details, [
+        Gate("err_at_stop", err_stop, "<", 1e-2),
+        Gate("T_hat_dev", abs(fit.T_hat - 1.0), "<", 0.01),
+        Gate("exponent_dev", abs(fit.exponent + 1.0), "<", 0.10),
+        Gate("max_family_mass_dev", float(np.max(mass_devs)), "<", 1e-6),
+        Gate("termination", traj.termination, "is", "resolution_limit"),
+        Gate("rescaled_err_final", float(errs[-1]), "<", 5e-2),
+        Gate("rescaled_err_monotone_5pct", bool(drops), "is", True),
+    ]
 
 
 @_experiment("theorem1_mass_concentration")
 def theorem1_mass_concentration(seed):
-    """Criterion 8: mass concentration in shrinking windows.
-
-    The hypothesis lambda(t) * |grad u(t)| -> infinity is reported through
-    window_grad_product_increasing rather than enforced.
-    """
+    """Criterion 8: mass concentration in shrinking windows."""
     gs = ground_state("line_b")
     traj = trajectory("inls_collapse")
     fit = estimate_blowup_time(traj, gs.params.s_c)
@@ -425,14 +453,15 @@ def theorem1_mass_concentration(seed):
         "exponent": fit.exponent,
         "series": [(round(r.time, 4), float(r.value)) for r in series],
     }
-    return values[-1] >= 0.9 * m_q and eventually_up, details
+    return details, [Gate("final_window_mass", float(values[-1]), ">=", 0.9 * m_q)] + [
+        Gate(key, details[key], "is", bound) for key, bound in
+        (("eventually_nondecreasing", True), ("window_grad_product_increasing", None))]
 
 
 @_experiment("rate_bound")
 def rate_bound(seed):
     """Criterion 9: lower-bound rate exponents across the blow-up matrix."""
-    details = {}
-    passed = True
+    details, gates = {}, []
     for name in TRAJECTORIES:
         traj = trajectory(name)
         s_c = traj.snapshots()[0].snapshot.params.s_c
@@ -440,8 +469,10 @@ def rate_bound(seed):
         bound = rate_exponent_bound(s_c)
         details[name] = {"exponent": fit.exponent, "bound": bound, "T_hat": fit.T_hat,
                          "resolved_energy_drift": traj.resolved_energy_drift()}
-        passed &= fit.exponent <= bound
-    return passed, details
+        gates += [Gate(f"{name}.exponent", fit.exponent, "<=", bound),
+                  Gate(f"{name}.resolved_energy_drift", details[name]["resolved_energy_drift"],
+                       "<", None)]
+    return details, gates
 
 
 @_experiment("sigma_c_concentration", budget_s=300.0)
@@ -472,7 +503,8 @@ def sigma_c_concentration(seed):
         "snapshots_in_decade": int(decade.sum()),
         "T_hat": fit.T_hat,
     }
-    return fint_floor >= 0.5 and u1l_floor >= 0.25, details
+    return details, [Gate("fint_min_over_median", fint_floor, ">=", 0.5),
+                     Gate("u1L_min_over_median", u1l_floor, ">=", 0.25)]
 
 
 @_experiment("inequalities")
@@ -504,8 +536,10 @@ def inequality_suite(seed):
 
     details = {r.name: r.as_dict() for r in reports}
     details["decomposition_reconstruction_max"] = recon_worst
-    passed = all(r.passed for r in reports)
-    return passed and recon_worst < 1e-10, details
+    return details, [Gate("decomposition_reconstruction_max", recon_worst, "<", 1e-10)] + [
+        g for r in reports for g in (
+            Gate(f"{r.name}.max_violation", r.max_violation, "<=", VIOLATION_TOL),
+            Gate(f"{r.name}.trials", float(r.trials), ">=", 100.0))]
 
 
 def reproduce(name: str, seed: int = DEFAULT_SEED) -> ExperimentReport:
@@ -517,4 +551,4 @@ def reproduce(name: str, seed: int = DEFAULT_SEED) -> ExperimentReport:
     return REGISTRY[name](seed=seed)
 
 
-__all__ = ["ExperimentReport", "REGISTRY", "reproduce"] + [run.__name__ for run in REGISTRY.values()]
+__all__ = ["ExperimentReport", "Gate", "REGISTRY", "reproduce"] + [run.__name__ for run in REGISTRY.values()]

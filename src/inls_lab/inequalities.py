@@ -22,6 +22,7 @@ from . import functionals as fn
 
 DEFAULT_SEED = 0x1515
 BLOCK = 64      # nodes per entry of a bump's coarse plane-wave table
+VIOLATION_TOL = 1e-6    # largest scaled excess a corpus report passes with
 
 
 def corpus_rng(seed: int, label: str) -> np.random.Generator:
@@ -64,7 +65,7 @@ class InequalityReport:
 
     @property
     def passed(self) -> bool:
-        return self.max_violation <= 1e-6
+        return self.max_violation <= VIOLATION_TOL
 
     def as_dict(self) -> dict:
         out = {
@@ -271,7 +272,7 @@ def run_critical_gn_report(params, grid, q_reference: float, trials, seed):
 
 
 __all__ = [
-    "DEFAULT_SEED", "corpus_rng", "random_bump_field", "InequalityReport",
+    "DEFAULT_SEED", "VIOLATION_TOL", "corpus_rng", "random_bump_field", "InequalityReport",
     "check_gagliardo", "check_banica", "check_strauss", "check_radial_gn",
     "check_critical_gn", "young_constant",
     "run_gagliardo_report", "run_banica_report", "run_strauss_report",

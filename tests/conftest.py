@@ -2,11 +2,21 @@
 memoized inside inls_lab.experiments, so fixtures here just trigger and
 share them across the session."""
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
 from inls_lab import evolution, experiments as exp, ground_state
 from inls_lab.core import line_grid, make_params, radial_grid
+
+
+@pytest.fixture(scope="session")
+def report_of():
+    """``report_of(name)``: the report of a registered experiment, run once per
+    session on its first request, so the acceptance tests and the gate table
+    read the same run."""
+    return lru_cache(maxsize=None)(exp.reproduce)
 
 
 @pytest.fixture(scope="session")
@@ -91,12 +101,12 @@ def leaky_flow(monkeypatch):
 
 
 @pytest.fixture
-def newton_defect(monkeypatch, dtype):
-    """Radial Newton steps with the defect a ``dtype`` case names:
-    "longdouble" keeps the float64 pair (Q, lo), the extended defect every
-    radial solve carries; "float64" drops lo, leaving the float64 defect at Q."""
-    if dtype == "float64":
-        defect = ground_state._newton_defect
+def newton_defect(monkeypatch, defect):
+    """Radial Newton steps with the defect a ``defect`` case names: "pair"
+    keeps the float64 pair (Q, lo), the extended defect every radial solve
+    carries; "float64" drops lo, leaving the float64 defect at Q."""
+    if defect == "float64":
+        pair_defect = ground_state._newton_defect
         monkeypatch.setattr(ground_state, "_newton_defect",
-                            lambda params, grid, Q, lo: defect(params, grid, Q, None))
-    return dtype
+                            lambda params, grid, Q, lo: pair_defect(params, grid, Q, None))
+    return defect

@@ -2,32 +2,32 @@
 
 Every test prints a single PASS/FAIL line (visible with pytest -s or in the
 captured output of a failing run) and asserts the corresponding experiment
-report.  The experiments are shared, memoized pipelines from
-inls_lab.experiments, so the CLI `reproduce` subcommand runs the identical
-code paths.
+report, each run once per session (the ``report_of`` fixture).  The
+experiments are shared, memoized pipelines from inls_lab.experiments, so the
+CLI `reproduce` subcommand runs the identical code paths.
 """
 
 import json
-
-from inls_lab import experiments as exp
 
 
 def _report_line(criterion: str, report, extra: str = "") -> None:
     json.dumps(report.as_dict())    # every report serializes as it stands
     status = "PASS" if report.passed else "FAIL"
-    print(f"[{criterion}] {status} {report.name} ({report.elapsed:.1f}s){extra}")
+    tight = report.tightest
+    tightest = "" if tight is None else f"; tightest {tight.name}, margin {tight.margin:.3g}"
+    print(f"[{criterion}] {status} {report.name} ({report.elapsed:.1f}s){extra}{tightest}")
 
 
-def test_criterion_01_ground_state_oracles():
-    rep = exp.soliton_oracles()
+def test_criterion_01_ground_state_oracles(report_of):
+    rep = report_of("ground_state_oracles")
     errs = {k: v["linf_error"] for k, v in rep.details.items()}
     _report_line("criterion 1", rep, f" Linf errors: {errs}")
     assert rep.passed, rep.details
     assert rep.elapsed < 10.0
 
 
-def test_criterion_02_pohozaev_gate():
-    rep = exp.pohozaev_gate()
+def test_criterion_02_pohozaev_gate(report_of):
+    rep = report_of("pohozaev_gate")
     rs = {k: (v["r1"], v["r2"]) for k, v in rep.details.items() if isinstance(v, dict)}
     _report_line("criterion 2", rep, f" residuals: {rs}")
     assert rep.passed, rep.details
@@ -38,8 +38,8 @@ def test_criterion_02_pohozaev_gate():
     assert rep.elapsed < 60.0
 
 
-def test_criterion_03_gn_sharpness():
-    rep = exp.gn_sharpness()
+def test_criterion_03_gn_sharpness(report_of):
+    rep = report_of("gn_sharpness")
     _report_line("criterion 3", rep)
     assert rep.passed, rep.details
     for case, entry in rep.details.items():
@@ -47,16 +47,16 @@ def test_criterion_03_gn_sharpness():
         assert entry["corpus_max_excess"] < 1e-6
 
 
-def test_criterion_04_cmm_exactness():
-    rep = exp.cmm_exactness()
+def test_criterion_04_cmm_exactness(report_of):
+    rep = report_of("cmm_exactness")
     _report_line("criterion 4", rep)
     assert rep.passed, rep.details
     for entry in rep.details.values():
         assert entry["deviation"] < 1e-12
 
 
-def test_criterion_05_conservation():
-    rep = exp.conservation_gate()
+def test_criterion_05_conservation(report_of):
+    rep = report_of("conservation")
     d = rep.details
     _report_line(
         "criterion 5", rep,
@@ -69,8 +69,8 @@ def test_criterion_05_conservation():
     assert rep.passed
 
 
-def test_criterion_06_virial_identity():
-    rep = exp.virial_gate()
+def test_criterion_06_virial_identity(report_of):
+    rep = report_of("virial_quadratic")
     d = rep.details
     _report_line(
         "criterion 6", rep,
@@ -83,8 +83,8 @@ def test_criterion_06_virial_identity():
     assert rep.passed
 
 
-def test_criterion_07_pseudoconformal_tracking():
-    rep = exp.s_family_tracking()
+def test_criterion_07_pseudoconformal_tracking(report_of):
+    rep = report_of("s_family_tracking")
     d = rep.details
     _report_line(
         "criterion 7", rep,
@@ -98,8 +98,8 @@ def test_criterion_07_pseudoconformal_tracking():
     assert rep.passed
 
 
-def test_criterion_08_mass_concentration():
-    rep = exp.theorem1_mass_concentration()
+def test_criterion_08_mass_concentration(report_of):
+    rep = report_of("theorem1_mass_concentration")
     d = rep.details
     _report_line(
         "criterion 8", rep,
@@ -110,8 +110,8 @@ def test_criterion_08_mass_concentration():
     assert rep.passed
 
 
-def test_criterion_09_rate_bound():
-    rep = exp.rate_bound()
+def test_criterion_09_rate_bound(report_of):
+    rep = report_of("rate_bound")
     _report_line(
         "criterion 9", rep,
         " exponents: " + ", ".join(f"{k}={v['exponent']:.3f}" for k, v in rep.details.items()),
@@ -121,8 +121,8 @@ def test_criterion_09_rate_bound():
     assert rep.passed
 
 
-def test_criterion_10_profile_convergence():
-    rep = exp.s_family_tracking()
+def test_criterion_10_profile_convergence(report_of):
+    rep = report_of("s_family_tracking")
     d = rep.details
     _report_line(
         "criterion 10", rep,
@@ -133,8 +133,8 @@ def test_criterion_10_profile_convergence():
     assert d["rescaled_err_monotone_5pct"]
 
 
-def test_criterion_11_sigma_c_windows():
-    rep = exp.sigma_c_concentration()
+def test_criterion_11_sigma_c_windows(report_of):
+    rep = report_of("sigma_c_concentration")
     d = rep.details
     _report_line(
         "criterion 11", rep,
@@ -146,8 +146,8 @@ def test_criterion_11_sigma_c_windows():
     assert rep.passed
 
 
-def test_criterion_12_inequality_suite():
-    rep = exp.inequality_suite()
+def test_criterion_12_inequality_suite(report_of):
+    rep = report_of("inequalities")
     d = rep.details
     viols = {k: v["max_violation"] for k, v in d.items()
              if isinstance(v, dict) and "max_violation" in v}

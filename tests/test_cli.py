@@ -436,12 +436,19 @@ def test_reproduce_name_given_twice_exit_2(tmp_path, capsys):
     assert captured.out == "" and not out.exists()
 
 
-def test_reproduce_cmm(tmp_path):
+def test_reproduce_cmm(tmp_path, capsys):
     out = tmp_path / "rep"
     rc = main(["reproduce", "cmm_exactness", "--out", str(out)])
     assert rc == 0
     rep = json.loads((out / "report_cmm_exactness.json").read_text())
     assert rep["passed"] is True
+    gates = {g["name"]: g for g in rep["gates"]}
+    assert set(gates) == {f"{key}.deviation" for key in rep["details"]}
+    assert all(g["sense"] == "<" and g["bound"] == 1e-12 for g in gates.values())
+    tightest = max(gates.values(), key=lambda g: g["margin"])
+    stdout = capsys.readouterr().out
+    assert f"tightest: {tightest['name']}, margin" in stdout
+    assert all(f"  {name} = " in stdout for name in gates)
 
 
 def test_intercritical_evolve_analyze_verify_roundtrip(tmp_path):

@@ -162,10 +162,10 @@ def test_float64_solve_on_non_dyadic_line_grid():
     assert gs.iterations > 0
 
 
-def test_non_convergence_raises_in_longdouble():
+def test_radial_non_convergence_raises():
     """max_iter bounds the iterations on both grids and the Newton steps
-    together: the coarse phase spends it, and the fine phase and Newton get
-    none.  (A radial solve is the extended one the name refers to.)"""
+    together: the coarse phase spends it, and the fine phase and Newton (on
+    the float64 pair, as in every radial solve) get none."""
     params = make_params(2, 0.75, 0.5)
     grid = radial_grid(2, 14.0, 512, 0.5)
     with pytest.raises(ConvergenceError, match="in 2 iterations and 0 Newton steps"):
@@ -190,13 +190,13 @@ def test_radial_pair_converges_in_two_newton_steps(intercritical_radial_gs):
     assert gs.pohozaev_r1 == pytest.approx(gs.pohozaev_r2, rel=1e-6)
 
 
-def test_longdouble_solve_is_petviashvili_then_newton(radial2_gate_gs):
+def test_radial_gate_solve_is_petviashvili_then_newton(radial2_gate_gs):
     gs = radial2_gate_gs
     assert gs.iterations > 0
     assert 0 < gs.newton_steps <= ground_state.NEWTON_STEPS
 
 
-def test_longdouble_iterations_count_both_grids():
+def test_iterations_count_both_grids():
     """A solve iterates from the Gaussian on n // COARSEN cells to
     HANDOVER_TOL, then on n from the linear interpolant of that iterate, in
     fewer iterations, well before STEP_TOL; ``iterations`` counts both phases,
@@ -229,16 +229,15 @@ def _phase_grids(monkeypatch, params, grid):
         return solve_ground_state(params, grid), ns
 
 
-@pytest.mark.parametrize("dtype", ["float64", "longdouble"])
-def test_only_longdouble_solves_start_on_the_coarse_grid(monkeypatch, newton_defect):
-    """The name is kept from when float64 solves iterated on n cells alone:
-    a solve with either Newton defect iterates on n // COARSEN cells, then on n."""
+@pytest.mark.parametrize("defect", ["float64", "pair"])
+def test_every_solve_starts_on_the_coarse_grid(monkeypatch, newton_defect):
+    """A solve with either Newton defect iterates on n // COARSEN cells, then on n."""
     _, ns = _phase_grids(monkeypatch, make_params(2, 0.75, 0.5),
                          radial_grid(2, 14.0, 2048, 0.5))
     assert ns == [2048 // ground_state.COARSEN, 2048]
 
 
-@pytest.mark.parametrize("dtype", ["float64", "longdouble"])
+@pytest.mark.parametrize("defect", ["float64", "pair"])
 def test_coarse_phase_needs_the_start_resolved(monkeypatch, newton_defect):
     """The Gaussian start's core (above 1/2) spans 7 of these 96 cells, fewer
     than COARSEN * CORE_CELLS, so 96 // COARSEN cells cannot resolve it: one
@@ -249,7 +248,7 @@ def test_coarse_phase_needs_the_start_resolved(monkeypatch, newton_defect):
     assert ns == [96] and gs.newton_steps > 0
 
 
-def test_longdouble_solve_too_small_to_coarsen_converges(monkeypatch):
+def test_radial_solve_too_small_to_coarsen_converges(monkeypatch):
     """16 // COARSEN cells is no grid: one phase from the Gaussian, then the
     extended (float64 pair) Newton steps of every radial solve."""
     assert 16 // ground_state.COARSEN < MIN_CELLS

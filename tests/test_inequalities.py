@@ -280,10 +280,13 @@ def test_critical_gn_report_reads_minus_one_only_for_a_finite_sup(ic_radial, mon
 def test_criterion_12_fails_on_nan_reconstruction(monkeypatch):
     nan_decomposition = SimpleNamespace(reconstruction_error=lambda u: math.nan)
     monkeypatch.setattr(exp, "decompose", lambda u, R, rho: nan_decomposition)
-    monkeypatch.setattr(exp, "CORPUS_TRIALS", 4)
+    # 102 // 3 = 34 fields per radial_gn eta: the fewest that keep every corpus
+    # at its 100 trials, so the reconstruction is the one gate that fails
+    monkeypatch.setattr(exp, "CORPUS_TRIALS", 102)
     rep = exp.inequality_suite()
     assert math.isnan(rep.details["decomposition_reconstruction_max"])
     assert not rep.passed
+    assert [g.name for g in rep.gates if not g.passed] == ["decomposition_reconstruction_max"]
 
 
 def test_report_splits_trials_over_the_sweep(ic_radial):

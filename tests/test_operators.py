@@ -157,7 +157,7 @@ def test_shifted_helmholtz_solve_inverts_an_indefinite_operator(geometry):
                               helmholtz_solve(grid, rhs))
 
 
-@pytest.mark.parametrize("dtype", ["float64", "longdouble"])
+@pytest.mark.parametrize("defect", ["float64", "pair"])
 def test_ground_state_solves_once_per_iteration(monkeypatch, newton_defect):
     """The polish refines in the Newton update, not in the solve: one float64
     tridiagonal solve per Petviashvili iteration or Newton step, with either
