@@ -53,8 +53,8 @@ from .fieldio import (
 )
 from .ground_state import solve_ground_state
 from .inequalities import (
-    DEFAULT_SEED, check_critical_gn, run_banica_report, run_critical_gn_report,
-    run_gagliardo_report, run_radial_gn_report, run_strauss_report,
+    DEFAULT_SEED, check_critical_gn, pooled, report_task, run_banica_report,
+    run_critical_gn_report, run_gagliardo_report, run_radial_gn_report, run_strauss_report,
 )
 
 
@@ -308,24 +308,26 @@ def cmd_verify(cfg, out, seed):
     _setup(cfg, out, params, grid, "verify")
     trials = cfg["trials"]
     gs = solve_ground_state(params, grid)
-    reports = [run_gagliardo_report(params, grid, gs.k_opt, trials=trials, seed=seed)]
+    tasks = []    # the longest first: the pool waits for its slowest worker
     if params.mass_critical:
-        reports.append(run_banica_report(params, grid, gs.q_mass, trials=trials, seed=seed))
+        tasks.append(report_task(run_banica_report, params, grid, gs.q_mass, trials, seed))
+    tasks.append(report_task(run_gagliardo_report, params, grid, gs.k_opt, trials, seed))
     if grid.geometry == "radial":
-        reports.append(run_strauss_report(params, grid, trials=trials, seed=seed))
-        if params.sigma < 2.0:
-            reports.append(run_radial_gn_report(params, grid, trials=trials, seed=seed))
         if params.intercritical:
-            reports.append(run_critical_gn_report(
-                params, grid, check_critical_gn(gs.profile), trials=trials, seed=seed))
-    for rep in reports:
-        (out / f"inequality_{rep.name}.json").write_text(
-            json.dumps(rep.as_dict(), indent=2) + "\n")
-        if not rep.passed:
-            write_field(out / f"witness_{rep.name}.fld", rep.witness)
-        status = "ok" if rep.passed else "VIOLATION"
-        print(f"{rep.name}: max_violation={rep.max_violation:.3e} [{status}]")
-    return 0 if all(rep.passed for rep in reports) else 3
+            tasks.append(report_task(run_critical_gn_report, params, grid,
+                                     check_critical_gn(gs.profile), trials, seed))
+        if params.sigma < 2.0:
+            tasks.append(report_task(run_radial_gn_report, params, grid, trials, seed))
+        tasks.append(report_task(run_strauss_report, params, grid, trials, seed))
+    reports = pooled(tasks)
+    for rep, witness in reports:
+        name = rep["name"]
+        (out / f"inequality_{name}.json").write_text(json.dumps(rep, indent=2) + "\n")
+        if not rep["passed"] and witness is not None:
+            write_field(out / f"witness_{name}.fld", Field(witness, grid, params))
+        status = "ok" if rep["passed"] else "VIOLATION"
+        print(f"{name}: max_violation={rep['max_violation']:.3e} [{status}]")
+    return 0 if all(rep["passed"] for rep, _ in reports) else 3
 
 
 def cmd_exact(cfg, out, seed):

@@ -451,6 +451,16 @@ def gradient_values(grid: Grid, values: np.ndarray) -> np.ndarray:
     return out
 
 
+def gradient_and_grad_sq(grid: Grid, values: np.ndarray):
+    """``gradient_values`` and ``grad_norm_sq_values`` of ``values``, on the line
+    from one forward transform."""
+    if grid.geometry != "line":
+        return gradient_values(grid, values), grad_norm_sq_values(grid, values)
+    spectrum = _spectrum(values)
+    grad = scipy.fft.ifft(1j * _wavenumbers(grid, values.real.dtype) * spectrum)
+    return grad if np.iscomplexobj(values) else grad.real, _parseval_grad_sq(grid, spectrum)
+
+
 def helmholtz_solve(grid: Grid, rhs: np.ndarray) -> np.ndarray:
     """Solve (1 - Laplacian) u = rhs in float64, for any rhs dtype.
 
@@ -572,6 +582,7 @@ __all__ = [
     "Grid", "line_grid", "radial_grid", "grid_for",
     "Field",
     "laplacian", "laplacian_values", "gradient_values", "grad_norm_sq_values",
+    "gradient_and_grad_sq",
     "helmholtz_solve", "shifted_helmholtz_solve", "apply_radial_lap", "free_flow",
     "sample_scaled",
 ]

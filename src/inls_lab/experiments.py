@@ -74,8 +74,8 @@ from .evolution import SUZUKI4, StepPolicy, Trajectory, evolve
 from .exact import SFamilyParams, s_profile, standing_wave
 from .ground_state import RESIDUAL_TOL, GroundState, c_of_Mm, gn_ratio, solve_ground_state
 from .inequalities import (
-    DEFAULT_SEED, VIOLATION_TOL, check_critical_gn, corpus_rng, random_bump_field,
-    run_banica_report, run_gagliardo_report, run_critical_gn_report,
+    DEFAULT_SEED, VIOLATION_TOL, check_critical_gn, corpus_rng, pooled, random_bump_field,
+    report_task, run_banica_report, run_gagliardo_report, run_critical_gn_report,
     run_radial_gn_report, run_strauss_report,
 )
 
@@ -272,15 +272,19 @@ def pohozaev_gate(seed):
 def gn_sharpness(seed):
     """Criterion 3: sharpness of the interpolation inequality."""
     details, gates = {}, []
-    for case in POHOZAEV_CASES:
-        gs = ground_state(case)
+    states = [ground_state(case) for case in POHOZAEV_CASES]
+    # (P - K D) / (K D) = gn_ratio / K - 1 over each Gagliardo corpus
+    corpora = pooled([
+        report_task(run_gagliardo_report, gs.params,
+                    grid_for(gs.params, 12.0, 2048 if gs.params.dim > 1 else 4096),
+                    gs.k_opt, CORPUS_TRIALS, seed)
+        for gs in states])
+    for case, gs, (corpus, _) in zip(POHOZAEV_CASES, states, corpora):
         ratio_dev = abs(gn_ratio(gs.profile) - gs.k_opt) / gs.k_opt
-        grid = grid_for(gs.params, 12.0, 2048 if gs.params.dim > 1 else 4096)
-        # (P - K D) / (K D) = gn_ratio / K - 1 over the Gagliardo corpus
-        corpus = run_gagliardo_report(gs.params, grid, gs.k_opt, CORPUS_TRIALS, seed)
-        details[case] = {"sharpness_dev": ratio_dev, "corpus_max_excess": corpus.max_violation}
+        excess = corpus["max_violation"]
+        details[case] = {"sharpness_dev": ratio_dev, "corpus_max_excess": excess}
         gates += [Gate(f"{case}.sharpness_dev", ratio_dev, "<", 1e-5),
-                  Gate(f"{case}.corpus_max_excess", corpus.max_violation, "<=", VIOLATION_TOL)]
+                  Gate(f"{case}.corpus_max_excess", excess, "<=", VIOLATION_TOL)]
     return details, gates
 
 
@@ -516,30 +520,34 @@ def inequality_suite(seed):
     line = gs_line.params, grid_for(gs_line.params, 12.0, 4096)
     radial = gs_radial.params, grid_for(gs_radial.params, 12.0, 2048)
 
-    reports = [
-        run_gagliardo_report(*line, gs_line.k_opt, trials=CORPUS_TRIALS, seed=seed),
-        run_banica_report(*line, gs_line.q_mass, trials=CORPUS_TRIALS, seed=seed),
-        run_strauss_report(*radial, trials=CORPUS_TRIALS, seed=seed),
-        run_radial_gn_report(*radial, trials=CORPUS_TRIALS, seed=seed),
-        run_critical_gn_report(*radial, check_critical_gn(gs_radial.profile),
-                               trials=CORPUS_TRIALS, seed=seed),
-    ]
+    def reconstruction_worst():
+        errors = []
+        rng = corpus_rng(seed, "decomposition")
+        for i in range(100):
+            params, grid = line if i % 2 == 0 else radial
+            u = random_bump_field(params, grid, rng)
+            dec = decompose(u, rng.uniform(0.5, 8.0), rng.uniform(0.5, 50.0))
+            errors.append(dec.reconstruction_error(u))
+        return float(np.max(errors))     # a NaN error is the worst
 
-    errors = []
-    rng = corpus_rng(seed, "decomposition")
-    for i in range(100):
-        params, grid = line if i % 2 == 0 else radial
-        u = random_bump_field(params, grid, rng)
-        dec = decompose(u, rng.uniform(0.5, 8.0), rng.uniform(0.5, 50.0))
-        errors.append(dec.reconstruction_error(u))
-    recon_worst = float(np.max(errors))     # a NaN error is the worst
-
-    details = {r.name: r.as_dict() for r in reports}
+    # the longest first: the pool waits for its slowest worker
+    recon_worst, *reports = pooled([
+        reconstruction_worst,
+        report_task(run_banica_report, *line, gs_line.q_mass, CORPUS_TRIALS, seed),
+        report_task(run_gagliardo_report, *line, gs_line.k_opt, CORPUS_TRIALS, seed),
+        report_task(run_critical_gn_report, *radial, check_critical_gn(gs_radial.profile),
+                    CORPUS_TRIALS, seed),
+        report_task(run_radial_gn_report, *radial, CORPUS_TRIALS, seed),
+        report_task(run_strauss_report, *radial, CORPUS_TRIALS, seed),
+    ])
+    by_name = {rep["name"]: rep for rep, _ in reports}     # back in report order
+    reports = [by_name[n] for n in ("gagliardo", "banica", "strauss", "radial_gn", "critical_gn")]
+    details = {r["name"]: r for r in reports}
     details["decomposition_reconstruction_max"] = recon_worst
     return details, [Gate("decomposition_reconstruction_max", recon_worst, "<", 1e-10)] + [
         g for r in reports for g in (
-            Gate(f"{r.name}.max_violation", r.max_violation, "<=", VIOLATION_TOL),
-            Gate(f"{r.name}.trials", float(r.trials), ">=", 100.0))]
+            Gate(f"{r['name']}.max_violation", r["max_violation"], "<=", VIOLATION_TOL),
+            Gate(f"{r['name']}.trials", float(r["trials"]), ">=", 100.0))]
 
 
 def reproduce(name: str, seed: int = DEFAULT_SEED) -> ExperimentReport:

@@ -11,12 +11,15 @@ to compare against and is reported as a boundedness ratio instead.
 from __future__ import annotations
 
 import math
+import os
 import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Field, Grid, ProblemParams, grad_norm_sq_values, gradient_values
+from .core import (
+    Field, Grid, ProblemParams, grad_norm_sq_values, gradient_and_grad_sq, gradient_values,
+)
 from .errors import ValidationError
 from . import functionals as fn
 
@@ -103,10 +106,10 @@ def _banica_sides(v: Field, theta: np.ndarray, q_mass: float):
     if fn.mass(v) > q_mass * (1.0 + 1e-12):
         raise ValidationError("check_banica requires mass(v) <= mass(Q)")
     grad_theta = gradient_values(v.grid, np.asarray(theta, dtype=float))
-    dv = gradient_values(v.grid, v.values)
+    dv, grad_sq = gradient_and_grad_sq(v.grid, v.values)
     lhs = float(np.sum(np.imag(v.values * np.conj(dv)) * grad_theta * v.grid.weights))
     weighted = float(np.sum(np.abs(v.values) ** 2 * grad_theta ** 2 * v.grid.weights))
-    return lhs ** 2, 2.0 * fn.energy(v) * weighted
+    return lhs ** 2, 2.0 * fn._energy(v, float(grad_sq)) * weighted
 
 
 def check_banica(v: Field, theta: np.ndarray, q_mass: float) -> float:
@@ -233,6 +236,62 @@ def _corpus(name, params, grid, trials, seed, score, values=(None,)):
     return InequalityReport(name, per_value * len(values), worst, witness)
 
 
+_POOL_TASKS: list = []    # the tasks of the running pool; its workers inherit them by fork
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_pool_task(index: int):
+    return _POOL_TASKS[index]()
+
+
+def pooled(tasks: list) -> list:
+    """The results of the zero-argument ``tasks``, in task order, each task run
+    in a forked worker, one worker per CPU.
+
+    Tasks reach the workers by fork inheritance, so a closure is never
+    pickled; a result must pickle (numbers, dicts, arrays: not a ``Field``,
+    whose grid caches unpicklable operators).  Each corpus draws from its own
+    ``corpus_rng`` stream, so its report is the same in any process.  The pool
+    serves tasks in list order: list the longest first.  With one CPU or one
+    task, without the "fork" start method, or inside a daemonic process (a
+    ``multiprocessing.Pool`` worker, which cannot have children), the tasks
+    run inline instead.  The workers are joined before this returns or raises
+    a task's exception; a worker that dies raises ``BrokenProcessPool``.
+    """
+    global _POOL_TASKS
+    workers = min(len(tasks), _cpus())
+    if workers > 1:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        if ("fork" in multiprocessing.get_all_start_methods()
+                and not multiprocessing.current_process().daemon):
+            _POOL_TASKS = tasks
+            try:
+                with ProcessPoolExecutor(
+                        workers, mp_context=multiprocessing.get_context("fork")) as pool:
+                    return list(pool.map(_run_pool_task, range(len(tasks))))
+            finally:
+                _POOL_TASKS = []
+    return [task() for task in tasks]
+
+
+def report_task(run, *args):
+    """A task for ``pooled``: the report ``run(*args)`` as its ``as_dict()``
+    and its witness's values (None without a witness)."""
+    def task():
+        rep = run(*args)
+        return rep.as_dict(), None if rep.witness is None else rep.witness.values
+
+    return task
+
+
 def run_gagliardo_report(params, grid, k_opt_value, trials, seed):
     return _corpus("gagliardo", params, grid, trials, seed,
                    lambda u, _, rng: (_excess(*_gagliardo_sides(u, k_opt_value)), u))
@@ -276,5 +335,5 @@ __all__ = [
     "check_gagliardo", "check_banica", "check_strauss", "check_radial_gn",
     "check_critical_gn", "young_constant",
     "run_gagliardo_report", "run_banica_report", "run_strauss_report",
-    "run_radial_gn_report", "run_critical_gn_report",
+    "run_radial_gn_report", "run_critical_gn_report", "pooled", "report_task",
 ]

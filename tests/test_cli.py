@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 import re
 import subprocess
@@ -10,6 +11,7 @@ import pytest
 
 import inls_lab
 from inls_lab import cli
+from inls_lab import inequalities as ineq
 from inls_lab.cli import _params_grid, main, parse_config, resolve_config
 from inls_lab.core import Field, grid_for, make_params
 from inls_lab.errors import ValidationError
@@ -204,6 +206,73 @@ def test_verify_violation_exit_3_with_witness(tmp_path, capsys, monkeypatch):
     assert not json.loads((out / "inequality_gagliardo.json").read_text())["passed"]
     back = read_field(out / "witness_gagliardo.fld", grid, params)
     assert np.array_equal(back.values, witness.values)
+
+
+def _verify_both_ways(tmp_path, monkeypatch, cfg):
+    """``verify`` of ``cfg`` pooled (two workers, also on one CPU) and inline
+    (one CPU): each run's exit code and output directory."""
+    runs = []
+    for cpus in (2, 1):
+        monkeypatch.setattr(ineq, "_cpus", lambda: cpus)
+        out = tmp_path / f"verify_{cpus}"
+        runs.append((main(["verify", "--config", cfg, "--out", str(out)]), out))
+        assert multiprocessing.active_children() == []
+    return runs
+
+
+def test_verify_pooled_writes_the_inline_reports(tmp_path, monkeypatch):
+    """A radial intercritical verify runs four corpora; pooled or inline, it
+    writes the same report files."""
+    cfg = write_cfg(tmp_path / "v.cfg", dim=2, sigma=1.0, b=0.5, extent=12.0, n=512, trials=40)
+    (rc_pooled, pooled), (rc_inline, inline) = _verify_both_ways(tmp_path, monkeypatch, cfg)
+    assert rc_pooled == rc_inline == 0
+    names = sorted(p.name for p in pooled.glob("inequality_*.json"))
+    assert names == [f"inequality_{n}.json"
+                     for n in ("critical_gn", "gagliardo", "radial_gn", "strauss")]
+    assert names == sorted(p.name for p in inline.glob("inequality_*.json"))
+    for name in names:
+        assert (pooled / name).read_bytes() == (inline / name).read_bytes()
+
+
+def test_verify_witness_crosses_the_process_boundary(tmp_path, monkeypatch, capsys):
+    """On an even-n line the ground-state solve builds the grid's half, after
+    which a Field on that grid cannot be pickled; the pooled witness still
+    comes back and is written as the inline run writes it."""
+    monkeypatch.setattr(ineq, "_gagliardo_sides", lambda u, k_opt: (1.0, 0.5))
+    cfg = write_cfg(tmp_path / "v.cfg", dim=1, sigma=1.5, b=0.5, extent=15.0, n=1024, trials=4)
+    (rc_pooled, pooled), (rc_inline, inline) = _verify_both_ways(tmp_path, monkeypatch, cfg)
+    assert rc_pooled == rc_inline == 3
+    assert capsys.readouterr().out.count("gagliardo: max_violation=1.000e+00 [VIOLATION]") == 2
+    params = make_params(1, 1.5, 0.5)
+    grid = grid_for(params, 15.0, 1024)
+    back = read_field(pooled / "witness_gagliardo.fld", grid, params)
+    assert np.array_equal(back.values, read_field(inline / "witness_gagliardo.fld",
+                                                  grid, params).values)
+    assert np.any(back.values != 0)
+
+
+def test_verify_failed_report_without_witness_exit_3(tmp_path, monkeypatch):
+    """A NaN critical-norm ratio fails its boundedness report, which keeps no
+    witness field: verify exits 3 and writes the report alone."""
+    monkeypatch.setattr(ineq, "check_critical_gn", lambda u: float("nan"))
+    cfg = write_cfg(tmp_path / "v.cfg", dim=2, sigma=1.0, b=0.5, extent=12.0, n=512, trials=8)
+    out = tmp_path / "verify"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 3
+    assert not json.loads((out / "inequality_critical_gn.json").read_text())["passed"]
+    assert not (out / "witness_critical_gn.fld").exists()
+
+
+def test_verify_task_error_exit_2_and_no_worker_left(tmp_path, monkeypatch, capsys):
+    """A ValidationError raised inside a pooled corpus exits 2 and names the
+    error, as an inline run does, and leaves no worker running."""
+    def planted(*args):
+        raise ValidationError("planted banica failure")
+
+    monkeypatch.setattr(ineq, "_banica_sides", planted)
+    cfg = write_cfg(tmp_path / "v.cfg", dim=1, sigma=1.5, b=0.5, extent=15.0, n=1024, trials=4)
+    (rc_pooled, _), (rc_inline, _) = _verify_both_ways(tmp_path, monkeypatch, cfg)
+    assert rc_pooled == rc_inline == 2
+    assert capsys.readouterr().err.count("error: planted banica failure") == 2
 
 
 def test_evolve_reports_mass_drift(tmp_path, leaky_flow):

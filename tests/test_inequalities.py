@@ -1,4 +1,7 @@
 import math
+import multiprocessing
+import os
+import signal
 from types import SimpleNamespace
 
 import numpy as np
@@ -329,3 +332,83 @@ def test_random_bump_field_matches_two_exp_formula(grid):
                     * np.exp(1j * (phase + speed * x)))
         assert np.max(np.abs(u.values - ref)) <= 1e-14 * np.max(np.abs(ref))
         assert rng.uniform() == ref_rng.uniform()
+
+
+# ---------------------------------------------------------------------------
+# the forked runner: the same results as inline, and no worker left behind
+
+
+def _without_elapsed(report):
+    out = report.as_dict()
+    del out["elapsed_seconds"]
+    return out
+
+
+def _inline(monkeypatch, run):
+    """``run()`` with every ``pooled`` call forced inline (one CPU)."""
+    with monkeypatch.context() as m:
+        m.setattr(ineq, "_cpus", lambda: 1)
+        return run()
+
+
+@pytest.mark.parametrize("name", ["gn_sharpness", "inequalities"])
+def test_pooled_reports_equal_inline_at_the_default_seed(report_of, monkeypatch, name):
+    """The run the acceptance tests share (pooled wherever there are two CPUs)
+    equals an inline run."""
+    inline = _inline(monkeypatch, lambda: exp.reproduce(name))
+    assert _without_elapsed(report_of(name)) == _without_elapsed(inline)
+
+
+@pytest.mark.parametrize("name", ["gn_sharpness", "inequalities"])
+def test_pooled_reports_equal_inline_at_another_seed(monkeypatch, name):
+    # 102 trials keep every corpus at its 100 (see the NaN reconstruction test)
+    monkeypatch.setattr(exp, "CORPUS_TRIALS", 102)
+    monkeypatch.setattr(ineq, "_cpus", lambda: 2)     # a pool also on one CPU
+    pooled = exp.reproduce(name, seed=77)
+    assert multiprocessing.active_children() == []
+    inline = _inline(monkeypatch, lambda: exp.reproduce(name, seed=77))
+    assert _without_elapsed(pooled) == _without_elapsed(inline)
+
+
+def test_pooled_keeps_task_order_and_raises_a_task_error(monkeypatch):
+    monkeypatch.setattr(ineq, "_cpus", lambda: 2)
+    assert ineq.pooled([lambda i=i: i * i for i in range(5)]) == [0, 1, 4, 9, 16]
+    # the workers are joined (reaped) by the time the results are back
+    for pid in set(ineq.pooled([os.getpid] * 4)):
+        assert pid != os.getpid()
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+
+    def fails():
+        raise ValidationError("planted")
+
+    with pytest.raises(ValidationError, match="planted"):
+        ineq.pooled([lambda: 1, fails])
+    assert multiprocessing.active_children() == []
+
+
+def _pooled_squares():
+    return ineq.pooled([lambda i=i: (i * i, os.getpid()) for i in range(3)])
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="the pool needs the fork start method")
+def test_pooled_inside_a_daemonic_worker_runs_inline(monkeypatch):
+    monkeypatch.setattr(ineq, "_cpus", lambda: 2)
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        results = pool.apply(_pooled_squares)
+    assert [r for r, _ in results] == [0, 1, 4]
+    assert len({pid for _, pid in results}) == 1 and results[0][1] != os.getpid()
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="the pool needs the fork start method")
+def test_pooled_raises_when_a_worker_dies(monkeypatch):
+    """A killed worker (say, by the kernel's out-of-memory killer) raises,
+    where a multiprocessing.Pool would wait for its result forever."""
+    from concurrent.futures.process import BrokenProcessPool
+
+    monkeypatch.setattr(ineq, "_cpus", lambda: 2)
+    with pytest.raises(BrokenProcessPool):
+        ineq.pooled([lambda: 1, lambda: os.kill(os.getpid(), signal.SIGKILL)])
+    assert multiprocessing.active_children() == []

@@ -12,8 +12,8 @@ from scipy.linalg import lapack
 from inls_lab import Field, ValidationError, core, make_params
 from inls_lab import functionals as fn
 from inls_lab.core import (
-    apply_radial_lap, free_flow, grad_norm_sq_values, gradient_values, helmholtz_solve,
-    laplacian_values, line_grid, radial_grid, shifted_helmholtz_solve,
+    apply_radial_lap, free_flow, grad_norm_sq_values, gradient_and_grad_sq, gradient_values,
+    helmholtz_solve, laplacian_values, line_grid, radial_grid, shifted_helmholtz_solve,
 )
 from inls_lab.evolution import step
 from inls_lab.ground_state import solve_ground_state
@@ -85,6 +85,17 @@ def test_real_input_is_the_real_part_of_its_complex_cast(geometry, seed, dtype):
         out = op(u.grid, v)
         assert out.dtype == out_dtype
         assert np.array_equal(out, op(u.grid, v.astype(np.result_type(v, np.complex64))).real)
+
+
+@pytest.mark.parametrize("geometry", sorted(SETUPS))
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_gradient_and_grad_sq_is_the_pair_bit_for_bit(geometry, kind):
+    """The shared line transform changes no bit of either result."""
+    u = bump(geometry, 7, kind)
+    grad, grad_sq = gradient_and_grad_sq(u.grid, u.values)
+    assert grad.dtype == u.values.dtype
+    assert np.array_equal(grad, gradient_values(u.grid, u.values))
+    assert grad_sq == grad_norm_sq_values(u.grid, u.values)
 
 
 @pytest.mark.parametrize("geometry", sorted(SETUPS))

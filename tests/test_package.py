@@ -112,8 +112,10 @@ def _fresh_python(code: str):
 
 def test_import_leaves_the_spline_and_fit_packages_unloaded():
     """Importing the package and its CLI loads neither scipy.interpolate nor
-    scipy.optimize: the commands that never rescale or fit do not pay for them."""
-    assert _fresh_python("print(json.dumps(loaded()))") == ["scipy.sparse.linalg"]
+    scipy.optimize: the commands that never rescale or fit do not pay for them.
+    Nor multiprocessing, which only a pool of corpus workers loads."""
+    assert _fresh_python("print(json.dumps([loaded(), 'multiprocessing' in sys.modules]))") \
+        == [["scipy.sparse.linalg"], False]
 
 
 def test_deferred_imports_resolve_at_first_use():
