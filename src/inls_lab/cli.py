@@ -31,6 +31,7 @@ import math
 import subprocess
 import sys
 from dataclasses import fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -53,8 +54,8 @@ from .fieldio import (
 )
 from .ground_state import solve_ground_state
 from .inequalities import (
-    DEFAULT_SEED, check_critical_gn, pooled, report_task, run_banica_report,
-    run_critical_gn_report, run_gagliardo_report, run_radial_gn_report, run_strauss_report,
+    DEFAULT_SEED, check_critical_gn, pooled, run_banica_report, run_critical_gn_report,
+    run_gagliardo_report, run_radial_gn_report, run_strauss_report,
 )
 
 
@@ -310,24 +311,24 @@ def cmd_verify(cfg, out, seed):
     gs = solve_ground_state(params, grid)
     tasks = []    # the longest first: the pool waits for its slowest worker
     if params.mass_critical:
-        tasks.append(report_task(run_banica_report, params, grid, gs.q_mass, trials, seed))
-    tasks.append(report_task(run_gagliardo_report, params, grid, gs.k_opt, trials, seed))
+        tasks.append(partial(run_banica_report, params, grid, gs.q_mass, trials, seed))
+    tasks.append(partial(run_gagliardo_report, params, grid, gs.k_opt, trials, seed))
     if grid.geometry == "radial":
         if params.intercritical:
-            tasks.append(report_task(run_critical_gn_report, params, grid,
-                                     check_critical_gn(gs.profile), trials, seed))
+            tasks.append(partial(run_critical_gn_report, params, grid,
+                                 check_critical_gn(gs.profile), trials, seed))
         if params.sigma < 2.0:
-            tasks.append(report_task(run_radial_gn_report, params, grid, trials, seed))
-        tasks.append(report_task(run_strauss_report, params, grid, trials, seed))
+            tasks.append(partial(run_radial_gn_report, params, grid, trials, seed))
+        tasks.append(partial(run_strauss_report, params, grid, trials, seed))
     reports = pooled(tasks)
-    for rep, witness in reports:
-        name = rep["name"]
-        (out / f"inequality_{name}.json").write_text(json.dumps(rep, indent=2) + "\n")
-        if not rep["passed"] and witness is not None:
-            write_field(out / f"witness_{name}.fld", Field(witness, grid, params))
-        status = "ok" if rep["passed"] else "VIOLATION"
-        print(f"{name}: max_violation={rep['max_violation']:.3e} [{status}]")
-    return 0 if all(rep["passed"] for rep, _ in reports) else 3
+    for rep in reports:
+        (out / f"inequality_{rep.name}.json").write_text(
+            json.dumps(rep.as_dict(), indent=2) + "\n")
+        if not rep.passed and rep.witness is not None:
+            write_field(out / f"witness_{rep.name}.fld", rep.witness)
+        status = "ok" if rep.passed else "VIOLATION"
+        print(f"{rep.name}: max_violation={rep.max_violation:.3e} [{status}]")
+    return 0 if all(rep.passed for rep in reports) else 3
 
 
 def cmd_exact(cfg, out, seed):

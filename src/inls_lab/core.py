@@ -28,8 +28,9 @@ integrals (``functionals``) and the mollifiers (``analysis``) read a grid's
 nodes, weights and faces directly.  Each grid lazily caches what the operators
 reuse (k, k^2 per dtype, the radial Laplacian's float64 factors, the float64
 factorization of 1 - Lap, the recent time steps' linear propagators) as long
-as the grid lives; a line grid holds its half grid, which has its own cache,
-only weakly, so the pair is freed with the last reference to either.
+as the grid lives.  A line grid builds a new half grid, with a cache of its
+own, on each access to ``half``, and keeps no reference to it, so every grid
+and every field on it pickles.
 Operators work in the dtype of their input, except the Helmholtz solves,
 which are float64 for any rhs.
 """
@@ -37,7 +38,6 @@ which are float64 for any rhs.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, partial
@@ -198,19 +198,15 @@ class Grid:
     def half(self) -> Grid:
         """The n/2 cells x > 0 of an even-n line grid: even fields' right halves,
         on which every line operator but the (odd) gradient is a cosine series.
-        The same grid while any caller holds it.  The half holds its line
-        (``full``) and the line holds the half only weakly, so no reference
-        cycle keeps either alive."""
-        half = self._operators.get("half", lambda: None)()
-        if half is None:
-            if not self.halvable:
-                raise ValidationError(
-                    f"half needs an even-n line grid, got {self.geometry} n={self.n}")
-            m = self.n // 2
-            half = Grid("half_line", 1, self.extent, m, self.b, self.nodes[m:],
-                        2.0 * self.weights[m:], self.weight_b[m:], self.spacing, full=self)
-            self._operators["half"] = weakref.ref(half)
-        return half
+        Each access returns a new grid, with an empty operator cache: a caller
+        that reuses the half's operators holds on to it.  The half holds its
+        line (``full``); the line keeps no reference to the half."""
+        if not self.halvable:
+            raise ValidationError(
+                f"half needs an even-n line grid, got {self.geometry} n={self.n}")
+        m = self.n // 2
+        return Grid("half_line", 1, self.extent, m, self.b, self.nodes[m:],
+                    2.0 * self.weights[m:], self.weight_b[m:], self.spacing, full=self)
 
 
 MIN_CELLS = 8        # the fewest cells either grid constructor accepts

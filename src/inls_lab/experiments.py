@@ -59,7 +59,7 @@ import math
 import operator
 import time
 from dataclasses import asdict, dataclass
-from functools import lru_cache, wraps
+from functools import lru_cache, partial, wraps
 
 import numpy as np
 
@@ -75,8 +75,8 @@ from .exact import SFamilyParams, s_profile, standing_wave
 from .ground_state import RESIDUAL_TOL, GroundState, c_of_Mm, gn_ratio, solve_ground_state
 from .inequalities import (
     DEFAULT_SEED, VIOLATION_TOL, check_critical_gn, corpus_rng, pooled, random_bump_field,
-    report_task, run_banica_report, run_gagliardo_report, run_critical_gn_report,
-    run_radial_gn_report, run_strauss_report,
+    run_banica_report, run_gagliardo_report, run_critical_gn_report, run_radial_gn_report,
+    run_strauss_report,
 )
 
 
@@ -275,13 +275,13 @@ def gn_sharpness(seed):
     states = [ground_state(case) for case in POHOZAEV_CASES]
     # (P - K D) / (K D) = gn_ratio / K - 1 over each Gagliardo corpus
     corpora = pooled([
-        report_task(run_gagliardo_report, gs.params,
-                    grid_for(gs.params, 12.0, 2048 if gs.params.dim > 1 else 4096),
-                    gs.k_opt, CORPUS_TRIALS, seed)
+        partial(run_gagliardo_report, gs.params,
+                grid_for(gs.params, 12.0, 2048 if gs.params.dim > 1 else 4096),
+                gs.k_opt, CORPUS_TRIALS, seed)
         for gs in states])
-    for case, gs, (corpus, _) in zip(POHOZAEV_CASES, states, corpora):
+    for case, gs, corpus in zip(POHOZAEV_CASES, states, corpora):
         ratio_dev = abs(gn_ratio(gs.profile) - gs.k_opt) / gs.k_opt
-        excess = corpus["max_violation"]
+        excess = corpus.max_violation
         details[case] = {"sharpness_dev": ratio_dev, "corpus_max_excess": excess}
         gates += [Gate(f"{case}.sharpness_dev", ratio_dev, "<", 1e-5),
                   Gate(f"{case}.corpus_max_excess", excess, "<=", VIOLATION_TOL)]
@@ -533,21 +533,21 @@ def inequality_suite(seed):
     # the longest first: the pool waits for its slowest worker
     recon_worst, *reports = pooled([
         reconstruction_worst,
-        report_task(run_banica_report, *line, gs_line.q_mass, CORPUS_TRIALS, seed),
-        report_task(run_gagliardo_report, *line, gs_line.k_opt, CORPUS_TRIALS, seed),
-        report_task(run_critical_gn_report, *radial, check_critical_gn(gs_radial.profile),
-                    CORPUS_TRIALS, seed),
-        report_task(run_radial_gn_report, *radial, CORPUS_TRIALS, seed),
-        report_task(run_strauss_report, *radial, CORPUS_TRIALS, seed),
+        partial(run_banica_report, *line, gs_line.q_mass, CORPUS_TRIALS, seed),
+        partial(run_gagliardo_report, *line, gs_line.k_opt, CORPUS_TRIALS, seed),
+        partial(run_critical_gn_report, *radial, check_critical_gn(gs_radial.profile),
+                CORPUS_TRIALS, seed),
+        partial(run_radial_gn_report, *radial, CORPUS_TRIALS, seed),
+        partial(run_strauss_report, *radial, CORPUS_TRIALS, seed),
     ])
-    by_name = {rep["name"]: rep for rep, _ in reports}     # back in report order
+    by_name = {rep.name: rep for rep in reports}     # back in report order
     reports = [by_name[n] for n in ("gagliardo", "banica", "strauss", "radial_gn", "critical_gn")]
-    details = {r["name"]: r for r in reports}
+    details = {r.name: r.as_dict() for r in reports}
     details["decomposition_reconstruction_max"] = recon_worst
     return details, [Gate("decomposition_reconstruction_max", recon_worst, "<", 1e-10)] + [
         g for r in reports for g in (
-            Gate(f"{r['name']}.max_violation", r["max_violation"], "<=", VIOLATION_TOL),
-            Gate(f"{r['name']}.trials", float(r["trials"]), ">=", 100.0))]
+            Gate(f"{r.name}.max_violation", r.max_violation, "<=", VIOLATION_TOL),
+            Gate(f"{r.name}.trials", float(r.trials), ">=", 100.0))]
 
 
 def reproduce(name: str, seed: int = DEFAULT_SEED) -> ExperimentReport:

@@ -141,6 +141,9 @@ def trajectory_from_csv(path) -> Trajectory:
             raise ValidationError(
                 f"{path}:{lineno}: expected {len(CSV_COLUMNS)} values, got {len(vals)}"
             )
+        for name, v in zip(CSV_COLUMNS, vals):
+            if not np.isfinite(v):      # evolve never records one
+                raise ValidationError(f"{path}:{lineno}: {name} = {v} is not finite")
         traj.samples.append(TrajectorySample(*vals))
     return traj
 

@@ -255,14 +255,15 @@ def pooled(tasks: list) -> list:
     in a forked worker, one worker per CPU.
 
     Tasks reach the workers by fork inheritance, so a closure is never
-    pickled; a result must pickle (numbers, dicts, arrays: not a ``Field``,
-    whose grid caches unpicklable operators).  Each corpus draws from its own
-    ``corpus_rng`` stream, so its report is the same in any process.  The pool
-    serves tasks in list order: list the longest first.  With one CPU or one
-    task, without the "fork" start method, or inside a daemonic process (a
-    ``multiprocessing.Pool`` worker, which cannot have children), the tasks
-    run inline instead.  The workers are joined before this returns or raises
-    a task's exception; a worker that dies raises ``BrokenProcessPool``.
+    pickled; a result must pickle, as an ``InequalityReport`` does, witness
+    ``Field`` and all (it comes back on a copy of its grid).  Each corpus
+    draws from its own ``corpus_rng`` stream, so its report is the same in
+    any process.  The pool serves tasks in list order: list the longest
+    first.  With one CPU or one task, without the "fork" start method, or
+    inside a daemonic process (a ``multiprocessing.Pool`` worker, which cannot
+    have children), the tasks run inline instead.  The workers are joined
+    before this returns or raises a task's exception; a worker that dies
+    raises ``BrokenProcessPool``.
     """
     global _POOL_TASKS
     workers = min(len(tasks), _cpus())
@@ -280,16 +281,6 @@ def pooled(tasks: list) -> list:
             finally:
                 _POOL_TASKS = []
     return [task() for task in tasks]
-
-
-def report_task(run, *args):
-    """A task for ``pooled``: the report ``run(*args)`` as its ``as_dict()``
-    and its witness's values (None without a witness)."""
-    def task():
-        rep = run(*args)
-        return rep.as_dict(), None if rep.witness is None else rep.witness.values
-
-    return task
 
 
 def run_gagliardo_report(params, grid, k_opt_value, trials, seed):
@@ -335,5 +326,5 @@ __all__ = [
     "check_gagliardo", "check_banica", "check_strauss", "check_radial_gn",
     "check_critical_gn", "young_constant",
     "run_gagliardo_report", "run_banica_report", "run_strauss_report",
-    "run_radial_gn_report", "run_critical_gn_report", "pooled", "report_task",
+    "run_radial_gn_report", "run_critical_gn_report", "pooled",
 ]

@@ -235,9 +235,9 @@ def test_verify_pooled_writes_the_inline_reports(tmp_path, monkeypatch):
 
 
 def test_verify_witness_crosses_the_process_boundary(tmp_path, monkeypatch, capsys):
-    """On an even-n line the ground-state solve builds the grid's half, after
-    which a Field on that grid cannot be pickled; the pooled witness still
-    comes back and is written as the inline run writes it."""
+    """On an even-n line the ground-state solve builds the grid's half first;
+    the witness Field still crosses the pool as itself, and the pooled run
+    writes it as the inline run does."""
     monkeypatch.setattr(ineq, "_gagliardo_sides", lambda u, k_opt: (1.0, 0.5))
     cfg = write_cfg(tmp_path / "v.cfg", dim=1, sigma=1.5, b=0.5, extent=15.0, n=1024, trials=4)
     (rc_pooled, pooled), (rc_inline, inline) = _verify_both_ways(tmp_path, monkeypatch, cfg)
@@ -413,6 +413,31 @@ def test_malformed_run_input_exit_2(tmp_path, capsys, command, corrupt):
     out = tmp_path / "out"
     assert main([command, "--config", cfg, "--out", str(out)]) == 2
     assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("column, value, row", [
+    ("t", "nan", 37), ("t", "inf", 7), ("grad_norm_sq", "nan", 20),
+    ("grad_norm_sq", "inf", 20), ("grad_norm_sq", "-inf", 0)])
+def test_non_finite_trajectory_value_exit_2_and_names_the_line(tmp_path, capsys, column,
+                                                               value, row):
+    """A non-finite value in a hand-edited trajectory.csv (which evolve never
+    writes) exits 2, naming the file, the line and the column."""
+    rows = FITTABLE.splitlines()
+    cells = rows[row].split(",")
+    cells[CSV_COLUMNS.index(column)] = value
+    rows[row] = ",".join(cells)
+    run = tmp_path / "run"
+    (run / "snapshots").mkdir(parents=True)
+    params = make_params(1, 2.0, 0.0)
+    write_manifest(run / "manifest.json", params, grid_for(params, 16.0, 256))
+    (run / "trajectory.csv").write_text("\n".join([HEADER, *rows]) + "\n")
+    (run / "snapshots" / "snapshots.json").write_text("[]\n")
+    cfg = write_cfg(tmp_path / "an.cfg", run_dir=str(run))
+    out = tmp_path / "out"
+    assert main(["analyze", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"trajectory.csv:{row + 2}: {column} = {value} is not finite" in err
     assert not out.exists()
 
 

@@ -320,7 +320,8 @@ def test_even_march_matches_full_march(monkeypatch):
     policy = StepPolicy(dt0=5e-4, c_dt=5e-3, theta=theta, t_end=5.0, sample_every=3,
                         snapshot_every=1)
     even = evolve(u0, policy)
-    assert grids and all(g is u0.grid.half for g in grids)
+    assert grids and all(g.geometry == "half_line" and g.full is u0.grid for g in grids)
+    assert all(g is grids[0] for g in grids)     # one half, one propagator cache, per march
     grids.clear()
     full = evolution.Trajectory()
     evolution._march(u0, policy, full)          # the march of u0 as given: the full line
@@ -377,7 +378,7 @@ def test_march_takes_the_gradient_sum_only_where_it_reads_G(plain_line, every, m
     unsampled = sum(1 for k in range(1, 11) if k % every)      # 10 steps
     assert len(traj.samples) == (11 if every == 1 else 5)
     assert len(calls) == len(traj.samples) + unsampled
-    assert all(g is grid.half for g in calls)
+    assert all(g.geometry == "half_line" and g.full is grid for g in calls)
 
 
 # -- the kick: cos and sin only where the phase survives rounding ------------
@@ -544,7 +545,8 @@ def test_first_sample_is_the_initial_data(plain_line):
                                  sample_every=2, snapshot_every=3))
     first = traj.samples[0]
     assert first.time == 0.0
-    assert recorded(u0).grid is grid.half            # the even Gaussian marches halved
+    g = recorded(u0).grid                            # the even Gaussian marches halved
+    assert g.geometry == "half_line" and g.full is u0.grid
     assert traj.initial_mass == fn.mass(recorded(u0))
     assert traj.initial_mass == pytest.approx(fn.mass(u0), rel=1e-13)
     assert np.array_equal(first.snapshot.values, u0.values)

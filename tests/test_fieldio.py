@@ -151,7 +151,9 @@ def test_field_binary_round_trip_property(tmp_path_factory, geometry, kind, data
     assert np.array_equal(np.signbit(back.values.imag), np.signbit(np.imag(vals)))
 
 
-sample_rows = st.lists(st.tuples(*[floats] * len(CSV_COLUMNS)),
+# a trajectory row holds finite values only (the reader rejects the others)
+finite_floats = st.floats(allow_nan=False, allow_infinity=False, width=64)
+sample_rows = st.lists(st.tuples(*[finite_floats] * len(CSV_COLUMNS)),
                        min_size=1, max_size=12)
 
 

@@ -1,7 +1,9 @@
 import math
 import multiprocessing
 import os
+import pickle
 import signal
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,11 +12,11 @@ import pytest
 from inls_lab import Field, ValidationError, make_params
 from inls_lab import experiments as exp
 from inls_lab import inequalities as ineq
-from inls_lab.core import line_grid, radial_grid
+from inls_lab.core import helmholtz_solve, line_grid, radial_grid
 from inls_lab import functionals as fn
 from inls_lab.inequalities import (
-    _corpus, check_banica, check_critical_gn, check_gagliardo, check_radial_gn,
-    check_strauss, corpus_rng, random_bump_field, run_critical_gn_report,
+    InequalityReport, _corpus, check_banica, check_critical_gn, check_gagliardo,
+    check_radial_gn, check_strauss, corpus_rng, random_bump_field, run_critical_gn_report,
     run_gagliardo_report, run_radial_gn_report, run_strauss_report, young_constant,
 )
 from inls_lab.ground_state import gn_ratio
@@ -412,3 +414,49 @@ def test_pooled_raises_when_a_worker_dies(monkeypatch):
     with pytest.raises(BrokenProcessPool):
         ineq.pooled([lambda: 1, lambda: os.kill(os.getpid(), signal.SIGKILL)])
     assert multiprocessing.active_children() == []
+
+
+def test_fields_and_reports_pickle_once_the_line_has_built_its_half():
+    """A field on a line whose half has been built, a field on that half, and a
+    report witnessed by the first come back from pickle with equal values and
+    grid arrays."""
+    params = make_params(1, 1.5, 0.5)
+    grid = line_grid(15.0, 1024, params.b)
+    half = grid.half
+    helmholtz_solve(half, np.exp(-half.nodes ** 2))       # fills the half's operator cache
+    u = Field(np.exp(-grid.nodes ** 2 + 0.5j * grid.nodes), grid, params)
+    rep = InequalityReport("gagliardo", 4, 1e-3, witness=u, extra={"note": 1.5})
+    back_rep = pickle.loads(pickle.dumps(rep))
+    assert back_rep.as_dict() == rep.as_dict()
+    on_half = Field(u.values[512:], half, params)
+    for orig, back in ((u, pickle.loads(pickle.dumps(u))), (u, back_rep.witness),
+                       (on_half, pickle.loads(pickle.dumps(on_half)))):
+        assert np.array_equal(back.values, orig.values) and back.params == orig.params
+        grids = [(back.grid, orig.grid)]
+        if orig.grid.full is not None:
+            grids.append((back.grid.full, orig.grid.full))
+        for b, o in grids:
+            assert (b.geometry, b.n, b.extent, b.spacing) == (o.geometry, o.n, o.extent, o.spacing)
+            for name in ("nodes", "weights", "weight_b"):
+                assert np.array_equal(getattr(b, name), getattr(o, name))
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="the pool needs the fork start method")
+def test_pooled_report_brings_back_its_witness_field(monkeypatch):
+    """A report with a planted positive excess crosses the pool as itself: its
+    ``as_dict()`` and its witness's values are the inline run's."""
+    monkeypatch.setattr(ineq, "_gagliardo_sides", lambda u, k_opt: (1.0, 0.5))
+    params = make_params(1, 1.5, 0.5)
+    grid = line_grid(15.0, 1024, params.b)
+    assert grid.half.full is grid       # as the ground-state solve on an even line does
+    task = partial(run_gagliardo_report, params, grid, 1.0, 4, 11)
+    inline = task()
+    assert not inline.passed and inline.witness is not None
+    monkeypatch.setattr(ineq, "_cpus", lambda: 2)
+    reports = ineq.pooled([task, task])
+    assert multiprocessing.active_children() == []
+    for rep in reports:
+        assert rep.witness.grid is not grid        # unpickled in this process
+        assert rep.as_dict() == inline.as_dict()
+        assert np.array_equal(rep.witness.values, inline.witness.values)

@@ -294,22 +294,23 @@ def test_half_and_full_propagators_are_built_once_each(monkeypatch):
 
     monkeypatch.setattr(core, "_build_propagator", counting_build)
     u, right = even_bump(7)
-    full = u.values
+    full, half = u.values, u.grid.half
     for _ in range(3):
         full, _ = free_flow(u.grid, full, 1e-3)
-        right, _ = free_flow(u.grid.half, right, 1e-3)
-    assert len(builds) == 2 and builds[0] is u.grid and builds[1] is u.grid.half
+        right, _ = free_flow(half, right, 1e-3)
+    assert len(builds) == 2 and builds[0] is u.grid and builds[1] is half
     # the half flow is the full flow of the even field, mirrored
     assert np.max(np.abs(full[u.grid.n // 2:] - right)) <= 1e-13 * np.max(np.abs(right))
 
 
-def test_half_grid_is_cached_without_a_reference_cycle():
-    """A line keeps its half, operator caches and all, while a caller holds
-    it, and the pair is freed by reference counting alone."""
+def test_half_grid_is_built_on_each_access_without_a_reference_cycle():
+    """Each access builds a new half, which holds its line; the line holds no
+    half, so the pair, operator caches and all, is freed by reference
+    counting alone."""
     grid = line_grid(12.0, 256)
     half = grid.half
     helmholtz_solve(half, np.exp(-half.nodes ** 2))
-    assert grid.half is half and half.full is grid
+    assert grid.half is not grid.half and half.full is grid
     refs = weakref.ref(grid), weakref.ref(half)
     enabled = gc.isenabled()
     gc.disable()
