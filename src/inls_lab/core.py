@@ -6,9 +6,9 @@ Two discretizations are supported:
   nodes; every operator is an exact Fourier multiplier on one transform of
   the complex-cast values.  An exactly even field on an even n lives on the
   line's half grid (``Grid.half``, its n/2 cells x > 0, weighted 2 dx) as a
-  cosine series: the same multipliers act on its orthonormal DCT-II, and
-  every quadrature is the whole field's.  The gradient, which is odd, has no
-  cosine form and raises there.
+  cosine series: the one spectral path takes its orthonormal DCT-II for the
+  FFT, the same multipliers act on it, and every quadrature is the whole
+  field's.  The gradient, which is odd, has no cosine form and raises there.
 * ``radial`` -- radially symmetric fields on (0, Rmax] in dimension N >= 2,
   discretized by a flux-form (finite-volume) Laplacian on n cell-centered
   shells, whose face data (``face_alpha``, ``surf``) only this module reads.
@@ -25,14 +25,14 @@ differential primitives below: Laplacian, gradient and its quadrature,
 Helmholtz solves, free flow, spline sampling); the Laplacian and gradient
 quadrature are summation-by-parts companions.  Quadratures and window
 integrals (``functionals``) and the mollifiers (``analysis``) read a grid's
-nodes, weights and faces directly.  Each grid lazily caches what the operators
-reuse (k, k^2 per dtype, the radial Laplacian's float64 factors, the float64
-factorization of 1 - Lap, the recent time steps' linear propagators) as long
-as the grid lives.  A line grid builds a new half grid, with a cache of its
-own, on each access to ``half``, and keeps no reference to it, so every grid
-and every field on it pickles.
-Operators work in the dtype of their input, except the Helmholtz solves,
-which are float64 for any rhs.
+nodes, weights and faces directly.  Each grid lazily caches, once and in double
+precision, what the operators reuse (k and k^2, the radial Laplacian's
+factors, the factorization of 1 - Lap, the recent time steps' linear
+propagators) as long as the grid lives.  A line grid builds a new half grid,
+with a cache of its own, on each access to ``half``, and keeps no reference
+to it, so every grid and every field on it pickles.  A wider input (a
+longdouble reference) meets these multipliers by NumPy promotion and keeps
+its dtype, but in the Helmholtz solves, which round it to float64.
 """
 
 from __future__ import annotations
@@ -299,17 +299,14 @@ def _cached(grid: Grid, key, build):
     return ops[key]
 
 
-def _wavenumbers(grid: Grid, dtype) -> np.ndarray:
-    """The line's wavenumbers k (FFT order; a half grid's pi m / L, m < n/2) in ``dtype``."""
-    dtype = np.dtype(dtype)
+def _wavenumbers(grid: Grid) -> np.ndarray:
+    """The line's wavenumbers k (FFT order; a half grid's pi m / L, m < n/2)."""
     n = grid.n if grid.full is None else grid.full.n
-    return _cached(grid, ("k", dtype), lambda: (
-        2.0 * np.pi * np.fft.fftfreq(n, d=grid.spacing)[:grid.n]).astype(dtype))
+    return _cached(grid, "k", lambda: 2.0 * np.pi * np.fft.fftfreq(n, d=grid.spacing)[:grid.n])
 
 
-def _wavenumbers_sq(grid: Grid, dtype) -> np.ndarray:
-    dtype = np.dtype(dtype)
-    return _cached(grid, ("k2", dtype), lambda: _wavenumbers(grid, dtype) ** 2)
+def _wavenumbers_sq(grid: Grid) -> np.ndarray:
+    return _cached(grid, "k2", lambda: _wavenumbers(grid) ** 2)
 
 
 def _radial_flux_factors(grid: Grid):
@@ -348,26 +345,30 @@ def _tridiag_solve(lu, rhs: np.ndarray) -> np.ndarray:
     return gttrs(*lu, np.asarray(rhs, dtype=d.dtype))[0]
 
 
-def _spectrum(values: np.ndarray) -> np.ndarray:
-    """FFT of the complex-cast values, the one forward transform on the line:
-    every line operator is a multiplier on it, so a real array and its complex
-    cast round alike, and the multipliers read k, k^2 from the per-dtype cache."""
+def _forward(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """The line operators' one transform: the FFT of the complex-cast values (so a
+    real array rounds as its complex cast), the orthonormal DCT-II on a half grid."""
+    if grid.geometry == "half_line":
+        return _cosine_transform(scipy.fft.dct, values)
     return scipy.fft.fft(np.asarray(values, dtype=np.result_type(values.dtype, np.complex64)))
 
 
+def _inverse(grid: Grid, coeffs: np.ndarray, like: np.ndarray) -> np.ndarray:
+    """The inverse of ``_forward``; real values when ``like`` is real."""
+    out = (_cosine_transform(scipy.fft.idct, coeffs) if grid.geometry == "half_line"
+           else scipy.fft.ifft(coeffs))
+    return out if np.iscomplexobj(like) else out.real
+
+
 def _apply_symbol(grid: Grid, symbol: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """The line operator with multiplier ``symbol`` applied to ``values``: on
-    the Fourier series, or on the cosine series on a half grid; real input
-    gives real output, in its own dtype."""
-    if grid.geometry == "half_line":
-        return _cosine_transform(scipy.fft.idct, symbol * _cosine_transform(scipy.fft.dct, values))
-    out = scipy.fft.ifft(symbol * _spectrum(values))
-    return out if np.iscomplexobj(values) else out.real
+    """The line operator with multiplier ``symbol`` applied to ``values``, on
+    their Fourier (on a half grid, cosine) series; real input gives real output."""
+    return _inverse(grid, symbol * _forward(grid, values), values)
 
 
 def _parseval_grad_sq(grid: Grid, spectrum: np.ndarray):
-    """Integral of |grad u|^2 on the line from the spectrum of u (Parseval)."""
-    k2 = _wavenumbers_sq(grid, spectrum.real.dtype)
+    """Integral of |grad u|^2 from the ``_forward`` transform of u (Parseval)."""
+    k2 = _wavenumbers_sq(grid)
     total = np.sum(k2 * (spectrum.real ** 2 + spectrum.imag ** 2)) * grid.spacing
     return 2.0 * total if grid.geometry == "half_line" else total / grid.n
 
@@ -401,7 +402,7 @@ def laplacian_values(grid: Grid, values: np.ndarray) -> np.ndarray:
     series on a half grid), flux-form finite volume radially."""
     if grid.geometry == "radial":
         return apply_radial_lap(grid, values)
-    return _apply_symbol(grid, -_wavenumbers_sq(grid, values.real.dtype), values)
+    return _apply_symbol(grid, -_wavenumbers_sq(grid), values)
 
 
 def laplacian(u: Field) -> Field:
@@ -421,10 +422,8 @@ def grad_norm_sq_values(grid: Grid, values: np.ndarray, r_min: float = 0.0):
     if r_min > 0 and grid.geometry != "radial":
         raise ValidationError("gradient tail integrals require radial geometry (N >= 2), "
                               f"got a {grid.geometry} grid")
-    if grid.geometry == "half_line":
-        return _parseval_grad_sq(grid, _cosine_transform(scipy.fft.dct, values))
-    if grid.geometry == "line":
-        return _parseval_grad_sq(grid, _spectrum(values))
+    if grid.geometry != "radial":
+        return _parseval_grad_sq(grid, _forward(grid, values))
     d = np.diff(values) / grid.spacing
     faces = (grid.face_alpha[1:-1] * np.abs(d) ** 2)[grid.faces[1:-1] >= r_min]
     wall = grid.face_alpha[-1] * 2.0 * np.abs(values[-1]) ** 2 / grid.spacing
@@ -437,9 +436,9 @@ def gradient_values(grid: Grid, values: np.ndarray) -> np.ndarray:
         raise ValidationError("an even field's gradient is odd: it has no cosine form on the "
                               "half grid (Grid.half)")
     if grid.geometry == "line":
-        return _apply_symbol(grid, 1j * _wavenumbers(grid, values.real.dtype), values)
+        return _apply_symbol(grid, 1j * _wavenumbers(grid), values)
     # a multiply, as NumPy's complex-by-real division is, so real and complex round alike
-    h = 0.5 / values.real.dtype.type(grid.spacing)
+    h = 0.5 / grid.spacing
     out = np.empty_like(values)
     out[1:-1] = (values[2:] - values[:-2]) * h
     out[0] = (values[1] - values[0]) * h          # even ghost at r=0
@@ -452,9 +451,9 @@ def gradient_and_grad_sq(grid: Grid, values: np.ndarray):
     from one forward transform."""
     if grid.geometry != "line":
         return gradient_values(grid, values), grad_norm_sq_values(grid, values)
-    spectrum = _spectrum(values)
-    grad = scipy.fft.ifft(1j * _wavenumbers(grid, values.real.dtype) * spectrum)
-    return grad if np.iscomplexobj(values) else grad.real, _parseval_grad_sq(grid, spectrum)
+    spectrum = _forward(grid, values)
+    return (_inverse(grid, 1j * _wavenumbers(grid) * spectrum, values),
+            _parseval_grad_sq(grid, spectrum))
 
 
 def helmholtz_solve(grid: Grid, rhs: np.ndarray) -> np.ndarray:
@@ -467,7 +466,7 @@ def helmholtz_solve(grid: Grid, rhs: np.ndarray) -> np.ndarray:
     """
     rhs = np.asarray(rhs, dtype=np.complex128 if np.iscomplexobj(rhs) else np.float64)
     if grid.geometry != "radial":
-        return _apply_symbol(grid, 1.0 / (1.0 + _wavenumbers_sq(grid, np.float64)), rhs)
+        return _apply_symbol(grid, 1.0 / (1.0 + _wavenumbers_sq(grid)), rhs)
     if np.iscomplexobj(rhs):
         return helmholtz_solve(grid, rhs.real) + 1j * helmholtz_solve(grid, rhs.imag)
     lu = _cached(grid, "helmholtz", lambda: _factor_one_minus_zlap(grid, 1.0))
@@ -501,7 +500,7 @@ def _build_propagator(grid: Grid, dt: float):
     """The exact Fourier (on a half grid, cosine) multiplier on the line, the
     zgttrf factors of the Crank-Nicolson matrix 1 - (i dt/2) Lap radially."""
     if grid.geometry != "radial":
-        return np.exp(-1j * _wavenumbers_sq(grid, np.float64) * dt)
+        return np.exp(-1j * _wavenumbers_sq(grid) * dt)
     return _factor_one_minus_zlap(grid, 0.5j * dt)
 
 
@@ -526,13 +525,9 @@ def free_flow(grid: Grid, values: np.ndarray, dt: float, slots: int = 1):
             del cache[next(iter(cache))]
         prop = _build_propagator(grid, dt)
     cache[dt] = prop                      # most recently used last
-    if grid.geometry == "half_line":
-        coeffs = _cosine_transform(scipy.fft.dct, values)
-        return (_cosine_transform(scipy.fft.idct, prop * coeffs),
-                partial(_parseval_grad_sq, grid, coeffs))
-    if grid.geometry == "line":
-        spectrum = _spectrum(values)
-        return scipy.fft.ifft(prop * spectrum), partial(_parseval_grad_sq, grid, spectrum)
+    if grid.geometry != "radial":
+        spectrum = _forward(grid, values)     # the complex ``prop`` makes the flow complex
+        return _inverse(grid, prop * spectrum, prop), partial(_parseval_grad_sq, grid, spectrum)
     out = _tridiag_solve(prop, values + 0.5j * dt * apply_radial_lap(grid, values))
     return out, partial(grad_norm_sq_values, grid, values)
 

@@ -136,15 +136,19 @@ class Trajectory:
     def snapshots(self) -> list[TrajectorySample]:
         return [s for s in self.samples if s.snapshot is not None]
 
+    def resolved(self) -> np.ndarray:
+        """Mask of the resolved samples: |grad u| at most half its final value."""
+        g = self.grad_norms()
+        return g <= g[-1] / 2.0
+
     def resolved_energy_drift(self) -> float:
-        """max |E - E0| / energy_scale(u0) over the samples with |grad u| <= its final / 2;
-        the first sample holds energy_scale(u0) = G0 - E0, as E = G/2 - P/(2 sigma + 2).
+        """max |E - E0| / energy_scale(u0) over the ``resolved`` samples; the first
+        sample holds energy_scale(u0) = G0 - E0, as E = G/2 - P/(2 sigma + 2).
         Raises ValidationError when no sample qualifies: a run that did not concentrate."""
-        g, e = self.grad_norms(), self.energies()
-        resolved = g <= g[-1] / 2.0
+        e, resolved = self.energies(), self.resolved()
         if not resolved.any():
             raise ValidationError("resolved_energy_drift needs a sample with |grad u| at most "
-                                  f"half its final {g[-1]:.3e}: the run did not concentrate")
+                                  "half its final value: the run did not concentrate")
         scale = self.samples[0].grad_norm_sq - e[0]
         return float(np.max(np.abs(e[resolved] - e[0])) / scale)
 

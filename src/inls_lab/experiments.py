@@ -359,8 +359,7 @@ def virial_gate(seed):
     # mass-critical: variance is exactly quadratic with curvature 16 E[u0]
     traj = trajectory("quintic_collapse")
     e0 = traj.energies()[0]
-    ts, Vs, gnorms = traj.times(), traj.variances(), traj.grad_norms()
-    resolved = gnorms <= gnorms[-1] / 2.0
+    ts, Vs, resolved = traj.times(), traj.variances(), traj.resolved()
     coeffs = np.polyfit(ts[resolved], Vs[resolved], 2)
     resid = Vs[resolved] - np.polyval(coeffs, ts[resolved])
     curvature_dev = abs(2.0 * coeffs[0] - 16.0 * e0) / abs(16.0 * e0)
@@ -379,9 +378,8 @@ def virial_gate(seed):
     e0i = itraj.energies()[0]
     a = p.dim * p.sigma + p.b
     ts, Vs, gnorms = itraj.times(), itraj.variances(), itraj.grad_norms()
-    resolved_idx = np.where(gnorms <= gnorms[-1] / 2.0)[0]
     devs = []
-    for i in resolved_idx[2:-2]:
+    for i in np.flatnonzero(itraj.resolved())[2:-2]:
         h1, h2 = ts[i] - ts[i - 1], ts[i + 1] - ts[i]
         d2 = 2.0 * (h1 * Vs[i + 1] - (h1 + h2) * Vs[i] + h2 * Vs[i - 1]) / (h1 * h2 * (h1 + h2))
         rhs = 8.0 * a * e0i - 4.0 * (a - 2.0) * gnorms[i] ** 2

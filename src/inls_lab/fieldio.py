@@ -1,6 +1,7 @@
 """On-disk formats: binary fields, grid/params manifests, trajectory CSV.
 The readers raise ValidationError on malformed content, text that is not
-UTF-8 included; a file that cannot be read at all raises its OSError.
+UTF-8 included, and ``read_field`` and ``trajectory_from_csv`` on a value
+that is not finite; a file that cannot be read at all raises its OSError.
 
 Field binary layout (little endian): 32-byte header = 8-byte magic
 "INLSFLD1", u64 node count, 8-byte geometry tag ("line" / "radial", zero
@@ -58,6 +59,8 @@ def read_field(path, grid: Grid, params: ProblemParams) -> Field:
         raise ValidationError(f"{path}: geometry {tag!r} does not match grid {grid.geometry!r}")
     if len(vals) != grid.n:
         raise ValidationError(f"{path}: n={len(vals)} does not match grid n={grid.n}")
+    if not np.isfinite(vals).all():
+        raise ValidationError(f"{path}: holds a value that is not finite")
     return Field(vals, grid, params)
 
 

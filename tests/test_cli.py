@@ -350,9 +350,10 @@ FITTABLE = "".join(f"{1 - 2 ** (-i / 4)!r},0.001,1.0,0.5,{2 ** (i / 4)!r},1.0,0.
                    for i in range(40))
 # a field binary of the right size for n = 256 whose geometry tag is not ASCII
 BAD_TAG_FLD = b"INLSFLD1" + (256).to_bytes(8, "little") + b"lin\xe9" + bytes(12 + 16 * 256)
-# a well-formed n = 256 line field binary whose first value is inf
-INF_FLD = (b"INLSFLD1" + (256).to_bytes(8, "little") + b"line" + bytes(12)
-           + np.r_[np.inf, np.ones(255)].astype("<c16").tobytes())
+# well-formed n = 256 line field binaries whose first value is inf, or whose fifth is NaN
+INF_FLD, NAN_FLD = (b"INLSFLD1" + (256).to_bytes(8, "little") + b"line" + bytes(12)
+                    + np.r_[np.ones(k), bad, np.ones(255 - k)].astype("<c16").tobytes()
+                    for k, bad in ((0, np.inf), (4, np.nan)))
 
 
 @pytest.mark.parametrize("command, corrupt", [
@@ -388,6 +389,12 @@ INF_FLD = (b"INLSFLD1" + (256).to_bytes(8, "little") + b"line" + bytes(12)
     pytest.param("analyze", _rewrite("snapshots/s.fld", BAD_TAG_FLD, "snapshots/snapshots.json",
                                      '[{"file": "s.fld", "time": 0}]'),
                  id="snapshot-tag-not-ascii"),
+    pytest.param("analyze", _rewrite("snapshots/s.fld", INF_FLD, "snapshots/snapshots.json",
+                                     '[{"file": "s.fld", "time": 0}]'),
+                 id="snapshot-fld-holds-inf"),
+    pytest.param("analyze", _rewrite("snapshots/s.fld", NAN_FLD, "snapshots/snapshots.json",
+                                     '[{"file": "s.fld", "time": 0}]'),
+                 id="snapshot-fld-holds-nan"),
     pytest.param("evolve", _rewrite("u0.fld", "INLSFLD1 but not a field"), id="evolve-bad-fld"),
     pytest.param("evolve", _rewrite("u0.fld", BAD_TAG_FLD), id="evolve-fld-tag-not-ascii"),
     pytest.param("evolve", _remove("u0.fld"), id="evolve-fld-missing"),

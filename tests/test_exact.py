@@ -103,7 +103,7 @@ def test_s_profile_sign_convention_by_equation_residual(quintic_gs):
     grid, params = prof.grid, prof.params
     from inls_lab.core import _wavenumbers, sample_scaled
 
-    x, k = grid.nodes, _wavenumbers(grid, np.float64)
+    x, k = grid.nodes, _wavenumbers(grid)
     W = grid.weight_b
 
     def candidate(t, sq, sl, h=1e-6):

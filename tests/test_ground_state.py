@@ -334,8 +334,8 @@ def _newton_solve(monkeypatch, params, grid):
 @pytest.mark.parametrize("dim, sigma, b, grid", NEWTON_CASES)
 def test_newton_polish_matches_longdouble_petviashvili(monkeypatch, dim, sigma, b, grid):
     """The polish converges to the fixed point that Petviashvili iteration
-    run wholly in longdouble reaches, the b = 0 line's translation kernel
-    notwithstanding."""
+    reaches in longdouble arrays (the operators' multipliers and the Helmholtz
+    solve stay float64), the b = 0 line's translation kernel notwithstanding."""
     params = make_params(dim, sigma, b)
     gs, norms = _newton_solve(monkeypatch, params, grid)
     start = np.exp(-grid.nodes ** 2 / 2.0).astype(np.longdouble)

@@ -101,6 +101,8 @@ def test_gradient_and_grad_sq_is_the_pair_bit_for_bit(geometry, kind):
 @pytest.mark.parametrize("geometry", sorted(SETUPS))
 @pytest.mark.parametrize("dtypes", [(np.float64, np.longdouble), (np.longdouble, np.float64)])
 def test_cache_per_dtype_matches_fresh_grid(geometry, dtypes):
+    """The grid's one float64 cache serves every input dtype: used first in one
+    dtype, a grid gives a fresh grid's results in the other."""
     shared = SETUPS[geometry][1]()
     u = bump(geometry, 5, "real", shared).values
     for dtype in dtypes:

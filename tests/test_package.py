@@ -71,6 +71,25 @@ def test_radial_discretization_stays_in_core():
     assert not found, f"face data read outside core: {found}"
 
 
+def test_spectral_transforms_stay_in_core():
+    """Only ``core`` imports ``scipy.fft``: every other module transforms
+    through its operators' one spectral path."""
+    found = []
+    for path in sorted(Path(inls_lab.__file__).parent.glob("*.py")):
+        if path.name == "core.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name == "scipy.fft" or name.startswith("scipy.fft.")]
+    assert not found, f"scipy.fft imported outside core: {found}"
+
+
 def test_failing_property_test_is_reported_and_the_session_goes_on(pytester):
     """Under this project's pytest configuration, which turns DeprecationWarning
     into an error, a failing ``@given`` test is reported as a failure and the
