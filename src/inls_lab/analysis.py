@@ -278,6 +278,9 @@ def decompose(u: Field, R: float, rho_freq: float) -> DecompositionResult:
     """
     if not (R > 0 and rho_freq > 0):
         raise ValidationError("R and rho_freq must be positive")
+    if u.grid.geometry == "half_line":
+        raise ValidationError("decompose has no mollifier on the half grid (Grid.half): "
+                              "decompose the whole line field")
     vals = u.values.astype(complex)
     u1 = smooth_cutoff(np.abs(u.grid.nodes) / R) * vals
     u2 = vals - u1

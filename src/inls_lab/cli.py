@@ -183,6 +183,14 @@ def _params_grid(cfg: dict):
     return params, grid_for(params, cfg["extent"], cfg["n"])
 
 
+def _family(cfg: dict, params) -> SFamilyParams:
+    """The config's blow-up family, which exists on mass-critical params only."""
+    if not params.mass_critical:
+        raise ValidationError(f"config: the blow-up family needs 'sigma' = (2 - b)/dim = "
+                              f"{(2.0 - params.b) / params.dim!r}, got {params.sigma!r}")
+    return SFamilyParams(cfg["family_T"], cfg["family_lambda"], cfg["family_gamma"])
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -220,7 +228,7 @@ def _initial_field(cfg, params, grid, family) -> Field:
             raise ValidationError("config: initial = file needs key 'initial_path'")
         return read_field(cfg["initial_path"], grid, params)
     gs = solve_ground_state(params, grid)
-    if kind == "s_family":
+    if family is not None:
         return s_profile(family, gs, cfg["family_t0"])
     return gs.profile.with_values(cfg["initial_c"] * gs.profile.values.astype(complex))
 
@@ -228,7 +236,7 @@ def _initial_field(cfg, params, grid, family) -> Field:
 def cmd_evolve(cfg, out, seed):
     params, grid = _params_grid(cfg)
     policy = StepPolicy(**{f.name: cfg[f.name] for f in fields(StepPolicy) if f.name in cfg})
-    family = SFamilyParams(cfg["family_T"], cfg["family_lambda"], cfg["family_gamma"])
+    family = _family(cfg, params) if cfg["initial"] == "s_family" else None
     u0 = _initial_field(cfg, params, grid, family)
     if not np.isfinite(u0.values).all():
         raise ValidationError(f"initial field ({cfg['initial']}) holds non-finite values")
@@ -333,7 +341,7 @@ def cmd_verify(cfg, out, seed):
 
 def cmd_exact(cfg, out, seed):
     params, grid = _params_grid(cfg)
-    family = SFamilyParams(cfg["family_T"], cfg["family_lambda"], cfg["family_gamma"])
+    family = _family(cfg, params)
     if not all(t < family.T for t in cfg["times"]):
         raise ValidationError(f"config: 'times' must all precede family_T = {family.T}, "
                               f"got {cfg['times']}")

@@ -15,10 +15,10 @@ Two discretizations are supported:
   The zero-flux face at r = 0 realizes the even reflection condition; a
   ghost value -u[-1] realizes homogeneous Dirichlet at Rmax.
 
-Both grids are cell-centered, so coordinates never hit the origin and the
-singular weight |x|^-b stays finite.  The weight is stored as the exact
-cell average of |x|^-b, which keeps quadratures of weighted integrands
-second-order accurate despite the singularity.
+Both grids are cell-centered; the nodes and the singular weight |x|^-b (its exact
+cell average, which keeps weighted quadratures second-order accurate) derive from
+one array of cell edges.  The line's edges (k - n/2) dx mirror exactly, as do its
+nodes and weights, so an analytically even field samples exactly even.
 
 This module owns the grids, the fields on them and the operator layer (the
 differential primitives below: Laplacian, gradient and its quadrature,
@@ -147,17 +147,6 @@ def make_params(dim: int, sigma: float, b: float) -> ProblemParams:
 # grids
 
 
-def _cell_avg_weight_line(n, dx, b):
-    # exact cell averages of |x|^-b from the antiderivative sign(x)|x|^(1-b);
-    # the edges (k - n/2) dx are exact mirror images, so the weights are
-    # symmetric to the last bit, and for odd n the middle cell straddles 0
-    if b == 0.0:
-        return np.ones(n)
-    edges = (np.arange(n + 1) - n / 2) * dx
-    F = np.sign(edges) * np.abs(edges) ** (1 - b)
-    return (F[1:] - F[:-1]) / ((1 - b) * dx)
-
-
 @dataclass(frozen=True)
 class Grid:
     """Cell-centered spatial grid (line or radial geometry).
@@ -213,18 +202,23 @@ MIN_CELLS = 8        # the fewest cells either grid constructor accepts
 
 
 def line_grid(half_width: float, n: int, b: float = 0.0) -> Grid:
-    """Periodized line [-L, L] with n cell-centered nodes (dim = 1)."""
+    """Periodized line [-L, L] (dim = 1) cut at the n + 1 edges (k - n/2) dx, whose
+    midpoints (the nodes) and |x|^-b averages (``weight_b``) mirror to the last bit."""
     if not (0 < half_width < math.inf and n >= MIN_CELLS):
         raise ValidationError(
             f"need finite half_width > 0 and n >= {MIN_CELLS}, got {half_width}, {n}")
     if not 0.0 <= b < 1.0:
         raise ValidationError(f"line geometry needs 0 <= b < 1 for integrability, got b={b}")
     dx = 2.0 * half_width / n
-    nodes = -half_width + (np.arange(n) + 0.5) * dx
+    edges = (np.arange(n + 1) - n / 2) * dx
+    if b == 0.0:
+        wb = np.ones(n)
+    else:           # exact cell averages of |x|^-b from the antiderivative sign(x)|x|^(1-b)
+        F = np.sign(edges) * np.abs(edges) ** (1 - b)
+        wb = (F[1:] - F[:-1]) / ((1 - b) * dx)
     return Grid(
         geometry="line", dim=1, extent=float(half_width), n=int(n), b=float(b),
-        nodes=nodes, weights=np.full(n, dx), weight_b=_cell_avg_weight_line(n, dx, b),
-        spacing=dx,
+        nodes=0.5 * (edges[:-1] + edges[1:]), weights=np.full(n, dx), weight_b=wb, spacing=dx,
     )
 
 

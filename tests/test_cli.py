@@ -697,6 +697,9 @@ def solve_calls(monkeypatch):
                  id="evolve-family_t0-inf-s_family"),
     ("evolve", "c_dt", "inf"),
     ("analyze", "c0", "inf"),
+    ("exact", "sigma", 1.0),
+    pytest.param("evolve", "sigma", {"initial": "s_family", "sigma": 1.0},
+                 id="evolve-sigma-not-mass-critical-s_family"),
 ])
 def test_malformed_value_exit_2(tmp_path, capsys, solve_calls, command, key, value):
     """A bad config exits 2 naming the key, before any solve or output directory."""

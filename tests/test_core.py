@@ -18,11 +18,13 @@ def test_line_grid_cell_centered_avoids_origin():
 
 
 def test_line_weight_b_mirror_symmetric():
-    """The cell averages of |x|^-b are symmetric to the last bit, also when
-    dx is not a power of two."""
-    for n in (4608, 6144):
-        wb = line_grid(16.0, n, 0.5).weight_b
-        assert np.array_equal(wb, wb[::-1])
+    """The nodes and the cell averages of |x|^-b are symmetric to the last bit,
+    also when dx is not a power of two; for odd n the middle node is 0.0."""
+    for L, n in ((16.0, 4608), (16.0, 6144), (7.3, 4096), (8.0, 9)):
+        g = line_grid(L, n, 0.5)
+        assert np.array_equal(g.weight_b, g.weight_b[::-1])
+        assert np.array_equal(g.nodes, -g.nodes[::-1])
+    assert g.nodes[4] == 0.0
 
 
 @pytest.mark.parametrize("b", [0.25, 0.5, 0.7])

@@ -335,6 +335,18 @@ def test_even_march_matches_full_march(monkeypatch):
             1e-13 * np.max(np.abs(b.snapshot.values)))
 
 
+@pytest.mark.parametrize("L, n", [(16.0, 4608), (7.3, 4096)])
+def test_gaussian_on_a_non_dyadic_line_marches_on_the_half_grid(L, n, monkeypatch):
+    """dx = 2L/n is not a power of two, yet exp(-x^2/2) sampled on the line's
+    nodes is exactly even, so the march runs on the half grid."""
+    params, grid = make_params(1, 2.0, 0.0), line_grid(L, n)
+    marched = []
+    monkeypatch.setattr(evolution, "_march", lambda v, policy, traj: marched.append(v))
+    evolve(Field(np.exp(-grid.nodes ** 2 / 2), grid, params), StepPolicy(t_end=0.01))
+    [v] = marched
+    assert v.grid.geometry == "half_line" and v.grid.full is grid
+
+
 def test_even_march_takes_no_full_grid_transform(monkeypatch):
     """An even line march records on the half grid: without snapshots it takes
     no complex FFT, and each kept snapshot is the whole even field on the line.

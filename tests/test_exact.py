@@ -53,7 +53,7 @@ def test_s_profile_is_exactly_even_on_the_line(quintic_gs, n):
     for t in (0.0, 0.5, 0.9):
         v = s_profile(fam, gs, t).values
         assert np.array_equal(v, v[::-1])
-    x, s = gs.profile.grid.nodes, 0.1
+    x, s = gs.profile.grid.nodes, fam.T - 0.9       # s_profile's T - t, which is not 0.1 in floats
     expected = (np.exp(0.3j + 0.64j / s - 1j * x ** 2 / (4 * s)) * (0.8 / s) ** 0.5
                 * sample_scaled(gs.profile, 0.8 / s, order=5))
     assert np.max(np.abs(v - expected)) <= 1e-13 * np.max(np.abs(expected))

@@ -11,6 +11,7 @@ from scipy.linalg import lapack
 
 from inls_lab import Field, ValidationError, core, make_params
 from inls_lab import functionals as fn
+from inls_lab.analysis import decompose
 from inls_lab.core import (
     apply_radial_lap, free_flow, grad_norm_sq_values, gradient_and_grad_sq, gradient_values,
     helmholtz_solve, laplacian_values, line_grid, radial_grid, shifted_helmholtz_solve,
@@ -257,12 +258,14 @@ def test_radial_laplacian_rejects_a_line_grid():
 
 def test_half_grid_rejects_operators_without_a_cosine_form():
     """An even field's gradient is odd, and the radial operators have no
-    cosine form: on a half grid they raise instead of taking a radial branch."""
+    cosine form: on a half grid they raise instead of taking a radial branch.
+    So does ``decompose``, whose radial mollifier would divide by sin theta."""
     u, right = even_bump(3)
     half = u.grid.half
     for call in (lambda: gradient_values(half, right), lambda: apply_radial_lap(half, right),
                  lambda: grad_norm_sq_values(half, right, r_min=1.0),
-                 lambda: fn.radial_momentum(Field(right, half, u.params))):
+                 lambda: fn.radial_momentum(Field(right, half, u.params)),
+                 lambda: decompose(Field(right, half, u.params), 2.0, 1.0)):
         with pytest.raises(ValidationError, match="half"):
             call()
 
