@@ -12,7 +12,7 @@ read or written (missing, a directory, not UTF-8), 3 numerical failure or a
 failed acceptance reproduction.
 
 Config files are flat ``key = value`` text ('#' starts a comment).
-``SCHEMAS`` gives each subcommand's keys with their casts and defaults, and
+``config.SCHEMAS`` gives each subcommand's keys with their casts and defaults, and
 every check the config alone decides runs before the output directory is
 created, so a bad config exits 2 and leaves nothing behind.  The same holds
 for the files a run reads and what it computes from them: analyze reads the
@@ -25,12 +25,9 @@ failed evolve still writes trajectory.csv and summary.json (termination
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
-import math
 import subprocess
 import sys
-from dataclasses import fields
 from functools import partial
 from pathlib import Path
 
@@ -40,17 +37,16 @@ import scipy
 from . import __version__
 from . import functionals as fn
 from .analysis import (
-    WINDOW_MODES, estimate_blowup_time, mass_concentration_series, rate_exponent_bound,
-    sigma_c_window_series,
+    estimate_blowup_time, mass_concentration_series, rate_exponent_bound, sigma_c_window_series,
 )
-from .core import Field, grid_for, make_params
+from .config import family, initial_field, params_grid, resolve_config, step_policy
 from .errors import NumericsError, ValidationError
-from .evolution import StepPolicy, evolve
-from .exact import SFamilyParams, s_profile
+from .evolution import evolve
+from .exact import s_profile
 from .experiments import REGISTRY, reproduce as run_reproduce
 from .fieldio import (
-    attach_snapshots, integral, read_field, read_manifest, read_text, trajectory_from_csv,
-    trajectory_to_csv, write_field, write_manifest, write_snapshots,
+    attach_snapshots, read_manifest, read_text, trajectory_from_csv, trajectory_to_csv,
+    write_field, write_manifest, write_snapshots,
 )
 from .ground_state import solve_ground_state
 from .inequalities import (
@@ -80,82 +76,6 @@ def parse_config(path: str | None) -> dict:
     return cfg
 
 
-def _checked(cast, ok, why: str):
-    """``cast``, then reject a value that fails ``ok`` for the reason ``why``."""
-    def checked(text: str):
-        value = cast(text)
-        if not ok(value):
-            raise ValueError(why)
-        return value
-    return checked
-
-
-def _one_of(*names):
-    return _checked(str, names.__contains__, f"expected one of {', '.join(names)}")
-
-
-def _defaults(obj, **casts) -> dict:
-    """Schema entries for parameters of ``obj`` (a dataclass or a function),
-    each default read from ``obj``'s own signature."""
-    params = inspect.signature(obj).parameters
-    return {key: (cast, params[key].default) for key, cast in casts.items()}
-
-
-_finite = _checked(float, math.isfinite, "must be finite")
-_finite_positive = _checked(float, lambda v: 0 < v < math.inf, "must be finite and positive")
-_count = _checked(integral, lambda v: v >= 1, "must be at least 1")
-
-# Per subcommand, every key it reads: key -> (cast, default).  A key without a
-# default is required; any key not listed is a typo or belongs elsewhere.
-_GRID = {"dim": (integral,), "sigma": (_finite,), "b": (_finite,), "extent": (_finite_positive,),
-         "n": (integral,)}
-_FAMILY = {"family_T": (_finite_positive, 1.0), "family_lambda": (_finite_positive, 1.0),
-           "family_gamma": (_finite, SFamilyParams.gamma)}
-SCHEMAS = {
-    # dtype, recorded in the manifest, selects nothing: older configs still run
-    "ground-state": {**_GRID, "dtype": (_one_of("float64", "longdouble"), "float64"),
-                     **_defaults(solve_ground_state, max_iter=_count)},
-    "evolve": {
-        **_GRID, **_FAMILY,
-        "initial": (_one_of("ground_state_multiple", "gaussian", "s_family", "file"),),
-        "initial_c": (_finite, 1.0), "initial_amplitude": (_finite, 1.0),
-        "initial_width": (_finite_positive, 1.0), "initial_path": (str, None),
-        "family_t0": (_finite, 0.0),
-        **_defaults(StepPolicy, dt0=_finite, c_dt=_finite, t_end=_finite, theta=_finite,
-                    sample_every=integral, snapshot_every=integral),
-    },
-    "analyze": {
-        "run_dir": (str,),
-        "alpha": (_checked(float, lambda v: 0 < v < 0.5, "must lie in (0, 1/2)"), 0.25),
-        "mode": (_one_of(*WINDOW_MODES), "fint"),
-        **_defaults(sigma_c_window_series, c0=_finite_positive, c0_tilde=_finite_positive),
-    },
-    "verify": {**_GRID, "trials": (_count, 1000)},
-    "exact": {**_GRID, **_FAMILY,
-              "times": (lambda text: [_finite(t) for t in text.split(",")], [0.0])},
-    "reproduce": {"name": (str,)},
-}
-
-
-def resolve_config(command: str, raw: dict) -> dict:
-    """``raw`` (key -> value text) as ``command`` reads it: each value cast once
-    and each absent key given its default.  An unknown key, a missing required
-    key or a value its cast rejects is bad input (exit 2)."""
-    schema = SCHEMAS[command]
-    unknown = sorted(set(raw) - set(schema))
-    if unknown:
-        raise ValidationError(f"config: unknown key(s) for {command}: {', '.join(unknown)}")
-    cfg = {}
-    for key, (cast, *default) in schema.items():
-        if key not in raw and not default:
-            raise ValidationError(f"config: missing required key '{key}'")
-        try:
-            cfg[key] = cast(raw[key]) if key in raw else default[0]
-        except ValueError as exc:
-            raise ValidationError(f"config: bad value for '{key}': {raw[key]!r} ({exc})") from exc
-    return cfg
-
-
 def _git_hash() -> str:
     """HEAD of the checkout this package runs from, whatever the working
     directory; "unknown" outside a checkout."""
@@ -178,25 +98,12 @@ def _setup(cfg: dict, out_dir: Path, params, grid, experiment: str) -> None:
     )
 
 
-def _params_grid(cfg: dict):
-    params = make_params(cfg["dim"], cfg["sigma"], cfg["b"])
-    return params, grid_for(params, cfg["extent"], cfg["n"])
-
-
-def _family(cfg: dict, params) -> SFamilyParams:
-    """The config's blow-up family, which exists on mass-critical params only."""
-    if not params.mass_critical:
-        raise ValidationError(f"config: the blow-up family needs 'sigma' = (2 - b)/dim = "
-                              f"{(2.0 - params.b) / params.dim!r}, got {params.sigma!r}")
-    return SFamilyParams(cfg["family_T"], cfg["family_lambda"], cfg["family_gamma"])
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 
 def cmd_ground_state(cfg, out, seed):
-    params, grid = _params_grid(cfg)
+    params, grid = params_grid(cfg)
     _setup(cfg, out, params, grid, "ground_state")
     gs = solve_ground_state(params, grid, max_iter=cfg["max_iter"])
     write_field(out / "Q.fld", gs.profile)
@@ -217,30 +124,12 @@ def cmd_ground_state(cfg, out, seed):
     return 0
 
 
-def _initial_field(cfg, params, grid, family) -> Field:
-    kind = cfg["initial"]
-    if kind == "gaussian":
-        amp, width = cfg["initial_amplitude"], cfg["initial_width"]
-        vals = amp * np.exp(-grid.nodes ** 2 / (2.0 * width ** 2)).astype(complex)
-        return Field(vals, grid, params)
-    if kind == "file":
-        if cfg["initial_path"] is None:
-            raise ValidationError("config: initial = file needs key 'initial_path'")
-        return read_field(cfg["initial_path"], grid, params)
-    gs = solve_ground_state(params, grid)
-    if family is not None:
-        return s_profile(family, gs, cfg["family_t0"])
-    return gs.profile.with_values(cfg["initial_c"] * gs.profile.values.astype(complex))
-
-
 def cmd_evolve(cfg, out, seed):
-    params, grid = _params_grid(cfg)
-    policy = StepPolicy(**{f.name: cfg[f.name] for f in fields(StepPolicy) if f.name in cfg})
-    family = _family(cfg, params) if cfg["initial"] == "s_family" else None
-    u0 = _initial_field(cfg, params, grid, family)
+    policy = step_policy(cfg)
+    u0 = initial_field(cfg, lambda c: solve_ground_state(*params_grid(c)))
     if not np.isfinite(u0.values).all():
         raise ValidationError(f"initial field ({cfg['initial']}) holds non-finite values")
-    _setup(cfg, out, params, grid, "evolve")
+    _setup(cfg, out, u0.params, u0.grid, "evolve")
     try:
         traj = evolve(u0, policy)
     except NumericsError as exc:        # keep what the run recorded before failing
@@ -313,7 +202,7 @@ def cmd_analyze(cfg, out, seed):
 
 
 def cmd_verify(cfg, out, seed):
-    params, grid = _params_grid(cfg)
+    params, grid = params_grid(cfg)
     _setup(cfg, out, params, grid, "verify")
     trials = cfg["trials"]
     gs = solve_ground_state(params, grid)
@@ -340,15 +229,15 @@ def cmd_verify(cfg, out, seed):
 
 
 def cmd_exact(cfg, out, seed):
-    params, grid = _params_grid(cfg)
-    family = _family(cfg, params)
-    if not all(t < family.T for t in cfg["times"]):
-        raise ValidationError(f"config: 'times' must all precede family_T = {family.T}, "
+    params, grid = params_grid(cfg)
+    fam = family(cfg)
+    if not all(t < fam.T for t in cfg["times"]):
+        raise ValidationError(f"config: 'times' must all precede family_T = {fam.T}, "
                               f"got {cfg['times']}")
     _setup(cfg, out, params, grid, "exact")
     gs = solve_ground_state(params, grid)
     for i, t in enumerate(cfg["times"]):
-        fld = s_profile(family, gs, t)
+        fld = s_profile(fam, gs, t)
         write_field(out / f"s_profile_{i:03d}.fld", fld)
         print(f"s_profile t={t}: mass={fn.mass(fld):.8f}")
     return 0

@@ -4,11 +4,12 @@ Each experiment returns an ExperimentReport, its numbers and the gates they
 pass by; the CLI ``reproduce`` subcommand and the acceptance test suite
 both run these functions, so the gate is exercised identically everywhere.
 
-Ground states come from one table, ``GROUND_STATES`` (three Pohozaev gates,
-five other cases), through one memo, ``ground_state(case)``;
-the four blow-up runs behind criteria 6-11 come alike from one table,
-``TRAJECTORIES`` (each run's initial field and step policy), through one memo,
-``trajectory(run)``.  ``@_experiment(name, budget_s)``
+Ground states come from one table of ``ground-state`` configs,
+``GROUND_STATES`` (three Pohozaev gates, five other cases), through
+``ground_state(case)``; the four blow-up runs behind criteria 6-11 come alike
+from one table of ``evolve`` configs, ``TRAJECTORIES``, through one memo,
+``trajectory(run)``, built as ``inls-lab evolve`` builds them; a run and a case
+on the same grid keys share one solve.  ``@_experiment(name, budget_s)``
 registers each experiment in ``REGISTRY``, times it, and builds its report
 from the ``(details, gates)`` it returns; a budget is recorded in the
 details and is one more gate, ``elapsed_seconds < budget_s``.
@@ -68,10 +69,11 @@ from .analysis import (
     decompose, estimate_blowup_time, mass_concentration_series, rate_exponent_bound,
     rescaled_profile, sigma_c_window_series, window_radii,
 )
-from .core import Field, grid_for, make_params
+from .config import family, initial_field, resolve_config, step_policy
+from .core import grid_for, make_params
 from .errors import ValidationError
-from .evolution import SUZUKI4, StepPolicy, Trajectory, evolve
-from .exact import SFamilyParams, s_profile, standing_wave
+from .evolution import StepPolicy, Trajectory, evolve
+from .exact import s_profile, standing_wave
 from .ground_state import RESIDUAL_TOL, GroundState, c_of_Mm, gn_ratio, solve_ground_state
 from .inequalities import (
     DEFAULT_SEED, VIOLATION_TOL, check_critical_gn, corpus_rng, pooled, random_bump_field,
@@ -132,69 +134,61 @@ class ExperimentReport:
 # ---------------------------------------------------------------------------
 # shared heavy intermediates (memoized for the lifetime of the process)
 
-# case -> (dim, sigma, b, extent, n); the first three are the Pohozaev gates.
+# case -> ground-state config (the grid keys; every other key at its default);
+# the first three are the Pohozaev gates.
 GROUND_STATES = {
-    "line_mass_critical": (1, 1.5, 0.5, 15.0, 65536),
-    "radial2_mass_critical": (2, 0.75, 0.5, 14.0, 20480),
-    "radial3_intercritical": (3, 1.0, 0.5, 14.0, 262144),
-    "cubic": (1, 1.0, 0.0, 20.0, 4096),
-    "quintic": (1, 2.0, 0.0, 20.0, 4096),
-    "quintic_tracking": (1, 2.0, 0.0, 20.0, 16384),
-    "line_b": (1, 1.5, 0.5, 20.0, 8192),
-    "radial2_intercritical": (2, 1.0, 0.5, 12.0, 8192),
+    "line_mass_critical": dict(dim=1, sigma=1.5, b=0.5, extent=15.0, n=65536),
+    "radial2_mass_critical": dict(dim=2, sigma=0.75, b=0.5, extent=14.0, n=20480),
+    "radial3_intercritical": dict(dim=3, sigma=1.0, b=0.5, extent=14.0, n=262144),
+    "cubic": dict(dim=1, sigma=1.0, b=0.0, extent=20.0, n=4096),
+    "quintic": dict(dim=1, sigma=2.0, b=0.0, extent=20.0, n=4096),
+    "quintic_tracking": dict(dim=1, sigma=2.0, b=0.0, extent=20.0, n=16384),
+    "line_b": dict(dim=1, sigma=1.5, b=0.5, extent=20.0, n=8192),
+    "radial2_intercritical": dict(dim=2, sigma=1.0, b=0.5, extent=12.0, n=8192),
 }
 POHOZAEV_CASES = ("line_mass_critical", "radial2_mass_critical", "radial3_intercritical")
 CORPUS_TRIALS = 1000      # random fields per inequality corpus
-S_FAMILY = SFamilyParams(T=1.0, lam=1.0, gamma=0.0)   # the tracked minimal-mass profile
 
 
 @lru_cache(maxsize=None)
-def ground_state(case: str) -> GroundState:
-    """The ground state of a ``GROUND_STATES`` case."""
-    dim, sigma, b, extent, n = GROUND_STATES[case]
-    params = make_params(dim, sigma, b)
+def _solved(params, extent, n) -> GroundState:
     return solve_ground_state(params, grid_for(params, extent, n))
 
 
-def _above_q(case: str) -> Field:
-    """1.05 Q of a line case: negative-energy mass-critical collapse."""
-    gs = ground_state(case)
-    return gs.profile.with_values(1.05 * gs.profile.values.astype(complex))
+def solved(cfg: dict) -> GroundState:
+    """The ground state on a resolved config's grid keys, solved once per set of keys."""
+    return _solved(make_params(cfg["dim"], cfg["sigma"], cfg["b"]), cfg["extent"], cfg["n"])
 
 
-def _negative_energy_gaussian() -> Field:
-    """Radial N=2 intercritical Gaussian; its energy must be negative."""
-    params = make_params(2, 1.0, 0.5)
-    grid = grid_for(params, 10.0, 2048)
-    u0 = Field(1.9 * np.exp(-grid.nodes ** 2 / 2).astype(complex), grid, params)
-    if fn.energy(u0) >= 0:
-        raise ValidationError("intercritical seed should have negative energy")
-    return u0
+def ground_state(case: str) -> GroundState:
+    """The ground state of a ``GROUND_STATES`` case."""
+    return solved(resolve_config("ground-state", GROUND_STATES[case]))
 
 
-# run -> (initial field, StepPolicy keywords); each run stops at its
-# resolution limit theta, while the core is still resolved.
-_COLLAPSE = dict(dt0=5e-4, c_dt=5e-3, sample_every=10, t_end=5.0)
+# run -> evolve config; each run stops at its resolution limit theta, while
+# the core is still resolved.  1.05 Q collapses with negative energy.
+_COLLAPSE = dict(dt0=5e-4, c_dt=5e-3, sample_every=10, snapshot_every=50, t_end=5.0)
+_ABOVE_Q = dict(initial="ground_state_multiple", initial_c=1.05)
 TRAJECTORIES = {
-    "s_family_quintic": (
-        lambda: s_profile(S_FAMILY, ground_state("quintic_tracking"), 0.0),
-        dict(weights=SUZUKI4, dt0=4e-3, c_dt=2e-2, theta=0.039, sample_every=1,
-             snapshot_every=50, t_end=5.0),
-    ),
-    "quintic_collapse": (lambda: _above_q("quintic"),
-                         dict(_COLLAPSE, theta=0.15, snapshot_every=50)),
-    "inls_collapse": (lambda: _above_q("line_b"),
-                      dict(_COLLAPSE, theta=0.10, snapshot_every=50)),
-    "intercritical_radial": (_negative_energy_gaussian,
-                             dict(_COLLAPSE, theta=0.20, snapshot_every=4)),
+    "s_family_quintic": {**GROUND_STATES["quintic_tracking"], "initial": "s_family",
+                         "weights": "suzuki4", "dt0": 4e-3, "c_dt": 2e-2, "theta": 0.039,
+                         "sample_every": 1, "snapshot_every": 50, "t_end": 5.0},
+    "quintic_collapse": {**GROUND_STATES["quintic"], **_ABOVE_Q, **_COLLAPSE, "theta": 0.15},
+    "inls_collapse": {**GROUND_STATES["line_b"], **_ABOVE_Q, **_COLLAPSE, "theta": 0.10},
+    "intercritical_radial": {"dim": 2, "sigma": 1.0, "b": 0.5, "extent": 10.0, "n": 2048,
+                             "initial": "gaussian", "initial_amplitude": 1.9,
+                             **_COLLAPSE, "theta": 0.20, "snapshot_every": 4},
 }
 
 
 @lru_cache(maxsize=None)
 def trajectory(run: str) -> Trajectory:
-    """The evolution of a ``TRAJECTORIES`` run."""
-    initial, policy = TRAJECTORIES[run]
-    return evolve(initial(), StepPolicy(**policy))
+    """The evolution of a ``TRAJECTORIES`` run; a Gaussian blows up by its negative energy."""
+    cfg = resolve_config("evolve", TRAJECTORIES[run])
+    u0 = initial_field(cfg, solved)
+    if cfg["initial"] == "gaussian" and fn.energy(u0) >= 0:
+        raise ValidationError(f"{run}: the Gaussian seed should have negative energy")
+    return evolve(u0, step_policy(cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -396,15 +390,16 @@ def s_family_tracking(seed):
     """Criterion 7 (+10): minimal-mass family tracking and profile convergence."""
     gs = ground_state("quintic_tracking")
     traj = trajectory("s_family_quintic")
+    fam = family(resolve_config("evolve", TRAJECTORIES["s_family_quintic"]))
     m_q = fn.mass(gs.profile)
 
     snaps = traj.snapshots()
     final = snaps[-1]
-    exact_final = s_profile(S_FAMILY, gs, final.time)
+    exact_final = s_profile(fam, gs, final.time)
     diff = final.snapshot.with_values(final.snapshot.values - exact_final.values)
     err_stop = math.sqrt(fn.mass(diff) / m_q)
 
-    mass_devs = [abs(fn.mass(s_profile(S_FAMILY, gs, s.time)) - m_q) / m_q for s in snaps]
+    mass_devs = [abs(fn.mass(s_profile(fam, gs, s.time)) - m_q) / m_q for s in snaps]
     fit = estimate_blowup_time(traj, gs.params.s_c)
 
     resc = [(s.time, rescaled_profile(s.snapshot, gs).err) for s in snaps]
@@ -414,7 +409,7 @@ def s_family_tracking(seed):
     details = {
         "err_at_stop": err_stop,
         "T_hat": fit.T_hat,
-        "T_hat_dev": abs(fit.T_hat - 1.0),
+        "T_hat_dev": abs(fit.T_hat - fam.T),
         "exponent": fit.exponent,
         "max_family_mass_dev": float(np.max(mass_devs)),
         "rescaled_err_final": float(errs[-1]),
@@ -424,7 +419,7 @@ def s_family_tracking(seed):
     }
     return details, [
         Gate("err_at_stop", err_stop, "<", 1e-2),
-        Gate("T_hat_dev", abs(fit.T_hat - 1.0), "<", 0.01),
+        Gate("T_hat_dev", abs(fit.T_hat - fam.T), "<", 0.01),
         Gate("exponent_dev", abs(fit.exponent + 1.0), "<", 0.10),
         Gate("max_family_mass_dev", float(np.max(mass_devs)), "<", 1e-6),
         Gate("termination", traj.termination, "is", "resolution_limit"),

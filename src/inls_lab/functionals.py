@@ -87,7 +87,8 @@ def _window_integral(u: Field, p: float, center, radius: float):
     g = u.grid
     cum = np.concatenate([[0.0], np.cumsum(np.abs(u.values) ** p * g.weights)])
     if g.geometry != "radial":
-        coord = np.concatenate([[g.nodes[0] - g.spacing / 2], g.nodes + g.spacing / 2])
+        # the edges ``core.line_grid`` cuts: (k - n/2) dx on the line, k dx on its half
+        coord = (np.arange(g.n + 1) - (g.n / 2 if g.geometry == "line" else 0)) * g.spacing
         if g.geometry == "line":
             return np.interp(center + radius, coord, cum) - np.interp(center - radius, coord, cum)
         # weights 2 dx: cum is twice the even field's integral from 0, odd in x

@@ -12,12 +12,13 @@ import pytest
 import inls_lab
 from inls_lab import cli
 from inls_lab import inequalities as ineq
-from inls_lab.cli import _params_grid, main, parse_config, resolve_config
+from inls_lab.cli import main, params_grid, parse_config, resolve_config
 from inls_lab.core import Field, grid_for, make_params
 from inls_lab.errors import ValidationError
+from inls_lab.evolution import STRANG, SUZUKI4, StepPolicy, evolve
 from inls_lab.experiments import REGISTRY
 from inls_lab.fieldio import (
-    CSV_COLUMNS, read_field, trajectory_from_csv, write_field, write_manifest,
+    CSV_COLUMNS, read_field, trajectory_from_csv, trajectory_to_csv, write_field, write_manifest,
 )
 from inls_lab.ground_state import solve_ground_state
 from inls_lab.inequalities import InequalityReport
@@ -673,6 +674,7 @@ def solve_calls(monkeypatch):
     ("evolve", "initial_width", 0),
     ("evolve", "sample_every", 0),
     ("evolve", "initial", "bogus"),
+    ("evolve", "weights", "bogus"),
     pytest.param("evolve", "dt0", {"initial": "ground_state_multiple", "dt0": -1},
                  id="evolve-dt0-ground_state_multiple"),
     pytest.param("evolve", "initial_path", {"initial": "file"}, id="evolve-initial_path-missing"),
@@ -759,6 +761,30 @@ def test_manifest_records_resolved_config(tmp_path):
     assert config["t_end"] == 0.01
 
 
+def test_weights_key_selects_the_composition(tmp_path):
+    """An evolve config with weights = suzuki4 marches exactly as
+    StepPolicy(weights=SUZUKI4), and one without the key as Strang; the
+    manifest records the name."""
+    params = make_params(1, 2.0, 0.0)
+    grid = grid_for(params, 16.0, 256)
+    u0 = Field(1.5 * np.exp(-grid.nodes ** 2 / 2).astype(complex), grid, params)
+    policy = dict(dt0=1e-2, c_dt=1e9, theta=1e9, t_end=0.2, sample_every=1)
+    kv = dict(dim=1, sigma=2.0, b=0.0, extent=16.0, n=256, initial="gaussian",
+              initial_amplitude=1.5, **policy)
+    rows = []
+    for name, extra, weights in (("suzuki4", {"weights": "suzuki4"}, SUZUKI4),
+                                 ("strang", {}, STRANG)):
+        out = tmp_path / name
+        assert main(["evolve", "--config", write_cfg(tmp_path / f"{name}.cfg", **kv, **extra),
+                     "--out", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["config"]["weights"] == name
+        ref = tmp_path / f"{name}.csv"
+        trajectory_to_csv(evolve(u0, StepPolicy(weights=weights, **policy)), ref)
+        rows.append((out / "trajectory.csv").read_text())
+        assert rows[-1] == ref.read_text()
+    assert rows[0] != rows[1]
+
+
 def test_evolve_from_file_keeps_path_text(tmp_path, monkeypatch):
     """initial_path = 0123 names the file 0123, not 123."""
     monkeypatch.chdir(tmp_path)
@@ -773,7 +799,7 @@ def test_evolve_from_file_keeps_path_text(tmp_path, monkeypatch):
 def test_integral_float_value_accepted(tmp_path):
     cfg = parse_config(write_cfg(tmp_path / "c.cfg", dim=2.0, sigma=1.0, b=0.5,
                                  extent=12.0, n="1e3"))
-    params, grid = _params_grid(resolve_config("ground-state", cfg))
+    params, grid = params_grid(resolve_config("ground-state", cfg))
     assert (params.dim, grid.n) == (2, 1000)
 
 

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from inls_lab import Field, NumericsError, StepPolicy, ValidationError, evolve, make_params
-from inls_lab import core, evolution, experiments, solve_ground_state
-from inls_lab.core import grid_for, line_grid, radial_grid
+from inls_lab import core, evolution, experiments
+from inls_lab.config import initial_field, resolve_config, step_policy
+from inls_lab.core import line_grid, radial_grid
 from inls_lab.evolution import LADDER_RUNGS, STRANG, SUZUKI4, step
 from inls_lab.exact import standing_wave
 from inls_lab.fieldio import trajectory_from_csv, trajectory_to_csv
@@ -418,19 +419,26 @@ def assert_kick_is_plain(u: Field, tau: float) -> None:
     assert np.array_equal(out.view(float), ref.view(float), equal_nan=True)
 
 
+def run_start(run: str, **overrides):
+    """An ``experiments.TRAJECTORIES`` row with ``overrides``, resolved, and the
+    initial field it builds (on the suite's memoized ground states)."""
+    cfg = resolve_config("evolve", {**experiments.TRAJECTORIES[run], **overrides})
+    return cfg, initial_field(cfg, experiments.solved)
+
+
 @pytest.mark.parametrize("run", sorted(experiments.TRAJECTORIES))
 def test_kick_is_the_plain_kick_on_each_run(run, monkeypatch):
     """On each acceptance run's initial field, on the grid it marches on, the
     kick equals the cos/sin kick bit for bit at the run's step sizes, forward
     and backward; phases lie on both sides of 2^-27, so the window is proper."""
-    initial, policy = experiments.TRAJECTORIES[run]
-    u0, marched = initial(), []
+    cfg, u0 = run_start(run)
+    marched = []
     with monkeypatch.context() as m:
         m.setattr(evolution, "_march", lambda v, policy, traj: marched.append(v))
-        evolve(u0, StepPolicy(**policy))
+        evolve(u0, step_policy(cfg))
     v = marched[0]
     assert v.grid.geometry == ("radial" if u0.grid.geometry == "radial" else "half_line")
-    for tau in (0.5 * policy["dt0"], policy["dt0"], -0.3 * policy["dt0"]):
+    for tau in (0.5 * cfg["dt0"], cfg["dt0"], -0.3 * cfg["dt0"]):
         phases = np.abs(kick_phases(v, tau))
         assert phases.max() >= 2.0 ** -27 > phases.min()
         assert_kick_is_plain(v, tau)
@@ -493,14 +501,14 @@ def test_nan_outside_the_kick_window_is_caught(plain_line):
         evolve(Field(vals, grid, params), StepPolicy(t_end=1.0))
 
 
-@pytest.mark.parametrize("run", sorted(experiments.TRAJECTORIES))
+@pytest.mark.parametrize("run", sorted(run for run, row in experiments.TRAJECTORIES.items()
+                                        if row["dim"] == 1))
 def test_line_runs_start_exactly_even(run):
     """Every line run of the acceptance suite marches on the half grid: its
     initial field is exactly even on an even n.  Builds the initial field only."""
-    u0 = experiments.TRAJECTORIES[run][0]()
-    if u0.grid.geometry != "line":
-        pytest.skip("a radial run")
-    assert u0.grid.n % 2 == 0 and np.array_equal(u0.values, u0.values[::-1])
+    _, u0 = run_start(run)
+    assert u0.grid.geometry == "line" and u0.grid.n % 2 == 0
+    assert np.array_equal(u0.values, u0.values[::-1])
 
 
 def test_t_end_run_ends_on_t_end(plain_line):
@@ -600,23 +608,35 @@ def test_resolved_energy_drift_rejects_a_run_that_does_not_concentrate():
         evolve(u0, StepPolicy(t_end=0.1)).resolved_energy_drift()
 
 
-# The line runs of experiments.TRAJECTORIES and the GROUND_STATES case each
-# starts from; inls_collapse's G doubles under n -> 2n (ROADMAP open item 1).
-@pytest.mark.parametrize("run, case", [("s_family_quintic", "quintic_tracking"),
-                                       ("quintic_collapse", "quintic")])
-def test_line_run_gradient_is_grid_converged(monkeypatch, run, case):
-    """G(0.5) of a run agrees to 1e-6 relative with the same run on 2n cells,
-    started from the ground state solved again on them; measured 1.5e-12 and
-    1.6e-12."""
-    initial, policy = experiments.TRAJECTORIES[run]
-    policy = StepPolicy(**dict(policy, t_end=0.5))
-    dim, sigma, b, extent, n = experiments.GROUND_STATES[case]
-    params = make_params(dim, sigma, b)
-    fine = solve_ground_state(params, grid_for(params, extent, 2 * n))
-    G = []
-    for gs in (experiments.ground_state(case), fine):
-        monkeypatch.setattr(experiments, "ground_state", lambda _: gs)
-        traj = evolve(initial(), policy)
-        assert traj.termination == "t_end"
-        G.append(traj.samples[-1].grad_norm_sq)
-    assert G[1] == pytest.approx(G[0], rel=1e-6)
+# run -> (t_q, bounds on |dG|/G at dt/2 and at 2n, bounds on |dE|/scale at dt/2
+# and at 2n), each at least 10x the value measured (in the comment).  Every
+# experiments.TRAJECTORIES run but inls_collapse, whose b > 0 line march moves
+# G(0.5) by 34 % at dt/2 and by 103 % at 2n (ROADMAP open item 1); it joins
+# once that is mended.
+CONVERGENCE = {
+    "s_family_quintic": (0.5, 2e-5, 1e-6, 2e-6, 1e-11),      # 1.6e-6 1.5e-12 1.1e-7 1.0e-13
+    "quintic_collapse": (0.5, 2e-4, 1e-6, 1e-5, 1e-11),      # 1.3e-5 1.6e-12 5.1e-7 2.6e-13
+    "intercritical_radial": (0.1, 5e-4, 3e-4, 5e-5, 2e-5),   # 3.6e-5 2.2e-5 4.2e-6 1.2e-6
+}
+
+
+@pytest.mark.parametrize("run", sorted(CONVERGENCE))
+def test_run_is_converged_in_dt_and_n(run):
+    """G and E at t_q of a run, marched to t_end = t_q, move by less than the
+    run's bounds when the row's dt0 and c_dt are halved, and when its n is
+    doubled (on the ground state solved again on 2n cells).  The energy moves
+    are taken over the energy scale G - E of the state at t_q."""
+    t_q, *bounds = CONVERGENCE[run]
+    row = experiments.TRAJECTORIES[run]
+    variants = ({}, {"dt0": row["dt0"] / 2, "c_dt": row["c_dt"] / 2}, {"n": 2 * row["n"]})
+    finals = []
+    for overrides in variants:
+        cfg, u0 = run_start(run, t_end=t_q, **overrides)
+        traj = evolve(u0, step_policy(cfg))
+        assert traj.termination == "t_end" and traj.times()[-1] == t_q
+        finals.append(traj.samples[-1])
+    base = finals[0]
+    scale = base.grad_norm_sq - base.energy
+    moves = [abs(s.grad_norm_sq - base.grad_norm_sq) / base.grad_norm_sq for s in finals[1:]]
+    moves += [abs(s.energy - base.energy) / scale for s in finals[1:]]
+    assert all(move < bound for move, bound in zip(moves, bounds)), (moves, bounds)
