@@ -79,9 +79,9 @@ SCHEMAS = {
 
 
 def resolve_config(command: str, raw: dict) -> dict:
-    """``raw`` (key -> value text) as ``command`` reads it: each value cast once
-    and each absent key given its default.  An unknown key, a missing required
-    key or a value its cast rejects is bad input (exit 2)."""
+    """``raw`` (key -> value, as text or as the value) as ``command`` reads it: each
+    value cast once and each absent key given its default.  An unknown key, a
+    missing required key or a value its cast rejects is bad input (exit 2)."""
     schema = SCHEMAS[command]
     unknown = sorted(set(raw) - set(schema))
     if unknown:
@@ -98,6 +98,7 @@ def resolve_config(command: str, raw: dict) -> dict:
 
 
 def params_grid(cfg: dict):
+    """The problem parameters and the grid of a config's grid keys."""
     params = make_params(cfg["dim"], cfg["sigma"], cfg["b"])
     return params, grid_for(params, cfg["extent"], cfg["n"])
 
