@@ -42,7 +42,7 @@ from .analysis import (
 from .config import family, initial_field, params_grid, resolve_config, step_policy
 from .errors import NumericsError, ValidationError
 from .evolution import evolve
-from .exact import s_profile
+from .exact import s_profiles
 from .experiments import REGISTRY, reproduce as run_reproduce
 from .fieldio import (
     attach_snapshots, read_manifest, read_text, trajectory_from_csv, trajectory_to_csv,
@@ -236,8 +236,7 @@ def cmd_exact(cfg, out, seed):
                               f"got {cfg['times']}")
     _setup(cfg, out, params, grid, "exact")
     gs = solve_ground_state(params, grid)
-    for i, t in enumerate(cfg["times"]):
-        fld = s_profile(fam, gs, t)
+    for i, (t, fld) in enumerate(zip(cfg["times"], s_profiles(fam, gs, cfg["times"]))):
         write_field(out / f"s_profile_{i:03d}.fld", fld)
         print(f"s_profile t={t}: mass={fn.mass(fld):.8f}")
     return 0

@@ -13,11 +13,12 @@ than taken on faith.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Field, sample_scaled
+from .core import Field, _interp_spline, sample_scaled
 from .errors import ValidationError
 from .ground_state import GroundState
 
@@ -70,20 +71,28 @@ def s_profile(p: SFamilyParams, gs: GroundState, t: float) -> Field:
     quintic interpolation so the mass identity survives deep into the
     collapse.  On the line it is exactly even: x < 0 mirrors x >= 0.
     """
-    if not -math.inf < t < p.T:
-        raise ValidationError(f"need finite t < T, got t={t}, T={p.T}")
+    return next(s_profiles(p, gs, [t]))
+
+
+def s_profiles(p: SFamilyParams, gs: GroundState, times) -> Iterator[Field]:
+    """``s_profile`` at each of ``times`` in turn, all sampled from one
+    quintic spline of Q."""
     prof = gs.profile
     if not prof.params.mass_critical:
         raise ValidationError("the blow-up family requires mass-critical parameters")
-    s = p.T - t
     x = prof.grid.nodes
     N = prof.params.dim
-    core = (p.lam / s) ** (N / 2.0) * sample_scaled(prof, p.lam / s, order=5)
-    vals = np.exp(1j * p.gamma) * np.exp(1j * p.lam ** 2 / s) * np.exp(-1j * x ** 2 / (4.0 * s))
-    vals *= core
-    if prof.grid.geometry == "line":
-        vals[:prof.grid.n // 2] = vals[:(prof.grid.n - 1) // 2:-1]
-    return prof.with_values(vals)
+    sample = _interp_spline(prof.grid, prof.values, order=5)
+    for t in times:
+        if not -math.inf < t < p.T:
+            raise ValidationError(f"need finite t < T, got t={t}, T={p.T}")
+        s = p.T - t
+        core = (p.lam / s) ** (N / 2.0) * sample(p.lam / s * x)
+        vals = np.exp(1j * p.gamma) * np.exp(1j * p.lam ** 2 / s)
+        vals = vals * np.exp(-1j * x ** 2 / (4.0 * s)) * core
+        if prof.grid.geometry == "line":
+            vals[:prof.grid.n // 2] = vals[:(prof.grid.n - 1) // 2:-1]
+        yield prof.with_values(vals)
 
 
-__all__ = ["SFamilyParams", "standing_wave", "pseudoconformal", "s_profile"]
+__all__ = ["SFamilyParams", "standing_wave", "pseudoconformal", "s_profile", "s_profiles"]

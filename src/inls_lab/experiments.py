@@ -73,7 +73,7 @@ from .config import family, initial_field, resolve_config, step_policy
 from .core import grid_for, make_params
 from .errors import ValidationError
 from .evolution import StepPolicy, Trajectory, evolve
-from .exact import s_profile, standing_wave
+from .exact import s_profiles, standing_wave
 from .ground_state import RESIDUAL_TOL, GroundState, c_of_Mm, gn_ratio, solve_ground_state
 from .inequalities import (
     DEFAULT_SEED, VIOLATION_TOL, check_critical_gn, corpus_rng, pooled, random_bump_field,
@@ -395,11 +395,12 @@ def s_family_tracking(seed):
 
     snaps = traj.snapshots()
     final = snaps[-1]
-    exact_final = s_profile(fam, gs, final.time)
-    diff = final.snapshot.with_values(final.snapshot.values - exact_final.values)
+    mass_devs = []
+    for exact in s_profiles(fam, gs, [s.time for s in snaps]):
+        mass_devs.append(abs(fn.mass(exact) - m_q) / m_q)
+    diff = final.snapshot.with_values(final.snapshot.values - exact.values)   # exact at the stop
     err_stop = math.sqrt(fn.mass(diff) / m_q)
 
-    mass_devs = [abs(fn.mass(s_profile(fam, gs, s.time)) - m_q) / m_q for s in snaps]
     fit = estimate_blowup_time(traj, gs.params.s_c)
 
     resc = [(s.time, rescaled_profile(s.snapshot, gs).err) for s in snaps]

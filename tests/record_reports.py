@@ -3,8 +3,15 @@
 ``reports_record.json`` holds, for each registered experiment, its report as
 JSON without the run time: no ``elapsed_seconds`` and no budget gate on it.
 ``test_record.py`` compares each report of the session with it, exactly.
-After a change that is meant to move report values, regenerate the record
-from the repository root with
+After a change that is meant to move report values, see what moved, without
+writing anything, from the repository root with
+
+    PYTHONPATH=src python tests/record_reports.py --compare
+
+which prints, per report, the count of moved leaves and the largest relative
+move of a number, and lists every moved leaf that is not a float (iteration
+and sample counts, flags, labels) as old -> new.  Then regenerate the record
+with
 
     PYTHONPATH=src python tests/record_reports.py
 
@@ -13,7 +20,9 @@ and say which values moved, and why.
 
 from __future__ import annotations
 
+import argparse
 import json
+import math
 from pathlib import Path
 
 RECORD = Path(__file__).with_name("reports_record.json")
@@ -27,12 +36,65 @@ def recorded(report) -> dict:
     return data
 
 
+def leaves(data, path=""):
+    """Each leaf of loaded JSON under its key path; list items by index."""
+    if isinstance(data, dict):
+        items = data.items()
+    elif isinstance(data, list):
+        items = enumerate(data)
+    else:
+        return {path: data}
+    out = {}
+    for key, value in items:
+        out.update(leaves(value, f"{path}[{key!r}]" if isinstance(key, int) else f"{path}.{key}"))
+    return out
+
+
+def moved(old, new, name: str) -> dict:
+    """key path -> (old, new) for every leaf of report ``name`` that moved,
+    with '<absent>' for a leaf on one side only."""
+    before, after = leaves(old, name), leaves(new, name)
+    return {key: (before.get(key, "<absent>"), after.get(key, "<absent>"))
+            for key in sorted(before.keys() | after.keys())
+            if key not in before or key not in after or before[key] != after[key]}
+
+
+def _relative(old, new) -> float:
+    """|new - old| / |old| for two numbers (inf from zero), else nan."""
+    numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (old, new))
+    if not numbers:
+        return math.nan
+    return abs(new - old) / abs(old) if old else math.inf
+
+
+def compare(reports: dict) -> None:
+    """Print how each of ``reports`` (name -> recorded report) moved from the record."""
+    record = json.loads(RECORD.read_text())
+    for name in sorted(record.keys() | reports.keys()):
+        moves = moved(record.get(name, {}), reports.get(name, {}), name)
+        rel = {key: _relative(*pair) for key, pair in moves.items()}
+        finite = {key: r for key, r in rel.items() if not math.isnan(r)}
+        largest = max(finite, key=finite.get, default=None)
+        print(f"{name}: {len(moves)} moved" + (
+            f", largest relative move {finite[largest]:.3g} at {largest}" if largest else ""))
+        for key, (old, new) in moves.items():
+            if not isinstance(old, float) or not isinstance(new, float):
+                print(f"  {key}: {old!r} -> {new!r}")
+
+
 def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--compare", action="store_true",
+                        help="print what moved from the record instead of writing it")
+    args = parser.parse_args()
     from inls_lab.experiments import REGISTRY, reproduce
 
-    record = {name: recorded(reproduce(name)) for name in REGISTRY}
-    RECORD.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(record)} reports to {RECORD}")
+    reports = {name: recorded(reproduce(name)) for name in REGISTRY}
+    if args.compare:
+        compare(reports)
+        return
+    RECORD.write_text(json.dumps(reports, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(reports)} reports to {RECORD}")
 
 
 if __name__ == "__main__":
