@@ -167,7 +167,7 @@ class Grid:
     weights: np.ndarray = field(repr=False)
     weight_b: np.ndarray = field(repr=False)
     spacing: float = 0.0
-    # radial-only face data (r^{N-1} at the n+1 cell faces)
+    # radial-only face data at the n+1 cell faces: their radii r and r^(N-1)
     faces: np.ndarray | None = field(default=None, repr=False)
     face_alpha: np.ndarray | None = field(default=None, repr=False)
     surf: float = 0.0             # area of the unit sphere A_N (radial)

@@ -88,8 +88,9 @@ def s_profiles(p: SFamilyParams, gs: GroundState, times) -> Iterator[Field]:
             raise ValidationError(f"need finite t < T, got t={t}, T={p.T}")
         s = p.T - t
         core = (p.lam / s) ** (N / 2.0) * sample(p.lam / s * x)
-        vals = np.exp(1j * p.gamma) * np.exp(1j * p.lam ** 2 / s)
-        vals = vals * np.exp(-1j * x ** 2 / (4.0 * s)) * core
+        vals = (np.exp(1j * p.gamma) * np.exp(1j * p.lam ** 2 / s)
+                * np.exp(-1j * x ** 2 / (4.0 * s)))
+        vals *= core
         if prof.grid.geometry == "line":
             vals[:prof.grid.n // 2] = vals[:(prof.grid.n - 1) // 2:-1]
         yield prof.with_values(vals)

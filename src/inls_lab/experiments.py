@@ -20,20 +20,22 @@ Its margin, value / bound inverted for ``>=`` and a negative bound, passes below
 
 Tuning notes baked into the configurations below:
 
-* Every ground state iterates in float64 to the handover step norm, first
-  on a quarter of the cells from the Gaussian, then on the full grid from
-  that iterate interpolated (10 + 3, 19 + 2 and 47 + 1 iterations on the
-  line, radial N = 2 and radial N = 3 gates, where the Gaussian start took
-  10, 19 and 47 on the full grid; the even lines on their half grids), then
-  polishes with two Newton steps (float64 Jacobian solve).  Radially the
+* Every ground state iterates in float64 to the handover step norm on each
+  level of a hierarchy of grids, each a quarter of the next: from the
+  Gaussian on the coarsest level that resolves its core, then on each finer
+  level from the iterate below interpolated (10/8/6/5/3 iterations on the
+  line gate's 128 to 32768 half-grid cells, 19/10/6/2 on radial N = 2's 320
+  to 20480, 60/38/26/17/7/2 on radial N = 3's 256 to 262144, where one
+  coarse level took 10 + 3, 19 + 2 and 47 + 1), then polishes with two
+  Newton steps (float64 Jacobian solve).  Radially the
   Newton iterate is a float64 pair (Q, lo), since at n ~ 2.6e5 the defect of
   a float64 Q is rounding-floor limited (~eps Q/dr^2, 1.6e-7 against a
   2.2e-8 tolerance) while the dilation identity needs that much resolution;
   on ``radial2_intercritical`` the pair also spares the third step that a
   float64 defect spent at its floor.  On the line the FFT's floor holds
   whatever the storage, so the defect is the float64 one, and the line gate
-  passes at 0.73 of the residual tolerance.  The reports record the
-  iterations on both grids and the Newton steps.
+  passes at 0.63 of the residual tolerance.  The reports record the
+  iterations summed over every level and the Newton steps.
 * Conservation, splitting-order, family-tracking, and the quadratic-virial
   gates run on the b = 0 mass-critical member (quintic line soliton), where
   Strang splitting retains its clean second order.  With b > 0 the

@@ -12,22 +12,22 @@ spatial discretization error.
 Each iteration takes the map in defect-correction form,
 Q <- S^gamma (Q + (1 - Lap)^-1 F(Q)) with F(Q) = Lap Q - Q + W Q^p (the same
 map in exact arithmetic), one float64 Helmholtz solve per iteration.  A solve
-iterates to step norm ``HANDOVER_TOL`` on n // ``COARSEN`` cells from the
-Gaussian when they resolve its core, then on n from that iterate's linear
-interpolant (nested iteration: 1-3 fine iterations on the gates, not 10-47),
-then Newton steps, (1 - Lap - p W Q^(p - 1)) delta = F in float64, to
-``STEP_TOL``.  Petviashvili iteration converges only linearly (Pelinovsky &
-Stepanyants, SIAM J. Numer. Anal. 42, 2004), so the handover comes as soon as
-Newton still takes two steps.  On an even-n line every phase runs on the
-half grids (``Grid.half``), where the even profile is a cosine series of half
-the length, and the profile is mirrored back; the coarsening rule and the
-resolution check count the full grid's cells, and an odd-n line iterates on
-the full grids.  A float64 Q on a deep radial grid is itself a floor on the
-defect (Lap of its rounding, ~ eps Q / dr^2), so radial Newton steps keep the
-iterate as a float64 pair Q + lo (error-free sums: Dekker, Numer. Math. 18,
-1971; Ogita, Rump & Oishi, SIAM J. Sci. Comput. 26, 2005), whose defect adds
-the terms linear in lo to the flux-form defect of Q; on the line the FFT's
-floor holds however Q is stored.  The integrals are ``functionals``' own.
+iterates to step norm ``HANDOVER_TOL`` on n / ``COARSEN``^k cells, from the
+Gaussian on the coarsest level that resolves its core, then on each finer one
+from the linear interpolant of the last (nested iteration, Brandt, Math. Comp.
+31, 1977: 60/38/26/17/7/2 iterations on 256 to 262144 cells at N = 3), then
+Newton steps, (1 - Lap - p W Q^(p - 1)) delta = F in float64, to ``STEP_TOL``.
+Petviashvili iteration converges only linearly (Pelinovsky & Stepanyants, SIAM
+J. Numer. Anal. 42, 2004): its slow phase runs on the fewest cells, and Newton
+takes over while it still needs two steps.  An even-n line runs every level on
+its half grid (``Grid.half``), where the even profile is a cosine series, and
+mirrors the profile back; the levels and the resolution check count the full
+grid's cells, and an odd-n line keeps every level whole.  A float64 Q on a deep
+radial grid is itself a floor on the defect (Lap of its rounding, ~eps Q/dr^2),
+so radial Newton steps keep the iterate as a float64 pair Q + lo (error-free
+sums: Dekker, Numer. Math. 18, 1971; Ogita, Rump & Oishi, SIAM J. Sci. Comput.
+26, 2005), whose defect adds the terms linear in lo to the flux-form defect of
+Q; on the line the FFT's floor holds however Q is stored.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from . import functionals as fn
 class GroundState:
     profile: Field
     residual: float
-    iterations: int             # the float64 Petviashvili iterations, on both grids
+    iterations: int             # the float64 Petviashvili iterations, summed over every level
     newton_steps: int           # the Newton steps after the float64 iterations
     pohozaev_r1: float
     pohozaev_r2: float
@@ -67,14 +67,14 @@ STEP_TOL = 1e-12        # L2 distance between successive iterates
 RESIDUAL_TOL = 1e-8     # relative to ||Q||_L2
 HANDOVER_TOL = 1e-6     # float64 step norm at which the solve turns to Newton
 NEWTON_STEPS = 4        # cap on the Newton steps, also counted against max_iter
-COARSEN = 4             # a solve starts from a float64 solve on n // COARSEN cells
+COARSEN = 4             # each level starts from a float64 solve on n // COARSEN cells
 CORE_CELLS = 8          # the fewest cells above half its peak that resolve a profile's core
 
 
 def solve_ground_state(params: ProblemParams, grid: Grid, *, max_iter: int = 2000) -> GroundState:
     """Compute the positive even/radial ground-state profile on ``grid``.
 
-    ``max_iter`` bounds the iterations on both grids and the Newton steps
+    ``max_iter`` bounds the iterations of every level and the Newton steps
     together.  Raises ValidationError, before any iteration, when grid and
     params disagree, ConvergenceError when max_iter or ``NEWTON_STEPS`` runs
     out, when a Newton iterate turns negative (an under-resolved grid), or when
@@ -82,19 +82,7 @@ def solve_ground_state(params: ProblemParams, grid: Grid, *, max_iter: int = 200
     deep grid), and NumericsError when the stabilizing factor leaves [1e-6, 1e6].
     """
     Field(grid.nodes, grid, params)      # rejects a mismatched grid before any iteration
-    work = _solve_grid(grid)
-    it, Q = 0, np.exp(-(grid.nodes ** 2) / 2.0)           # the Gaussian start
-    if np.count_nonzero(Q > 0.5) >= COARSEN * CORE_CELLS:   # n // COARSEN cells resolve its core
-        coarse = grid_for(params, grid.extent, grid.n // COARSEN)
-        if work is not grid:         # halved only with the fine grid: odd-n lines stay whole
-            coarse = _solve_grid(coarse)
-        Q, it, _ = _petviashvili(params, coarse, np.exp(-(coarse.nodes ** 2) / 2.0), max_iter)
-        Q = np.interp(work.nodes, coarse.nodes, Q)
-        del coarse                       # not held through the fine phase
-    else:
-        Q = Q[grid.n - work.n:]          # the start's right half on a half grid
-    Q, fine, converged = _petviashvili(params, work, Q, max_iter - it)
-    it += fine
+    work, Q, it, converged = _iterate(params, grid, grid.halvable, max_iter)
     steps, lo = 0, np.zeros(work.n) if work.geometry == "radial" else None
     if converged:
         Q, lo, steps, converged = _newton(params, work, Q, lo, min(NEWTON_STEPS, max_iter - it))
@@ -126,6 +114,22 @@ def _solve_grid(grid: Grid) -> Grid:
     """The grid a solve iterates on: an even-n line's half grid, where the
     even profile is a cosine series, or ``grid`` itself."""
     return grid.half if grid.halvable else grid
+
+
+def _iterate(params: ProblemParams, grid: Grid, halve: bool, max_iter: int):
+    """Petviashvili iteration to ``HANDOVER_TOL`` on ``grid`` (its half if ``halve``) from
+    the Gaussian, or from the interpolant of this solve on n // ``COARSEN`` cells if they
+    resolve its core; returns the grid, the iterate, all levels' iterations, convergence."""
+    work = _solve_grid(grid) if halve else grid
+    if np.count_nonzero(np.exp(-(grid.nodes ** 2) / 2.0) > 0.5) >= COARSEN * CORE_CELLS:
+        coarse = grid_for(params, grid.extent, grid.n // COARSEN)
+        coarse, Q, it, _ = _iterate(params, coarse, halve, max_iter)
+        Q = np.interp(work.nodes, coarse.nodes, Q)
+        del coarse                       # not held through the finer phases
+    else:
+        Q, it = np.exp(-(work.nodes ** 2) / 2.0), 0      # the Gaussian start
+    Q, more, converged = _petviashvili(params, work, Q, max_iter - it)
+    return work, Q, it + more, converged
 
 
 def _defect(params: ProblemParams, grid: Grid, Q: np.ndarray):

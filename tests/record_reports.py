@@ -59,11 +59,10 @@ def moved(old, new, name: str) -> dict:
             if key not in before or key not in after or before[key] != after[key]}
 
 
-def _relative(old, new) -> float:
-    """|new - old| / |old| for two numbers (inf from zero), else nan."""
-    numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (old, new))
-    if not numbers:
-        return math.nan
+def _relative(old, new) -> float | None:
+    """|new - old| / |old| for two numbers (inf from zero), else None."""
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (old, new)):
+        return None
     return abs(new - old) / abs(old) if old else math.inf
 
 
@@ -72,11 +71,10 @@ def compare(reports: dict) -> None:
     record = json.loads(RECORD.read_text())
     for name in sorted(record.keys() | reports.keys()):
         moves = moved(record.get(name, {}), reports.get(name, {}), name)
-        rel = {key: _relative(*pair) for key, pair in moves.items()}
-        finite = {key: r for key, r in rel.items() if not math.isnan(r)}
-        largest = max(finite, key=finite.get, default=None)
+        rel = {key: r for key, pair in moves.items() if (r := _relative(*pair)) is not None}
+        largest = max(rel, key=rel.get, default=None)
         print(f"{name}: {len(moves)} moved" + (
-            f", largest relative move {finite[largest]:.3g} at {largest}" if largest else ""))
+            "" if largest is None else f", largest relative move {rel[largest]:.3g} at {largest}"))
         for key, (old, new) in moves.items():
             if not isinstance(old, float) or not isinstance(new, float):
                 print(f"  {key}: {old!r} -> {new!r}")

@@ -6,7 +6,7 @@ import scipy.fft
 
 from inls_lab import ValidationError, pseudoconformal, s_profile, standing_wave
 from inls_lab.core import line_grid, sample_scaled
-from inls_lab.exact import SFamilyParams
+from inls_lab.exact import SFamilyParams, s_profiles
 from inls_lab.ground_state import solve_ground_state
 from inls_lab import functionals as fn
 
@@ -57,6 +57,22 @@ def test_s_profile_is_exactly_even_on_the_line(quintic_gs, n):
     expected = (np.exp(0.3j + 0.64j / s - 1j * x ** 2 / (4 * s)) * (0.8 / s) ** 0.5
                 * sample_scaled(gs.profile, 0.8 / s, order=5))
     assert np.max(np.abs(v - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+def test_s_profiles_equal_profiles_sampled_one_by_one(quintic_gs):
+    """A series sampled from one spline of Q equals, bit for bit, the
+    profiles that each sample Q anew with ``sample_scaled``."""
+    fam, prof = SFamilyParams(T=1.0, lam=0.8, gamma=0.3), quintic_gs.profile
+    x, n, times = prof.grid.nodes, prof.grid.n, (0.0, 0.5, 0.9)
+    series = list(s_profiles(fam, quintic_gs, times))
+    assert len(series) == len(times)
+    for t, fld in zip(times, series):
+        s = fam.T - t
+        expected = (np.exp(1j * fam.gamma) * np.exp(1j * fam.lam ** 2 / s)
+                    * np.exp(-1j * x ** 2 / (4.0 * s)))
+        expected *= (fam.lam / s) ** 0.5 * sample_scaled(prof, fam.lam / s, order=5)
+        expected[:n // 2] = expected[:(n - 1) // 2:-1]
+        assert np.array_equal(fld.values, expected)
 
 
 def test_s_profile_requires_t_below_T(quintic_gs):

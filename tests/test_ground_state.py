@@ -163,9 +163,9 @@ def test_float64_solve_on_non_dyadic_line_grid():
 
 
 def test_radial_non_convergence_raises():
-    """max_iter bounds the iterations on both grids and the Newton steps
-    together: the coarse phase spends it, and the fine phase and Newton (on
-    the float64 pair, as in every radial solve) get none."""
+    """max_iter bounds the iterations of every level and the Newton steps
+    together: the coarsest level spends it, and the finer levels and Newton
+    (on the float64 pair, as in every radial solve) get none."""
     params = make_params(2, 0.75, 0.5)
     grid = radial_grid(2, 14.0, 512, 0.5)
     with pytest.raises(ConvergenceError, match="in 2 iterations and 0 Newton steps"):
@@ -196,23 +196,39 @@ def test_radial_gate_solve_is_petviashvili_then_newton(radial2_gate_gs):
     assert 0 < gs.newton_steps <= ground_state.NEWTON_STEPS
 
 
-def test_iterations_count_both_grids():
-    """A solve iterates from the Gaussian on n // COARSEN cells to
-    HANDOVER_TOL, then on n from the linear interpolant of that iterate, in
-    fewer iterations, well before STEP_TOL; ``iterations`` counts both phases,
-    and Newton still converges."""
+def test_iterations_count_every_level():
+    """A solve on 4096 cells iterates from the Gaussian on 256 cells to
+    HANDOVER_TOL, then on 1024 and on 4096 cells, each from the linear
+    interpolant of the level below, in fewer iterations at each level, well
+    before STEP_TOL; ``iterations`` is the sum over the levels, and Newton
+    still converges."""
     params = make_params(2, 0.75, 0.5)
-    grid = radial_grid(2, 14.0, 4096, 0.5)
-    gs = solve_ground_state(params, grid)
-    coarse = radial_grid(2, 14.0, 4096 // ground_state.COARSEN, 0.5)
-    Qc, coarse_it, converged = ground_state._petviashvili(
-        params, coarse, np.exp(-coarse.nodes ** 2 / 2.0), 2000)
-    assert converged
-    _, fine_it, converged = ground_state._petviashvili(
-        params, grid, np.interp(grid.nodes, coarse.nodes, Qc), 2000)
-    assert converged and gs.iterations == coarse_it + fine_it
-    assert fine_it < coarse_it
+    gs = solve_ground_state(params, radial_grid(2, 14.0, 4096, 0.5))
+    coarse = radial_grid(2, 14.0, 256, 0.5)
+    Q, counts = np.exp(-coarse.nodes ** 2 / 2.0), []
+    for n in (256, 1024, 4096):
+        grid = radial_grid(2, 14.0, n, 0.5)
+        Q, it, converged = ground_state._petviashvili(
+            params, grid, np.interp(grid.nodes, coarse.nodes, Q), 2000)
+        assert converged
+        coarse = grid
+        counts.append(it)
+    assert gs.iterations == sum(counts)
+    assert counts[0] > counts[1] > counts[2]
     assert gs.residual / math.sqrt(gs.q_mass) < 1e-10
+
+
+def test_max_iter_bounds_every_level_and_newton():
+    """``max_iter`` is spent across the levels and the Newton steps: a solve
+    given exactly the iterations and Newton steps it takes converges to the
+    same profile, and one given one fewer does not."""
+    params, grid = make_params(2, 0.75, 0.5), radial_grid(2, 14.0, 2048, 0.5)
+    gs = solve_ground_state(params, grid)
+    budget = gs.iterations + gs.newton_steps
+    assert np.array_equal(solve_ground_state(params, grid, max_iter=budget).profile.values,
+                          gs.profile.values)
+    with pytest.raises(ConvergenceError, match=f"in {gs.iterations} iterations"):
+        solve_ground_state(params, grid, max_iter=budget - 1)
 
 
 def _phase_grids(monkeypatch, params, grid):
@@ -231,10 +247,24 @@ def _phase_grids(monkeypatch, params, grid):
 
 @pytest.mark.parametrize("defect", ["float64", "pair"])
 def test_every_solve_starts_on_the_coarse_grid(monkeypatch, newton_defect):
-    """A solve with either Newton defect iterates on n // COARSEN cells, then on n."""
+    """A solve with either Newton defect iterates on 2048 // COARSEN^2 cells,
+    then on each finer level, COARSEN times finer, up to n."""
     _, ns = _phase_grids(monkeypatch, make_params(2, 0.75, 0.5),
                          radial_grid(2, 14.0, 2048, 0.5))
-    assert ns == [2048 // ground_state.COARSEN, 2048]
+    assert ns == [128, 512, 2048]
+
+
+@pytest.mark.parametrize("n, levels", [(1496, [374, 1496]), (1500, [93, 375, 1500])],
+                         ids=["1496", "1500"])
+def test_levels_stop_where_the_gaussian_core_is_unresolved(monkeypatch, n, levels):
+    """A level coarsens while the Gaussian start's core (above 1/2) spans at
+    least COARSEN * CORE_CELLS = 32 of its cells: it spans 126 of 1496 and of
+    1500 cells, then 31 of 374, which is the coarsest level, but 32 of 375,
+    which coarsens once more, to 93 cells."""
+    assert ground_state.COARSEN * ground_state.CORE_CELLS == 32
+    gs, ns = _phase_grids(monkeypatch, make_params(2, 0.75, 0.5),
+                          radial_grid(2, 14.0, n, 0.5))
+    assert ns == levels and gs.newton_steps > 0
 
 
 @pytest.mark.parametrize("defect", ["float64", "pair"])
@@ -268,19 +298,17 @@ NEWTON_CASES = [
 @pytest.mark.parametrize("dim, sigma, b, grid", NEWTON_CASES)
 def test_both_precisions_run_the_same_phases(monkeypatch, dim, sigma, b, grid):
     """The float64 pair sets only the precision of the radial Newton defect: a
-    solve whose defect drops lo (the float64 defect at Q) iterates on
-    n // COARSEN cells, then on n (an even line on the half grids,
-    n // (2 COARSEN) and n // 2 cells), as often, and takes as many Newton
-    steps to the same profile.  A line solve carries no pair, so there the two
-    solves are one."""
+    solve whose defect drops lo (the float64 defect at Q) iterates on the same
+    levels (radial 128, 512 and 2048 cells; an even line's half grids, 128
+    and 512 cells), as often, and takes as many Newton steps to the same
+    profile.  A line solve carries no pair, so there the two solves are one."""
     params = make_params(dim, sigma, b)
     wide, wide_ns = _phase_grids(monkeypatch, params, grid)
     defect = ground_state._newton_defect
     monkeypatch.setattr(ground_state, "_newton_defect",
                         lambda params, grid, Q, lo: defect(params, grid, Q, None))
     narrow, narrow_ns = _phase_grids(monkeypatch, params, grid)
-    cells = grid.n // 2 if grid.geometry == "line" else grid.n
-    assert wide_ns == narrow_ns == [cells // ground_state.COARSEN, cells]
+    assert wide_ns == narrow_ns == ([128, 512] if grid.geometry == "line" else [128, 512, 2048])
     assert wide.iterations == narrow.iterations
     assert wide.newton_steps == narrow.newton_steps
     assert float(np.max(np.abs(wide.profile.values - narrow.profile.values))) < 1e-11
@@ -303,14 +331,15 @@ def test_even_line_solve_on_the_half_grid_is_the_full_grid_solve(monkeypatch, di
     assert gs.pohozaev_r1 == pytest.approx(ref.pohozaev_r1, abs=1e-15)
 
 
-@pytest.mark.parametrize("n", [1023, 1025])
-def test_odd_line_solves_on_the_full_grids(monkeypatch, n):
-    """An odd-n line has no half grid: both phases run on the full grids, the
-    coarse one too when its own n // COARSEN is even (1025), and Newton
+@pytest.mark.parametrize("n, levels", [(1023, [255, 1023]), (1025, [256, 1025]),
+                                      (4097, [256, 1024, 4097])], ids=["1023", "1025", "4097"])
+def test_odd_line_solves_on_the_full_grids(monkeypatch, n, levels):
+    """An odd-n line has no half grid: every level runs on the full grids,
+    the coarser ones too when their own n is even (1025, 4097), and Newton
     converges to an exactly even profile, the all-full-grid solve's."""
     params, grid = make_params(1, 1.5, 0.5), line_grid(16.0, n, 0.5)
     gs, ns = _phase_grids(monkeypatch, params, grid)
-    assert ns == [grid.n // ground_state.COARSEN, grid.n]
+    assert ns == levels
     assert 0 < gs.newton_steps <= 2
     assert np.array_equal(gs.profile.values, gs.profile.values[::-1])
     monkeypatch.setattr(ground_state, "_solve_grid", lambda grid: grid)
@@ -466,8 +495,8 @@ def test_grid_param_mismatch_rejected():
 
 def test_dimension_mismatch_rejected_before_iterating(monkeypatch):
     """N = 3 params on a 2-D radial grid: same geometry and b, other dimension.
-    The check also precedes the coarse phase, whose grid is built from params
-    and so agrees with them."""
+    The check also precedes every coarser level, whose grid is built from
+    params and so agrees with them."""
     def no_iteration(*args, **kwargs):
         raise AssertionError("the Petviashvili iteration ran")
 
