@@ -49,6 +49,11 @@ from scipy.sparse.linalg import LinearOperator, minres
 
 from .errors import ValidationError
 
+try:    # scipy.fft's pocketfft DCT pair without the ~4 us backend dispatch of each call
+    from scipy.fft._pocketfft import dct as _dct, idct as _idct
+except ImportError:     # a SciPy that moved its backend
+    _dct, _idct = scipy.fft.dct, scipy.fft.idct
+
 MASS_CRITICAL_TOL = 1e-12
 MINRES_RTOL = 1e-8      # relative residual of the line's shifted Helmholtz solve
 
@@ -343,13 +348,13 @@ def _forward(grid: Grid, values: np.ndarray) -> np.ndarray:
     """The line operators' one transform: the FFT of the complex-cast values (so a
     real array rounds as its complex cast), the orthonormal DCT-II on a half grid."""
     if grid.geometry == "half_line":
-        return _cosine_transform(scipy.fft.dct, values)
+        return _cosine_transform(_dct, values)
     return scipy.fft.fft(np.asarray(values, dtype=np.result_type(values.dtype, np.complex64)))
 
 
 def _inverse(grid: Grid, coeffs: np.ndarray, like: np.ndarray) -> np.ndarray:
     """The inverse of ``_forward``; real values when ``like`` is real."""
-    out = (_cosine_transform(scipy.fft.idct, coeffs) if grid.geometry == "half_line"
+    out = (_cosine_transform(_idct, coeffs) if grid.geometry == "half_line"
            else scipy.fft.ifft(coeffs))
     return out if np.iscomplexobj(like) else out.real
 
@@ -556,10 +561,16 @@ def _interp_spline(grid: Grid, values: np.ndarray, order: int = 3):
     return ev
 
 
+def scaled_sampler(u: Field, order: int = 3):
+    """``sample_scaled(u, scale, order)`` as a function of ``scale``, every
+    call evaluating the one spline of u built here."""
+    ev = _interp_spline(u.grid, u.values, order=order)
+    return lambda scale: ev(scale * u.grid.nodes)
+
+
 def sample_scaled(u: Field, scale: float, order: int = 3) -> np.ndarray:
     """Values of u(scale * x) on u's own grid, zero outside the domain."""
-    ev = _interp_spline(u.grid, u.values, order=order)
-    return ev(scale * u.grid.nodes)
+    return scaled_sampler(u, order)(scale)
 
 
 __all__ = [
@@ -569,5 +580,5 @@ __all__ = [
     "laplacian", "laplacian_values", "gradient_values", "grad_norm_sq_values",
     "gradient_and_grad_sq",
     "helmholtz_solve", "shifted_helmholtz_solve", "apply_radial_lap", "free_flow",
-    "sample_scaled",
+    "scaled_sampler", "sample_scaled",
 ]

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Field, _interp_spline, sample_scaled
+from .core import Field, sample_scaled, scaled_sampler
 from .errors import ValidationError
 from .ground_state import GroundState
 
@@ -71,29 +71,34 @@ def s_profile(p: SFamilyParams, gs: GroundState, t: float) -> Field:
     quintic interpolation so the mass identity survives deep into the
     collapse.  On the line it is exactly even: x < 0 mirrors x >= 0.
     """
-    return next(s_profiles(p, gs, [t]))
+    # a spline of its own, freed before the profile's values are made
+    return _s_profile(p, gs, t, lambda scale: sample_scaled(gs.profile, scale, order=5))
 
 
 def s_profiles(p: SFamilyParams, gs: GroundState, times) -> Iterator[Field]:
     """``s_profile`` at each of ``times`` in turn, all sampled from one
     quintic spline of Q."""
+    sample = scaled_sampler(gs.profile, order=5)
+    for t in times:
+        yield _s_profile(p, gs, t, sample)
+
+
+def _s_profile(p: SFamilyParams, gs: GroundState, t: float, sample) -> Field:
+    """``s_profile`` with Q(scale x) on Q's grid sampled by ``sample(scale)``."""
+    if not -math.inf < t < p.T:
+        raise ValidationError(f"need finite t < T, got t={t}, T={p.T}")
     prof = gs.profile
     if not prof.params.mass_critical:
         raise ValidationError("the blow-up family requires mass-critical parameters")
+    s = p.T - t
     x = prof.grid.nodes
     N = prof.params.dim
-    sample = _interp_spline(prof.grid, prof.values, order=5)
-    for t in times:
-        if not -math.inf < t < p.T:
-            raise ValidationError(f"need finite t < T, got t={t}, T={p.T}")
-        s = p.T - t
-        core = (p.lam / s) ** (N / 2.0) * sample(p.lam / s * x)
-        vals = (np.exp(1j * p.gamma) * np.exp(1j * p.lam ** 2 / s)
-                * np.exp(-1j * x ** 2 / (4.0 * s)))
-        vals *= core
-        if prof.grid.geometry == "line":
-            vals[:prof.grid.n // 2] = vals[:(prof.grid.n - 1) // 2:-1]
-        yield prof.with_values(vals)
+    core = (p.lam / s) ** (N / 2.0) * sample(p.lam / s)
+    vals = np.exp(1j * p.gamma) * np.exp(1j * p.lam ** 2 / s) * np.exp(-1j * x ** 2 / (4.0 * s))
+    vals *= core
+    if prof.grid.geometry == "line":
+        vals[:prof.grid.n // 2] = vals[:(prof.grid.n - 1) // 2:-1]
+    return prof.with_values(vals)
 
 
 __all__ = ["SFamilyParams", "standing_wave", "pseudoconformal", "s_profile", "s_profiles"]

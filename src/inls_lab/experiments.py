@@ -398,10 +398,12 @@ def s_family_tracking(seed):
     snaps = traj.snapshots()
     final = snaps[-1]
     mass_devs = []
-    for exact in s_profiles(fam, gs, [s.time for s in snaps]):
+    for snap, exact in zip(snaps, s_profiles(fam, gs, [s.time for s in snaps])):
         mass_devs.append(abs(fn.mass(exact) - m_q) / m_q)
-    diff = final.snapshot.with_values(final.snapshot.values - exact.values)   # exact at the stop
-    err_stop = math.sqrt(fn.mass(diff) / m_q)
+        if snap is final:
+            diff = final.snapshot.with_values(final.snapshot.values - exact.values)
+            err_stop = math.sqrt(fn.mass(diff) / m_q)
+    del exact, diff                     # not held through the rescaled profiles
 
     fit = estimate_blowup_time(traj, gs.params.s_c)
 

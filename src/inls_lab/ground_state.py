@@ -19,15 +19,15 @@ from the linear interpolant of the last (nested iteration, Brandt, Math. Comp.
 Newton steps, (1 - Lap - p W Q^(p - 1)) delta = F in float64, to ``STEP_TOL``.
 Petviashvili iteration converges only linearly (Pelinovsky & Stepanyants, SIAM
 J. Numer. Anal. 42, 2004): its slow phase runs on the fewest cells, and Newton
-takes over while it still needs two steps.  An even-n line runs every level on
-its half grid (``Grid.half``), where the even profile is a cosine series, and
-mirrors the profile back; the levels and the resolution check count the full
-grid's cells, and an odd-n line keeps every level whole.  A float64 Q on a deep
-radial grid is itself a floor on the defect (Lap of its rounding, ~eps Q/dr^2),
-so radial Newton steps keep the iterate as a float64 pair Q + lo (error-free
-sums: Dekker, Numer. Math. 18, 1971; Ogita, Rump & Oishi, SIAM J. Sci. Comput.
-26, 2005), whose defect adds the terms linear in lo to the flux-form defect of
-Q; on the line the FFT's floor holds however Q is stored.
+takes over while it still needs two steps.  An even-n line runs each level on
+its half grid (``Grid.half``), where the even profile is a cosine series, down
+to the first odd level, whole with all below it, and mirrors the profile back;
+levels and the resolution check count the full grid's cells.  A float64 Q on a
+deep radial grid is itself a floor on the defect (Lap of its rounding, ~eps
+Q/dr^2), so radial Newton steps keep the iterate as a float64 pair Q + lo
+(error-free sums: Dekker, Numer. Math. 18, 1971; Ogita, Rump & Oishi, SIAM J.
+Sci. Comput. 26, 2005), whose defect adds the terms linear in lo to the
+flux-form defect of Q; on the line the FFT's floor holds however Q is stored.
 """
 
 from __future__ import annotations
@@ -117,13 +117,14 @@ def _solve_grid(grid: Grid) -> Grid:
 
 
 def _iterate(params: ProblemParams, grid: Grid, halve: bool, max_iter: int):
-    """Petviashvili iteration to ``HANDOVER_TOL`` on ``grid`` (its half if ``halve``) from
-    the Gaussian, or from the interpolant of this solve on n // ``COARSEN`` cells if they
-    resolve its core; returns the grid, the iterate, all levels' iterations, convergence."""
+    """Petviashvili iteration to ``HANDOVER_TOL`` on ``grid`` (its half if ``halve``) from the
+    Gaussian, or, if n // ``COARSEN`` cells resolve its core, from the interpolant of this
+    solve on them, halved only if this level is; returns grid, iterate, summed iterations
+    over the levels, convergence."""
     work = _solve_grid(grid) if halve else grid
     if np.count_nonzero(np.exp(-(grid.nodes ** 2) / 2.0) > 0.5) >= COARSEN * CORE_CELLS:
         coarse = grid_for(params, grid.extent, grid.n // COARSEN)
-        coarse, Q, it, _ = _iterate(params, coarse, halve, max_iter)
+        coarse, Q, it, _ = _iterate(params, coarse, work is not grid, max_iter)
         Q = np.interp(work.nodes, coarse.nodes, Q)
         del coarse                       # not held through the finer phases
     else:

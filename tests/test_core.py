@@ -206,3 +206,20 @@ def test_grid_for_dispatch():
     p3 = make_params(3, 1.0, 0.5)
     assert grid_for(p1, 10.0, 64).geometry == "line"
     assert grid_for(p3, 10.0, 64).geometry == "radial"
+
+
+@pytest.mark.parametrize("n", [64, 2048])
+def test_half_grid_transforms_are_scipy_fft_dct_bit_for_bit(n):
+    """The DCT pair the half grid calls (pocketfft's, past scipy.fft's
+    per-call dispatch) is scipy.fft's orthonormal DCT-II and its inverse, bit
+    for bit, on real values and on complex values as (re, im) columns."""
+    import scipy.fft
+
+    from inls_lab import core
+
+    rng = np.random.default_rng(n)
+    real = rng.standard_normal(n)
+    for values in (real, real + 1j * rng.standard_normal(n)):
+        for fast, public in ((core._dct, scipy.fft.dct), (core._idct, scipy.fft.idct)):
+            assert np.array_equal(core._cosine_transform(fast, values),
+                                  core._cosine_transform(public, values))

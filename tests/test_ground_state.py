@@ -346,6 +346,22 @@ def test_odd_line_solves_on_the_full_grids(monkeypatch, n, levels):
     assert np.array_equal(solve_ground_state(params, grid).profile.values, gs.profile.values)
 
 
+def test_even_line_over_an_odd_level_runs_the_levels_below_it_whole(monkeypatch):
+    """A level runs on its half grid only if every level above it does: an
+    even-n line over an odd level (4100 -> 1025 -> 256) halves its own level
+    but runs 1025 and 256 whole, so no whole level starts from a half-grid
+    solve; Newton converges to an exactly even profile, the all-full-grid
+    solve's, in as many iterations and Newton steps."""
+    params, grid = make_params(1, 1.5, 0.5), line_grid(16.0, 4100, 0.5)
+    gs, ns = _phase_grids(monkeypatch, params, grid)
+    assert ns == [256, 1025, 2050]
+    assert np.array_equal(gs.profile.values, gs.profile.values[::-1])
+    monkeypatch.setattr(ground_state, "_solve_grid", lambda grid: grid)
+    ref = solve_ground_state(params, grid)
+    assert (gs.iterations, gs.newton_steps) == (ref.iterations, ref.newton_steps)
+    assert float(np.max(np.abs(gs.profile.values - ref.profile.values))) < 1e-12
+
+
 def _newton_solve(monkeypatch, params, grid):
     """A solve, and the L2 norms of its Newton corrections."""
     norms = []
