@@ -45,7 +45,6 @@ from functools import cached_property, partial
 import numpy as np
 import scipy.fft
 from scipy.linalg import lapack
-from scipy.sparse.linalg import LinearOperator, minres
 
 from .errors import ValidationError
 
@@ -55,7 +54,6 @@ except ImportError:     # a SciPy that moved its backend
     _dct, _idct = scipy.fft.dct, scipy.fft.idct
 
 MASS_CRITICAL_TOL = 1e-12
-MINRES_RTOL = 1e-8      # relative residual of the line's shifted Helmholtz solve
 
 
 class Regime(Enum):
@@ -473,26 +471,15 @@ def helmholtz_solve(grid: Grid, rhs: np.ndarray) -> np.ndarray:
 
 
 def shifted_helmholtz_solve(grid: Grid, rhs: np.ndarray, shift: np.ndarray) -> np.ndarray:
-    """Solve (1 - Laplacian - shift) u = rhs in float64 for a real rhs and a
-    float64 potential ``shift``, as for the Jacobian of the ground-state
-    equation: self-adjoint in the grid inner product, possibly indefinite.
-
-    Radially the exact tridiagonal system, factored in ``shift``'s buffer
-    (which it overwrites); on the line and on a half grid MINRES,
-    preconditioned by the SPD (1 - Laplacian)^-1 of ``helmholtz_solve``
-    (J. Yang, J. Comput. Phys. 228, 2009), to a relative residual of
-    ``MINRES_RTOL``.
+    """Solve (1 - Laplacian - shift) u = rhs on a radial grid in float64 for a
+    real rhs and a float64 potential ``shift``, as for the Jacobian of the
+    ground-state equation (possibly indefinite): the exact tridiagonal system,
+    factored in ``shift``'s buffer, which it overwrites.
     """
-    rhs = np.asarray(rhs, dtype=np.float64)
-    if grid.geometry == "radial":
-        return _tridiag_solve(_factor_one_minus_zlap(grid, 1.0, shift), rhs)
-
-    def jacobian(u):
-        return u - laplacian_values(grid, u) - shift * u
-
-    shape = (grid.n, grid.n)
-    return minres(LinearOperator(shape, jacobian, dtype=np.float64), rhs, rtol=MINRES_RTOL,
-                  M=LinearOperator(shape, lambda r: helmholtz_solve(grid, r), dtype=np.float64))[0]
+    if grid.geometry != "radial":
+        raise ValidationError(f"shifted_helmholtz_solve needs a radial grid, got {grid.geometry}")
+    return _tridiag_solve(_factor_one_minus_zlap(grid, 1.0, shift),
+                          np.asarray(rhs, dtype=np.float64))
 
 
 def _build_propagator(grid: Grid, dt: float):

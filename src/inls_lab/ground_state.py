@@ -12,22 +12,25 @@ spatial discretization error.
 Each iteration takes the map in defect-correction form,
 Q <- S^gamma (Q + (1 - Lap)^-1 F(Q)) with F(Q) = Lap Q - Q + W Q^p (the same
 map in exact arithmetic), one float64 Helmholtz solve per iteration.  A solve
-iterates to step norm ``HANDOVER_TOL`` on n / ``COARSEN``^k cells, from the
-Gaussian on the coarsest level that resolves its core, then on each finer one
-from the linear interpolant of the last (nested iteration, Brandt, Math. Comp.
-31, 1977: 60/38/26/17/7/2 iterations on 256 to 262144 cells at N = 3), then
-Newton steps, (1 - Lap - p W Q^(p - 1)) delta = F in float64, to ``STEP_TOL``.
-Petviashvili iteration converges only linearly (Pelinovsky & Stepanyants, SIAM
-J. Numer. Anal. 42, 2004): its slow phase runs on the fewest cells, and Newton
-takes over while it still needs two steps.  An even-n line runs each level on
-its half grid (``Grid.half``), where the even profile is a cosine series, down
-to the first odd level, whole with all below it, and mirrors the profile back;
-levels and the resolution check count the full grid's cells.  A float64 Q on a
-deep radial grid is itself a floor on the defect (Lap of its rounding, ~eps
-Q/dr^2), so radial Newton steps keep the iterate as a float64 pair Q + lo
-(error-free sums: Dekker, Numer. Math. 18, 1971; Ogita, Rump & Oishi, SIAM J.
-Sci. Comput. 26, 2005), whose defect adds the terms linear in lo to the
-flux-form defect of Q; on the line the FFT's floor holds however Q is stored.
+iterates on n / ``COARSEN``^k cells, from the Gaussian on the coarsest level
+that resolves its core, then on each finer one from the even linear
+interpolant (at |x|) of the last, each coarser level to step norm
+``HANDOVER_TOL`` (nested iteration, Brandt, Math. Comp. 31, 1977:
+60/38/26/17/7/2 iterations on 256 to 262144 cells at N = 3).  Petviashvili
+iteration converges only linearly (Pelinovsky & Stepanyants, SIAM J. Numer.
+Anal. 42, 2004), so its slow phase runs on the fewest cells.  A line's finest
+level iterates on to ``STEP_TOL``: from the nested start that is sooner than
+Newton steps (10/8/6/5/12 iterations on the line gate's 128 to 32768
+half-grid cells), and the FFT's rounding floor holds however Q is stored.  A
+radial finest level hands over at ``HANDOVER_TOL`` to Newton steps,
+(1 - Lap - p W Q^(p - 1)) delta = F in float64, to ``STEP_TOL``: a float64 Q
+on a deep radial grid is itself a floor on the defect (Lap of its rounding,
+~eps Q/dr^2), so the Newton iterate is a float64 pair Q + lo (error-free
+sums: Dekker, Numer. Math. 18, 1971; Ogita, Rump & Oishi, SIAM J. Sci.
+Comput. 26, 2005), whose defect adds the terms linear in lo to the flux-form
+defect of Q.  Each level of even n runs on its half grid (``Grid.half``),
+where the even profile is a cosine series, and the solve mirrors the finest
+profile back; levels and the resolution check count the full grid's cells.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ class GroundState:
     profile: Field
     residual: float
     iterations: int             # the float64 Petviashvili iterations, summed over every level
-    newton_steps: int           # the Newton steps after the float64 iterations
+    newton_steps: int           # the radial Newton steps after the iterations (0 on the line)
     pohozaev_r1: float
     pohozaev_r2: float
     q_mass: float
@@ -65,8 +68,8 @@ class GroundState:
 
 STEP_TOL = 1e-12        # L2 distance between successive iterates
 RESIDUAL_TOL = 1e-8     # relative to ||Q||_L2
-HANDOVER_TOL = 1e-6     # float64 step norm at which the solve turns to Newton
-NEWTON_STEPS = 4        # cap on the Newton steps, also counted against max_iter
+HANDOVER_TOL = 1e-6     # step norm at which a coarser level, or a radial solve's finest, hands on
+NEWTON_STEPS = 4        # cap on a radial solve's Newton steps, also counted against max_iter
 COARSEN = 4             # each level starts from a float64 solve on n // COARSEN cells
 CORE_CELLS = 8          # the fewest cells above half its peak that resolve a profile's core
 
@@ -77,15 +80,18 @@ def solve_ground_state(params: ProblemParams, grid: Grid, *, max_iter: int = 200
     ``max_iter`` bounds the iterations of every level and the Newton steps
     together.  Raises ValidationError, before any iteration, when grid and
     params disagree, ConvergenceError when max_iter or ``NEWTON_STEPS`` runs
-    out, when a Newton iterate turns negative (an under-resolved grid), or when
-    the Newton steps stall above tolerance (the defect's rounding floor on a
-    deep grid), and NumericsError when the stabilizing factor leaves [1e-6, 1e6].
+    out, when a radial Newton iterate turns negative (an under-resolved grid),
+    or when the residual stalls above tolerance (an under-resolved line, or the
+    defect's rounding floor on a deep grid), and NumericsError when the
+    stabilizing factor leaves [1e-6, 1e6].
     """
     Field(grid.nodes, grid, params)      # rejects a mismatched grid before any iteration
-    work, Q, it, converged = _iterate(params, grid, grid.halvable, max_iter)
-    steps, lo = 0, np.zeros(work.n) if work.geometry == "radial" else None
-    if converged:
-        Q, lo, steps, converged = _newton(params, work, Q, lo, min(NEWTON_STEPS, max_iter - it))
+    radial = grid.geometry == "radial"
+    work, Q, it, converged = _iterate(params, grid, max_iter,
+                                      HANDOVER_TOL if radial else STEP_TOL)
+    steps, lo = 0, None
+    if converged and radial:
+        Q, lo, steps, converged = _newton(params, work, Q, min(NEWTON_STEPS, max_iter - it))
 
     iterate = Field(Q if work is grid else np.concatenate((Q[::-1], Q)), grid, params)
     q_mass = fn.mass(iterate)
@@ -116,20 +122,20 @@ def _solve_grid(grid: Grid) -> Grid:
     return grid.half if grid.halvable else grid
 
 
-def _iterate(params: ProblemParams, grid: Grid, halve: bool, max_iter: int):
-    """Petviashvili iteration to ``HANDOVER_TOL`` on ``grid`` (its half if ``halve``) from the
-    Gaussian, or, if n // ``COARSEN`` cells resolve its core, from the interpolant of this
-    solve on them, halved only if this level is; returns grid, iterate, summed iterations
-    over the levels, convergence."""
-    work = _solve_grid(grid) if halve else grid
+def _iterate(params: ProblemParams, grid: Grid, max_iter: int, tol: float):
+    """Petviashvili iteration to step norm ``tol`` on ``_solve_grid(grid)`` from the
+    Gaussian, or, if n // ``COARSEN`` cells resolve its core, from the even interpolant
+    (at |x|) of a solve to ``HANDOVER_TOL`` on them; returns grid, iterate, summed
+    iterations over the levels, convergence."""
+    work = _solve_grid(grid)
     if np.count_nonzero(np.exp(-(grid.nodes ** 2) / 2.0) > 0.5) >= COARSEN * CORE_CELLS:
         coarse = grid_for(params, grid.extent, grid.n // COARSEN)
-        coarse, Q, it, _ = _iterate(params, coarse, work is not grid, max_iter)
-        Q = np.interp(work.nodes, coarse.nodes, Q)
+        coarse, Q, it, _ = _iterate(params, coarse, max_iter, HANDOVER_TOL)
+        Q = np.interp(np.abs(work.nodes), coarse.nodes, Q)
         del coarse                       # not held through the finer phases
     else:
         Q, it = np.exp(-(work.nodes ** 2) / 2.0), 0      # the Gaussian start
-    Q, more, converged = _petviashvili(params, work, Q, max_iter - it)
+    Q, more, converged = _petviashvili(params, work, Q, max_iter - it, tol)
     return work, Q, it + more, converged
 
 
@@ -184,23 +190,18 @@ def _two_sum(a: np.ndarray, b: np.ndarray):
     return s, (a - (s - bb)) + (b - bb)
 
 
-def _newton(params: ProblemParams, grid: Grid, Q: np.ndarray, lo, max_steps: int):
-    """Newton's method on F(Q) = 0, updating ``Q`` in place, or the float64
-    pair Q + lo by ``_two_sum`` unless ``lo`` is None; returns Q, lo, the steps
-    taken and whether the L2 step norm fell below ``STEP_TOL`` or stopped
+def _newton(params: ProblemParams, grid: Grid, Q: np.ndarray, max_steps: int):
+    """Newton's method on F(Q) = 0 on a radial grid, updating the float64 pair
+    Q + lo (lo from zero) by ``_two_sum``, ``Q`` in place; returns Q, lo, the
+    steps taken and whether the L2 step norm fell below ``STEP_TOL`` or stopped
     halving (a float64 defect's rounding floor: the residual then decides);
     raises ConvergenceError on an iterate below -``RESIDUAL_TOL`` times its peak."""
-    before = math.inf
+    before, lo = math.inf, np.zeros(Q.shape)
     for step in range(1, max_steps + 1):
         F, V = _newton_defect(params, grid, Q, lo)
         delta = shifted_helmholtz_solve(grid, F, V)
-        if grid.geometry == "line":
-            delta = 0.5 * (delta + delta[::-1])
-        if lo is None:
-            Q += delta
-        else:
-            s, e = _two_sum(Q, delta)
-            Q[...], lo = _two_sum(s, e + lo)
+        s, e = _two_sum(Q, delta)
+        Q[...], lo = _two_sum(s, e + lo)
         if Q.min() < -RESIDUAL_TOL * Q.max():     # resolved profiles dip to ~ -1e-17 of it
             raise ConvergenceError(f"Newton step {step} dips to {float(Q.min() / Q.max()):.1e} "
                                    "of the peak: the grid under-resolves the ground state")

@@ -10,8 +10,9 @@ writing anything, from the repository root with
 
 which prints, per report, the count of moved leaves and the largest relative
 move of a number, and lists every moved leaf that is not a float (iteration
-and sample counts, flags, labels) as old -> new.  Then regenerate the record
-with
+and sample counts, flags, labels) as old -> new.  It exits with status 1 when
+any leaf moved and 0 when none did, so "byte-identical reports" is its exit
+status.  Then regenerate the record with
 
     PYTHONPATH=src python tests/record_reports.py
 
@@ -23,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import sys
 from pathlib import Path
 
 RECORD = Path(__file__).with_name("reports_record.json")
@@ -66,11 +68,14 @@ def _relative(old, new) -> float | None:
     return abs(new - old) / abs(old) if old else math.inf
 
 
-def compare(reports: dict) -> None:
-    """Print how each of ``reports`` (name -> recorded report) moved from the record."""
+def compare(reports: dict) -> int:
+    """Print how each of ``reports`` (name -> recorded report) moved from the
+    record; returns the count of moved leaves."""
     record = json.loads(RECORD.read_text())
+    total = 0
     for name in sorted(record.keys() | reports.keys()):
         moves = moved(record.get(name, {}), reports.get(name, {}), name)
+        total += len(moves)
         rel = {key: r for key, pair in moves.items() if (r := _relative(*pair)) is not None}
         largest = max(rel, key=rel.get, default=None)
         print(f"{name}: {len(moves)} moved" + (
@@ -78,9 +83,10 @@ def compare(reports: dict) -> None:
         for key, (old, new) in moves.items():
             if not isinstance(old, float) or not isinstance(new, float):
                 print(f"  {key}: {old!r} -> {new!r}")
+    return total
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--compare", action="store_true",
                         help="print what moved from the record instead of writing it")
@@ -89,11 +95,11 @@ def main() -> None:
 
     reports = {name: recorded(reproduce(name)) for name in REGISTRY}
     if args.compare:
-        compare(reports)
-        return
+        return 1 if compare(reports) else 0
     RECORD.write_text(json.dumps(reports, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(reports)} reports to {RECORD}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -172,10 +173,20 @@ def test_radial_non_convergence_raises():
         solve_ground_state(params, grid, max_iter=2)
 
 
+def _at_step_tol(gs) -> bool:
+    """Whether one more Petviashvili iteration moves ``gs``'s profile by less than STEP_TOL."""
+    profile = gs.profile
+    return ground_state._petviashvili(gs.params, profile.grid, profile.values.copy(), 1,
+                                      ground_state.STEP_TOL)[2]
+
+
 def test_float64_solve_is_petviashvili_then_newton(line_b_gs, intercritical_radial_gs):
-    for gs in (line_b_gs, intercritical_radial_gs):
-        assert gs.iterations > 0
-        assert 0 < gs.newton_steps <= ground_state.NEWTON_STEPS
+    """A radial solve hands over to Newton steps; a line solve is Petviashvili
+    iteration alone, to STEP_TOL."""
+    assert intercritical_radial_gs.iterations > 0
+    assert 0 < intercritical_radial_gs.newton_steps <= ground_state.NEWTON_STEPS
+    assert line_b_gs.iterations > 0 and line_b_gs.newton_steps == 0
+    assert _at_step_tol(line_b_gs)
 
 
 def test_radial_pair_converges_in_two_newton_steps(intercritical_radial_gs):
@@ -314,6 +325,26 @@ def test_both_precisions_run_the_same_phases(monkeypatch, dim, sigma, b, grid):
     assert float(np.max(np.abs(wide.profile.values - narrow.profile.values))) < 1e-11
 
 
+@pytest.mark.parametrize("dim, sigma, b, grid", NEWTON_CASES)
+def test_only_the_finest_line_level_runs_to_step_tol(monkeypatch, dim, sigma, b, grid):
+    """Every coarser level hands over at HANDOVER_TOL.  So does a radial
+    solve's finest level, and Newton steps take it on; a line's finest level
+    runs to STEP_TOL itself and takes no Newton step."""
+    tols = []
+    iterate = ground_state._petviashvili
+
+    def recording(params, grid, Q, max_iter, tol):
+        tols.append(tol)
+        return iterate(params, grid, Q, max_iter, tol)
+
+    monkeypatch.setattr(ground_state, "_petviashvili", recording)
+    gs = solve_ground_state(make_params(dim, sigma, b), grid)
+    line = grid.geometry == "line"
+    finest = ground_state.STEP_TOL if line else ground_state.HANDOVER_TOL
+    assert tols == [ground_state.HANDOVER_TOL] * (len(tols) - 1) + [finest] and len(tols) > 1
+    assert (gs.newton_steps == 0) == line
+
+
 @pytest.mark.parametrize("dim, sigma, b, grid", [case for case in NEWTON_CASES
                                                   if case.id.startswith("line")])
 def test_even_line_solve_on_the_half_grid_is_the_full_grid_solve(monkeypatch, dim, sigma, b,
@@ -331,35 +362,34 @@ def test_even_line_solve_on_the_half_grid_is_the_full_grid_solve(monkeypatch, di
     assert gs.pohozaev_r1 == pytest.approx(ref.pohozaev_r1, abs=1e-15)
 
 
-@pytest.mark.parametrize("n, levels", [(1023, [255, 1023]), (1025, [256, 1025]),
-                                      (4097, [256, 1024, 4097])], ids=["1023", "1025", "4097"])
-def test_odd_line_solves_on_the_full_grids(monkeypatch, n, levels):
-    """An odd-n line has no half grid: every level runs on the full grids,
-    the coarser ones too when their own n is even (1025, 4097), and Newton
-    converges to an exactly even profile, the all-full-grid solve's."""
+def _check_line_levels(monkeypatch, n, levels):
+    """The line solve on n cells iterates on ``levels`` cells and converges to
+    STEP_TOL, without Newton steps, to an exactly even profile, the
+    all-full-grid solve's, in as many iterations."""
     params, grid = make_params(1, 1.5, 0.5), line_grid(16.0, n, 0.5)
     gs, ns = _phase_grids(monkeypatch, params, grid)
     assert ns == levels
-    assert 0 < gs.newton_steps <= 2
-    assert np.array_equal(gs.profile.values, gs.profile.values[::-1])
-    monkeypatch.setattr(ground_state, "_solve_grid", lambda grid: grid)
-    assert np.array_equal(solve_ground_state(params, grid).profile.values, gs.profile.values)
-
-
-def test_even_line_over_an_odd_level_runs_the_levels_below_it_whole(monkeypatch):
-    """A level runs on its half grid only if every level above it does: an
-    even-n line over an odd level (4100 -> 1025 -> 256) halves its own level
-    but runs 1025 and 256 whole, so no whole level starts from a half-grid
-    solve; Newton converges to an exactly even profile, the all-full-grid
-    solve's, in as many iterations and Newton steps."""
-    params, grid = make_params(1, 1.5, 0.5), line_grid(16.0, 4100, 0.5)
-    gs, ns = _phase_grids(monkeypatch, params, grid)
-    assert ns == [256, 1025, 2050]
+    assert gs.newton_steps == 0 and _at_step_tol(gs)
     assert np.array_equal(gs.profile.values, gs.profile.values[::-1])
     monkeypatch.setattr(ground_state, "_solve_grid", lambda grid: grid)
     ref = solve_ground_state(params, grid)
-    assert (gs.iterations, gs.newton_steps) == (ref.iterations, ref.newton_steps)
+    assert gs.iterations == ref.iterations
     assert float(np.max(np.abs(gs.profile.values - ref.profile.values))) < 1e-12
+
+
+@pytest.mark.parametrize("n, levels", [(1023, [255, 1023]), (1025, [128, 1025]),
+                                      (4097, [128, 512, 4097])], ids=["1023", "1025", "4097"])
+def test_odd_line_solves_on_the_full_grids(monkeypatch, n, levels):
+    """An odd-n line has no half grid: its own level runs on the full grid,
+    and a coarser level on its half grid when its own n is even (1025, 4097)."""
+    _check_line_levels(monkeypatch, n, levels)
+
+
+def test_even_line_over_an_odd_level_starts_each_level_at_abs_x(monkeypatch):
+    """Every level runs on its half grid when its own n is even and starts
+    from the coarser solve's even interpolant, at |x|, whichever grids the two
+    run on: 4100 -> 1025 -> 256 runs 2050, 1025 and 128 cells."""
+    _check_line_levels(monkeypatch, 4100, [128, 1025, 2050])
 
 
 def _newton_solve(monkeypatch, params, grid):
@@ -378,20 +408,24 @@ def _newton_solve(monkeypatch, params, grid):
 
 @pytest.mark.parametrize("dim, sigma, b, grid", NEWTON_CASES)
 def test_newton_polish_matches_longdouble_petviashvili(monkeypatch, dim, sigma, b, grid):
-    """The polish converges to the fixed point that Petviashvili iteration
-    reaches in longdouble arrays (the operators' multipliers and the Helmholtz
-    solve stay float64), the b = 0 line's translation kernel notwithstanding."""
+    """A float64 solve, radially through the Newton polish and on the line by
+    Petviashvili iteration alone, converges to the fixed point that
+    Petviashvili iteration reaches in longdouble arrays (the operators'
+    multipliers and the Helmholtz solve stay float64), the b = 0 line's
+    translation kernel notwithstanding."""
     params = make_params(dim, sigma, b)
     gs, norms = _newton_solve(monkeypatch, params, grid)
     start = np.exp(-grid.nodes ** 2 / 2.0).astype(np.longdouble)
     ref, _, converged = ground_state._petviashvili(params, grid, start, 2000,
                                                    ground_state.STEP_TOL)
     assert converged
-    assert gs.newton_steps == len(norms) >= 2
+    assert gs.newton_steps == len(norms)
+    assert len(norms) >= 2 if grid.geometry == "radial" else not norms
     assert float(np.max(np.abs(gs.profile.values - ref))) < 1e-12
 
 
-@pytest.mark.parametrize("dim, sigma, b, grid", NEWTON_CASES)
+@pytest.mark.parametrize("dim, sigma, b, grid", [case for case in NEWTON_CASES
+                                                  if case.id.startswith("radial")])
 def test_newton_steps_shrink_by_two_orders(monkeypatch, dim, sigma, b, grid):
     """Each correction is at most 1e-2 of the one before; the float64
     Jacobian's rounding, not the quadratic rate, bounds the last one."""
@@ -420,10 +454,10 @@ def test_unresolved_ground_state_warns(dim, sigma, b, grid, match):
 
 
 def test_rounding_floor_stall_is_reported_as_such():
-    """On the line gate's profile at twice its cells, the FFT's rounding floor
-    (~ eps ||Q|| k_max^2) stops the Newton steps from halving at a residual
-    (measured 3.2e-8) above tolerance (1.1e-8): the error names the residual,
-    not an iteration budget.  Radially the float64 pair lifts that floor: the
+    """On the line gate's profile at twice its cells, Petviashvili iteration
+    reaches STEP_TOL, but the FFT's rounding floor (~ eps ||Q|| k_max^2) holds
+    the residual (measured 4.0e-8) above tolerance (1.1e-8): the error names
+    the residual, not an iteration budget.  Radially the float64 pair lifts that floor: the
     deep grid on which a float64 defect stalled (residual 1.6e-7) converges."""
     with pytest.raises(ConvergenceError, match="stalled .* residual") as err:
         solve_ground_state(make_params(1, 1.5, 0.5), line_grid(15.0, 131072, 0.5))
@@ -441,18 +475,18 @@ def test_rounding_floor_stall_is_reported_as_such():
 ], ids=["quintic", "sigma1.2-b0.5", "quintic-48"])
 def test_under_resolved_line_grid_fails_in_both_precisions(tmp_path, capsys, params, grid,
                                                            dtype):
-    """64 and 48 cells under-resolve the profiles.  The first Newton iterate
-    turns negative, and the solve says so instead of returning a
-    sign-changing profile or a NaN residual; the CLI's ``ground-state``, given
-    either precision its ``dtype`` key accepts (which selects nothing), exits 3
-    with that message.  48 // COARSEN cells cannot resolve the Gaussian start
-    either, so the solve skips them: from there the coarse iteration diverged
-    (S = 4.6e9)."""
+    """64 and 48 cells under-resolve the profiles.  Petviashvili iteration
+    reaches STEP_TOL, but the residual stalls far above tolerance (measured
+    4e-4 to 3.5e-3), and the solve says so instead of returning the profile;
+    the CLI's ``ground-state``, given either precision its ``dtype`` key
+    accepts (which selects nothing), exits 3 with that message.  48 // COARSEN
+    cells cannot resolve the Gaussian start either, so the solve skips them:
+    from there the coarse iteration diverged (S = 4.6e9)."""
     cfg = tmp_path / "gs.cfg"
     cfg.write_text(f"dim = 1\nsigma = {params.sigma}\nb = {params.b}\nextent = {grid.extent}\n"
                    f"n = {grid.n}\ndtype = {dtype}\n")
     assert main(["ground-state", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 3
-    assert "under-resolves" in capsys.readouterr().err
+    assert re.search("stalled .* residual .* above tolerance", capsys.readouterr().err)
 
 
 _FINITE = st.floats(min_value=-1e300, max_value=1e300, allow_nan=False)

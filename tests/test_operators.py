@@ -153,11 +153,11 @@ def test_helmholtz_factorizes_once_per_grid(monkeypatch):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("geometry", ["line", "radial"])
+@pytest.mark.parametrize("geometry", ["radial"])
 def test_shifted_helmholtz_solve_inverts_an_indefinite_operator(geometry):
     """(1 - Lap - V) u = rhs for a potential deep enough to make the operator
-    indefinite, as the ground-state Jacobian is; a zero potential radially is
-    the plain Helmholtz solve."""
+    indefinite, as the ground-state Jacobian is; a zero potential is the plain
+    Helmholtz solve."""
     params, make_grid = SETUPS[geometry]
     grid = make_grid()
     rhs = np.exp(-grid.nodes ** 2)
@@ -166,9 +166,18 @@ def test_shifted_helmholtz_solve_inverts_an_indefinite_operator(geometry):
     u = shifted_helmholtz_solve(grid, rhs, shift.copy())
     residual = u - laplacian_values(grid, u) - shift * u - rhs
     assert np.max(np.abs(residual)) < 1e-6 * np.max(np.abs(rhs))
-    if geometry == "radial":
-        assert np.array_equal(shifted_helmholtz_solve(grid, rhs, np.zeros(grid.n)),
-                              helmholtz_solve(grid, rhs))
+    assert np.array_equal(shifted_helmholtz_solve(grid, rhs, np.zeros(grid.n)),
+                          helmholtz_solve(grid, rhs))
+
+
+@pytest.mark.parametrize("geometry", ["line", "half_line"])
+def test_shifted_helmholtz_solve_needs_a_radial_grid(geometry):
+    """Only a radial ground state takes Newton steps: on the line and on its
+    half grid the shifted solve raises."""
+    grid = SETUPS["line"][1]()
+    grid = grid.half if geometry == "half_line" else grid
+    with pytest.raises(ValidationError, match=f"radial grid, got {geometry}"):
+        shifted_helmholtz_solve(grid, np.exp(-grid.nodes ** 2), np.zeros(grid.n))
 
 
 @pytest.mark.parametrize("defect", ["float64", "pair"])
@@ -237,17 +246,6 @@ def test_half_grid_window_integrals_are_the_full_grid_ones(seed, kind):
                 fn.lp_norm(u, p, (center, radius)), rel=1e-12)
     (best, at), (ref, ref_at) = fn.sup_concentrated_mass(v, 1.0), fn.sup_concentrated_mass(u, 1.0)
     assert best == pytest.approx(ref, rel=1e-12) and at == abs(ref_at)
-
-
-def test_half_grid_shifted_solve_inverts_the_full_line_operator():
-    """MINRES on the half grid solves the full line's indefinite system for an
-    even rhs and potential, to the accuracy of the full-grid solve."""
-    grid = SETUPS["line"][1]()
-    m, rhs, shift = grid.n // 2, np.exp(-grid.nodes ** 2), 4.0 * np.exp(-grid.nodes ** 2 / 4.0)
-    right = shifted_helmholtz_solve(grid.half, rhs[m:], shift[m:].copy())
-    u = np.concatenate((right[::-1], right))
-    residual = u - laplacian_values(grid, u) - shift * u - rhs
-    assert np.max(np.abs(residual)) < 1e-6 * np.max(np.abs(rhs))
 
 
 def test_radial_laplacian_rejects_a_line_grid():

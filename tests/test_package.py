@@ -109,8 +109,7 @@ def test_failing_property_test_is_reported_and_the_session_goes_on(pytester):
     result.stdout.no_fnmatch_line("*INTERNALERROR*")
 
 
-# scipy.spatial comes with scipy.interpolate; scipy.sparse.linalg holds MINRES,
-# which every Newton step of a line ground state runs
+# scipy.spatial and scipy.sparse.linalg come with scipy.interpolate and scipy.optimize
 START_UP = ("scipy.interpolate", "scipy.optimize", "scipy.spatial", "scipy.sparse.linalg")
 PRELUDE = f"""import json, sys
 import inls_lab, inls_lab.cli
@@ -131,10 +130,11 @@ def _fresh_python(code: str):
 
 def test_import_leaves_the_spline_and_fit_packages_unloaded():
     """Importing the package and its CLI loads neither scipy.interpolate nor
-    scipy.optimize: the commands that never rescale or fit do not pay for them.
-    Nor multiprocessing, which only a pool of corpus workers loads."""
+    scipy.optimize, nor the sparse solvers they bring: the commands that never
+    rescale or fit do not pay for them.  Nor multiprocessing, which only a pool
+    of corpus workers loads."""
     assert _fresh_python("print(json.dumps([loaded(), 'multiprocessing' in sys.modules]))") \
-        == [["scipy.sparse.linalg"], False]
+        == [[], False]
 
 
 def test_deferred_imports_resolve_at_first_use():

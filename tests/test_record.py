@@ -3,7 +3,7 @@
 import json
 
 from inls_lab.experiments import REGISTRY
-from record_reports import RECORD, moved, recorded
+from record_reports import RECORD, compare, moved, recorded
 
 
 def test_reports_equal_the_committed_record(report_of):
@@ -17,3 +17,13 @@ def test_reports_equal_the_committed_record(report_of):
         if new != old:
             lines += [f"{key}: {a!r} -> {b!r}" for key, (a, b) in moved(old, new, name).items()]
     assert not lines, "report values moved from the record:\n" + "\n".join(lines)
+
+
+def test_compare_counts_the_moved_leaves(capsys):
+    """``compare``, whose count decides the exit status of ``record_reports.py
+    --compare``, counts no leaf on the record itself and one leaf moved."""
+    record = json.loads(RECORD.read_text())
+    assert compare(record) == 0
+    record["pohozaev_gate"]["details"]["line_mass_critical"]["iterations"] += 1
+    assert compare(record) == 1
+    assert "line_mass_critical.iterations: 41 -> 42" in capsys.readouterr().out
