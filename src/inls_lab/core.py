@@ -4,11 +4,13 @@ Two discretizations are supported:
 
 * ``line`` -- the whole real line periodized on [-L, L] with n cell-centered
   nodes; every operator is an exact Fourier multiplier on one transform of
-  the complex-cast values.  An exactly even field on an even n lives on the
-  line's half grid (``Grid.half``, its n/2 cells x > 0, weighted 2 dx) as a
-  cosine series: the one spectral path takes its orthonormal DCT-II for the
-  FFT, the same multipliers act on it, and every quadrature is the whole
-  field's.  The gradient, which is odd, has no cosine form and raises there.
+  the complex-cast values.  An exactly even field on an even n is stored on
+  ``even_grid``, the line's half grid (``Grid.half``, its n/2 cells x > 0,
+  weighted 2 dx), as a cosine series: the one spectral path takes its
+  orthonormal DCT-II for the FFT, the same multipliers act on it, and every
+  quadrature is the whole field's.  The gradient, which is odd, has no cosine
+  form and raises there.  ``fold`` takes an even field onto the half grid and
+  ``unfold`` mirrors it back; no other module reads the half's layout.
 * ``radial`` -- radially symmetric fields on (0, Rmax] in dimension N >= 2,
   discretized by a flux-form (finite-volume) Laplacian on n cell-centered
   shells, whose face data (``face_alpha``, ``surf``) only this module reads.
@@ -182,18 +184,13 @@ class Grid:
         return {}
 
     @property
-    def halvable(self) -> bool:
-        """An even-n line grid, which has a ``half``."""
-        return self.geometry == "line" and self.n % 2 == 0
-
-    @property
     def half(self) -> Grid:
         """The n/2 cells x > 0 of an even-n line grid: even fields' right halves,
         on which every line operator but the (odd) gradient is a cosine series.
         Each access returns a new grid, with an empty operator cache: a caller
         that reuses the half's operators holds on to it.  The half holds its
         line (``full``); the line keeps no reference to the half."""
-        if not self.halvable:
+        if self.geometry != "line" or self.n % 2:
             raise ValidationError(
                 f"half needs an even-n line grid, got {self.geometry} n={self.n}")
         m = self.n // 2
@@ -283,6 +280,28 @@ class Field:
 
     def with_values(self, values: np.ndarray) -> "Field":
         return Field(values, self.grid, self.params)
+
+
+def even_grid(grid: Grid) -> Grid:
+    """The grid an even field on ``grid`` is stored on: an even-n line's half
+    grid, where it is a cosine series, or ``grid`` itself."""
+    return grid.half if grid.geometry == "line" and grid.n % 2 == 0 else grid
+
+
+def fold(u: Field) -> Field:
+    """An exactly even field on an even-n line as its right half on the half
+    grid; any other field (a NaN is unequal to its mirror) as it is.  The
+    evenness test comes first: no half grid is built for a field that stays."""
+    v = u.values
+    half = even_grid(u.grid) if np.array_equal(v, v[::-1]) else u.grid
+    return u if half is u.grid else Field(v[u.grid.n // 2:], half, u.params)
+
+
+def unfold(u: Field) -> Field:
+    """The whole, exactly even line field of a half-grid field; any other as it is."""
+    if u.grid.full is None:
+        return u
+    return Field(np.concatenate((u.values[::-1], u.values)), u.grid.full, u.params)
 
 
 # ---------------------------------------------------------------------------
@@ -563,7 +582,7 @@ def sample_scaled(u: Field, scale: float, order: int = 3) -> np.ndarray:
 __all__ = [
     "Regime", "ProblemParams", "make_params", "sigma_star", "b_tilde",
     "Grid", "line_grid", "radial_grid", "grid_for",
-    "Field",
+    "Field", "even_grid", "fold", "unfold",
     "laplacian", "laplacian_values", "gradient_values", "grad_norm_sq_values",
     "gradient_and_grad_sq",
     "helmholtz_solve", "shifted_helmholtz_solve", "apply_radial_lap", "free_flow",

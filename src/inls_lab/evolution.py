@@ -41,9 +41,10 @@ rung, not once per step.  The march stops at t_end or when the gradient of the
 full state outruns the grid (|grad u| * dx > theta).
 
 An exactly even line field on an even n is a cosine series, which both flows
-keep even: ``evolve`` marches its n/2 cells x > 0 on ``Grid.half``, takes each
-record there as the whole even field's quadratures, and mirrors only the kept
-snapshots back to the line.  Other fields, and ``step``, run on the full grid.
+keep even: ``evolve`` marches its ``core.fold`` (the n/2 cells x > 0 of the
+half grid), takes each record there as the whole even field's quadratures,
+and unfolds only the kept snapshots back to the line.  Other fields, which
+``fold`` leaves as they are, and ``step`` run on the full grid.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Field, free_flow
+from .core import Field, fold, free_flow, unfold
 from .errors import NumericsError, ValidationError
 from . import functionals as fn
 
@@ -175,11 +176,8 @@ def evolve(u0: Field, policy: StepPolicy) -> Trajectory:
     so far as its ``trajectory``, with termination "numerics_error".
     """
     traj = Trajectory()
-    v, grid = u0.values.astype(complex), u0.grid
-    even = grid.halvable and np.array_equal(v, v[::-1])
-    u = Field(v[grid.n // 2:], grid.half, u0.params) if even else u0.with_values(v)
     try:
-        _march(u, policy, traj)
+        _march(fold(u0.with_values(u0.values.astype(complex))), policy, traj)
     except NumericsError as exc:
         traj.termination = "numerics_error"
         exc.trajectory = traj
@@ -281,10 +279,10 @@ def _stop_reason(policy: StepPolicy, G: float, t: float, steps: int, dx: float) 
 
 def _record(u: Field, t: float, dt: float, G: float, keep_snapshot: bool) -> TrajectorySample:
     """The sample of state u at time t; G is its own |grad u|^2.  On a half grid
-    it is the whole even field's, and a kept snapshot is mirrored onto the line."""
-    snapshot = u.copy() if keep_snapshot and u.grid.full is None else None
-    if keep_snapshot and u.grid.full is not None:
-        snapshot = Field(np.concatenate((u.values[::-1], u.values)), u.grid.full, u.params)
+    it is the whole even field's, and a kept snapshot is unfolded onto the line.
+    A full-grid snapshot is u itself, not a copy: the march never writes a
+    state in place (every kick, flow and paid half kick returns a new array)."""
+    snapshot = unfold(u) if keep_snapshot else None
     return TrajectorySample(
         time=t,
         dt=dt,

@@ -3,7 +3,9 @@ localized concentration integrals.
 
 All quadratures use the grid's volume weights.  Window integrals weight the
 straddled boundary cell by its covered fraction, which makes them continuous
-and nondecreasing in the window radius.
+and nondecreasing in the window radius.  Every integral of a field stored on
+a half grid (``core.even_grid``) is the whole even field's: the quadratures
+by the half's weights 2 dx, the window integrals on its ``core.unfold``.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import warnings
 
 import numpy as np
 
-from .core import Field, grad_norm_sq_values, gradient_values
+from .core import Field, grad_norm_sq_values, gradient_values, unfold
 from .errors import ValidationError
 
 BOUNDARY_SHELL = 0.1    # outer fraction of the extent that boundary_mass_fraction reads
@@ -79,21 +81,16 @@ def boundary_mass_fraction(u: Field) -> float:
 def _window_integral(u: Field, p: float, center, radius: float):
     """Integral of |u|^p over {|x - center| <= radius} from the cumulative sum
     at cell edges, interpolated in the coordinate where cell density is
-    constant.  ``center`` may be an array of line centers.  On a half grid the
-    sum runs from x = 0 and, extended as an odd function, gives the whole even
-    field's window for any line center."""
+    constant.  ``center`` may be an array of line centers.  A half-grid field
+    is unfolded first, so its window is the whole even field's."""
     if not radius > 0:
         raise ValidationError(f"radius must be positive, got {radius}")
+    u = unfold(u)
     g = u.grid
     cum = np.concatenate([[0.0], np.cumsum(np.abs(u.values) ** p * g.weights)])
-    if g.geometry != "radial":
-        # the edges ``core.line_grid`` cuts: (k - n/2) dx on the line, k dx on its half
-        coord = (np.arange(g.n + 1) - (g.n / 2 if g.geometry == "line" else 0)) * g.spacing
-        if g.geometry == "line":
-            return np.interp(center + radius, coord, cum) - np.interp(center - radius, coord, cum)
-        # weights 2 dx: cum is twice the even field's integral from 0, odd in x
-        edge = lambda y: np.sign(y) * np.interp(np.abs(y), coord, cum) / 2
-        return edge(center + radius) - edge(center - radius)
+    if g.geometry == "line":
+        coord = (np.arange(g.n + 1) - g.n / 2) * g.spacing     # ``core.line_grid``'s edges
+        return np.interp(center + radius, coord, cum) - np.interp(center - radius, coord, cum)
     if abs(center) > 1e-12:
         raise ValidationError("radial geometry supports origin-centered windows only")
     return np.interp(min(radius, g.extent) ** g.dim, g.faces ** g.dim, cum)

@@ -818,3 +818,20 @@ def test_evolve_numerics_error_keeps_partial_artifacts(tmp_path, capsys):
     assert summary["final"]["t"] == 0.0
     rows = (out / "trajectory.csv").read_text().strip().splitlines()
     assert len(rows) == 2 and rows[1].startswith("0.0,")
+
+
+@pytest.mark.parametrize("c, rc, message", [
+    (1.5e308, 2, "initial field (ground_state_multiple) holds non-finite values"),
+    (1e308, 3, "numerical failure"),
+])
+def test_evolve_initial_field_overflow_exit_2_before_any_output(tmp_path, capsys, c, rc, message):
+    """1.5e308 Q overflows at Q's peak (about 1.316): the evolve exits 2 naming
+    the non-finite field, before the output directory exists.  1e308 Q stays
+    finite and fails in the march, after the output directory is written."""
+    cfg = write_cfg(tmp_path / "ev.cfg", dim=1, sigma=2.0, b=0.0, extent=16.0, n=256,
+                    initial="ground_state_multiple", initial_c=c)
+    out = tmp_path / "run"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["evolve", "--config", cfg, "--out", str(out)]) == rc
+    assert message in capsys.readouterr().err
+    assert out.exists() == (rc == 3)

@@ -6,7 +6,7 @@ import pytest
 from inls_lab import Field, NumericsError, StepPolicy, ValidationError, evolve, make_params
 from inls_lab import core, evolution, experiments
 from inls_lab.config import initial_field, resolve_config, step_policy
-from inls_lab.core import line_grid, radial_grid
+from inls_lab.core import fold, line_grid, radial_grid
 from inls_lab.evolution import LADDER_RUNGS, STRANG, SUZUKI4, step
 from inls_lab.exact import standing_wave
 from inls_lab.fieldio import trajectory_from_csv, trajectory_to_csv
@@ -242,14 +242,6 @@ def test_every_dt_is_a_rung_below_the_ceiling(geometry):
     assert len({s.dt for s in traj.samples[1:]}) > 10       # the collapse walks the ladder
 
 
-def recorded(u: Field) -> Field:
-    """The field a sample of snapshot u is taken on: the right half on the half
-    grid if u is an exactly even line field on an even n, else u itself."""
-    if not (u.grid.halvable and np.array_equal(u.values, u.values[::-1])):
-        return u
-    return Field(u.values[u.grid.n // 2:], u.grid.half, u.params)
-
-
 @pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
 def test_samples_record_their_own_gradient(geometry):
     """Each sample's G is its own field's, taken on the grid it marched on
@@ -257,9 +249,9 @@ def test_samples_record_their_own_gradient(geometry):
     u0, theta = gaussian(geometry)
     traj = evolve(u0, StepPolicy(dt0=5e-4, c_dt=5e-3, theta=theta, t_end=5.0,
                                  sample_every=5, snapshot_every=1))
-    assert (recorded(u0).grid.geometry == "half_line") == (geometry == "line")
+    assert (fold(u0).grid.geometry == "half_line") == (geometry == "line")
     for s in traj.samples:
-        assert s.grad_norm_sq == fn.grad_norm_sq(recorded(s.snapshot))
+        assert s.grad_norm_sq == fn.grad_norm_sq(fold(s.snapshot))
         assert s.grad_norm_sq == pytest.approx(fn.grad_norm_sq(s.snapshot), rel=1e-13)
     assert math.sqrt(traj.samples[-1].grad_norm_sq) * u0.grid.spacing > theta
 
@@ -270,7 +262,7 @@ def test_samples_record_their_own_energy(geometry):
     traj = evolve(u0, StepPolicy(dt0=5e-4, c_dt=5e-3, theta=theta, t_end=5.0,
                                  sample_every=5, snapshot_every=1))
     for s in traj.samples:
-        assert s.energy == fn.energy(recorded(s.snapshot))
+        assert s.energy == fn.energy(fold(s.snapshot))
         assert s.energy == pytest.approx(fn.energy(s.snapshot), rel=1e-13)
 
 
@@ -565,9 +557,9 @@ def test_first_sample_is_the_initial_data(plain_line):
                                  sample_every=2, snapshot_every=3))
     first = traj.samples[0]
     assert first.time == 0.0
-    g = recorded(u0).grid                            # the even Gaussian marches halved
+    g = fold(u0).grid                                # the even Gaussian marches halved
     assert g.geometry == "half_line" and g.full is u0.grid
-    assert traj.initial_mass == fn.mass(recorded(u0))
+    assert traj.initial_mass == fn.mass(fold(u0))
     assert traj.initial_mass == pytest.approx(fn.mass(u0), rel=1e-13)
     assert np.array_equal(first.snapshot.values, u0.values)
 

@@ -12,7 +12,7 @@ from inls_lab import (
     pohozaev_residuals, rescale, solve_ground_state,
 )
 from inls_lab.cli import main
-from inls_lab.core import MIN_CELLS, apply_radial_lap, line_grid, radial_grid, sample_scaled
+from inls_lab.core import MIN_CELLS, _interp_spline, apply_radial_lap, line_grid, radial_grid
 from inls_lab.exact import standing_wave
 from inls_lab import core, functionals as fn, ground_state
 from inls_lab.inequalities import corpus_rng, random_bump_field
@@ -355,7 +355,7 @@ def test_even_line_solve_on_the_half_grid_is_the_full_grid_solve(monkeypatch, di
     params = make_params(dim, sigma, b)
     gs = solve_ground_state(params, grid)
     assert gs.profile.grid is grid and np.array_equal(gs.profile.values, gs.profile.values[::-1])
-    monkeypatch.setattr(ground_state, "_solve_grid", lambda grid: grid)
+    monkeypatch.setattr(ground_state, "even_grid", lambda grid: grid)
     ref = solve_ground_state(params, grid)
     assert (gs.iterations, gs.newton_steps) == (ref.iterations, ref.newton_steps)
     assert float(np.max(np.abs(gs.profile.values - ref.profile.values))) < 1e-12
@@ -371,7 +371,7 @@ def _check_line_levels(monkeypatch, n, levels):
     assert ns == levels
     assert gs.newton_steps == 0 and _at_step_tol(gs)
     assert np.array_equal(gs.profile.values, gs.profile.values[::-1])
-    monkeypatch.setattr(ground_state, "_solve_grid", lambda grid: grid)
+    monkeypatch.setattr(ground_state, "even_grid", lambda grid: grid)
     ref = solve_ground_state(params, grid)
     assert gs.iterations == ref.iterations
     assert float(np.max(np.abs(gs.profile.values - ref.profile.values))) < 1e-12
@@ -572,10 +572,7 @@ def test_grid_refinement_convergence(dim, sigma, b, builder):
     for n in (1024, 2048):
         coarse = profiles[n].profile
         fine = profiles[2 * n].profile
-        fine_on_coarse = sample_scaled(fine, 1.0)[:: 1]
         # evaluate the fine profile at the coarse nodes via its spline
-        from inls_lab.core import _interp_spline
-
         ev = _interp_spline(fine.grid, fine.values)
         diffs.append(np.max(np.abs(ev(coarse.grid.nodes) - coarse.values)))
     assert diffs[0] / diffs[1] >= 3.0

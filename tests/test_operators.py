@@ -13,8 +13,8 @@ from inls_lab import Field, ValidationError, core, make_params
 from inls_lab import functionals as fn
 from inls_lab.analysis import decompose
 from inls_lab.core import (
-    apply_radial_lap, free_flow, grad_norm_sq_values, gradient_and_grad_sq, gradient_values,
-    helmholtz_solve, laplacian_values, line_grid, radial_grid, shifted_helmholtz_solve,
+    apply_radial_lap, fold, free_flow, grad_norm_sq_values, gradient_and_grad_sq, gradient_values,
+    helmholtz_solve, laplacian_values, line_grid, radial_grid, shifted_helmholtz_solve, unfold,
 )
 from inls_lab.evolution import step
 from inls_lab.ground_state import solve_ground_state
@@ -101,7 +101,7 @@ def test_gradient_and_grad_sq_is_the_pair_bit_for_bit(geometry, kind):
 
 @pytest.mark.parametrize("geometry", sorted(SETUPS))
 @pytest.mark.parametrize("dtypes", [(np.float64, np.longdouble), (np.longdouble, np.float64)])
-def test_cache_per_dtype_matches_fresh_grid(geometry, dtypes):
+def test_one_float64_cache_serves_every_dtype(geometry, dtypes):
     """The grid's one float64 cache serves every input dtype: used first in one
     dtype, a grid gives a fresh grid's results in the other."""
     shared = SETUPS[geometry][1]()
@@ -232,20 +232,40 @@ def test_half_grid_operators_are_the_full_grid_operators(seed, kind):
 @given(seed=st.integers(0, 2 ** 31), kind=st.sampled_from(["real", "complex"]))
 def test_half_grid_window_integrals_are_the_full_grid_ones(seed, kind):
     """The window integrals of an exactly even field on the half grid are the
-    whole field's, to 1e-12, for windows left of, across and right of x = 0
-    (each holds a sizable share of the mass, so the full grid's difference of
-    prefix sums is itself accurate to that); the best window's center is the
-    x >= 0 mirror of the full grid's."""
+    whole field's, bit for bit (the half-grid field is unfolded first), for
+    windows left of, across and right of x = 0; the best window's center is
+    the x >= 0 mirror of the full grid's, and its mass agrees to 1e-12, as
+    mirrored centers interpolate the prefix sums at mirrored points."""
     u, right = even_bump(seed, kind)
     v = Field(right, u.grid.half, u.params)
     for center, radius in ((-3.0, 4.0), (0.4, 6.0), (1.3, 7.0), (-0.2, 30.0)):
-        assert fn.concentrated_mass(v, center, radius) == pytest.approx(
-            fn.concentrated_mass(u, center, radius), rel=1e-12)
+        assert fn.concentrated_mass(v, center, radius) == fn.concentrated_mass(u, center, radius)
         for p in (2.0, 3.5):
-            assert fn.lp_norm(v, p, (center, radius)) == pytest.approx(
-                fn.lp_norm(u, p, (center, radius)), rel=1e-12)
+            assert fn.lp_norm(v, p, (center, radius)) == fn.lp_norm(u, p, (center, radius))
     (best, at), (ref, ref_at) = fn.sup_concentrated_mass(v, 1.0), fn.sup_concentrated_mass(u, 1.0)
     assert best == pytest.approx(ref, rel=1e-12) and at == abs(ref_at)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 31), kind=st.sampled_from(["real", "complex"]))
+def test_unfold_undoes_fold_of_an_exactly_even_field(seed, kind):
+    """An exactly even field on an even-n line folds to its right half on the
+    half grid and unfolds to itself bit for bit; an odd n, a radial grid, a
+    field that is not even and one holding a NaN (unequal to its mirror) fold
+    to themselves, as any field but a half grid's unfolds to itself."""
+    u, right = even_bump(seed, kind)
+    v = fold(u)
+    assert v.grid.geometry == "half_line" and v.grid.full is u.grid
+    assert np.array_equal(v.values, right)
+    w = unfold(v)
+    assert w.grid is u.grid and w.values.dtype == u.values.dtype
+    assert np.array_equal(w.values, u.values)
+    odd, radial = line_grid(12.0, 255, 0.5), bump("radial", seed, kind)
+    nan = u.values.copy()
+    nan[0] = nan[-1] = np.nan
+    for x in (Field(np.exp(-odd.nodes ** 2), odd, u.params), u.with_values(nan),
+              bump("line", seed, kind), radial, radial.with_values(np.ones(radial.grid.n))):
+        assert fold(x) is x and unfold(x) is x
 
 
 def test_radial_laplacian_rejects_a_line_grid():

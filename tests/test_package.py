@@ -71,6 +71,21 @@ def test_radial_discretization_stays_in_core():
     assert not found, f"face data read outside core: {found}"
 
 
+def test_half_grid_layout_stays_in_core():
+    """Only ``core`` reads a line's half grid or a half grid's line (``.half``,
+    ``.full``; ``np.full`` aside): every other module goes through
+    ``even_grid``, ``fold`` and ``unfold``."""
+    found = []
+    for path in sorted(Path(inls_lab.__file__).parent.glob("*.py")):
+        if path.name == "core.py":
+            continue
+        found += [f"{path.name}:{node.lineno} .{node.attr}"
+                  for node in ast.walk(ast.parse(path.read_text(), str(path)))
+                  if isinstance(node, ast.Attribute) and node.attr in ("half", "full")
+                  and not (isinstance(node.value, ast.Name) and node.value.id == "np")]
+    assert not found, f"half-grid layout read outside core: {found}"
+
+
 def test_spectral_transforms_stay_in_core():
     """Only ``core`` imports ``scipy.fft``: every other module transforms
     through its operators' one spectral path."""
