@@ -9,8 +9,9 @@ Two discretizations are supported:
   weighted 2 dx), as a cosine series: the one spectral path takes its
   orthonormal DCT-II for the FFT, the same multipliers act on it, and every
   quadrature is the whole field's.  The gradient, which is odd, has no cosine
-  form and raises there.  ``fold`` takes an even field onto the half grid and
-  ``unfold`` mirrors it back; no other module reads the half's layout.
+  form and raises there.  ``mirror`` makes a line field exactly even,
+  ``fold`` takes an even field onto the half grid and ``unfold`` mirrors it
+  back; no other module reads the half's layout.
 * ``radial`` -- radially symmetric fields on (0, Rmax] in dimension N >= 2,
   discretized by a flux-form (finite-volume) Laplacian on n cell-centered
   shells, whose face data (``face_alpha``, ``surf``) only this module reads.
@@ -275,9 +276,6 @@ class Field:
                 f"field length {self.values.shape} does not match grid n={self.grid.n}"
             )
 
-    def copy(self) -> "Field":
-        return Field(self.values.copy(), self.grid, self.params)
-
     def with_values(self, values: np.ndarray) -> "Field":
         return Field(values, self.grid, self.params)
 
@@ -286,6 +284,15 @@ def even_grid(grid: Grid) -> Grid:
     """The grid an even field on ``grid`` is stored on: an even-n line's half
     grid, where it is a cosine series, or ``grid`` itself."""
     return grid.half if grid.geometry == "line" and grid.n % 2 == 0 else grid
+
+
+def mirror(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """``values`` made exactly even on a line, in place: each x < 0 cell takes its
+    x > 0 mirror (an odd n's middle cell stays), as ``fold``'s evenness test
+    accepts; on a half or radial grid, ``values`` unchanged."""
+    if grid.geometry == "line":
+        values[:grid.n // 2] = values[:(grid.n - 1) // 2:-1]
+    return values
 
 
 def fold(u: Field) -> Field:
@@ -582,7 +589,7 @@ def sample_scaled(u: Field, scale: float, order: int = 3) -> np.ndarray:
 __all__ = [
     "Regime", "ProblemParams", "make_params", "sigma_star", "b_tilde",
     "Grid", "line_grid", "radial_grid", "grid_for",
-    "Field", "even_grid", "fold", "unfold",
+    "Field", "even_grid", "mirror", "fold", "unfold",
     "laplacian", "laplacian_values", "gradient_values", "grad_norm_sq_values",
     "gradient_and_grad_sq",
     "helmholtz_solve", "shifted_helmholtz_solve", "apply_radial_lap", "free_flow",

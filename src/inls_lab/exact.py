@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Field, sample_scaled, scaled_sampler
+from .core import Field, mirror, sample_scaled, scaled_sampler
 from .errors import ValidationError
 from .ground_state import GroundState
 
@@ -96,9 +96,7 @@ def _s_profile(p: SFamilyParams, gs: GroundState, t: float, sample) -> Field:
     core = (p.lam / s) ** (N / 2.0) * sample(p.lam / s)
     vals = np.exp(1j * p.gamma) * np.exp(1j * p.lam ** 2 / s) * np.exp(-1j * x ** 2 / (4.0 * s))
     vals *= core
-    if prof.grid.geometry == "line":
-        vals[:prof.grid.n // 2] = vals[:(prof.grid.n - 1) // 2:-1]
-    return prof.with_values(vals)
+    return prof.with_values(mirror(prof.grid, vals))
 
 
 __all__ = ["SFamilyParams", "standing_wave", "pseudoconformal", "s_profile", "s_profiles"]

@@ -24,15 +24,12 @@ Tuning notes baked into the configurations below:
   quarter of the next: from the Gaussian on the coarsest level that resolves
   its core, then on each finer level from the iterate below interpolated,
   each coarser level to the handover step norm.  A line's finest level
-  iterates on to the step tolerance (10/8/6/5/12 iterations on the line
-  gate's 128 to 32768 half-grid cells), since the FFT's floor holds whatever
+  iterates on to the step tolerance, since the FFT's floor holds whatever
   the storage: the line gate passes at 0.74 of the residual tolerance.  A
-  radial finest level hands over, then polishes with two Newton steps
-  (19/10/6/2 iterations on radial N = 2's 320 to 20480 cells,
-  60/38/26/17/7/2 on radial N = 3's 256 to 262144).  The Newton iterate is a
-  float64 pair (Q, lo), since at n ~ 2.6e5 the defect of a float64 Q is
-  rounding-floor limited (~eps Q/dr^2, 1.6e-7 against a 2.2e-8 tolerance)
-  while the dilation identity needs that much resolution; on
+  radial finest level hands over, then polishes with two Newton steps.  The
+  Newton iterate is a float64 pair (Q, lo), since at n ~ 2.6e5 the defect
+  of a float64 Q is rounding-floor limited (~eps Q/dr^2, 1.6e-7 against a
+  2.2e-8 tolerance) while the dilation identity needs that much resolution; on
   ``radial2_intercritical`` the pair also spares the third step that a
   float64 defect spent at its floor.  The reports record the iterations
   summed over every level and the Newton steps.

@@ -15,14 +15,12 @@ map in exact arithmetic), one float64 Helmholtz solve per iteration.  A solve
 iterates on n / ``COARSEN``^k cells, from the Gaussian on the coarsest level
 that resolves its core, then on each finer one from the even linear
 interpolant (at |x|) of the last, each coarser level to step norm
-``HANDOVER_TOL`` (nested iteration, Brandt, Math. Comp. 31, 1977:
-60/38/26/17/7/2 iterations on 256 to 262144 cells at N = 3).  Petviashvili
-iteration converges only linearly (Pelinovsky & Stepanyants, SIAM J. Numer.
-Anal. 42, 2004), so its slow phase runs on the fewest cells.  A line's finest
-level iterates on to ``STEP_TOL``: from the nested start that is sooner than
-Newton steps (10/8/6/5/12 iterations on the line gate's 128 to 32768
-half-grid cells), and the FFT's rounding floor holds however Q is stored.  A
-radial finest level hands over at ``HANDOVER_TOL`` to Newton steps,
+``HANDOVER_TOL`` (nested iteration, Brandt, Math. Comp. 31, 1977).
+Petviashvili iteration converges only linearly (Pelinovsky & Stepanyants,
+SIAM J. Numer. Anal. 42, 2004), so its slow phase runs on the fewest cells.
+A line's finest level iterates on to ``STEP_TOL``: from the nested start that
+is sooner than Newton steps, and the FFT's rounding floor holds however Q is
+stored.  A radial finest level hands over at ``HANDOVER_TOL`` to Newton steps,
 (1 - Lap - p W Q^(p - 1)) delta = F in float64, to ``STEP_TOL``: a float64 Q
 on a deep radial grid is itself a floor on the defect (Lap of its rounding,
 ~eps Q/dr^2), so the Newton iterate is a float64 pair Q + lo (error-free
@@ -30,7 +28,8 @@ sums: Dekker, Numer. Math. 18, 1971; Ogita, Rump & Oishi, SIAM J. Sci.
 Comput. 26, 2005), whose defect adds the terms linear in lo to the flux-form
 defect of Q.  Each level runs on ``core.even_grid`` (an even-n line's half
 grid), where the even profile is a cosine series, and the solve unfolds the
-finest profile; levels and the resolution check count the full grid's cells.
+finest profile; an odd-n line's iterates are made exactly even by
+``core.mirror``.  Levels and the resolution check count the full grid's cells.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Field, Grid, ProblemParams, even_grid, grid_for, laplacian_values, unfold
+from .core import Field, Grid, ProblemParams, even_grid, grid_for, laplacian_values, mirror, unfold
 from .core import apply_radial_lap, helmholtz_solve, shifted_helmholtz_solve
 from .errors import ConvergenceError, NumericsError, ValidationError
 from . import functionals as fn
@@ -161,9 +160,7 @@ def _petviashvili(params: ProblemParams, grid: Grid, Q: np.ndarray, max_iter: in
             raise NumericsError(
                 f"Petviashvili stabilizing factor diverged: S={float(s_factor):.3e}"
             )
-        Qn = np.abs(s_factor ** gamma * (Q + helmholtz_solve(grid, F)))
-        if grid.geometry == "line":
-            Qn = 0.5 * (Qn + Qn[::-1])
+        Qn = mirror(grid, np.abs(s_factor ** gamma * (Q + helmholtz_solve(grid, F))))
         diff = float(np.sqrt(np.sum((Qn - Q) ** 2 * w)))
         Q = Qn
         if diff < tol:

@@ -1,11 +1,11 @@
 """Executable checks of the functional inequalities, driven by a seeded
 corpus of random localized fields.
 
-Every ``check_*`` returns the raw "left side minus right side", so a
-satisfied inequality gives a number <= 0.  The corpus reports scale it by the
-magnitude of the right side (``_excess``), so ``max_violation`` aggregates
-cleanly across a corpus.  The critical-norm check has no quantified constant
-to compare against and is reported as a boundedness ratio instead.
+Every inequality check returns its two sides, the pair (lhs, rhs) of the
+inequality lhs <= rhs.  The corpus reports score the excess lhs - rhs scaled
+by the magnitude of the right side (``_excess``), so ``max_violation``
+aggregates cleanly across a corpus.  The critical-norm check has no quantified
+constant to compare against and returns a boundedness ratio instead.
 """
 
 from __future__ import annotations
@@ -82,11 +82,12 @@ class InequalityReport:
 
 
 # ---------------------------------------------------------------------------
-# individual checks (raw, unscaled left - right); each ``_*_sides`` returns
-# the (left, right) pair once, for its check and for its corpus report
+# individual checks: each returns the sides (lhs, rhs) of lhs <= rhs, unscaled;
+# the critical-norm check returns its ratio
 
 
-def _gagliardo_sides(u: Field, k_opt: float):
+def check_gagliardo(u: Field, k_opt: float) -> tuple[float, float]:
+    """potential(u) <= K_opt |grad u|^(N sigma + b) mass^(sigma+1-(N sigma+b)/2)."""
     a = u.params.dim * u.params.sigma + u.params.b
     rhs = k_opt * fn.grad_norm_sq(u) ** (a / 2.0) * fn.mass(u) ** (
         (2.0 * u.params.sigma + 2.0 - a) / 2.0
@@ -94,13 +95,13 @@ def _gagliardo_sides(u: Field, k_opt: float):
     return fn.potential(u), rhs
 
 
-def check_gagliardo(u: Field, k_opt: float) -> float:
-    """potential(u) - K_opt |grad u|^(N sigma + b) mass^(sigma+1-(N sigma+b)/2) <= 0."""
-    lhs, rhs = _gagliardo_sides(u, k_opt)
-    return lhs - rhs
+def check_banica(v: Field, theta: np.ndarray, q_mass: float) -> tuple[float, float]:
+    """Squared momentum-type pairing (int Im(v conj(grad v)) grad theta)^2
+    <= 2 E(v) int |v|^2 |grad theta|^2.
 
-
-def _banica_sides(v: Field, theta: np.ndarray, q_mass: float):
+    Mass-critical params and mass(v) <= q_mass (the ground-state mass) make
+    the energy nonnegative, so the right side is a genuine bound.
+    """
     if not v.params.mass_critical:
         raise ValidationError("check_banica needs mass-critical sigma = (2 - b)/N")
     if fn.mass(v) > q_mass * (1.0 + 1e-12):
@@ -112,16 +113,6 @@ def _banica_sides(v: Field, theta: np.ndarray, q_mass: float):
     return lhs ** 2, 2.0 * fn._energy(v, float(grad_sq)) * weighted
 
 
-def check_banica(v: Field, theta: np.ndarray, q_mass: float) -> float:
-    """Squared momentum-type pairing minus 2 E(v) * int |v|^2 |grad theta|^2.
-
-    Mass-critical params and mass(v) <= q_mass (the ground-state mass) make
-    the energy nonnegative, so the right side is a genuine bound.
-    """
-    lhs, rhs = _banica_sides(v, theta, q_mass)
-    return lhs - rhs
-
-
 def _tail_norms(u: Field, R: float):
     g = u.grid
     tail = g.nodes >= R
@@ -129,7 +120,8 @@ def _tail_norms(u: Field, R: float):
     return tail, m_tail, float(grad_norm_sq_values(g, u.values, R))
 
 
-def _strauss_sides(u: Field, R: float):
+def check_strauss(u: Field, R: float) -> tuple[float, float]:
+    """sup_{|x|>=R} |u| <= R^{-(N-1)/2} ||u||_tail^{1/2} ||grad u||_tail^{1/2}."""
     if u.params.dim < 2:
         raise ValidationError("the radial decay bound needs N >= 2")
     if R <= u.grid.nodes[0]:
@@ -141,18 +133,14 @@ def _strauss_sides(u: Field, R: float):
     return sup_tail, R ** (-(u.params.dim - 1) / 2.0) * m_tail ** 0.25 * g_tail ** 0.25
 
 
-def check_strauss(u: Field, R: float) -> float:
-    """sup_{|x|>=R} |u| - R^{-(N-1)/2} ||u||_tail^{1/2} ||grad u||_tail^{1/2}."""
-    lhs, rhs = _strauss_sides(u, R)
-    return lhs - rhs
-
-
 def young_constant(sigma: float, eta: float) -> float:
     """Optimal constant in the split a*b <= eta a^{2/sigma} + C(eta) b^{2/(2-sigma)}."""
     return (2.0 - sigma) / 2.0 * (sigma / (2.0 * eta)) ** (sigma / (2.0 - sigma))
 
 
-def _radial_gn_sides(u: Field, R: float, eta: float):
+def check_radial_gn(u: Field, R: float, eta: float) -> tuple[float, float]:
+    """Tail potential <= eta * tail gradient + C(eta) R^{-2(sigma(N-1)+b)/(2-sigma)}
+    * tail mass^{(sigma+2)/(2-sigma)}."""
     p = u.params
     if p.sigma >= 2.0:
         raise ValidationError(f"need sigma < 2, got {p.sigma}")
@@ -171,13 +159,6 @@ def _radial_gn_sides(u: Field, R: float, eta: float):
         (p.sigma + 2.0) / (2.0 - p.sigma)
     )
     return lhs, rhs
-
-
-def check_radial_gn(u: Field, R: float, eta: float) -> float:
-    """Tail potential minus eta * tail gradient - C(eta) R^{-2(sigma(N-1)+b)/(2-sigma)}
-    * tail mass^{(sigma+2)/(2-sigma)}; expected <= 0."""
-    lhs, rhs = _radial_gn_sides(u, R, eta)
-    return lhs - rhs
 
 
 def check_critical_gn(u: Field) -> float:
@@ -285,7 +266,7 @@ def pooled(tasks: list) -> list:
 
 def run_gagliardo_report(params, grid, k_opt_value, trials, seed):
     return _corpus("gagliardo", params, grid, trials, seed,
-                   lambda u, _, rng: (_excess(*_gagliardo_sides(u, k_opt_value)), u))
+                   lambda u, _, rng: (_excess(*check_gagliardo(u, k_opt_value)), u))
 
 
 def run_banica_report(params, grid, q_mass, trials, seed):
@@ -294,19 +275,19 @@ def run_banica_report(params, grid, q_mass, trials, seed):
         theta = rng.uniform(-1.0, 1.0) * grid.nodes ** 2 + random_bump_field(
             params, grid, rng
         ).values.real
-        return _excess(*_banica_sides(v, theta, q_mass)), v
+        return _excess(*check_banica(v, theta, q_mass)), v
 
     return _corpus("banica", params, grid, trials, seed, score)
 
 
 def run_strauss_report(params, grid, trials, seed):
     return _corpus("strauss", params, grid, trials, seed,
-                   lambda u, R, rng: (_excess(*_strauss_sides(u, R)), u), STRAUSS_RADII)
+                   lambda u, R, rng: (_excess(*check_strauss(u, R)), u), STRAUSS_RADII)
 
 
 def run_radial_gn_report(params, grid, trials, seed):
     return _corpus("radial_gn", params, grid, trials, seed,
-                   lambda u, eta, rng: (_excess(*_radial_gn_sides(u, RADIAL_GN_R, eta)), u),
+                   lambda u, eta, rng: (_excess(*check_radial_gn(u, RADIAL_GN_R, eta)), u),
                    RADIAL_GN_ETAS)
 
 

@@ -239,7 +239,7 @@ def test_verify_witness_crosses_the_process_boundary(tmp_path, monkeypatch, caps
     """On an even-n line the ground-state solve builds the grid's half first;
     the witness Field still crosses the pool as itself, and the pooled run
     writes it as the inline run does."""
-    monkeypatch.setattr(ineq, "_gagliardo_sides", lambda u, k_opt: (1.0, 0.5))
+    monkeypatch.setattr(ineq, "check_gagliardo", lambda u, k_opt: (1.0, 0.5))
     cfg = write_cfg(tmp_path / "v.cfg", dim=1, sigma=1.5, b=0.5, extent=15.0, n=1024, trials=4)
     (rc_pooled, pooled), (rc_inline, inline) = _verify_both_ways(tmp_path, monkeypatch, cfg)
     assert rc_pooled == rc_inline == 3
@@ -269,7 +269,7 @@ def test_verify_task_error_exit_2_and_no_worker_left(tmp_path, monkeypatch, caps
     def planted(*args):
         raise ValidationError("planted banica failure")
 
-    monkeypatch.setattr(ineq, "_banica_sides", planted)
+    monkeypatch.setattr(ineq, "check_banica", planted)
     cfg = write_cfg(tmp_path / "v.cfg", dim=1, sigma=1.5, b=0.5, extent=15.0, n=1024, trials=4)
     (rc_pooled, _), (rc_inline, _) = _verify_both_ways(tmp_path, monkeypatch, cfg)
     assert rc_pooled == rc_inline == 2

@@ -24,13 +24,14 @@ from inls_lab.ground_state import gn_ratio
 
 def test_gagliardo_vanishes_at_ground_state(line_gate_gs):
     gs = line_gate_gs
-    val = check_gagliardo(gs.profile, gs.k_opt)
-    assert abs(val) <= 1e-5 * fn.potential(gs.profile)
+    lhs, rhs = check_gagliardo(gs.profile, gs.k_opt)
+    assert abs(lhs - rhs) <= 1e-5 * fn.potential(gs.profile)
 
 
 def test_gagliardo_zero_field(line_b_gs):
     z = line_b_gs.profile.with_values(np.zeros(line_b_gs.profile.grid.n))
-    assert check_gagliardo(z, line_b_gs.k_opt) == 0.0
+    lhs, rhs = check_gagliardo(z, line_b_gs.k_opt)
+    assert lhs - rhs == 0.0
 
 
 def test_gagliardo_corpus_nonpositive(line_b_gs):
@@ -39,7 +40,8 @@ def test_gagliardo_corpus_nonpositive(line_b_gs):
     rng = corpus_rng(0x1515, "gag_unit")
     for _ in range(300):
         u = random_bump_field(params, grid, rng)
-        assert check_gagliardo(u, line_b_gs.k_opt) <= 1e-6 * fn.potential(u)
+        lhs, rhs = check_gagliardo(u, line_b_gs.k_opt)
+        assert lhs - rhs <= 1e-6 * fn.potential(u)
 
 
 def test_gagliardo_ratio_scale_invariant(line_gate_gs):
@@ -57,14 +59,15 @@ def test_banica_real_field_nonpositive(line_b_gs):
     grid = line_b_gs.profile.grid
     v = line_b_gs.profile.with_values(0.5 * line_b_gs.profile.values.astype(complex))
     theta = grid.nodes ** 2
-    val = check_banica(v, theta, line_b_gs.q_mass)
-    assert val <= 1e-10
+    lhs, rhs = check_banica(v, theta, line_b_gs.q_mass)
+    assert lhs - rhs <= 1e-10
 
 
 def test_banica_scaled_ground_state(line_b_gs):
     v = line_b_gs.profile.with_values(0.9 * line_b_gs.profile.values.astype(complex))
     theta = line_b_gs.profile.grid.nodes ** 2
-    assert check_banica(v, theta, line_b_gs.q_mass) <= 1e-10
+    lhs, rhs = check_banica(v, theta, line_b_gs.q_mass)
+    assert lhs - rhs <= 1e-10
 
 
 def test_banica_mass_hypothesis_enforced(line_b_gs):
@@ -91,12 +94,12 @@ def test_banica_corpus(line_b_gs):
         v = random_bump_field(params, grid, rng)
         v = v.with_values(v.values * math.sqrt(rng.uniform(0.05, 0.9) * line_b_gs.q_mass / fn.mass(v)))
         theta = rng.uniform(-1, 1) * grid.nodes ** 2
-        raw = check_banica(v, theta, line_b_gs.q_mass)
+        lhs, rhs = check_banica(v, theta, line_b_gs.q_mass)
         from inls_lab.core import gradient_values
 
         gt = gradient_values(grid, theta)
         scale = 2 * abs(fn.energy(v)) * float(np.sum(np.abs(v.values) ** 2 * gt ** 2 * grid.weights))
-        assert raw <= 1e-6 * max(scale, 1e-300)
+        assert lhs - rhs <= 1e-6 * max(scale, 1e-300)
 
 
 def test_banica_energy_quadratic_in_alpha(line_b_gs):
@@ -114,13 +117,15 @@ def test_strauss_supported_inside_R(ic_radial):
     params, grid = ic_radial
     vals = np.where(grid.nodes < 2.0, np.exp(-grid.nodes ** 2), 0.0)
     u = Field(vals.astype(complex), grid, params)
-    assert check_strauss(u, 4.0) <= 0.0
+    lhs, rhs = check_strauss(u, 4.0)
+    assert lhs - rhs <= 0.0
 
 
 def test_strauss_gaussian(ic_radial):
     params, grid = ic_radial
     u = Field(np.exp(-grid.nodes ** 2 / 2).astype(complex), grid, params)
-    assert check_strauss(u, 1.0) <= 1e-3
+    lhs, rhs = check_strauss(u, 1.0)
+    assert lhs - rhs <= 1e-3
 
 
 def test_strauss_line_rejected(mc_line):
@@ -137,7 +142,8 @@ def test_strauss_corpus(ic_radial):
         u = random_bump_field(params, grid, rng)
         for R in (0.5, 1.0, 3.0):
             tail_sup = np.max(np.abs(u.values[grid.nodes >= R]))
-            assert check_strauss(u, R) <= 1e-6 * max(tail_sup, 1e-300) + 1e-12
+            lhs, rhs = check_strauss(u, R)
+            assert lhs - rhs <= 1e-6 * max(tail_sup, 1e-300) + 1e-12
 
 
 def test_young_constant_optimality():
@@ -159,13 +165,15 @@ def test_radial_gn_empty_tail(ic_radial):
     params, grid = ic_radial
     vals = np.where(grid.nodes < 0.8, 1.0, 0.0)
     u = Field(vals.astype(complex), grid, params)
-    assert check_radial_gn(u, 1.0, 0.1) <= 0.0
+    lhs, rhs = check_radial_gn(u, 1.0, 0.1)
+    assert lhs - rhs <= 0.0
 
 
 def test_radial_gn_gaussian(ic_radial):
     params, grid = ic_radial
     u = Field(np.exp(-grid.nodes ** 2 / 2).astype(complex), grid, params)
-    assert check_radial_gn(u, 1.0, 0.1) <= 0.0
+    lhs, rhs = check_radial_gn(u, 1.0, 0.1)
+    assert lhs - rhs <= 0.0
 
 
 def test_radial_gn_eta_sweep_corpus(ic_radial):
@@ -174,7 +182,8 @@ def test_radial_gn_eta_sweep_corpus(ic_radial):
     for _ in range(60):
         u = random_bump_field(params, grid, rng)
         for eta in (1e-2, 1e-1, 1.0):
-            assert check_radial_gn(u, 1.0, eta) <= 0.0
+            lhs, rhs = check_radial_gn(u, 1.0, eta)
+            assert lhs - rhs <= 0.0
 
 
 def test_radial_gn_sigma_gate():
@@ -240,7 +249,8 @@ def test_report_planted_violation_keeps_witness(line_b_gs, mc_line):
     assert rep.max_violation > 0
     assert not rep.passed
     assert isinstance(rep.witness, Field)
-    assert check_gagliardo(rep.witness, 0.05 * line_b_gs.k_opt) > 0
+    lhs, rhs = check_gagliardo(rep.witness, 0.05 * line_b_gs.k_opt)
+    assert lhs - rhs > 0
 
 
 def test_report_passing_corpus_has_no_witness(line_b_gs, mc_line):
@@ -446,7 +456,7 @@ def test_fields_and_reports_pickle_once_the_line_has_built_its_half():
 def test_pooled_report_brings_back_its_witness_field(monkeypatch):
     """A report with a planted positive excess crosses the pool as itself: its
     ``as_dict()`` and its witness's values are the inline run's."""
-    monkeypatch.setattr(ineq, "_gagliardo_sides", lambda u, k_opt: (1.0, 0.5))
+    monkeypatch.setattr(ineq, "check_gagliardo", lambda u, k_opt: (1.0, 0.5))
     params = make_params(1, 1.5, 0.5)
     grid = line_grid(15.0, 1024, params.b)
     assert grid.half.full is grid       # as the ground-state solve on an even line does

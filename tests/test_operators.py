@@ -14,7 +14,8 @@ from inls_lab import functionals as fn
 from inls_lab.analysis import decompose
 from inls_lab.core import (
     apply_radial_lap, fold, free_flow, grad_norm_sq_values, gradient_and_grad_sq, gradient_values,
-    helmholtz_solve, laplacian_values, line_grid, radial_grid, shifted_helmholtz_solve, unfold,
+    helmholtz_solve, laplacian_values, line_grid, mirror, radial_grid, shifted_helmholtz_solve,
+    unfold,
 )
 from inls_lab.evolution import step
 from inls_lab.ground_state import solve_ground_state
@@ -252,7 +253,11 @@ def test_unfold_undoes_fold_of_an_exactly_even_field(seed, kind):
     """An exactly even field on an even-n line folds to its right half on the
     half grid and unfolds to itself bit for bit; an odd n, a radial grid, a
     field that is not even and one holding a NaN (unequal to its mirror) fold
-    to themselves, as any field but a half grid's unfolds to itself."""
+    to themselves, as any field but a half grid's unfolds to itself.  On an
+    even-n and an odd-n line ``mirror`` makes a field that is not even equal
+    to its own reverse, bit for bit, and leaves its x >= 0 cells alone; for an
+    even n that field folds onto the half grid and unfolds back bit for bit.
+    On a radial grid and on a half grid ``mirror`` leaves the values as they are."""
     u, right = even_bump(seed, kind)
     v = fold(u)
     assert v.grid.geometry == "half_line" and v.grid.full is u.grid
@@ -266,6 +271,19 @@ def test_unfold_undoes_fold_of_an_exactly_even_field(seed, kind):
     for x in (Field(np.exp(-odd.nodes ** 2), odd, u.params), u.with_values(nan),
               bump("line", seed, kind), radial, radial.with_values(np.ones(radial.grid.n))):
         assert fold(x) is x and unfold(x) is x
+    for line in (u.grid, odd):
+        raw = bump("line", seed, kind, grid=line).values
+        even = mirror(line, raw.copy())
+        assert not np.array_equal(raw, raw[::-1]) and np.all(np.isfinite(raw))
+        assert np.array_equal(even[line.n // 2:], raw[line.n // 2:])
+        assert np.array_equal(even, even[::-1])
+    even = mirror(u.grid, bump("line", seed, kind).values)
+    folded = fold(u.with_values(even))
+    assert folded.grid.geometry == "half_line"
+    assert np.array_equal(unfold(folded).values, even)
+    for y in (radial, v):
+        values = y.values.copy()
+        assert np.array_equal(mirror(y.grid, values), y.values)
 
 
 def test_radial_laplacian_rejects_a_line_grid():

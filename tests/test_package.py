@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import inls_lab
 
 pytest_plugins = ["pytester"]
@@ -58,51 +60,60 @@ def test_no_unread_parameters():
     assert not found, f"parameters their function never reads: {found}"
 
 
-def test_radial_discretization_stays_in_core():
-    """Only ``core`` reads a radial grid's face data (``face_alpha``, ``surf``):
-    every other module goes through its operators."""
+def _attributes(names):
+    """The reads of attributes ``names`` off anything but NumPy (``np.full``)."""
+    def found(node):
+        if (isinstance(node, ast.Attribute) and node.attr in names
+                and not (isinstance(node.value, ast.Name) and node.value.id == "np")):
+            return [f".{node.attr}"]
+        return []
+    return found
+
+
+def _scipy_fft_imports(node):
+    if isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom):
+        names = [f"{node.module}.{alias.name}" for alias in node.names]
+    else:
+        return []
+    return [name for name in names if name == "scipy.fft" or name.startswith("scipy.fft.")]
+
+
+def _negative_step_slices(node):
+    step = node.step if isinstance(node, ast.Slice) else None
+    if isinstance(step, ast.UnaryOp) and isinstance(step.op, ast.USub):
+        return [f"[{ast.unparse(node)}]"]
+    return []
+
+
+# what only ``core`` may do: every other module goes through its operators
+CORE_ONLY = {
+    # a radial grid's face data: the flux-form discretization
+    "radial_discretization": (_attributes(("face_alpha", "surf")),
+                              "face data read outside core"),
+    # a line's half grid or a half grid's line: even_grid, fold and unfold reach them
+    "half_grid_layout": (_attributes(("half", "full")),
+                         "half-grid layout read outside core"),
+    # the spectral transforms: the operators' one spectral path
+    "spectral_transforms": (_scipy_fft_imports, "scipy.fft imported outside core"),
+    # a reversed array: ``mirror`` makes a line field even, ``unfold`` mirrors a half
+    "negative_step_slices": (_negative_step_slices, "negative-step slice outside core"),
+}
+
+
+@pytest.mark.parametrize("rule", sorted(CORE_ONLY))
+def test_stays_in_core(rule):
+    """No module but ``core`` does what the rule's row names."""
+    match, message = CORE_ONLY[rule]
     found = []
     for path in sorted(Path(inls_lab.__file__).parent.glob("*.py")):
         if path.name == "core.py":
             continue
-        found += [f"{path.name}:{node.lineno} .{node.attr}"
+        found += [f"{path.name}:{node.lineno} {label}"
                   for node in ast.walk(ast.parse(path.read_text(), str(path)))
-                  if isinstance(node, ast.Attribute) and node.attr in ("face_alpha", "surf")]
-    assert not found, f"face data read outside core: {found}"
-
-
-def test_half_grid_layout_stays_in_core():
-    """Only ``core`` reads a line's half grid or a half grid's line (``.half``,
-    ``.full``; ``np.full`` aside): every other module goes through
-    ``even_grid``, ``fold`` and ``unfold``."""
-    found = []
-    for path in sorted(Path(inls_lab.__file__).parent.glob("*.py")):
-        if path.name == "core.py":
-            continue
-        found += [f"{path.name}:{node.lineno} .{node.attr}"
-                  for node in ast.walk(ast.parse(path.read_text(), str(path)))
-                  if isinstance(node, ast.Attribute) and node.attr in ("half", "full")
-                  and not (isinstance(node.value, ast.Name) and node.value.id == "np")]
-    assert not found, f"half-grid layout read outside core: {found}"
-
-
-def test_spectral_transforms_stay_in_core():
-    """Only ``core`` imports ``scipy.fft``: every other module transforms
-    through its operators' one spectral path."""
-    found = []
-    for path in sorted(Path(inls_lab.__file__).parent.glob("*.py")):
-        if path.name == "core.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                names = [f"{node.module}.{alias.name}" for alias in node.names]
-            else:
-                continue
-            found += [f"{path.name}:{node.lineno} {name}" for name in names
-                      if name == "scipy.fft" or name.startswith("scipy.fft.")]
-    assert not found, f"scipy.fft imported outside core: {found}"
+                  for label in match(node)]
+    assert not found, f"{message}: {found}"
 
 
 def test_failing_property_test_is_reported_and_the_session_goes_on(pytester):
