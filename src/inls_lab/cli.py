@@ -28,7 +28,7 @@ import argparse
 import json
 import subprocess
 import sys
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -76,9 +76,10 @@ def parse_config(path: str | None) -> dict:
     return cfg
 
 
+@cache
 def _git_hash() -> str:
     """HEAD of the checkout this package runs from, whatever the working
-    directory; "unknown" outside a checkout."""
+    directory; "unknown" outside a checkout.  One ``git`` spawn per process."""
     try:
         out = subprocess.run(["git", "rev-parse", "HEAD"], capture_output=True, text=True,
                              timeout=5, cwd=Path(__file__).parent)

@@ -29,19 +29,20 @@ Helmholtz solves, free flow, spline sampling); the Laplacian and gradient
 quadrature are summation-by-parts companions.  Quadratures and window
 integrals (``functionals``) and the mollifiers (``analysis``) read a grid's
 nodes, weights and faces directly.  Each grid lazily caches, once and in double
-precision, what the operators reuse (k and k^2, the radial Laplacian's
-factors, the factorization of 1 - Lap, the recent time steps' linear
-propagators) as long as the grid lives.  A line grid builds a new half grid,
-with a cache of its own, on each access to ``half``, and keeps no reference
-to it, so every grid and every field on it pickles.  A wider input (a
-longdouble reference) meets these multipliers by NumPy promotion and keeps
-its dtype, but in the Helmholtz solves, which round it to float64.
+precision, what the operators reuse (k and k^2, the radial Laplacian's factors,
+the factorization of 1 - Lap, the recent time steps' linear propagators) as long
+as the grid lives (``helmholtz_solver`` gives a caller its own factorization).
+A line grid builds a new half grid, with a cache of its own, on each access to
+``half``, and keeps no reference to it, so every grid and every field on it
+pickles.  A wider input (a longdouble reference) meets these multipliers by
+NumPy promotion and keeps its dtype, but in the Helmholtz solves, which round it
+to float64.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property, partial
 
@@ -340,23 +341,27 @@ def _radial_flux_factors(grid: Grid):
 
 
 def _radial_lap_bands(grid: Grid):
-    """Sub/diag/super of ``apply_radial_lap``'s tridiagonal, for the gttrf factorizations."""
+    """Sub/diag/super of ``apply_radial_lap``'s tridiagonal, for gttrf, each written once."""
     a, inv_vol = _radial_flux_factors(grid)
-    dg = -(a + np.concatenate(([0.0], a[:-1]))) * inv_vol
-    dg[-1] = -(2.0 * a[-1] + a[-2]) * inv_vol[-1]         # Dirichlet ghost -u[-1]
+    dg = np.negative(a)                              # no flux at r = 0
+    dg[1:] -= a[:-1]
+    dg[-1] = -(2.0 * a[-1] + a[-2])                  # Dirichlet ghost -u[-1]
+    dg *= inv_vol
     return a[:-1] * inv_vol[1:], dg, a[:-1] * inv_vol[:-1]
 
 
 def _factor_one_minus_zlap(grid: Grid, z, shift=None):
     """LAPACK gttrf factors of the radial float64 tridiagonal 1 - z Lap - shift
-    (zgttrf for complex z), as plain arrays for ``_tridiag_solve``.  A float64
-    ``shift`` array is overwritten: the factors are built in its buffer."""
-    lo, dg, up = _radial_lap_bands(grid)
-    d = 1.0 - z * dg
+    (zgttrf for complex z; a real z scales the bands in place), as plain arrays for
+    ``_tridiag_solve``.  A float64 ``shift`` array is overwritten: the factors are
+    built in its buffer."""
+    lo, d, up = (np.multiply(band, -z, out=None if np.iscomplexobj(z) else band)
+                 for band in _radial_lap_bands(grid))
+    d += 1.0                                         # 1 + (-z) dg is 1 - z dg to the bit
     if shift is not None:
         d = np.subtract(d, shift, out=shift)
     *lu, info = (lapack.zgttrf if np.iscomplexobj(d) else lapack.dgttrf)(
-        -z * lo, d, -z * up, overwrite_dl=1, overwrite_d=1, overwrite_du=1)
+        lo, d, up, overwrite_dl=1, overwrite_d=1, overwrite_du=1)
     if info:
         raise np.linalg.LinAlgError(f"singular tridiagonal system (gttrf info={info})")
     return lu
@@ -496,6 +501,16 @@ def helmholtz_solve(grid: Grid, rhs: np.ndarray) -> np.ndarray:
     return _tridiag_solve(lu, rhs)
 
 
+def helmholtz_solver(grid: Grid):
+    """``helmholtz_solve`` on ``grid`` as a function of the rhs, for the phase that holds
+    it: radially on a copy of the grid whose cache alone holds the factorization."""
+    if grid.geometry != "radial":
+        return partial(helmholtz_solve, grid)
+    level = replace(grid)
+    level._operators["helmholtz"] = _factor_one_minus_zlap(grid, 1.0)
+    return partial(helmholtz_solve, level)
+
+
 def shifted_helmholtz_solve(grid: Grid, rhs: np.ndarray, shift: np.ndarray) -> np.ndarray:
     """Solve (1 - Laplacian - shift) u = rhs on a radial grid in float64 for a
     real rhs and a float64 potential ``shift``, as for the Jacobian of the
@@ -592,6 +607,6 @@ __all__ = [
     "Field", "even_grid", "mirror", "fold", "unfold",
     "laplacian", "laplacian_values", "gradient_values", "grad_norm_sq_values",
     "gradient_and_grad_sq",
-    "helmholtz_solve", "shifted_helmholtz_solve", "apply_radial_lap", "free_flow",
-    "scaled_sampler", "sample_scaled",
+    "helmholtz_solve", "helmholtz_solver", "shifted_helmholtz_solve", "apply_radial_lap",
+    "free_flow", "scaled_sampler", "sample_scaled",
 ]

@@ -30,6 +30,8 @@ defect of Q.  Each level runs on ``core.even_grid`` (an even-n line's half
 grid), where the even profile is a cosine series, and the solve unfolds the
 finest profile; an odd-n line's iterates are made exactly even by
 ``core.mirror``.  Levels and the resolution check count the full grid's cells.
+Each level's Helmholtz factorization lives with its iteration, Newton factors its
+own Jacobian, and a solved state keeps Q, its grid and the flux factors.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Field, Grid, ProblemParams, even_grid, grid_for, laplacian_values, mirror, unfold
-from .core import apply_radial_lap, helmholtz_solve, shifted_helmholtz_solve
+from .core import apply_radial_lap, helmholtz_solver, shifted_helmholtz_solve
 from .errors import ConvergenceError, NumericsError, ValidationError
 from . import functionals as fn
 
@@ -139,14 +141,15 @@ def _defect(params: ProblemParams, grid: Grid, Q: np.ndarray):
     """Lap Q and the defect F(Q) = Lap Q - Q + W Q^p of the ground-state
     equation, both at the precision of ``Q``."""
     lap = laplacian_values(grid, Q)
-    return lap, lap - Q + grid.weight_b * Q ** (2.0 * params.sigma + 1.0)
+    F, WQp = lap - Q, Q ** (2.0 * params.sigma + 1.0)
+    return lap, np.add(F, np.multiply(WQp, grid.weight_b, out=WQp), out=F)
 
 
 def _petviashvili(params: ProblemParams, grid: Grid, Q: np.ndarray, max_iter: int,
                   tol=HANDOVER_TOL):
     """Petviashvili iteration at the precision of ``Q``; returns the last
     iterate, the iterations taken and whether the L2 step norm fell below ``tol``."""
-    w = grid.weights
+    w, solve = grid.weights, helmholtz_solver(grid)      # the level's own factorization
     gamma = (2.0 * params.sigma + 1.0) / (2.0 * params.sigma)
     for it in range(1, max_iter + 1):
         lap, F = _defect(params, grid, Q)
@@ -160,7 +163,10 @@ def _petviashvili(params: ProblemParams, grid: Grid, Q: np.ndarray, max_iter: in
             raise NumericsError(
                 f"Petviashvili stabilizing factor diverged: S={float(s_factor):.3e}"
             )
-        Qn = mirror(grid, np.abs(s_factor ** gamma * (Q + helmholtz_solve(grid, F))))
+        Qn = Q + solve(F)
+        del F
+        Qn *= s_factor ** gamma
+        Qn = mirror(grid, np.abs(Qn, out=Qn))
         diff = float(np.sqrt(np.sum((Qn - Q) ** 2 * w)))
         Q = Qn
         if diff < tol:
@@ -192,15 +198,16 @@ def _newton(params: ProblemParams, grid: Grid, Q: np.ndarray, max_steps: int):
     raises ConvergenceError on an iterate below -``RESIDUAL_TOL`` times its peak."""
     before, lo = math.inf, np.zeros(Q.shape)
     for step in range(1, max_steps + 1):
-        F, V = _newton_defect(params, grid, Q, lo)
-        delta = shifted_helmholtz_solve(grid, F, V)
+        # F and V, whose buffer holds the factored diagonal, die with the call
+        delta = shifted_helmholtz_solve(grid, *_newton_defect(params, grid, Q, lo))
         s, e = _two_sum(Q, delta)
-        Q[...], lo = _two_sum(s, e + lo)
+        e += lo
+        Q[...], lo = _two_sum(s, e)
         if Q.min() < -RESIDUAL_TOL * Q.max():     # resolved profiles dip to ~ -1e-17 of it
             raise ConvergenceError(f"Newton step {step} dips to {float(Q.min() / Q.max()):.1e} "
                                    "of the peak: the grid under-resolves the ground state")
         diff = float(np.sqrt(np.sum(delta ** 2 * grid.weights)))
-        del F, V, delta                      # not held through the next defect
+        del delta, s, e                      # not held through the next defect
         if diff < STEP_TOL or diff > 0.5 * before:
             return Q, lo, step, True
         before = diff

@@ -14,8 +14,8 @@ from inls_lab import functionals as fn
 from inls_lab.analysis import decompose
 from inls_lab.core import (
     apply_radial_lap, fold, free_flow, grad_norm_sq_values, gradient_and_grad_sq, gradient_values,
-    helmholtz_solve, laplacian_values, line_grid, mirror, radial_grid, shifted_helmholtz_solve,
-    unfold,
+    helmholtz_solve, helmholtz_solver, laplacian_values, line_grid, mirror, radial_grid,
+    shifted_helmholtz_solve, unfold,
 )
 from inls_lab.evolution import step
 from inls_lab.ground_state import solve_ground_state
@@ -152,6 +152,23 @@ def test_helmholtz_factorizes_once_per_grid(monkeypatch):
     assert np.array_equal(helmholtz_solve(g, rhs), first)
     helmholtz_solve(g, rhs.astype(np.longdouble))
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("geometry", sorted(SETUPS))
+def test_helmholtz_solver_solves_as_helmholtz_solve_and_keeps_its_own_factorization(
+        monkeypatch, geometry):
+    """The bound solver gives ``helmholtz_solve``'s bits, factoring once however
+    often it solves; the grid keeps no factorization from it, so the grid's own
+    first solve factors again."""
+    calls = _count_calls(monkeypatch, "dgttrf")
+    g = SETUPS[geometry][1]()
+    rhs = np.exp(-g.nodes ** 2)
+    solve = helmholtz_solver(g)
+    first = solve(rhs)
+    assert np.array_equal(solve(rhs.astype(np.longdouble)), first)
+    assert len(calls) == (geometry == "radial")
+    assert np.array_equal(helmholtz_solve(g, rhs), first)
+    assert len(calls) == 2 * (geometry == "radial")
 
 
 @pytest.mark.parametrize("geometry", ["radial"])
