@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Field, _apply_symbol, _forward, sample_scaled
+from .core import Field, convolve, sample_scaled
 from .errors import ValidationError
 from .evolution import Trajectory
 from .ground_state import GroundState
@@ -219,7 +219,7 @@ def _mollify_line(u1: np.ndarray, grid, rho: float) -> np.ndarray:
     m = np.arange(n)
     disp = ((m + n // 2) % n - n // 2) * dx   # fft-ordered displacements
     kern = _bump((rho * disp) ** 2)     # includes displacement 0, so the sum is >= 1
-    return _apply_symbol(grid, _forward(grid, kern / kern.sum()), u1)
+    return convolve(grid, kern / kern.sum(), u1)
 
 
 _ANGLE_NODES = 8       # Gauss-Legendre nodes on the bump's angular support

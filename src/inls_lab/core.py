@@ -1,50 +1,50 @@
 """Problem parameters, spatial grids, complex fields, and the operator layer.
 
-Two discretizations are supported:
+Every grid holds one operator object, its discretization, chosen where the grid
+is built; no other module reads it (``Grid._ops``):
 
-* ``line`` -- the whole real line periodized on [-L, L] with n cell-centered
-  nodes; every operator is an exact Fourier multiplier on one transform of
-  the complex-cast values.  An exactly even field on an even n is stored on
-  ``even_grid``, the line's half grid (``Grid.half``, its n/2 cells x > 0,
-  weighted 2 dx), as a cosine series: the one spectral path takes its
-  orthonormal DCT-II for the FFT, the same multipliers act on it, and every
-  quadrature is the whole field's.  The gradient, which is odd, has no cosine
-  form and raises there.  ``mirror`` makes a line field exactly even,
-  ``fold`` takes an even field onto the half grid and ``unfold`` mirrors it
+* ``_Fourier`` on a ``line`` grid -- the real line periodized on [-L, L] with n
+  cell-centered nodes; every operator is an exact multiplier on one FFT.
+* ``_Cosine`` on a ``half_line`` grid (``Grid.half``: the n/2 cells x > 0 of an
+  even-n line, weighted 2 dx), where an exactly even field is stored
+  (``even_grid``) as a cosine series: the same multipliers act on the
+  orthonormal DCT-II of its right half, every quadrature is the whole field's,
+  and the gradient, which is odd, raises.  ``mirror`` makes a line field
+  exactly even, ``fold`` takes it onto the half grid and ``unfold`` mirrors it
   back; no other module reads the half's layout.
-* ``radial`` -- radially symmetric fields on (0, Rmax] in dimension N >= 2,
-  discretized by a flux-form (finite-volume) Laplacian on n cell-centered
-  shells, whose face data (``face_alpha``, ``surf``) only this module reads.
-  The zero-flux face at r = 0 realizes the even reflection condition; a
-  ghost value -u[-1] realizes homogeneous Dirichlet at Rmax.
+* ``_FiniteVolume`` on a ``radial`` grid -- radially symmetric fields on
+  (0, Rmax] in dimension N >= 2: a flux-form Laplacian on n cell-centered
+  shells from the face data r^(N-1) and A_N, which only it holds.  The
+  zero-flux face at r = 0 realizes the even reflection condition; a ghost
+  value -u[-1] realizes homogeneous Dirichlet at Rmax.
+
+Each object carries the same operators, which the functions below call: the
+Laplacian and its summation-by-parts companion, the |grad u|^2 quadrature; the
+gradient; Helmholtz solves; the shifted (Jacobian) solve; the free flow; mirror,
+even grid and the spline's even extension.  An operator a geometry lacks raises
+ValidationError.  The object keeps, once and in float64, what its operators
+reuse (k and k^2, the radial flux factors, the factorization of 1 - Lap, the
+recent time steps' propagators) as long as its grid lives (``helmholtz_solver``
+gives a caller its own factorization), and holds no reference to the grid, so
+each grid, whose ``half`` is built anew on each access, is freed by reference
+counting alone, and every grid and field pickles.  A wider input (a longdouble
+reference) meets these multipliers by NumPy promotion and keeps its dtype, but
+in the Helmholtz solves, which round it to float64.
 
 Both grids are cell-centered; the nodes and the singular weight |x|^-b (its exact
 cell average, which keeps weighted quadratures second-order accurate) derive from
 one array of cell edges.  The line's edges (k - n/2) dx mirror exactly, as do its
 nodes and weights, so an analytically even field samples exactly even.
-
-This module owns the grids, the fields on them and the operator layer (the
-differential primitives below: Laplacian, gradient and its quadrature,
-Helmholtz solves, free flow, spline sampling); the Laplacian and gradient
-quadrature are summation-by-parts companions.  Quadratures and window
-integrals (``functionals``) and the mollifiers (``analysis``) read a grid's
-nodes, weights and faces directly.  Each grid lazily caches, once and in double
-precision, what the operators reuse (k and k^2, the radial Laplacian's factors,
-the factorization of 1 - Lap, the recent time steps' linear propagators) as long
-as the grid lives (``helmholtz_solver`` gives a caller its own factorization).
-A line grid builds a new half grid, with a cache of its own, on each access to
-``half``, and keeps no reference to it, so every grid and every field on it
-pickles.  A wider input (a longdouble reference) meets these multipliers by
-NumPy promotion and keeps its dtype, but in the Helmholtz solves, which round it
-to float64.
+Quadratures and window integrals (``functionals``) and the mollifiers
+(``analysis``) read a grid's nodes, weights and spacing directly.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property, partial
+from functools import partial
 
 import numpy as np
 import scipy.fft
@@ -173,31 +173,18 @@ class Grid:
     nodes: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
     weight_b: np.ndarray = field(repr=False)
-    spacing: float = 0.0
-    # radial-only face data at the n+1 cell faces: their radii r and r^(N-1)
-    faces: np.ndarray | None = field(default=None, repr=False)
-    face_alpha: np.ndarray | None = field(default=None, repr=False)
-    surf: float = 0.0             # area of the unit sphere A_N (radial)
+    spacing: float
+    _ops: _Operators = field(repr=False, compare=False)     # the grid's discretization
     full: Grid | None = field(default=None, repr=False)     # the line of a half grid
-
-    @cached_property
-    def _operators(self) -> dict:
-        """The operator layer's cache for this grid (see the module docstring)."""
-        return {}
 
     @property
     def half(self) -> Grid:
         """The n/2 cells x > 0 of an even-n line grid: even fields' right halves,
         on which every line operator but the (odd) gradient is a cosine series.
-        Each access returns a new grid, with an empty operator cache: a caller
+        Each access returns a new grid, with operator caches of its own: a caller
         that reuses the half's operators holds on to it.  The half holds its
         line (``full``); the line keeps no reference to the half."""
-        if self.geometry != "line" or self.n % 2:
-            raise ValidationError(
-                f"half needs an even-n line grid, got {self.geometry} n={self.n}")
-        m = self.n // 2
-        return Grid("half_line", 1, self.extent, m, self.b, self.nodes[m:],
-                    2.0 * self.weights[m:], self.weight_b[m:], self.spacing, full=self)
+        return self._ops.half(self)
 
 
 MIN_CELLS = 8        # the fewest cells either grid constructor accepts
@@ -221,6 +208,7 @@ def line_grid(half_width: float, n: int, b: float = 0.0) -> Grid:
     return Grid(
         geometry="line", dim=1, extent=float(half_width), n=int(n), b=float(b),
         nodes=0.5 * (edges[:-1] + edges[1:]), weights=np.full(n, dx), weight_b=wb, spacing=dx,
+        _ops=_Fourier(),
     )
 
 
@@ -244,7 +232,7 @@ def radial_grid(dim: int, rmax: float, n: int, b: float = 0.0) -> Grid:
     return Grid(
         geometry="radial", dim=int(dim), extent=float(rmax), n=int(n), b=float(b),
         nodes=nodes, weights=surf * shell, weight_b=wb, spacing=dr,
-        faces=edges, face_alpha=edges ** (dim - 1), surf=surf,
+        _ops=_FiniteVolume(edges ** (dim - 1), surf),
     )
 
 
@@ -284,16 +272,14 @@ class Field:
 def even_grid(grid: Grid) -> Grid:
     """The grid an even field on ``grid`` is stored on: an even-n line's half
     grid, where it is a cosine series, or ``grid`` itself."""
-    return grid.half if grid.geometry == "line" and grid.n % 2 == 0 else grid
+    return grid._ops.even_grid(grid)
 
 
 def mirror(grid: Grid, values: np.ndarray) -> np.ndarray:
     """``values`` made exactly even on a line, in place: each x < 0 cell takes its
     x > 0 mirror (an odd n's middle cell stays), as ``fold``'s evenness test
     accepts; on a half or radial grid, ``values`` unchanged."""
-    if grid.geometry == "line":
-        values[:grid.n // 2] = values[:(grid.n - 1) // 2:-1]
-    return values
+    return grid._ops.mirror(grid, values)
 
 
 def fold(u: Field) -> Field:
@@ -313,250 +299,350 @@ def unfold(u: Field) -> Field:
 
 
 # ---------------------------------------------------------------------------
-# operator layer
+# operator layer: one object per geometry
 
 
-def _cached(grid: Grid, key, build):
-    ops = grid._operators
-    if key not in ops:
-        ops[key] = build()
-    return ops[key]
+def _float64(rhs: np.ndarray) -> np.ndarray:
+    return np.asarray(rhs, dtype=np.complex128 if np.iscomplexobj(rhs) else np.float64)
 
 
-def _wavenumbers(grid: Grid) -> np.ndarray:
-    """The line's wavenumbers k (FFT order; a half grid's pi m / L, m < n/2)."""
-    n = grid.n if grid.full is None else grid.full.n
-    return _cached(grid, "k", lambda: 2.0 * np.pi * np.fft.fftfreq(n, d=grid.spacing)[:grid.n])
+class _Operators:
+    """What every discretization shares: the propagators of the ``slots`` most
+    recently used dt; by default, the grid as its own even grid, ``mirror``
+    leaving values as they are and the spline mirrored through the origin;
+    and the ValidationError of each operator a geometry lacks."""
+
+    def __init__(self):
+        self._propagators = {}        # dt -> propagator, the least recently used first
+
+    def _recent(self, grid, dt, slots):
+        prop = self._propagators.pop(dt, None)
+        if prop is None:
+            while len(self._propagators) >= slots:
+                del self._propagators[next(iter(self._propagators))]
+            prop = self.propagator(grid, dt)
+        self._propagators[dt] = prop
+        return prop
+
+    def gradient_and_grad_sq(self, grid, values):
+        return self.gradient(grid, values), self.grad_sq(grid, values)
+
+    def even_grid(self, grid):
+        return grid
+
+    def mirror(self, _grid, values):
+        return values
+
+    def even_extension(self, grid, values):
+        """The spline's nodes and values: mirrored through the origin."""
+        return (np.concatenate([-grid.nodes[::-1], grid.nodes]),
+                np.concatenate([values[::-1], values]))
+
+    def half(self, grid):
+        raise ValidationError(f"half needs an even-n line grid, got {grid.geometry} n={grid.n}")
+
+    def radial_laplacian(self, grid, _u):
+        raise ValidationError(f"apply_radial_lap needs a radial grid, got {grid.geometry}")
+
+    def shifted_solve(self, grid, _rhs, _shift):
+        raise ValidationError(f"shifted_helmholtz_solve needs a radial grid, got {grid.geometry}")
+
+    def convolve(self, grid, _kernel, _values):
+        raise ValidationError(f"convolve needs a line grid, got {grid.geometry}")
 
 
-def _wavenumbers_sq(grid: Grid) -> np.ndarray:
-    return _cached(grid, "k2", lambda: _wavenumbers(grid) ** 2)
+class _Spectral(_Operators):
+    """Exact multipliers on one transform, ``_forward`` (inverted by
+    ``_backward``), with the line's k and k^2 built once."""
+
+    _k = _k2 = None
+
+    def k(self, grid):
+        """The line's wavenumbers (FFT order; a half grid's pi m / L, m < n/2)."""
+        if self._k is None:
+            n = (grid.full or grid).n
+            self._k = 2.0 * np.pi * np.fft.fftfreq(n, d=grid.spacing)[:grid.n]
+        return self._k
+
+    def k2(self, grid):
+        if self._k2 is None:
+            self._k2 = self.k(grid) ** 2
+        return self._k2
+
+    def _inverse(self, coeffs, like):
+        out = self._backward(coeffs)
+        return out if np.iscomplexobj(like) else out.real
+
+    def _apply(self, symbol, values):
+        return self._inverse(symbol * self._forward(values), values)
+
+    def parseval(self, grid, spectrum):
+        """Integral of |grad u|^2 from the ``_forward`` transform of u."""
+        total = np.sum(self.k2(grid) * (spectrum.real ** 2 + spectrum.imag ** 2)) * grid.spacing
+        return self._whole(grid, total)
+
+    def laplacian(self, grid, values):
+        return self._apply(-self.k2(grid), values)
+
+    def grad_sq(self, grid, values, r_min=0.0):
+        if r_min > 0:
+            raise ValidationError("gradient tail integrals require radial geometry (N >= 2), "
+                                  f"got a {grid.geometry} grid")
+        return self.parseval(grid, self._forward(values))
+
+    def helmholtz(self, grid, rhs):
+        return self._apply(1.0 / (1.0 + self.k2(grid)), _float64(rhs))
+
+    def helmholtz_solver(self, grid):
+        return partial(self.helmholtz, grid)
+
+    def propagator(self, grid, dt):
+        return np.exp(-1j * self.k2(grid) * dt)
+
+    def flow(self, grid, values, dt, slots):
+        prop = self._recent(grid, dt, slots)
+        spectrum = self._forward(values)        # the complex ``prop`` makes the flow complex
+        return self._backward(prop * spectrum), partial(self.parseval, grid, spectrum)
 
 
-def _radial_flux_factors(grid: Grid):
-    """alpha / dr at the n outer cell faces and the reciprocal shell volumes, in
-    float64 (a multiply, as NumPy's complex-by-real division does not round as the real)."""
-    return _cached(grid, "flux", lambda: (grid.face_alpha[1:] / grid.spacing,
-                                          grid.surf / grid.weights))
+class _Fourier(_Spectral):
+    """The line: the FFT of the complex-cast values (so a real array rounds as
+    its complex cast)."""
+
+    def _forward(self, values):
+        return scipy.fft.fft(np.asarray(values, dtype=np.result_type(values.dtype, np.complex64)))
+
+    def _backward(self, coeffs):
+        return scipy.fft.ifft(coeffs)
+
+    def _whole(self, grid, total):
+        return total / grid.n
+
+    def gradient(self, grid, values):
+        return self._apply(1j * self.k(grid), values)
+
+    def gradient_and_grad_sq(self, grid, values):
+        spectrum = self._forward(values)
+        return self._inverse(1j * self.k(grid) * spectrum, values), self.parseval(grid, spectrum)
+
+    def convolve(self, _grid, kernel, values):
+        return self._apply(self._forward(kernel), values)
+
+    def mirror(self, grid, values):
+        values[:grid.n // 2] = values[:(grid.n - 1) // 2:-1]
+        return values
+
+    def half(self, grid):
+        if grid.n % 2:
+            return super().half(grid)
+        m = grid.n // 2
+        return Grid("half_line", 1, grid.extent, m, grid.b, grid.nodes[m:],
+                    2.0 * grid.weights[m:], grid.weight_b[m:], grid.spacing, _Cosine(), full=grid)
+
+    def even_grid(self, grid):
+        return grid if grid.n % 2 else self.half(grid)
+
+    def even_extension(self, grid, values):
+        return grid.nodes, values
 
 
-def _radial_lap_bands(grid: Grid):
-    """Sub/diag/super of ``apply_radial_lap``'s tridiagonal, for gttrf, each written once."""
-    a, inv_vol = _radial_flux_factors(grid)
-    dg = np.negative(a)                              # no flux at r = 0
-    dg[1:] -= a[:-1]
-    dg[-1] = -(2.0 * a[-1] + a[-2])                  # Dirichlet ghost -u[-1]
-    dg *= inv_vol
-    return a[:-1] * inv_vol[1:], dg, a[:-1] * inv_vol[:-1]
+class _Cosine(_Spectral):
+    """A line's half grid: the cosine series of the whole even field, the
+    orthonormal DCT-II of its right half."""
+
+    @staticmethod
+    def _transform(transform, values):
+        """Orthonormal DCT-II (``_dct``) or its inverse of real values, or of
+        complex values on (re, im) columns."""
+        if not np.iscomplexobj(values):
+            return transform(values, type=2, norm="ortho")
+        pairs = np.ascontiguousarray(values).view(values.real.dtype).reshape(-1, 2)
+        return transform(pairs, type=2, norm="ortho", axis=0).view(values.dtype)[:, 0]
+
+    def _forward(self, values):
+        return self._transform(_dct, values)
+
+    def _backward(self, coeffs):
+        return self._transform(_idct, coeffs)
+
+    def _whole(self, _grid, total):
+        return 2.0 * total
+
+    def gradient(self, _grid, _values):
+        raise ValidationError("an even field's gradient is odd: it has no cosine form on the "
+                              "half grid (Grid.half)")
 
 
-def _factor_one_minus_zlap(grid: Grid, z, shift=None):
-    """LAPACK gttrf factors of the radial float64 tridiagonal 1 - z Lap - shift
-    (zgttrf for complex z; a real z scales the bands in place), as plain arrays for
-    ``_tridiag_solve``.  A float64 ``shift`` array is overwritten: the factors are
-    built in its buffer."""
-    lo, d, up = (np.multiply(band, -z, out=None if np.iscomplexobj(z) else band)
-                 for band in _radial_lap_bands(grid))
-    d += 1.0                                         # 1 + (-z) dg is 1 - z dg to the bit
-    if shift is not None:
-        d = np.subtract(d, shift, out=shift)
-    *lu, info = (lapack.zgttrf if np.iscomplexobj(d) else lapack.dgttrf)(
-        lo, d, up, overwrite_dl=1, overwrite_d=1, overwrite_du=1)
-    if info:
-        raise np.linalg.LinAlgError(f"singular tridiagonal system (gttrf info={info})")
-    return lu
+class _FiniteVolume(_Operators):
+    """Radial shells: the flux-form Laplacian of the face data r^(N-1) and A_N,
+    its flux factors and the gttrf factors of 1 - Lap built once."""
 
+    _flux = _factors = None
 
-def _tridiag_solve(lu, rhs: np.ndarray) -> np.ndarray:
-    d = lu[1]
-    gttrs = lapack.zgttrs if np.iscomplexobj(d) else lapack.dgttrs
-    return gttrs(*lu, np.asarray(rhs, dtype=d.dtype))[0]
+    def __init__(self, face_alpha, surf):
+        super().__init__()
+        self.face_alpha, self.surf = face_alpha, surf      # at the n + 1 faces; A_N
 
+    def flux_factors(self, grid):
+        """alpha / dr at the n outer cell faces and the reciprocal shell volumes, in
+        float64 (a multiply, as NumPy's complex-by-real division does not round as the real)."""
+        if self._flux is None:
+            self._flux = self.face_alpha[1:] / grid.spacing, self.surf / grid.weights
+        return self._flux
 
-def _forward(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """The line operators' one transform: the FFT of the complex-cast values (so a
-    real array rounds as its complex cast), the orthonormal DCT-II on a half grid."""
-    if grid.geometry == "half_line":
-        return _cosine_transform(_dct, values)
-    return scipy.fft.fft(np.asarray(values, dtype=np.result_type(values.dtype, np.complex64)))
+    def bands(self, grid):
+        """Sub/diag/super of the Laplacian's tridiagonal, for gttrf, each written once."""
+        a, inv_vol = self.flux_factors(grid)
+        dg = np.negative(a)                              # no flux at r = 0
+        dg[1:] -= a[:-1]
+        dg[-1] = -(2.0 * a[-1] + a[-2])                  # Dirichlet ghost -u[-1]
+        dg *= inv_vol
+        return a[:-1] * inv_vol[1:], dg, a[:-1] * inv_vol[:-1]
 
+    def factor(self, grid, z, shift=None):
+        """LAPACK gttrf factors of 1 - z Lap - shift (zgttrf for complex z; a real z
+        scales the bands in place).  A float64 ``shift`` array is overwritten: the
+        factors are built in its buffer."""
+        lo, d, up = (np.multiply(band, -z, out=None if np.iscomplexobj(z) else band)
+                     for band in self.bands(grid))
+        d += 1.0                                         # 1 + (-z) dg is 1 - z dg to the bit
+        if shift is not None:
+            d = np.subtract(d, shift, out=shift)
+        *lu, info = (lapack.zgttrf if np.iscomplexobj(d) else lapack.dgttrf)(
+            lo, d, up, overwrite_dl=1, overwrite_d=1, overwrite_du=1)
+        if info:
+            raise np.linalg.LinAlgError(f"singular tridiagonal system (gttrf info={info})")
+        return lu
 
-def _inverse(grid: Grid, coeffs: np.ndarray, like: np.ndarray) -> np.ndarray:
-    """The inverse of ``_forward``; real values when ``like`` is real."""
-    out = (_cosine_transform(_idct, coeffs) if grid.geometry == "half_line"
-           else scipy.fft.ifft(coeffs))
-    return out if np.iscomplexobj(like) else out.real
+    @staticmethod
+    def _solve(lu, rhs):
+        """The solution by the factors ``lu``, in their dtype; of real factors a
+        complex rhs by parts."""
+        d, rhs = lu[1], _float64(rhs)
+        if np.iscomplexobj(rhs) and not np.iscomplexobj(d):
+            return _FiniteVolume._solve(lu, rhs.real) + 1j * _FiniteVolume._solve(lu, rhs.imag)
+        return (lapack.zgttrs if np.iscomplexobj(d) else lapack.dgttrs)(*lu, rhs)[0]
 
+    def radial_laplacian(self, grid, u):
+        a, inv_vol = self.flux_factors(grid)
+        flux = np.empty(u.shape, np.result_type(u, a))
+        np.subtract(u[1:], u[:-1], out=flux[:-1])
+        flux[-1] = -2.0 * u[-1]                  # Dirichlet ghost -u[-1] at Rmax
+        flux *= a
+        flux[1:] -= flux[:-1]                    # NumPy buffers the overlap; no flux at r = 0
+        flux *= inv_vol
+        return flux
 
-def _apply_symbol(grid: Grid, symbol: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """The line operator with multiplier ``symbol`` applied to ``values``, on
-    their Fourier (on a half grid, cosine) series; real input gives real output."""
-    return _inverse(grid, symbol * _forward(grid, values), values)
+    laplacian = radial_laplacian
 
+    def grad_sq(self, grid, values, r_min=0.0):
+        d = np.diff(values) / grid.spacing
+        faces = self.face_alpha[1:-1] * np.abs(d) ** 2
+        if r_min > 0:                            # the faces at r_min and beyond
+            faces = faces[np.arange(1, grid.n) * grid.spacing >= r_min]
+        wall = self.face_alpha[-1] * 2.0 * np.abs(values[-1]) ** 2 / grid.spacing
+        return self.surf * (np.sum(faces) * grid.spacing + wall)
 
-def _parseval_grad_sq(grid: Grid, spectrum: np.ndarray):
-    """Integral of |grad u|^2 from the ``_forward`` transform of u (Parseval)."""
-    k2 = _wavenumbers_sq(grid)
-    total = np.sum(k2 * (spectrum.real ** 2 + spectrum.imag ** 2)) * grid.spacing
-    return 2.0 * total if grid.geometry == "half_line" else total / grid.n
+    def gradient(self, grid, values):
+        # a multiply, as NumPy's complex-by-real division is, so real and complex round alike
+        h = 0.5 / grid.spacing
+        out = np.empty_like(values)
+        out[1:-1] = (values[2:] - values[:-2]) * h
+        out[0] = (values[1] - values[0]) * h          # even ghost at r=0
+        out[-1] = (-values[-1] - values[-2]) * h      # Dirichlet ghost at Rmax
+        return out
 
+    def helmholtz(self, grid, rhs):
+        if self._factors is None:
+            self._factors = self.factor(grid, 1.0)
+        return self._solve(self._factors, rhs)
 
-def _cosine_transform(transform, values: np.ndarray) -> np.ndarray:
-    """Orthonormal DCT-II (``dct``) or its inverse of real values, or of
-    complex values on (re, im) columns."""
-    if not np.iscomplexobj(values):
-        return transform(values, type=2, norm="ortho")
-    pairs = np.ascontiguousarray(values).view(values.real.dtype).reshape(-1, 2)
-    return transform(pairs, type=2, norm="ortho", axis=0).view(values.dtype)[:, 0]
+    def helmholtz_solver(self, grid):
+        return partial(self._solve, self.factor(grid, 1.0))
+
+    def shifted_solve(self, grid, rhs, shift):
+        return self._solve(self.factor(grid, 1.0, shift), np.asarray(rhs, dtype=np.float64))
+
+    def propagator(self, grid, dt):
+        return self.factor(grid, 0.5j * dt)
+
+    def flow(self, grid, values, dt, slots):
+        prop = self._recent(grid, dt, slots)
+        return (self._solve(prop, values + 0.5j * dt * self.radial_laplacian(grid, values)),
+                partial(self.grad_sq, grid, values))
 
 
 def apply_radial_lap(grid: Grid, u: np.ndarray) -> np.ndarray:
     """The radial Laplacian in the dtype of ``u`` as a difference of face fluxes,
     u[i+1] - u[i] (exact where neighbours lie within 2x) times alpha / dr."""
-    if grid.geometry != "radial":
-        raise ValidationError(f"apply_radial_lap needs a radial grid, got {grid.geometry}")
-    a, inv_vol = _radial_flux_factors(grid)
-    flux = np.empty(u.shape, np.result_type(u, a))
-    np.subtract(u[1:], u[:-1], out=flux[:-1])
-    flux[-1] = -2.0 * u[-1]                  # Dirichlet ghost -u[-1] at Rmax
-    flux *= a
-    flux[1:] -= flux[:-1]                    # NumPy buffers the overlap; no flux at r = 0
-    flux *= inv_vol
-    return flux
+    return grid._ops.radial_laplacian(grid, u)
 
 
 def laplacian_values(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """Discrete Laplacian of raw values: exact spectral on the line (a cosine
-    series on a half grid), flux-form finite volume radially."""
-    if grid.geometry == "radial":
-        return apply_radial_lap(grid, values)
-    return _apply_symbol(grid, -_wavenumbers_sq(grid), values)
+    """Discrete Laplacian of raw values, in their dtype."""
+    return grid._ops.laplacian(grid, values)
 
 
 def laplacian(u: Field) -> Field:
-    """Discrete Laplacian: exact spectral on the line, flux-form FD radially."""
+    """Discrete Laplacian of a field."""
     return u.with_values(laplacian_values(u.grid, u.values))
 
 
 def grad_norm_sq_values(grid: Grid, values: np.ndarray, r_min: float = 0.0):
-    """Integral of |grad u|^2 in the working precision of ``values``.
-
-    The summation-by-parts companion of ``laplacian_values``: the spectral
-    Parseval sum on the line, the face-flux quadrature of the finite-volume
-    Laplacian radially (including the Dirichlet wall flux), the cosine
-    Parseval sum of the whole even field on a half grid.  ``r_min``
-    restricts the radial sum to the faces at or beyond that radius.
-    """
-    if r_min > 0 and grid.geometry != "radial":
-        raise ValidationError("gradient tail integrals require radial geometry (N >= 2), "
-                              f"got a {grid.geometry} grid")
-    if grid.geometry != "radial":
-        return _parseval_grad_sq(grid, _forward(grid, values))
-    d = np.diff(values) / grid.spacing
-    faces = (grid.face_alpha[1:-1] * np.abs(d) ** 2)[grid.faces[1:-1] >= r_min]
-    wall = grid.face_alpha[-1] * 2.0 * np.abs(values[-1]) ** 2 / grid.spacing
-    return grid.surf * (np.sum(faces) * grid.spacing + wall)
+    """Integral of |grad u|^2 in the working precision of ``values``, the
+    summation-by-parts companion of ``laplacian_values`` (radially with the
+    Dirichlet wall flux; on a half grid the whole even field's).  ``r_min``
+    restricts the radial sum to the faces at or beyond that radius."""
+    return grid._ops.grad_sq(grid, values, r_min)
 
 
 def gradient_values(grid: Grid, values: np.ndarray) -> np.ndarray:
     """Node-centered first derivative (spectral on the line, centered radially)."""
-    if grid.geometry == "half_line":
-        raise ValidationError("an even field's gradient is odd: it has no cosine form on the "
-                              "half grid (Grid.half)")
-    if grid.geometry == "line":
-        return _apply_symbol(grid, 1j * _wavenumbers(grid), values)
-    # a multiply, as NumPy's complex-by-real division is, so real and complex round alike
-    h = 0.5 / grid.spacing
-    out = np.empty_like(values)
-    out[1:-1] = (values[2:] - values[:-2]) * h
-    out[0] = (values[1] - values[0]) * h          # even ghost at r=0
-    out[-1] = (-values[-1] - values[-2]) * h      # Dirichlet ghost at Rmax
-    return out
+    return grid._ops.gradient(grid, values)
 
 
 def gradient_and_grad_sq(grid: Grid, values: np.ndarray):
     """``gradient_values`` and ``grad_norm_sq_values`` of ``values``, on the line
     from one forward transform."""
-    if grid.geometry != "line":
-        return gradient_values(grid, values), grad_norm_sq_values(grid, values)
-    spectrum = _forward(grid, values)
-    return (_inverse(grid, 1j * _wavenumbers(grid) * spectrum, values),
-            _parseval_grad_sq(grid, spectrum))
+    return grid._ops.gradient_and_grad_sq(grid, values)
+
+
+def convolve(grid: Grid, kernel: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The periodic convolution on a line of ``values`` with ``kernel``, given at
+    the FFT-ordered displacements: the product of their Fourier series."""
+    return grid._ops.convolve(grid, kernel, values)
 
 
 def helmholtz_solve(grid: Grid, rhs: np.ndarray) -> np.ndarray:
-    """Solve (1 - Laplacian) u = rhs in float64, for any rhs dtype.
-
-    The Fourier multiplier 1/(1 + k^2) on the line (the cosine multiplier on
-    a half grid); radially a tridiagonal LAPACK solve with the grid's cached
-    factorization.  A longdouble rhs is rounded to float64 (complex128), and
-    so is the result.
-    """
-    rhs = np.asarray(rhs, dtype=np.complex128 if np.iscomplexobj(rhs) else np.float64)
-    if grid.geometry != "radial":
-        return _apply_symbol(grid, 1.0 / (1.0 + _wavenumbers_sq(grid)), rhs)
-    if np.iscomplexobj(rhs):
-        return helmholtz_solve(grid, rhs.real) + 1j * helmholtz_solve(grid, rhs.imag)
-    lu = _cached(grid, "helmholtz", lambda: _factor_one_minus_zlap(grid, 1.0))
-    return _tridiag_solve(lu, rhs)
+    """Solve (1 - Laplacian) u = rhs in float64 (complex128), for any rhs dtype:
+    a longdouble rhs is rounded to float64.  Radially with the grid's cached
+    factorization."""
+    return grid._ops.helmholtz(grid, rhs)
 
 
 def helmholtz_solver(grid: Grid):
-    """``helmholtz_solve`` on ``grid`` as a function of the rhs, for the phase that holds
-    it: radially on a copy of the grid whose cache alone holds the factorization."""
-    if grid.geometry != "radial":
-        return partial(helmholtz_solve, grid)
-    level = replace(grid)
-    level._operators["helmholtz"] = _factor_one_minus_zlap(grid, 1.0)
-    return partial(helmholtz_solve, level)
+    """``helmholtz_solve`` on ``grid`` as a function of the rhs, for the phase that
+    holds it: radially with a factorization of its own, which the grid does not keep."""
+    return grid._ops.helmholtz_solver(grid)
 
 
 def shifted_helmholtz_solve(grid: Grid, rhs: np.ndarray, shift: np.ndarray) -> np.ndarray:
     """Solve (1 - Laplacian - shift) u = rhs on a radial grid in float64 for a
-    real rhs and a float64 potential ``shift``, as for the Jacobian of the
-    ground-state equation (possibly indefinite): the exact tridiagonal system,
-    factored in ``shift``'s buffer, which it overwrites.
-    """
-    if grid.geometry != "radial":
-        raise ValidationError(f"shifted_helmholtz_solve needs a radial grid, got {grid.geometry}")
-    return _tridiag_solve(_factor_one_minus_zlap(grid, 1.0, shift),
-                          np.asarray(rhs, dtype=np.float64))
-
-
-def _build_propagator(grid: Grid, dt: float):
-    """The exact Fourier (on a half grid, cosine) multiplier on the line, the
-    zgttrf factors of the Crank-Nicolson matrix 1 - (i dt/2) Lap radially."""
-    if grid.geometry != "radial":
-        return np.exp(-1j * _wavenumbers_sq(grid) * dt)
-    return _factor_one_minus_zlap(grid, 0.5j * dt)
+    real rhs and a float64 potential ``shift``, as for the (possibly indefinite)
+    Jacobian of the ground-state equation: the exact tridiagonal system,
+    factored in ``shift``'s buffer, which it overwrites."""
+    return grid._ops.shifted_solve(grid, rhs, shift)
 
 
 def free_flow(grid: Grid, values: np.ndarray, dt: float, slots: int = 1):
-    """Linear Schroedinger flow u -> exp(i dt Lap) u of complex ``values``.
-
-    The exact Fourier multiplier on the line, a Crank-Nicolson (Cayley) step
-    radially; both are unitary in the grid inner product, run backward for a
-    negative dt, and preserve the discrete |grad u|^2; on a half grid it acts
-    on the cosine series of the even field whose right half is ``values``.
-    Returns the flowed values and a function of no arguments that takes that
-    integral on (the whole field of) ``values``: from the spectrum the flow
-    computes anyway on the line, by the face-flux quadrature radially.  A
-    caller that does not read the integral pays no sum.  The grid caches the
-    propagators of the ``slots`` most recently used dt; a new dt evicts the
-    least recently used.
-    """
-    cache = grid._operators.setdefault("propagators", {})
-    prop = cache.pop(dt, None)
-    if prop is None:
-        while len(cache) >= slots:
-            del cache[next(iter(cache))]
-        prop = _build_propagator(grid, dt)
-    cache[dt] = prop                      # most recently used last
-    if grid.geometry != "radial":
-        spectrum = _forward(grid, values)     # the complex ``prop`` makes the flow complex
-        return _inverse(grid, prop * spectrum, prop), partial(_parseval_grad_sq, grid, spectrum)
-    out = _tridiag_solve(prop, values + 0.5j * dt * apply_radial_lap(grid, values))
-    return out, partial(grad_norm_sq_values, grid, values)
+    """Linear Schroedinger flow u -> exp(i dt Lap) u of complex ``values``: the exact
+    multiplier on the line, a Crank-Nicolson (Cayley) step radially; unitary in
+    the grid inner product, backward for a negative dt, preserving the discrete
+    |grad u|^2.  Returns the flowed values and a function of no arguments that
+    takes that integral on (the whole field of) ``values``, on the line from the
+    spectrum the flow computes anyway, so a caller that does not read it pays no
+    sum.  The grid keeps the propagators of the ``slots`` most recently used dt."""
+    return grid._ops.flow(grid, values, dt, slots)
 
 
 # ---------------------------------------------------------------------------
@@ -568,11 +654,7 @@ def _interp_spline(grid: Grid, values: np.ndarray, order: int = 3):
     r = 0 so near-origin evaluations are well defined."""
     from scipy.interpolate import make_interp_spline   # loaded by the commands that rescale
 
-    if grid.geometry == "line":
-        xs, ys = grid.nodes, values
-    else:
-        xs = np.concatenate([-grid.nodes[::-1], grid.nodes])
-        ys = np.concatenate([values[::-1], values])
+    xs, ys = grid._ops.even_extension(grid, values)
     cplx = np.iscomplexobj(ys)
     if cplx:
         # (re, im) as one real two-column spline: SciPy would otherwise factor
@@ -606,7 +688,7 @@ __all__ = [
     "Grid", "line_grid", "radial_grid", "grid_for",
     "Field", "even_grid", "mirror", "fold", "unfold",
     "laplacian", "laplacian_values", "gradient_values", "grad_norm_sq_values",
-    "gradient_and_grad_sq",
+    "gradient_and_grad_sq", "convolve",
     "helmholtz_solve", "helmholtz_solver", "shifted_helmholtz_solve", "apply_radial_lap",
     "free_flow", "scaled_sampler", "sample_scaled",
 ]

@@ -93,7 +93,8 @@ def _window_integral(u: Field, p: float, center, radius: float):
         return np.interp(center + radius, coord, cum) - np.interp(center - radius, coord, cum)
     if abs(center) > 1e-12:
         raise ValidationError("radial geometry supports origin-centered windows only")
-    return np.interp(min(radius, g.extent) ** g.dim, g.faces ** g.dim, cum)
+    faces = np.arange(g.n + 1) * g.spacing                      # ``core.radial_grid``'s edges
+    return np.interp(min(radius, g.extent) ** g.dim, faces ** g.dim, cum)
 
 
 def concentrated_mass(u: Field, center: float, radius: float) -> float:

@@ -125,15 +125,19 @@ def _iterate(params: ProblemParams, grid: Grid, max_iter: int, tol: float):
     Gaussian, or, if n // ``COARSEN`` cells resolve its core, from the even interpolant
     (at |x|) of a solve to ``HANDOVER_TOL`` on them; returns grid, iterate, summed
     iterations over the levels, convergence."""
-    work = even_grid(grid)
-    if np.count_nonzero(np.exp(-(grid.nodes ** 2) / 2.0) > 0.5) >= COARSEN * CORE_CELLS:
-        coarse = grid_for(params, grid.extent, grid.n // COARSEN)
-        coarse, Q, it, _ = _iterate(params, coarse, max_iter, HANDOVER_TOL)
-        Q = np.interp(np.abs(work.nodes), coarse.nodes, Q)
-        del coarse                       # not held through the finer phases
-    else:
-        Q, it = np.exp(-(work.nodes ** 2) / 2.0), 0      # the Gaussian start
-    Q, more, converged = _petviashvili(params, work, Q, max_iter - it, tol)
+    work, it = even_grid(grid), 0
+
+    def start():
+        nonlocal it
+        if np.count_nonzero(np.exp(-(grid.nodes ** 2) / 2.0) > 0.5) < COARSEN * CORE_CELLS:
+            return np.exp(-(work.nodes ** 2) / 2.0)      # the Gaussian start
+        coarse, Q, it, _ = _iterate(params, grid_for(params, grid.extent, grid.n // COARSEN),
+                                    max_iter, HANDOVER_TOL)
+        return np.interp(np.abs(work.nodes), coarse.nodes, Q)
+
+    # the start, built in the call (before ``it`` is read), is the callee's alone:
+    # it dies at the first update, as the coarser level died with ``start``
+    Q, more, converged = _petviashvili(params, work, start(), max_iter - it, tol)
     return work, Q, it + more, converged
 
 

@@ -221,5 +221,5 @@ def test_half_grid_transforms_are_scipy_fft_dct_bit_for_bit(n):
     real = rng.standard_normal(n)
     for values in (real, real + 1j * rng.standard_normal(n)):
         for fast, public in ((core._dct, scipy.fft.dct), (core._idct, scipy.fft.idct)):
-            assert np.array_equal(core._cosine_transform(fast, values),
-                                  core._cosine_transform(public, values))
+            assert np.array_equal(core._Cosine._transform(fast, values),
+                                  core._Cosine._transform(public, values))

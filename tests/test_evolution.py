@@ -269,11 +269,13 @@ def test_samples_record_their_own_energy(geometry):
 @pytest.mark.parametrize("geometry, ws", COMPOSITIONS)
 def test_propagator_built_once_per_rung(geometry, ws, monkeypatch):
     builds, flows, rungs = [], [], []
-    build, flow, ladder = core._build_propagator, evolution.free_flow, evolution._ladder_dt
+    flow, ladder = evolution.free_flow, evolution._ladder_dt
 
-    def counting_build(grid, dt):
-        builds.append(dt)
-        return build(grid, dt)
+    def counting(build):
+        def counting_build(ops, grid, dt):
+            builds.append(dt)
+            return build(ops, grid, dt)
+        return counting_build
 
     def recording_flow(grid, values, dt, *slots):
         flows.append(dt)
@@ -283,7 +285,8 @@ def test_propagator_built_once_per_rung(geometry, ws, monkeypatch):
         rungs.append(ladder(policy, G))
         return rungs[-1]
 
-    monkeypatch.setattr(core, "_build_propagator", counting_build)
+    for kind in (core._Spectral, core._FiniteVolume):
+        monkeypatch.setattr(kind, "propagator", counting(kind.propagator))
     monkeypatch.setattr(evolution, "free_flow", recording_flow)
     monkeypatch.setattr(evolution, "_ladder_dt", recording_ladder)
     u0, theta = gaussian(geometry)
@@ -369,13 +372,13 @@ def test_march_takes_the_gradient_sum_only_where_it_reads_G(plain_line, every, m
     """A flow's |grad u|^2 is summed only after a step that no sample follows;
     with a sample on every step that is none, and each sample takes one sum of
     its own state.  Suzuki steps, so a step has five flows."""
-    calls, parseval = [], core._parseval_grad_sq
+    calls, parseval = [], core._Spectral.parseval
 
-    def counting_parseval(grid, spectrum):
+    def counting_parseval(ops, grid, spectrum):
         calls.append(grid)
-        return parseval(grid, spectrum)
+        return parseval(ops, grid, spectrum)
 
-    monkeypatch.setattr(core, "_parseval_grad_sq", counting_parseval)
+    monkeypatch.setattr(core._Spectral, "parseval", counting_parseval)
     params, grid = plain_line
     u0 = Field(0.3 * np.exp(-grid.nodes ** 2 / 2).astype(complex), grid, params)
     traj = evolve(u0, StepPolicy(dt0=0.01, c_dt=1e9, theta=1e9, t_end=0.1,

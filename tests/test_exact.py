@@ -117,9 +117,7 @@ def test_s_profile_sign_convention_by_equation_residual(quintic_gs):
     implemented sign pair (quadratic phase -, time phase +)."""
     prof = quintic_gs.profile
     grid, params = prof.grid, prof.params
-    from inls_lab.core import _wavenumbers, sample_scaled
-
-    x, k = grid.nodes, _wavenumbers(grid)
+    x, k = grid.nodes, grid._ops.k(grid)
     W = grid.weight_b
 
     def candidate(t, sq, sl, h=1e-6):

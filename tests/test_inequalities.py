@@ -12,7 +12,7 @@ import pytest
 from inls_lab import Field, ValidationError, make_params
 from inls_lab import experiments as exp
 from inls_lab import inequalities as ineq
-from inls_lab.core import helmholtz_solve, line_grid, radial_grid
+from inls_lab.core import free_flow, helmholtz_solve, laplacian_values, line_grid, radial_grid
 from inls_lab import functionals as fn
 from inls_lab.inequalities import (
     InequalityReport, _corpus, check_banica, check_critical_gn, check_gagliardo,
@@ -429,7 +429,8 @@ def test_pooled_raises_when_a_worker_dies(monkeypatch):
 def test_fields_and_reports_pickle_once_the_line_has_built_its_half():
     """A field on a line whose half has been built, a field on that half, and a
     report witnessed by the first come back from pickle with equal values and
-    grid arrays."""
+    grid arrays; a radial field whose grid has built its operators comes back
+    giving the same operator results, bit for bit."""
     params = make_params(1, 1.5, 0.5)
     grid = line_grid(15.0, 1024, params.b)
     half = grid.half
@@ -449,6 +450,13 @@ def test_fields_and_reports_pickle_once_the_line_has_built_its_half():
             assert (b.geometry, b.n, b.extent, b.spacing) == (o.geometry, o.n, o.extent, o.spacing)
             for name in ("nodes", "weights", "weight_b"):
                 assert np.array_equal(getattr(b, name), getattr(o, name))
+    radial = Field(np.exp(-np.arange(256) / 40.0 + 0.5j), radial_grid(2, 12.0, 256, 0.5),
+                   make_params(2, 1.0, 0.5))
+    results = lambda f: (helmholtz_solve(f.grid, f.values), laplacian_values(f.grid, f.values),
+                         free_flow(f.grid, f.values, 1e-3)[0])
+    built = results(radial)                             # fills the radial operator's caches
+    for old, new in zip(built, results(pickle.loads(pickle.dumps(radial)))):
+        assert np.array_equal(new, old)
 
 
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),

@@ -13,18 +13,23 @@ from inls_lab import Field, ValidationError, core, make_params
 from inls_lab import functionals as fn
 from inls_lab.analysis import decompose
 from inls_lab.core import (
-    apply_radial_lap, fold, free_flow, grad_norm_sq_values, gradient_and_grad_sq, gradient_values,
-    helmholtz_solve, helmholtz_solver, laplacian_values, line_grid, mirror, radial_grid,
-    shifted_helmholtz_solve, unfold,
+    apply_radial_lap, convolve, fold, free_flow, grad_norm_sq_values, gradient_and_grad_sq,
+    gradient_values, helmholtz_solve, helmholtz_solver, laplacian_values, line_grid, mirror,
+    radial_grid, shifted_helmholtz_solve, unfold,
 )
 from inls_lab.evolution import step
 from inls_lab.ground_state import solve_ground_state
 from inls_lab.inequalities import random_bump_field
 
+# one row per kind of grid, each with its own operator object: the line, its half
+# grid (where a field is the right half of an even one) and the radial shells
 SETUPS = {
     "line": (make_params(1, 1.5, 0.5), lambda: line_grid(12.0, 256, 0.5)),
+    "half_line": (make_params(1, 1.5, 0.5), lambda: line_grid(12.0, 256, 0.5).half),
     "radial": (make_params(2, 1.0, 0.5), lambda: radial_grid(2, 12.0, 256, 0.5)),
 }
+# an even field's gradient is odd: the half grid has none (``test_half_grid_rejects_...``)
+WITH_GRADIENT = sorted(set(SETUPS) - {"half_line"})
 
 
 def bump(geometry, seed, kind="complex", grid=None):
@@ -82,14 +87,14 @@ def test_real_input_is_the_real_part_of_its_complex_cast(geometry, seed, dtype):
     complex cast, and the result is the real part of that, bit for bit."""
     u = bump(geometry, seed, "real")
     v = u.values.astype(dtype)
-    for op, out_dtype in ((laplacian_values, v.dtype), (gradient_values, v.dtype),
-                          (helmholtz_solve, np.float64)):   # a float64 solve for any rhs
+    ops = [(laplacian_values, v.dtype), (helmholtz_solve, np.float64)]  # float64 for any rhs
+    for op, out_dtype in ops + [(gradient_values, v.dtype)] * (geometry in WITH_GRADIENT):
         out = op(u.grid, v)
         assert out.dtype == out_dtype
         assert np.array_equal(out, op(u.grid, v.astype(np.result_type(v, np.complex64))).real)
 
 
-@pytest.mark.parametrize("geometry", sorted(SETUPS))
+@pytest.mark.parametrize("geometry", WITH_GRADIENT)
 @pytest.mark.parametrize("kind", ["real", "complex"])
 def test_gradient_and_grad_sq_is_the_pair_bit_for_bit(geometry, kind):
     """The shared line transform changes no bit of either result."""
@@ -188,12 +193,11 @@ def test_shifted_helmholtz_solve_inverts_an_indefinite_operator(geometry):
                           helmholtz_solve(grid, rhs))
 
 
-@pytest.mark.parametrize("geometry", ["line", "half_line"])
+@pytest.mark.parametrize("geometry", sorted(set(SETUPS) - {"radial"}))
 def test_shifted_helmholtz_solve_needs_a_radial_grid(geometry):
     """Only a radial ground state takes Newton steps: on the line and on its
     half grid the shifted solve raises."""
-    grid = SETUPS["line"][1]()
-    grid = grid.half if geometry == "half_line" else grid
+    grid = SETUPS[geometry][1]()
     with pytest.raises(ValidationError, match=f"radial grid, got {geometry}"):
         shifted_helmholtz_solve(grid, np.exp(-grid.nodes ** 2), np.zeros(grid.n))
 
@@ -303,6 +307,22 @@ def test_unfold_undoes_fold_of_an_exactly_even_field(seed, kind):
         assert np.array_equal(mirror(y.grid, values), y.values)
 
 
+@pytest.mark.parametrize("geometry", sorted(SETUPS))
+def test_convolve_is_the_periodic_convolution_on_the_line(geometry):
+    """On the line, ``convolve`` is the circular convolution sum over the FFT-ordered
+    displacements to 1e-13; every other grid raises."""
+    u = bump(geometry, 3)
+    kernel = np.random.default_rng(3).standard_normal(u.grid.n)
+    if geometry != "line":
+        with pytest.raises(ValidationError, match=f"line grid, got {geometry}"):
+            convolve(u.grid, kernel, u.values)
+        return
+    j = np.arange(u.grid.n)
+    direct = np.array([np.sum(kernel * u.values[(i - j) % u.grid.n]) for i in j])
+    error = np.max(np.abs(convolve(u.grid, kernel, u.values) - direct))
+    assert error <= 1e-13 * np.max(np.abs(direct))
+
+
 def test_radial_laplacian_rejects_a_line_grid():
     u = bump("line", 3)
     with pytest.raises(ValidationError, match="radial grid, got line"):
@@ -332,25 +352,25 @@ def test_cosine_parseval_is_the_line_gradient_quadrature(seed):
 
 
 @settings(max_examples=30, deadline=None)
-@given(seed=st.integers(0, 2 ** 31), dt=st.floats(min_value=1e-5, max_value=1e-1))
-def test_half_grid_flow_is_reversible_and_unitary(seed, dt):
-    u, right = even_bump(seed)
-    half = u.grid.half
-    there, _ = free_flow(half, right, dt)
-    back, _ = free_flow(half, there, -dt)
-    assert np.max(np.abs(back - right)) <= 1e-13 * np.max(np.abs(right))
-    mass = lambda v: np.sum(np.abs(v) ** 2 * half.weights)
-    assert mass(there) == pytest.approx(mass(right), rel=1e-13)
+@given(geometry=st.sampled_from(sorted(SETUPS)), seed=st.integers(0, 2 ** 31),
+       dt=st.floats(min_value=1e-5, max_value=1e-1))
+def test_flow_is_reversible_and_unitary(geometry, seed, dt):
+    u = bump(geometry, seed)
+    there, _ = free_flow(u.grid, u.values, dt)
+    back, _ = free_flow(u.grid, there, -dt)
+    assert np.max(np.abs(back - u.values)) <= 1e-13 * np.max(np.abs(u.values))
+    mass = lambda v: np.sum(np.abs(v) ** 2 * u.grid.weights)
+    assert mass(there) == pytest.approx(mass(u.values), rel=1e-13)
 
 
 def test_half_and_full_propagators_are_built_once_each(monkeypatch):
-    builds, build = [], core._build_propagator
+    builds, build = [], core._Spectral.propagator
 
-    def counting_build(grid, dt):
+    def counting_build(ops, grid, dt):
         builds.append(grid)
-        return build(grid, dt)
+        return build(ops, grid, dt)
 
-    monkeypatch.setattr(core, "_build_propagator", counting_build)
+    monkeypatch.setattr(core._Spectral, "propagator", counting_build)
     u, right = even_bump(7)
     full, half = u.values, u.grid.half
     for _ in range(3):
@@ -363,21 +383,29 @@ def test_half_and_full_propagators_are_built_once_each(monkeypatch):
 
 def test_half_grid_is_built_on_each_access_without_a_reference_cycle():
     """Each access builds a new half, which holds its line; the line holds no
-    half, so the pair, operator caches and all, is freed by reference
-    counting alone."""
-    grid = line_grid(12.0, 256)
-    half = grid.half
-    helmholtz_solve(half, np.exp(-half.nodes ** 2))
-    assert grid.half is not grid.half and half.full is grid
-    refs = weakref.ref(grid), weakref.ref(half)
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        del grid, half
-        assert [ref() for ref in refs] == [None, None]
-    finally:
-        if enabled:
-            gc.enable()
+    half, and no operator object holds its grid.  So every kind of grid (and
+    a half's line with it), once its operators have built every cache (the
+    Helmholtz factorization, a solver of its own, a two-slot flow, the flux
+    factors), is freed by reference counting alone as soon as it is deleted."""
+    line = line_grid(12.0, 256)
+    assert line.half is not line.half and line.half.full is line
+    for kind in sorted(SETUPS):
+        grid = SETUPS[kind][1]()
+        rhs = np.exp(-grid.nodes ** 2)
+        helmholtz_solve(grid, rhs)
+        helmholtz_solver(grid)(rhs)
+        for dt in (1e-3, 5e-4, 1e-3):
+            free_flow(grid, rhs + 0j, dt, 2)[1]()
+        laplacian_values(grid, rhs)
+        refs = [weakref.ref(g) for g in (grid, grid.full, grid._ops) if g is not None]
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del grid
+            assert [ref() for ref in refs] == [None] * len(refs), kind
+        finally:
+            if enabled:
+                gc.enable()
 
 
 @pytest.mark.parametrize("grid", [line_grid(12.0, 255), radial_grid(2, 12.0, 256)],

@@ -80,6 +80,16 @@ def _scipy_fft_imports(node):
     return [name for name in names if name == "scipy.fft" or name.startswith("scipy.fft.")]
 
 
+def _private_core_names(node):
+    """A ``_``-prefixed name of ``core``, imported from it or read off the module."""
+    if isinstance(node, ast.ImportFrom) and node.module in ("core", "inls_lab.core"):
+        return [f"import {alias.name}" for alias in node.names if alias.name.startswith("_")]
+    if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+            and isinstance(node.value, ast.Name) and node.value.id == "core"):
+        return [f"core.{node.attr}"]
+    return []
+
+
 def _negative_step_slices(node):
     step = node.step if isinstance(node, ast.Slice) else None
     if isinstance(step, ast.UnaryOp) and isinstance(step.op, ast.USub):
@@ -89,8 +99,12 @@ def _negative_step_slices(node):
 
 # what only ``core`` may do: every other module goes through its operators
 CORE_ONLY = {
-    # a radial grid's face data: the flux-form discretization
-    "radial_discretization": (_attributes(("face_alpha", "surf")),
+    # a grid's operator object: its discretization, reached through core's functions
+    "operator_object": (_attributes(("_ops",)), "operator object read outside core"),
+    # core's private names: every other module goes through its public ones
+    "private_core_names": (_private_core_names, "private core name used outside core"),
+    # the radial operator's face data and flux factors: the flux-form discretization
+    "radial_discretization": (_attributes(("face_alpha", "surf", "flux_factors")),
                               "face data read outside core"),
     # a line's half grid or a half grid's line: even_grid, fold and unfold reach them
     "half_grid_layout": (_attributes(("half", "full")),
