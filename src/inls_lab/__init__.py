@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 
 from .core import (
     Field, Grid, ProblemParams, Regime,
-    grid_for, laplacian, line_grid, make_params, radial_grid,
+    grid_for, line_grid, make_params, radial_grid,
 )
 from .errors import ConvergenceError, InlsError, NumericsError, ValidationError
 from .evolution import StepPolicy, Trajectory, evolve, step
@@ -33,7 +33,7 @@ __all__ = [
     "__version__",
     "Field", "Grid", "ProblemParams", "Regime",
     "make_params", "line_grid", "radial_grid", "grid_for",
-    "laplacian", "rescale",
+    "rescale",
     "mass", "potential", "energy", "grad_norm_sq", "variance",
     "radial_momentum", "concentrated_mass", "sup_concentrated_mass", "lp_norm",
     "GroundState", "solve_ground_state", "pohozaev_residuals",

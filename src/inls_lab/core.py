@@ -1,35 +1,33 @@
-"""Problem parameters, spatial grids, complex fields, and the operator layer.
+"""Problem parameters, spatial grids, complex fields, and the operators.
 
-Every grid holds one operator object, its discretization, chosen where the grid
-is built; no other module reads it (``Grid._ops``):
+A grid is its discretization: ``line_grid``, ``radial_grid`` and ``half`` build
+one of three private ``Grid`` classes, and every operator is a method of it:
 
-* ``_Fourier`` on a ``line`` grid -- the real line periodized on [-L, L] with n
-  cell-centered nodes; every operator is an exact multiplier on one FFT.
-* ``_Cosine`` on a ``half_line`` grid (``Grid.half``: the n/2 cells x > 0 of an
-  even-n line, weighted 2 dx), where an exactly even field is stored
-  (``even_grid``) as a cosine series: the same multipliers act on the
-  orthonormal DCT-II of its right half, every quadrature is the whole field's,
+* ``_Line`` -- the real line periodized on [-L, L] with n cell-centered nodes;
+  every operator is an exact multiplier on one FFT.
+* ``_Half`` -- an even-n line's half grid (``half``: its n/2 cells x > 0,
+  weighted 2 dx), where an exactly even field is stored (``even_grid``) as a
+  cosine series: the line's multipliers act on the orthonormal DCT-II of its
+  right half (both on ``_Spectral``), every quadrature is the whole field's,
   and the gradient, which is odd, raises.  ``mirror`` makes a line field
   exactly even, ``fold`` takes it onto the half grid and ``unfold`` mirrors it
   back; no other module reads the half's layout.
-* ``_FiniteVolume`` on a ``radial`` grid -- radially symmetric fields on
-  (0, Rmax] in dimension N >= 2: a flux-form Laplacian on n cell-centered
-  shells from the face data r^(N-1) and A_N, which only it holds.  The
-  zero-flux face at r = 0 realizes the even reflection condition; a ghost
-  value -u[-1] realizes homogeneous Dirichlet at Rmax.
+* ``_Radial`` -- radially symmetric fields on (0, Rmax] in dimension N >= 2: a
+  flux-form Laplacian on n cell-centered shells from the face data r^(N-1) and
+  A_N.  The zero-flux face at r = 0 realizes the even reflection condition; a
+  ghost value -u[-1] realizes homogeneous Dirichlet at Rmax.
 
-Each object carries the same operators, which the functions below call: the
-Laplacian and its summation-by-parts companion, the |grad u|^2 quadrature; the
-gradient; Helmholtz solves; the shifted (Jacobian) solve; the free flow; mirror,
-even grid and the spline's even extension.  An operator a geometry lacks raises
-ValidationError.  The object keeps, once and in float64, what its operators
-reuse (k and k^2, the radial flux factors, the factorization of 1 - Lap, the
-recent time steps' propagators) as long as its grid lives (``helmholtz_solver``
-gives a caller its own factorization), and holds no reference to the grid, so
-each grid, whose ``half`` is built anew on each access, is freed by reference
-counting alone, and every grid and field pickles.  A wider input (a longdouble
-reference) meets these multipliers by NumPy promotion and keeps its dtype, but
-in the Helmholtz solves, which round it to float64.
+The operators: ``laplacian`` and its summation-by-parts companion ``grad_sq``,
+``gradient`` (with ``gradient_and_grad_sq``), ``convolve``, ``helmholtz_solver``,
+``shifted_helmholtz_solve``, ``free_flow``, ``mirror``, ``even_grid`` and the
+spline's ``even_extension``; one a geometry lacks raises ValidationError.  A
+grid keeps, once and in float64, what its operators reuse (k and k^2, the
+radial flux factors, the recent time steps' propagators) in its own
+``__dict__``, and nothing that refers back to it: each grid, whose ``half`` is
+built anew on each access, is freed by reference counting alone, and every
+grid and field pickles.  A wider input (a longdouble reference) meets these
+multipliers by NumPy promotion and keeps its dtype, but in the Helmholtz
+solves, which round it to float64.
 
 Both grids are cell-centered; the nodes and the singular weight |x|^-b (its exact
 cell average, which keeps weighted quadratures second-order accurate) derive from
@@ -44,7 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 import scipy.fft
@@ -151,21 +149,28 @@ def make_params(dim: int, sigma: float, b: float) -> ProblemParams:
 
 
 # ---------------------------------------------------------------------------
-# grids
+# grids: each kind of grid is a class that carries its discretization
+
+
+def _float64(rhs: np.ndarray) -> np.ndarray:
+    return np.asarray(rhs, dtype=np.complex128 if np.iscomplexobj(rhs) else np.float64)
 
 
 @dataclass(frozen=True)
 class Grid:
-    """Cell-centered spatial grid (line or radial geometry).
+    """Cell-centered spatial grid, whose class is its ``geometry`` ("line",
+    "radial" or "half_line", see ``half``) and carries its operators.
 
     ``weights`` integrates over the full N-dimensional volume: plain dx on
     the line, exact shell volumes A_N * (r_+^N - r_-^N)/N radially, and 2 dx
     on a half grid, whose quadratures are those of the whole even field.
     ``weight_b`` is the exact cell average of |x|^-b used by all weighted
-    quadratures, the elliptic solver, and the evolution phase.
+    quadratures, the elliptic solver, and the evolution phase.  This base holds
+    the flow's propagator cache, the defaults (the grid as its own even grid,
+    ``mirror`` leaving values as they are, the spline mirrored through the
+    origin) and the ValidationError of each operator a geometry lacks.
     """
 
-    geometry: str                 # "line" | "radial" | "half_line" (see ``half``)
     dim: int
     extent: float                 # half-width L (line) or Rmax (radial)
     n: int
@@ -174,8 +179,7 @@ class Grid:
     weights: np.ndarray = field(repr=False)
     weight_b: np.ndarray = field(repr=False)
     spacing: float
-    _ops: _Operators = field(repr=False, compare=False)     # the grid's discretization
-    full: Grid | None = field(default=None, repr=False)     # the line of a half grid
+    full = None                   # the line of a half grid
 
     @property
     def half(self) -> Grid:
@@ -184,7 +188,279 @@ class Grid:
         Each access returns a new grid, with operator caches of its own: a caller
         that reuses the half's operators holds on to it.  The half holds its
         line (``full``); the line keeps no reference to the half."""
-        return self._ops.half(self)
+        raise ValidationError(f"half needs an even-n line grid, got {self.geometry} n={self.n}")
+
+    def even_grid(self) -> Grid:
+        """The grid an even field on this grid is stored on: an even-n line's half
+        grid, where it is a cosine series, or the grid itself."""
+        return self
+
+    def mirror(self, values: np.ndarray) -> np.ndarray:
+        """``values`` made exactly even on a line, in place: each x < 0 cell takes its
+        x > 0 mirror (an odd n's middle cell stays), as ``fold``'s evenness test
+        accepts; on a half or radial grid, ``values`` unchanged."""
+        return values
+
+    def even_extension(self, values):
+        """The spline's nodes and values: mirrored through the origin."""
+        return (np.concatenate([-self.nodes[::-1], self.nodes]),
+                np.concatenate([values[::-1], values]))
+
+    def gradient_and_grad_sq(self, values):
+        """``gradient`` and ``grad_sq`` of ``values``, on the line from one forward transform."""
+        return self.gradient(values), self.grad_sq(values)
+
+    def convolve(self, _kernel, _values):
+        raise ValidationError(f"convolve needs a line grid, got {self.geometry}")
+
+    def shifted_helmholtz_solve(self, _rhs, _shift):
+        raise ValidationError(f"shifted_helmholtz_solve needs a radial grid, got {self.geometry}")
+
+    @cached_property
+    def _propagators(self):
+        return {}                 # dt -> propagator, the least recently used first
+
+    def free_flow(self, values: np.ndarray, dt: float, slots: int = 1):
+        """Linear Schroedinger flow u -> exp(i dt Lap) u of complex ``values``: the exact
+        multiplier on the line, a Crank-Nicolson (Cayley) step radially; unitary in
+        the grid inner product, backward for a negative dt, preserving the discrete
+        |grad u|^2.  Returns the flowed values and a function of no arguments that
+        takes that integral on (the whole field of) ``values``, on the line from the
+        spectrum the flow computes anyway, so a caller that does not read it pays no
+        sum.  The grid keeps the propagators of the ``slots`` most recently used dt."""
+        prop = self._propagators.pop(dt, None)
+        if prop is None:
+            while len(self._propagators) >= slots:
+                del self._propagators[next(iter(self._propagators))]
+            prop = self.propagator(dt)
+        self._propagators[dt] = prop
+        return self._flow(prop, values, dt)
+
+
+class _Spectral(Grid):
+    """Exact multipliers on one transform, ``_forward`` (inverted by
+    ``_backward``), with the line's k and k^2 built once."""
+
+    @cached_property
+    def k(self):
+        """The line's wavenumbers (FFT order; a half grid's pi m / L, m < n/2)."""
+        return 2.0 * np.pi * np.fft.fftfreq((self.full or self).n, d=self.spacing)[:self.n]
+
+    @cached_property
+    def k2(self):
+        return self.k ** 2
+
+    def _inverse(self, coeffs, like):
+        out = self._backward(coeffs)
+        return out if np.iscomplexobj(like) else out.real
+
+    def _apply(self, symbol, values):
+        return self._inverse(symbol * self._forward(values), values)
+
+    def parseval(self, spectrum):
+        """Integral of |grad u|^2 from the ``_forward`` transform of u."""
+        return self._whole(np.sum(self.k2 * (spectrum.real ** 2 + spectrum.imag ** 2))
+                           * self.spacing)
+
+    def laplacian(self, values):
+        """Discrete Laplacian of raw values, in their dtype."""
+        return self._apply(-self.k2, values)
+
+    def grad_sq(self, values, r_min=0.0):
+        """Integral of |grad u|^2 in the working precision of ``values``, the
+        summation-by-parts companion of ``laplacian`` (radially with the
+        Dirichlet wall flux; on a half grid the whole even field's).  ``r_min``
+        restricts the radial sum to the faces at or beyond that radius."""
+        if r_min > 0:
+            raise ValidationError("gradient tail integrals require radial geometry (N >= 2), "
+                                  f"got a {self.geometry} grid")
+        return self.parseval(self._forward(values))
+
+    def helmholtz_solver(self):
+        """(1 - Laplacian) u = rhs as a function of the rhs, solved in float64
+        (complex128) for any rhs dtype: a longdouble rhs is rounded to float64.
+        Radially with a factorization of its own, which the grid does not keep."""
+        return lambda rhs: self._apply(1.0 / (1.0 + self.k2), _float64(rhs))
+
+    def propagator(self, dt):
+        return np.exp(-1j * self.k2 * dt)
+
+    def _flow(self, prop, values, _dt):
+        spectrum = self._forward(values)        # the complex ``prop`` makes the flow complex
+        return self._backward(prop * spectrum), partial(self.parseval, spectrum)
+
+
+class _Line(_Spectral):
+    """The real line periodized on [-L, L] with n cell-centered nodes: the FFT of
+    the complex-cast values (so a real array rounds as its complex cast)."""
+
+    geometry = "line"
+
+    def _forward(self, values):
+        return scipy.fft.fft(np.asarray(values, dtype=np.result_type(values.dtype, np.complex64)))
+
+    def _backward(self, coeffs):
+        return scipy.fft.ifft(coeffs)
+
+    def _whole(self, total):
+        return total / self.n
+
+    def gradient(self, values):
+        """Node-centered first derivative (spectral on the line, centered radially)."""
+        return self._apply(1j * self.k, values)
+
+    def gradient_and_grad_sq(self, values):
+        spectrum = self._forward(values)
+        return self._inverse(1j * self.k * spectrum, values), self.parseval(spectrum)
+
+    def convolve(self, kernel, values):
+        """The periodic convolution of ``values`` with ``kernel``, given at the
+        FFT-ordered displacements: the product of their Fourier series."""
+        return self._apply(self._forward(kernel), values)
+
+    def mirror(self, values):
+        values[:self.n // 2] = values[:(self.n - 1) // 2:-1]
+        return values
+
+    @property
+    def half(self) -> _Half:
+        if self.n % 2:
+            return super().half
+        m = self.n // 2
+        return _Half(1, self.extent, m, self.b, self.nodes[m:], 2.0 * self.weights[m:],
+                     self.weight_b[m:], self.spacing, full=self)
+
+    def even_grid(self):
+        return self if self.n % 2 else self.half
+
+    def even_extension(self, values):
+        return self.nodes, values
+
+
+@dataclass(frozen=True)
+class _Half(_Spectral):
+    """A line's half grid: the cosine series of the whole even field, the
+    orthonormal DCT-II of its right half."""
+
+    full: _Line = field(repr=False)
+    geometry = "half_line"
+
+    @staticmethod
+    def _transform(transform, values):
+        """Orthonormal DCT-II (``_dct``) or its inverse of real values, or of
+        complex values on (re, im) columns."""
+        if not np.iscomplexobj(values):
+            return transform(values, type=2, norm="ortho")
+        pairs = np.ascontiguousarray(values).view(values.real.dtype).reshape(-1, 2)
+        return transform(pairs, type=2, norm="ortho", axis=0).view(values.dtype)[:, 0]
+
+    def _forward(self, values):
+        return self._transform(_dct, values)
+
+    def _backward(self, coeffs):
+        return self._transform(_idct, coeffs)
+
+    def _whole(self, total):
+        return 2.0 * total
+
+    def gradient(self, _values):
+        raise ValidationError("an even field's gradient is odd: it has no cosine form on the "
+                              "half grid (Grid.half)")
+
+
+@dataclass(frozen=True)
+class _Radial(Grid):
+    """Radial shells: the flux-form Laplacian of the face data r^(N-1) and A_N,
+    its flux factors built once."""
+
+    face_alpha: np.ndarray = field(repr=False)      # r^(N-1) at the n + 1 faces
+    surf: float                                      # A_N
+    geometry = "radial"
+
+    @cached_property
+    def flux_factors(self):
+        """alpha / dr at the n outer cell faces and the reciprocal shell volumes, in
+        float64 (a multiply, as NumPy's complex-by-real division does not round as the real)."""
+        return self.face_alpha[1:] / self.spacing, self.surf / self.weights
+
+    def bands(self):
+        """Sub/diag/super of the Laplacian's tridiagonal, for gttrf, each written once."""
+        a, inv_vol = self.flux_factors
+        dg = np.negative(a)                              # no flux at r = 0
+        dg[1:] -= a[:-1]
+        dg[-1] = -(2.0 * a[-1] + a[-2])                  # Dirichlet ghost -u[-1]
+        dg *= inv_vol
+        return a[:-1] * inv_vol[1:], dg, a[:-1] * inv_vol[:-1]
+
+    def factor(self, z, shift=None):
+        """LAPACK gttrf factors of 1 - z Lap - shift (zgttrf for complex z; a real z
+        scales the bands in place).  A float64 ``shift`` array is overwritten: the
+        factors are built in its buffer."""
+        lo, d, up = (np.multiply(band, -z, out=None if np.iscomplexobj(z) else band)
+                     for band in self.bands())
+        d += 1.0                                         # 1 + (-z) dg is 1 - z dg to the bit
+        if shift is not None:
+            d = np.subtract(d, shift, out=shift)
+        *lu, info = (lapack.zgttrf if np.iscomplexobj(d) else lapack.dgttrf)(
+            lo, d, up, overwrite_dl=1, overwrite_d=1, overwrite_du=1)
+        if info:
+            raise np.linalg.LinAlgError(f"singular tridiagonal system (gttrf info={info})")
+        return lu
+
+    @staticmethod
+    def _solve(lu, rhs):
+        """The solution by the factors ``lu``, in their dtype; of real factors a
+        complex rhs by parts."""
+        d, rhs = lu[1], _float64(rhs)
+        if np.iscomplexobj(rhs) and not np.iscomplexobj(d):
+            return _Radial._solve(lu, rhs.real) + 1j * _Radial._solve(lu, rhs.imag)
+        return (lapack.zgttrs if np.iscomplexobj(d) else lapack.dgttrs)(*lu, rhs)[0]
+
+    def laplacian(self, u):
+        """The Laplacian in the dtype of ``u`` as a difference of face fluxes,
+        u[i+1] - u[i] (exact where neighbours lie within 2x) times alpha / dr."""
+        a, inv_vol = self.flux_factors
+        flux = np.empty(u.shape, np.result_type(u, a))
+        np.subtract(u[1:], u[:-1], out=flux[:-1])
+        flux[-1] = -2.0 * u[-1]                  # Dirichlet ghost -u[-1] at Rmax
+        flux *= a
+        flux[1:] -= flux[:-1]                    # NumPy buffers the overlap; no flux at r = 0
+        flux *= inv_vol
+        return flux
+
+    def grad_sq(self, values, r_min=0.0):
+        d = np.diff(values) / self.spacing
+        faces = self.face_alpha[1:-1] * np.abs(d) ** 2
+        if r_min > 0:                            # the faces at r_min and beyond
+            faces = faces[np.arange(1, self.n) * self.spacing >= r_min]
+        wall = self.face_alpha[-1] * 2.0 * np.abs(values[-1]) ** 2 / self.spacing
+        return self.surf * (np.sum(faces) * self.spacing + wall)
+
+    def gradient(self, values):
+        # a multiply, as NumPy's complex-by-real division is, so real and complex round alike
+        h = 0.5 / self.spacing
+        out = np.empty_like(values)
+        out[1:-1] = (values[2:] - values[:-2]) * h
+        out[0] = (values[1] - values[0]) * h          # even ghost at r=0
+        out[-1] = (-values[-1] - values[-2]) * h      # Dirichlet ghost at Rmax
+        return out
+
+    def helmholtz_solver(self):
+        return partial(self._solve, self.factor(1.0))
+
+    def shifted_helmholtz_solve(self, rhs, shift):
+        """Solve (1 - Laplacian - shift) u = rhs in float64 for a real rhs and a
+        float64 potential ``shift``, as for the (possibly indefinite) Jacobian of
+        the ground-state equation: the exact tridiagonal system, factored in
+        ``shift``'s buffer, which it overwrites."""
+        return self._solve(self.factor(1.0, shift), np.asarray(rhs, dtype=np.float64))
+
+    def propagator(self, dt):
+        return self.factor(0.5j * dt)
+
+    def _flow(self, prop, values, dt):
+        return (self._solve(prop, values + 0.5j * dt * self.laplacian(values)),
+                partial(self.grad_sq, values))
 
 
 MIN_CELLS = 8        # the fewest cells either grid constructor accepts
@@ -205,10 +481,9 @@ def line_grid(half_width: float, n: int, b: float = 0.0) -> Grid:
     else:           # exact cell averages of |x|^-b from the antiderivative sign(x)|x|^(1-b)
         F = np.sign(edges) * np.abs(edges) ** (1 - b)
         wb = (F[1:] - F[:-1]) / ((1 - b) * dx)
-    return Grid(
-        geometry="line", dim=1, extent=float(half_width), n=int(n), b=float(b),
+    return _Line(
+        dim=1, extent=float(half_width), n=int(n), b=float(b),
         nodes=0.5 * (edges[:-1] + edges[1:]), weights=np.full(n, dx), weight_b=wb, spacing=dx,
-        _ops=_Fourier(),
     )
 
 
@@ -229,10 +504,10 @@ def radial_grid(dim: int, rmax: float, n: int, b: float = 0.0) -> Grid:
         wb = np.ones(n)
     else:
         wb = ((edges[1:] ** (dim - b) - edges[:-1] ** (dim - b)) / (dim - b)) / shell
-    return Grid(
-        geometry="radial", dim=int(dim), extent=float(rmax), n=int(n), b=float(b),
+    return _Radial(
+        dim=int(dim), extent=float(rmax), n=int(n), b=float(b),
         nodes=nodes, weights=surf * shell, weight_b=wb, spacing=dr,
-        _ops=_FiniteVolume(edges ** (dim - 1), surf),
+        face_alpha=edges ** (dim - 1), surf=surf,
     )
 
 
@@ -269,25 +544,12 @@ class Field:
         return Field(values, self.grid, self.params)
 
 
-def even_grid(grid: Grid) -> Grid:
-    """The grid an even field on ``grid`` is stored on: an even-n line's half
-    grid, where it is a cosine series, or ``grid`` itself."""
-    return grid._ops.even_grid(grid)
-
-
-def mirror(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """``values`` made exactly even on a line, in place: each x < 0 cell takes its
-    x > 0 mirror (an odd n's middle cell stays), as ``fold``'s evenness test
-    accepts; on a half or radial grid, ``values`` unchanged."""
-    return grid._ops.mirror(grid, values)
-
-
 def fold(u: Field) -> Field:
     """An exactly even field on an even-n line as its right half on the half
     grid; any other field (a NaN is unequal to its mirror) as it is.  The
     evenness test comes first: no half grid is built for a field that stays."""
     v = u.values
-    half = even_grid(u.grid) if np.array_equal(v, v[::-1]) else u.grid
+    half = u.grid.even_grid() if np.array_equal(v, v[::-1]) else u.grid
     return u if half is u.grid else Field(v[u.grid.n // 2:], half, u.params)
 
 
@@ -299,353 +561,6 @@ def unfold(u: Field) -> Field:
 
 
 # ---------------------------------------------------------------------------
-# operator layer: one object per geometry
-
-
-def _float64(rhs: np.ndarray) -> np.ndarray:
-    return np.asarray(rhs, dtype=np.complex128 if np.iscomplexobj(rhs) else np.float64)
-
-
-class _Operators:
-    """What every discretization shares: the propagators of the ``slots`` most
-    recently used dt; by default, the grid as its own even grid, ``mirror``
-    leaving values as they are and the spline mirrored through the origin;
-    and the ValidationError of each operator a geometry lacks."""
-
-    def __init__(self):
-        self._propagators = {}        # dt -> propagator, the least recently used first
-
-    def _recent(self, grid, dt, slots):
-        prop = self._propagators.pop(dt, None)
-        if prop is None:
-            while len(self._propagators) >= slots:
-                del self._propagators[next(iter(self._propagators))]
-            prop = self.propagator(grid, dt)
-        self._propagators[dt] = prop
-        return prop
-
-    def gradient_and_grad_sq(self, grid, values):
-        return self.gradient(grid, values), self.grad_sq(grid, values)
-
-    def even_grid(self, grid):
-        return grid
-
-    def mirror(self, _grid, values):
-        return values
-
-    def even_extension(self, grid, values):
-        """The spline's nodes and values: mirrored through the origin."""
-        return (np.concatenate([-grid.nodes[::-1], grid.nodes]),
-                np.concatenate([values[::-1], values]))
-
-    def half(self, grid):
-        raise ValidationError(f"half needs an even-n line grid, got {grid.geometry} n={grid.n}")
-
-    def radial_laplacian(self, grid, _u):
-        raise ValidationError(f"apply_radial_lap needs a radial grid, got {grid.geometry}")
-
-    def shifted_solve(self, grid, _rhs, _shift):
-        raise ValidationError(f"shifted_helmholtz_solve needs a radial grid, got {grid.geometry}")
-
-    def convolve(self, grid, _kernel, _values):
-        raise ValidationError(f"convolve needs a line grid, got {grid.geometry}")
-
-
-class _Spectral(_Operators):
-    """Exact multipliers on one transform, ``_forward`` (inverted by
-    ``_backward``), with the line's k and k^2 built once."""
-
-    _k = _k2 = None
-
-    def k(self, grid):
-        """The line's wavenumbers (FFT order; a half grid's pi m / L, m < n/2)."""
-        if self._k is None:
-            n = (grid.full or grid).n
-            self._k = 2.0 * np.pi * np.fft.fftfreq(n, d=grid.spacing)[:grid.n]
-        return self._k
-
-    def k2(self, grid):
-        if self._k2 is None:
-            self._k2 = self.k(grid) ** 2
-        return self._k2
-
-    def _inverse(self, coeffs, like):
-        out = self._backward(coeffs)
-        return out if np.iscomplexobj(like) else out.real
-
-    def _apply(self, symbol, values):
-        return self._inverse(symbol * self._forward(values), values)
-
-    def parseval(self, grid, spectrum):
-        """Integral of |grad u|^2 from the ``_forward`` transform of u."""
-        total = np.sum(self.k2(grid) * (spectrum.real ** 2 + spectrum.imag ** 2)) * grid.spacing
-        return self._whole(grid, total)
-
-    def laplacian(self, grid, values):
-        return self._apply(-self.k2(grid), values)
-
-    def grad_sq(self, grid, values, r_min=0.0):
-        if r_min > 0:
-            raise ValidationError("gradient tail integrals require radial geometry (N >= 2), "
-                                  f"got a {grid.geometry} grid")
-        return self.parseval(grid, self._forward(values))
-
-    def helmholtz(self, grid, rhs):
-        return self._apply(1.0 / (1.0 + self.k2(grid)), _float64(rhs))
-
-    def helmholtz_solver(self, grid):
-        return partial(self.helmholtz, grid)
-
-    def propagator(self, grid, dt):
-        return np.exp(-1j * self.k2(grid) * dt)
-
-    def flow(self, grid, values, dt, slots):
-        prop = self._recent(grid, dt, slots)
-        spectrum = self._forward(values)        # the complex ``prop`` makes the flow complex
-        return self._backward(prop * spectrum), partial(self.parseval, grid, spectrum)
-
-
-class _Fourier(_Spectral):
-    """The line: the FFT of the complex-cast values (so a real array rounds as
-    its complex cast)."""
-
-    def _forward(self, values):
-        return scipy.fft.fft(np.asarray(values, dtype=np.result_type(values.dtype, np.complex64)))
-
-    def _backward(self, coeffs):
-        return scipy.fft.ifft(coeffs)
-
-    def _whole(self, grid, total):
-        return total / grid.n
-
-    def gradient(self, grid, values):
-        return self._apply(1j * self.k(grid), values)
-
-    def gradient_and_grad_sq(self, grid, values):
-        spectrum = self._forward(values)
-        return self._inverse(1j * self.k(grid) * spectrum, values), self.parseval(grid, spectrum)
-
-    def convolve(self, _grid, kernel, values):
-        return self._apply(self._forward(kernel), values)
-
-    def mirror(self, grid, values):
-        values[:grid.n // 2] = values[:(grid.n - 1) // 2:-1]
-        return values
-
-    def half(self, grid):
-        if grid.n % 2:
-            return super().half(grid)
-        m = grid.n // 2
-        return Grid("half_line", 1, grid.extent, m, grid.b, grid.nodes[m:],
-                    2.0 * grid.weights[m:], grid.weight_b[m:], grid.spacing, _Cosine(), full=grid)
-
-    def even_grid(self, grid):
-        return grid if grid.n % 2 else self.half(grid)
-
-    def even_extension(self, grid, values):
-        return grid.nodes, values
-
-
-class _Cosine(_Spectral):
-    """A line's half grid: the cosine series of the whole even field, the
-    orthonormal DCT-II of its right half."""
-
-    @staticmethod
-    def _transform(transform, values):
-        """Orthonormal DCT-II (``_dct``) or its inverse of real values, or of
-        complex values on (re, im) columns."""
-        if not np.iscomplexobj(values):
-            return transform(values, type=2, norm="ortho")
-        pairs = np.ascontiguousarray(values).view(values.real.dtype).reshape(-1, 2)
-        return transform(pairs, type=2, norm="ortho", axis=0).view(values.dtype)[:, 0]
-
-    def _forward(self, values):
-        return self._transform(_dct, values)
-
-    def _backward(self, coeffs):
-        return self._transform(_idct, coeffs)
-
-    def _whole(self, _grid, total):
-        return 2.0 * total
-
-    def gradient(self, _grid, _values):
-        raise ValidationError("an even field's gradient is odd: it has no cosine form on the "
-                              "half grid (Grid.half)")
-
-
-class _FiniteVolume(_Operators):
-    """Radial shells: the flux-form Laplacian of the face data r^(N-1) and A_N,
-    its flux factors and the gttrf factors of 1 - Lap built once."""
-
-    _flux = _factors = None
-
-    def __init__(self, face_alpha, surf):
-        super().__init__()
-        self.face_alpha, self.surf = face_alpha, surf      # at the n + 1 faces; A_N
-
-    def flux_factors(self, grid):
-        """alpha / dr at the n outer cell faces and the reciprocal shell volumes, in
-        float64 (a multiply, as NumPy's complex-by-real division does not round as the real)."""
-        if self._flux is None:
-            self._flux = self.face_alpha[1:] / grid.spacing, self.surf / grid.weights
-        return self._flux
-
-    def bands(self, grid):
-        """Sub/diag/super of the Laplacian's tridiagonal, for gttrf, each written once."""
-        a, inv_vol = self.flux_factors(grid)
-        dg = np.negative(a)                              # no flux at r = 0
-        dg[1:] -= a[:-1]
-        dg[-1] = -(2.0 * a[-1] + a[-2])                  # Dirichlet ghost -u[-1]
-        dg *= inv_vol
-        return a[:-1] * inv_vol[1:], dg, a[:-1] * inv_vol[:-1]
-
-    def factor(self, grid, z, shift=None):
-        """LAPACK gttrf factors of 1 - z Lap - shift (zgttrf for complex z; a real z
-        scales the bands in place).  A float64 ``shift`` array is overwritten: the
-        factors are built in its buffer."""
-        lo, d, up = (np.multiply(band, -z, out=None if np.iscomplexobj(z) else band)
-                     for band in self.bands(grid))
-        d += 1.0                                         # 1 + (-z) dg is 1 - z dg to the bit
-        if shift is not None:
-            d = np.subtract(d, shift, out=shift)
-        *lu, info = (lapack.zgttrf if np.iscomplexobj(d) else lapack.dgttrf)(
-            lo, d, up, overwrite_dl=1, overwrite_d=1, overwrite_du=1)
-        if info:
-            raise np.linalg.LinAlgError(f"singular tridiagonal system (gttrf info={info})")
-        return lu
-
-    @staticmethod
-    def _solve(lu, rhs):
-        """The solution by the factors ``lu``, in their dtype; of real factors a
-        complex rhs by parts."""
-        d, rhs = lu[1], _float64(rhs)
-        if np.iscomplexobj(rhs) and not np.iscomplexobj(d):
-            return _FiniteVolume._solve(lu, rhs.real) + 1j * _FiniteVolume._solve(lu, rhs.imag)
-        return (lapack.zgttrs if np.iscomplexobj(d) else lapack.dgttrs)(*lu, rhs)[0]
-
-    def radial_laplacian(self, grid, u):
-        a, inv_vol = self.flux_factors(grid)
-        flux = np.empty(u.shape, np.result_type(u, a))
-        np.subtract(u[1:], u[:-1], out=flux[:-1])
-        flux[-1] = -2.0 * u[-1]                  # Dirichlet ghost -u[-1] at Rmax
-        flux *= a
-        flux[1:] -= flux[:-1]                    # NumPy buffers the overlap; no flux at r = 0
-        flux *= inv_vol
-        return flux
-
-    laplacian = radial_laplacian
-
-    def grad_sq(self, grid, values, r_min=0.0):
-        d = np.diff(values) / grid.spacing
-        faces = self.face_alpha[1:-1] * np.abs(d) ** 2
-        if r_min > 0:                            # the faces at r_min and beyond
-            faces = faces[np.arange(1, grid.n) * grid.spacing >= r_min]
-        wall = self.face_alpha[-1] * 2.0 * np.abs(values[-1]) ** 2 / grid.spacing
-        return self.surf * (np.sum(faces) * grid.spacing + wall)
-
-    def gradient(self, grid, values):
-        # a multiply, as NumPy's complex-by-real division is, so real and complex round alike
-        h = 0.5 / grid.spacing
-        out = np.empty_like(values)
-        out[1:-1] = (values[2:] - values[:-2]) * h
-        out[0] = (values[1] - values[0]) * h          # even ghost at r=0
-        out[-1] = (-values[-1] - values[-2]) * h      # Dirichlet ghost at Rmax
-        return out
-
-    def helmholtz(self, grid, rhs):
-        if self._factors is None:
-            self._factors = self.factor(grid, 1.0)
-        return self._solve(self._factors, rhs)
-
-    def helmholtz_solver(self, grid):
-        return partial(self._solve, self.factor(grid, 1.0))
-
-    def shifted_solve(self, grid, rhs, shift):
-        return self._solve(self.factor(grid, 1.0, shift), np.asarray(rhs, dtype=np.float64))
-
-    def propagator(self, grid, dt):
-        return self.factor(grid, 0.5j * dt)
-
-    def flow(self, grid, values, dt, slots):
-        prop = self._recent(grid, dt, slots)
-        return (self._solve(prop, values + 0.5j * dt * self.radial_laplacian(grid, values)),
-                partial(self.grad_sq, grid, values))
-
-
-def apply_radial_lap(grid: Grid, u: np.ndarray) -> np.ndarray:
-    """The radial Laplacian in the dtype of ``u`` as a difference of face fluxes,
-    u[i+1] - u[i] (exact where neighbours lie within 2x) times alpha / dr."""
-    return grid._ops.radial_laplacian(grid, u)
-
-
-def laplacian_values(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """Discrete Laplacian of raw values, in their dtype."""
-    return grid._ops.laplacian(grid, values)
-
-
-def laplacian(u: Field) -> Field:
-    """Discrete Laplacian of a field."""
-    return u.with_values(laplacian_values(u.grid, u.values))
-
-
-def grad_norm_sq_values(grid: Grid, values: np.ndarray, r_min: float = 0.0):
-    """Integral of |grad u|^2 in the working precision of ``values``, the
-    summation-by-parts companion of ``laplacian_values`` (radially with the
-    Dirichlet wall flux; on a half grid the whole even field's).  ``r_min``
-    restricts the radial sum to the faces at or beyond that radius."""
-    return grid._ops.grad_sq(grid, values, r_min)
-
-
-def gradient_values(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """Node-centered first derivative (spectral on the line, centered radially)."""
-    return grid._ops.gradient(grid, values)
-
-
-def gradient_and_grad_sq(grid: Grid, values: np.ndarray):
-    """``gradient_values`` and ``grad_norm_sq_values`` of ``values``, on the line
-    from one forward transform."""
-    return grid._ops.gradient_and_grad_sq(grid, values)
-
-
-def convolve(grid: Grid, kernel: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """The periodic convolution on a line of ``values`` with ``kernel``, given at
-    the FFT-ordered displacements: the product of their Fourier series."""
-    return grid._ops.convolve(grid, kernel, values)
-
-
-def helmholtz_solve(grid: Grid, rhs: np.ndarray) -> np.ndarray:
-    """Solve (1 - Laplacian) u = rhs in float64 (complex128), for any rhs dtype:
-    a longdouble rhs is rounded to float64.  Radially with the grid's cached
-    factorization."""
-    return grid._ops.helmholtz(grid, rhs)
-
-
-def helmholtz_solver(grid: Grid):
-    """``helmholtz_solve`` on ``grid`` as a function of the rhs, for the phase that
-    holds it: radially with a factorization of its own, which the grid does not keep."""
-    return grid._ops.helmholtz_solver(grid)
-
-
-def shifted_helmholtz_solve(grid: Grid, rhs: np.ndarray, shift: np.ndarray) -> np.ndarray:
-    """Solve (1 - Laplacian - shift) u = rhs on a radial grid in float64 for a
-    real rhs and a float64 potential ``shift``, as for the (possibly indefinite)
-    Jacobian of the ground-state equation: the exact tridiagonal system,
-    factored in ``shift``'s buffer, which it overwrites."""
-    return grid._ops.shifted_solve(grid, rhs, shift)
-
-
-def free_flow(grid: Grid, values: np.ndarray, dt: float, slots: int = 1):
-    """Linear Schroedinger flow u -> exp(i dt Lap) u of complex ``values``: the exact
-    multiplier on the line, a Crank-Nicolson (Cayley) step radially; unitary in
-    the grid inner product, backward for a negative dt, preserving the discrete
-    |grad u|^2.  Returns the flowed values and a function of no arguments that
-    takes that integral on (the whole field of) ``values``, on the line from the
-    spectrum the flow computes anyway, so a caller that does not read it pays no
-    sum.  The grid keeps the propagators of the ``slots`` most recently used dt."""
-    return grid._ops.flow(grid, values, dt, slots)
-
-
-# ---------------------------------------------------------------------------
 # interpolation / rescaling
 
 
@@ -654,7 +569,7 @@ def _interp_spline(grid: Grid, values: np.ndarray, order: int = 3):
     r = 0 so near-origin evaluations are well defined."""
     from scipy.interpolate import make_interp_spline   # loaded by the commands that rescale
 
-    xs, ys = grid._ops.even_extension(grid, values)
+    xs, ys = grid.even_extension(values)
     cplx = np.iscomplexobj(ys)
     if cplx:
         # (re, im) as one real two-column spline: SciPy would otherwise factor
@@ -686,9 +601,5 @@ def sample_scaled(u: Field, scale: float, order: int = 3) -> np.ndarray:
 __all__ = [
     "Regime", "ProblemParams", "make_params", "sigma_star", "b_tilde",
     "Grid", "line_grid", "radial_grid", "grid_for",
-    "Field", "even_grid", "mirror", "fold", "unfold",
-    "laplacian", "laplacian_values", "gradient_values", "grad_norm_sq_values",
-    "gradient_and_grad_sq", "convolve",
-    "helmholtz_solve", "helmholtz_solver", "shifted_helmholtz_solve", "apply_radial_lap",
-    "free_flow", "scaled_sampler", "sample_scaled",
+    "Field", "fold", "unfold", "scaled_sampler", "sample_scaled",
 ]

@@ -54,7 +54,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Field, fold, free_flow, unfold
+from .core import Field, fold, unfold
 from .errors import NumericsError, ValidationError
 from . import functionals as fn
 
@@ -161,7 +161,7 @@ def step(u: Field, dt: float) -> Field:
     """
     if not (dt != 0 and math.isfinite(dt)):
         raise ValidationError(f"dt must be finite and nonzero, got {dt}")
-    vals, _ = free_flow(u.grid, _kick(u, 0.5 * dt), dt)
+    vals, _ = u.grid.free_flow(_kick(u, 0.5 * dt), dt)
     return _full_state(u.with_values(vals), 0.5 * dt)[0]
 
 
@@ -213,7 +213,7 @@ def _march(v: Field, policy: StepPolicy, traj: Trajectory) -> None:
             t_next = policy.t_end
         for w in policy.weights:
             h = w * dt
-            vals, flowed_grad_sq = free_flow(v.grid, _kick(v, owed + 0.5 * h), h, slots)
+            vals, flowed_grad_sq = v.grid.free_flow(_kick(v, owed + 0.5 * h), h, slots)
             if not np.isfinite(vals.sum()):      # NaN or inf if any value is
                 raise NumericsError(f"non-finite field in step {steps}")
             v = v.with_values(vals)

@@ -4,7 +4,7 @@ localized concentration integrals.
 All quadratures use the grid's volume weights.  Window integrals weight the
 straddled boundary cell by its covered fraction, which makes them continuous
 and nondecreasing in the window radius.  Every integral of a field stored on
-a half grid (``core.even_grid``) is the whole even field's: the quadratures
+a half grid (``Grid.even_grid``) is the whole even field's: the quadratures
 by the half's weights 2 dx, the window integrals on its ``core.unfold``.
 """
 
@@ -14,7 +14,7 @@ import warnings
 
 import numpy as np
 
-from .core import Field, grad_norm_sq_values, gradient_values, unfold
+from .core import Field, unfold
 from .errors import ValidationError
 
 BOUNDARY_SHELL = 0.1    # outer fraction of the extent that boundary_mass_fraction reads
@@ -33,8 +33,8 @@ def potential(u: Field) -> float:
 
 def grad_norm_sq(u: Field) -> float:
     """Integral of |grad u|^2, the summation-by-parts companion of
-    ``laplacian`` (see ``core.grad_norm_sq_values``)."""
-    return float(grad_norm_sq_values(u.grid, u.values))
+    ``Grid.laplacian`` (see ``Grid.grad_sq``)."""
+    return float(u.grid.grad_sq(u.values))
 
 
 def energy(u: Field) -> float:
@@ -60,7 +60,7 @@ def variance(u: Field) -> float:
 
 def radial_momentum(u: Field) -> float:
     """Im of the integral of conj(u) (x . grad u)."""
-    du = gradient_values(u.grid, u.values)
+    du = u.grid.gradient(u.values)
     integrand = np.conj(u.values) * u.grid.nodes * du
     return float(np.sum(np.imag(integrand) * u.grid.weights))
 

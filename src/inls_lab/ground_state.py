@@ -26,10 +26,10 @@ on a deep radial grid is itself a floor on the defect (Lap of its rounding,
 ~eps Q/dr^2), so the Newton iterate is a float64 pair Q + lo (error-free
 sums: Dekker, Numer. Math. 18, 1971; Ogita, Rump & Oishi, SIAM J. Sci.
 Comput. 26, 2005), whose defect adds the terms linear in lo to the flux-form
-defect of Q.  Each level runs on ``core.even_grid`` (an even-n line's half
+defect of Q.  Each level runs on ``Grid.even_grid`` (an even-n line's half
 grid), where the even profile is a cosine series, and the solve unfolds the
 finest profile; an odd-n line's iterates are made exactly even by
-``core.mirror``.  Levels and the resolution check count the full grid's cells.
+``Grid.mirror``.  Levels and the resolution check count the full grid's cells.
 Each level's Helmholtz factorization lives with its iteration, Newton factors its
 own Jacobian, and a solved state keeps Q, its grid and the flux factors.
 """
@@ -42,8 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Field, Grid, ProblemParams, even_grid, grid_for, laplacian_values, mirror, unfold
-from .core import apply_radial_lap, helmholtz_solver, shifted_helmholtz_solve
+from .core import Field, Grid, ProblemParams, grid_for, unfold
 from .errors import ConvergenceError, NumericsError, ValidationError
 from . import functionals as fn
 
@@ -121,11 +120,11 @@ def solve_ground_state(params: ProblemParams, grid: Grid, *, max_iter: int = 200
 
 
 def _iterate(params: ProblemParams, grid: Grid, max_iter: int, tol: float):
-    """Petviashvili iteration to step norm ``tol`` on ``even_grid(grid)`` from the
+    """Petviashvili iteration to step norm ``tol`` on ``grid.even_grid()`` from the
     Gaussian, or, if n // ``COARSEN`` cells resolve its core, from the even interpolant
     (at |x|) of a solve to ``HANDOVER_TOL`` on them; returns grid, iterate, summed
     iterations over the levels, convergence."""
-    work, it = even_grid(grid), 0
+    work, it = grid.even_grid(), 0
 
     def start():
         nonlocal it
@@ -144,7 +143,7 @@ def _iterate(params: ProblemParams, grid: Grid, max_iter: int, tol: float):
 def _defect(params: ProblemParams, grid: Grid, Q: np.ndarray):
     """Lap Q and the defect F(Q) = Lap Q - Q + W Q^p of the ground-state
     equation, both at the precision of ``Q``."""
-    lap = laplacian_values(grid, Q)
+    lap = grid.laplacian(Q)
     F, WQp = lap - Q, Q ** (2.0 * params.sigma + 1.0)
     return lap, np.add(F, np.multiply(WQp, grid.weight_b, out=WQp), out=F)
 
@@ -153,7 +152,7 @@ def _petviashvili(params: ProblemParams, grid: Grid, Q: np.ndarray, max_iter: in
                   tol=HANDOVER_TOL):
     """Petviashvili iteration at the precision of ``Q``; returns the last
     iterate, the iterations taken and whether the L2 step norm fell below ``tol``."""
-    w, solve = grid.weights, helmholtz_solver(grid)      # the level's own factorization
+    w, solve = grid.weights, grid.helmholtz_solver()     # the level's own factorization
     gamma = (2.0 * params.sigma + 1.0) / (2.0 * params.sigma)
     for it in range(1, max_iter + 1):
         lap, F = _defect(params, grid, Q)
@@ -170,7 +169,7 @@ def _petviashvili(params: ProblemParams, grid: Grid, Q: np.ndarray, max_iter: in
         Qn = Q + solve(F)
         del F
         Qn *= s_factor ** gamma
-        Qn = mirror(grid, np.abs(Qn, out=Qn))
+        Qn = grid.mirror(np.abs(Qn, out=Qn))
         diff = float(np.sqrt(np.sum((Qn - Q) ** 2 * w)))
         Q = Qn
         if diff < tol:
@@ -184,7 +183,7 @@ def _newton_defect(params: ProblemParams, grid: Grid, Q: np.ndarray, lo):
     p = 2.0 * params.sigma + 1.0
     V = Q ** (p - 1.0) * grid.weight_b * p
     F = _defect(params, grid, Q)[1]
-    return (F if lo is None else F + (apply_radial_lap(grid, lo) - lo + V * lo)), V
+    return (F if lo is None else F + (grid.laplacian(lo) - lo + V * lo)), V
 
 
 def _two_sum(a: np.ndarray, b: np.ndarray):
@@ -203,7 +202,7 @@ def _newton(params: ProblemParams, grid: Grid, Q: np.ndarray, max_steps: int):
     before, lo = math.inf, np.zeros(Q.shape)
     for step in range(1, max_steps + 1):
         # F and V, whose buffer holds the factored diagonal, die with the call
-        delta = shifted_helmholtz_solve(grid, *_newton_defect(params, grid, Q, lo))
+        delta = grid.shifted_helmholtz_solve(*_newton_defect(params, grid, Q, lo))
         s, e = _two_sum(Q, delta)
         e += lo
         Q[...], lo = _two_sum(s, e)

@@ -17,9 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (
-    Field, Grid, ProblemParams, grad_norm_sq_values, gradient_and_grad_sq, gradient_values,
-)
+from .core import Field, Grid, ProblemParams
 from .errors import ValidationError
 from . import functionals as fn
 
@@ -106,8 +104,8 @@ def check_banica(v: Field, theta: np.ndarray, q_mass: float) -> tuple[float, flo
         raise ValidationError("check_banica needs mass-critical sigma = (2 - b)/N")
     if fn.mass(v) > q_mass * (1.0 + 1e-12):
         raise ValidationError("check_banica requires mass(v) <= mass(Q)")
-    grad_theta = gradient_values(v.grid, np.asarray(theta, dtype=float))
-    dv, grad_sq = gradient_and_grad_sq(v.grid, v.values)
+    grad_theta = v.grid.gradient(np.asarray(theta, dtype=float))
+    dv, grad_sq = v.grid.gradient_and_grad_sq(v.values)
     lhs = float(np.sum(np.imag(v.values * np.conj(dv)) * grad_theta * v.grid.weights))
     weighted = float(np.sum(np.abs(v.values) ** 2 * grad_theta ** 2 * v.grid.weights))
     return lhs ** 2, 2.0 * fn._energy(v, float(grad_sq)) * weighted
@@ -117,7 +115,7 @@ def _tail_norms(u: Field, R: float):
     g = u.grid
     tail = g.nodes >= R
     m_tail = float(np.sum(np.abs(u.values[tail]) ** 2 * g.weights[tail]))
-    return tail, m_tail, float(grad_norm_sq_values(g, u.values, R))
+    return tail, m_tail, float(g.grad_sq(u.values, R))
 
 
 def check_strauss(u: Field, R: float) -> tuple[float, float]:

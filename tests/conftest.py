@@ -7,7 +7,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from inls_lab import evolution, experiments as exp, ground_state
+from inls_lab import core, experiments as exp, ground_state
 from inls_lab.core import line_grid, make_params, radial_grid
 
 
@@ -91,13 +91,13 @@ def rng():
 def leaky_flow(monkeypatch):
     """Every linear flow of the march gains 1e-6 of amplitude, as a
     non-unitary propagator would."""
-    flow = evolution.free_flow
+    flow = core.Grid.free_flow
 
     def leaky(grid, values, dt, slots=1):
         out, G = flow(grid, values, dt, slots)
         return (1.0 + 1e-6) * out, G
 
-    monkeypatch.setattr(evolution, "free_flow", leaky)
+    monkeypatch.setattr(core.Grid, "free_flow", leaky)
 
 
 @pytest.fixture

@@ -14,9 +14,8 @@ from inls_lab import (
     pohozaev_residuals, rescale, solve_ground_state,
 )
 from inls_lab.cli import main
-from inls_lab.core import (
-    MIN_CELLS, _interp_spline, apply_radial_lap, helmholtz_solve, line_grid, radial_grid,
-)
+from inls_lab import core
+from inls_lab.core import MIN_CELLS, _interp_spline, line_grid, radial_grid
 from inls_lab.exact import standing_wave
 from inls_lab import functionals as fn, ground_state
 from inls_lab.inequalities import corpus_rng, random_bump_field
@@ -359,7 +358,7 @@ def test_even_line_solve_on_the_half_grid_is_the_full_grid_solve(monkeypatch, di
     params = make_params(dim, sigma, b)
     gs = solve_ground_state(params, grid)
     assert gs.profile.grid is grid and np.array_equal(gs.profile.values, gs.profile.values[::-1])
-    monkeypatch.setattr(ground_state, "even_grid", lambda grid: grid)
+    monkeypatch.setattr(core._Line, "even_grid", lambda grid: grid)
     ref = solve_ground_state(params, grid)
     assert (gs.iterations, gs.newton_steps) == (ref.iterations, ref.newton_steps)
     assert float(np.max(np.abs(gs.profile.values - ref.profile.values))) < 1e-12
@@ -375,7 +374,7 @@ def _check_line_levels(monkeypatch, n, levels):
     assert ns == levels
     assert gs.newton_steps == 0 and _at_step_tol(gs)
     assert np.array_equal(gs.profile.values, gs.profile.values[::-1])
-    monkeypatch.setattr(ground_state, "even_grid", lambda grid: grid)
+    monkeypatch.setattr(core._Line, "even_grid", lambda grid: grid)
     ref = solve_ground_state(params, grid)
     assert gs.iterations == ref.iterations
     assert float(np.max(np.abs(gs.profile.values - ref.profile.values))) < 1e-12
@@ -399,14 +398,14 @@ def test_even_line_over_an_odd_level_starts_each_level_at_abs_x(monkeypatch):
 def _newton_solve(monkeypatch, params, grid):
     """A solve, and the L2 norms of its Newton corrections."""
     norms = []
-    solve = ground_state.shifted_helmholtz_solve
+    solve = core._Radial.shifted_helmholtz_solve
 
     def recording(grid, rhs, shift):
         delta = solve(grid, rhs, shift)
         norms.append(float(np.sqrt(np.sum(delta ** 2 * grid.weights))))
         return delta
 
-    monkeypatch.setattr(ground_state, "shifted_helmholtz_solve", recording)
+    monkeypatch.setattr(core._Radial, "shifted_helmholtz_solve", recording)
     return solve_ground_state(params, grid), norms
 
 
@@ -511,11 +510,11 @@ def test_flux_form_laplacian_matches_band_form(dim, sigma):
     profile that is 2.2e-2 of its peak at the Dirichlet wall."""
     params, grid = make_params(dim, sigma, 0.5), radial_grid(dim, 14.0, 512, 0.5)
     Q = np.exp(-grid.nodes ** 2 / 51.0)
-    lo, dg, up = grid._ops.bands(grid)
+    lo, dg, up = grid.bands()
     band = dg * Q
     band[1:] += lo * Q[:-1]
     band[:-1] += up * Q[1:]
-    flux = apply_radial_lap(grid, Q)
+    flux = grid.laplacian(Q)
     scale = 1e-12 * np.max(np.abs(flux))
     assert np.max(np.abs(flux - band)) < scale
     defect = ground_state._defect(params, grid, Q)[1]
@@ -562,7 +561,7 @@ def test_radial_solve_holds_only_what_its_phase_uses(monkeypatch):
     assert peak <= 13.0 * array and kept <= 3.5 * array
     calls, dgttrf = [], lapack.dgttrf
     monkeypatch.setattr(lapack, "dgttrf", lambda *a, **k: calls.append(1) or dgttrf(*a, **k))
-    helmholtz_solve(gs.profile.grid, gs.profile.values)
+    gs.profile.grid.helmholtz_solver()(gs.profile.values)
     assert len(calls) == 1
 
 

@@ -12,7 +12,7 @@ import pytest
 from inls_lab import Field, ValidationError, make_params
 from inls_lab import experiments as exp
 from inls_lab import inequalities as ineq
-from inls_lab.core import free_flow, helmholtz_solve, laplacian_values, line_grid, radial_grid
+from inls_lab.core import line_grid, radial_grid
 from inls_lab import functionals as fn
 from inls_lab.inequalities import (
     InequalityReport, _corpus, check_banica, check_critical_gn, check_gagliardo,
@@ -95,9 +95,7 @@ def test_banica_corpus(line_b_gs):
         v = v.with_values(v.values * math.sqrt(rng.uniform(0.05, 0.9) * line_b_gs.q_mass / fn.mass(v)))
         theta = rng.uniform(-1, 1) * grid.nodes ** 2
         lhs, rhs = check_banica(v, theta, line_b_gs.q_mass)
-        from inls_lab.core import gradient_values
-
-        gt = gradient_values(grid, theta)
+        gt = grid.gradient(theta)
         scale = 2 * abs(fn.energy(v)) * float(np.sum(np.abs(v.values) ** 2 * gt ** 2 * grid.weights))
         assert lhs - rhs <= 1e-6 * max(scale, 1e-300)
 
@@ -434,7 +432,7 @@ def test_fields_and_reports_pickle_once_the_line_has_built_its_half():
     params = make_params(1, 1.5, 0.5)
     grid = line_grid(15.0, 1024, params.b)
     half = grid.half
-    helmholtz_solve(half, np.exp(-half.nodes ** 2))       # fills the half's operator cache
+    half.helmholtz_solver()(np.exp(-half.nodes ** 2))     # fills the half's operator cache
     u = Field(np.exp(-grid.nodes ** 2 + 0.5j * grid.nodes), grid, params)
     rep = InequalityReport("gagliardo", 4, 1e-3, witness=u, extra={"note": 1.5})
     back_rep = pickle.loads(pickle.dumps(rep))
@@ -452,8 +450,8 @@ def test_fields_and_reports_pickle_once_the_line_has_built_its_half():
                 assert np.array_equal(getattr(b, name), getattr(o, name))
     radial = Field(np.exp(-np.arange(256) / 40.0 + 0.5j), radial_grid(2, 12.0, 256, 0.5),
                    make_params(2, 1.0, 0.5))
-    results = lambda f: (helmholtz_solve(f.grid, f.values), laplacian_values(f.grid, f.values),
-                         free_flow(f.grid, f.values, 1e-3)[0])
+    results = lambda f: (f.grid.helmholtz_solver()(f.values), f.grid.laplacian(f.values),
+                         f.grid.free_flow(f.values, 1e-3)[0])
     built = results(radial)                             # fills the radial operator's caches
     for old, new in zip(built, results(pickle.loads(pickle.dumps(radial)))):
         assert np.array_equal(new, old)

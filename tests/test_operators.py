@@ -1,4 +1,4 @@
-"""Invariants of the operator layer in ``core`` and of the cache each grid owns."""
+"""Invariants of the operators each kind of ``core`` grid carries, and of its caches."""
 
 import gc
 import weakref
@@ -12,17 +12,13 @@ from scipy.linalg import lapack
 from inls_lab import Field, ValidationError, core, make_params
 from inls_lab import functionals as fn
 from inls_lab.analysis import decompose
-from inls_lab.core import (
-    apply_radial_lap, convolve, fold, free_flow, grad_norm_sq_values, gradient_and_grad_sq,
-    gradient_values, helmholtz_solve, helmholtz_solver, laplacian_values, line_grid, mirror,
-    radial_grid, shifted_helmholtz_solve, unfold,
-)
+from inls_lab.core import fold, line_grid, radial_grid, unfold
 from inls_lab.evolution import step
 from inls_lab.ground_state import solve_ground_state
 from inls_lab.inequalities import random_bump_field
 
-# one row per kind of grid, each with its own operator object: the line, its half
-# grid (where a field is the right half of an even one) and the radial shells
+# one row per kind of grid, each its own discretization: the line, its half grid
+# (where a field is the right half of an even one) and the radial shells
 SETUPS = {
     "line": (make_params(1, 1.5, 0.5), lambda: line_grid(12.0, 256, 0.5)),
     "half_line": (make_params(1, 1.5, 0.5), lambda: line_grid(12.0, 256, 0.5).half),
@@ -51,8 +47,8 @@ cases = dict(
 def test_summation_by_parts(geometry, kind, seed):
     u = bump(geometry, seed, kind)
     g = u.grid
-    pairing = -np.sum(np.conj(u.values) * laplacian_values(g, u.values) * g.weights)
-    quad = grad_norm_sq_values(g, u.values)
+    pairing = -np.sum(np.conj(u.values) * g.laplacian(u.values) * g.weights)
+    quad = g.grad_sq(u.values)
     assert abs(pairing.imag) <= 1e-12 * quad
     assert pairing.real == pytest.approx(quad, rel=1e-12)
 
@@ -63,12 +59,13 @@ def test_helmholtz_round_trip(geometry, kind, seed):
     u = bump(geometry, seed, kind)
     g = u.grid
     v = u.values
-    back = helmholtz_solve(g, v - laplacian_values(g, v))
+    solve = g.helmholtz_solver()
+    back = solve(v - g.laplacian(v))
     assert back.dtype == v.dtype
     assert np.max(np.abs(back - v)) <= 1e-12 * np.max(np.abs(v))
     # a longdouble rhs is solved as its float64 rounding, bit for bit
     wide = v.astype(np.result_type(v.dtype, np.longdouble)) / 3
-    assert np.array_equal(helmholtz_solve(g, wide), helmholtz_solve(g, wide.astype(v.dtype)))
+    assert np.array_equal(solve(wide), solve(wide.astype(v.dtype)))
 
 
 @settings(max_examples=30, deadline=None)
@@ -86,12 +83,12 @@ def test_real_input_is_the_real_part_of_its_complex_cast(geometry, seed, dtype):
     """Each operator has one code path: a real array is operated on as its
     complex cast, and the result is the real part of that, bit for bit."""
     u = bump(geometry, seed, "real")
-    v = u.values.astype(dtype)
-    ops = [(laplacian_values, v.dtype), (helmholtz_solve, np.float64)]  # float64 for any rhs
-    for op, out_dtype in ops + [(gradient_values, v.dtype)] * (geometry in WITH_GRADIENT):
-        out = op(u.grid, v)
+    g, v = u.grid, u.values.astype(dtype)
+    ops = [(g.laplacian, v.dtype), (g.helmholtz_solver(), np.float64)]  # float64 for any rhs
+    for op, out_dtype in ops + [(g.gradient, v.dtype)] * (geometry in WITH_GRADIENT):
+        out = op(v)
         assert out.dtype == out_dtype
-        assert np.array_equal(out, op(u.grid, v.astype(np.result_type(v, np.complex64))).real)
+        assert np.array_equal(out, op(v.astype(np.result_type(v, np.complex64))).real)
 
 
 @pytest.mark.parametrize("geometry", WITH_GRADIENT)
@@ -99,10 +96,10 @@ def test_real_input_is_the_real_part_of_its_complex_cast(geometry, seed, dtype):
 def test_gradient_and_grad_sq_is_the_pair_bit_for_bit(geometry, kind):
     """The shared line transform changes no bit of either result."""
     u = bump(geometry, 7, kind)
-    grad, grad_sq = gradient_and_grad_sq(u.grid, u.values)
+    grad, grad_sq = u.grid.gradient_and_grad_sq(u.values)
     assert grad.dtype == u.values.dtype
-    assert np.array_equal(grad, gradient_values(u.grid, u.values))
-    assert grad_sq == grad_norm_sq_values(u.grid, u.values)
+    assert np.array_equal(grad, u.grid.gradient(u.values))
+    assert grad_sq == u.grid.grad_sq(u.values)
 
 
 @pytest.mark.parametrize("geometry", sorted(SETUPS))
@@ -115,9 +112,9 @@ def test_one_float64_cache_serves_every_dtype(geometry, dtypes):
     for dtype in dtypes:
         v = u.astype(dtype)
         for op in (
-            lambda g: helmholtz_solve(g, v),
-            lambda g: laplacian_values(g, v),
-            lambda g: grad_norm_sq_values(g, v),
+            lambda g: g.helmholtz_solver()(v),
+            lambda g: g.laplacian(v),
+            lambda g: g.grad_sq(v),
         ):
             assert np.array_equal(op(shared), op(SETUPS[geometry][1]()))
 
@@ -149,30 +146,19 @@ def _count_calls(monkeypatch, name):
     return calls
 
 
-def test_helmholtz_factorizes_once_per_grid(monkeypatch):
-    calls = _count_calls(monkeypatch, "dgttrf")
-    g = radial_grid(3, 10.0, 512, 0.5)
-    rhs = np.exp(-g.nodes ** 2)
-    first = helmholtz_solve(g, rhs)
-    assert np.array_equal(helmholtz_solve(g, rhs), first)
-    helmholtz_solve(g, rhs.astype(np.longdouble))
-    assert len(calls) == 1
-
-
 @pytest.mark.parametrize("geometry", sorted(SETUPS))
-def test_helmholtz_solver_solves_as_helmholtz_solve_and_keeps_its_own_factorization(
-        monkeypatch, geometry):
-    """The bound solver gives ``helmholtz_solve``'s bits, factoring once however
-    often it solves; the grid keeps no factorization from it, so the grid's own
-    first solve factors again."""
+def test_helmholtz_solver_keeps_its_own_factorization(monkeypatch, geometry):
+    """A solver factors once however often it solves; the grid keeps no
+    factorization from it, so the grid's next solver factors again and gives
+    the same bits."""
     calls = _count_calls(monkeypatch, "dgttrf")
     g = SETUPS[geometry][1]()
     rhs = np.exp(-g.nodes ** 2)
-    solve = helmholtz_solver(g)
+    solve = g.helmholtz_solver()
     first = solve(rhs)
     assert np.array_equal(solve(rhs.astype(np.longdouble)), first)
     assert len(calls) == (geometry == "radial")
-    assert np.array_equal(helmholtz_solve(g, rhs), first)
+    assert np.array_equal(g.helmholtz_solver()(rhs), first)
     assert len(calls) == 2 * (geometry == "radial")
 
 
@@ -186,11 +172,11 @@ def test_shifted_helmholtz_solve_inverts_an_indefinite_operator(geometry):
     rhs = np.exp(-grid.nodes ** 2)
     shift = 4.0 * np.exp(-grid.nodes ** 2 / 4.0)
     assert np.min(1.0 - shift) < 0
-    u = shifted_helmholtz_solve(grid, rhs, shift.copy())
-    residual = u - laplacian_values(grid, u) - shift * u - rhs
+    u = grid.shifted_helmholtz_solve(rhs, shift.copy())
+    residual = u - grid.laplacian(u) - shift * u - rhs
     assert np.max(np.abs(residual)) < 1e-6 * np.max(np.abs(rhs))
-    assert np.array_equal(shifted_helmholtz_solve(grid, rhs, np.zeros(grid.n)),
-                          helmholtz_solve(grid, rhs))
+    assert np.array_equal(grid.shifted_helmholtz_solve(rhs, np.zeros(grid.n)),
+                          grid.helmholtz_solver()(rhs))
 
 
 @pytest.mark.parametrize("geometry", sorted(set(SETUPS) - {"radial"}))
@@ -199,7 +185,7 @@ def test_shifted_helmholtz_solve_needs_a_radial_grid(geometry):
     half grid the shifted solve raises."""
     grid = SETUPS[geometry][1]()
     with pytest.raises(ValidationError, match=f"radial grid, got {geometry}"):
-        shifted_helmholtz_solve(grid, np.exp(-grid.nodes ** 2), np.zeros(grid.n))
+        grid.shifted_helmholtz_solve(np.exp(-grid.nodes ** 2), np.zeros(grid.n))
 
 
 @pytest.mark.parametrize("defect", ["float64", "pair"])
@@ -240,12 +226,12 @@ def test_half_grid_operators_are_the_full_grid_operators(seed, kind):
     a real field is operated on as its complex cast, bit for bit."""
     u, right = even_bump(seed, kind)
     half, m = u.grid.half, u.grid.n // 2
-    for op in (laplacian_values, helmholtz_solve):
-        out, ref = op(half, right), op(u.grid, u.values)[m:]
+    for op, full_op in ((half.laplacian, u.grid.laplacian),
+                        (half.helmholtz_solver(), u.grid.helmholtz_solver())):
+        out, ref = op(right), full_op(u.values)[m:]
         assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
-        assert np.array_equal(out.real, op(half, right.astype(complex)).real)
-    assert grad_norm_sq_values(half, right) == pytest.approx(
-        grad_norm_sq_values(u.grid, u.values), rel=1e-12)
+        assert np.array_equal(out.real, op(right.astype(complex)).real)
+    assert half.grad_sq(right) == pytest.approx(u.grid.grad_sq(u.values), rel=1e-12)
     for integral in (fn.mass, fn.potential, fn.variance, fn.boundary_mass_fraction):
         assert integral(Field(right, half, u.params)) == pytest.approx(integral(u), rel=1e-12)
 
@@ -294,17 +280,17 @@ def test_unfold_undoes_fold_of_an_exactly_even_field(seed, kind):
         assert fold(x) is x and unfold(x) is x
     for line in (u.grid, odd):
         raw = bump("line", seed, kind, grid=line).values
-        even = mirror(line, raw.copy())
+        even = line.mirror(raw.copy())
         assert not np.array_equal(raw, raw[::-1]) and np.all(np.isfinite(raw))
         assert np.array_equal(even[line.n // 2:], raw[line.n // 2:])
         assert np.array_equal(even, even[::-1])
-    even = mirror(u.grid, bump("line", seed, kind).values)
+    even = u.grid.mirror(bump("line", seed, kind).values)
     folded = fold(u.with_values(even))
     assert folded.grid.geometry == "half_line"
     assert np.array_equal(unfold(folded).values, even)
     for y in (radial, v):
         values = y.values.copy()
-        assert np.array_equal(mirror(y.grid, values), y.values)
+        assert np.array_equal(y.grid.mirror(values), y.values)
 
 
 @pytest.mark.parametrize("geometry", sorted(SETUPS))
@@ -315,18 +301,12 @@ def test_convolve_is_the_periodic_convolution_on_the_line(geometry):
     kernel = np.random.default_rng(3).standard_normal(u.grid.n)
     if geometry != "line":
         with pytest.raises(ValidationError, match=f"line grid, got {geometry}"):
-            convolve(u.grid, kernel, u.values)
+            u.grid.convolve(kernel, u.values)
         return
     j = np.arange(u.grid.n)
     direct = np.array([np.sum(kernel * u.values[(i - j) % u.grid.n]) for i in j])
-    error = np.max(np.abs(convolve(u.grid, kernel, u.values) - direct))
+    error = np.max(np.abs(u.grid.convolve(kernel, u.values) - direct))
     assert error <= 1e-13 * np.max(np.abs(direct))
-
-
-def test_radial_laplacian_rejects_a_line_grid():
-    u = bump("line", 3)
-    with pytest.raises(ValidationError, match="radial grid, got line"):
-        apply_radial_lap(u.grid, u.values)
 
 
 def test_half_grid_rejects_operators_without_a_cosine_form():
@@ -335,8 +315,9 @@ def test_half_grid_rejects_operators_without_a_cosine_form():
     So does ``decompose``, whose radial mollifier would divide by sin theta."""
     u, right = even_bump(3)
     half = u.grid.half
-    for call in (lambda: gradient_values(half, right), lambda: apply_radial_lap(half, right),
-                 lambda: grad_norm_sq_values(half, right, r_min=1.0),
+    for call in (lambda: half.gradient(right),
+                 lambda: half.shifted_helmholtz_solve(right, np.zeros(half.n)),
+                 lambda: half.grad_sq(right, r_min=1.0),
                  lambda: fn.radial_momentum(Field(right, half, u.params)),
                  lambda: decompose(Field(right, half, u.params), 2.0, 1.0)):
         with pytest.raises(ValidationError, match="half"):
@@ -347,8 +328,8 @@ def test_half_grid_rejects_operators_without_a_cosine_form():
 @given(seed=st.integers(0, 2 ** 31))
 def test_cosine_parseval_is_the_line_gradient_quadrature(seed):
     u, right = even_bump(seed)
-    G = free_flow(u.grid.half, right, 1e-3)[1]()      # |grad u|^2 of the flow's input
-    assert G == pytest.approx(grad_norm_sq_values(u.grid, u.values), rel=1e-13)
+    G = u.grid.half.free_flow(right, 1e-3)[1]()      # |grad u|^2 of the flow's input
+    assert G == pytest.approx(u.grid.grad_sq(u.values), rel=1e-13)
 
 
 @settings(max_examples=30, deadline=None)
@@ -356,8 +337,8 @@ def test_cosine_parseval_is_the_line_gradient_quadrature(seed):
        dt=st.floats(min_value=1e-5, max_value=1e-1))
 def test_flow_is_reversible_and_unitary(geometry, seed, dt):
     u = bump(geometry, seed)
-    there, _ = free_flow(u.grid, u.values, dt)
-    back, _ = free_flow(u.grid, there, -dt)
+    there, _ = u.grid.free_flow(u.values, dt)
+    back, _ = u.grid.free_flow(there, -dt)
     assert np.max(np.abs(back - u.values)) <= 1e-13 * np.max(np.abs(u.values))
     mass = lambda v: np.sum(np.abs(v) ** 2 * u.grid.weights)
     assert mass(there) == pytest.approx(mass(u.values), rel=1e-13)
@@ -366,16 +347,16 @@ def test_flow_is_reversible_and_unitary(geometry, seed, dt):
 def test_half_and_full_propagators_are_built_once_each(monkeypatch):
     builds, build = [], core._Spectral.propagator
 
-    def counting_build(ops, grid, dt):
+    def counting_build(grid, dt):
         builds.append(grid)
-        return build(ops, grid, dt)
+        return build(grid, dt)
 
     monkeypatch.setattr(core._Spectral, "propagator", counting_build)
     u, right = even_bump(7)
     full, half = u.values, u.grid.half
     for _ in range(3):
-        full, _ = free_flow(u.grid, full, 1e-3)
-        right, _ = free_flow(half, right, 1e-3)
+        full, _ = u.grid.free_flow(full, 1e-3)
+        right, _ = half.free_flow(right, 1e-3)
     assert len(builds) == 2 and builds[0] is u.grid and builds[1] is half
     # the half flow is the full flow of the even field, mirrored
     assert np.max(np.abs(full[u.grid.n // 2:] - right)) <= 1e-13 * np.max(np.abs(right))
@@ -383,21 +364,21 @@ def test_half_and_full_propagators_are_built_once_each(monkeypatch):
 
 def test_half_grid_is_built_on_each_access_without_a_reference_cycle():
     """Each access builds a new half, which holds its line; the line holds no
-    half, and no operator object holds its grid.  So every kind of grid (and
-    a half's line with it), once its operators have built every cache (the
-    Helmholtz factorization, a solver of its own, a two-slot flow, the flux
+    half, and no cache a grid keeps in its ``__dict__`` refers back to it.  So
+    every kind of grid (and a half's line with it), once its operators have
+    built every cache (k and k^2, a solver of its own, a two-slot flow, the flux
     factors), is freed by reference counting alone as soon as it is deleted."""
     line = line_grid(12.0, 256)
     assert line.half is not line.half and line.half.full is line
     for kind in sorted(SETUPS):
         grid = SETUPS[kind][1]()
         rhs = np.exp(-grid.nodes ** 2)
-        helmholtz_solve(grid, rhs)
-        helmholtz_solver(grid)(rhs)
+        grid.helmholtz_solver()(rhs)
         for dt in (1e-3, 5e-4, 1e-3):
-            free_flow(grid, rhs + 0j, dt, 2)[1]()
-        laplacian_values(grid, rhs)
-        refs = [weakref.ref(g) for g in (grid, grid.full, grid._ops) if g is not None]
+            grid.free_flow(rhs + 0j, dt, 2)[1]()
+        grid.laplacian(rhs)
+        assert len(grid.__dict__["_propagators"]) == 2
+        refs = [weakref.ref(g) for g in (grid, grid.full) if g is not None]
         enabled = gc.isenabled()
         gc.disable()
         try:

@@ -97,15 +97,17 @@ def _negative_step_slices(node):
     return []
 
 
-# what only ``core`` may do: every other module goes through its operators
+# what only ``core`` may do: every other module goes through the grids' operators
 CORE_ONLY = {
-    # a grid's operator object: its discretization, reached through core's functions
-    "operator_object": (_attributes(("_ops",)), "operator object read outside core"),
     # core's private names: every other module goes through its public ones
     "private_core_names": (_private_core_names, "private core name used outside core"),
     # the radial operator's face data and flux factors: the flux-form discretization
     "radial_discretization": (_attributes(("face_alpha", "surf", "flux_factors")),
                               "face data read outside core"),
+    # the pieces the grid classes' operators are built from: the operators reach them
+    "operator_internals": (_attributes(("parseval", "propagator", "_propagators", "bands",
+                                        "factor", "k2")),
+                           "grid operator internals read outside core"),
     # a line's half grid or a half grid's line: even_grid, fold and unfold reach them
     "half_grid_layout": (_attributes(("half", "full")),
                          "half-grid layout read outside core"),
