@@ -32,12 +32,11 @@ def estimate_blowup_time(traj: Trajectory, s_c: float) -> BlowupFit:
     The lower-bound linearization (grad norm)^(-2/(1-s_c)) is affine in t at
     the minimal rate, so its least-squares t-intercept over the final decade
     of gradient growth seeds the estimate; the estimate is then refined by
-    maximizing the log-log fit quality of grad norm against (T - t), which
-    also guards faster-than-minimal collapse, where the linearization alone
-    lands before the last sample.  The refined fit supplies the exponent.
+    maximizing the log-log fit quality of grad norm against (T - t) by
+    Brent's bounded search (``_bounded_minimum``), which also guards
+    faster-than-minimal collapse, where the linearization alone lands before
+    the last sample.  The refined fit supplies the exponent.
     """
-    from scipy.optimize import minimize_scalar     # loaded by the commands that fit
-
     ts = traj.times()
     gs = traj.grad_norms()
     if len(ts) < 4:
@@ -67,11 +66,8 @@ def estimate_blowup_time(traj: Trajectory, s_c: float) -> BlowupFit:
         return c, float(np.sum((ly - np.polyval(c, lx)) ** 2))
 
     hi = max(t_last + 4.0 * span, T0 + span)
-    res = minimize_scalar(
-        lambda T: loglog_line(T)[1], bounds=(t_last + 1e-12 * max(1.0, t_last), hi),
-        method="bounded", options={"xatol": 1e-13},
-    )
-    T_hat = float(res.x)
+    T_hat = float(_bounded_minimum(lambda T: loglog_line(T)[1],
+                                   t_last + 1e-12 * max(1.0, t_last), hi))
     c, ss_res = loglog_line(T_hat)
     ss_tot = float(np.sum((ly - ly.mean()) ** 2))
     return BlowupFit(
@@ -80,6 +76,68 @@ def estimate_blowup_time(traj: Trajectory, s_c: float) -> BlowupFit:
         r_squared=max(0.0, 1.0 - ss_res / ss_tot) if ss_tot > 0 else 0.0,
         window=(float(t_w[0]), t_last),
     )
+
+
+def _bounded_minimum(func, a, b):
+    """Brent's bounded search for a minimum of ``func`` on [a, b] (Brent,
+    Algorithms for Minimization without Derivatives, 1973, ch. 5): golden
+    sections and parabolic steps to an absolute tolerance of 1e-13 in x, at
+    most 500 evaluations.  The arithmetic of SciPy's
+    ``optimize._minimize_scalar_bounded`` (BSD-3-Clause), statement for
+    statement, so it returns SciPy's x."""
+    if not (math.isfinite(a) and math.isfinite(b) and a <= b):
+        raise ValidationError(f"the search bounds must be finite and ordered, got ({a}, {b})")
+    xatol, sqrt_eps = 1e-13, math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    fx = func(xf)
+    num = 1
+    ffulc = fnfc = fx
+    while True:
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= 500 or not np.abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+            return xf
+        golden = 1
+        if np.abs(e) > tol1:        # try a parabolic step
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = np.abs(q)
+            r = e
+            e = rat
+            if (np.abs(p) < np.abs(0.5 * q * r)) and (p > q * (a - xf)) and (p < q * (b - xf)):
+                golden = 0
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if ((x - a) < tol2) or ((b - x) < tol2):
+                    si = np.sign(xm - xf) + ((xm - xf) == 0)
+                    rat = tol1 * si
+        if golden:                  # a golden-section step
+            e = a - xf if xf >= xm else b - xf
+            rat = golden_mean * e
+        si = np.sign(rat) + (rat == 0)
+        x = xf + si * np.maximum(np.abs(rat), tol1)
+        fu = func(x)
+        num += 1
+        if fu <= fx:
+            a, b = (xf, b) if x >= xf else (a, xf)
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            a, b = (x, b) if x < xf else (a, x)
+            if (fu <= fnfc) or (nfc == xf):
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif (fu <= ffulc) or (fulc == xf) or (fulc == nfc):
+                fulc, ffulc = x, fu
 
 
 def rate_exponent_bound(s_c: float) -> float:
@@ -129,8 +187,9 @@ class RescaledProfile:
 def rescale(u: Field, rho: float) -> Field:
     """Scaling-symmetry action: rho^{(2-b)/(2 sigma)} u(rho x) on the same grid.
 
-    Cubic interpolation with zero extension.  Warns when more than 1% of the
-    field's mass lives where the shrunk image cannot represent it.
+    ``core``'s not-a-knot cubic spline (de Boor's recursion, as SciPy's
+    ``make_interp_spline``) with zero extension.  Warns when more than 1% of
+    the field's mass lives where the shrunk image cannot represent it.
     """
     if not rho > 0:
         raise ValidationError(f"rho must be positive, got {rho}")

@@ -48,7 +48,7 @@ import numpy as np
 import scipy.fft
 from scipy.linalg import lapack
 
-from .errors import ValidationError
+from .errors import NumericsError, ValidationError
 
 try:    # scipy.fft's pocketfft DCT pair without the ~4 us backend dispatch of each call
     from scipy.fft._pocketfft import dct as _dct, idct as _idct
@@ -564,24 +564,61 @@ def unfold(u: Field) -> Field:
 # interpolation / rescaling
 
 
-def _interp_spline(grid: Grid, values: np.ndarray, order: int = 3):
-    """Spline evaluator with zero extension; radial data is mirrored through
-    r = 0 so near-origin evaluations are well defined."""
-    from scipy.interpolate import make_interp_spline   # loaded by the commands that rescale
+def _bspline_basis(t: np.ndarray, k: int, x: np.ndarray):
+    """The k + 1 B-splines of degree k on the knots ``t`` that do not vanish at
+    each of the points ``x``, one row each, and the index of the first, l - k
+    for the knot interval t[l] <= x < t[l + 1] (the last nonempty one at the
+    right end).  De Boor's BSPLVB recursion (A Practical Guide to Splines,
+    1978, ch. X), vectorized over the points in the arithmetic of SciPy's
+    ``_deBoor_D`` (BSD-3-Clause), so that it rounds as SciPy does."""
+    first = np.searchsorted(t[k + 1:len(t) - k - 1], x, side="right")
+    knots = np.empty((2 * k, len(x)))           # row d: t[l + 1 - k + d]
+    for d in range(2 * k):
+        t[1 + d:].take(first, out=knots[d])
+    right, left = knots[k:] - x, x - knots[:k]
+    basis, w, saved = np.empty((k + 1, len(x))), np.empty(len(x)), np.empty(len(x))
+    basis[0] = 1.0
+    for j in range(1, k + 1):
+        for r in range(j):
+            np.divide(basis[r], np.subtract(knots[k + r], knots[k - j + r], out=w), out=w)
+            np.multiply(w, right[r], out=basis[r])
+            if r:
+                basis[r] += saved
+            np.multiply(w, left[k - j + r], out=saved if r < j - 1 else basis[j])
+    return basis, first
 
+
+def _interp_spline(grid: Grid, values: np.ndarray, order: int = 3):
+    """Evaluator of the not-a-knot interpolating spline of odd degree ``order``
+    through ``values``, zero outside the nodes (radial data mirrored through r = 0).
+    SciPy's ``make_interp_spline`` (BSD-3-Clause) bit for bit: its knots, de
+    Boor's basis, its banded collocation solve (LAPACK ``dgbsv``) and its
+    evaluation order; complex data is one real spline of (re, im) columns."""
     xs, ys = grid.even_extension(values)
     cplx = np.iscomplexobj(ys)
-    if cplx:
-        # (re, im) as one real two-column spline: SciPy would otherwise factor
-        # a complexified copy of the real collocation matrix
-        ys = np.ascontiguousarray(ys).view(ys.real.dtype).reshape(len(xs), 2)
-    spline = make_interp_spline(xs, ys, k=order)
+    # a fresh float64 array: dgbsv overwrites it, and a line's extension is ``values``
+    rhs = ys.astype(complex if cplx else float).view(float).reshape(len(xs), -1)
+    if not np.isfinite(rhs).all():
+        raise NumericsError("the spline's data holds non-finite values")
+    k, h, n = order, (order + 1) // 2, len(xs)
+    t = np.r_[(xs[0],) * (k + 1), xs[h:-h], (xs[-1],) * (k + 1)]
+    basis, first = _bspline_basis(t, k, xs)
+    # LAPACK band storage: A[i, j] at ab[2k + i - j, j], so row i's entries
+    # A[i, first + r] lie 3k apart in the column-major data
+    ab = np.zeros((3 * k + 1, n), order="F")
+    at, flat = np.arange(2 * k, n + 2 * k) + 3 * k * first, ab.ravel(order="F")
+    for r in range(k + 1):
+        flat[3 * k * r:][at] = basis[r]
+    c, info = lapack.dgbsv(k, k, ab, rhs, overwrite_ab=1, overwrite_b=1)[2:]
+    if info:
+        raise NumericsError(f"the spline's collocation matrix is singular (dgbsv info {info})")
 
     def ev(pts):
-        out = np.zeros(np.shape(pts) + ys.shape[1:], dtype=spline.c.dtype)
+        out = np.zeros(np.shape(pts) + rhs.shape[1:])
         m = (pts >= xs[0]) & (pts <= xs[-1])
-        out[m] = spline(pts[m])
-        return out.view(complex)[..., 0] if cplx else out
+        basis, first = _bspline_basis(t, k, pts[m])
+        out[m] = sum(c[r:].take(first, axis=0) * basis[r, :, None] for r in range(k + 1))
+        return out.view(complex)[..., 0] if cplx else out[..., 0]
 
     return ev
 

@@ -32,8 +32,8 @@ class SFamilyParams:
     def __post_init__(self):
         if not 0 < self.T < math.inf:
             raise ValidationError(f"blow-up time T must be finite and positive, got {self.T}")
-        if not 0 < self.lam < math.inf:
-            raise ValidationError(f"lambda must be finite and positive, got {self.lam}")
+        if not (0 < self.lam and math.isfinite(self.lam * self.lam)):
+            raise ValidationError(f"lambda must be positive with a finite square, got {self.lam}")
         if not math.isfinite(self.gamma):
             raise ValidationError(f"gamma must be finite, got {self.gamma}")
 
@@ -46,8 +46,9 @@ def standing_wave(gs: GroundState, t: float) -> Field:
 def pseudoconformal(u: Field, t: float) -> Field:
     """Pseudoconformal image at time t of the slice u = u(., 1/t).
 
-    Returns |t|^{-N/2} conj(u)(x/t) exp(+i|x|^2/(4t)) by cubic interpolation
-    of the rescaled argument.  Applying it twice with reciprocal times is the
+    Returns |t|^{-N/2} conj(u)(x/t) exp(+i|x|^2/(4t)), u(x/t) from ``core``'s
+    not-a-knot cubic spline (de Boor's recursion, as SciPy's
+    ``make_interp_spline``).  Applying it twice with reciprocal times is the
     identity: pseudoconformal(pseudoconformal(u, t), 1/t) == u.
     """
     if t == 0:

@@ -9,7 +9,9 @@ from inls_lab import (
     mass_concentration_series, make_params, rescaled_profile,
     sigma_c_window_series, window_radii,
 )
-from inls_lab.analysis import _ANGLE_NODES, BlowupFit, _bump, _mollify_radial, smooth_cutoff
+from inls_lab.analysis import (
+    _ANGLE_NODES, BlowupFit, _bounded_minimum, _bump, _mollify_radial, smooth_cutoff,
+)
 from inls_lab.core import radial_grid
 from inls_lab.evolution import Trajectory, TrajectorySample
 from inls_lab import functionals as fn
@@ -56,6 +58,41 @@ def test_fit_rejects_sparse_final_decade():
     traj = synthetic_trajectory(ts, (1 - ts) ** -1.0)
     with pytest.raises(ValidationError, match="final decade"):
         estimate_blowup_time(traj, s_c=0.0)
+
+
+def _loglog_residual(ts, gs):
+    """The fit's objective: the squared residual of log g against log(T - t)."""
+    ly = np.log(gs)
+
+    def residual(T):
+        lx = np.log(T - ts)
+        return float(np.sum((ly - np.polyval(np.polyfit(lx, ly, 1), lx)) ** 2))
+
+    return residual
+
+
+@pytest.mark.parametrize("func, bounds", [
+    pytest.param(_loglog_residual(np.linspace(0.5, 0.99, 60),
+                                  (1.0 - np.linspace(0.5, 0.99, 60)) ** -0.8
+                                  * (1.0 + 0.01 * np.sin(np.arange(60)))),
+                 (0.99 + 1e-12, 1.4), id="loglog-fit"),
+    pytest.param(lambda x: (x - 3.0) ** 2, (0.0, 1.0), id="minimum-on-the-upper-bound"),
+    pytest.param(lambda x: math.exp(x), (-2.0, 5.0), id="minimum-on-the-lower-bound"),
+])
+def test_bounded_minimum_is_scipys(func, bounds):
+    """The port of SciPy's bounded Brent search returns SciPy's x bit for bit."""
+    from scipy.optimize import minimize_scalar
+
+    expected = minimize_scalar(func, bounds=bounds, method="bounded",
+                               options={"xatol": 1e-13}).x
+    assert float(_bounded_minimum(func, *bounds)) == float(expected)
+
+
+@pytest.mark.parametrize("bounds", [(1.0, 0.0), (0.0, math.inf), (math.nan, 1.0)])
+def test_bounded_minimum_rejects_bad_bounds(bounds):
+    """Reversed or non-finite bounds are bad input, as SciPy's search held them."""
+    with pytest.raises(ValidationError, match="bound"):
+        _bounded_minimum(lambda x: x * x, *bounds)
 
 
 def test_concentration_series_alpha_gate():

@@ -655,6 +655,20 @@ def solve_calls(monkeypatch):
     return calls
 
 
+@pytest.mark.parametrize("command, extra", [("exact", {}), ("evolve", {"initial": "s_family"})])
+def test_family_lambda_with_overflowing_square_exit_2(tmp_path, capsys, solve_calls, command,
+                                                      extra):
+    """A lambda whose square overflows is bad input: exit 2 before any solve or
+    output directory, not an OverflowError in the profile's phase."""
+    cfg = write_cfg(tmp_path / "bad.cfg", dim=1, sigma=2.0, b=0.0, extent=16.0, n=256,
+                    family_lambda=1e300, **extra)
+    out = tmp_path / "x"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert "lambda" in capsys.readouterr().err
+    assert not out.exists()
+    assert not solve_calls
+
+
 @pytest.mark.parametrize("command, key, value", [
     ("ground-state", "dim", "two"),
     ("ground-state", "max_iter", "lots"),

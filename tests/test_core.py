@@ -1,10 +1,11 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from inls_lab import Field, ValidationError, make_params, rescale
-from inls_lab.core import grid_for, line_grid, radial_grid, sample_scaled
+from inls_lab import Field, NumericsError, ValidationError, make_params, rescale
+from inls_lab.core import _interp_spline, grid_for, line_grid, radial_grid, sample_scaled
 from inls_lab.functionals import energy, mass
 
 
@@ -176,6 +177,59 @@ def test_complex_sample_scaled_matches_its_parts(grid, order):
                  + 1j * sample_scaled(u.with_values(u.values.imag), scale, order))
         assert both.dtype == np.complex128
         assert np.max(np.abs(both - parts)) <= 1e-15 * np.max(np.abs(parts))
+
+
+SPLINE_GRIDS = pytest.mark.parametrize("grid", [
+    line_grid(12.0, 256), line_grid(12.0, 255), line_grid(12.0, 256).half,
+    radial_grid(2, 10.0, 200)], ids=["line-even-n", "line-odd-n", "half", "radial"])
+
+
+@pytest.mark.parametrize("order", [3, 5])
+@SPLINE_GRIDS
+def test_spline_is_scipys_bit_for_bit(grid, order):
+    """The spline evaluates to the last bit as SciPy's not-a-knot
+    ``make_interp_spline`` of the even extension does (complex data as its
+    (re, im) columns), inside the domain and, as zero, outside it."""
+    from scipy.interpolate import make_interp_spline
+
+    x = grid.nodes
+    real = np.exp(-x ** 2 / 3) * (1.0 + 0.1 * np.random.default_rng(5).standard_normal(grid.n))
+    pts = np.concatenate([scale * x for scale in (0.37, 1.0, 1.9)])
+    for values in (real, real * np.exp(1j * (0.3 * x + 0.1 * x ** 2))):
+        xs, ys = grid.even_extension(values)
+        inside = (pts >= xs[0]) & (pts <= xs[-1])
+        assert not inside.all()
+        if np.iscomplexobj(ys):
+            ys = np.column_stack([ys.real, ys.imag])
+        expected = np.zeros((len(pts),) + ys.shape[1:])
+        expected[inside] = make_interp_spline(xs, ys, k=order)(pts[inside])
+        got = _interp_spline(grid, values, order)(pts)
+        assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("cast", [float, complex])
+@SPLINE_GRIDS
+def test_sample_scaled_leaves_the_field_untouched(grid, cast):
+    """The spline's banded solve overwrites its right-hand side, which must not
+    be the field's values (a line's even extension is the values themselves)."""
+    u = Field(np.exp(-grid.nodes ** 2).astype(cast), grid, make_params(grid.dim, 1.0, 0.0))
+    before = u.values.copy()
+    sample_scaled(u, 0.7)
+    assert u.values.tobytes() == before.tobytes()
+
+
+def test_spline_rejects_data_it_cannot_interpolate():
+    """Non-finite data and a singular collocation matrix (a node given twice)
+    are numerical failures, as the checks of SciPy's spline were."""
+    grid = line_grid(12.0, 64)
+    values = np.exp(-grid.nodes ** 2)
+    values[40] = np.nan
+    with pytest.raises(NumericsError, match="non-finite"):
+        _interp_spline(grid, values)
+    xs = np.array([0.0, 1.0, 2.0, 3.0, 3.0, 4.0, 5.0, 6.0, 7.0])
+    twice = SimpleNamespace(even_extension=lambda v: (xs, v))
+    with pytest.raises(NumericsError, match="singular"):
+        _interp_spline(twice, np.cos(xs))
 
 
 def test_field_length_mismatch_rejected():

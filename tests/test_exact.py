@@ -30,6 +30,9 @@ def test_family_params_validation():
         SFamilyParams(T=-1.0, lam=1.0)
     with pytest.raises(ValidationError):
         SFamilyParams(T=1.0, lam=0.0)
+    for lam in (math.nan, math.inf, 1e300):     # 1e300 ** 2 overflows
+        with pytest.raises(ValidationError, match="lambda"):
+            SFamilyParams(T=1.0, lam=lam)
     for gamma in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValidationError, match="gamma"):
             SFamilyParams(T=1.0, lam=1.0, gamma=gamma)

@@ -172,28 +172,35 @@ def _fresh_python(code: str):
 
 def test_import_leaves_the_spline_and_fit_packages_unloaded():
     """Importing the package and its CLI loads neither scipy.interpolate nor
-    scipy.optimize, nor the sparse solvers they bring: the commands that never
-    rescale or fit do not pay for them.  Nor multiprocessing, which only a pool
-    of corpus workers loads."""
+    scipy.optimize, nor the sparse solvers they bring.  Nor multiprocessing,
+    which only a pool of corpus workers loads."""
     assert _fresh_python("print(json.dumps([loaded(), 'multiprocessing' in sys.modules]))") \
         == [[], False]
 
 
-def test_deferred_imports_resolve_at_first_use():
-    """After the import, a rescaled sample and a blow-up fit load what they use."""
-    spline_error, T_hat, after = _fresh_python("""
+def test_rescaling_and_fitting_load_no_spline_or_fit_package():
+    """A cubic rescaled sample, the quintic S-family profiles and a blow-up fit
+    run on the package's own spline and bounded search: after them, none of
+    SciPy's spline and fit packages, nor what they bring, is loaded."""
+    spline_error, T_hat, masses, after = _fresh_python("""
 import numpy as np
-from inls_lab import Field, Trajectory, estimate_blowup_time, line_grid, make_params
+from inls_lab import (Field, SFamilyParams, Trajectory, estimate_blowup_time, line_grid,
+                      make_params, mass, solve_ground_state)
 from inls_lab.core import sample_scaled
 from inls_lab.evolution import TrajectorySample
+from inls_lab.exact import s_profiles
 
 grid = line_grid(16.0, 256)
 u = Field(np.exp(-grid.nodes ** 2), grid, make_params(1, 2.0, 0.0))
+gs = solve_ground_state(u.params, grid)
 # |grad u|^2 = 1/(1 - t), sampled toward t = 1
 traj = Trajectory([TrajectorySample(1 - 2 ** (-i / 4), 1e-3, 1.0, 0.5, 2 ** (i / 4), 1.0, 0.0)
                    for i in range(40)])
 print(json.dumps([float(np.max(np.abs(sample_scaled(u, 1.0) - u.values))),
-                  estimate_blowup_time(traj, 0.0).T_hat, loaded()]))
+                  estimate_blowup_time(traj, 0.0).T_hat,
+                  [mass(f) / gs.q_mass for f in s_profiles(SFamilyParams(1.0, 1.0), gs, [0.0, 0.5])],
+                  loaded()]))
 """)
     assert spline_error < 1e-12 and abs(T_hat - 1.0) < 1e-6
-    assert after == list(START_UP)
+    assert masses == pytest.approx([1.0, 1.0], abs=1e-6)
+    assert after == []
